@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-discover smoke-discover bench-store smoke-store bench-txn smoke-txn bench-query smoke-query bench-wal smoke-wal bench-faults smoke-faults bench-shard smoke-shard smoke-serve bench-load smoke-load bench-plan smoke-plan smoke-fuzz errsweep lint fmt vet clean
+.PHONY: all build test race bench bench-discover smoke-discover bench-store smoke-store bench-txn smoke-txn bench-query smoke-query bench-wal smoke-wal bench-faults smoke-faults bench-shard smoke-shard smoke-serve bench-load smoke-load smoke-fuzz errsweep loc lint fmt vet clean
 
 all: build test
 
@@ -59,11 +59,13 @@ bench-query:
 	$(GO) test -bench 'BenchmarkSelect|BenchmarkStoreQuery' -benchmem -run '^$$' .
 
 # Short-mode query smoke: the differential fuzz (both engines vs the
-# per-tuple EvalBrute oracle, `!` cells and shared marks included) and
-# the E19 sweep's agreement self-check in quick mode.
+# per-tuple EvalBrute oracle, `!` cells and shared marks included), the
+# null-aware join differentials, the plan-time In dedupe regression, the
+# E19 sweep's agreement self-check in quick mode, and the explain goldens.
 smoke-query:
-	$(GO) test -short -run 'TestSelectDifferential|TestSelectAllDifferential' ./internal/query
+	$(GO) test -short -run 'TestSelectDifferential|TestSelectAllDifferential|TestSelectJoined|TestInDedupeAtPlanTime' ./internal/query
 	$(GO) test -short -run 'TestQuerySweep|TestStoreQueryRefinement' ./cmd/fdbench ./internal/store
+	$(GO) test -short -run 'TestQueryExplain' ./cmd/fdquery
 
 # The durable write path: E20 contrasts group commit against
 # fsync-per-commit (>=5x bar, every configuration reopened and checked
@@ -131,24 +133,6 @@ smoke-load:
 	$(GO) test -race -short -run 'TestServeOpenLoop' ./internal/serve
 	$(GO) test -race -short -run 'TestRerunReproducesOpCounts' ./cmd/fdload
 
-# The v2 query stack: E24 contrasts the algebraic planner (cost-based
-# sketch materialization over partition statistics) with the single-probe
-# planner on a multi-conjunct/∨ battery (>=5x bar at n=2000, three-engine
-# answer agreement), and the persistent union-find chase with the
-# whole-instance re-chase on commit streams (>=5x bar at n=10^4, full
-# state identity); the measurements are archived as BENCH_plan.json.
-bench-plan:
-	$(GO) run ./cmd/fdbench -exp E24 -json BENCH_plan.json
-
-# Short-mode v2-stack smoke: the E24 sweep's agreement self-checks in
-# quick mode, the null-aware join differentials (null-free route vs the
-# original relation's answers, null route vs the pad+chase+select
-# stack), the plan-time In dedupe regression, and the explain goldens.
-smoke-plan:
-	$(GO) test -short -run 'TestPlanSweep' ./cmd/fdbench
-	$(GO) test -short -run 'TestSelectJoined|TestInDedupeAtPlanTime' ./internal/query
-	$(GO) test -short -run 'TestQueryExplain' ./cmd/fdquery
-
 # Seed-corpus fuzz smoke: the relio parser, the predicate parser, and
 # the WAL record decoder must survive their corpora (use `go test -fuzz`
 # locally for open-ended exploration).
@@ -161,6 +145,13 @@ smoke-fuzz:
 # discard must carry an `errcheck:ok <reason>` annotation.
 errsweep:
 	$(GO) run ./cmd/errsweep
+
+# Report-only: non-test Go lines (plain wc -l) per package directory,
+# bench/ excluded — the number simplification PRs quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | \
+		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 lint: fmt vet errsweep
 

@@ -15,13 +15,10 @@
 // query planner vs the naive selection scan, E20 for the durable
 // store's group-commit vs fsync-per-commit write path, E21 for the
 // fault-injectable I/O layer's indirection cost, E22 for the
-// hash-sharded store's commit cost vs shard count, E23 for the
+// hash-sharded store's commit cost vs shard count, and E23 for the
 // open-loop load simulator (closed-loop mean vs open-loop tail latency,
-// saturation sweep, live fdserve daemon), and E24 for the v2 query
-// stack (algebraic planner vs the single-probe planner on ∨-heavy
-// batteries, and the persistent union-find chase vs the whole-instance
-// re-chase). -json writes the measurements experiments record (E20,
-// E21, E22, E23, E24) as a JSON artifact.
+// saturation sweep, live fdserve daemon). -json writes the measurements
+// experiments record (E20, E21, E22, E23) as a JSON artifact.
 package main
 
 import (
@@ -68,7 +65,6 @@ var experiments = []experiment{
 	{"E21", "Fault-injectable I/O layer — iox indirection cost and degraded-mode serving", runE21},
 	{"E22", "Hash-sharded store — commit cost vs shard count, with 2PC and oracle agreement", runE22},
 	{"E23", "Open-loop load — closed-loop mean vs open-loop tails, saturation sweep, live daemon", runE23},
-	{"E24", "Query stack v2 — algebraic planner vs single-probe, persistent vs full chase", runE24},
 }
 
 // benchRecord is one machine-readable measurement; -json writes the
@@ -124,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	benchRecords = nil
 	fs := flag.NewFlagSet("fdbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	expFlag := fs.String("exp", "all", "comma-separated experiment ids (E1..E24) or 'all'")
+	expFlag := fs.String("exp", "all", "comma-separated experiment ids (E1..E23) or 'all'")
 	quick := fs.Bool("quick", false, "smaller sweeps for smoke testing")
 	list := fs.Bool("list", false, "list experiments and exit")
 	engineFlag := fs.String("engine", "indexed", "per-tuple evaluation engine: indexed or naive")

@@ -7,7 +7,7 @@
 //
 //	fdquery -where 'predicate' [-where 'predicate' ...] [-f file]
 //	        [-chase | -store] [-checkfds] [-explain]
-//	        [-engine indexed|naive|single] [-workers N]
+//	        [-engine indexed|naive] [-workers N]
 //	fdquery -where 'MS in (married, single) and D# = d1' -f emp.txt
 //
 // -where may repeat; the predicates are evaluated as one batch over one
@@ -16,11 +16,8 @@
 // -engine selects the selection engine: "indexed" (the default)
 // compiles an algebraic plan — Eq/In/EqAttr probes intersected along
 // the ∧-spine, ∨ as a deduplicated union of sub-plans, residuals
-// ordered by estimated selectivity; "single" is the retained one-probe
-// planner (the v2 planner's differential oracle); "naive" full-scans
-// (the ground truth for both). With -checkfds, "single" checks the FDs
-// with the indexed evaluator (the eval package has no single-probe
-// engine).
+// ordered by estimated selectivity; "naive" full-scans (the ground
+// truth). With -checkfds the same flag selects the FD evaluator.
 //
 // -explain prints, before each predicate's answers, the compiled plan:
 // the probe/intersect/union tree with estimated vs actual candidate
@@ -80,30 +77,21 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	useStore := fs.Bool("store", false, "serve the queries from a guarded store snapshot (chase + NEC-shared marks + query cache)")
 	checkFDs := fs.Bool("checkfds", false, "print a per-FD satisfaction summary before the answers")
 	explain := fs.Bool("explain", false, "print each predicate's compiled plan before its answers")
-	engineFlag := fs.String("engine", "indexed", "selection engine (and -checkfds evaluator): indexed, naive or single")
+	engineFlag := fs.String("engine", "indexed", "selection engine (and -checkfds evaluator): indexed or naive")
 	workers := fs.Int("workers", 0, "worker pool size for the predicate batch (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// The eval and query engine enums share the spellings "indexed" and
+	// "naive" by design, so one flag selects both.
 	qEngine, err := query.ParseEngine(*engineFlag)
+	var evalEngine eval.Engine
+	if err == nil {
+		evalEngine, err = eval.ParseEngine(*engineFlag)
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "fdquery: %v\n", err)
 		return 2
-	}
-	// The eval and query engine enums share the spellings "indexed" and
-	// "naive" by design; "single" exists only on the query side, so the
-	// FD check falls back to the indexed evaluator for it.
-	evalEngine, err := eval.ParseEngine(*engineFlag)
-	if err != nil {
-		if qEngine != query.EngineSingle {
-			fmt.Fprintf(stderr, "fdquery: %v\n", err)
-			return 2
-		}
-		evalEngine, err = eval.ParseEngine("indexed")
-		if err != nil {
-			fmt.Fprintf(stderr, "fdquery: %v\n", err)
-			return 2
-		}
 	}
 	if len(wheres) == 0 {
 		fmt.Fprintln(stderr, "fdquery: -where is required")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -109,10 +110,18 @@ func TestQueryCheckFDs(t *testing.T) {
 }
 
 func TestQueryBadEngine(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-engine", "bogus", "-where", "MS = married"},
-		strings.NewReader(input), &out, &errOut); code != 2 {
-		t.Errorf("bad engine should exit 2, got %d", code)
+	// "single" is not an engine: the message must name exactly the two
+	// that are.
+	for _, engine := range []string{"bogus", "single"} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-engine", engine, "-where", "MS = married"},
+			strings.NewReader(input), &out, &errOut); code != 2 {
+			t.Errorf("engine %q should exit 2, got %d", engine, code)
+		}
+		want := fmt.Sprintf("fdquery: query: unknown engine %q (want indexed or naive)\n", engine)
+		if errOut.String() != want {
+			t.Errorf("engine %q: stderr %q, want %q", engine, errOut.String(), want)
+		}
 	}
 }
 
@@ -219,32 +228,6 @@ row x y
 	}
 }
 
-func TestQueryEngineSingle(t *testing.T) {
-	// The retained one-probe planner is a first-class engine and must
-	// print the same answers as the other two — including with -checkfds,
-	// where it borrows the indexed evaluator.
-	var want string
-	for i, engine := range []string{"indexed", "naive", "single"} {
-		var out, errOut strings.Builder
-		code := run([]string{"-engine", engine, "-checkfds", "-where", "MS = married and D# = d1"},
-			strings.NewReader(input), &out, &errOut)
-		if code != 0 {
-			t.Fatalf("engine %s: exit %d: %s", engine, code, errOut.String())
-		}
-		// The FD-satisfaction header names the evaluator, which differs by
-		// design; the answers from "predicate:" on must be identical.
-		_, answers, ok := strings.Cut(out.String(), "predicate:")
-		if !ok {
-			t.Fatalf("engine %s: no answers printed:\n%s", engine, out.String())
-		}
-		if i == 0 {
-			want = answers
-		} else if answers != want {
-			t.Errorf("engine %s disagrees:\n%s\nvs\n%s", engine, answers, want)
-		}
-	}
-}
-
 func TestQueryExplainGolden(t *testing.T) {
 	// The -explain report is deterministic: golden-match the whole output
 	// for an ∧ of two probes and for an ∨ of two arms.
@@ -302,8 +285,6 @@ func TestQueryExplainScanReasons(t *testing.T) {
 			"  full scan: naive engine\n"},
 		{[]string{"-explain", "-where", "not(MS = married)"},
 			"  full scan: no plannable conjunct\n"},
-		{[]string{"-explain", "-engine", "single", "-where", "not(MS = married)"},
-			"  full scan: no indexable conjunct\n"},
 	}
 	for _, c := range cases {
 		var out, errOut strings.Builder

@@ -61,18 +61,15 @@ type QueryEngine = query.Engine
 // algebraic plan over X-partition indexes — Eq/In/EqAttr probes
 // intersected along the ∧-spine by ascending cost estimate, ∨ evaluated
 // as a deduplicated union of sub-plans, residual conjuncts ordered by
-// estimated selectivity from IndexStats; QuerySingle pushes exactly one
-// conjunct into one probe (the previous planner, retained as the v2
-// planner's differential oracle); QueryNaive full-scans (the ground
-// truth both planners are tested against).
+// estimated selectivity from IndexStats; QueryNaive full-scans (the
+// ground truth the planner is tested against).
 const (
 	QueryIndexed = query.EngineIndexed
 	QueryNaive   = query.EngineNaive
-	QuerySingle  = query.EngineSingle
 )
 
-// ParseQueryEngine parses the -engine flag values "indexed", "naive"
-// and "single".
+// ParseQueryEngine parses the -engine flag values "indexed" and
+// "naive".
 func ParseQueryEngine(s string) (QueryEngine, error) { return query.ParseEngine(s) }
 
 // Select evaluates a predicate three-valuedly on every tuple: Sure lists
@@ -170,25 +167,6 @@ const (
 // ParseMaintenance parses the -maintenance flag values "incremental"
 // and "recheck".
 func ParseMaintenance(s string) (StoreMaintenance, error) { return store.ParseMaintenance(s) }
-
-// ChaseStrategy selects how the recheck engine re-chases after a
-// mutation or commit.
-type ChaseStrategy = store.ChaseStrategy
-
-// The chase strategies: ChasePersistent (the default) keeps a
-// union-find chase closure across commits and touches only the classes
-// the new tuples join, rolling back in O(trail) on rejection; ChaseFull
-// clones and re-chases the whole tentative instance per commit (the
-// differential ground truth). The strategies agree verdict-for-verdict
-// and state-for-state.
-const (
-	ChasePersistent = store.ChasePersistent
-	ChaseFull       = store.ChaseFull
-)
-
-// ParseChaseStrategy parses the -chase flag values "persistent" and
-// "full".
-func ParseChaseStrategy(s string) (ChaseStrategy, error) { return store.ParseChaseStrategy(s) }
 
 // InconsistencyError is returned for mutations the dependencies forbid.
 // It wraps ErrInconsistent, so errors.Is(err, ErrInconsistent) matches.

@@ -177,9 +177,9 @@ func TestPublicXSubstitutions(t *testing.T) {
 	}
 }
 
-// TestPublicQueryV2 exercises the v2 query surface: both planners vs
-// the scan, the plan report, partition statistics, the decomposed-
-// schema selection, and the store's chase-strategy knob.
+// TestPublicQueryV2 exercises the v2 query surface: the planner vs the
+// scan, the plan report, partition statistics, the decomposed-schema
+// selection, and a recheck store's rejection.
 func TestPublicQueryV2(t *testing.T) {
 	s := maritalScheme(t)
 	fds := fdnull.MustParseFDs(s, "E# -> D#,MS")
@@ -192,10 +192,8 @@ func TestPublicQueryV2(t *testing.T) {
 		Q: fdnull.Eq{Attr: s.MustAttr("D#"), Const: "d2"},
 	}
 	want := fdnull.Select(r, p)
-	for _, e := range []fdnull.QueryEngine{fdnull.QueryIndexed, fdnull.QuerySingle} {
-		if got := fdnull.SelectWith(r, p, fdnull.QueryOptions{Engine: e}); !got.Equal(want) {
-			t.Errorf("%s diverged from the scan: %v vs %v", e, got, want)
-		}
+	if got := fdnull.SelectWith(r, p, fdnull.QueryOptions{Engine: fdnull.QueryIndexed}); !got.Equal(want) {
+		t.Errorf("indexed diverged from the scan: %v vs %v", got, want)
 	}
 	res, ex := fdnull.SelectExplain(r, p, fdnull.QueryOptions{})
 	if !res.Equal(want) || ex.Scan || !strings.Contains(ex.String(), "union") {
@@ -220,16 +218,12 @@ func TestPublicQueryV2(t *testing.T) {
 		t.Errorf("joined selection: chased=%v len=%d res=%v want=%v", j.Chased, j.Rel.Len(), j.Res, want)
 	}
 
-	if c, err := fdnull.ParseChaseStrategy("full"); err != nil || c != fdnull.ChaseFull {
-		t.Errorf("ParseChaseStrategy(full) = %v, %v", c, err)
-	}
-	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{
-		Maintenance: fdnull.MaintenanceRecheck, Chase: fdnull.ChasePersistent})
+	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{Maintenance: fdnull.MaintenanceRecheck})
 	if err := st.InsertRow("e1", "d1", "married"); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.InsertRow("e1", "d2", "single"); err == nil {
-		t.Error("persistent chase must reject the E# -> D# violation")
+		t.Error("the recheck engine must reject the E# -> D# violation")
 	}
 	if st.Len() != 1 || !st.CheckWeak() {
 		t.Errorf("store after rejection: len=%d", st.Len())

@@ -62,6 +62,7 @@ func NaturalJoin(universal *schema.Scheme, fragments []*relation.Relation, compo
 		current = next
 	}
 	out := relation.New(universal)
+	seen := make(map[string]bool, len(current))
 	for _, p := range current {
 		row := make([]string, universal.Arity())
 		for i, c := range p {
@@ -71,8 +72,17 @@ func NaturalJoin(universal *schema.Scheme, fragments []*relation.Relation, compo
 			}
 			row[i] = *c
 		}
-		// The join is a set; drop duplicates silently.
-		_ = out.InsertRow(row...)
+		// The join is a set: drop duplicates here, so that any error the
+		// insert still returns (a fragment constant outside the universal
+		// scheme's domain) is a real one.
+		key := fmt.Sprintf("%q", row)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		if err := out.InsertRow(row...); err != nil {
+			return nil, fmt.Errorf("normalize: joined row: %w", err)
+		}
 	}
 	return out, nil
 }

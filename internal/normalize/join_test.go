@@ -59,6 +59,20 @@ func TestNaturalJoinValidation(t *testing.T) {
 	if _, err := NaturalJoin(s, bf, comps); err == nil {
 		t.Error("nothing-bearing fragments must be rejected")
 	}
+	// A fragment over a wider domain than the universal scheme's: the
+	// joined row cannot be stored, which is an error, not a dropped row.
+	wide := schema.MustNew("F", []string{"D#", "CT"}, []*schema.Domain{
+		schema.IntDomain("dept", "d", 12),
+		schema.MustDomain("ct", "full", "part", "temp", "casual"),
+	})
+	r2 := relation.MustFromRows(s,
+		[]string{"e1", "s1", "d1", "full"},
+		[]string{"e2", "s2", "d2", "part"})
+	of, _ := ProjectInstance(r2, comps)
+	of[1] = relation.MustFromRows(wide, []string{"d1", "full"}, []string{"d2", "casual"})
+	if j, err := NaturalJoin(s, of, comps); err == nil {
+		t.Errorf("out-of-domain fragment constant must be reported, got %d-row join", j.Len())
+	}
 }
 
 // TestNaturalJoinEdgeCases pins the join's set semantics at the

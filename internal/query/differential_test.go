@@ -283,8 +283,13 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("String() roundtrip: %q", got.String())
 		}
 	}
-	if _, err := ParseEngine("bogus"); err == nil {
-		t.Error("bogus engine must be rejected")
+	// "single" is not an engine: the error must name exactly the two
+	// that are.
+	for _, in := range []string{"bogus", "single"} {
+		want := fmt.Sprintf("query: unknown engine %q (want indexed or naive)", in)
+		if _, err := ParseEngine(in); err == nil || err.Error() != want {
+			t.Errorf("ParseEngine(%q) error = %v, want %q", in, err, want)
+		}
 	}
 	if got := Engine(99).String(); got != fmt.Sprintf("Engine(%d)", 99) {
 		t.Errorf("unknown engine String: %q", got)

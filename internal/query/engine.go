@@ -6,11 +6,10 @@
 // Eq/In/EqAttr probes intersected along the ∧-spine, ∨ evaluated as a
 // deduplicated union of sub-plans, residual conjuncts ordered by
 // estimated selectivity — so the full predicate runs on the plan's
-// candidates alone. EngineSingle keeps the PR 5 one-probe planner
-// (plan_single.go) as the differential oracle. SelectAll fans a batch
-// of predicates over a bounded worker pool, mirroring eval.CheckAll.
+// candidates alone. SelectAll fans a batch of predicates over a bounded
+// worker pool, mirroring eval.CheckAll.
 //
-// All engines return identical Results (ascending tuple order);
+// Both engines return identical Results (ascending tuple order);
 // differential_test.go asserts it on randomized workloads including
 // shared marks and `!` cells, with per-tuple EvalBrute as the oracle.
 package query
@@ -35,16 +34,12 @@ const (
 	// structure. The default.
 	EngineIndexed Engine = iota
 	// EngineNaive always evaluates by the full scan; kept as the ground
-	// truth both planners are differentially tested against.
+	// truth the planner is differentially tested against.
 	EngineNaive
-	// EngineSingle is the PR 5 single-probe planner (plan_single.go):
-	// one cheapest indexable conjunct pushed into one probe. Retained as
-	// the v2 planner's differential oracle and fdbench baseline.
-	EngineSingle
 )
 
 // String returns the flag spelling of the engine. The rendering is part
-// of the store's query-cache key, so the three engines must render
+// of the store's query-cache key, so the two engines must render
 // distinctly.
 func (e Engine) String() string {
 	switch e {
@@ -52,24 +47,19 @@ func (e Engine) String() string {
 		return "indexed"
 	case EngineNaive:
 		return "naive"
-	case EngineSingle:
-		return "single"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine parses the -engine flag values "indexed", "naive" and
-// "single".
+// ParseEngine parses the -engine flag values "indexed" and "naive".
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "indexed":
 		return EngineIndexed, nil
 	case "naive":
 		return EngineNaive, nil
-	case "single":
-		return EngineSingle, nil
 	}
-	return 0, fmt.Errorf("query: unknown engine %q (want indexed, naive or single)", s)
+	return 0, fmt.Errorf("query: unknown engine %q (want indexed or naive)", s)
 }
 
 // Indexer is the optional capability of a Source the planner needs:
@@ -93,26 +83,19 @@ type Options struct {
 	Workers int
 }
 
-// SelectWith evaluates one predicate with the chosen engine. The two
-// planning engines require the source to be an Indexer and the
-// predicate to carry plannable structure; otherwise they degrade to the
+// SelectWith evaluates one predicate with the chosen engine. The
+// indexed engine requires the source to be an Indexer and the
+// predicate to carry plannable structure; otherwise it degrades to the
 // scan, so the verdicts are engine-independent by construction.
 //
 // A bare relation.View also degrades to the scan: its IndexOn rebuilds
 // per call, so planning over it would pay one O(n) build per conjunct
 // just to probe once — strictly worse than the single O(n) scan. Views
-// get the planners only through an amortizing Indexer wrapper (the
+// get the planner only through an amortizing Indexer wrapper (the
 // store's version-keyed snapshot-index cache).
 func SelectWith(src Source, p Pred, opts Options) Result {
 	if ix, ok := plannerSource(src, opts.Engine); ok {
-		switch opts.Engine {
-		case EngineIndexed:
-			return PlanPred(src, ix, p).Run(src)
-		case EngineSingle:
-			if pl, ok := planFor(src, ix, p); ok {
-				return pl.run(src, p)
-			}
-		}
+		return PlanPred(src, ix, p).Run(src)
 	}
 	return Select(src, p)
 }
@@ -120,7 +103,7 @@ func SelectWith(src Source, p Pred, opts Options) Result {
 // plannerSource reports whether the engine plans at all and the source
 // supports it (an Indexer that is not a bare, non-amortizing View).
 func plannerSource(src Source, e Engine) (Indexer, bool) {
-	if e != EngineIndexed && e != EngineSingle {
+	if e != EngineIndexed {
 		return nil, false
 	}
 	ix, ok := src.(Indexer)

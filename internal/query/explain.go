@@ -90,19 +90,6 @@ func SelectExplain(src Source, p Pred, opts Options) (Result, *Explain) {
 		}
 		return Select(src, p), scanExplain(opts.Engine, src.Len(), reason)
 	}
-	if opts.Engine == EngineSingle {
-		pl, ok := planFor(src, ix, p)
-		if !ok {
-			return Select(src, p), scanExplain(opts.Engine, src.Len(), "no indexable conjunct")
-		}
-		e := &Explain{
-			Engine:    opts.Engine.String(),
-			SourceLen: src.Len(),
-			Root:      &ExplainNode{Op: opProbe, Detail: "cheapest single conjunct", Est: pl.cost, Actual: pl.cost},
-			Evaluated: pl.cost,
-		}
-		return pl.run(src, p), e
-	}
 	plan := PlanPred(src, ix, p)
 	return plan.Run(src), plan.Explain(opts.Engine)
 }

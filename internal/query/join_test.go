@@ -203,7 +203,7 @@ func TestSelectJoinedNullFreeMatchesOriginal_Random(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, engine := range []Engine{EngineIndexed, EngineNaive, EngineSingle} {
+		for _, engine := range []Engine{EngineIndexed, EngineNaive} {
 			p := randEmpPred(rng, s, 2)
 			j, err := SelectJoined(s, fds, frags, comps, p, Options{Engine: engine})
 			if err != nil {

@@ -1,10 +1,6 @@
 // plan.go implements the algebraic selection planner of the indexed
-// engine (v2).
-//
-// Where the single-probe planner (plan_single.go, retained as
-// EngineSingle) pushes exactly one ∧-conjunct into one X-partition
-// probe, the v2 planner compiles the predicate into an algebraic plan
-// over candidate row sets:
+// engine. It compiles the predicate into an algebraic plan over
+// candidate row sets:
 //
 //   - every indexable atom of the ∧-spine becomes a *probe* node — the
 //     index groups its constants select plus the null sidecar, exactly
@@ -19,9 +15,7 @@
 //     being gathered and sorted);
 //   - an ∨ whose arms are all plannable becomes a *union* node: a tuple
 //     on which the disjunction is non-false is non-false on some arm,
-//     so the candidates are the deduplicated union of the arms' sets
-//     (the single-probe planner never pushed ∨ and fell back to the
-//     scan);
+//     so the candidates are the deduplicated union of the arms' sets;
 //   - the residual ∧-conjuncts are ordered by estimated selectivity —
 //     cheapest-to-falsify first — using the partition statistics
 //     (relation.IndexStats) the probes' indexes maintain, and evaluated
@@ -37,7 +31,7 @@
 // predicate by the package convention, so no plan visits them;
 // contradictions off the probed sets are dropped by the per-candidate
 // guard. A predicate offering no plannable structure falls back to the
-// scan, as before.
+// scan.
 package query
 
 import (

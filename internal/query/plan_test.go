@@ -36,8 +36,8 @@ func assertAscendingNoDupes(t *testing.T, label string, rows []int) {
 
 // TestInDedupeAtPlanTime is the regression test for repeated In values:
 // an `A in {v1, v1, v1}` must probe each group once — the same
-// candidates, estimate, and cost as the deduplicated predicate — under
-// the v2 planner, inside ∨ arms, and under the single-probe planner.
+// candidates, estimate, and cost as the deduplicated predicate — at a
+// top-level probe and inside ∨ arms.
 func TestInDedupeAtPlanTime(t *testing.T) {
 	r := dedupeRel(t)
 	dup := In{Attr: 0, Values: []string{"v1", "v1", "v2", "v1"}}
@@ -69,17 +69,4 @@ func TestInDedupeAtPlanTime(t *testing.T) {
 			pod.root.rows, poc.root.rows, pod.root.est, poc.root.est)
 	}
 	assertAscendingNoDupes(t, "union", pod.root.rows)
-
-	// Single-probe planner: identical cost (its candidate count).
-	sd, okd := planFor(r, r, dup)
-	sc, okc := planFor(r, r, clean)
-	if !okd || !okc {
-		t.Fatal("single-probe planner must plan In")
-	}
-	if sd.cost != sc.cost {
-		t.Errorf("duplicated In changed the single-probe cost: %d vs %d", sd.cost, sc.cost)
-	}
-	if !sd.run(r, dup).Equal(sc.run(r, clean)) {
-		t.Error("duplicated In changed the single-probe answer")
-	}
 }

@@ -47,6 +47,9 @@ type SchemeSpec struct {
 
 // TenantSpec is one named isolated store: its scheme, dependency set,
 // shard layout, auth token, and optional durable directory.
+//
+// Maintenance "recheck" is the O(n)-per-write clone-and-re-chase oracle
+// the default engine is tested against, not a production setting.
 type TenantSpec struct {
 	Name        string     `json:"name"`
 	Token       string     `json:"token"`

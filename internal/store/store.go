@@ -25,9 +25,11 @@
 //
 // # Maintenance engines
 //
-// Two engines maintain the invariant. MaintenanceRecheck is the original
-// path: clone the instance, apply the mutation, re-chase from scratch —
-// O(n) per write. MaintenanceIncremental (the default) exploits that the
+// Two engines maintain the invariant. MaintenanceRecheck is the oracle:
+// clone the instance, apply the mutation, run one extended chase —
+// O(n) per write, the ground truth the other engine is tested against
+// and delegates rejections to, not a production setting.
+// MaintenanceIncremental (the default) exploits that the
 // stored instance is always a chase fixpoint: a delta can only fire
 // NS-rules inside the partition groups it touches, so the engine sweeps
 // just those groups, propagating forced substitutions through a
@@ -91,48 +93,6 @@ func ParseMaintenance(s string) (Maintenance, error) {
 	return 0, fmt.Errorf("store: unknown maintenance engine %q (want incremental or recheck)", s)
 }
 
-// ChaseStrategy selects how the recheck engine re-chases after a
-// mutation. It only matters under MaintenanceRecheck (without the
-// X-rules): the incremental maintenance engine never chases per commit.
-type ChaseStrategy int
-
-const (
-	// ChasePersistent keeps a union-find chase closure (the persistent
-	// chaser, chase.Incremental) alive across commits, keyed to the
-	// instance's version counter: an insert-only write-set seeds only the
-	// classes it touches instead of re-chasing the instance. Structural
-	// changes (update, delete, a full-chase commit) invalidate the
-	// closure, which is rebuilt lazily. The default.
-	ChasePersistent ChaseStrategy = iota
-	// ChaseFull re-chases the whole tentative instance on every commit —
-	// the original recheck behavior, kept as the per-commit differential
-	// oracle the persistent chaser is tested against.
-	ChaseFull
-)
-
-// String returns the flag spelling of the strategy.
-func (c ChaseStrategy) String() string {
-	switch c {
-	case ChasePersistent:
-		return "persistent"
-	case ChaseFull:
-		return "full"
-	}
-	return fmt.Sprintf("ChaseStrategy(%d)", int(c))
-}
-
-// ParseChaseStrategy parses the -chase flag values "persistent" and
-// "full".
-func ParseChaseStrategy(s string) (ChaseStrategy, error) {
-	switch s {
-	case "persistent":
-		return ChasePersistent, nil
-	case "full":
-		return ChaseFull, nil
-	}
-	return 0, fmt.Errorf("store: unknown chase strategy %q (want persistent or full)", s)
-}
-
 // Options configure a store.
 type Options struct {
 	// ApplyXRules additionally runs the Section 4 X-side substitution
@@ -143,10 +103,6 @@ type Options struct {
 	// Maintenance selects the invariant-maintenance engine; the zero
 	// value is MaintenanceIncremental.
 	Maintenance Maintenance
-	// Chase selects the recheck engine's chase strategy; the zero value
-	// is ChasePersistent. Irrelevant under MaintenanceIncremental or
-	// ApplyXRules, which never take the persistent fast path.
-	Chase ChaseStrategy
 }
 
 // Store is a relation instance guarded by a set of functional
@@ -158,13 +114,6 @@ type Store struct {
 	rel    *relation.Relation
 	opts   Options
 	inc    *incState
-	// chaser is the persistent union-find chase closure (chase.go's
-	// Incremental), valid only while chaserVer equals the instance's
-	// version counter; any mutation outside its append-only fast path
-	// moves the version and the closure is rebuilt lazily. Only the
-	// recheck engine under ChasePersistent uses it.
-	chaser    *chase.Incremental
-	chaserVer uint64
 	// qcache backs the read path (query.go): version-keyed selection
 	// results and snapshot indexes.
 	qcache queryCache
@@ -419,10 +368,6 @@ func (st *Store) Insert(t relation.Tuple) error {
 }
 
 func (st *Store) insertRecheck(t relation.Tuple) error {
-	if p, ok := st.prepareTxnChase([]txnOp{{kind: txnInsert, t: t}}); ok {
-		p.apply()
-		return nil
-	}
 	tentative := st.rel.Clone()
 	if err := tentative.Insert(t); err != nil {
 		return err
@@ -450,8 +395,6 @@ func (st *Store) InsertRow(cells ...string) error {
 		if err := st.insertIncremental(t, pre); err != nil {
 			return err
 		}
-	} else if p, ok := st.prepareTxnChase([]txnOp{{kind: txnInsert, row: cells}}); ok {
-		p.apply()
 	} else {
 		tentative := st.rel.Clone()
 		if err := tentative.InsertRow(cells...); err != nil {

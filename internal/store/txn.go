@@ -593,9 +593,6 @@ func (st *Store) prepareTxnIncremental(ops []txnOp) (*preparedTxn, error) {
 // full commit's chase witness. The store itself is untouched until
 // apply adopts the resolved clone, so discard has nothing to undo.
 func (st *Store) prepareTxnRecheck(ops []txnOp) (*preparedTxn, error) {
-	if p, ok := st.prepareTxnChase(ops); ok {
-		return p, nil
-	}
 	preMark := st.rel.NextMark()
 	tentative := st.rel.Clone()
 	var counts [3]int

@@ -538,8 +538,8 @@ func BenchmarkStoreTxnCommit(b *testing.B) {
 	// One transactional commit of a k=32-row write-set into a single
 	// department-scale partition group at n=2000, p=8, per maintenance
 	// engine: the incremental engine applies the set as one multi-row
-	// delta with ONE batched check (eval.CheckDeltaBatch + one
-	// propagation seeded from all staged cells); the recheck engine
+	// delta with ONE check (one propagation seeded from all staged
+	// rows, sweeping each touched group once); the recheck engine
 	// clones and chases once per commit. `make bench-txn` runs this
 	// table; E18 additionally compares against k per-op commits and
 	// asserts the ≥5x bar with state agreement.

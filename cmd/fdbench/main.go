@@ -1,6 +1,7 @@
 // Command fdbench regenerates every figure, example, theorem validation,
-// and complexity claim of the paper (the per-experiment index lives in
-// DESIGN.md; measured results are recorded in EXPERIMENTS.md).
+// and complexity claim of the paper (the per-experiment index is the
+// experiments table below, printed by -list; archived measurements are
+// the BENCH_*.json files at the repository root).
 //
 // Usage:
 //

@@ -8,12 +8,11 @@ package main
 //
 //   - batched: Store.Begin, k staged ops, one Txn.Commit — the
 //     incremental engine applies the set as one multi-row delta and
-//     pays ONE batch check (eval.CheckDeltaBatch over the union of
-//     touched groups) plus one NS-propagation seeded from all staged
-//     cells;
+//     pays ONE NS-propagation seeded from all staged rows, sweeping
+//     the touched group once;
 //   - per-op: k individual InsertRow commits on the incremental
-//     engine — each re-verifies and re-settles the (growing) group,
-//     so the group is swept O(k) times per write-set;
+//     engine — k one-op write-sets through the same path, each
+//     sweeping the (growing) group, O(k) sweeps per write-set;
 //   - oracle: the same Txn.Commit on the recheck engine — one clone
 //     and one chase per commit.
 //
@@ -157,9 +156,9 @@ func runE18(w io.Writer, quick bool) error {
 	if !quick && speedup < 5 {
 		return fmt.Errorf("batched commit failed the 5x bar against per-op incremental commits at the largest size (%.1fx)", speedup)
 	}
-	fmt.Fprintln(w, "  a k-op write-set into one partition group pays ONE batch check (the union of touched")
-	fmt.Fprintln(w, "  groups, deduplicated) and ONE propagation seeded from all staged cells; per-op commits")
-	fmt.Fprintln(w, "  re-sweep the growing group k times. The recheck oracle — one clone-and-chase per")
+	fmt.Fprintln(w, "  a k-op write-set into one partition group pays ONE propagation seeded from all staged")
+	fmt.Fprintln(w, "  rows (touched groups deduplicated, each swept once); per-op commits are k one-op write-sets")
+	fmt.Fprintln(w, "  that re-sweep the growing group k times. The recheck oracle — one clone-and-chase per")
 	fmt.Fprintln(w, "  commit — anchors correctness: all three converge to the identical instance by assertion")
 	return nil
 }

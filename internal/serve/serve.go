@@ -177,7 +177,8 @@ func buildTenant(sp TenantSpec) (*tenant, error) {
 //	delete  match=[cells]        remove the committed tuple
 //	txn     ops=[{op,...}]       apply a write-set atomically (2PC when
 //	                             it spans shards)
-//	query   where="A = a1 & ..." three-valued selection; sure/maybe rows
+//	query   where="A = a1 and ..." three-valued selection (and/or/not/in);
+//	                             sure/maybe rows
 //	discover [maxlhs=k]          mine the minimal FD cover holding in a
 //	                             snapshot of the instance
 //	check                        weak+strong satisfiability of the union
@@ -429,7 +430,8 @@ func (srv *Server) Serve() {
 
 // Shutdown stops accepting, waits for in-flight connections up to the
 // context deadline, force-closes stragglers, and closes every tenant
-// store (checkpointing durable ones through their Close path).
+// store. Closing a durable tenant syncs and closes its logs; it takes
+// no checkpoint, so the next start replays the log suffix.
 func (srv *Server) Shutdown(ctx context.Context) error {
 	srv.mu.Lock()
 	srv.draining = true

@@ -1,15 +1,19 @@
-// incremental.go implements the incremental maintenance engine: the
-// store's invariant — the instance is a fixpoint of the extended NS-rule
-// system, free of `nothing` — is re-established after a single-tuple
-// mutation without cloning or re-chasing the instance.
+// incremental.go holds the incremental maintenance engine's machinery:
+// the mark-occurrence index, the undo log, and the worklist propagation
+// that re-establishes the store's invariant — the instance is a fixpoint
+// of the extended NS-rule system, free of `nothing` — after a write-set
+// was applied in place, without cloning or re-chasing the instance. The
+// commit pipeline that drives it (structural application, seeding,
+// rollback) is prepareTxnIncremental in txn.go; a per-op mutation is a
+// one-op write-set through that same pipeline.
 //
 // The engine rests on one property of fixpoints: the chase writes every
 // forced substitution back into the cells, so two cells are in the same
 // congruence class exactly when they are syntactically identical (equal
 // constants, or nulls with the same mark). An NS-rule is therefore
 // applicable only between tuples whose X-projections are *identical*,
-// and after a mutation of tuple t the only rules that can newly fire
-// involve a tuple whose cells changed — initially just t. The engine
+// and after a write-set the only rules that can newly fire involve a
+// tuple whose cells changed — initially the staged rows. The engine
 // keeps that invariant inductively:
 //
 // a worklist propagation fires the rules at group granularity: for each
@@ -22,8 +26,10 @@
 // *eagerly into every occurrence of the mark* via a mark→cells index,
 // re-dirtying the touched tuples. Min-mark merging reproduces the
 // chase's canonical (min) class marks, and groups shared by several
-// dirty rows are swept once per round, which is what lets the
-// transactional commit (txn.go) pay one sweep for a k-row write-set.
+// dirty rows are swept once per round, which is what makes a k-row
+// write-set into one group cost one sweep instead of k. That sweep is
+// the engine's only constraint check: nothing pre-filters the write-set
+// before it.
 //
 // Substitutions map identical cells to identical cells, so a group's
 // members keep agreeing on X while the worklist runs — stale probe
@@ -31,11 +37,11 @@
 // tuples are processed. The propagation terminates because every
 // substitution either binds a null or merges two mark classes.
 //
-// On any contradiction the engine rolls the cells back (through the
-// delta mutators, so the indexes stay warm) and delegates to the recheck
-// path, which re-derives the rejection with its full chase witness —
-// rejects are therefore bit-identical between the engines, and the
-// incremental path is a pure accept-side fast path.
+// On any contradiction the committer rolls the write-set back (through
+// the delta mutators or a snapshot, so the indexes stay warm) and
+// delegates to the recheck preparer, which re-derives the rejection with
+// its full chase witness — rejects are therefore bit-identical between
+// the engines, and the incremental path is a pure accept-side fast path.
 package store
 
 import (
@@ -125,146 +131,38 @@ func (st *Store) renumberMarkRefs(t relation.Tuple, from, to int) {
 
 // The fresh-mark allocator needs no per-commit renormalization: both
 // engines keep it *monotone* — the recheck path restores the tentative's
-// allocator after the chase rebuild (store.go), and on the incremental
+// allocator after the chase rebuild (txn.go), and on the incremental
 // path every mark enters the instance below it (parsed fresh nulls and
-// noteMark'd inserts by construction; the one exception, an Update
-// writing an explicit marked null from above the allocator, is bumped
-// over in updateIncremental when the mark survives propagation).
-// Monotonicity guarantees a mark handed out by FreshNull is never
-// recycled and aliased with an unrelated unknown.
+// noted explicit marks by construction; an Update writing an explicit
+// marked null from above the allocator bumps it at apply time,
+// applyTxnOp). Monotonicity guarantees a mark handed out by FreshNull is
+// never recycled and aliased with an unrelated unknown.
 
-// undoLog records the speculative changes of one mutation so a detected
-// contradiction can restore the pre-mutation instance exactly.
+// undoLog records the cell overwrites of one delete-free write-set — the
+// staged updates, then every substitution the propagation makes — so a
+// detected contradiction can restore the pre-commit cells exactly.
 type undoCell struct {
 	ref cellRef
 	old value.V
 }
 
 type undoLog struct {
-	cells         []undoCell
-	insertedAt    int // index of the appended tuple, or -1
-	savedNextMark int
-}
-
-// rollback restores the instance through the delta mutators (keeping the
-// partition indexes warm) and invalidates the mark index, which the
-// substitutions mangled.
-func (st *Store) rollback(und *undoLog) {
-	for k := len(und.cells) - 1; k >= 0; k-- {
-		c := und.cells[k]
-		st.rel.SetCellDelta(c.ref.ti, c.ref.a, c.old)
-	}
-	if und.insertedAt >= 0 {
-		// The speculative tuple is still the last row: propagation only
-		// overwrites cells, it never reorders tuples.
-		st.rel.DeleteDelta(und.insertedAt)
-	}
-	st.rel.SetNextMark(und.savedNextMark)
-	st.invalidateInc()
-}
-
-// ---- the three incremental mutations ----
-
-func (st *Store) insertIncremental(t relation.Tuple, savedNextMark int) error {
-	// A tuple carrying the inconsistent element can never be completed:
-	// the extended chase always rejects it. The delta machinery never
-	// looks at nothing sidecars, so route it to the recheck path for the
-	// identical rejection (witness, counters, untouched allocator).
-	for _, v := range t {
-		if v.IsNothing() {
-			st.rel.SetNextMark(savedNextMark)
-			return st.insertRecheck(t)
-		}
-	}
-	st.ensureInc()
-	idx, err := st.rel.InsertDelta(t)
-	if err != nil {
-		st.rel.SetNextMark(savedNextMark)
-		return err
-	}
-	for a, v := range st.rel.Tuple(idx) {
-		if v.IsNull() {
-			st.addMarkRef(v.Mark(), cellRef{idx, schema.Attr(a)})
-		}
-	}
-	und := &undoLog{insertedAt: idx, savedNextMark: savedNextMark}
-	if !st.settle(idx, und) {
-		st.rollback(und)
-		return st.insertRecheck(t)
-	}
-	st.inserts++
-	return nil
-}
-
-func (st *Store) updateIncremental(ti int, a schema.Attr, v value.V) error {
-	st.ensureInc()
-	saved := st.rel.NextMark()
-	old := st.rel.Tuple(ti)[a]
-	st.rel.SetCellDelta(ti, a, v)
-	ref := cellRef{ti, a}
-	if old.IsNull() {
-		st.dropMarkRef(old.Mark(), ref)
-	}
-	if v.IsNull() {
-		st.addMarkRef(v.Mark(), ref)
-	}
-	und := &undoLog{insertedAt: -1, savedNextMark: saved, cells: []undoCell{{ref, old}}}
-	if !st.settle(ti, und) {
-		st.rollback(und)
-		return st.updateRecheck(ti, a, v)
-	}
-	// SetCell does not note marks (matching the recheck tentative), so an
-	// explicit marked null written from above the allocator must bump it
-	// once it is known to survive — the recheck chase would have counted
-	// it among the surviving marks.
-	if v.IsNull() && v.Mark() >= st.rel.NextMark() {
-		if _, live := st.inc.marks[v.Mark()]; live {
-			st.rel.SetNextMark(v.Mark() + 1)
-		}
-	}
-	st.updates++
-	return nil
-}
-
-func (st *Store) deleteIncremental(ti int) error {
-	st.ensureInc()
-	// Deletion from a fixpoint cannot enable a rule — rules need pairs,
-	// and no surviving pair changed — so there is no propagation and no
-	// rejection; only the occurrence index and allocator are maintained.
-	del := st.rel.Tuple(ti)
-	for a, v := range del {
-		if v.IsNull() {
-			st.dropMarkRef(v.Mark(), cellRef{ti, schema.Attr(a)})
-		}
-	}
-	if moved := st.rel.DeleteDelta(ti); moved >= 0 {
-		st.renumberMarkRefs(st.rel.Tuple(ti), moved, ti)
-	}
-	st.deletes++
-	return nil
+	cells []undoCell
 }
 
 // ---- worklist propagation ----
 
-// settle re-establishes the fixpoint invariant after the cells of tuple
-// seed changed, recording every substitution in und. It reports false on
-// a contradiction (two distinct constants forced together), leaving the
-// partially substituted instance for the caller to roll back.
-func (st *Store) settle(seed int, und *undoLog) bool {
-	return st.settleSeeds([]int{seed}, und)
-}
-
-// settleSeeds is the multi-seed propagation behind both the single-op
-// mutations and the transactional batch commit: it re-establishes the
-// fixpoint invariant after the rows in seeds changed, firing NS-rules at
-// *group* granularity. Each round sweeps, per FD, the partition groups
-// of the currently dirty rows — a group shared by many dirty rows is
-// swept once, which is what makes a k-row write-set into one group cost
-// one sweep instead of k — applying every forced substitution through
-// the mark occurrence index; rows touched by a substitution become the
-// next round's dirty set. It reports false on a contradiction, leaving
-// the partially substituted instance for the caller to roll back (und
-// may be nil when the caller rolls back by snapshot instead of by log).
+// settleSeeds is the propagation behind every commit, one op or k: it
+// re-establishes the fixpoint invariant after the rows in seeds changed,
+// firing NS-rules at *group* granularity. Each round sweeps, per FD, the
+// partition groups of the currently dirty rows — a group shared by many
+// dirty rows is swept once, which is what makes a k-row write-set into
+// one group cost one sweep instead of k — applying every forced
+// substitution through the mark occurrence index; rows touched by a
+// substitution become the next round's dirty set. It reports false on a
+// contradiction, leaving the partially substituted instance for the
+// caller to roll back (und is nil when the caller rolls back by snapshot
+// instead of by log).
 func (st *Store) settleSeeds(seeds []int, und *undoLog) bool {
 	p := propagation{st: st, und: und, nextSet: make(map[int]bool), done: make(map[int]bool)}
 	dirty := make([]int, 0, len(seeds))

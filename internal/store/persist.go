@@ -30,11 +30,7 @@ func Load(r io.Reader, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := New(parsed.Scheme, parsed.FDs, opts)
-	if err := st.commit("load", parsed.Relation); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return FromRelation(parsed.Scheme, parsed.FDs, parsed.Relation, opts)
 }
 
 // String renders the store compactly for logs.

@@ -8,8 +8,10 @@
 //
 //  1. Read MANIFEST; refuse to open under a different maintenance
 //     engine or X-rules setting than the log was produced under
-//     (replay is engine-pinned — op indices track engine-dependent
-//     tuple order). Stray *.tmp leftovers from a crash mid-rename are
+//     (replay is pinned to the configuration that wrote the log: the
+//     X-rules change the state a commit resolves to, and the engines'
+//     agreement is something tests prove, not something recovery
+//     assumes). Stray *.tmp leftovers from a crash mid-rename are
 //     pruned, never interpreted.
 //  2. Load the checkpoint relio file VERBATIM — no re-chase. The
 //     checkpoint was materialized from a live store, so it is already a
@@ -24,9 +26,9 @@
 //     torn) active segment and covers it with a fresh checkpoint.
 //  4. Replay each record with seq > ckptseq through the store's own
 //     commit paths: restore the logged pre-commit allocator watermark,
-//     then re-execute the write-set (per-op records through the
-//     matching Store method, transaction records through one
-//     Begin/stage/Commit). Both engines are deterministic functions of
+//     then re-execute the write-set through one Begin/stage/Commit
+//     (a per-op record is a one-op write-set, exactly as it was when
+//     first applied). Both engines are deterministic functions of
 //     (state, allocator, write-set), so the recovered instance is
 //     bit-identical to the pre-crash committed state — crash_test.go
 //     proves it at every record boundary, fault_test.go under every
@@ -66,8 +68,8 @@ var ErrDurableClosed = errors.New("store: durable store is closed")
 type DurableOptions struct {
 	// Store configures the wrapped store. On reopen the maintenance
 	// engine and X-rules setting must match the manifest; opening a log
-	// under the other engine is refused, because replay re-derives
-	// engine-dependent tuple order.
+	// under the other configuration is refused: replay must re-derive
+	// exactly the states the logged op indices addressed.
 	Store Options
 	// Scheme and FDs seed a FRESH directory (no manifest yet); both are
 	// required there and ignored on reopen, where the checkpoint file is
@@ -695,56 +697,40 @@ func readFileRetry(env *ioEnv, path string) ([]byte, error) {
 }
 
 // replayRecord re-executes one logged commit through the store's own
-// commit paths. The hooks are not installed yet, so nothing is
-// re-logged or gated.
+// write path: stage the write-set, commit it. A per-op record is the
+// one-op case of the same loop. The hooks are not installed yet, so
+// nothing is re-logged or gated.
 func replayRecord(st *Store, rec walRecord) error {
+	if rec.mode == recPerOp && len(rec.ops) != 1 {
+		return fmt.Errorf("per-op record carries %d ops", len(rec.ops))
+	}
 	// FreshNull calls between commits advanced the allocator without a
 	// record of their own; restore the logged watermark so re-parsed "-"
 	// cells and explicit marks land exactly where they originally did.
 	if rec.preMark > st.rel.NextMark() {
 		st.rel.SetNextMark(rec.preMark)
 	}
-	switch rec.mode {
-	case recPerOp:
-		if len(rec.ops) != 1 {
-			return fmt.Errorf("per-op record carries %d ops", len(rec.ops))
-		}
-		op := rec.ops[0]
+	tx := st.Begin()
+	for i, op := range rec.ops {
+		var err error
 		switch op.kind {
 		case txnInsert:
 			if op.t != nil {
-				return st.Insert(op.t)
+				err = tx.Insert(op.t)
+			} else {
+				err = tx.InsertRow(op.row...)
 			}
-			return st.InsertRow(op.row...)
 		case txnUpdate:
-			return st.Update(op.ti, op.a, op.v)
+			err = tx.Update(op.ti, op.a, op.v)
 		default:
-			return st.Delete(op.ti)
+			err = tx.Delete(op.ti)
 		}
-	case recTxn:
-		tx := st.Begin()
-		for i, op := range rec.ops {
-			var err error
-			switch op.kind {
-			case txnInsert:
-				if op.t != nil {
-					err = tx.Insert(op.t)
-				} else {
-					err = tx.InsertRow(op.row...)
-				}
-			case txnUpdate:
-				err = tx.Update(op.ti, op.a, op.v)
-			default:
-				err = tx.Delete(op.ti)
-			}
-			if err != nil {
-				tx.Rollback()
-				return fmt.Errorf("stage op %d: %v", i, err)
-			}
+		if err != nil {
+			tx.Rollback()
+			return fmt.Errorf("stage op %d: %v", i, err)
 		}
-		return tx.Commit()
 	}
-	return fmt.Errorf("unknown record mode %d", rec.mode)
+	return tx.Commit()
 }
 
 // ---- the concurrent durable facade ----

@@ -137,7 +137,7 @@ func OpenShardedDurable(dir string, s *schema.Scheme, fds []fd.FD, opts ShardedO
 	if err := validateShardedOptions(s, fds, opts); err != nil {
 		return nil, err
 	}
-	if entries, err := os.ReadDir(dir); err == nil {
+	if entries, err := newIOEnv(dopts).fs.ReadDir(dir); err == nil {
 		existing := 0
 		for _, e := range entries {
 			if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fdnull/internal/fd"
+	"fdnull/internal/iox"
 	"fdnull/internal/query"
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
@@ -565,5 +566,19 @@ func TestShardedDurableReopen(t *testing.T) {
 	}
 	if !re.CheckWeak() {
 		t.Fatalf("weak satisfiability lost after reopen")
+	}
+}
+
+// TestShardedDurableProbeUsesFS: counting the existing shard-NN
+// directories is store I/O like any other, so it goes through
+// DurableOptions.FS — a fault planned for the first call lands on it.
+func TestShardedDurableProbeUsesFS(t *testing.T) {
+	dir := t.TempDir()
+	s, fds := shardScheme()
+	ffs := iox.NewFaultFS(nil, map[uint64]iox.Fault{1: {}})
+	_, err := OpenShardedDurable(dir, s, fds,
+		ShardedOptions{Shards: 2, Key: fd.MustParseSet(s, "K -> A")[0].X}, DurableOptions{FS: ffs})
+	if err == nil || !strings.Contains(err.Error(), "(readdir "+dir+")") {
+		t.Fatalf("first I/O call must be the shard-directory probe on the configured FS, got %v", err)
 	}
 }

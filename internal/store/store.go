@@ -23,22 +23,27 @@
 // The stored instance therefore always weakly satisfies F, and every
 // stored constant is a certain consequence of user-provided data.
 //
-// # Maintenance engines
+// # One write path, two maintenance engines
 //
-// Two engines maintain the invariant. MaintenanceRecheck is the oracle:
-// clone the instance, apply the mutation, run one extended chase —
-// O(n) per write, the ground truth the other engine is tested against
+// Every mutation is a write-set applied structurally and then checked
+// once (txn.go): Txn.Commit carries k staged ops, and Insert, InsertRow,
+// Update and Delete are the one-op case of the same prepare and apply —
+// the NS-closure of a set of changes does not depend on the order they
+// are processed in (Theorem 4), so the two cannot differ.
+//
+// Two engines implement the check. MaintenanceRecheck is the oracle:
+// clone the instance, apply the write-set, run one extended chase —
+// O(n) per commit, the ground truth the other engine is tested against
 // and delegates rejections to, not a production setting.
-// MaintenanceIncremental (the default) exploits that the
-// stored instance is always a chase fixpoint: a delta can only fire
-// NS-rules inside the partition groups it touches, so the engine sweeps
-// just those groups, propagating forced substitutions through a
-// worklist over the delta-maintained X-partition indexes
-// (incremental.go), and costs O(affected group) per accepted write; a
-// transactional commit (txn.go) applies a whole write-set as one
-// multi-row delta and pays one batched check (eval.CheckDeltaBatch)
-// plus one propagation for the set. The engines agree
-// verdict-for-verdict and state-for-state; history_test.go and
+// MaintenanceIncremental (the default) exploits that the stored
+// instance is always a chase fixpoint: a delta can only fire NS-rules
+// inside the partition groups it touches, so the engine applies the
+// write-set in place and sweeps just those groups, propagating forced
+// substitutions through a worklist over the delta-maintained
+// X-partition indexes (incremental.go) — O(affected groups) per
+// accepted commit, one sweep per group however many of its rows the
+// write-set staged. The engines agree verdict-for-verdict and
+// state-for-state, tuple order included; history_test.go and
 // txn_history_test.go replay randomized operation histories against
 // both to prove it.
 package store
@@ -61,11 +66,11 @@ type Maintenance int
 
 const (
 	// MaintenanceIncremental re-verifies only the partition groups the
-	// mutation touches and propagates NS-substitutions from the delta
-	// tuple (the default).
+	// write-set touches and propagates NS-substitutions from the staged
+	// rows (the default).
 	MaintenanceIncremental Maintenance = iota
 	// MaintenanceRecheck clones the instance and re-chases it from
-	// scratch on every mutation; kept as the differential ground truth
+	// scratch on every commit; kept as the differential ground truth
 	// the incremental engine is tested against.
 	MaintenanceRecheck
 )
@@ -129,7 +134,9 @@ type Store struct {
 	// durability layer (wal.go/recovery.go) hooks it to append one WAL
 	// record per commit; replay re-executes the same ops through the
 	// same commit path, which is deterministic given identical prior
-	// state, engine, and allocator. A hook error propagates to the
+	// state, engine, and allocator. The ops alias the caller's tuple and
+	// cells, so the hook must encode them before it returns, not retain
+	// them. A hook error propagates to the
 	// mutation's caller AFTER the in-memory state changed — the hook
 	// owner is responsible for fail-stop semantics (Durable poisons
 	// itself so every later mutation errors).
@@ -185,12 +192,25 @@ func New(s *schema.Scheme, fds []fd.FD, opts Options) *Store {
 
 // FromRelation builds a store over an existing instance, chasing it once
 // (one O(n) pass instead of n guarded inserts) and rejecting instances
-// that contradict the dependencies.
+// that contradict the dependencies. r is only read: the chase builds the
+// stored instance afresh.
 func FromRelation(s *schema.Scheme, fds []fd.FD, r *relation.Relation, opts Options) (*Store, error) {
 	st := New(s, fds, opts)
-	if err := st.commit("load", r.Clone()); err != nil {
+	cur, rejected, err := st.resolve(r)
+	if err != nil {
 		return nil, err
 	}
+	if rejected != nil {
+		return nil, &InconsistencyError{Op: "load", Chase: rejected}
+	}
+	// The chase rebuilds its result relation, resetting the fresh-mark
+	// allocator to (max surviving mark)+1; carry r's watermark over so a
+	// mark the source already spent is never recycled and silently
+	// aliased with an unrelated unknown.
+	if nm := r.NextMark(); nm > cur.NextMark() {
+		cur.SetNextMark(nm)
+	}
+	st.rel = cur
 	return st, nil
 }
 
@@ -227,10 +247,10 @@ func (st *Store) Tuple(i int) relation.Tuple { return st.rel.Tuple(i).Clone() }
 func (st *Store) TupleView(i int) relation.Tuple { return st.rel.Tuple(i) }
 
 // Find returns the index of the stored tuple syntactically identical to
-// t (same constants, marks, and nothings), or -1. Tuple order is
-// engine-dependent after deletes — the incremental engine deletes by
-// swap-and-pop — so content lookup is the stable way to address one
-// tuple across maintenance engines.
+// t (same constants, marks, and nothings), or -1. Every delete is a
+// swap-and-pop, under either engine, so a tuple's index changes when an
+// earlier one is deleted; content lookup is the stable way to address
+// one tuple across mutations.
 func (st *Store) Find(t relation.Tuple) int { return st.rel.FindIdentical(t) }
 
 // Each calls fn for every stored tuple in order without copying; fn
@@ -306,37 +326,6 @@ func (st *Store) resolve(tentative *relation.Relation) (*relation.Relation, *cha
 	return cur, nil, nil
 }
 
-// commit resolves the tentative instance; on consistency it becomes the
-// stored state, otherwise the error carries the witness and the store is
-// untouched. This is the recheck engine's whole-instance path; the
-// incremental engine only reaches it through fallbacks (and Load).
-func (st *Store) commit(op string, tentative *relation.Relation) error {
-	cur, rejected, err := st.resolve(tentative)
-	if err != nil {
-		return err
-	}
-	if rejected != nil {
-		st.rejected++
-		return &InconsistencyError{Op: op, Chase: rejected}
-	}
-	// The chase rebuilds its result relation, resetting the fresh-mark
-	// allocator to (max surviving mark)+1; restore monotonicity so a
-	// mark handed out by FreshNull (possibly not yet stored, or held by
-	// another writer of the concurrent facade) is never recycled and
-	// silently aliased with an unrelated unknown.
-	if nm := tentative.NextMark(); nm > cur.NextMark() {
-		cur.SetNextMark(nm)
-	}
-	// The rebuilt relation's mutation counter restarted from zero; carry
-	// it past the replaced instance's so Version stays monotone across
-	// recheck commits — readers (and snapshot-isolated transactions)
-	// detect change by "version moved", which a regression would break.
-	cur.BumpVersion(st.rel.Version() + 1)
-	st.rel = cur
-	st.invalidateInc() // the incremental state described the old instance
-	return nil
-}
-
 // logCommit forwards an accepted mutation's write-set to the onCommit
 // hook, if any. It runs after the in-memory state changed; callers
 // return its error so a failed append surfaces to the mutating caller.
@@ -347,67 +336,48 @@ func (st *Store) logCommit(mode recMode, preMark int, ops []txnOp) error {
 	return st.onCommit(mode, preMark, ops)
 }
 
+// perOpNames spells the operation an InconsistencyError from a per-op
+// mutation names.
+var perOpNames = [...]string{txnInsert: "insert", txnUpdate: "update", txnDelete: "delete"}
+
+// commitOne runs a per-op mutation as what it is — a one-op write-set:
+// the same gate, prepare and apply as Txn.Commit, logged as a per-op
+// record. Per-op callers see the rejection itself rather than the
+// write-set wrapper: the bare structural error, or the
+// *InconsistencyError naming the operation.
+func (st *Store) commitOne(op txnOp) error {
+	if err := st.gateCommit(); err != nil {
+		return err
+	}
+	p, err := st.prepareTxn([]txnOp{op})
+	if err != nil {
+		var te *TxnError
+		if !errors.As(err, &te) {
+			return err
+		}
+		var ie *InconsistencyError
+		if errors.As(te.Err, &ie) {
+			ie.Op = perOpNames[op.kind]
+		}
+		return te.Err
+	}
+	p.apply()
+	return st.logCommit(recPerOp, p.preMark, p.ops)
+}
+
 // Insert adds a tuple (validated against the scheme) and re-establishes
 // minimal incompleteness. On contradiction the insert is rejected and the
 // store unchanged.
 func (st *Store) Insert(t relation.Tuple) error {
-	if err := st.gateCommit(); err != nil {
-		return err
-	}
-	pre := st.rel.NextMark()
-	var err error
-	if st.incrementalMode() {
-		err = st.insertIncremental(t, pre)
-	} else {
-		err = st.insertRecheck(t)
-	}
-	if err != nil {
-		return err
-	}
-	return st.logCommit(recPerOp, pre, []txnOp{{kind: txnInsert, t: t.Clone()}})
-}
-
-func (st *Store) insertRecheck(t relation.Tuple) error {
-	tentative := st.rel.Clone()
-	if err := tentative.Insert(t); err != nil {
-		return err
-	}
-	if err := st.commit("insert", tentative); err != nil {
-		return err
-	}
-	st.inserts++
-	return nil
+	return st.commitOne(txnOp{kind: txnInsert, t: t})
 }
 
 // InsertRow parses and inserts a row of cell strings ("-" fresh null,
-// "-k" marked null, constants otherwise).
+// "-k" marked null, constants otherwise). The raw cells are what gets
+// logged, not the parsed tuple: replay re-parses from the identical
+// allocator state, so "-" cells draw the same fresh marks.
 func (st *Store) InsertRow(cells ...string) error {
-	if err := st.gateCommit(); err != nil {
-		return err
-	}
-	pre := st.rel.NextMark()
-	if st.incrementalMode() {
-		t, err := st.rel.ParseRow(cells...)
-		if err != nil {
-			st.rel.SetNextMark(pre)
-			return err
-		}
-		if err := st.insertIncremental(t, pre); err != nil {
-			return err
-		}
-	} else {
-		tentative := st.rel.Clone()
-		if err := tentative.InsertRow(cells...); err != nil {
-			return err
-		}
-		if err := st.commit("insert", tentative); err != nil {
-			return err
-		}
-		st.inserts++
-	}
-	// Log the raw cells, not the parsed tuple: replay re-parses from the
-	// identical allocator state, so "-" cells draw the same fresh marks.
-	return st.logCommit(recPerOp, pre, []txnOp{{kind: txnInsert, row: append([]string(nil), cells...)}})
+	return st.commitOne(txnOp{kind: txnInsert, row: cells})
 }
 
 // Update overwrites one cell and re-establishes minimal incompleteness.
@@ -415,28 +385,12 @@ func (st *Store) InsertRow(cells ...string) error {
 // re-checked like any other mutation; overwriting anything with a fresh
 // null is an information retraction and is allowed.
 func (st *Store) Update(ti int, a schema.Attr, v value.V) error {
-	if err := st.gateCommit(); err != nil {
-		return err
-	}
-	if err := validateUpdate(st.scheme, st.rel.Len(), ti, a, v); err != nil {
-		return err
-	}
-	pre := st.rel.NextMark()
-	var err error
-	if st.incrementalMode() {
-		err = st.updateIncremental(ti, a, v)
-	} else {
-		err = st.updateRecheck(ti, a, v)
-	}
-	if err != nil {
-		return err
-	}
-	return st.logCommit(recPerOp, pre, []txnOp{{kind: txnUpdate, ti: ti, a: a, v: v}})
+	return st.commitOne(txnOp{kind: txnUpdate, ti: ti, a: a, v: v})
 }
 
-// validateUpdate is the structural half of Update, shared with the
-// transactional apply path (txn.go) so error texts cannot drift between
-// per-op and staged updates.
+// validateUpdate is the structural half of an update, shared by eager
+// transaction staging and the apply path (txn.go) so error texts cannot
+// drift between them.
 func validateUpdate(s *schema.Scheme, n, ti int, a schema.Attr, v value.V) error {
 	if ti < 0 || ti >= n {
 		return fmt.Errorf("store: update of tuple %d out of range", ti)
@@ -453,41 +407,11 @@ func validateUpdate(s *schema.Scheme, n, ti int, a schema.Attr, v value.V) error
 	return nil
 }
 
-func (st *Store) updateRecheck(ti int, a schema.Attr, v value.V) error {
-	tentative := st.rel.Clone()
-	tentative.SetCell(ti, a, v)
-	if err := st.commit("update", tentative); err != nil {
-		return err
-	}
-	st.updates++
-	return nil
-}
-
-// Delete removes a tuple. Deletion cannot introduce a violation, but the
-// recheck engine re-runs the chase to renormalize marks; the incremental
-// engine removes the tuple by swap-and-pop, so the order of the remaining
-// tuples is engine-dependent (the stored *set* is identical).
+// Delete removes a tuple by swap-and-pop: the last tuple moves into the
+// hole, under either maintenance engine. Deletion cannot introduce a
+// violation (rules need pairs, and no surviving pair changed).
 func (st *Store) Delete(ti int) error {
-	if err := st.gateCommit(); err != nil {
-		return err
-	}
-	if ti < 0 || ti >= st.rel.Len() {
-		return fmt.Errorf("store: delete of tuple %d out of range", ti)
-	}
-	pre := st.rel.NextMark()
-	if st.incrementalMode() {
-		if err := st.deleteIncremental(ti); err != nil {
-			return err
-		}
-	} else {
-		tentative := st.rel.Clone()
-		tentative.Delete(ti)
-		if err := st.commit("delete", tentative); err != nil {
-			return err
-		}
-		st.deletes++
-	}
-	return st.logCommit(recPerOp, pre, []txnOp{{kind: txnDelete, ti: ti}})
+	return st.commitOne(txnOp{kind: txnDelete, ti: ti})
 }
 
 // CheckStrong reports whether the stored instance strongly satisfies the

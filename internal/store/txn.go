@@ -1,21 +1,23 @@
-// txn.go implements the store's transactional write path: a Txn stages
-// a write-set of inserts, updates, and deletes — with savepoints — and
+// txn.go implements the store's one write path: a Txn stages a
+// write-set of inserts, updates, and deletes — with savepoints — and
 // Commit applies the whole set as ONE multi-row delta, so a k-op batch
-// pays roughly one incremental constraint check instead of k.
+// pays roughly one incremental constraint check instead of k. The
+// per-op mutations (store.go) are one-op write-sets through the same
+// prepare and apply.
 //
 // # Semantics
 //
 // A transaction is atomic and checks constraints on the *final* state
 // only (deferred checking, like SQL's DEFERRABLE INITIALLY DEFERRED):
 // the staged ops are applied structurally in order, then one
-// re-verification — eval.CheckDeltaBatch over the union of the touched
-// partition groups plus one NS-propagation worklist seeded from all
-// staged cells (incremental engine), or one chase of the applied
-// write-set (recheck engine, the per-commit oracle) — decides the whole
-// commit. A write-set whose intermediate states would be rejected op by
-// op can therefore commit if its final state is consistent (insert a
-// doomed tuple, then delete it), and conversely a commit is rejected as
-// a unit: either every staged op takes effect or none does.
+// re-verification — one NS-propagation worklist seeded from all staged
+// rows, sweeping the partition groups they touch (incremental engine),
+// or one chase of the applied write-set (recheck engine, the per-commit
+// oracle) — decides the whole commit. A write-set whose intermediate
+// states would be rejected op by op can therefore commit if its final
+// state is consistent (insert a doomed tuple, then delete it), and
+// conversely a commit is rejected as a unit: either every staged op
+// takes effect or none does.
 //
 // Staged tuple indices address the transaction's own evolving state:
 // the committed instance as of Begin, plus the effects of earlier
@@ -50,7 +52,6 @@ import (
 	"errors"
 	"fmt"
 
-	"fdnull/internal/eval"
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
 	"fdnull/internal/value"
@@ -123,7 +124,13 @@ func (op txnOp) describe(s *schema.Scheme) string {
 		}
 		return fmt.Sprintf("insert row %v", op.row)
 	case txnUpdate:
-		return fmt.Sprintf("update t%d %s := %s", op.ti, s.AttrName(op.a), op.v)
+		// Rendered for structural errors too, so the attribute may be the
+		// very thing that is out of range.
+		attr := fmt.Sprintf("attribute %d", op.a)
+		if int(op.a) >= 0 && int(op.a) < s.Arity() {
+			attr = s.AttrName(op.a)
+		}
+		return fmt.Sprintf("update t%d %s := %s", op.ti, attr, op.v)
 	default:
 		return fmt.Sprintf("delete t%d", op.ti)
 	}
@@ -311,12 +318,15 @@ type preparedTxn struct {
 }
 
 // prepareTxn runs the configured engine's whole commit pipeline —
-// structural application, one batched constraint check, NS-propagation
-// or chase — stopping just short of the point of no return. A non-nil
-// error means the write-set is rejected and the store is already back
-// to its pre-prepare state (rejections roll back internally, exactly as
-// Txn.Commit always did); constraint rejections bump the rejected
-// counter on this store only, since only the rejecting shard refused.
+// structural application, then NS-propagation or chase — stopping just
+// short of the point of no return. It is total over ops: every
+// structural defect (arity, domain, duplicate, range, a stored
+// `nothing`) is an error, never a panic, because the per-op mutations
+// enter here without a staging step. A non-nil error means the
+// write-set is rejected and the store is already back to its
+// pre-prepare state (rejections roll back internally); constraint
+// rejections bump the rejected counter on this store only, since only
+// the rejecting shard refused.
 func (st *Store) prepareTxn(ops []txnOp) (*preparedTxn, error) {
 	if st.incrementalMode() {
 		return st.prepareTxnIncremental(ops)
@@ -384,21 +394,11 @@ func applyTxnOp(s *schema.Scheme, r *relation.Relation, op txnOp) (appliedTxnOp,
 
 // ---- incremental commit: one batch delta, one propagation ----
 
-// restoreTxnSnapshot rolls the instance back to the pre-commit snapshot
-// (O(rows) header copy; cells re-share with the snapshot) and restores
-// the fresh-mark allocator. The mark-occurrence index described the
-// speculative state and is rebuilt lazily.
-func (st *Store) restoreTxnSnapshot(snap relation.View, savedMark int) {
-	st.rel.Restore(snap)
-	st.rel.SetNextMark(savedMark)
-	st.invalidateInc()
-}
-
 // prepareTxnIncremental applies the write-set through the delta
 // mutators (consecutive inserts via the relation's multi-row batch),
-// then pays ONE constraint check for the whole set: eval.CheckDeltaBatch
-// over the union of the touched partition groups, and one
-// NS-propagation seeded from every staged row. Rejections roll back and
+// then pays ONE constraint check for the whole set: one NS-propagation
+// seeded from every staged row, whose group sweeps both find the
+// clashes and make the forced substitutions. Rejections roll back and
 // delegate to the recheck preparer, the per-commit oracle, so the error
 // — witness, offending-op attribution, counters — is identical between
 // engines. The store carries the settled state in place after a
@@ -425,29 +425,31 @@ func (st *Store) prepareTxnIncremental(ops []txnOp) (*preparedTxn, error) {
 		}
 	}
 	var snap relation.View
+	var und *undoLog // nil when rollback goes by snapshot
 	if hasDelete {
 		snap = st.rel.View()
+	} else {
+		und = &undoLog{}
 	}
-	und := &undoLog{insertedAt: -1, savedNextMark: savedMark}
 	seeds := make(map[int]bool, len(ops))
 	var counts [3]int
 
 	rollbackAll := func() {
-		if hasDelete {
-			st.restoreTxnSnapshot(snap, savedMark)
-			return
-		}
-		// Undo the cell overwrites in reverse, then pop the appended tail
-		// (inserts only ever append when no delete re-homes rows).
-		for k := len(und.cells) - 1; k >= 0; k-- {
-			c := und.cells[k]
-			st.rel.SetCellDelta(c.ref.ti, c.ref.a, c.old)
-		}
-		for i := st.rel.Len() - 1; i >= baseLen; i-- {
-			st.rel.DeleteDelta(i)
+		if und == nil {
+			st.rel.Restore(snap) // O(rows) header copy; cells re-share with the snapshot
+		} else {
+			// Undo the cell overwrites in reverse, then pop the appended
+			// tail (inserts only ever append when no delete re-homes rows).
+			for k := len(und.cells) - 1; k >= 0; k-- {
+				c := und.cells[k]
+				st.rel.SetCellDelta(c.ref.ti, c.ref.a, c.old)
+			}
+			for i := st.rel.Len() - 1; i >= baseLen; i-- {
+				st.rel.DeleteDelta(i)
+			}
 		}
 		st.rel.SetNextMark(savedMark)
-		st.invalidateInc()
+		st.invalidateInc() // the mark index described the speculative state
 	}
 	structuralFail := func(k int, err error) (*preparedTxn, error) {
 		rollbackAll()
@@ -477,17 +479,20 @@ func (st *Store) prepareTxnIncremental(ops []txnOp) (*preparedTxn, error) {
 						return structuralFail(p, err)
 					}
 				}
-				if t.HasNothingOn(st.scheme.All()) {
-					// A tuple carrying the inconsistent element can never be
-					// completed; the delta machinery does not analyze nothing
-					// sidecars, so the oracle derives the identical rejection.
-					return toOracle()
-				}
-				// Keep the allocator's noteMark effect in staging order: a
-				// later "-" cell must parse to a mark above any explicit
-				// "-k" an earlier op of this run carried, exactly as the
-				// oracle's op-by-op application allocates.
+				// t is unvalidated here (InsertDeltaBatch checks arity and
+				// domains below), so only range over it.
 				for _, v := range t {
+					if v.IsNothing() {
+						// A tuple carrying the inconsistent element can never
+						// be completed; the delta machinery does not analyze
+						// nothing sidecars, so the oracle derives the identical
+						// rejection.
+						return toOracle()
+					}
+					// Keep the allocator's noteMark effect in staging order:
+					// a later "-" cell must parse to a mark above any explicit
+					// "-k" an earlier op of this run carried, exactly as the
+					// oracle's op-by-op application allocates.
 					if v.IsNull() && v.Mark() >= st.rel.NextMark() {
 						st.rel.SetNextMark(v.Mark() + 1)
 					}
@@ -519,7 +524,9 @@ func (st *Store) prepareTxnIncremental(ops []txnOp) (*preparedTxn, error) {
 		switch ap.kind {
 		case txnUpdate:
 			ref := cellRef{ap.row, ops[k].a}
-			und.cells = append(und.cells, undoCell{ref, ap.old})
+			if und != nil {
+				und.cells = append(und.cells, undoCell{ref, ap.old})
+			}
 			if ap.old.IsNull() {
 				st.dropMarkRef(ap.old.Mark(), ref)
 			}
@@ -549,19 +556,7 @@ func (st *Store) prepareTxnIncremental(ops []txnOp) (*preparedTxn, error) {
 		for i := range seeds {
 			seedList = append(seedList, i)
 		}
-		// The batch pre-filter rejects definite clashes before any
-		// substitution is speculated. settleSeeds would re-derive the same
-		// verdict while propagating — the overlap is deliberate: the
-		// pre-filter keeps the common rejection shape from mutating state
-		// at all, at ~a fifth of the accepted-commit cost.
-		if verdict := eval.CheckDeltaBatch(st.fds, st.rel, seedList); !verdict.OK {
-			return toOracle()
-		}
-		settleUnd := und
-		if hasDelete {
-			settleUnd = nil // rollback is by snapshot; no need to log
-		}
-		if !st.settleSeeds(seedList, settleUnd) {
+		if !st.settleSeeds(seedList, und) {
 			return toOracle()
 		}
 	}
@@ -612,9 +607,13 @@ func (st *Store) prepareTxnRecheck(ops []txnOp) (*preparedTxn, error) {
 		return nil, &TxnError{Op: k, OpDesc: ops[k].describe(st.scheme),
 			Err: &InconsistencyError{Op: "commit", Chase: rejectedChase}}
 	}
-	// Mirror Store.commit's adoption bookkeeping: keep the allocator
-	// monotone past marks FreshNull may have handed out, and the version
-	// counter monotone past the replaced instance's.
+	// The chase rebuilds its result relation, resetting the fresh-mark
+	// allocator to (max surviving mark)+1 and the mutation counter to
+	// zero. Restore monotonicity of both: a mark handed out by FreshNull
+	// (possibly not yet stored, or held by another writer of the
+	// concurrent facade) must never be recycled and silently aliased with
+	// an unrelated unknown, and readers (and snapshot-isolated
+	// transactions) detect change by "version moved".
 	if nm := tentative.NextMark(); nm > cur.NextMark() {
 		cur.SetNextMark(nm)
 	}

@@ -369,8 +369,8 @@ func TestTxnNothingInsertRejected(t *testing.T) {
 }
 
 // TestTxnLargeBatchMatchesOracle: a bigger randomized-ish write-set per
-// group exercises the batch check's group dedup and the multi-seed
-// propagation against the one-chase oracle.
+// group exercises the multi-seed propagation's group dedup against the
+// one-chase oracle.
 func TestTxnLargeBatchMatchesOracle(t *testing.T) {
 	mk := func(m Maintenance) (*Store, error) {
 		st := employeeStore(Options{Maintenance: m})
@@ -506,5 +506,79 @@ func TestTxnEmptyCommitNeverConflicts(t *testing.T) {
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("empty commit must succeed, got %v", err)
+	}
+}
+
+// TestTxnRejectAfterSubstitutionRollsBack: nothing pre-filters a
+// write-set, so a clash the SECOND FD's sweep finds arrives after the
+// first FD's sweep already substituted a shared mark across committed
+// rows. The rejection must undo those substitutions — by undo log for a
+// delete-free write-set, by snapshot for one with a staged delete — and
+// come back from the oracle identical to the recheck engine's.
+func TestTxnRejectAfterSubstitutionRollsBack(t *testing.T) {
+	for _, withDelete := range []bool{false, true} {
+		var stores [2]*Store
+		var texts [2]string
+		for mi, m := range bothEngines {
+			st := employeeStore(Options{Maintenance: m})
+			for _, row := range [][]string{
+				{"e1", "-1", "d1", "ct1"}, // ⊥1 is shared with e2's salary
+				{"e2", "-1", "d2", "ct2"},
+				{"e3", "s3", "d3", "ct3"},
+			} {
+				if err := st.InsertRow(row...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, mark, version := st.Snapshot(), st.NextMark(), st.Version()
+			tx := st.Begin()
+			check := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("[%s delete=%t] stage: %v", m, withDelete, err)
+				}
+			}
+			if withDelete {
+				check(tx.Delete(2))
+			}
+			// E# -> SL,D# sweeps e1's group first and binds ⊥1 := s1 in both
+			// committed rows; only then does D# -> CT meet ct1 vs ct2 in d1.
+			check(tx.InsertRow("e1", "s1", "d1", "-"))
+			check(tx.InsertRow("e9", "s9", "d1", "ct2"))
+			err := tx.Commit()
+			var terr *TxnError
+			if !errors.As(err, &terr) || !errors.Is(err, ErrInconsistent) {
+				t.Fatalf("[%s delete=%t] want a constraint TxnError, got %v", m, withDelete, err)
+			}
+			texts[mi] = err.Error()
+			if !relation.Equal(before, st.Snapshot()) {
+				t.Fatalf("[%s delete=%t] rejected commit left substitutions behind:\nbefore:\n%s\nafter:\n%s",
+					m, withDelete, before, st.Snapshot())
+			}
+			if st.NextMark() != mark {
+				t.Fatalf("[%s delete=%t] allocator %d after rejection, want %d", m, withDelete, st.NextMark(), mark)
+			}
+			if st.Version() < version {
+				t.Fatalf("[%s delete=%t] version regressed: %d < %d", m, withDelete, st.Version(), version)
+			}
+			// The mark index was rebuilt from the restored cells: an accepted
+			// insert resolving ⊥1 must reach both of its occurrences.
+			if err := st.InsertRow("e1", "s4", "d1", "-"); err != nil {
+				t.Fatalf("[%s delete=%t] insert after rejection: %v", m, withDelete, err)
+			}
+			stores[mi] = st
+		}
+		if texts[0] != texts[1] {
+			t.Fatalf("delete=%t: engines disagree on the rejection:\n%s\nvs\n%s", withDelete, texts[0], texts[1])
+		}
+		a, b := stores[0], stores[1]
+		if a.Snapshot().String() != b.Snapshot().String() || a.NextMark() != b.NextMark() {
+			t.Fatalf("delete=%t: engines diverged after the rejection:\nincremental (next ⊥%d):\n%s\nrecheck (next ⊥%d):\n%s",
+				withDelete, a.NextMark(), a.Snapshot(), b.NextMark(), b.Snapshot())
+		}
+		sl := a.Scheme().MustAttr("SL")
+		if got := a.TupleView(1)[sl]; !got.IsConst() || got.Const() != "s4" {
+			t.Fatalf("delete=%t: e2's salary = %s, want s4 through the shared mark", withDelete, got)
+		}
 	}
 }

@@ -642,9 +642,9 @@ func (w *walWriter) close() error {
 
 // walManifest pins everything recovery needs to interpret the log: the
 // maintenance engine and X-rules setting the records were produced
-// under (replay is engine-pinned: tuple order, and hence op indices,
-// are engine-dependent), the checkpoint file, and the last seq the
-// checkpoint subsumes.
+// under (replay is pinned to them: the logged op indices address the
+// states that configuration produced), the checkpoint file, and the
+// last seq the checkpoint subsumes.
 type walManifest struct {
 	maintenance Maintenance
 	xrules      bool

@@ -101,7 +101,7 @@ func runE21(w io.Writer, quick bool) error {
 			return 0, fmt.Errorf("reopen: %v", err)
 		}
 		defer re.Close()
-		if !relation.Equal(re.Store().Snapshot(), oracle.Snapshot()) {
+		if !relation.Equal(re.Snapshot().Materialize(), oracle.Snapshot()) {
 			return 0, fmt.Errorf("recovered state diverged from the in-memory oracle")
 		}
 		return elapsed, nil
@@ -251,7 +251,7 @@ func runE21(w io.Writer, quick bool) error {
 		if !h.Degraded {
 			return fmt.Errorf("handle did not degrade on a failed fsync: %+v", h)
 		}
-		if got := d.Store().Len(); got != seeded {
+		if got := d.Len(); got != seeded {
 			return fmt.Errorf("degraded reads see %d rows, want %d", got, seeded)
 		}
 		if err := d.InsertRow(rows[seeded]...); !errors.Is(err, store.ErrDegraded) {

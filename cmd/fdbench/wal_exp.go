@@ -91,13 +91,13 @@ func runE20(w io.Writer, quick bool) error {
 			return 0, fmt.Errorf("reopen: %v", err)
 		}
 		defer re.Close()
-		if !relation.Equal(re.Store().Snapshot(), oracle.Snapshot()) {
+		if !relation.Equal(re.Snapshot().Materialize(), oracle.Snapshot()) {
 			return 0, fmt.Errorf("recovered state diverged from the in-memory oracle")
 		}
-		if re.Store().NextMark() != oracle.NextMark() {
-			return 0, fmt.Errorf("recovered watermark %d, oracle %d", re.Store().NextMark(), oracle.NextMark())
+		if re.NextMark() != oracle.NextMark() {
+			return 0, fmt.Errorf("recovered watermark %d, oracle %d", re.NextMark(), oracle.NextMark())
 		}
-		if !re.Store().CheckWeak() {
+		if !re.CheckWeak() {
 			return 0, fmt.Errorf("recovered state violates the weak-convention invariant")
 		}
 		return elapsed, nil

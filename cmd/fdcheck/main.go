@@ -346,16 +346,6 @@ func replaySharded(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnul
 	return nil
 }
 
-// opsTarget is the mutation surface the script interpreter drives:
-// either the in-memory store itself or a durable handle that
-// write-ahead logs each accepted commit before confirming it.
-type opsTarget interface {
-	Begin() *fdnull.Txn
-	InsertRow(cells ...string) error
-	Update(ti int, a fdnull.Attr, v fdnull.Value) error
-	Delete(ti int) error
-}
-
 // replayOpsMemory replays the script against an in-memory store seeded
 // with the loaded instance.
 func replayOpsMemory(stdout io.Writer, script io.Reader, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.Relation, m fdnull.StoreMaintenance) error {
@@ -365,7 +355,7 @@ func replayOpsMemory(stdout io.Writer, script io.Reader, s *fdnull.Scheme, fds [
 		return nil
 	}
 	fmt.Fprintf(stdout, "\nops replay (%s maintenance):\n", m)
-	return replayOps(stdout, script, st, st)
+	return replayOps(stdout, script, fdnull.GuardStore(st))
 }
 
 // replayOpsDurable replays the script against a durable store in dir: a
@@ -407,9 +397,9 @@ func replayOpsDurable(stdout io.Writer, script io.Reader, s *fdnull.Scheme, fds 
 		}
 		fmt.Fprintf(stdout, "  fresh log: seeded %d of %d input rows\n", seeded, r.Len())
 	} else {
-		fmt.Fprintf(stdout, "  existing log: recovered %d tuples (input rows ignored)\n", d.Store().Len())
+		fmt.Fprintf(stdout, "  existing log: recovered %d tuples (input rows ignored)\n", d.Len())
 	}
-	rerr := replayOps(stdout, script, d.Store(), d)
+	rerr := replayOps(stdout, script, d)
 	if rerr == nil {
 		if err := d.Checkpoint(); err != nil {
 			rerr = err
@@ -434,10 +424,10 @@ func printHealth(stdout io.Writer, h fdnull.DurableHealth) {
 
 // replayOps replays an operation script — per-op mutations and
 // begin/save/rollbackto/rollback/commit transaction blocks — against
-// the target's commit surface; st is the underlying store, used for
-// fresh-null allocation and the final report.
-func replayOps(stdout io.Writer, script io.Reader, st *fdnull.Store, target opsTarget) error {
-	var tx *fdnull.Txn
+// st: an in-memory store, or a durable handle that write-ahead logs
+// each accepted commit before confirming it.
+func replayOps(stdout io.Writer, script io.Reader, st *fdnull.ConcurrentStore) error {
+	var tx *fdnull.ConcurrentTxn
 	var saves []fdnull.TxnSavepoint
 	report := func(line int, what string, err error) {
 		switch {
@@ -477,7 +467,7 @@ func replayOps(stdout io.Writer, script io.Reader, st *fdnull.Store, target opsT
 			if inTxn {
 				return fmt.Errorf("ops line %d: begin inside an open transaction", line)
 			}
-			tx = target.Begin()
+			tx = st.BeginTxn()
 			saves = saves[:0]
 			report(line, "begin", nil)
 		case "save":
@@ -514,7 +504,7 @@ func replayOps(stdout io.Writer, script io.Reader, st *fdnull.Store, target opsT
 			if inTxn {
 				report(line, "insert*", tx.InsertRow(args...))
 			} else {
-				report(line, "insert", target.InsertRow(args...))
+				report(line, "insert", st.InsertRow(args...))
 			}
 		case "update":
 			if len(args) != 3 {
@@ -532,7 +522,7 @@ func replayOps(stdout io.Writer, script io.Reader, st *fdnull.Store, target opsT
 			if inTxn {
 				report(line, "update*", tx.Update(n-1, a, v))
 			} else {
-				report(line, "update", target.Update(n-1, a, v))
+				report(line, "update", st.Update(n-1, a, v))
 			}
 		case "delete":
 			if len(args) != 1 {
@@ -545,7 +535,7 @@ func replayOps(stdout io.Writer, script io.Reader, st *fdnull.Store, target opsT
 			if inTxn {
 				report(line, "delete*", tx.Delete(n-1))
 			} else {
-				report(line, "delete", target.Delete(n-1))
+				report(line, "delete", st.Delete(n-1))
 			}
 		default:
 			return fmt.Errorf("ops line %d: unknown op %q", line, cmd)
@@ -561,7 +551,7 @@ func replayOps(stdout io.Writer, script io.Reader, st *fdnull.Store, target opsT
 	ins, upd, del, rej := st.Stats()
 	fmt.Fprintf(stdout, "accepted %d inserts, %d updates, %d deletes; %d rejections; settled instance:\n",
 		ins, upd, del, rej)
-	fmt.Fprint(stdout, indent(st.Snapshot().String(), "  "))
+	fmt.Fprint(stdout, indent(st.Snapshot().Materialize().String(), "  "))
 	return nil
 }
 

@@ -229,10 +229,11 @@ func ExampleTxn() {
 	// tuples: 2
 }
 
-// ExampleOpenDurableStore shows the durable write path: commits are
-// write-ahead logged to a directory, the process "dies", and reopening
-// the directory recovers the exact committed state — accepted rows,
-// resolved nulls, and the fresh-mark allocator watermark included.
+// ExampleOpenDurableStore shows the durable write path: the handle is a
+// ConcurrentStore whose commits are write-ahead logged to a directory,
+// the process "dies", and reopening the directory recovers the exact
+// committed state — accepted rows, resolved nulls, and the fresh-mark
+// allocator watermark included.
 func ExampleOpenDurableStore() {
 	dir, _ := os.MkdirTemp("", "fdnull-durable-*")
 	defer os.RemoveAll(dir)
@@ -251,17 +252,17 @@ func ExampleOpenDurableStore() {
 	d, _ := fdnull.OpenDurableStore(dir, opts)
 	_ = d.InsertRow("v1", "v9", "-")   // contract unknown
 	_ = d.InsertRow("v2", "v9", "v20") // fixes department v9's contract
-	tx := d.Begin()
+	tx := d.BeginTxn()
 	_ = tx.InsertRow("v3", "v10", "v21")
 	_ = tx.InsertRow("v4", "v10", "-")
 	fmt.Println("txn commit:", tx.Commit())
 	_ = d.Close() // flushes the group-commit window
 
 	re, _ := fdnull.OpenDurableStore(dir, fdnull.DurableOptions{})
-	st := re.Store()
-	fmt.Println("recovered tuples:", st.Len())
-	fmt.Println("t1 contract:", st.TupleView(0)[s.MustAttr("CT")])
-	fmt.Println("t4 contract:", st.TupleView(3)[s.MustAttr("CT")])
+	snap := re.Snapshot() // reads go through O(1) snapshots
+	fmt.Println("recovered tuples:", snap.Len())
+	fmt.Println("t1 contract:", snap.Tuple(0)[s.MustAttr("CT")])
+	fmt.Println("t4 contract:", snap.Tuple(3)[s.MustAttr("CT")])
 	_ = re.Close()
 	// Output:
 	// txn commit: <nil>

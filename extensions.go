@@ -226,7 +226,10 @@ func LoadStore(r io.Reader, opts StoreOptions) (*Store, error) {
 
 // ConcurrentStore is a Store safe for concurrent use: writers serialize
 // behind a write lock while readers take O(1) copy-on-write snapshots
-// under the read lock and then work lock-free on immutable data.
+// under the read lock and then work lock-free on immutable data. It is
+// also the durable handle (OpenDurableStore): Err, Sync, Checkpoint,
+// Close, Health and Recover are its durability surface, all no-ops on an
+// in-memory store, whose Health reports Mode "memory".
 type ConcurrentStore = store.Concurrent
 
 // RelationView is an immutable O(1) copy-on-write snapshot of a relation
@@ -244,24 +247,10 @@ func GuardStore(st *Store) *ConcurrentStore { return store.Guard(st) }
 
 // ---- Durability ----
 
-// DurableStore is a Store whose accepted commits are write-ahead logged
-// to a segmented, checksummed log and whose state survives process
-// death: reopening the directory replays the manifest's checkpoint plus
-// the log suffix and reconstructs the exact committed instance, marks
-// and allocator watermark included. A torn tail (a record cut short by
-// the crash) is truncated at the last valid record; corruption anywhere
-// already fsync'd fails the open with ErrWAL.
-type DurableStore = store.Durable
-
 // DurableOptions configure OpenDurableStore: group-commit interval,
 // segment rotation size, automatic checkpoint cadence, and the scheme
 // and FDs that seed a fresh directory.
 type DurableOptions = store.DurableOptions
-
-// ConcurrentDurableStore wraps a DurableStore in the RW-locked
-// concurrent facade: lock-free transaction staging, serialized
-// logged commits, snapshot-isolated reads.
-type ConcurrentDurableStore = store.DurableConcurrent
 
 // ErrWAL tags every write-ahead-log failure: a poisoned durable handle,
 // a refused open (engine mismatch, corrupt fsync'd segment, missing
@@ -283,15 +272,15 @@ var ErrTransient = store.ErrTransient
 // is in degraded read-only mode: an unrecoverable log failure (a failed
 // fsync on the active segment, say) stops mutations but keeps queries
 // and snapshots serving the in-memory state. The error also wraps the
-// degradation's root cause, which matches ErrWAL. DurableStore.Health
-// reports the state; DurableStore.Recover re-establishes durability
+// degradation's root cause, which matches ErrWAL. ConcurrentStore.Health
+// reports the state; ConcurrentStore.Recover re-establishes durability
 // once the filesystem heals.
 var ErrDegraded = store.ErrDegraded
 
-// DurableHealth is a point-in-time snapshot of a durable handle's
+// DurableHealth is a point-in-time snapshot of a store handle's
 // durability state and I/O counters (mode, synced/next/checkpoint seq,
 // fsync/retry/degradation counts, root cause while degraded), as
-// returned by DurableStore.Health and ConcurrentDurableStore.Health.
+// returned by ConcurrentStore.Health and ShardedStore.ShardHealth.
 type DurableHealth = store.Health
 
 // FS is the filesystem interface all durable I/O goes through
@@ -328,18 +317,18 @@ func NewFaultFS(inner FS, plan map[uint64]Fault) *FaultInjectionFS {
 	return iox.NewFaultFS(inner, plan)
 }
 
-// OpenDurableStore opens (or creates) a durable store in dir. A fresh
-// directory needs opts.Scheme and opts.FDs; reopening replays the
-// checkpoint and log suffix instead, and refuses a maintenance engine
-// different from the one the log was produced under.
-func OpenDurableStore(dir string, opts DurableOptions) (*DurableStore, error) {
+// OpenDurableStore opens (or creates) a durable store in dir, behind
+// the concurrent facade: accepted commits are write-ahead logged to a
+// segmented, checksummed log, and reopening the directory replays the
+// manifest's checkpoint plus the log suffix and reconstructs the exact
+// committed instance, marks and allocator watermark included. A torn
+// tail (a record cut short by the crash) is truncated at the last valid
+// record; corruption anywhere already fsync'd fails the open with
+// ErrWAL. A fresh directory needs opts.Scheme and opts.FDs; a reopen
+// ignores them, and refuses a maintenance engine different from the one
+// the log was produced under.
+func OpenDurableStore(dir string, opts DurableOptions) (*ConcurrentStore, error) {
 	return store.OpenDurable(dir, opts)
-}
-
-// OpenConcurrentDurableStore is OpenDurableStore wrapped in the
-// concurrent facade.
-func OpenConcurrentDurableStore(dir string, opts DurableOptions) (*ConcurrentDurableStore, error) {
-	return store.OpenDurableConcurrent(dir, opts)
 }
 
 // ---- Sharded store ----

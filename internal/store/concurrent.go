@@ -4,6 +4,12 @@
 // the read lock and then work entirely lock-free on immutable data —
 // the snapshot-then-analyze pattern keeps FD checks, queries, and
 // reports off the write path.
+//
+// The locked store is the unit of isolation AND of durability:
+// OpenDurable (recovery.go) returns a *Concurrent whose inner store
+// write-ahead logs every accepted commit under the write lock, and Err /
+// Sync / Checkpoint / Close / Health / Recover (recovery.go, faults.go)
+// are its durability surface — no-ops on an in-memory store.
 package store
 
 import (
@@ -17,7 +23,10 @@ import (
 
 // Concurrent is a Store safe for concurrent use. Mutations take the
 // write lock; Snapshot and the other read accessors take the read lock,
-// so any number of readers proceed in parallel with each other.
+// so any number of readers proceed in parallel with each other. On a
+// durable handle a mutation is refused, with the instance unchanged,
+// once the handle is degraded (ErrDegraded) or closed
+// (ErrDurableClosed).
 type Concurrent struct {
 	mu sync.RWMutex
 	st *Store
@@ -82,6 +91,13 @@ func (c *Concurrent) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.st.Len()
+}
+
+// NextMark returns the fresh-mark allocator watermark (Store.NextMark).
+func (c *Concurrent) NextMark() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.st.NextMark()
 }
 
 // Version returns the monotone mutation counter.
@@ -182,6 +198,9 @@ func (t *ConcurrentTxn) Rollback() { t.tx.Rollback() }
 
 // Pending returns the number of staged ops.
 func (t *ConcurrentTxn) Pending() int { return t.tx.Pending() }
+
+// Len returns the row count the instance will have after Commit.
+func (t *ConcurrentTxn) Len() int { return t.tx.Len() }
 
 // Commit applies the staged write-set under the write lock. It returns
 // ErrTxnConflict when another writer committed after this transaction's

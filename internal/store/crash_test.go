@@ -170,7 +170,7 @@ func reopenAndCheck(t *testing.T, dst string, k uint64, extra int, opts Options,
 		t.Fatalf("crash point %d (torn %d bytes): reopen: %v\n%s", k, extra, err, dump)
 	}
 	defer re.Close()
-	got := re.Store()
+	got := re.st
 	if !relation.Equal(got.Snapshot(), want.rel) {
 		t.Fatalf("crash point %d (torn %d bytes): recovered state != oracle prefix:\nrecovered:\n%s\noracle:\n%s",
 			k, extra, got.Snapshot(), want.rel)
@@ -206,7 +206,7 @@ func runCrashHistory(t *testing.T, ws histScheme, maint Maintenance, seed int64,
 	oracle := New(ws.s, ws.fds, opts.Store)
 	snaps := map[uint64]crashSnapshot{0: crashSnap(oracle)}
 	manifests := []crashManifest{{0, readFileT(t, filepath.Join(dir, manifestName))}}
-	lastSeq := func() uint64 { return d.w.nextSeq - 1 }
+	lastSeq := func() uint64 { return d.st.wal.w.nextSeq - 1 }
 	record := func() {
 		if _, ok := snaps[lastSeq()]; !ok {
 			// Keyed by seq and written once: a later FreshNull may advance
@@ -241,17 +241,17 @@ func runCrashHistory(t *testing.T, ws histScheme, maint Maintenance, seed int64,
 		// The durable store and the oracle share engine, history, and
 		// allocator, so tuple order — and hence indices — is identical.
 		switch k := rng.Intn(20); {
-		case k < 7 || d.Store().Len() == 0:
+		case k < 7 || d.st.Len() == 0:
 			row := randRow()
 			errD := d.InsertRow(row...)
 			errO := oracle.InsertRow(row...)
-			assertAgreement(t, step, "insert", errD, errO, d.Store(), oracle)
+			assertAgreement(t, step, "insert", errD, errO, d.st, oracle)
 		case k < 10:
-			ti := rng.Intn(d.Store().Len())
+			ti := rng.Intn(d.st.Len())
 			a := schema.Attr(rng.Intn(ws.s.Arity()))
 			var v value.V
 			if rng.Intn(4) == 0 {
-				vd, vo := d.Store().FreshNull(), oracle.FreshNull()
+				vd, vo := d.st.FreshNull(), oracle.FreshNull()
 				if !vd.Identical(vo) {
 					t.Fatalf("step %d: allocators diverged: %s vs %s", step, vd, vo)
 				}
@@ -262,15 +262,15 @@ func runCrashHistory(t *testing.T, ws histScheme, maint Maintenance, seed int64,
 			}
 			errD := d.Update(ti, a, v)
 			errO := oracle.Update(ti, a, v)
-			assertAgreement(t, step, "update", errD, errO, d.Store(), oracle)
+			assertAgreement(t, step, "update", errD, errO, d.st, oracle)
 		case k < 12:
-			ti := rng.Intn(d.Store().Len())
+			ti := rng.Intn(d.st.Len())
 			errD := d.Delete(ti)
 			errO := oracle.Delete(ti)
-			assertAgreement(t, step, "delete", errD, errO, d.Store(), oracle)
+			assertAgreement(t, step, "delete", errD, errO, d.st, oracle)
 		case k < 16:
 			// A transaction block with an occasional savepoint rollback.
-			txD, txO := d.Begin(), oracle.Begin()
+			txD, txO := d.BeginTxn(), oracle.Begin()
 			nOps := 1 + rng.Intn(5)
 			var spD, spO Savepoint
 			saved := false
@@ -323,13 +323,13 @@ func runCrashHistory(t *testing.T, ws histScheme, maint Maintenance, seed int64,
 				txO.Rollback()
 			} else {
 				errD, errO := txD.Commit(), txO.Commit()
-				assertTxnCommitAgreement(t, step, errD, errO, d.Store(), oracle)
+				assertTxnCommitAgreement(t, step, errD, errO, d.st, oracle)
 			}
 		case k < 18:
 			if err := d.Checkpoint(); err != nil {
 				t.Fatalf("step %d: checkpoint: %v", step, err)
 			}
-			manifests = append(manifests, crashManifest{d.ckptSeq, readFileT(t, filepath.Join(dir, manifestName))})
+			manifests = append(manifests, crashManifest{d.st.wal.ckptSeq, readFileT(t, filepath.Join(dir, manifestName))})
 		default:
 			if err := d.Sync(); err != nil {
 				t.Fatalf("step %d: sync: %v", step, err)
@@ -435,9 +435,9 @@ func TestCrashPointExerciserXRules(t *testing.T) {
 // handle is abandoned without a final sync and the active segment loses
 // everything past its synced offset. It returns the seq of the last
 // record that survived.
-func killDurableConcurrent(t *testing.T, dc *DurableConcurrent) uint64 {
+func killDurableConcurrent(t *testing.T, dc *Concurrent) uint64 {
 	t.Helper()
-	w := dc.d.w
+	w := dc.st.wal.w
 	synced, name, off := w.syncedSeq, w.name, w.syncedOff
 	w.f.Close()
 	if err := os.Truncate(filepath.Join(w.dir, name), off); err != nil {
@@ -462,13 +462,13 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 		GroupCommit:  []int{1, 4}[rng.Intn(2)],
 		SegmentBytes: 512,
 	}
-	dc, err := OpenDurableConcurrent(dir, opts)
+	dc, err := OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	oracle := New(ws.s, ws.fds, opts.Store)
 	snaps := map[uint64]crashSnapshot{0: crashSnap(oracle)}
-	lastSeq := func() uint64 { return dc.d.w.nextSeq - 1 }
+	lastSeq := func() uint64 { return dc.st.wal.w.nextSeq - 1 }
 	record := func() {
 		if _, ok := snaps[lastSeq()]; !ok {
 			snaps[lastSeq()] = crashSnap(oracle)
@@ -500,7 +500,7 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 
 	conflicts, wins, crashes := 0, 0, 0
 	for round := 0; round < rounds; round++ {
-		c := dc.Concurrent()
+		c := dc
 		switch k := rng.Intn(10); {
 		case k < 3 || c.Len() == 0:
 			// Stats are not compared in this exerciser: losing racers and
@@ -512,7 +512,7 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 			if (errD == nil) != (errO == nil) {
 				t.Fatalf("round %d: insert verdicts diverged: %v vs %v", round, errD, errO)
 			}
-			if !relation.Equal(dc.d.st.Snapshot(), oracle.Snapshot()) {
+			if !relation.Equal(dc.st.Snapshot(), oracle.Snapshot()) {
 				t.Fatalf("round %d: durable state diverged from the oracle after insert", round)
 			}
 		case k < 7:
@@ -607,9 +607,9 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 					t.Fatalf("round %d: winner committed but the oracle rejects the same write-set: %v", round, err)
 				}
 			}
-			if !relation.Equal(dc.d.st.Snapshot(), oracle.Snapshot()) {
+			if !relation.Equal(dc.st.Snapshot(), oracle.Snapshot()) {
 				t.Fatalf("round %d: durable state diverged from the oracle:\ndurable:\n%s\noracle:\n%s",
-					round, dc.d.st.Snapshot(), oracle.Snapshot())
+					round, dc.st.Snapshot(), oracle.Snapshot())
 			}
 		case k < 8:
 			if err := dc.Checkpoint(); err != nil {
@@ -625,7 +625,7 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 			// prefix, and the history continues from there.
 			crashes++
 			synced := killDurableConcurrent(t, dc)
-			re, err := OpenDurableConcurrent(dir, DurableOptions{
+			re, err := OpenDurable(dir, DurableOptions{
 				Store: opts.Store, GroupCommit: opts.GroupCommit, SegmentBytes: opts.SegmentBytes,
 			})
 			if err != nil {
@@ -635,21 +635,21 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 			if !ok {
 				t.Fatalf("round %d: no snapshot for synced seq %d", round, synced)
 			}
-			if !relation.Equal(re.d.st.Snapshot(), want.rel) {
+			if !relation.Equal(re.st.Snapshot(), want.rel) {
 				t.Fatalf("round %d: crash at synced seq %d: recovered != oracle prefix:\nrecovered:\n%s\noracle:\n%s",
-					round, synced, re.d.st.Snapshot(), want.rel)
+					round, synced, re.st.Snapshot(), want.rel)
 			}
-			if re.d.st.rel.NextMark() != want.mark {
-				t.Fatalf("round %d: recovered watermark %d, oracle %d", round, re.d.st.rel.NextMark(), want.mark)
+			if re.st.rel.NextMark() != want.mark {
+				t.Fatalf("round %d: recovered watermark %d, oracle %d", round, re.st.rel.NextMark(), want.mark)
 			}
 			dc = re
-			adopt(re.d.st)
+			adopt(re.st)
 			// Seqs are not reused after a crash drops an unsynced suffix,
 			// but the state they lead to changes; forget stale snapshots.
 			snaps = map[uint64]crashSnapshot{lastSeq(): crashSnap(oracle)}
 		}
 		record()
-		if !dc.Concurrent().CheckWeak() {
+		if !dc.CheckWeak() {
 			t.Fatalf("round %d: weak-convention invariant broken", round)
 		}
 	}

@@ -36,21 +36,13 @@ import (
 	"fdnull/internal/value"
 )
 
-// mutator is the method set shared by *Durable and *Store, letting the
-// oracle replay the same logical operation the durable handle ran.
-type mutator interface {
-	InsertRow(cells ...string) error
-	Update(ti int, a schema.Attr, v value.V) error
-	Delete(ti int) error
-	Begin() *Txn
-}
-
 // faultOp is one workload step: mut ops count toward the log seq and
-// the oracle; dur ops (Sync/Checkpoint) touch only the durable handle.
+// run on the durable handle and on the oracle (guarded in memory) alike;
+// dur ops (Sync/Checkpoint) touch only the durable handle.
 type faultOp struct {
 	name string
-	mut  func(m mutator) error
-	dur  func(d *Durable) error
+	mut  func(m *Concurrent) error
+	dur  func(d *Concurrent) error
 }
 
 // faultWorkload is the deterministic script every fault schedule runs.
@@ -59,17 +51,17 @@ type faultOp struct {
 // semantic.
 func faultWorkload() []faultOp {
 	row := func(cells ...string) faultOp {
-		return faultOp{name: "insert " + cells[0], mut: func(m mutator) error { return m.InsertRow(cells...) }}
+		return faultOp{name: "insert " + cells[0], mut: func(m *Concurrent) error { return m.InsertRow(cells...) }}
 	}
 	upd := func(ti int, a schema.Attr, v string) faultOp {
-		return faultOp{name: fmt.Sprintf("update %d.%d", ti, a), mut: func(m mutator) error { return m.Update(ti, a, value.NewConst(v)) }}
+		return faultOp{name: fmt.Sprintf("update %d.%d", ti, a), mut: func(m *Concurrent) error { return m.Update(ti, a, value.NewConst(v)) }}
 	}
 	del := func(ti int) faultOp {
-		return faultOp{name: fmt.Sprintf("delete %d", ti), mut: func(m mutator) error { return m.Delete(ti) }}
+		return faultOp{name: fmt.Sprintf("delete %d", ti), mut: func(m *Concurrent) error { return m.Delete(ti) }}
 	}
-	txn := func(name string, stage func(tx *Txn) error) faultOp {
-		return faultOp{name: name, mut: func(m mutator) error {
-			tx := m.Begin()
+	txn := func(name string, stage func(tx *ConcurrentTxn) error) faultOp {
+		return faultOp{name: name, mut: func(m *Concurrent) error {
+			tx := m.BeginTxn()
 			if err := stage(tx); err != nil {
 				tx.Rollback()
 				return err
@@ -81,27 +73,27 @@ func faultWorkload() []faultOp {
 		row("e1", "s1", "d1", "ct1"),
 		row("e2", "s2", "d2", "ct2"),
 		row("e3", "-", "d1", "ct1"),
-		{name: "sync", dur: func(d *Durable) error { return d.Sync() }},
+		{name: "sync", dur: func(d *Concurrent) error { return d.Sync() }},
 		upd(0, 1, "s3"),
-		txn("txn insert e4,e5", func(tx *Txn) error {
+		txn("txn insert e4,e5", func(tx *ConcurrentTxn) error {
 			if err := tx.InsertRow("e4", "s4", "d3", "ct3"); err != nil {
 				return err
 			}
 			return tx.InsertRow("e5", "s5", "d2", "ct2")
 		}),
-		{name: "checkpoint", dur: func(d *Durable) error { return d.Checkpoint() }},
+		{name: "checkpoint", dur: func(d *Concurrent) error { return d.Checkpoint() }},
 		del(1),
 		row("e6", "-", "d4", "-"),
 		upd(0, 1, "s4"),
-		txn("txn delete 2 + insert e7", func(tx *Txn) error {
+		txn("txn delete 2 + insert e7", func(tx *ConcurrentTxn) error {
 			if err := tx.Delete(2); err != nil {
 				return err
 			}
 			return tx.InsertRow("e7", "s7", "d1", "ct1")
 		}),
-		{name: "sync", dur: func(d *Durable) error { return d.Sync() }},
+		{name: "sync", dur: func(d *Concurrent) error { return d.Sync() }},
 		row("e8", "s8", "d4", "-"),
-		{name: "checkpoint", dur: func(d *Durable) error { return d.Checkpoint() }},
+		{name: "checkpoint", dur: func(d *Concurrent) error { return d.Checkpoint() }},
 		upd(1, 1, "s9"),
 		row("e9", "s9", "d2", "ct2"),
 		del(0),
@@ -212,13 +204,13 @@ func runFaultSchedule(t *testing.T, ctx string, plan map[uint64]iox.Fault) sched
 			// the oracle must NOT apply.
 			continue
 		case errors.Is(errD, ErrWAL):
-			// Applied in memory, durability failed: the commit hook runs
+			// Applied in memory, durability failed: the log append runs
 			// after the state change, so the oracle applies and the
 			// recovered prefix may or may not include this mutation.
 		default:
 			t.Fatalf("%s: op %q failed outside the taxonomy: %v", ctx, op.name, errD)
 		}
-		if err := op.mut(oracle); err != nil {
+		if err := op.mut(Guard(oracle)); err != nil {
 			t.Fatalf("%s: oracle rejected %q the durable store accepted: %v", ctx, op.name, err)
 		}
 		snaps = append(snaps, crashSnap(oracle))
@@ -231,13 +223,13 @@ func runFaultSchedule(t *testing.T, ctx string, plan map[uint64]iox.Fault) sched
 	if health.Degraded {
 		// Invariant 1: a degraded handle serves reads frozen exactly at
 		// the oracle's state and refuses mutations without touching it.
-		if !relation.Equal(d.Store().Snapshot(), snaps[applied].rel) {
+		if !relation.Equal(d.st.Snapshot(), snaps[applied].rel) {
 			t.Fatalf("%s: degraded reads diverge from the oracle", ctx)
 		}
 		if err := d.InsertRow("e11", "s1", "d1", "ct1"); !errors.Is(err, ErrDegraded) {
 			t.Fatalf("%s: mutation on a degraded handle returned %v, want ErrDegraded", ctx, err)
 		}
-		if d.Store().Len() != snaps[applied].rel.Len() {
+		if d.st.Len() != snaps[applied].rel.Len() {
 			t.Fatalf("%s: rejected mutation changed the in-memory state", ctx)
 		}
 		if !errors.Is(d.Err(), ErrWAL) {
@@ -252,14 +244,14 @@ func runFaultSchedule(t *testing.T, ctx string, plan map[uint64]iox.Fault) sched
 		if err != nil {
 			t.Fatalf("%s: crash-copy reopen failed: %v", ctx, err)
 		}
-		m := matchingPrefix(re.Store(), snaps)
+		m := matchingPrefix(re.st, snaps)
 		if m < 0 {
-			t.Fatalf("%s: crash-copy recovered a state matching NO oracle prefix (torn state):\n%s", ctx, re.Store().Snapshot())
+			t.Fatalf("%s: crash-copy recovered a state matching NO oracle prefix (torn state):\n%s", ctx, re.st.Snapshot())
 		}
 		if uint64(m) < health.SyncedSeq {
 			t.Fatalf("%s: crash-copy recovered prefix %d < acknowledged synced seq %d (silent loss)", ctx, m, health.SyncedSeq)
 		}
-		if !re.Store().CheckWeak() {
+		if !re.st.CheckWeak() {
 			t.Fatalf("%s: crash-copy violates the weak invariant", ctx)
 		}
 		if err := re.Close(); err != nil && !errors.Is(err, ErrWAL) {
@@ -300,19 +292,19 @@ func runFaultSchedule(t *testing.T, ctx string, plan map[uint64]iox.Fault) sched
 		t.Fatalf("%s: final reopen: %v", ctx, err)
 	}
 	defer re.Close()
-	if !relation.Equal(re.Store().Snapshot(), oracle.Snapshot()) {
+	if !relation.Equal(re.st.Snapshot(), oracle.Snapshot()) {
 		t.Fatalf("%s: final reopen diverges from the oracle:\nrecovered:\n%s\noracle:\n%s",
-			ctx, re.Store().Snapshot(), oracle.Snapshot())
+			ctx, re.st.Snapshot(), oracle.Snapshot())
 	}
-	if re.Store().NextMark() != oracle.NextMark() {
-		t.Fatalf("%s: final watermark %d, oracle %d", ctx, re.Store().NextMark(), oracle.NextMark())
+	if re.st.NextMark() != oracle.NextMark() {
+		t.Fatalf("%s: final watermark %d, oracle %d", ctx, re.st.NextMark(), oracle.NextMark())
 	}
 	return res
 }
 
 // dur runs a durable-only op (Sync/Checkpoint), which may fail under
 // faults — legal iff inside the taxonomy.
-func (d *Durable) dur(op faultOp, t *testing.T, ctx string) {
+func (d *Concurrent) dur(op faultOp, t *testing.T, ctx string) {
 	t.Helper()
 	if err := op.dur(d); err != nil && !errors.Is(err, ErrWAL) && !errors.Is(err, ErrDegraded) {
 		t.Fatalf("%s: %q failed outside the taxonomy: %v", ctx, op.name, err)
@@ -443,7 +435,7 @@ func TestReopenFaultSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := crashSnap(d.Store())
+	want := crashSnap(d.st)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +461,7 @@ func TestReopenFaultSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("count reopen: %v", err)
 	}
-	check("count reopen", re.Store())
+	check("count reopen", re.st)
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -494,12 +486,12 @@ func TestReopenFaultSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: fault-free reopen after failed open: %v", ctx, err)
 			}
-			check(ctx+" (after failed open)", re2.Store())
+			check(ctx+" (after failed open)", re2.st)
 			re2.Close()
 			continue
 		}
 		if re.Health().Degraded {
-			check(ctx+" (degraded reads)", re.Store())
+			check(ctx+" (degraded reads)", re.st)
 			ffs.SetPlan(nil)
 			if err := re.Recover(); err != nil {
 				t.Fatalf("%s: Recover: %v", ctx, err)
@@ -508,7 +500,7 @@ func TestReopenFaultSweep(t *testing.T) {
 				t.Fatalf("%s: insert after Recover: %v", ctx, err)
 			}
 		} else {
-			check(ctx, re.Store())
+			check(ctx, re.st)
 			ffs.SetPlan(nil)
 		}
 		if err := re.Close(); err != nil {
@@ -528,7 +520,7 @@ func TestStrayTmpPruned(t *testing.T) {
 	if err := d.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
-	want := crashSnap(d.Store())
+	want := crashSnap(d.st)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +534,7 @@ func TestStrayTmpPruned(t *testing.T) {
 		t.Fatalf("reopen with stray tmp files: %v", err)
 	}
 	defer re.Close()
-	if !relation.Equal(re.Store().Snapshot(), want.rel) {
+	if !relation.Equal(re.st.Snapshot(), want.rel) {
 		t.Fatal("stray tmp files changed the recovered state")
 	}
 	entries, err := os.ReadDir(dir)
@@ -571,8 +563,8 @@ func TestDegradedOpenServesReads(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	want := crashSnap(d.Store())
-	ckptSeq := d.ckptSeq
+	want := crashSnap(d.st)
+	ckptSeq := d.st.wal.ckptSeq
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +591,7 @@ func TestDegradedOpenServesReads(t *testing.T) {
 	if !h.Degraded || h.Err == nil {
 		t.Fatalf("health after blocked open: %+v", h)
 	}
-	if !relation.Equal(re.Store().Snapshot(), want.rel) {
+	if !relation.Equal(re.st.Snapshot(), want.rel) {
 		t.Fatal("degraded open lost state")
 	}
 	if err := re.InsertRow("e2", "s2", "d2", "ct2"); !errors.Is(err, ErrDegraded) {
@@ -617,9 +609,9 @@ func TestDegradedOpenServesReads(t *testing.T) {
 	}
 }
 
-// TestDegradedTxnCommitDoesNotMutate pins the preCommit gate: a commit
-// on a degraded handle must be rejected BEFORE any in-memory change —
-// the onCommit hook alone would fire after the state already moved.
+// TestDegradedTxnCommitDoesNotMutate pins the commit gate: a commit on
+// a degraded handle must be rejected BEFORE any in-memory change — the
+// log append alone would fail after the state already moved.
 func TestDegradedTxnCommitDoesNotMutate(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	ffs := iox.NewFaultFS(iox.OS, nil)
@@ -640,8 +632,8 @@ func TestDegradedTxnCommitDoesNotMutate(t *testing.T) {
 	if !d.Health().Degraded {
 		t.Fatal("handle did not degrade on a failed sync")
 	}
-	lenBefore, verBefore := d.Store().Len(), d.Store().Version()
-	tx := d.Begin()
+	lenBefore, verBefore := d.st.Len(), d.st.Version()
+	tx := d.BeginTxn()
 	if err := tx.InsertRow("e2", "s2", "d2", "ct2"); err != nil {
 		t.Fatalf("staging must work on a degraded handle: %v", err)
 	}
@@ -653,7 +645,7 @@ func TestDegradedTxnCommitDoesNotMutate(t *testing.T) {
 	if !errors.As(err, &de) || de.Cause == nil {
 		t.Fatalf("degraded commit error %v does not expose its cause", err)
 	}
-	if d.Store().Len() != lenBefore || d.Store().Version() != verBefore {
+	if d.st.Len() != lenBefore || d.st.Version() != verBefore {
 		t.Fatal("rejected degraded commit mutated the in-memory state")
 	}
 }
@@ -697,12 +689,12 @@ func TestTransientRetryHeals(t *testing.T) {
 func TestConcurrentHealthAndRecover(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	ffs := iox.NewFaultFS(iox.OS, nil)
-	dc, err := OpenDurableConcurrent(dir, faultDurableOpts(ffs))
+	dc, err := OpenDurable(dir, faultDurableOpts(ffs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dc.Close()
-	if err := dc.Concurrent().InsertRow("e1", "s1", "d1", "ct1"); err != nil {
+	if err := dc.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := dc.Sync(); err != nil {
@@ -718,14 +710,14 @@ func TestConcurrentHealthAndRecover(t *testing.T) {
 	if err := dc.Err(); !errors.Is(err, ErrWAL) {
 		t.Fatalf("facade Err after degradation: %v", err)
 	}
-	if err := dc.Concurrent().InsertRow("e2", "s2", "d2", "ct2"); !errors.Is(err, ErrDegraded) {
+	if err := dc.InsertRow("e2", "s2", "d2", "ct2"); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("facade mutation while degraded: %v", err)
 	}
 	ffs.SetPlan(nil)
 	if err := dc.Recover(); err != nil {
 		t.Fatalf("facade Recover: %v", err)
 	}
-	if err := dc.Concurrent().InsertRow("e2", "s2", "d2", "ct2"); err != nil {
+	if err := dc.InsertRow("e2", "s2", "d2", "ct2"); err != nil {
 		t.Fatalf("insert after facade Recover: %v", err)
 	}
 	if h := dc.Health(); h.Degraded || h.Degradations != 1 {

@@ -20,7 +20,7 @@
 //
 // # Degraded mode
 //
-// The commit hook runs after the in-memory state changed, so the commit
+// The log append runs after the in-memory state changed, so the commit
 // that trips degradation is applied in memory but not durable — exactly
 // like a timed-out write in a networked store: its caller got an error,
 // and after Recover() (which checkpoints the live state) it will be
@@ -89,10 +89,11 @@ func (e *DegradedError) Error() string {
 
 func (e *DegradedError) Unwrap() []error { return []error{ErrDegraded, e.Cause} }
 
-// Health is a point-in-time snapshot of a durable handle's durability
+// Health is a point-in-time snapshot of a store handle's durability
 // state and I/O counters.
 type Health struct {
-	// Mode is "healthy", "degraded", or "closed".
+	// Mode is "healthy", "degraded", or "closed" — or "memory" for a
+	// store without a WAL, whose other fields are all zero.
 	Mode string
 	// Degraded reports read-only mode: queries serve, mutations fail.
 	Degraded bool
@@ -182,10 +183,13 @@ func (e *ioEnv) retry(attempt func() error) error {
 	}
 }
 
-// gate rejects work on a handle that is not healthy. It is installed as
-// the store's preCommit hook, so mutations on a degraded handle are
-// refused BEFORE any in-memory state changes.
-func (d *Durable) gate() error {
+// gate rejects work on a handle that is not healthy. Every commit path
+// consults it BEFORE touching any in-memory state, so a degraded or
+// closed handle refuses mutations with the instance unchanged.
+func (d *durable) gate() error {
+	if d == nil {
+		return nil
+	}
 	switch d.mode {
 	case modeDegraded:
 		return &DegradedError{Cause: d.cause}
@@ -198,7 +202,7 @@ func (d *Durable) gate() error {
 // degrade moves the handle into degraded read-only mode (idempotent;
 // the first cause wins) and returns the error for the caller to
 // propagate. In-memory state keeps serving; mutations fail fast.
-func (d *Durable) degrade(cause error) error {
+func (d *durable) degrade(cause error) error {
 	if d.mode != modeHealthy {
 		return cause
 	}
@@ -208,8 +212,11 @@ func (d *Durable) degrade(cause error) error {
 	return cause
 }
 
-// Health reports the handle's durability state and I/O counters.
-func (d *Durable) Health() Health {
+// health reports the handle's durability state and I/O counters.
+func (d *durable) health() Health {
+	if d == nil {
+		return Health{Mode: "memory"}
+	}
 	h := Health{
 		Mode:          modeString(d.mode),
 		Degraded:      d.mode == modeDegraded,
@@ -226,16 +233,23 @@ func (d *Durable) Health() Health {
 	return h
 }
 
-// Recover attempts to leave degraded mode by re-establishing durability
-// from the current in-memory state: write a fresh checkpoint — it
-// subsumes every seq ever assigned, including any commit that was
+// reestablish attempts to leave degraded mode by re-establishing
+// durability from the current in-memory state: write a fresh checkpoint
+// — it subsumes every seq ever assigned, including any commit that was
 // applied in memory but whose log append failed — then start a fresh
 // active segment right after it. The abandoned segment fd is closed and
 // never written again (fsyncgate); its possibly-torn tail is entirely
 // subsumed by the new checkpoint, which the recovery scan tolerates.
 // On failure the handle stays degraded (with the new cause) and Recover
-// may be called again once the filesystem heals.
-func (d *Durable) Recover() error {
+// may be called again once the filesystem heals. It refuses while a
+// concurrent Checkpoint is still serializing off-lock.
+func (d *durable) reestablish() error {
+	if d == nil {
+		return nil
+	}
+	if d.ckptInFlight {
+		return walError("recover: a checkpoint is in flight; retry when it finishes")
+	}
 	switch d.mode {
 	case modeClosed:
 		return ErrDurableClosed
@@ -272,22 +286,20 @@ func (d *Durable) Recover() error {
 	return nil
 }
 
-// Health reports the durable facade's state under the read lock.
-func (dc *DurableConcurrent) Health() Health {
-	dc.c.mu.RLock()
-	defer dc.c.mu.RUnlock()
-	return dc.d.Health()
+// Health reports the handle's durability state under the read lock.
+func (c *Concurrent) Health() Health {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.st.wal.health()
 }
 
-// Recover re-establishes durability under the write lock; the
-// checkpoint serialization stalls writers for its duration — acceptable
-// for an emergency path that only runs while mutations fail anyway. It
-// refuses while a concurrent Checkpoint is still serializing off-lock.
-func (dc *DurableConcurrent) Recover() error {
-	dc.c.mu.Lock()
-	defer dc.c.mu.Unlock()
-	if dc.d.ckptInFlight {
-		return walError("recover: a checkpoint is in flight; retry when it finishes")
-	}
-	return dc.d.Recover()
+// Recover leaves degraded mode by re-establishing durability from the
+// in-memory state (a no-op on a healthy handle). It holds the write
+// lock throughout, so the checkpoint serialization stalls writers —
+// acceptable for an emergency path that only runs while mutations fail
+// anyway.
+func (c *Concurrent) Recover() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.st.wal.reestablish()
 }

@@ -1,8 +1,9 @@
 // recovery.go is the replay half of the durable store (wal.go is the
 // on-disk half, faults.go the robustness layer): OpenDurable
 // reconstructs the exact committed state from the manifest's checkpoint
-// plus the log suffix, and the Durable / DurableConcurrent handles keep
-// it current by appending one record per accepted commit.
+// plus the log suffix into a lock-guarded *Concurrent, whose inner store
+// carries its WAL state (Store.wal) and keeps the directory current by
+// appending one record per accepted commit.
 //
 // # Recovery
 //
@@ -58,13 +59,12 @@ import (
 	"fdnull/internal/relation"
 	"fdnull/internal/relio"
 	"fdnull/internal/schema"
-	"fdnull/internal/value"
 )
 
 // ErrDurableClosed reports an operation on a closed durable handle.
 var ErrDurableClosed = errors.New("store: durable store is closed")
 
-// DurableOptions configure OpenDurable / OpenDurableConcurrent.
+// DurableOptions configure OpenDurable.
 type DurableOptions struct {
 	// Store configures the wrapped store. On reopen the maintenance
 	// engine and X-rules setting must match the manifest; opening a log
@@ -132,11 +132,12 @@ func (o DurableOptions) normalized() DurableOptions {
 	return o
 }
 
-// Durable is a Store whose accepted commits are write-ahead logged and
-// whose state survives process death: OpenDurable(dir, ...) brings back
-// exactly the committed state. It is not safe for concurrent use —
-// OpenDurableConcurrent wraps the same machinery in the RW-locked
-// facade.
+// durable is the WAL state of a store opened with OpenDurable, held in
+// Store.wal: accepted commits are write-ahead logged through it and the
+// state survives process death. A nil *durable is an in-memory store's:
+// gate, logRecord, err, sync, close, health and reestablish all treat a
+// nil receiver as "no WAL" and do nothing. It has no lock of its own —
+// everything runs under the owning Concurrent's lock.
 //
 // An unrecoverable WAL failure does not kill the handle: it DEGRADES it
 // to read-only (faults.go). The failed commit is in memory but may not
@@ -144,7 +145,7 @@ func (o DurableOptions) normalized() DurableOptions {
 // returns ErrDegraded wrapping the root cause, Health() reports the
 // state, and Recover() re-establishes durability with a fresh
 // checkpoint + segment.
-type Durable struct {
+type durable struct {
 	st   *Store
 	w    *walWriter
 	dir  string
@@ -155,52 +156,42 @@ type Durable struct {
 	ckptSeq       uint64
 	// mode/cause implement degraded read-only mode (faults.go): the
 	// zero mode is healthy; degrade() moves to modeDegraded with the
-	// first root cause; Close moves to modeClosed.
+	// first root cause; close moves to modeClosed.
 	mode  uint8
 	cause error
-	// ckptInFlight is set while DurableConcurrent.Checkpoint serializes
-	// a snapshot outside the facade's write lock. Auto-checkpoints (which
-	// run under that lock) skip while it is set, so two checkpoints never
-	// write MANIFEST.tmp concurrently and a finished checkpoint can never
+	// ckptInFlight is set while Concurrent.Checkpoint serializes a
+	// snapshot outside the write lock. Auto-checkpoints (which run under
+	// that lock) skip while it is set, so two checkpoints never write
+	// MANIFEST.tmp concurrently and a finished checkpoint can never
 	// repoint the manifest behind a newer one whose pruneWAL already ran.
-	// Read and written only under the facade's write lock (plain Durable
-	// is single-threaded and never sets it).
 	ckptInFlight bool
 }
 
-// OpenDurable opens (or creates) a durable store in dir. A fresh dir
-// needs opts.Scheme and opts.FDs; a reopen replays checkpoint + log
-// suffix and ignores them. When the state is fully recovered but a
-// writable segment cannot be established, the handle opens in degraded
-// read-only mode instead of failing (check Health().Degraded).
-func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
+// OpenDurable opens (or creates) a durable store in dir and returns it
+// behind the RW-locked facade: many readers and transaction stagers in
+// parallel, writers serialized at commit, one log record per accepted
+// commit (appended under the write lock, so log order IS commit order).
+// A fresh dir needs opts.Scheme and opts.FDs; a reopen replays
+// checkpoint + log suffix and ignores them. When the state is fully
+// recovered but a writable segment cannot be established, the handle
+// opens in degraded read-only mode instead of failing (check
+// Health().Degraded).
+func OpenDurable(dir string, opts DurableOptions) (*Concurrent, error) {
 	opts = opts.normalized()
-	env := newIOEnv(opts)
-	rec, err := openWAL(env, dir, opts)
+	d, err := openWAL(newIOEnv(opts), dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	d := &Durable{st: rec.st, w: rec.w, dir: dir, opts: opts, env: env, ckptSeq: rec.ckptSeq}
-	if rec.degraded != nil {
-		d.mode = modeDegraded
-		d.cause = rec.degraded
-		env.degradations++
-	}
-	d.st.onCommit = d.logRecord
-	d.st.preCommit = d.gate
-	return d, nil
+	d.st.wal = d
+	return Guard(d.st), nil
 }
 
-// Store returns the wrapped store for reads (Query, View, Snapshot,
-// CheckWeak, ...). Mutations MUST go through the Durable handle — the
-// wrapped store's mutators also work (both hooks are installed), and
-// the preCommit gate rejects them once the handle is degraded or
-// closed, before any in-memory state changes.
-func (d *Durable) Store() *Store { return d.st }
-
-// Err returns the degradation root cause, ErrDurableClosed after Close,
+// err returns the degradation root cause, ErrDurableClosed after close,
 // or nil while the handle is healthy.
-func (d *Durable) Err() error {
+func (d *durable) err() error {
+	if d == nil {
+		return nil
+	}
 	switch d.mode {
 	case modeDegraded:
 		return d.cause
@@ -210,7 +201,19 @@ func (d *Durable) Err() error {
 	return nil
 }
 
-func (d *Durable) logRecord(mode recMode, preMark int, ops []txnOp) error {
+// logRecord appends one record for an accepted commit: the logical
+// write-set as staged (never the substituted post-state), the mode it
+// was applied under, and the fresh-mark allocator watermark as of just
+// before the commit (FreshNull advances the allocator without a commit,
+// so replay must restore it before re-parsing "-" cells). The ops alias
+// the caller's tuples and cells; append encodes them before returning.
+// It runs AFTER the in-memory state changed, so an error here reaches
+// the committing caller with the commit applied in memory — the handle
+// degrades, and every later mutation is refused by gate().
+func (d *durable) logRecord(mode recMode, preMark int, ops []txnOp) error {
+	if d == nil {
+		return nil
+	}
 	if err := d.gate(); err != nil {
 		return err
 	}
@@ -240,56 +243,26 @@ func (d *Durable) logRecord(mode recMode, preMark int, ops []txnOp) error {
 			return d.degrade(walFail(err, "sync before checkpoint"))
 		}
 		// The commit is durable from here on. A failure in the checkpoint
-		// itself degrades the handle (Checkpoint does that, so every LATER
-		// mutation reports it) but is not this commit's error — returning
-		// it would tell the caller a durably applied commit failed.
-		d.Checkpoint() // errcheck:ok a checkpoint failure degrades the handle itself; not this commit's error
+		// itself degrades the handle (so every LATER mutation reports it)
+		// but is not this commit's error — returning it would tell the
+		// caller a durably applied commit failed. All three steps run
+		// inline, under the committing writer's lock.
+		if view, watermark, seq, err := d.capture(); err == nil {
+			err = writeCheckpoint(d.env, d.dir, d.st, view, watermark, seq, d.opts)
+			if d.publish(seq, err) == nil && !d.opts.RetainSegments {
+				pruneWAL(d.env.fs, d.dir, seq, d.w.name)
+			}
+		}
 	}
 	return nil
 }
 
-// Insert logs-then-confirms a tuple insert; see Store.Insert.
-func (d *Durable) Insert(t relation.Tuple) error {
-	if err := d.gate(); err != nil {
-		return err
-	}
-	return d.st.Insert(t)
-}
-
-// InsertRow inserts a row of cell strings durably; see Store.InsertRow.
-func (d *Durable) InsertRow(cells ...string) error {
-	if err := d.gate(); err != nil {
-		return err
-	}
-	return d.st.InsertRow(cells...)
-}
-
-// Update overwrites one cell durably; see Store.Update.
-func (d *Durable) Update(ti int, a schema.Attr, v value.V) error {
-	if err := d.gate(); err != nil {
-		return err
-	}
-	return d.st.Update(ti, a, v)
-}
-
-// Delete removes a tuple durably; see Store.Delete.
-func (d *Durable) Delete(ti int) error {
-	if err := d.gate(); err != nil {
-		return err
-	}
-	return d.st.Delete(ti)
-}
-
-// Begin starts a transaction whose Commit appends one log record for
-// the whole write-set. On a degraded handle staging works but Commit is
-// rejected by the preCommit gate before any state changes.
-func (d *Durable) Begin() *Txn {
-	return d.st.Begin()
-}
-
-// Sync forces every appended record to disk, ending the group-commit
+// sync forces every appended record to disk, ending the group-commit
 // window early.
-func (d *Durable) Sync() error {
+func (d *durable) sync() error {
+	if d == nil {
+		return nil
+	}
 	if err := d.gate(); err != nil {
 		return err
 	}
@@ -299,37 +272,37 @@ func (d *Durable) Sync() error {
 	return nil
 }
 
-// Checkpoint snapshots the current state into a relio checkpoint file,
-// repoints the manifest at it, and prunes the log prefix it subsumes
-// (unless RetainSegments). The snapshot goes through an O(1)
-// copy-on-write view, so even under the concurrent facade writers never
-// stall for the serialization.
-func (d *Durable) Checkpoint() error {
-	if err := d.gate(); err != nil {
-		return err
-	}
+// capture is a checkpoint's first step: seal the log, then take what the
+// image is written from — an O(1) copy-on-write view, the allocator
+// watermark, and the last seq the view contains. Under the write lock.
+func (d *durable) capture() (view relation.View, watermark int, seq uint64, err error) {
 	if err := d.w.sync(); err != nil {
-		return d.degrade(walFail(err, "sync before checkpoint"))
+		return relation.View{}, 0, 0, d.degrade(walFail(err, "sync before checkpoint"))
 	}
-	view := d.st.View()
-	seq := d.w.nextSeq - 1
-	if err := writeCheckpoint(d.env, d.dir, d.st, view, d.st.rel.NextMark(), seq, d.opts); err != nil {
-		d.degrade(err)
-		return err
+	return d.st.View(), d.st.rel.NextMark(), d.w.nextSeq - 1, nil
+}
+
+// publish is a checkpoint's last step, given writeCheckpoint's outcome
+// for the image captured at seq: move the checkpoint seq and restart the
+// CheckpointEvery cadence, or degrade. Under the write lock.
+func (d *durable) publish(seq uint64, writeErr error) error {
+	if writeErr != nil {
+		d.degrade(writeErr)
+		return writeErr
 	}
 	d.ckptSeq = seq
 	d.recsSinceCkpt = 0
-	if !d.opts.RetainSegments {
-		pruneWAL(d.env.fs, d.dir, seq, d.w.name)
-	}
 	return nil
 }
 
-// Close syncs and closes the log. The handle is unusable afterwards
-// (mutations return ErrDurableClosed). Closing a DEGRADED handle never
-// touches the abandoned fd's durability (fsyncgate): it just releases
-// the descriptor and returns the degradation cause.
-func (d *Durable) Close() error {
+// close syncs and closes the log; mutations return ErrDurableClosed
+// afterwards. Closing a DEGRADED handle never touches the abandoned
+// fd's durability (fsyncgate): it just releases the descriptor and
+// returns the degradation cause.
+func (d *durable) close() error {
+	if d == nil {
+		return nil
+	}
 	switch d.mode {
 	case modeClosed:
 		return ErrDurableClosed
@@ -352,28 +325,88 @@ func (d *Durable) Close() error {
 	return nil
 }
 
-// ---- shared open/replay machinery ----
+// ---- the durability surface of the locked store ----
+//
+// On an in-memory store (NewConcurrent, Guard) every method below is a
+// no-op returning nil, and Health reports Mode "memory".
 
-// recovered is openWAL's result: the reconstructed store, the writer
-// (fileless when degraded != nil), the manifest's checkpoint seq, and —
-// when the state was recovered but durability could not be established
-// — the cause the handle starts degraded with.
-type recovered struct {
-	st       *Store
-	w        *walWriter
-	ckptSeq  uint64
-	degraded error
+// Err returns the degradation root cause, ErrDurableClosed after Close,
+// or nil while the handle is healthy.
+func (c *Concurrent) Err() error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.st.wal.err()
 }
 
-// openWAL opens or creates the WAL directory. The caller passes opts
-// already normalized() — manifest validation and manifest writes must
-// both see the pinned engine.
-func openWAL(env *ioEnv, dir string, opts DurableOptions) (recovered, error) {
+// Sync forces the group-commit window closed under the write lock.
+func (c *Concurrent) Sync() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.st.wal.sync()
+}
+
+// Checkpoint snapshots the current state into a relio checkpoint file,
+// repoints the manifest at it, and prunes the log prefix it subsumes
+// (unless RetainSegments). The image is captured under the write lock —
+// an O(1) copy-on-write view — and serialized outside it, so writers
+// keep committing, and logging, throughout; the checkpoint simply pins
+// the seq it captured. Checkpoints never overlap: while one is
+// serializing, a concurrent Checkpoint call returns nil without doing
+// anything (the in-flight checkpoint covers a seq at most
+// CheckpointEvery-ish older) and auto-checkpoints are skipped.
+func (c *Concurrent) Checkpoint() error {
+	d := c.st.wal
+	if d == nil {
+		return nil
+	}
+	c.mu.Lock()
+	if err := d.gate(); err != nil || d.ckptInFlight {
+		c.mu.Unlock()
+		return err // the gate's refusal, or nil behind the checkpoint in flight
+	}
+	view, watermark, seq, err := d.capture()
+	if err != nil {
+		c.mu.Unlock()
+		return err
+	}
+	d.ckptInFlight = true
+	c.mu.Unlock()
+
+	// Lock-free: the view is immutable; writers COW around it.
+	err = writeCheckpoint(d.env, d.dir, c.st, view, watermark, seq, d.opts)
+
+	c.mu.Lock()
+	d.ckptInFlight = false
+	err = d.publish(seq, err)
+	activeName := d.w.name
+	c.mu.Unlock()
+	if err == nil && !d.opts.RetainSegments {
+		pruneWAL(d.env.fs, d.dir, seq, activeName)
+	}
+	return err
+}
+
+// Close syncs and closes the log under the write lock. Reads keep
+// serving; mutations return ErrDurableClosed, as does a second Close.
+func (c *Concurrent) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.st.wal.close()
+}
+
+// ---- shared open/replay machinery ----
+
+// openWAL opens or creates the WAL directory and returns the WAL state
+// of the reconstructed store (d.st; not yet attached as d.st.wal, so
+// replay is neither gated nor re-logged). The caller passes opts already
+// normalized() — manifest validation and manifest writes must both see
+// the pinned engine.
+func openWAL(env *ioEnv, dir string, opts DurableOptions) (*durable, error) {
 	manifestPath := filepath.Join(dir, manifestName)
 	if _, err := env.fs.Stat(manifestPath); errors.Is(err, os.ErrNotExist) {
 		return initWAL(env, dir, opts)
 	} else if err != nil {
-		return recovered{}, walFail(err, "stat manifest")
+		return nil, walFail(err, "stat manifest")
 	}
 	pruneStrayTmp(env.fs, dir)
 	return replayWAL(env, dir, opts)
@@ -398,16 +431,16 @@ func pruneStrayTmp(fs iox.FS, dir string) {
 
 // initWAL seeds a fresh directory: empty checkpoint, manifest, first
 // segment.
-func initWAL(env *ioEnv, dir string, opts DurableOptions) (recovered, error) {
+func initWAL(env *ioEnv, dir string, opts DurableOptions) (*durable, error) {
 	if opts.Scheme == nil {
-		return recovered{}, walError("fresh durable dir %q needs DurableOptions.Scheme and FDs", dir)
+		return nil, walError("fresh durable dir %q needs DurableOptions.Scheme and FDs", dir)
 	}
 	if err := env.retry(func() error { return env.fs.MkdirAll(dir, 0o755) }); err != nil {
-		return recovered{}, walFail(err, "create dir")
+		return nil, walFail(err, "create dir")
 	}
 	st := New(opts.Scheme, opts.FDs, opts.Store)
 	if err := writeCheckpoint(env, dir, st, st.View(), st.rel.NextMark(), 0, opts); err != nil {
-		return recovered{}, err
+		return nil, err
 	}
 	w := &walWriter{
 		env:          env,
@@ -418,9 +451,9 @@ func initWAL(env *ioEnv, dir string, opts DurableOptions) (recovered, error) {
 		noSync:       opts.NoSync,
 	}
 	if err := w.newSegment(1); err != nil {
-		return recovered{}, walFail(err, "create first segment")
+		return nil, walFail(err, "create first segment")
 	}
-	return recovered{st: st, w: w}, nil
+	return &durable{st: st, w: w, dir: dir, opts: opts, env: env}, nil
 }
 
 // writeCheckpoint serializes a snapshot (lock-free, from a COW view)
@@ -523,28 +556,28 @@ func pruneWAL(fs iox.FS, dir string, ckptSeq uint64, activeName string) {
 // already contains their effects. (Recover() legitimately leaves an
 // abandoned, possibly-torn old active segment behind a fresh
 // checkpoint; real corruption of needed records still fails closed.)
-func replayWAL(env *ioEnv, dir string, opts DurableOptions) (recovered, error) {
+func replayWAL(env *ioEnv, dir string, opts DurableOptions) (*durable, error) {
 	mb, err := readFileRetry(env, filepath.Join(dir, manifestName))
 	if err != nil {
-		return recovered{}, walFail(err, "read manifest")
+		return nil, walFail(err, "read manifest")
 	}
 	m, err := parseManifest(string(mb))
 	if err != nil {
-		return recovered{}, walError("%v", err)
+		return nil, walError("%v", err)
 	}
 	if m.maintenance != opts.Store.Maintenance || m.xrules != opts.Store.ApplyXRules {
-		return recovered{}, walError(
+		return nil, walError(
 			"log at %q was written under maintenance=%s xrules=%t; refusing to replay under maintenance=%s xrules=%t (op indices are engine-dependent)",
 			dir, m.maintenance, m.xrules, opts.Store.Maintenance, opts.Store.ApplyXRules)
 	}
 
 	ckb, err := readFileRetry(env, filepath.Join(dir, m.checkpoint))
 	if err != nil {
-		return recovered{}, walFail(err, "read checkpoint %s", m.checkpoint)
+		return nil, walFail(err, "read checkpoint %s", m.checkpoint)
 	}
 	parsed, err := relio.ParseString(string(ckb))
 	if err != nil {
-		return recovered{}, walError("parse checkpoint %s: %v", m.checkpoint, err)
+		return nil, walError("parse checkpoint %s: %v", m.checkpoint, err)
 	}
 	// Adopt the checkpoint verbatim — it is a fixpoint materialized from
 	// a live store, and replay's op indices depend on its exact tuple
@@ -554,7 +587,18 @@ func replayWAL(env *ioEnv, dir string, opts DurableOptions) (recovered, error) {
 
 	segs, err := listSegments(env.fs, dir)
 	if err != nil {
-		return recovered{}, walFail(err, "list segments")
+		return nil, walFail(err, "list segments")
+	}
+	// handle finishes the open around the recovered state: healthy, or —
+	// when the state was recovered but durability could not be
+	// established — degraded with that cause (w is then fileless).
+	handle := func(w *walWriter, degraded error) (*durable, error) {
+		d := &durable{st: st, w: w, dir: dir, opts: opts, env: env, ckptSeq: m.ckptSeq}
+		if degraded != nil {
+			d.mode, d.cause = modeDegraded, degraded
+			env.degradations++
+		}
+		return d, nil
 	}
 	newWriter := func() *walWriter {
 		return &walWriter{
@@ -571,15 +615,14 @@ func replayWAL(env *ioEnv, dir string, opts DurableOptions) (recovered, error) {
 		if err := w.newSegment(m.ckptSeq + 1); err != nil {
 			// The state is fully recovered; only appending is impossible.
 			// Serve degraded instead of dying (Recover() retries later).
-			return recovered{st: st, w: w, ckptSeq: m.ckptSeq,
-				degraded: walFail(err, "create segment")}, nil
+			return handle(w, walFail(err, "create segment"))
 		}
-		return recovered{st: st, w: w, ckptSeq: m.ckptSeq}, nil
+		return handle(w, nil)
 	}
 
 	firstSeg, _ := parseSegName(segs[0])
 	if firstSeg > m.ckptSeq+1 {
-		return recovered{}, walError("log gap: checkpoint covers seqs <=%d but the oldest segment starts at %d", m.ckptSeq, firstSeg)
+		return nil, walError("log gap: checkpoint covers seqs <=%d but the oldest segment starts at %d", m.ckptSeq, firstSeg)
 	}
 	expect := firstSeg
 	var lastName string
@@ -593,12 +636,12 @@ func replayWAL(env *ioEnv, dir string, opts DurableOptions) (recovered, error) {
 				// its checkpoint, abandoning whatever preceded it.
 				expect = first
 			} else {
-				return recovered{}, walError("segment %s starts at seq %d, want %d (missing or reordered segment)", name, first, expect)
+				return nil, walError("segment %s starts at seq %d, want %d (missing or reordered segment)", name, first, expect)
 			}
 		}
 		data, err := readFileRetry(env, filepath.Join(dir, name))
 		if err != nil {
-			return recovered{}, walFail(err, "read segment %s", name)
+			return nil, walFail(err, "read segment %s", name)
 		}
 		recs, end, scanErr := scanSegment(data)
 		for _, rec := range recs {
@@ -608,7 +651,7 @@ func replayWAL(env *ioEnv, dir string, opts DurableOptions) (recovered, error) {
 					// append's seq was never reused before Recover()).
 					expect = rec.seq
 				} else {
-					return recovered{}, walError("segment %s: record seq %d, want %d (log not contiguous)", name, rec.seq, expect)
+					return nil, walError("segment %s: record seq %d, want %d (log not contiguous)", name, rec.seq, expect)
 				}
 			}
 			expect++
@@ -616,7 +659,7 @@ func replayWAL(env *ioEnv, dir string, opts DurableOptions) (recovered, error) {
 				continue // already inside the checkpoint
 			}
 			if err := replayRecord(st, rec); err != nil {
-				return recovered{}, walError("replay seq %d: %v", rec.seq, err)
+				return nil, walError("replay seq %d: %v", rec.seq, err)
 			}
 		}
 		if scanErr != nil && i != len(segs)-1 {
@@ -627,7 +670,7 @@ func replayWAL(env *ioEnv, dir string, opts DurableOptions) (recovered, error) {
 			// missing. A tear above the checkpoint is corruption of
 			// records replay needs: fail closed.
 			if expect > m.ckptSeq+1 {
-				return recovered{}, walError("segment %s: %v", name, scanErr)
+				return nil, walError("segment %s: %v", name, scanErr)
 			}
 		}
 		// (In the final segment a scan error is the torn tail: drop
@@ -647,15 +690,14 @@ func replayWAL(env *ioEnv, dir string, opts DurableOptions) (recovered, error) {
 	// the final segment. From here on the STATE is fully recovered: any
 	// failure establishing the writer degrades the open instead of
 	// failing it.
-	ckptSeq := m.ckptSeq
-	degradedOpen := func(cause error, f iox.File) (recovered, error) {
+	degradedOpen := func(cause error, f iox.File) (*durable, error) {
 		if f != nil {
 			f.Close() // errcheck:ok abandoned fd on the degraded-open path
 		}
 		w := newWriter()
 		w.nextSeq = expect
 		w.syncedSeq = expect - 1
-		return recovered{st: st, w: w, ckptSeq: ckptSeq, degraded: cause}, nil
+		return handle(w, cause)
 	}
 	f, err := env.fs.OpenRW(filepath.Join(dir, lastName))
 	if err != nil {
@@ -681,7 +723,7 @@ func replayWAL(env *ioEnv, dir string, opts DurableOptions) (recovered, error) {
 	w := newWriter()
 	w.f, w.name, w.size = f, lastName, lastEnd
 	w.nextSeq, w.syncedOff, w.syncedSeq = expect, lastEnd, expect-1
-	return recovered{st: st, w: w, ckptSeq: ckptSeq}, nil
+	return handle(w, nil)
 }
 
 // readFileRetry reads a whole file under the transient-retry budget.
@@ -698,8 +740,8 @@ func readFileRetry(env *ioEnv, path string) ([]byte, error) {
 
 // replayRecord re-executes one logged commit through the store's own
 // write path: stage the write-set, commit it. A per-op record is the
-// one-op case of the same loop. The hooks are not installed yet, so
-// nothing is re-logged or gated.
+// one-op case of the same loop. st.wal is not attached yet, so nothing
+// is re-logged or gated.
 func replayRecord(st *Store, rec walRecord) error {
 	if rec.mode == recPerOp && len(rec.ops) != 1 {
 		return fmt.Errorf("per-op record carries %d ops", len(rec.ops))
@@ -731,106 +773,4 @@ func replayRecord(st *Store, rec walRecord) error {
 		}
 	}
 	return tx.Commit()
-}
-
-// ---- the concurrent durable facade ----
-
-// DurableConcurrent is a Concurrent whose accepted commits are
-// write-ahead logged: many readers and transaction stagers in parallel,
-// writers serialized at commit, one log record per accepted commit
-// (appended under the facade's write lock, so log order IS commit
-// order). Checkpoints capture their snapshot under the write lock —
-// O(rows) header copy — and serialize it outside, so writers never
-// stall for the disk.
-type DurableConcurrent struct {
-	c *Concurrent
-	d *Durable
-}
-
-// OpenDurableConcurrent opens (or recovers) dir like OpenDurable and
-// wraps the store in the RW-locked facade.
-func OpenDurableConcurrent(dir string, opts DurableOptions) (*DurableConcurrent, error) {
-	d, err := OpenDurable(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &DurableConcurrent{c: Guard(d.st), d: d}, nil
-}
-
-// Concurrent returns the guarded facade; all reads and mutations go
-// through it (the WAL hook rides along on the inner store, under the
-// facade's write lock).
-func (dc *DurableConcurrent) Concurrent() *Concurrent { return dc.c }
-
-// Err returns the degradation root cause (or ErrDurableClosed), or nil
-// while healthy.
-func (dc *DurableConcurrent) Err() error {
-	dc.c.mu.RLock()
-	defer dc.c.mu.RUnlock()
-	return dc.d.Err()
-}
-
-// Sync forces the group-commit window closed under the write lock.
-func (dc *DurableConcurrent) Sync() error {
-	dc.c.mu.Lock()
-	defer dc.c.mu.Unlock()
-	return dc.d.Sync()
-}
-
-// Checkpoint snapshots under the write lock (O(rows) view capture) and
-// serializes the snapshot lock-free, then repoints the manifest.
-// Concurrent writers keep committing — and logging — throughout; the
-// checkpoint simply pins the seq it captured. Checkpoints never
-// overlap: while one is serializing outside the lock, a concurrent
-// Checkpoint call returns nil without doing anything (the in-flight
-// checkpoint covers a seq at most CheckpointEvery-ish older) and
-// auto-checkpoints are skipped.
-func (dc *DurableConcurrent) Checkpoint() error {
-	dc.c.mu.Lock()
-	if err := dc.d.gate(); err != nil {
-		dc.c.mu.Unlock()
-		return err
-	}
-	if dc.d.ckptInFlight {
-		dc.c.mu.Unlock()
-		return nil
-	}
-	if err := dc.d.w.sync(); err != nil {
-		err = dc.d.degrade(walFail(err, "sync before checkpoint"))
-		dc.c.mu.Unlock()
-		return err
-	}
-	dc.d.ckptInFlight = true
-	view := dc.d.st.View()
-	watermark := dc.d.st.rel.NextMark()
-	seq := dc.d.w.nextSeq - 1
-	env, dir, opts := dc.d.env, dc.d.dir, dc.d.opts
-	st := dc.d.st
-	dc.c.mu.Unlock()
-
-	// Lock-free: the view is immutable; writers COW around it.
-	err := writeCheckpoint(env, dir, st, view, watermark, seq, opts)
-
-	dc.c.mu.Lock()
-	dc.d.ckptInFlight = false
-	if err != nil {
-		dc.d.degrade(err)
-		dc.c.mu.Unlock()
-		return err
-	}
-	dc.d.ckptSeq = seq
-	dc.d.recsSinceCkpt = 0
-	activeName := dc.d.w.name
-	dc.c.mu.Unlock()
-	if !opts.RetainSegments {
-		pruneWAL(env.fs, dir, seq, activeName)
-	}
-	return nil
-}
-
-// Close syncs and closes the log under the write lock.
-func (dc *DurableConcurrent) Close() error {
-	dc.c.mu.Lock()
-	defer dc.c.mu.Unlock()
-	return dc.d.Close()
 }

@@ -1,7 +1,7 @@
 // shard.go implements the hash-sharded store facade: S independent
 // Concurrent stores — each with its own lock, version counter, query
-// cache, and (for the durable variant) its own WAL directory — with
-// relations routed by the constant projection on a shard key.
+// cache, and (when opened with OpenShardedDurable) its own WAL directory
+// — with relations routed by the constant projection on a shard key.
 //
 // # Soundness
 //
@@ -92,7 +92,6 @@ type Sharded struct {
 	key      schema.AttrSet
 	keyAttrs []schema.Attr
 	shards   []*Concurrent
-	durs     []*DurableConcurrent // nil for the in-memory variant
 
 	// markMu guards the facade-global fresh-mark allocator. Every mark
 	// enters the shards pre-allocated from here (rows are parsed at the
@@ -131,8 +130,12 @@ func NewSharded(s *schema.Scheme, fds []fd.FD, opts ShardedOptions) (*Sharded, e
 // OpenShardedDurable opens (or creates) a sharded store whose shards
 // each write-ahead log to their own subdirectory dir/shard-NN. dopts
 // seeds fresh shards (Scheme and FDs are overridden from the sharded
-// arguments); reopening recovers every shard and resumes the global
-// allocator above every recovered mark.
+// arguments); reopening recovers every shard, resumes the global
+// allocator above every recovered mark, and refuses a directory whose
+// tuples do not route to the shards they were recovered in — the shard
+// key is stored nowhere, and opening under a different one would put
+// tuples that agree on an FD's LHS on different shards, out of each
+// other's constraint scope.
 func OpenShardedDurable(dir string, s *schema.Scheme, fds []fd.FD, opts ShardedOptions, dopts DurableOptions) (*Sharded, error) {
 	if err := validateShardedOptions(s, fds, opts); err != nil {
 		return nil, err
@@ -155,26 +158,29 @@ func OpenShardedDurable(dir string, s *schema.Scheme, fds []fd.FD, opts ShardedO
 		fds:      append([]fd.FD(nil), fds...),
 		key:      opts.Key,
 		keyAttrs: opts.Key.Attrs(),
-		shards:   make([]*Concurrent, opts.Shards),
-		durs:     make([]*DurableConcurrent, opts.Shards),
+		shards:   make([]*Concurrent, 0, opts.Shards),
 	}
 	dopts.Scheme = s
 	dopts.FDs = fds
 	dopts.Store = opts.Store
-	for i := range sh.shards {
-		dc, err := OpenDurableConcurrent(filepath.Join(dir, fmt.Sprintf("shard-%02d", i)), dopts)
+	for i := 0; i < opts.Shards; i++ {
+		c, err := OpenDurable(filepath.Join(dir, fmt.Sprintf("shard-%02d", i)), dopts)
 		if err != nil {
-			for j := 0; j < i; j++ {
-				sh.durs[j].Close() // errcheck:ok abandoning a partially opened shard set; the open error below subsumes close failures
-			}
+			sh.Close() // errcheck:ok abandoning a partially opened shard set; the open error below subsumes close failures
 			return nil, fmt.Errorf("store: open shard %d: %w", i, err)
 		}
-		sh.durs[i] = dc
-		sh.shards[i] = dc.Concurrent()
+		sh.shards = append(sh.shards, c)
 	}
-	for _, c := range sh.shards {
+	for i, c := range sh.shards {
 		if nm := c.st.NextMark(); nm > sh.nextMark {
 			sh.nextMark = nm
+		}
+		for _, t := range c.st.rel.Tuples() {
+			if home, err := sh.shardOf(t); err != nil || home != i {
+				sh.Close() // errcheck:ok refusing the open; the routing error below subsumes close failures
+				return nil, fmt.Errorf("store: sharded dir %s was not written under shard key %s: shard %d holds %s, which does not route there",
+					dir, formatAttrs(s, opts.Key), i, t)
+			}
 		}
 	}
 	return sh, nil
@@ -382,16 +388,13 @@ func (s *Sharded) Find(t relation.Tuple) (shard, index int) {
 	return -1, -1
 }
 
-// ---- durability plumbing (no-ops for the in-memory variant) ----
+// ---- durability plumbing (no-ops on in-memory shards) ----
 
-// Checkpoint checkpoints every durable shard.
+// Checkpoint checkpoints every shard.
 func (s *Sharded) Checkpoint() error {
 	var first error
-	for i, d := range s.durs {
-		if d == nil {
-			continue
-		}
-		if err := d.Checkpoint(); err != nil && first == nil {
+	for i, c := range s.shards {
+		if err := c.Checkpoint(); err != nil && first == nil {
 			first = fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
@@ -403,25 +406,18 @@ func (s *Sharded) Checkpoint() error {
 // with zero counters.
 func (s *Sharded) ShardHealth() []Health {
 	out := make([]Health, len(s.shards))
-	for i := range out {
-		if i < len(s.durs) && s.durs[i] != nil {
-			out[i] = s.durs[i].Health()
-		} else {
-			out[i] = Health{Mode: "memory"}
-		}
+	for i, c := range s.shards {
+		out[i] = c.Health()
 	}
 	return out
 }
 
-// Close closes every durable shard (in-memory shards have nothing to
+// Close closes every shard's log (in-memory shards have nothing to
 // close). The store must not be used afterwards.
 func (s *Sharded) Close() error {
 	var first error
-	for i, d := range s.durs {
-		if d == nil {
-			continue
-		}
-		if err := d.Close(); err != nil && first == nil {
+	for i, c := range s.shards {
+		if err := c.Close(); err != nil && first == nil {
 			first = fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
@@ -657,30 +653,9 @@ func (s *Sharded) DeleteTuple(match relation.Tuple) error {
 func (s *Sharded) offendingOpGlobal(touched []int, shardOps map[int][]txnOp, gidxOf map[int][]int, nops int) int {
 	for k := 0; k < nops-1; k++ {
 		for _, si := range touched {
-			st := s.shards[si].st
-			var sub []txnOp
-			for i, op := range shardOps[si] {
-				if gidxOf[si][i] <= k {
-					sub = append(sub, op)
-				}
-			}
-			if len(sub) == 0 {
-				continue
-			}
-			tent := st.rel.Clone()
-			ok := true
-			for _, op := range sub {
-				if _, err := applyTxnOp(st.scheme, tent, op); err != nil {
-					// The full set applied structurally (else the structural
-					// branch above would have won); defensive only.
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			if _, rejected, err := st.resolve(tent); err == nil && rejected != nil {
+			// gidxOf[si] ascends, so the ops at or below k are a prefix.
+			n := sort.SearchInts(gidxOf[si], k+1)
+			if n > 0 && s.shards[si].st.rejects(shardOps[si][:n]) {
 				return k
 			}
 		}
@@ -855,7 +830,7 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 		}
 	}
 	for _, si := range touched {
-		if err := s.shards[si].st.gateCommit(); err != nil {
+		if err := s.shards[si].st.wal.gate(); err != nil {
 			unlockAll()
 			restoreMarks()
 			return err
@@ -1014,7 +989,7 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 		p.apply()
 		// Per-shard WAL append; see the package comment for the
 		// cross-shard crash-atomicity caveat.
-		if err := p.st.logCommit(recTxn, p.preMark, p.ops); err != nil && logErr == nil {
+		if err := p.st.wal.logRecord(recTxn, p.preMark, p.ops); err != nil && logErr == nil {
 			logErr = err
 		}
 	}

@@ -582,3 +582,49 @@ func TestShardedDurableProbeUsesFS(t *testing.T) {
 		t.Fatalf("first I/O call must be the shard-directory probe on the configured FS, got %v", err)
 	}
 }
+
+// TestShardedDurableReopenChecksKey: the shard key is stored nowhere, so
+// a reopen must prove the recovered tuples route, under the key it was
+// given, to the shards they were recovered in. Reopened under another
+// legal key, rows agreeing with a stored row on the FD's LHS would land
+// on other shards and be accepted against it.
+func TestShardedDurableReopenChecksKey(t *testing.T) {
+	dir := t.TempDir()
+	dom := func(name, p string) *schema.Domain { return schema.IntDomain(name, p, 32) }
+	s := schema.MustNew("R", []string{"A", "B", "C"},
+		[]*schema.Domain{dom("alpha", "a"), dom("beta", "b"), dom("gamma", "c")})
+	fds := fd.MustParseSet(s, "A,B -> C")
+	keyA, keyB := schema.NewAttrSet(s.MustAttr("A")), schema.NewAttrSet(s.MustAttr("B"))
+	sh, err := OpenShardedDurable(dir, s, fds, ShardedOptions{Shards: 2, Key: keyA}, DurableOptions{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	for i := 1; i <= 20; i++ {
+		if err := sh.InsertRow(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", 21-i), "c1"); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	if re, err := OpenShardedDurable(dir, s, fds, ShardedOptions{Shards: 2, Key: keyB}, DurableOptions{}); err == nil {
+		re.Close() // errcheck:ok test teardown
+		t.Fatal("reopen under shard key B of a directory written under key A was accepted")
+	} else if !strings.Contains(err.Error(), "shard key B") {
+		t.Fatalf("refusal does not name the key: %v", err)
+	}
+
+	re, err := OpenShardedDurable(dir, s, fds, ShardedOptions{Shards: 2, Key: keyA}, DurableOptions{})
+	if err != nil {
+		t.Fatalf("same-key reopen: %v", err)
+	}
+	defer re.Close() // errcheck:ok test teardown
+	if re.Len() != 20 {
+		t.Fatalf("same-key reopen recovered %d rows, want 20", re.Len())
+	}
+	// The refused open must have left the shards reopenable and guarded.
+	if err := re.InsertRow("a1", "b20", "c2"); !errors.Is(err, ErrInconsistent) {
+		t.Fatalf("row clashing with a stored row on A,B: got %v, want ErrInconsistent", err)
+	}
+}

@@ -112,7 +112,8 @@ type Options struct {
 
 // Store is a relation instance guarded by a set of functional
 // dependencies under weak satisfiability. It is not safe for concurrent
-// use; Concurrent wraps it in a reader/writer-locked facade.
+// use; Concurrent wraps it in a reader/writer-locked facade, which is
+// also the only handle a durable store is reachable through.
 type Store struct {
 	scheme *schema.Scheme
 	fds    []fd.FD
@@ -124,38 +125,11 @@ type Store struct {
 	qcache queryCache
 	// mutation counters, exposed for observability and tests.
 	inserts, updates, deletes, rejected int
-	// onCommit, when set, observes every ACCEPTED top-level mutation —
-	// exactly one call per accepted Insert/InsertRow/Update/Delete or
-	// Txn.Commit, with the logical write-set as staged (never the
-	// substituted post-state), the mode it was applied under, and the
-	// fresh-mark allocator watermark as of just before the mutation
-	// (FreshNull advances the allocator without a commit, so replay must
-	// restore the pre-commit watermark before re-parsing "-" cells). The
-	// durability layer (wal.go/recovery.go) hooks it to append one WAL
-	// record per commit; replay re-executes the same ops through the
-	// same commit path, which is deterministic given identical prior
-	// state, engine, and allocator. The ops alias the caller's tuple and
-	// cells, so the hook must encode them before it returns, not retain
-	// them. A hook error propagates to the
-	// mutation's caller AFTER the in-memory state changed — the hook
-	// owner is responsible for fail-stop semantics (Durable poisons
-	// itself so every later mutation errors).
-	onCommit func(mode recMode, preMark int, ops []txnOp) error
-	// preCommit, when set, is consulted BEFORE a top-level mutation (or a
-	// Txn.Commit) touches any state; a non-nil error rejects the mutation
-	// with the store untouched. The durability layer installs it so a
-	// degraded (read-only) or closed durable handle refuses mutations up
-	// front — the onCommit hook alone fires too late for that, its error
-	// arrives after the in-memory state already changed.
-	preCommit func() error
-}
-
-// gateCommit consults the preCommit hook, if any.
-func (st *Store) gateCommit() error {
-	if st.preCommit == nil {
-		return nil
-	}
-	return st.preCommit()
+	// wal is the durability state OpenDurable attaches (recovery.go); nil
+	// for an in-memory store, which every *durable method treats as "no
+	// WAL". Each commit path calls wal.gate() before touching any state
+	// and wal.logRecord() once the commit is applied.
+	wal *durable
 }
 
 // ErrInconsistent is the sentinel every constraint rejection matches:
@@ -326,16 +300,6 @@ func (st *Store) resolve(tentative *relation.Relation) (*relation.Relation, *cha
 	return cur, nil, nil
 }
 
-// logCommit forwards an accepted mutation's write-set to the onCommit
-// hook, if any. It runs after the in-memory state changed; callers
-// return its error so a failed append surfaces to the mutating caller.
-func (st *Store) logCommit(mode recMode, preMark int, ops []txnOp) error {
-	if st.onCommit == nil {
-		return nil
-	}
-	return st.onCommit(mode, preMark, ops)
-}
-
 // perOpNames spells the operation an InconsistencyError from a per-op
 // mutation names.
 var perOpNames = [...]string{txnInsert: "insert", txnUpdate: "update", txnDelete: "delete"}
@@ -346,7 +310,7 @@ var perOpNames = [...]string{txnInsert: "insert", txnUpdate: "update", txnDelete
 // write-set wrapper: the bare structural error, or the
 // *InconsistencyError naming the operation.
 func (st *Store) commitOne(op txnOp) error {
-	if err := st.gateCommit(); err != nil {
+	if err := st.wal.gate(); err != nil {
 		return err
 	}
 	p, err := st.prepareTxn([]txnOp{op})
@@ -362,7 +326,7 @@ func (st *Store) commitOne(op txnOp) error {
 		return te.Err
 	}
 	p.apply()
-	return st.logCommit(recPerOp, p.preMark, p.ops)
+	return st.wal.logRecord(recPerOp, p.preMark, p.ops)
 }
 
 // Insert adds a tuple (validated against the scheme) and re-establishes

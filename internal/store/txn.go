@@ -286,7 +286,7 @@ func (tx *Txn) Commit() error {
 	if len(tx.ops) == 0 {
 		return nil // an empty write-set applies nothing and conflicts with nothing
 	}
-	if err := st.gateCommit(); err != nil {
+	if err := st.wal.gate(); err != nil {
 		return err
 	}
 	if st.acceptedOps() != tx.baseAccepted {
@@ -297,7 +297,7 @@ func (tx *Txn) Commit() error {
 		return err
 	}
 	p.apply()
-	return st.logCommit(recTxn, p.preMark, tx.ops)
+	return st.wal.logRecord(recTxn, p.preMark, tx.ops)
 }
 
 // ---- two-phase decomposition (the sharded 2PC building block) ----
@@ -312,7 +312,7 @@ func (tx *Txn) Commit() error {
 type preparedTxn struct {
 	st      *Store
 	ops     []txnOp
-	preMark int    // allocator watermark before prepare, for logCommit
+	preMark int    // allocator watermark before prepare, for the log record
 	apply   func() // finalize: adopt the resolved state, bump counters
 	discard func() // roll every structural effect back; no-op when prepare staged on a clone
 }
@@ -642,22 +642,25 @@ func (st *Store) prepareTxnRecheck(ops []txnOp) (*preparedTxn, error) {
 // prefix is the whole set, so an offender always exists.
 func (st *Store) offendingOp(ops []txnOp) int {
 	for k := 0; k < len(ops)-1; k++ {
-		tent := st.rel.Clone()
-		ok := true
-		for i := 0; i <= k; i++ {
-			if _, err := applyTxnOp(st.scheme, tent, ops[i]); err != nil {
-				// The full-set application succeeded, so a prefix cannot
-				// fail structurally; defensive only.
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if _, rejected, err := st.resolve(tent); err == nil && rejected != nil {
+		if st.rejects(ops[:k+1]) {
 			return k
 		}
 	}
 	return len(ops) - 1
+}
+
+// rejects reports whether ops, applied to a clone of the committed
+// instance, admit no completion. It never touches store state; the
+// sharded attribution scan (shard.go) runs it per touched shard.
+func (st *Store) rejects(ops []txnOp) bool {
+	tent := st.rel.Clone()
+	for _, op := range ops {
+		if _, err := applyTxnOp(st.scheme, tent, op); err != nil {
+			// The full write-set applied structurally, so a prefix of it
+			// cannot fail; defensive only.
+			return false
+		}
+	}
+	_, rejected, err := st.resolve(tent)
+	return err == nil && rejected != nil
 }

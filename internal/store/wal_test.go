@@ -94,7 +94,7 @@ func TestOpenDurableFreshAndReopen(t *testing.T) {
 			if err := d.InsertRow("e2", "-", "d1", "-"); err != nil {
 				t.Fatalf("insert: %v", err)
 			}
-			tx := d.Begin()
+			tx := d.BeginTxn()
 			if err := tx.InsertRow("e3", "s3", "d2", "-"); err != nil {
 				t.Fatalf("stage: %v", err)
 			}
@@ -107,8 +107,8 @@ func TestOpenDurableFreshAndReopen(t *testing.T) {
 			if err := d.Delete(1); err != nil {
 				t.Fatalf("delete: %v", err)
 			}
-			want := d.Store().Snapshot()
-			wantMark := d.Store().rel.NextMark()
+			want := d.st.Snapshot()
+			wantMark := d.st.rel.NextMark()
 			if err := d.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
@@ -118,13 +118,13 @@ func TestOpenDurableFreshAndReopen(t *testing.T) {
 				t.Fatalf("reopen: %v", err)
 			}
 			defer re.Close()
-			if !relation.Equal(re.Store().Snapshot(), want) {
-				t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.Store().Snapshot())
+			if !relation.Equal(re.st.Snapshot(), want) {
+				t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.st.Snapshot())
 			}
-			if got := re.Store().rel.NextMark(); got != wantMark {
+			if got := re.st.rel.NextMark(); got != wantMark {
 				t.Fatalf("recovered watermark %d, want %d", got, wantMark)
 			}
-			if !re.Store().CheckWeak() {
+			if !re.st.CheckWeak() {
 				t.Fatal("recovered store violates the weak-convention invariant")
 			}
 			// The recovered store keeps working durably.
@@ -160,7 +160,7 @@ func TestOpenDurableXRulesNormalized(t *testing.T) {
 	if err := d.InsertRow("e2", "-", "d2", "-"); err != nil {
 		t.Fatal(err)
 	}
-	want := d.Store().Snapshot()
+	want := d.st.Snapshot()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +178,8 @@ func TestOpenDurableXRulesNormalized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen with identical options: %v", err)
 	}
-	if !relation.Equal(re.Store().Snapshot(), want) {
-		t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.Store().Snapshot())
+	if !relation.Equal(re.st.Snapshot(), want) {
+		t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.st.Snapshot())
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestWALRotationAndPruning(t *testing.T) {
 	if len(pruned) >= len(segs) {
 		t.Fatalf("checkpoint pruned nothing: %d segments before, %d after", len(segs), len(pruned))
 	}
-	want := d.Store().Snapshot()
+	want := d.st.Snapshot()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +258,8 @@ func TestWALRotationAndPruning(t *testing.T) {
 		t.Fatalf("reopen after prune: %v", err)
 	}
 	defer re.Close()
-	if !relation.Equal(re.Store().Snapshot(), want) {
-		t.Fatalf("recovered state diverged after pruning:\nwant:\n%s\ngot:\n%s", want, re.Store().Snapshot())
+	if !relation.Equal(re.st.Snapshot(), want) {
+		t.Fatalf("recovered state diverged after pruning:\nwant:\n%s\ngot:\n%s", want, re.st.Snapshot())
 	}
 }
 
@@ -273,7 +273,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err := d.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
-	want := d.Store().Snapshot()
+	want := d.st.Snapshot()
 	if err := d.InsertRow("e2", "s2", "d2", "ct2"); err != nil {
 		t.Fatal(err)
 	}
@@ -297,14 +297,14 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen over a torn tail: %v", err)
 	}
-	if !relation.Equal(re.Store().Snapshot(), want) {
-		t.Fatalf("torn-tail recovery diverged:\nwant:\n%s\ngot:\n%s", want, re.Store().Snapshot())
+	if !relation.Equal(re.st.Snapshot(), want) {
+		t.Fatalf("torn-tail recovery diverged:\nwant:\n%s\ngot:\n%s", want, re.st.Snapshot())
 	}
 	// The torn bytes are gone from disk and appending resumes cleanly.
 	if err := re.InsertRow("e3", "s3", "d1", "ct1"); err != nil {
 		t.Fatalf("append after truncation: %v", err)
 	}
-	want2 := re.Store().Snapshot()
+	want2 := re.st.Snapshot()
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatalf("third open: %v", err)
 	}
 	defer re2.Close()
-	if !relation.Equal(re2.Store().Snapshot(), want2) {
+	if !relation.Equal(re2.st.Snapshot(), want2) {
 		t.Fatal("state diverged after appending over a truncated tail")
 	}
 }
@@ -367,7 +367,7 @@ func TestDurablePoisonsOnWALFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Yank the log file out from under the writer.
-	d.w.f.Close()
+	d.st.wal.w.f.Close()
 	err = d.InsertRow("e2", "s2", "d2", "ct2")
 	if err == nil || !errors.Is(err, ErrWAL) {
 		t.Fatalf("append to a closed log: got %v, want ErrWAL", err)
@@ -377,11 +377,11 @@ func TestDurablePoisonsOnWALFailure(t *testing.T) {
 	}
 	// Every later mutation reports the same poisoning error without
 	// touching state.
-	n := d.Store().Len()
+	n := d.st.Len()
 	if err2 := d.InsertRow("e3", "s3", "d1", "ct1"); !errors.Is(err2, ErrWAL) {
 		t.Fatalf("poisoned insert: got %v", err2)
 	}
-	if d.Store().Len() != n {
+	if d.st.Len() != n {
 		t.Fatal("poisoned handle still mutates state")
 	}
 	if err := d.Checkpoint(); !errors.Is(err, ErrWAL) {
@@ -407,7 +407,7 @@ func TestAutoCheckpointFailureDoesNotFailCommit(t *testing.T) {
 	}
 	// Break checkpointing only: the segment file stays open and writable,
 	// but writeCheckpoint's temp file lands in a directory that is gone.
-	d.dir = filepath.Join(dir, "missing")
+	d.st.wal.dir = filepath.Join(dir, "missing")
 	if err := d.InsertRow("e2", "s2", "d2", "ct2"); err != nil {
 		t.Fatalf("durably appended commit reported failure because its auto-checkpoint failed: %v", err)
 	}
@@ -424,7 +424,7 @@ func TestAutoCheckpointFailureDoesNotFailCommit(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer re.Close()
-	if got := re.Store().Len(); got != 2 {
+	if got := re.st.Len(); got != 2 {
 		t.Fatalf("recovered %d tuples, want 2 (the checkpoint-triggering commit was durable)", got)
 	}
 }
@@ -459,14 +459,14 @@ func TestSaveLoadEqualsCheckpointRecovery(t *testing.T) {
 			}
 			// Advance the allocator past its live marks so the watermark
 			// comparison is not vacuous.
-			d.Store().FreshNull()
-			d.Store().FreshNull()
+			d.st.FreshNull()
+			d.st.FreshNull()
 			if err := d.Delete(2); err != nil {
 				t.Fatalf("delete: %v", err)
 			}
 
 			var saved bytes.Buffer
-			if err := d.Store().Save(&saved); err != nil {
+			if err := d.st.Save(&saved); err != nil {
 				t.Fatalf("save: %v", err)
 			}
 			if err := d.Checkpoint(); err != nil {
@@ -495,7 +495,7 @@ func TestSaveLoadEqualsCheckpointRecovery(t *testing.T) {
 				t.Fatalf("recover: %v", err)
 			}
 			defer re.Close()
-			rec := re.Store()
+			rec := re.st
 			if !relation.Equal(loaded.Snapshot(), rec.Snapshot()) {
 				t.Fatalf("Load and recovery diverged:\nload:\n%s\nrecovery:\n%s", loaded.Snapshot(), rec.Snapshot())
 			}
@@ -528,11 +528,11 @@ func TestDurableConcurrentBasics(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	opts := employeeDurableOpts(MaintenanceIncremental)
 	opts.GroupCommit = 8
-	dc, err := OpenDurableConcurrent(dir, opts)
+	dc, err := OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := dc.Concurrent()
+	c := dc
 	if err := c.InsertRow("e1", "s1", "d1", "-"); err != nil {
 		t.Fatal(err)
 	}
@@ -560,12 +560,12 @@ func TestDurableConcurrentBasics(t *testing.T) {
 	if err := dc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDurableConcurrent(dir, DurableOptions{Store: opts.Store})
+	re, err := OpenDurable(dir, DurableOptions{Store: opts.Store})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer re.Close()
-	if !relation.Equal(re.Concurrent().Snapshot().Materialize(), snap.Materialize()) {
+	if !relation.Equal(re.Snapshot().Materialize(), snap.Materialize()) {
 		t.Fatal("concurrent durable recovery diverged")
 	}
 }
@@ -583,11 +583,11 @@ func TestDurableConcurrentCheckpointRace(t *testing.T) {
 	opts.CheckpointEvery = 3
 	opts.GroupCommit = 4
 	opts.SegmentBytes = 256 // frequent rotation so pruning has segments to eat
-	dc, err := OpenDurableConcurrent(dir, opts)
+	dc, err := OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := dc.Concurrent()
+	c := dc
 	emp := opts.Scheme
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -630,12 +630,12 @@ func TestDurableConcurrentCheckpointRace(t *testing.T) {
 	if err := dc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDurableConcurrent(dir, DurableOptions{Store: opts.Store})
+	re, err := OpenDurable(dir, DurableOptions{Store: opts.Store})
 	if err != nil {
 		t.Fatalf("reopen after checkpoint storm: %v", err)
 	}
 	defer re.Close()
-	if !relation.Equal(re.Concurrent().Snapshot().Materialize(), snap.Materialize()) {
+	if !relation.Equal(re.Snapshot().Materialize(), snap.Materialize()) {
 		t.Fatal("recovery diverged after concurrent checkpoints")
 	}
 }

@@ -18,10 +18,13 @@ import (
 
 	fdnull "fdnull"
 	"fdnull/internal/chase"
+	"fdnull/internal/discover"
 	"fdnull/internal/eval"
 	"fdnull/internal/fd"
+	"fdnull/internal/query"
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
+	"fdnull/internal/store"
 	"fdnull/internal/systemc"
 	"fdnull/internal/testfds"
 	"fdnull/internal/workload"
@@ -125,7 +128,7 @@ func BenchmarkChase_Congruence(b *testing.B) {
 		r, fds := chaseWorkload(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := chase.Run(r, fds, chase.Options{Mode: chase.Extended, Engine: chase.Congruence}); err != nil {
+				if _, err := chase.Run(r, fds, chase.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -336,7 +339,7 @@ func BenchmarkSelect(b *testing.B) {
 				Q: fdnull.In{Attr: ct, Values: []string{"full", "part"}}},
 			fdnull.NotPred{P: fdnull.Eq{Attr: d, Const: "d1"}}, // scan fallback
 		}
-		for _, engine := range []fdnull.QueryEngine{fdnull.QueryIndexed, fdnull.QueryNaive} {
+		for _, engine := range []query.Engine{query.EngineIndexed, query.EngineNaive} {
 			b.Run(fmt.Sprintf("engine=%s/n=%d", engine, n), func(b *testing.B) {
 				opts := fdnull.QueryOptions{Engine: engine, Workers: 1}
 				b.ReportAllocs()
@@ -376,9 +379,9 @@ func BenchmarkStoreQuery(b *testing.B) {
 
 // storeMaintenances are the two store engines the maintenance benches
 // compare: the incremental delta path vs the clone-and-rechase oracle.
-var storeMaintenances = []fdnull.StoreMaintenance{
-	fdnull.MaintenanceRecheck,
-	fdnull.MaintenanceIncremental,
+var storeMaintenances = []store.Maintenance{
+	store.MaintenanceRecheck,
+	store.MaintenanceIncremental,
 }
 
 func BenchmarkStoreInsert(b *testing.B) {
@@ -478,7 +481,7 @@ func BenchmarkDiscover(b *testing.B) {
 		cfg := workload.Config{Seed: int64(n) + 5, Tuples: n, Attrs: 8,
 			DomainSize: 16, NullDensity: 0.1, GroupBias: 0.5}
 		r := cfg.Instance(cfg.Scheme())
-		for _, engine := range []fdnull.DiscoverEngine{fdnull.DiscoverNaive, fdnull.DiscoverPartition} {
+		for _, engine := range []discover.Engine{discover.EngineNaive, discover.EnginePartition} {
 			b.Run(fmt.Sprintf("n=%d/engine=%s", n, engine), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -496,7 +499,7 @@ func BenchmarkDiscover(b *testing.B) {
 func BenchmarkDiscoverEmployees(b *testing.B) {
 	for _, n := range []int{400, 1600} {
 		_, _, r := employeesBench(n)
-		for _, engine := range []fdnull.DiscoverEngine{fdnull.DiscoverNaive, fdnull.DiscoverPartition} {
+		for _, engine := range []discover.Engine{discover.EngineNaive, discover.EnginePartition} {
 			b.Run(fmt.Sprintf("n=%d/engine=%s", n, engine), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					fds, err := fdnull.DiscoverFDs(r, fdnull.DiscoverOptions{MaxLHS: 2, Engine: engine})
@@ -592,7 +595,7 @@ func BenchmarkStoreTxnPerOpEquivalent(b *testing.B) {
 	const n, k = 2000, 32
 	groups := n / 512
 	s, fds, base, _ := workload.WriteHeavy(n, groups, 0, 41)
-	st, err := fdnull.StoreFromRelation(s, fds, base, fdnull.StoreOptions{Maintenance: fdnull.MaintenanceIncremental})
+	st, err := fdnull.StoreFromRelation(s, fds, base, fdnull.StoreOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -603,7 +606,7 @@ func BenchmarkStoreTxnPerOpEquivalent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if st.Len() >= n+16*k {
 			b.StopTimer()
-			st, err = fdnull.StoreFromRelation(s, fds, base, fdnull.StoreOptions{Maintenance: fdnull.MaintenanceIncremental})
+			st, err = fdnull.StoreFromRelation(s, fds, base, fdnull.StoreOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

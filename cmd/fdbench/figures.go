@@ -72,7 +72,7 @@ func runE3(w io.Writer, _ bool) error {
 	}
 	t := &table{header: []string{"instance", "f(t1, r)", "case", "paper says"}}
 	for _, c := range cases {
-		v, err := eval.EvaluateWith(benchEngine, c.f, c.r, 0)
+		v, err := eval.EvaluateWith(eval.EngineIndexed, c.f, c.r, 0)
 		if err != nil {
 			return err
 		}
@@ -115,11 +115,11 @@ func runE4(w io.Writer, _ bool) error {
 func runE5(w io.Writer, _ bool) error {
 	s, fds, r := paperex.Figure5()
 	fmt.Fprintf(w, "F = %s on\n\n%s\n", fd.FormatSet(s, fds), r)
-	p1, err := chase.Run(r, fds, chase.Options{Mode: chase.Plain, Engine: chase.Naive, RuleOrder: []int{0, 1}})
+	p1, err := chase.Run(r, fds, chase.Options{Mode: chase.Plain, RuleOrder: []int{0, 1}})
 	if err != nil {
 		return err
 	}
-	p2, err := chase.Run(r, fds, chase.Options{Mode: chase.Plain, Engine: chase.Naive, RuleOrder: []int{1, 0}})
+	p2, err := chase.Run(r, fds, chase.Options{Mode: chase.Plain, RuleOrder: []int{1, 0}})
 	if err != nil {
 		return err
 	}
@@ -135,7 +135,7 @@ func runE5(w io.Writer, _ bool) error {
 	if err != nil {
 		return err
 	}
-	e3, err := chase.Run(r, fds, chase.Options{Mode: chase.Extended, Engine: chase.Congruence})
+	e3, err := chase.Run(r, fds, chase.Options{})
 	if err != nil {
 		return err
 	}

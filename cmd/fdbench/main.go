@@ -1,38 +1,29 @@
 // Command fdbench regenerates every figure, example, theorem validation,
-// and complexity claim of the paper (the per-experiment index is the
-// experiments table below, printed by -list; archived measurements are
-// the BENCH_*.json files at the repository root).
+// and complexity claim of the paper (E1–E14), plus the five
+// engine-agreement sweeps that hold each production engine to its oracle
+// (E15–E19); the per-experiment index is the experiments table below,
+// printed by -list. It is not the repository's benchmark: that is
+// `go run ./bench` (see bench/README.md).
 //
 // Usage:
 //
-//	fdbench [-exp E1,E2,... | -exp all] [-quick] [-engine indexed|naive] [-json FILE]
+//	fdbench [-exp E1,E2,... | -exp all] [-quick]
 //
 // Each experiment prints a self-contained report; complexity sweeps print
-// aligned tables of parameters vs. measured time. -engine selects the
-// default per-tuple evaluation engine used by the experiments that
-// evaluate FDs; E15 always runs both evaluation engines and compares
-// them, E16 does the same for the FD-discovery engines, E17 for the
-// store's incremental vs recheck maintenance engines, E19 for the
-// query planner vs the naive selection scan, E20 for the durable
-// store's group-commit vs fsync-per-commit write path, E21 for the
-// fault-injectable I/O layer's indirection cost, E22 for the
-// hash-sharded store's commit cost vs shard count, and E23 for the
-// open-loop load simulator (closed-loop mean vs open-loop tail latency,
-// saturation sweep, live fdserve daemon). -json writes the measurements
-// experiments record (E20, E21, E22, E23) as a JSON artifact.
+// aligned tables of parameters vs. measured time. E15 runs both
+// evaluation engines and compares them, E16 does the same for the
+// FD-discovery engines, E17 for the store's incremental vs recheck
+// maintenance engines, E18 for batched vs per-op commits, and E19 for
+// the query planner vs the naive selection scan.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strings"
-	"time"
-
-	"fdnull/internal/eval"
 )
 
 // experiment is one entry of the per-experiment index.
@@ -62,79 +53,21 @@ var experiments = []experiment{
 	{"E17", "Incremental vs recheck store maintenance — agreement and comparative sweep", runE17},
 	{"E18", "Transactional batched commit vs per-op commits — agreement and comparative sweep", runE18},
 	{"E19", "Indexed vs naive selection engine — agreement and comparative sweep", runE19},
-	{"E20", "Durable WAL — group commit vs fsync-per-commit, recovery-checked", runE20},
-	{"E21", "Fault-injectable I/O layer — iox indirection cost and degraded-mode serving", runE21},
-	{"E22", "Hash-sharded store — commit cost vs shard count, with 2PC and oracle agreement", runE22},
-	{"E23", "Open-loop load — closed-loop mean vs open-loop tails, saturation sweep, live daemon", runE23},
 }
-
-// benchRecord is one machine-readable measurement; -json writes the
-// collected records so CI can archive benchmark artifacts. The schema
-// is shared by every committed BENCH_*.json: experiment id, config
-// label, op count, per-op and total wall time, throughput, speedup vs
-// the experiment's stated baseline (1.0 for the baseline itself), and
-// the run date. Latency-measuring experiments (E23) additionally fill
-// the optional quantile and achieved-throughput fields; closed-loop
-// experiments leave them zero and they are omitted.
-type benchRecord struct {
-	Experiment string  `json:"experiment"`
-	Config     string  `json:"config"`
-	N          int     `json:"n"`
-	NsPerOp    int64   `json:"ns_per_op"`
-	OpsPerS    float64 `json:"ops_per_sec"`
-	TotalNs    int64   `json:"total_ns"`
-	Speedup    float64 `json:"speedup"`
-	Date       string  `json:"date"`
-	// Optional open-loop latency measurements: latency quantiles in
-	// nanoseconds and the achieved (absorbed) throughput under the
-	// offered rate OpsPerS.
-	P50Ns           int64   `json:"p50_ns,omitempty"`
-	P99Ns           int64   `json:"p99_ns,omitempty"`
-	P999Ns          int64   `json:"p999_ns,omitempty"`
-	AchievedOpsPerS float64 `json:"achieved_ops_per_sec,omitempty"`
-}
-
-var benchRecords []benchRecord
-
-func recordBench(exp, config string, n int, total time.Duration, speedup float64) {
-	benchRecords = append(benchRecords, benchRecord{
-		Experiment: exp,
-		Config:     config,
-		N:          n,
-		NsPerOp:    total.Nanoseconds() / int64(max(n, 1)),
-		OpsPerS:    float64(n) / total.Seconds(),
-		TotalNs:    total.Nanoseconds(),
-		Speedup:    speedup,
-		Date:       time.Now().UTC().Format("2006-01-02"),
-	})
-}
-
-// benchEngine is the evaluation engine selected by -engine; experiments
-// that evaluate FDs per tuple consult it (E15 compares both regardless).
-var benchEngine = eval.EngineIndexed
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	benchRecords = nil
 	fs := flag.NewFlagSet("fdbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	expFlag := fs.String("exp", "all", "comma-separated experiment ids (E1..E23) or 'all'")
+	expFlag := fs.String("exp", "all", "comma-separated experiment ids (E1..E19) or 'all'")
 	quick := fs.Bool("quick", false, "smaller sweeps for smoke testing")
 	list := fs.Bool("list", false, "list experiments and exit")
-	engineFlag := fs.String("engine", "indexed", "per-tuple evaluation engine: indexed or naive")
-	jsonFlag := fs.String("json", "", "write machine-readable measurements to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	engine, err := eval.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "fdbench: %v\n", err)
-		return 2
-	}
-	benchEngine = engine
 	if *list {
 		for _, e := range experiments {
 			fmt.Fprintf(stdout, "%-4s %s\n", e.id, e.title)
@@ -177,17 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			failed++
 		}
 		fmt.Fprintln(stdout)
-	}
-	if *jsonFlag != "" && len(benchRecords) > 0 {
-		data, err := json.MarshalIndent(benchRecords, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "fdbench: encode -json: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*jsonFlag, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "fdbench: write -json: %v\n", err)
-			return 1
-		}
 	}
 	if failed > 0 {
 		return 1

@@ -99,7 +99,7 @@ func runE7(w io.Writer, quick bool) error {
 		if r.Len() == 0 {
 			continue
 		}
-		res, err := chase.Run(r, fds, chase.Options{Mode: chase.Extended, Engine: chase.Congruence})
+		res, err := chase.Run(r, fds, chase.Options{})
 		if err != nil {
 			return err
 		}
@@ -225,7 +225,7 @@ func runE10(w io.Writer, quick bool) error {
 			return err
 		}
 		dCongr := timeIt(func() {
-			resC, err = chase.Run(r, fds, chase.Options{Mode: chase.Extended, Engine: chase.Congruence})
+			resC, err = chase.Run(r, fds, chase.Options{})
 		})
 		if err != nil {
 			return err
@@ -307,7 +307,7 @@ func runE12(w io.Writer, quick bool) error {
 					"b1",
 					fmt.Sprintf("c%d", 1+rng.Intn(6)))
 			}
-			v, err := eval.EvaluateWith(benchEngine, f, r, 0)
+			v, err := eval.EvaluateWith(eval.EngineIndexed, f, r, 0)
 			if err != nil {
 				return err
 			}

@@ -6,7 +6,13 @@
 //
 // Usage:
 //
-//	fdchase [-f file] [-mode plain|extended] [-engine naive|congruence]
+//	fdchase [-f file] [-mode plain|extended]
+//
+// -mode plain runs Definition 2 alone, pairwise in the file's FD order:
+// the system is not confluent, so the result depends on that order and
+// classical conflicts stay stuck (the paper's Figure 5). The default,
+// extended, is Theorem 4's Church–Rosser system with its unique normal
+// form.
 //
 // Exit status: 0 on a consistent result, 1 if the extended chase finds a
 // contradiction, 2 on input errors.
@@ -30,7 +36,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	file := fs.String("f", "", "input file (default stdin)")
 	mode := fs.String("mode", "extended", "rule system: plain (Definition 2) or extended (Theorem 4)")
-	engine := fs.String("engine", "congruence", "implementation: naive or congruence")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -42,15 +47,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		opts.Mode = fdnull.Extended
 	default:
 		fmt.Fprintf(stderr, "fdchase: unknown mode %q\n", *mode)
-		return 2
-	}
-	switch *engine {
-	case "naive":
-		opts.Engine = fdnull.Naive
-	case "congruence":
-		opts.Engine = fdnull.Congruence
-	default:
-		fmt.Fprintf(stderr, "fdchase: unknown engine %q\n", *engine)
 		return 2
 	}
 
@@ -77,8 +73,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fdchase: %v\n", err)
 		return 2
 	}
-	fmt.Fprintf(stdout, "minimally incomplete instance (%s/%s, %d passes, %d rule applications):\n%s\n",
-		*mode, *engine, res.Passes, res.Applications, res.Relation)
+	fmt.Fprintf(stdout, "minimally incomplete instance (%s, %d passes, %d rule applications):\n%s\n",
+		*mode, res.Passes, res.Applications, res.Relation)
 	if len(res.NECs) > 0 {
 		fmt.Fprintln(stdout, "null-equality classes (original marks):")
 		for _, class := range res.NECs {

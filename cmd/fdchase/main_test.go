@@ -56,21 +56,58 @@ row v1 v3
 	}
 }
 
+// TestChasePlainModeReportsStuck runs the paper's Figure 5 instance
+// through both rule systems: plain, in the file's FD order, binds the
+// null to v2 and leaves C -> B's conflict stuck; extended reaches the
+// unique normal form, `nothing` throughout. The goldens are the output of
+// `-mode plain -engine naive` and `-mode extended -engine congruence`
+// before -engine was removed, less the engine name in the header.
 func TestChasePlainModeReportsStuck(t *testing.T) {
-	bad := `
-domain d = v1 v2 v3
-scheme R(A:d, B:d)
+	const figure5 = `
+domain d = v1 v2 v3 v4
+scheme R(A:d, B:d, C:d)
 fd A -> B
-row v1 v2
-row v1 v3
+fd C -> B
+row v1 v2 v1
+row v1 - v3
+row v4 v3 v3
 `
-	var out, errOut strings.Builder
-	code := run([]string{"-mode", "plain", "-engine", "naive"}, strings.NewReader(bad), &out, &errOut)
-	if code != 0 {
-		t.Fatalf("plain mode exit %d", code)
-	}
-	if !strings.Contains(out.String(), "stuck classical conflict") {
-		t.Errorf("plain mode should report the stuck pair:\n%s", out.String())
+	const inputBlock = `input (3 tuples, 1 nulls):
+A   B   C
+v1  v2  v1
+v1  -1  v3
+v4  v3  v3
+
+`
+	for _, c := range []struct {
+		mode string
+		code int
+		want string
+	}{
+		{"plain", 0, inputBlock + `minimally incomplete instance (plain, 2 passes, 1 rule applications):
+A   B   C
+v1  v2  v1
+v1  v2  v3
+v4  v3  v3
+
+stuck classical conflict: tuples 1,2 conflict on attribute 1 (C -> B)
+`},
+		{"extended", 1, inputBlock + `minimally incomplete instance (extended, 2 passes, 2 rule applications):
+A   B  C
+v1  !  v1
+v1  !  !
+v4  !  !
+
+weakly satisfiable: NO (` + "`!`" + ` cells mark unavoidable conflicts)
+`},
+	} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-mode", c.mode}, strings.NewReader(figure5), &out, &errOut); code != c.code {
+			t.Fatalf("-mode %s: exit %d, want %d (stderr: %s)", c.mode, code, c.code, errOut.String())
+		}
+		if out.String() != c.want {
+			t.Errorf("-mode %s output drifted:\n--- got ---\n%s--- want ---\n%s", c.mode, out.String(), c.want)
+		}
 	}
 }
 
@@ -79,11 +116,13 @@ func TestChaseFlagValidation(t *testing.T) {
 	if code := run([]string{"-mode", "bogus"}, strings.NewReader(input), &out, &errOut); code != 2 {
 		t.Errorf("bad mode should exit 2, got %d", code)
 	}
-	if code := run([]string{"-engine", "bogus"}, strings.NewReader(input), &out, &errOut); code != 2 {
-		t.Errorf("bad engine should exit 2, got %d", code)
+	// The engine selector is gone: the flag package itself refuses it.
+	errOut.Reset()
+	if code := run([]string{"-engine", "naive"}, strings.NewReader(input), &out, &errOut); code != 2 {
+		t.Errorf("-engine should exit 2, got %d", code)
 	}
-	if code := run([]string{"-mode", "plain", "-engine", "congruence"}, strings.NewReader(input), &out, &errOut); code != 2 {
-		t.Errorf("plain+congruence should exit 2, got %d", code)
+	if want := "flag provided but not defined: -engine"; !strings.Contains(errOut.String(), want) {
+		t.Errorf("stderr missing %q: %s", want, errOut.String())
 	}
 	if code := run([]string{"-f", "/nonexistent"}, strings.NewReader(""), &out, &errOut); code != 2 {
 		t.Errorf("missing file should exit 2, got %d", code)

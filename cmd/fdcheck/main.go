@@ -5,19 +5,17 @@
 //
 // Usage:
 //
-//	fdcheck [-f file] [-algo sorted|bucket|pairwise] [-engine indexed|naive] [-workers N]
-//	        [-store] [-maintenance incremental|recheck] [-ops file] [-dir DIR] [-shards S]
+//	fdcheck [-f file] [-algo sorted|bucket|pairwise] [-workers N]
+//	        [-store] [-ops file] [-dir DIR] [-shards S]
 //
 // With no -f the input is read from stdin. Per-tuple verdicts are computed
-// by the selected evaluation engine — the indexed engine (default) probes
-// X-partition indexes and fans out over a worker pool; the naive engine is
-// the linear-scan ground truth.
+// by the indexed evaluation engine, which probes X-partition indexes and
+// fans out over a worker pool.
 //
 // With -store the rows are additionally replayed one by one as guarded
-// inserts into a constraint-maintaining store (-maintenance selects the
-// incremental delta engine or the clone-and-rechase engine), reporting
-// which rows the dependencies reject and the minimally incomplete
-// instance the accepted rows settle into.
+// inserts into a constraint-maintaining store, reporting which rows the
+// dependencies reject and the minimally incomplete instance the accepted
+// rows settle into.
 //
 // With -ops FILE the instance is loaded into a guarded store and the
 // operation script in FILE is replayed against it — one op per line,
@@ -40,9 +38,8 @@
 // accepted commit is write-ahead logged to DIR and survives restarts.
 // A fresh (empty or missing) DIR is seeded from the input's scheme,
 // FDs, and rows; an existing DIR is recovered from its checkpoint and
-// log — the input rows are ignored, and -maintenance must match the
-// engine the log was produced under. A checkpoint is taken on exit so
-// the next open replays only new commits.
+// log — the input rows are ignored. A checkpoint is taken on exit so the
+// next open replays only new commits.
 //
 // With -shards S the rows are replayed a second time into a hash-sharded
 // store (S shards, shard key = the intersection of every FD's LHS — the
@@ -81,10 +78,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	file := fs.String("f", "", "input file (default stdin)")
 	algo := fs.String("algo", "sorted", "TEST-FDs algorithm: sorted, bucket, or pairwise")
-	engineFlag := fs.String("engine", "indexed", "evaluation engine: indexed or naive")
 	workers := fs.Int("workers", 0, "evaluation worker pool size (0 = GOMAXPROCS)")
 	storeReplay := fs.Bool("store", false, "replay the rows as guarded store inserts and report rejections")
-	maintFlag := fs.String("maintenance", "incremental", "store maintenance engine for -store/-ops: incremental or recheck")
 	opsFile := fs.String("ops", "", "replay an operation script (insert/update/delete/begin/save/rollbackto/rollback/commit) against the loaded store")
 	dirFlag := fs.String("dir", "", "durable store directory for the -ops replay: commits are write-ahead logged and survive restarts")
 	shardsFlag := fs.Int("shards", 0, "also replay the rows into a hash-sharded store with this many shards, in lockstep with the unsharded oracle")
@@ -101,16 +96,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	if *shardsFlag > 0 && (*dirFlag != "" || *opsFile != "") {
 		fmt.Fprintln(stderr, "fdcheck: -shards is a memory-only row replay; it cannot combine with -ops or -dir")
-		return 2
-	}
-	engine, err := fdnull.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "fdcheck: %v\n", err)
-		return 2
-	}
-	maintenance, err := fdnull.ParseMaintenance(*maintFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "fdcheck: %v\n", err)
 		return 2
 	}
 	var algorithm fdnull.Algorithm
@@ -153,7 +138,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	batch := fdnull.CheckAll(fds, r, fdnull.CheckOptions{
-		Engine:       engine,
 		Workers:      *workers,
 		KeepVerdicts: true,
 	})
@@ -199,10 +183,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, indent(res.Relation.String(), "  "))
 		if *storeReplay {
 			// The replay shows *which* rows the dependencies reject.
-			replayStore(stdout, s, fds, r, maintenance)
+			replayStore(stdout, s, fds, r)
 		}
 		if *shardsFlag > 0 {
-			if err := replaySharded(stdout, s, fds, r, maintenance, *shardsFlag); err != nil {
+			if err := replaySharded(stdout, s, fds, r, *shardsFlag); err != nil {
 				fmt.Fprintf(stderr, "fdcheck: %v\n", err)
 				return 2
 			}
@@ -210,10 +194,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *storeReplay {
-		replayStore(stdout, s, fds, r, maintenance)
+		replayStore(stdout, s, fds, r)
 	}
 	if *shardsFlag > 0 {
-		if err := replaySharded(stdout, s, fds, r, maintenance, *shardsFlag); err != nil {
+		if err := replaySharded(stdout, s, fds, r, *shardsFlag); err != nil {
 			fmt.Fprintf(stderr, "fdcheck: %v\n", err)
 			return 2
 		}
@@ -227,9 +211,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		defer f.Close()
 		var rerr error
 		if *dirFlag != "" {
-			rerr = replayOpsDurable(stdout, f, s, fds, r, maintenance, *dirFlag)
+			rerr = replayOpsDurable(stdout, f, s, fds, r, *dirFlag)
 		} else {
-			rerr = replayOpsMemory(stdout, f, s, fds, r, maintenance)
+			rerr = replayOpsMemory(stdout, f, s, fds, r)
 		}
 		if rerr != nil {
 			fmt.Fprintf(stderr, "fdcheck: %v\n", rerr)
@@ -241,11 +225,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 // replayStore replays the instance row by row as guarded inserts — the
 // modification-operations reading of the file: each row is external
-// acquisition, and the store's maintenance engine (incremental or
-// recheck) decides acceptance and substitutes the forced nulls.
-func replayStore(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.Relation, m fdnull.StoreMaintenance) {
-	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{Maintenance: m})
-	fmt.Fprintf(stdout, "\nguarded replay (%s maintenance):\n", m)
+// acquisition, and the store decides acceptance and substitutes the
+// forced nulls.
+func replayStore(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.Relation) {
+	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
+	fmt.Fprintln(stdout, "\nguarded replay:")
 	for i := 0; i < r.Len(); i++ {
 		switch err := st.Insert(r.Tuple(i).Clone()); {
 		case err == nil:
@@ -270,7 +254,7 @@ func replayStore(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.
 // disagreement or final-state divergence between the replicas is an
 // error (exit 2): the sharded store must be observationally identical
 // to the store it splits.
-func replaySharded(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.Relation, m fdnull.StoreMaintenance, shards int) error {
+func replaySharded(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.Relation, shards int) error {
 	key := s.All()
 	for _, f := range fds {
 		key = key.Intersect(f.X)
@@ -278,16 +262,12 @@ func replaySharded(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnul
 	if len(fds) == 0 || key.Empty() {
 		return fmt.Errorf("sharded replay: the FD LHSs share no attribute, so no shard key keeps per-shard maintenance sound")
 	}
-	oracle := fdnull.NewStore(s, fds, fdnull.StoreOptions{Maintenance: m})
-	sh, err := fdnull.NewShardedStore(s, fds, fdnull.ShardedStoreOptions{
-		Shards: shards, Key: key,
-		Store: fdnull.StoreOptions{Maintenance: m},
-	})
+	oracle := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
+	sh, err := fdnull.NewShardedStore(s, fds, fdnull.ShardedStoreOptions{Shards: shards, Key: key})
 	if err != nil {
 		return fmt.Errorf("sharded replay: %v", err)
 	}
-	fmt.Fprintf(stdout, "\nsharded lockstep replay (%d shards, key %s, %s maintenance):\n",
-		shards, s.FormatSet(key), m)
+	fmt.Fprintf(stdout, "\nsharded lockstep replay (%d shards, key %s):\n", shards, s.FormatSet(key))
 	classify := func(err error) string {
 		switch {
 		case err == nil:
@@ -348,13 +328,13 @@ func replaySharded(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnul
 
 // replayOpsMemory replays the script against an in-memory store seeded
 // with the loaded instance.
-func replayOpsMemory(stdout io.Writer, script io.Reader, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.Relation, m fdnull.StoreMaintenance) error {
-	st, err := fdnull.StoreFromRelation(s, fds, r, fdnull.StoreOptions{Maintenance: m})
+func replayOpsMemory(stdout io.Writer, script io.Reader, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.Relation) error {
+	st, err := fdnull.StoreFromRelation(s, fds, r, fdnull.StoreOptions{})
 	if err != nil {
 		fmt.Fprintf(stdout, "\nops replay: the loaded instance is rejected: %v\n", err)
 		return nil
 	}
-	fmt.Fprintf(stdout, "\nops replay (%s maintenance):\n", m)
+	fmt.Fprintln(stdout, "\nops replay:")
 	return replayOps(stdout, script, fdnull.GuardStore(st))
 }
 
@@ -363,17 +343,13 @@ func replayOpsMemory(stdout io.Writer, script io.Reader, s *fdnull.Scheme, fds [
 // and rows (each row a guarded, logged insert); an existing directory
 // is recovered from its checkpoint and log suffix, and the input rows
 // are ignored. A checkpoint on exit keeps the next open cheap.
-func replayOpsDurable(stdout io.Writer, script io.Reader, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.Relation, m fdnull.StoreMaintenance, dir string) error {
+func replayOpsDurable(stdout io.Writer, script io.Reader, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.Relation, dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
 	fresh := len(entries) == 0
-	d, err := fdnull.OpenDurableStore(dir, fdnull.DurableOptions{
-		Store:  fdnull.StoreOptions{Maintenance: m},
-		Scheme: s,
-		FDs:    fds,
-	})
+	d, err := fdnull.OpenDurableStore(dir, fdnull.DurableOptions{Scheme: s, FDs: fds})
 	if err != nil {
 		return err
 	}
@@ -385,7 +361,7 @@ func replayOpsDurable(stdout io.Writer, script io.Reader, s *fdnull.Scheme, fds 
 		d.Close() // errcheck:ok the degradation cause below subsumes the close error
 		return fmt.Errorf("durable dir %s opened in degraded read-only mode: %w", dir, h.Err)
 	}
-	fmt.Fprintf(stdout, "\nops replay (%s maintenance, durable dir %s):\n", m, dir)
+	fmt.Fprintf(stdout, "\nops replay (durable dir %s):\n", dir)
 	if fresh {
 		seeded := 0
 		for i := 0; i < r.Len(); i++ {

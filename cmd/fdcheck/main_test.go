@@ -78,40 +78,38 @@ func TestRunAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestRunBothEngines checks that the indexed and naive engines print
-// identical verdict sections, and that the summary block appears.
+// TestRunBothEngines: the report names the production engine and the
+// worker count it ran with, and carries the summary block. (The naive
+// evaluator is no longer a CLI setting; internal/eval's differential
+// tests hold the two engines together.)
 func TestRunBothEngines(t *testing.T) {
-	outputs := map[string]string{}
-	for _, engine := range []string{"indexed", "naive"} {
-		var out, errOut strings.Builder
-		if code := run([]string{"-engine", engine, "-workers", "2"}, strings.NewReader(satisfiable), &out, &errOut); code != 0 {
-			t.Fatalf("engine %s: exit %d, stderr: %s", engine, code, errOut.String())
-		}
-		got := out.String()
-		if !strings.Contains(got, "per-FD summary:") {
-			t.Errorf("engine %s: missing per-FD summary:\n%s", engine, got)
-		}
-		if !strings.Contains(got, "strong=") {
-			t.Errorf("engine %s: missing summary columns:\n%s", engine, got)
-		}
-		// Strip the engine-naming header line so the rest can be compared.
-		idx := strings.Index(got, "per-tuple verdicts")
-		if idx < 0 {
-			t.Fatalf("engine %s: missing per-tuple verdicts header:\n%s", engine, got)
-		}
-		nl := strings.Index(got[idx:], "\n")
-		outputs[engine] = got[idx+nl:]
+	var out, errOut strings.Builder
+	if code := run([]string{"-workers", "2"}, strings.NewReader(satisfiable), &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
-	if outputs["indexed"] != outputs["naive"] {
-		t.Errorf("engines printed different reports:\n--- indexed ---\n%s\n--- naive ---\n%s",
-			outputs["indexed"], outputs["naive"])
+	got := out.String()
+	for _, want := range []string{
+		"per-tuple verdicts (Proposition 1, indexed engine, 2 workers):",
+		"per-FD summary:",
+		"strong=",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
+		}
 	}
 }
 
+// TestRunBadEngine: the oracle selectors are gone, so the flag package
+// itself refuses them.
 func TestRunBadEngine(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-engine", "bogus"}, strings.NewReader(satisfiable), &out, &errOut); code != 2 {
-		t.Errorf("bad engine should exit 2, got %d", code)
+	for _, args := range [][]string{{"-engine", "naive"}, {"-maintenance", "recheck"}} {
+		var out, errOut strings.Builder
+		if code := run(args, strings.NewReader(satisfiable), &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(errOut.String(), want) {
+			t.Errorf("%v: stderr missing %q: %s", args, want, errOut.String())
+		}
 	}
 }
 
@@ -145,27 +143,21 @@ func TestRunNoFDs(t *testing.T) {
 }
 
 func TestRunStoreReplay(t *testing.T) {
-	for _, m := range []string{"incremental", "recheck"} {
-		var out, errOut strings.Builder
-		code := run([]string{"-store", "-maintenance", m}, strings.NewReader(contradictory), &out, &errOut)
-		if code != 1 {
-			t.Fatalf("[%s] exit %d (want 1), stderr: %s", m, code, errOut.String())
-		}
-		got := out.String()
-		for _, want := range []string{
-			"guarded replay (" + m + " maintenance):",
-			"t1   accepted",
-			"t2   rejected",
-			"accepted 1, rejected 1",
-		} {
-			if !strings.Contains(got, want) {
-				t.Errorf("[%s] output missing %q:\n%s", m, want, got)
-			}
-		}
-	}
 	var out, errOut strings.Builder
-	if code := run([]string{"-maintenance", "bogus"}, strings.NewReader(satisfiable), &out, &errOut); code != 2 {
-		t.Errorf("bogus -maintenance: exit %d, want 2", code)
+	code := run([]string{"-store"}, strings.NewReader(contradictory), &out, &errOut)
+	if code != 1 {
+		t.Fatalf("exit %d (want 1), stderr: %s", code, errOut.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"guarded replay:",
+		"t1   accepted",
+		"t2   rejected",
+		"accepted 1, rejected 1",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
+		}
 	}
 }
 
@@ -205,33 +197,31 @@ delete 3
 	if err := os.WriteFile(opsPath, []byte(script), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []string{"incremental", "recheck"} {
-		var out, errOut strings.Builder
-		code := run([]string{"-maintenance", m, "-ops", opsPath}, strings.NewReader(employeesInput), &out, &errOut)
-		if code != 0 {
-			t.Fatalf("[%s] exit %d, stderr: %s", m, code, errOut.String())
-		}
-		got := out.String()
-		for _, want := range []string{
-			"ops replay (" + m + " maintenance):",
-			"begin      ok",
-			"rollbackto ok",
-			"commit     ok",
-			"commit     rejected: store: commit rejected at staged op 0",
-			"update     ok",
-			"delete     ok",
-			"accepted 2 inserts, 1 updates, 1 deletes; 1 rejections",
-		} {
-			if !strings.Contains(got, want) {
-				t.Errorf("[%s] output missing %q:\n%s", m, want, got)
-			}
-		}
-		// The rolled-back insert (e3) must not appear in the settled state.
-		if strings.Contains(got, "e3") {
-			t.Errorf("[%s] rolled-back op leaked into the output:\n%s", m, got)
+	var out, errOut strings.Builder
+	code := run([]string{"-ops", opsPath}, strings.NewReader(employeesInput), &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"ops replay:",
+		"begin      ok",
+		"rollbackto ok",
+		"commit     ok",
+		"commit     rejected: store: commit rejected at staged op 0",
+		"update     ok",
+		"delete     ok",
+		"accepted 2 inserts, 1 updates, 1 deletes; 1 rejections",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
-	var out, errOut strings.Builder
+	// The rolled-back insert (e3) must not appear in the settled state.
+	if strings.Contains(got, "e3") {
+		t.Errorf("rolled-back op leaked into the output:\n%s", got)
+	}
+	out.Reset()
 	if code := run([]string{"-ops", dir + "/missing.txt"}, strings.NewReader(employeesInput), &out, &errOut); code != 2 {
 		t.Errorf("missing ops file: exit %d, want 2", code)
 	}
@@ -270,32 +260,30 @@ row k3 a3 b3
 row - a2 b1
 row k1 a2 b1
 `
-	for _, m := range []string{"incremental", "recheck"} {
-		var out, errOut strings.Builder
-		// Row 5 restates k1's A, so the instance as a whole is weakly
-		// unsatisfiable (exit 1); the lockstep replay still runs and must
-		// agree row for row.
-		code := run([]string{"-shards", "3", "-maintenance", m}, strings.NewReader(shardable), &out, &errOut)
-		if code != 1 {
-			t.Fatalf("[%s] exit %d (want 1), stderr: %s", m, code, errOut.String())
-		}
-		got := out.String()
-		for _, want := range []string{
-			"sharded lockstep replay (3 shards, key K, " + m + " maintenance):",
-			"t4   unroutable (null on the shard key); skipped in both replicas",
-			"t5   rejected by both",
-			"accepted 3, rejected 1, unroutable 1; replicas agree tuple-for-tuple",
-			"shard  0:",
-			"shard  2:",
-		} {
-			if !strings.Contains(got, want) {
-				t.Errorf("[%s] output missing %q:\n%s", m, want, got)
-			}
+	var out, errOut strings.Builder
+	// Row 5 restates k1's A, so the instance as a whole is weakly
+	// unsatisfiable (exit 1); the lockstep replay still runs and must
+	// agree row for row.
+	code := run([]string{"-shards", "3"}, strings.NewReader(shardable), &out, &errOut)
+	if code != 1 {
+		t.Fatalf("exit %d (want 1), stderr: %s", code, errOut.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"sharded lockstep replay (3 shards, key K):",
+		"t4   unroutable (null on the shard key); skipped in both replicas",
+		"t5   rejected by both",
+		"accepted 3, rejected 1, unroutable 1; replicas agree tuple-for-tuple",
+		"shard  0:",
+		"shard  2:",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
 		}
 	}
 
 	// E -> SL,D and D -> CT share no LHS attribute: no sound shard key.
-	var out, errOut strings.Builder
+	errOut.Reset()
 	if code := run([]string{"-shards", "2"}, strings.NewReader(employeesInput), &out, &errOut); code != 2 {
 		t.Fatalf("unshardable FD set: exit %d, want 2", code)
 	}
@@ -315,9 +303,8 @@ row k1 a2 b1
 }
 
 // TestRunOpsReplayDurable drives the -dir durable mode across three
-// process lifetimes: a fresh directory seeded from the input, a second
-// run that recovers the first run's commits from checkpoint + log, and
-// a third that must refuse to open under the other maintenance engine.
+// process lifetimes: a fresh directory seeded from the input and a
+// second run that recovers the first run's commits from checkpoint + log.
 func TestRunOpsReplayDurable(t *testing.T) {
 	dir := t.TempDir()
 	walDir := dir + "/wal"
@@ -359,17 +346,6 @@ func TestRunOpsReplayDurable(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("second run missing %q:\n%s", want, got)
 		}
-	}
-
-	// The log was produced under the incremental engine; reopening under
-	// recheck must be refused, not silently replayed.
-	var out3 strings.Builder
-	errOut.Reset()
-	if code := run([]string{"-maintenance", "recheck", "-ops", ops2, "-dir", walDir}, strings.NewReader(employeesInput), &out3, &errOut); code != 2 {
-		t.Fatalf("engine mismatch: exit %d, want 2 (stderr: %s)", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "engine") {
-		t.Errorf("engine-mismatch diagnostic missing: %s", errOut.String())
 	}
 
 	// -dir without -ops is a usage error.

@@ -6,13 +6,10 @@
 //
 // Usage:
 //
-//	fddiscover [-f file] [-conv strong|weak] [-maxlhs k] [-cover]
-//	           [-engine partition|naive] [-workers N]
+//	fddiscover [-f file] [-conv strong|weak] [-maxlhs k] [-cover] [-workers N]
 //
-// -engine selects the candidate-test strategy: "partition" (default)
-// answers candidates from cached stripped partitions with a per-level
-// worker pool; "naive" runs one TEST-FDs sort scan per candidate. Both
-// produce identical output.
+// Candidates are answered from cached stripped partitions, a level's
+// tests fanned over the -workers pool.
 //
 // Exit status: 0 on success, 2 on errors.
 package main
@@ -40,7 +37,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	conv := fs.String("conv", "strong", "convention: strong (certain FDs) or weak (consistent FDs)")
 	maxLHS := fs.Int("maxlhs", 0, "maximum determinant size (0 = unbounded)")
 	cover := fs.Bool("cover", false, "reduce the result to a minimal cover")
-	engineFlag := fs.String("engine", "partition", "candidate-test engine: partition or naive")
 	workers := fs.Int("workers", 0, "worker pool size for candidate tests (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -50,12 +46,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	engine, err := discover.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "fddiscover: %v\n", err)
-		return 2
-	}
-	opts := discover.Options{MaxLHS: *maxLHS, Engine: engine, Workers: *workers}
+	opts := discover.Options{MaxLHS: *maxLHS, Workers: *workers}
 	switch *conv {
 	case "strong":
 		opts.Convention = testfds.Strong
@@ -90,7 +81,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	fmt.Fprintf(stdout, "%d dependencies hold (%s convention, %s engine) in %d tuples:\n",
-		len(fds), *conv, engine, parsed.Relation.Len())
+		len(fds), *conv, opts.Engine, parsed.Relation.Len())
 	for _, f := range fds {
 		fmt.Fprintf(stdout, "  %s\n", f.Format(parsed.Scheme))
 	}

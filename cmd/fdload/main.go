@@ -19,8 +19,8 @@
 //
 // Targets:
 //
-//	-target store   in-process store.Sharded per tenant (-shards,
-//	                -maintenance), preloaded with the base keys and
+//	-target store   in-process store.Sharded per tenant (-shards),
+//	                preloaded with the base keys and
 //	                verified against the accepted-state accounting.
 //	-target serve   live fdserve daemon at -addr with one
 //	                tenant:token per simulated tenant in -auth; each
@@ -82,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxLHS := fs.Int("discover-maxlhs", 1, "determinant bound for discover ops")
 
 	shards := fs.Int("shards", 8, "store target: shards per tenant")
-	maintenance := fs.String("maintenance", "incremental", "store target: maintenance engine (incremental or recheck)")
 	addr := fs.String("addr", "127.0.0.1:7070", "serve target: daemon address")
 	auth := fs.String("auth", "", "serve target: tenant:token[,tenant:token...], one per tenant")
 	preload := fs.Bool("preload", true, "serve target: insert the base keys over the wire first")
@@ -186,13 +185,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch *target {
 	case "store":
-		eng, err := store.ParseMaintenance(*maintenance)
-		if err != nil {
-			fmt.Fprintf(stderr, "fdload: %v\n", err)
-			return 2
-		}
 		fresh := func(sp loadsim.Spec) (loadsim.Target, error) {
-			return storeTarget(sp, *shards, eng)
+			return storeTarget(sp, *shards)
 		}
 		if len(rates) > 0 {
 			points, err := loadsim.Sweep(sp, rates, *stopBelow, fresh)
@@ -253,7 +247,7 @@ func flagSet(fs *flag.FlagSet, name string) bool {
 
 // storeTarget builds one preloaded sharded store per tenant over the KV
 // workload.
-func storeTarget(sp loadsim.Spec, shards int, eng store.Maintenance) (loadsim.Target, error) {
+func storeTarget(sp loadsim.Spec, shards int) (loadsim.Target, error) {
 	bound, err := loadsim.KeyBound(sp)
 	if err != nil {
 		return nil, err
@@ -261,10 +255,7 @@ func storeTarget(sp loadsim.Spec, shards int, eng store.Maintenance) (loadsim.Ta
 	s, fds, row := workload.KV(bound)
 	stores := make([]*store.Sharded, sp.Tenants)
 	for tn := range stores {
-		sh, err := store.NewSharded(s, fds, store.ShardedOptions{
-			Shards: shards, Key: fds[0].X,
-			Store: store.Options{Maintenance: eng},
-		})
+		sh, err := store.NewSharded(s, fds, store.ShardedOptions{Shards: shards, Key: fds[0].X})
 		if err != nil {
 			return nil, err
 		}

@@ -134,7 +134,6 @@ func TestFlagErrors(t *testing.T) {
 		{"-target", "serve", "-sweep", "100"},       // sweep needs store
 		{"-sweep", "100", "-closed"},                // mutually exclusive
 		{"-spec", "/nonexistent/spec.json"},         // unreadable spec
-		{"-maintenance", "psychic"},                 // unknown engine
 		{"-target", "serve", "-auth", "a:b,c:d"},    // 2 auths, 1 tenant
 	}
 	for _, args := range cases {
@@ -145,5 +144,13 @@ func TestFlagErrors(t *testing.T) {
 		if errOut.Len() == 0 {
 			t.Errorf("args %v: no diagnostic", args)
 		}
+	}
+	// The engine selector is gone: the flag package itself refuses it.
+	var out, errOut strings.Builder
+	if code := run([]string{"-maintenance", "recheck"}, &out, &errOut); code != 2 {
+		t.Errorf("-maintenance: want exit 2, got %d", code)
+	}
+	if want := "flag provided but not defined: -maintenance"; !strings.Contains(errOut.String(), want) {
+		t.Errorf("stderr missing %q: %s", want, errOut.String())
 	}
 }

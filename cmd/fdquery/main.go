@@ -6,18 +6,16 @@
 // Usage:
 //
 //	fdquery -where 'predicate' [-where 'predicate' ...] [-f file]
-//	        [-chase | -store] [-checkfds] [-explain]
-//	        [-engine indexed|naive] [-workers N]
+//	        [-chase | -store] [-checkfds] [-explain] [-workers N]
 //	fdquery -where 'MS in (married, single) and D# = d1' -f emp.txt
 //
 // -where may repeat; the predicates are evaluated as one batch over one
 // instance, fanned across -workers goroutines (query.SelectAll).
 //
-// -engine selects the selection engine: "indexed" (the default)
-// compiles an algebraic plan — Eq/In/EqAttr probes intersected along
-// the ∧-spine, ∨ as a deduplicated union of sub-plans, residuals
-// ordered by estimated selectivity; "naive" full-scans (the ground
-// truth). With -checkfds the same flag selects the FD evaluator.
+// Each predicate is compiled to an algebraic plan — Eq/In/EqAttr probes
+// intersected along the ∧-spine, ∨ as a deduplicated union of
+// sub-plans, residuals ordered by estimated selectivity — and falls
+// back to the full scan when nothing is plannable.
 //
 // -explain prints, before each predicate's answers, the compiled plan:
 // the probe/intersect/union tree with estimated vs actual candidate
@@ -77,20 +75,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	useStore := fs.Bool("store", false, "serve the queries from a guarded store snapshot (chase + NEC-shared marks + query cache)")
 	checkFDs := fs.Bool("checkfds", false, "print a per-FD satisfaction summary before the answers")
 	explain := fs.Bool("explain", false, "print each predicate's compiled plan before its answers")
-	engineFlag := fs.String("engine", "indexed", "selection engine (and -checkfds evaluator): indexed or naive")
 	workers := fs.Int("workers", 0, "worker pool size for the predicate batch (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	// The eval and query engine enums share the spellings "indexed" and
-	// "naive" by design, so one flag selects both.
-	qEngine, err := query.ParseEngine(*engineFlag)
-	var evalEngine eval.Engine
-	if err == nil {
-		evalEngine, err = eval.ParseEngine(*engineFlag)
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "fdquery: %v\n", err)
 		return 2
 	}
 	if len(wheres) == 0 {
@@ -121,7 +107,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if len(parsed.FDs) == 0 {
 			fmt.Fprintln(stdout, "no FDs declared; nothing to check")
 		} else {
-			batch := eval.CheckAll(parsed.FDs, r, eval.CheckOptions{Engine: evalEngine, Workers: *workers})
+			batch := eval.CheckAll(parsed.FDs, r, eval.CheckOptions{Workers: *workers})
 			fmt.Fprintf(stdout, "FD satisfaction (%s engine, %d workers):\n", batch.Engine, batch.Workers)
 			for _, sum := range batch.Summaries {
 				if sum.Err != nil {
@@ -136,7 +122,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 	}
 	if *doChase {
-		res, err := chase.Run(r, parsed.FDs, chase.Options{Mode: chase.Extended, Engine: chase.Congruence})
+		res, err := chase.Run(r, parsed.FDs, chase.Options{})
 		if err != nil {
 			fmt.Fprintf(stderr, "fdquery: %v\n", err)
 			return 2
@@ -156,7 +142,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		preds[i] = p
 	}
-	opts := query.Options{Engine: qEngine, Workers: *workers}
+	opts := query.Options{Workers: *workers}
 	var st *store.Store
 	if *useStore {
 		st, err = store.FromRelation(parsed.Scheme, parsed.FDs, r, store.Options{})

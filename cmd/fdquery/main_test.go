@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"fdnull/internal/query"
+	"fdnull/internal/relio"
 )
 
 const input = `
@@ -89,56 +92,64 @@ func TestQueryFlagValidation(t *testing.T) {
 }
 
 func TestQueryCheckFDs(t *testing.T) {
-	for _, engine := range []string{"indexed", "naive"} {
-		var out, errOut strings.Builder
-		code := run([]string{"-checkfds", "-engine", engine, "-where", "MS = married"},
-			strings.NewReader(input), &out, &errOut)
-		if code != 0 {
-			t.Fatalf("engine %s: exit %d: %s", engine, code, errOut.String())
-		}
-		got := out.String()
-		if !strings.Contains(got, "FD satisfaction") {
-			t.Errorf("engine %s: missing FD summary:\n%s", engine, got)
-		}
-		if !strings.Contains(got, "E# -> D#,MS") {
-			t.Errorf("engine %s: summary should name the FD:\n%s", engine, got)
-		}
-		if !strings.Contains(got, "certain answers (1)") {
-			t.Errorf("engine %s: query answers must be unaffected:\n%s", engine, got)
-		}
+	var out, errOut strings.Builder
+	code := run([]string{"-checkfds", "-where", "MS = married"},
+		strings.NewReader(input), &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	got := out.String()
+	if !strings.Contains(got, "FD satisfaction (indexed engine") {
+		t.Errorf("missing FD summary:\n%s", got)
+	}
+	if !strings.Contains(got, "E# -> D#,MS") {
+		t.Errorf("summary should name the FD:\n%s", got)
+	}
+	if !strings.Contains(got, "certain answers (1)") {
+		t.Errorf("query answers must be unaffected:\n%s", got)
 	}
 }
 
+// TestQueryBadEngine: the engine selector is gone, so the flag package
+// itself refuses it.
 func TestQueryBadEngine(t *testing.T) {
-	// "single" is not an engine: the message must name exactly the two
-	// that are.
-	for _, engine := range []string{"bogus", "single"} {
-		var out, errOut strings.Builder
-		if code := run([]string{"-engine", engine, "-where", "MS = married"},
-			strings.NewReader(input), &out, &errOut); code != 2 {
-			t.Errorf("engine %q should exit 2, got %d", engine, code)
-		}
-		want := fmt.Sprintf("fdquery: query: unknown engine %q (want indexed or naive)\n", engine)
-		if errOut.String() != want {
-			t.Errorf("engine %q: stderr %q, want %q", engine, errOut.String(), want)
-		}
+	var out, errOut strings.Builder
+	if code := run([]string{"-engine", "naive", "-where", "MS = married"},
+		strings.NewReader(input), &out, &errOut); code != 2 {
+		t.Errorf("-engine should exit 2, got %d", code)
+	}
+	if want := "flag provided but not defined: -engine"; !strings.Contains(errOut.String(), want) {
+		t.Errorf("stderr missing %q: %s", want, errOut.String())
 	}
 }
 
+// TestQueryEngines: the answers the CLI prints are the naive scan's.
 func TestQueryEngines(t *testing.T) {
-	// Both selection engines must print identical answers.
-	var outs [2]string
-	for i, engine := range []string{"indexed", "naive"} {
-		var out, errOut strings.Builder
-		code := run([]string{"-engine", engine, "-where", "MS = married and D# = d1"},
-			strings.NewReader(input), &out, &errOut)
-		if code != 0 {
-			t.Fatalf("engine %s: exit %d: %s", engine, code, errOut.String())
-		}
-		outs[i] = out.String()
+	where := "MS = married and D# = d1"
+	var out, errOut strings.Builder
+	if code := run([]string{"-where", where}, strings.NewReader(input), &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	if outs[0] != outs[1] {
-		t.Errorf("engines disagree:\n%s\nvs\n%s", outs[0], outs[1])
+	parsed, err := relio.Parse(strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := query.ParsePred(parsed.Scheme, where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive := query.SelectWith(parsed.Relation, p, query.Options{Engine: query.EngineNaive})
+	var want strings.Builder
+	fmt.Fprintf(&want, "\ncertain answers (%d):\n", len(naive.Sure))
+	for _, j := range naive.Sure {
+		fmt.Fprintf(&want, "  t%-3d %s\n", j+1, parsed.Relation.Tuple(j))
+	}
+	fmt.Fprintf(&want, "\npossible answers (%d):\n", len(naive.Maybe))
+	for _, j := range naive.Maybe {
+		fmt.Fprintf(&want, "  t%-3d %s\n", j+1, parsed.Relation.Tuple(j))
+	}
+	if !strings.HasSuffix(out.String(), want.String()) {
+		t.Errorf("CLI answers differ from the naive scan:\n%s\nwant suffix:\n%s", out.String(), want.String())
 	}
 }
 
@@ -275,14 +286,12 @@ possible answers (1):
 }
 
 func TestQueryExplainScanReasons(t *testing.T) {
-	// Unplannable predicates and the naive engine must report themselves
-	// as scans with the reason.
+	// Unplannable predicates must report themselves as scans with the
+	// reason.
 	cases := []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-explain", "-engine", "naive", "-where", "MS = married"},
-			"  full scan: naive engine\n"},
 		{[]string{"-explain", "-where", "not(MS = married)"},
 			"  full scan: no plannable conjunct\n"},
 	}

@@ -17,7 +17,6 @@
 //	        {"name": "E#", "domain": {"name": "emp", "prefix": "e", "size": 64}},
 //	        {"name": "SL", "domain": {"name": "sal", "values": ["s1", "s2"]}}]},
 //	    "fds": "E# -> SL",
-//	    "maintenance": "incremental",
 //	    "dir": "/var/lib/fdserve/hr"}]}
 //
 // "shards" defaults to 1; "key" must be a subset of every FD's LHS

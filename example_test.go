@@ -33,7 +33,7 @@ func ExampleChase() {
 		[]string{"v1", "v2"},
 		[]string{"v1", "-"})
 	fds := fdnull.MustParseFDs(s, "A -> B")
-	res, _ := fdnull.Chase(r, fds, fdnull.ChaseOptions{Mode: fdnull.Extended, Engine: fdnull.Congruence})
+	res, _ := fdnull.Chase(r, fds, fdnull.ChaseOptions{})
 	fmt.Print(res.Relation)
 	// Output:
 	// A   B
@@ -127,7 +127,7 @@ func ExampleCheckAll() {
 		[]string{"v3", "v2", "v3"},
 		[]string{"v2", "v2", "v4"})
 	fds := fdnull.MustParseFDs(s, "A -> B; B -> C")
-	res := fdnull.CheckAll(fds, r, fdnull.CheckOptions{Engine: fdnull.EngineIndexed, Workers: 1})
+	res := fdnull.CheckAll(fds, r, fdnull.CheckOptions{Workers: 1})
 	for _, sum := range res.Summaries {
 		fmt.Printf("%s: strong=%v\n", sum.FD.Format(s), sum.StrongHolds)
 	}
@@ -137,9 +137,8 @@ func ExampleCheckAll() {
 }
 
 // Discovery inverts checking: mine the minimal FDs that hold in the
-// data. The partition engine (default) answers every lattice candidate
-// from cached stripped partitions; DiscoverNaive re-derives each answer
-// with a TEST-FDs scan and is guaranteed to agree.
+// data. Every lattice candidate is answered from cached stripped
+// partitions, a level's candidates fanned over the worker pool.
 func ExampleDiscoverFDs() {
 	s := fdnull.UniformScheme("R", []string{"A", "B", "C"}, fdnull.IntDomain("d", "v", 4))
 	r := fdnull.MustFromRows(s,
@@ -148,7 +147,6 @@ func ExampleDiscoverFDs() {
 		[]string{"v3", "v2", "v1"})
 	fds, err := fdnull.DiscoverFDs(r, fdnull.DiscoverOptions{
 		MaxLHS:  2,
-		Engine:  fdnull.DiscoverPartition,
 		Workers: 2,
 	})
 	if err != nil {
@@ -172,7 +170,7 @@ func ExampleNewStore() {
 			fdnull.IntDomain("ct", "ct", 9),
 		})
 	fds := fdnull.MustParseFDs(s, "E# -> D#; D# -> CT")
-	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{Maintenance: fdnull.MaintenanceIncremental})
+	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
 
 	_ = st.InsertRow("e1", "d1", "ct1")
 	_ = st.InsertRow("e2", "d1", "-")      // CT unknown, but d1 forces ct1

@@ -51,26 +51,14 @@ type SelectResult = query.Result
 // materialization.
 type QuerySource = query.Source
 
-// QueryOptions configure SelectWith/SelectAll: engine and worker count.
-type QueryOptions = query.Options
-
-// QueryEngine selects the selection strategy.
-type QueryEngine = query.Engine
-
-// The selection engines: QueryIndexed (the default) compiles an
+// QueryOptions configure SelectWith/SelectAll/SelectExplain; the zero
+// value is the planner with GOMAXPROCS workers. The planner compiles an
 // algebraic plan over X-partition indexes — Eq/In/EqAttr probes
 // intersected along the ∧-spine by ascending cost estimate, ∨ evaluated
 // as a deduplicated union of sub-plans, residual conjuncts ordered by
-// estimated selectivity from IndexStats; QueryNaive full-scans (the
-// ground truth the planner is tested against).
-const (
-	QueryIndexed = query.EngineIndexed
-	QueryNaive   = query.EngineNaive
-)
-
-// ParseQueryEngine parses the -engine flag values "indexed" and
-// "naive".
-func ParseQueryEngine(s string) (QueryEngine, error) { return query.ParseEngine(s) }
+// estimated selectivity from IndexStats — and degrades to the scan when
+// the predicate offers no plannable structure.
+type QueryOptions = query.Options
 
 // Select evaluates a predicate three-valuedly on every tuple: Sure lists
 // tuples in the answer under every completion, Maybe under some. Tuples
@@ -78,7 +66,7 @@ func ParseQueryEngine(s string) (QueryEngine, error) { return query.ParseEngine(
 // empty intersection) are in neither list — no predicate holds on them.
 func Select(src QuerySource, p Pred) SelectResult { return query.Select(src, p) }
 
-// SelectWith is Select with an explicit engine choice.
+// SelectWith is Select through the planner.
 func SelectWith(src QuerySource, p Pred, opts QueryOptions) SelectResult {
 	return query.SelectWith(src, p, opts)
 }
@@ -146,27 +134,11 @@ func ApplyXSubstitutions(r *relation.Relation, fds []fd.FD) (*relation.Relation,
 // and the NS-rules substitute forced nulls after every accepted change.
 type Store = store.Store
 
-// StoreOptions configure a Store.
+// StoreOptions configure a Store. The zero value maintains the invariant
+// incrementally: a commit re-verifies only the partition groups it
+// touches and propagates forced substitutions from the delta tuples over
+// the delta-maintained X-partition indexes.
 type StoreOptions = store.Options
-
-// StoreMaintenance selects the engine that re-establishes the store
-// invariant after each mutation.
-type StoreMaintenance = store.Maintenance
-
-// The maintenance engines: MaintenanceIncremental (the default)
-// re-verifies only the partition groups a mutation touches and
-// propagates forced substitutions from the delta tuple over the
-// delta-maintained X-partition indexes; MaintenanceRecheck clones and
-// re-chases the whole instance per mutation (the differential ground
-// truth). The engines agree verdict-for-verdict and state-for-state.
-const (
-	MaintenanceIncremental = store.MaintenanceIncremental
-	MaintenanceRecheck     = store.MaintenanceRecheck
-)
-
-// ParseMaintenance parses the -maintenance flag values "incremental"
-// and "recheck".
-func ParseMaintenance(s string) (StoreMaintenance, error) { return store.ParseMaintenance(s) }
 
 // InconsistencyError is returned for mutations the dependencies forbid.
 // It wraps ErrInconsistent, so errors.Is(err, ErrInconsistent) matches.
@@ -367,25 +339,9 @@ func OpenShardedStore(dir string, s *schema.Scheme, fds []fd.FD, opts ShardedSto
 // ---- Dependency discovery ----
 
 // DiscoverOptions bound the FD-discovery lattice search: determinant
-// size cap, convention, candidate-test engine, and worker count.
+// size cap, convention, and worker count. Candidates are answered from
+// cached null-aware stripped partitions with a per-level worker pool.
 type DiscoverOptions = discover.Options
-
-// DiscoverEngine selects the candidate-test strategy of the discovery
-// lattice search.
-type DiscoverEngine = discover.Engine
-
-// The discovery engines: DiscoverPartition answers candidates from
-// cached null-aware stripped partitions with a per-level worker pool;
-// DiscoverNaive runs one TEST-FDs sort scan per candidate (the
-// differential ground truth).
-const (
-	DiscoverPartition = discover.EnginePartition
-	DiscoverNaive     = discover.EngineNaive
-)
-
-// ParseDiscoverEngine parses the -engine flag values "partition" and
-// "naive".
-func ParseDiscoverEngine(s string) (DiscoverEngine, error) { return discover.ParseEngine(s) }
 
 // DiscoverFDs mines the minimal functional dependencies holding in an
 // instance with nulls: under the strong convention the *certain*

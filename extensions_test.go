@@ -192,7 +192,7 @@ func TestPublicQueryV2(t *testing.T) {
 		Q: fdnull.Eq{Attr: s.MustAttr("D#"), Const: "d2"},
 	}
 	want := fdnull.Select(r, p)
-	if got := fdnull.SelectWith(r, p, fdnull.QueryOptions{Engine: fdnull.QueryIndexed}); !got.Equal(want) {
+	if got := fdnull.SelectWith(r, p, fdnull.QueryOptions{}); !got.Equal(want) {
 		t.Errorf("indexed diverged from the scan: %v vs %v", got, want)
 	}
 	res, ex := fdnull.SelectExplain(r, p, fdnull.QueryOptions{})
@@ -218,12 +218,12 @@ func TestPublicQueryV2(t *testing.T) {
 		t.Errorf("joined selection: chased=%v len=%d res=%v want=%v", j.Chased, j.Rel.Len(), j.Res, want)
 	}
 
-	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{Maintenance: fdnull.MaintenanceRecheck})
+	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
 	if err := st.InsertRow("e1", "d1", "married"); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.InsertRow("e1", "d2", "single"); err == nil {
-		t.Error("the recheck engine must reject the E# -> D# violation")
+		t.Error("the store must reject the E# -> D# violation")
 	}
 	if st.Len() != 1 || !st.CheckWeak() {
 		t.Errorf("store after rejection: len=%d", st.Len())

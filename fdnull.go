@@ -9,18 +9,18 @@
 //   - classical FD theory — closure, implication, covers, keys, Armstrong
 //     derivations (internal/fd);
 //   - the paper's three-valued FD interpretation over nulls, Proposition 1
-//     classification, and strong/weak satisfiability (internal/eval),
-//     served by two engines: a naive ground-truth evaluator and an
-//     indexed, batched, parallel engine (CheckAll) that probes X-partition
-//     indexes (internal/relation) instead of re-scanning the relation;
+//     classification, and strong/weak satisfiability (internal/eval);
+//     CheckAll is the indexed, batched, parallel engine that probes
+//     X-partition indexes (internal/relation) instead of re-scanning the
+//     relation;
 //   - the NS-rule chase with null-equality constraints, minimally
 //     incomplete instances, and Theorem 4's Church–Rosser extended system
 //     (internal/chase);
 //   - the TEST-FDs algorithm under the strong and weak conventions of
 //     Theorems 2 and 3 (internal/testfds);
-//   - FD discovery under both conventions (internal/discover), served by
-//     a naive TEST-FDs engine and by a parallel partition engine over
-//     null-aware stripped partitions (internal/partition);
+//   - FD discovery under both conventions (internal/discover), a
+//     parallel lattice search over null-aware stripped partitions
+//     (internal/partition);
 //   - System C, the modal logic the paper reduces FDs to (internal/systemc);
 //   - normalization: BCNF, 3NF synthesis, lossless joins, and null-padded
 //     universal-relation reassembly (internal/normalize, internal/tableau);
@@ -260,20 +260,7 @@ func Report(fds []FD, r *Relation) ([][]Verdict, error) { return eval.Report(fds
 
 // ---- The batched, parallel evaluation engine ----
 
-// Engine selects an evaluation strategy for EvaluateWith and CheckAll.
-type Engine = eval.Engine
-
-// The evaluation engines: EngineIndexed probes the X-partition index;
-// EngineNaive re-scans the relation (the differential ground truth).
-const (
-	EngineIndexed = eval.EngineIndexed
-	EngineNaive   = eval.EngineNaive
-)
-
-// ParseEngine parses the -engine flag values "indexed" and "naive".
-func ParseEngine(s string) (Engine, error) { return eval.ParseEngine(s) }
-
-// CheckOptions configures a CheckAll run (engine, worker count, early
+// CheckOptions configures a CheckAll run (worker count, early
 // cancellation, verdict matrix retention).
 type CheckOptions = eval.CheckOptions
 
@@ -290,12 +277,6 @@ func CheckAll(fds []FD, r *Relation, opts CheckOptions) *BatchResult {
 	return eval.CheckAll(fds, r, opts)
 }
 
-// EvaluateWith computes f(t, r) with the chosen engine; both engines
-// return identical verdicts.
-func EvaluateWith(e Engine, f FD, r *Relation, ti int) (Verdict, error) {
-	return eval.EvaluateWith(e, f, r, ti)
-}
-
 // ---- The chase (Section 6) ----
 
 // ChaseOptions configures a chase run.
@@ -305,15 +286,16 @@ type ChaseOptions = chase.Options
 // NEC classes, consistency, and work counters.
 type ChaseResult = chase.Result
 
-// Chase modes and engines.
+// The chase modes: Extended (the zero value) is the Church–Rosser
+// system of Theorem 4; Plain is Definition 2 alone, whose result depends
+// on ChaseOptions.RuleOrder (Figure 5).
 const (
-	Plain      = chase.Plain
-	Extended   = chase.Extended
-	Naive      = chase.Naive
-	Congruence = chase.Congruence
+	Extended = chase.Extended
+	Plain    = chase.Plain
 )
 
-// Chase runs the NS-rules to fixpoint.
+// Chase runs the NS-rules to fixpoint; the zero ChaseOptions compute the
+// extended normal form.
 func Chase(r *Relation, fds []FD, opts ChaseOptions) (*ChaseResult, error) {
 	return chase.Run(r, fds, opts)
 }

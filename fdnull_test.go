@@ -126,7 +126,7 @@ func TestPublicChaseModes(t *testing.T) {
 	r := fdnull.MustFromRows(s,
 		[]string{"v1", "-"},
 		[]string{"v1", "v2"})
-	res, err := fdnull.Chase(r, fds, fdnull.ChaseOptions{Mode: fdnull.Plain, Engine: fdnull.Naive})
+	res, err := fdnull.Chase(r, fds, fdnull.ChaseOptions{Mode: fdnull.Plain})
 	if err != nil {
 		t.Fatal(err)
 	}

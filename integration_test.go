@@ -4,10 +4,19 @@ package fdnull_test
 // magnitude beyond the unit fixtures. Guarded by -short.
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	fdnull "fdnull"
 	"fdnull/internal/chase"
+	"fdnull/internal/discover"
+	"fdnull/internal/eval"
+	"fdnull/internal/fd"
+	"fdnull/internal/paperex"
+	"fdnull/internal/query"
+	"fdnull/internal/relation"
+	"fdnull/internal/store"
 	"fdnull/internal/testfds"
 	"fdnull/internal/workload"
 )
@@ -31,7 +40,7 @@ func TestLargeScalePipeline(t *testing.T) {
 
 	// 2. The chase terminates within the theoretical pass bound and
 	// stays consistent; all forced contract types get substituted.
-	res, err := chase.Run(r, fds, chase.Options{Mode: chase.Extended, Engine: chase.Congruence})
+	res, err := chase.Run(r, fds, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +56,7 @@ func TestLargeScalePipeline(t *testing.T) {
 	}
 
 	// 3. The chased instance is a fixpoint and still passes TEST-FDs.
-	res2, err := chase.Run(res.Relation, fds, chase.Options{Mode: chase.Extended, Engine: chase.Congruence})
+	res2, err := chase.Run(res.Relation, fds, chase.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,5 +90,151 @@ func TestLargeScalePipeline(t *testing.T) {
 	sel := fdnull.Select(res.Relation, fdnull.Eq{Attr: s.MustAttr("CT"), Const: "full"})
 	if len(sel.Sure) == 0 {
 		t.Error("some employees certainly have full contracts")
+	}
+}
+
+// TestZeroOptionsAreProduction pins the rule that an oracle is never a
+// default: at every layer the zero Options run the production engine —
+// the same result, and the same Engine/Maintenance value, as naming the
+// production constant — and that engine agrees with the layer's oracle
+// on instances from the differential generators (workload.Config, the
+// FD-set shapes, workload.WriteHeavy).
+func TestZeroOptionsAreProduction(t *testing.T) {
+	if z := (chase.Options{}); z.Mode != chase.Extended || z.Engine != chase.Congruence {
+		t.Errorf("chase.Options{} = %v/%v", z.Mode, z.Engine)
+	}
+	if z := (eval.CheckOptions{}); z.Engine != eval.EngineIndexed {
+		t.Errorf("eval.CheckOptions{}.Engine = %v", z.Engine)
+	}
+	if z := (discover.Options{}); z.Engine != discover.EnginePartition {
+		t.Errorf("discover.Options{}.Engine = %v", z.Engine)
+	}
+	if z := (query.Options{}); z.Engine != query.EngineIndexed {
+		t.Errorf("query.Options{}.Engine = %v", z.Engine)
+	}
+	if z := (store.Options{}); z.Maintenance != store.MaintenanceIncremental {
+		t.Errorf("store.Options{}.Maintenance = %v", z.Maintenance)
+	}
+	for _, cfg := range []workload.Config{
+		{Seed: 1, Tuples: 14, Attrs: 3, DomainSize: 4, NullDensity: 0, GroupBias: 0.5},
+		{Seed: 2, Tuples: 10, Attrs: 3, DomainSize: 4, NullDensity: 0.08, GroupBias: 0.4},
+		{Seed: 3, Tuples: 5, Attrs: 3, DomainSize: 3, NullDensity: 0.2, GroupBias: 0.3, SharedMarkRate: 0.4},
+	} {
+		s := cfg.Scheme()
+		r := cfg.Instance(s)
+		for _, fds := range [][]fd.FD{workload.ChainFDs(s), workload.StarFDs(s), workload.RandomFDs(s, 3, 2, cfg.Seed)} {
+			// chase: zero, the named production pair, the pairwise oracle.
+			var runs []*chase.Result
+			for _, o := range []chase.Options{{}, {Mode: chase.Extended, Engine: chase.Congruence}, {Engine: chase.Naive}} {
+				res, err := chase.Run(r, fds, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs = append(runs, res)
+			}
+			if !reflect.DeepEqual(runs[0], runs[1]) {
+				t.Errorf("seed %d: chase.Options{} is not the congruence engine", cfg.Seed)
+			}
+			if !relation.Equal(runs[0].Relation, runs[2].Relation) || runs[0].Consistent != runs[2].Consistent {
+				t.Errorf("seed %d: chase.Options{} disagrees with the pairwise oracle", cfg.Seed)
+			}
+
+			// eval
+			ezero := eval.CheckAll(fds, r, eval.CheckOptions{Workers: 1, KeepVerdicts: true})
+			eprod := eval.CheckAll(fds, r, eval.CheckOptions{Engine: eval.EngineIndexed, Workers: 1, KeepVerdicts: true})
+			enaive := eval.CheckAll(fds, r, eval.CheckOptions{Engine: eval.EngineNaive, Workers: 1, KeepVerdicts: true})
+			if ezero.Engine != eval.EngineIndexed || !reflect.DeepEqual(ezero, eprod) {
+				t.Errorf("seed %d: eval.CheckOptions{} is not the indexed engine", cfg.Seed)
+			}
+			if ezero.Err() != nil || !reflect.DeepEqual(ezero.Verdicts, enaive.Verdicts) {
+				t.Errorf("seed %d: eval.CheckOptions{} disagrees with the naive oracle (err %v)", cfg.Seed, ezero.Err())
+			}
+		}
+
+		// discover
+		var mined [][]fd.FD
+		for _, e := range []discover.Engine{discover.EnginePartition, discover.EngineNaive} {
+			fds, err := discover.Run(r, discover.Options{MaxLHS: 2, Engine: e})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mined = append(mined, fds)
+		}
+		dzero, err := discover.Run(r, discover.Options{MaxLHS: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(dzero, mined[0]) || !reflect.DeepEqual(dzero, mined[1]) {
+			t.Errorf("seed %d: discover.Options{} = %v, partition %v, naive %v", cfg.Seed, dzero, mined[0], mined[1])
+		}
+
+		// query (the plan report names the engine that ran)
+		for _, where := range []string{"A = v1", "A = v2 and B in (v1, v2)", "A = v1 or C = v3", "not B = v2"} {
+			p, err := query.ParsePred(s, where)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qzero, ex := query.SelectExplain(r, p, query.Options{})
+			qprod := query.SelectWith(r, p, query.Options{Engine: query.EngineIndexed})
+			qnaive := query.SelectWith(r, p, query.Options{Engine: query.EngineNaive})
+			if ex.Engine != query.EngineIndexed.String() || !qzero.Equal(qprod) {
+				t.Errorf("seed %d %q: query.Options{} is not the planner (%s)", cfg.Seed, where, ex.Engine)
+			}
+			if !qzero.Equal(qnaive) {
+				t.Errorf("seed %d %q: query.Options{} disagrees with the naive scan", cfg.Seed, where)
+			}
+		}
+	}
+
+	// store: replay the write-heavy generator's rows (every tenth one
+	// restating its group's D, so it must be rejected) into all three
+	// spellings.
+	const n, groups = 60, 12
+	s, fds, base, gen := workload.WriteHeavy(n, groups, 0.2, 5)
+	var stores []*store.Store
+	for _, o := range []store.Options{{}, {Maintenance: store.MaintenanceIncremental}, {Maintenance: store.MaintenanceRecheck}} {
+		st, err := store.FromRelation(s, fds, base, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores = append(stores, st)
+	}
+	rejected := 0
+	for i := n; i < n+40; i++ {
+		row := gen(i)
+		if i%10 == 9 {
+			row[3] = fmt.Sprintf("d%d", (i%groups+1)%13+1)
+		}
+		errZero := stores[0].InsertRow(row...)
+		if errZero != nil {
+			rejected++
+		}
+		for k, st := range stores[1:] {
+			err := st.InsertRow(row...)
+			if (err == nil) != (errZero == nil) || (err != nil && err.Error() != errZero.Error()) {
+				t.Fatalf("row %d: store.Options{} answered %v, spelling %d answered %v", i, errZero, k+1, err)
+			}
+			if !relation.Equal(st.Snapshot(), stores[0].Snapshot()) {
+				t.Fatalf("row %d: store.Options{} diverged from spelling %d", i, k+1)
+			}
+		}
+	}
+	if rejected != 4 {
+		t.Errorf("store replay rejected %d rows, want the 4 doomed ones", rejected)
+	}
+
+	// The plain system needs no engine name: Mode alone selects the
+	// pairwise passes, in RuleOrder — Figure 5's two outcomes.
+	_, f5, r5 := paperex.Figure5()
+	b := r5.Scheme().MustAttr("B")
+	for i, order := range [][]int{{0, 1}, {1, 0}} {
+		res, err := chase.Run(r5, f5, chase.Options{Mode: chase.Plain, RuleOrder: order})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"b1", "b2"}[i]
+		if got := res.Relation.Tuple(1)[b]; !got.IsConst() || got.Const() != want || len(res.Stuck) == 0 {
+			t.Errorf("plain chase, order %v: B = %v (want %s), stuck %v", order, got, want, res.Stuck)
+		}
 	}
 }

@@ -25,6 +25,18 @@
 // Figure 5 example, reproduced in the tests). The extended system is
 // confluent; Theorem 4(b) reduces weak satisfiability of F in r to the
 // absence of `nothing` in the unique normal form.
+//
+// # One production path and its oracle
+//
+// Because the extended normal form is unique, which engine computes it
+// is not a choice a caller has to make: Options{} runs the
+// congruence-closure passes, and that is what the store, the query
+// layer, the CLIs and the fdnull facade run. The pairwise passes of the
+// paper's own analysis stay for two jobs only — they are the one
+// implementation of the plain system (which has no engine-independent
+// answer, so Mode: Plain always runs them, in RuleOrder), and under
+// Engine: Naive they are the oracle the tests and the fdbench agreement
+// sweeps compare the congruence engine against.
 package chase
 
 import (
@@ -42,12 +54,15 @@ import (
 type Mode int
 
 const (
+	// Extended is Definition 2 plus the merge of distinct constants into
+	// `nothing` (Section 6's extension before Theorem 4). Confluent, so
+	// its normal form does not depend on the engine; the zero value.
+	Extended Mode = iota
 	// Plain is Definition 2 exactly: NS-rules fire only when at least one
-	// of the Y-cells is null. Not confluent.
-	Plain Mode = iota
-	// Extended additionally merges distinct constants into `nothing`
-	// (Section 6's extension before Theorem 4). Confluent.
-	Extended
+	// of the Y-cells is null. Not confluent, so it always runs the
+	// pairwise passes in the stated rule order, whatever Options.Engine
+	// says.
+	Plain
 )
 
 func (m Mode) String() string {
@@ -57,17 +72,19 @@ func (m Mode) String() string {
 	return "extended"
 }
 
-// Engine selects the implementation strategy.
+// Engine selects the implementation of the extended system.
 type Engine int
 
 const (
-	// Naive applies rules pairwise in passes, in a deterministic
-	// (configurable) order — the paper's O(|F|·n³·p) analysis.
-	Naive Engine = iota
 	// Congruence buckets tuples by X-signature each pass — the
 	// congruence-closure strategy of [Downey–Sethi–Tarjan 80] that Theorem
-	// 4 builds on, O(|F|·n·log(|F|·n))-flavored on our workloads.
-	Congruence
+	// 4 builds on, O(|F|·n·log(|F|·n))-flavored on our workloads. The
+	// production path and the zero value.
+	Congruence Engine = iota
+	// Naive applies rules pairwise in passes, in a deterministic
+	// (configurable) order — the paper's O(|F|·n³·p) analysis; kept as
+	// the ground truth Congruence is differentially tested against.
+	Naive
 )
 
 func (e Engine) String() string {
@@ -111,12 +128,14 @@ func (c Conflict) String() string {
 	return fmt.Sprintf("tuples %d,%d conflict on attribute %d", c.T1, c.T2, c.Attr)
 }
 
-// Options configure a chase run.
+// Options configure a chase run. The zero value is the extended system
+// on the congruence engine: what the store, the CLIs and
+// WeaklySatisfiable run.
 type Options struct {
 	Mode   Mode
 	Engine Engine
-	// RuleOrder permutes the FD list for the Naive engine; nil means
-	// given order. Exists to exhibit the Plain system's order dependence.
+	// RuleOrder permutes the FD list; nil means given order. Exists to
+	// exhibit the Plain system's order dependence.
 	RuleOrder []int
 	// MaxPasses bounds the sweeps as a safety net; 0 means the
 	// theoretical bound n·p+1 (every pass must merge at least one class).
@@ -146,7 +165,7 @@ func Run(r *relation.Relation, fds []fd.FD, opts Options) (*Result, error) {
 // state-dependent, thus having an unacceptable complexity" and excludes
 // it. eval.WeakSatisfied is the (exponential) domain-aware ground truth.
 func WeaklySatisfiable(r *relation.Relation, fds []fd.FD) (bool, *Result, error) {
-	res, err := Run(r, fds, Options{Mode: Extended, Engine: Congruence})
+	res, err := Run(r, fds, Options{})
 	if err != nil {
 		return false, nil, err
 	}
@@ -156,7 +175,7 @@ func WeaklySatisfiable(r *relation.Relation, fds []fd.FD) (bool, *Result, error)
 // MinimallyIncomplete reports whether no NS-rule applies to r (the
 // fixpoint test): r is already minimally incomplete with respect to fds.
 func MinimallyIncomplete(r *relation.Relation, fds []fd.FD, mode Mode) (bool, error) {
-	res, err := Run(r, fds, Options{Mode: mode, Engine: Naive})
+	res, err := Run(r, fds, Options{Mode: mode})
 	if err != nil {
 		return false, err
 	}
@@ -207,9 +226,6 @@ func newChaser(r *relation.Relation, fds []fd.FD, opts Options) (*chaser, error)
 		opts:    opts,
 		constID: map[string]int{},
 		markID:  map[int]int{},
-	}
-	if opts.Engine == Congruence && opts.Mode == Plain {
-		return nil, fmt.Errorf("chase: the congruence engine implements the extended (Church-Rosser) system only; the plain system is order-dependent and needs the naive engine")
 	}
 	if opts.RuleOrder != nil {
 		if len(opts.RuleOrder) != len(fds) {
@@ -325,10 +341,10 @@ func (c *chaser) run() (*Result, error) {
 	for passes < maxPasses {
 		passes++
 		var changed bool
-		if c.opts.Engine == Congruence {
-			changed = c.passCongruence()
-		} else {
+		if c.opts.Mode == Plain || c.opts.Engine == Naive {
 			changed = c.passNaive()
+		} else {
+			changed = c.passCongruence()
 		}
 		if !changed {
 			break

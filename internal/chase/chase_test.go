@@ -23,7 +23,7 @@ func TestSubstituteNullRuleA(t *testing.T) {
 	r := relation.MustFromRows(s,
 		[]string{"v1", "v2", "v1"},
 		[]string{"v1", "-", "v3"})
-	res, err := Run(r, fds, Options{Mode: Plain, Engine: Naive})
+	res, err := Run(r, fds, Options{Mode: Plain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestIntroduceNECRuleB(t *testing.T) {
 	r := relation.MustFromRows(s,
 		[]string{"v1", "-1", "v1"},
 		[]string{"v1", "-2", "v3"})
-	res, err := Run(r, fds, Options{Mode: Plain, Engine: Naive})
+	res, err := Run(r, fds, Options{Mode: Plain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestTransitiveSubstitutionThroughNEC(t *testing.T) {
 		[]string{"v1", "-1", "v1"},
 		[]string{"v1", "-2", "v2"},
 		[]string{"v4", "v3", "v2"}) // C=v2 matches tuple 1, binds -2 := v3
-	res, err := Run(r, fds, Options{Mode: Plain, Engine: Naive})
+	res, err := Run(r, fds, Options{Mode: Plain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +136,12 @@ func figure5() (*schema.Scheme, []fd.FD, *relation.Relation) {
 func TestChase_OrderDependencePlain(t *testing.T) {
 	_, fds, r := figure5()
 	// Order 1: A→B first binds ⊥ := v2; C→B then faces v2 vs v3, stuck.
-	res1, err := Run(r, fds, Options{Mode: Plain, Engine: Naive, RuleOrder: []int{0, 1}})
+	res1, err := Run(r, fds, Options{Mode: Plain, RuleOrder: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Order 2: C→B first binds ⊥ := v3; A→B then faces v2 vs v3, stuck.
-	res2, err := Run(r, fds, Options{Mode: Plain, Engine: Naive, RuleOrder: []int{1, 0}})
+	res2, err := Run(r, fds, Options{Mode: Plain, RuleOrder: []int{1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestChase_ChurchRosserExtended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res3, err := Run(r, fds, Options{Mode: Extended, Engine: Congruence})
+	res3, err := Run(r, fds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +255,11 @@ func TestIdempotence(t *testing.T) {
 		[]string{"v1", "-", "-"},
 		[]string{"v1", "-", "v2"},
 		[]string{"v3", "v1", "-"})
-	res, err := Run(r, fds, Options{Mode: Extended, Engine: Congruence})
+	res, err := Run(r, fds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Run(res.Relation, fds, Options{Mode: Extended, Engine: Congruence})
+	res2, err := Run(res.Relation, fds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +299,18 @@ func TestRuleOrderValidation(t *testing.T) {
 	if _, err := Run(r, fds, Options{RuleOrder: []int{0, 0}}); err == nil {
 		t.Error("non-permutation RuleOrder must error")
 	}
-	if _, err := Run(r, fds, Options{Mode: Plain, Engine: Congruence}); err == nil {
-		t.Error("plain+congruence must be rejected")
+	// Plain has one implementation, so Engine does not select anything.
+	_, fds, r = figure5()
+	a, err := Run(r, fds, Options{Mode: Plain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(r, fds, Options{Mode: Plain, Engine: Naive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !relation.Equal(a.Relation, b.Relation) || a.Applications != b.Applications {
+		t.Error("plain must run the pairwise passes whatever Engine says")
 	}
 }
 
@@ -436,7 +446,7 @@ func TestNaiveAndCongruenceAgree_Random(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(r, fds, Options{Mode: Extended, Engine: Congruence})
+		b, err := Run(r, fds, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +510,7 @@ func TestPassesBounded(t *testing.T) {
 		[]string{"v1", "-", "-"},
 		[]string{"v2", "-", "-"},
 		[]string{"v2", "v3", "-"})
-	res, err := Run(r, fds, Options{Mode: Extended, Engine: Congruence})
+	res, err := Run(r, fds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestChasePreservesSatisfyingCompletions(t *testing.T) {
 		if r.Len() == 0 {
 			continue
 		}
-		res, err := Run(r, fds, Options{Mode: Extended, Engine: Congruence})
+		res, err := Run(r, fds, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestChaseMonotone(t *testing.T) {
 		if r.Len() == 0 {
 			continue
 		}
-		res, err := Run(r, fds, Options{Mode: Extended, Engine: Congruence})
+		res, err := Run(r, fds, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func TestWeakInferenceOnMinimallyIncomplete(t *testing.T) {
 		if r.Len() == 0 {
 			continue
 		}
-		res, err := Run(r, fds, Options{Mode: Extended, Engine: Congruence})
+		res, err := Run(r, fds, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

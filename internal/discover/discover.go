@@ -17,9 +17,9 @@
 // Every strongly-discovered FD is also weakly discovered (the strong
 // convention flags strictly more comparisons as conflicting).
 //
-// Two candidate-test engines are provided:
+// One production candidate-test engine and its oracle:
 //
-//   - EnginePartition (the default) answers every candidate from cached
+//   - EnginePartition (the zero value) answers every candidate from cached
 //     null-aware stripped partitions (internal/partition): per-attribute
 //     partitions are built once, level-k partitions are products of
 //     cached level-(k−1) parents, and each X → A test is a refinement
@@ -28,7 +28,8 @@
 //     candidate tests of a level fan out over a bounded worker pool.
 //   - EngineNaive answers each candidate with one TEST-FDs sort scan —
 //     the paper-literal path, kept as differential ground truth
-//     (differential_test.go asserts FD-for-FD identical output).
+//     (differential_test.go asserts FD-for-FD identical output) and
+//     nameable only from tests and benchmarks, not by a user.
 //
 // A classical exactness property ties discovery to the rest of the
 // library: discovering on an Armstrong relation of F (workload package)
@@ -61,7 +62,7 @@ const (
 	EngineNaive
 )
 
-// String returns the flag spelling of the engine.
+// String names the engine in report headers.
 func (e Engine) String() string {
 	switch e {
 	case EnginePartition:
@@ -70,17 +71,6 @@ func (e Engine) String() string {
 		return "naive"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
-}
-
-// ParseEngine parses the -engine flag values "partition" and "naive".
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "partition":
-		return EnginePartition, nil
-	case "naive":
-		return EngineNaive, nil
-	}
-	return 0, fmt.Errorf("discover: unknown engine %q (want partition or naive)", s)
 }
 
 // Options bound the search.

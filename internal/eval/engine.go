@@ -38,7 +38,7 @@ const (
 	EngineNaive
 )
 
-// String returns the flag spelling of the engine.
+// String names the engine in report headers.
 func (e Engine) String() string {
 	switch e {
 	case EngineIndexed:
@@ -47,17 +47,6 @@ func (e Engine) String() string {
 		return "naive"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
-}
-
-// ParseEngine parses the -engine flag values "indexed" and "naive".
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "indexed":
-		return EngineIndexed, nil
-	case "naive":
-		return EngineNaive, nil
-	}
-	return 0, fmt.Errorf("eval: unknown engine %q (want indexed or naive)", s)
 }
 
 // checker holds the per-(FD, relation) state the indexed evaluator probes:

@@ -24,7 +24,7 @@
 // the same order at the same relative instants; only outcomes (latency,
 // conflicts, stale hits) depend on the target. The per-kind issued
 // counts are therefore exactly reproducible, which cmd/fdload verifies
-// with its -rerun flag and fdbench E23 asserts.
+// with its -rerun flag.
 //
 // # Workload shape
 //

@@ -38,7 +38,7 @@ const (
 	EngineNaive
 )
 
-// String returns the flag spelling of the engine. The rendering is part
+// String names the engine in plan reports. The rendering is also part
 // of the store's query-cache key, so the two engines must render
 // distinctly.
 func (e Engine) String() string {
@@ -49,17 +49,6 @@ func (e Engine) String() string {
 		return "naive"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
-}
-
-// ParseEngine parses the -engine flag values "indexed" and "naive".
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "indexed":
-		return EngineIndexed, nil
-	case "naive":
-		return EngineNaive, nil
-	}
-	return 0, fmt.Errorf("query: unknown engine %q (want indexed or naive)", s)
 }
 
 // Indexer is the optional capability of a Source the planner needs:

@@ -103,11 +103,7 @@ func SelectJoined(universal *schema.Scheme, fds []fd.FD, fragments []*relation.R
 	if err != nil {
 		return nil, err
 	}
-	engine := chase.Congruence
-	if opts.Engine == EngineNaive {
-		engine = chase.Naive
-	}
-	res, err := chase.Run(padded, fds, chase.Options{Mode: chase.Extended, Engine: engine})
+	res, err := chase.Run(padded, fds, chase.Options{})
 	if err != nil {
 		return nil, err
 	}

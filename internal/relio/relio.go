@@ -71,8 +71,9 @@ func anyDomainContains(s *schema.Scheme, c string) bool {
 
 // Parse reads the textual format.
 func Parse(r io.Reader) (*File, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines are bounded only by the input: a domain is one line, however
+	// many values it lists.
+	br := bufio.NewReader(r)
 
 	domains := map[string]*schema.Domain{}
 	var schemeName string
@@ -81,9 +82,17 @@ func Parse(r io.Reader) (*File, error) {
 	var rows [][]string
 	nextMark := 0
 	lineno := 0
-	for sc.Scan() {
+	for eof := false; !eof; {
+		text, err := br.ReadString('\n')
+		eof = err == io.EOF
+		if err != nil && !eof {
+			return nil, err
+		}
+		if eof && text == "" {
+			break
+		}
 		lineno++
-		line := strings.TrimSpace(sc.Text())
+		line := strings.TrimSpace(text)
 		// '#' starts a comment only at the beginning of a line or after
 		// whitespace — attribute names like "E#" must survive.
 		for i := 0; i < len(line); i++ {
@@ -139,9 +148,6 @@ func Parse(r io.Reader) (*File, error) {
 		default:
 			return nil, fmt.Errorf("relio: line %d: unrecognized directive %q", lineno, line)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if schemeName == "" {
 		return nil, fmt.Errorf("relio: no scheme declared")

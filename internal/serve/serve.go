@@ -1,8 +1,8 @@
 // Package serve is the fdserve daemon core: named, isolated,
 // constraint-maintained tenant stores behind a newline-delimited JSON
 // TCP protocol. cmd/fdserve is a thin flag-and-signal wrapper around
-// this package; fdbench and the load simulator boot it in-process to
-// drive a live daemon over real sockets.
+// this package; bench/ and the open-loop test (TestServeOpenLoop) boot it
+// in-process to drive a live daemon over real sockets.
 package serve
 
 import (
@@ -47,18 +47,14 @@ type SchemeSpec struct {
 
 // TenantSpec is one named isolated store: its scheme, dependency set,
 // shard layout, auth token, and optional durable directory.
-//
-// Maintenance "recheck" is the O(n)-per-write clone-and-re-chase oracle
-// the default engine is tested against, not a production setting.
 type TenantSpec struct {
-	Name        string     `json:"name"`
-	Token       string     `json:"token"`
-	Shards      int        `json:"shards,omitempty"` // default 1
-	Key         []string   `json:"key"`              // shard-key attribute names
-	Scheme      SchemeSpec `json:"scheme"`
-	FDs         string     `json:"fds"`                   // "X -> Y; ..." syntax
-	Maintenance string     `json:"maintenance,omitempty"` // incremental | recheck
-	Dir         string     `json:"dir,omitempty"`         // durable when set
+	Name   string     `json:"name"`
+	Token  string     `json:"token"`
+	Shards int        `json:"shards,omitempty"` // default 1
+	Key    []string   `json:"key"`              // shard-key attribute names
+	Scheme SchemeSpec `json:"scheme"`
+	FDs    string     `json:"fds"`           // "X -> Y; ..." syntax
+	Dir    string     `json:"dir,omitempty"` // durable when set
 }
 
 // Config is the daemon's tenant set.
@@ -131,22 +127,11 @@ func buildTenant(sp TenantSpec) (*tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tenant %s: shard key: %w", sp.Name, err)
 	}
-	maint := fdnull.MaintenanceIncremental
-	if sp.Maintenance != "" {
-		maint, err = fdnull.ParseMaintenance(sp.Maintenance)
-		if err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", sp.Name, err)
-		}
-	}
 	shards := sp.Shards
 	if shards == 0 {
 		shards = 1
 	}
-	sopts := fdnull.ShardedStoreOptions{
-		Shards: shards,
-		Key:    key,
-		Store:  fdnull.StoreOptions{Maintenance: maint},
-	}
+	sopts := fdnull.ShardedStoreOptions{Shards: shards, Key: key}
 	var st *fdnull.ShardedStore
 	if sp.Dir != "" {
 		st, err = fdnull.OpenShardedStore(sp.Dir, scheme, fds, sopts, fdnull.DurableOptions{})

@@ -417,6 +417,12 @@ func TestLoadConfigErrors(t *testing.T) {
 	if _, err := LoadConfig(write("unknown.json", `{"tenants": [], "extra": 1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	// The maintenance engine is no longer a tenant setting: the key is
+	// refused by name, not silently ignored.
+	_, err := LoadConfig(write("maintenance.json", `{"tenants": [{"name": "hr", "maintenance": "recheck"}]}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "maintenance"`) {
+		t.Fatalf("tenant with a maintenance key: err = %v", err)
+	}
 	if _, err := New(&Config{Tenants: []TenantSpec{{Name: ""}}}); err == nil {
 		t.Fatal("nameless tenant accepted")
 	}

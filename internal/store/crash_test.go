@@ -387,19 +387,26 @@ func runCrashHistory(t *testing.T, ws histScheme, maint Maintenance, seed int64,
 
 // TestCrashPointExerciser replays randomized durable histories and
 // proves recovery at every record boundary plus torn tails, for both
-// maintenance engines over several workload shapes and seeds (102
-// histories in the full matrix; `go test -short` runs a reduced matrix
+// maintenance engines over several workload shapes and seeds (104
+// histories in the full matrix, two of them over a key domain whose
+// checkpoint line passes 1 MiB; `go test -short` runs a reduced matrix
 // as the CI smoke).
 func TestCrashPointExerciser(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 20260807}
 	steps := 40
-	schemes := histSchemes()
+	schemes := append(histSchemes(), wideKeyScheme())
 	if testing.Short() {
 		seeds = seeds[:2]
 		steps = 22
 		schemes = schemes[:1]
 	}
 	for _, ws := range schemes {
+		seeds := seeds
+		if ws.name == "widekey" {
+			// Every crash point rewrites and reparses ~1.5 MB checkpoints;
+			// one seed per engine covers the long-line path.
+			seeds = seeds[:1]
+		}
 		for _, maint := range []Maintenance{MaintenanceIncremental, MaintenanceRecheck} {
 			for _, seed := range seeds {
 				ws, maint, seed := ws, maint, seed

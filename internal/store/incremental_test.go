@@ -19,15 +19,15 @@ func TestMaintenanceFlag(t *testing.T) {
 		{"incremental", MaintenanceIncremental},
 		{"recheck", MaintenanceRecheck},
 	} {
-		got, err := ParseMaintenance(tc.in)
+		got, err := parseMaintenance(tc.in)
 		if err != nil || got != tc.want {
-			t.Errorf("ParseMaintenance(%q) = %v, %v", tc.in, got, err)
+			t.Errorf("parseMaintenance(%q) = %v, %v", tc.in, got, err)
 		}
 		if got.String() != tc.in {
 			t.Errorf("String round trip: %q != %q", got.String(), tc.in)
 		}
 	}
-	if _, err := ParseMaintenance("bogus"); err == nil {
+	if _, err := parseMaintenance("bogus"); err == nil {
 		t.Error("bogus engine must not parse")
 	}
 }

@@ -23,7 +23,7 @@
 // The stored instance therefore always weakly satisfies F, and every
 // stored constant is a certain consequence of user-provided data.
 //
-// # One write path, two maintenance engines
+// # One write path, one maintenance engine and its oracle
 //
 // Every mutation is a write-set applied structurally and then checked
 // once (txn.go): Txn.Commit carries k staged ops, and Insert, InsertRow,
@@ -31,21 +31,20 @@
 // the NS-closure of a set of changes does not depend on the order they
 // are processed in (Theorem 4), so the two cannot differ.
 //
-// Two engines implement the check. MaintenanceRecheck is the oracle:
-// clone the instance, apply the write-set, run one extended chase —
-// O(n) per commit, the ground truth the other engine is tested against
-// and delegates rejections to, not a production setting.
-// MaintenanceIncremental (the default) exploits that the stored
-// instance is always a chase fixpoint: a delta can only fire NS-rules
-// inside the partition groups it touches, so the engine applies the
-// write-set in place and sweeps just those groups, propagating forced
-// substitutions through a worklist over the delta-maintained
-// X-partition indexes (incremental.go) — O(affected groups) per
-// accepted commit, one sweep per group however many of its rows the
-// write-set staged. The engines agree verdict-for-verdict and
-// state-for-state, tuple order included; history_test.go and
-// txn_history_test.go replay randomized operation histories against
-// both to prove it.
+// MaintenanceIncremental — the zero value of Options, and the only
+// engine a CLI flag, a tenant config or the fdnull facade can reach —
+// exploits that the stored instance is always a chase fixpoint: a delta
+// can only fire NS-rules inside the partition groups it touches, so the
+// engine applies the write-set in place and sweeps just those groups,
+// propagating forced substitutions through a worklist over the
+// delta-maintained X-partition indexes (incremental.go) — O(affected
+// groups) per accepted commit, one sweep per group however many of its
+// rows the write-set staged. MaintenanceRecheck is its oracle: clone the
+// instance, apply the write-set, run one extended chase — O(n) per
+// commit. It is what rejections and ApplyXRules stores delegate to, and
+// what history_test.go and txn_history_test.go replay randomized
+// operation histories against: the two agree verdict-for-verdict and
+// state-for-state, tuple order included.
 package store
 
 import (
@@ -75,7 +74,7 @@ const (
 	MaintenanceRecheck
 )
 
-// String returns the flag spelling of the engine.
+// String returns the WAL manifest spelling of the engine.
 func (m Maintenance) String() string {
 	switch m {
 	case MaintenanceIncremental:
@@ -86,9 +85,8 @@ func (m Maintenance) String() string {
 	return fmt.Sprintf("Maintenance(%d)", int(m))
 }
 
-// ParseMaintenance parses the -maintenance flag values "incremental" and
-// "recheck".
-func ParseMaintenance(s string) (Maintenance, error) {
+// parseMaintenance reads the engine a WAL manifest was written under.
+func parseMaintenance(s string) (Maintenance, error) {
 	switch s {
 	case "incremental":
 		return MaintenanceIncremental, nil
@@ -269,7 +267,7 @@ func (st *Store) incrementalMode() bool {
 // rejection-attribution scan (txn.go: offendingOp) shares it and
 // decides prefixes under the store's configured semantics.
 func (st *Store) resolve(tentative *relation.Relation) (*relation.Relation, *chase.Result, error) {
-	res, err := chase.Run(tentative, st.fds, chase.Options{Mode: chase.Extended, Engine: chase.Congruence})
+	res, err := chase.Run(tentative, st.fds, chase.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -287,7 +285,7 @@ func (st *Store) resolve(tentative *relation.Relation) (*relation.Relation, *cha
 				break
 			}
 			// X-substitutions may enable further NS-rules.
-			res2, err := chase.Run(next, st.fds, chase.Options{Mode: chase.Extended, Engine: chase.Congruence})
+			res2, err := chase.Run(next, st.fds, chase.Options{})
 			if err != nil {
 				return nil, nil, err
 			}

@@ -169,15 +169,6 @@ func appendWALOp(b []byte, op txnOp) []byte {
 }
 
 // encodeWALRecord renders one framed record: length, CRC, payload.
-// EncodeInsertRecordForBench returns the exact on-disk frame an
-// InsertRow commit appends (clone included), so fdbench's E21 baseline
-// loop pays identical encode cost with direct file calls and the
-// measured residual is the iox indirection plus writer bookkeeping,
-// nothing else. Not part of the durability API.
-func EncodeInsertRecordForBench(seq uint64, preMark int, row []string) []byte {
-	return encodeWALRecord(seq, recPerOp, preMark,
-		[]txnOp{{kind: txnInsert, row: append([]string(nil), row...)}})
-}
 
 func encodeWALRecord(seq uint64, mode recMode, preMark int, ops []txnOp) []byte {
 	payload := make([]byte, 0, 16+16*len(ops))
@@ -681,7 +672,7 @@ func parseManifest(data string) (walManifest, error) {
 		seen[key] = true
 		switch key {
 		case "maintenance":
-			eng, err := ParseMaintenance(val)
+			eng, err := parseMaintenance(val)
 			if err != nil {
 				return m, err
 			}

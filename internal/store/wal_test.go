@@ -21,6 +21,7 @@ import (
 	"fdnull/internal/iox"
 	"fdnull/internal/relation"
 	"fdnull/internal/value"
+	"fdnull/internal/workload"
 )
 
 func employeeDurableOpts(maint Maintenance) DurableOptions {
@@ -132,6 +133,45 @@ func TestOpenDurableFreshAndReopen(t *testing.T) {
 				t.Fatalf("post-recovery insert: %v", err)
 			}
 		})
+	}
+}
+
+// wideKeyScheme is the KV serving shape with a 200k-value key domain: a
+// domain is one line of a checkpoint, and this one is ~1.5 MB of it.
+func wideKeyScheme() histScheme {
+	s, fds, _ := workload.KV(200_000)
+	return histScheme{"widekey", s, fds}
+}
+
+// TestCheckpointWideDomainReopens: a store must be able to reopen the
+// checkpoint it wrote, however long the domain line is (relio.Parse
+// used to refuse lines past 1 MiB, i.e. key domains past ~130k values).
+func TestCheckpointWideDomainReopens(t *testing.T) {
+	ws := wideKeyScheme()
+	dir := filepath.Join(t.TempDir(), "wal")
+	d, err := OpenDurable(dir, DurableOptions{Scheme: ws.s, FDs: ws.fds})
+	if err != nil {
+		t.Fatalf("fresh open: %v", err)
+	}
+	for _, row := range [][]string{{"k1", "a1", "-"}, {"k131072", "a3", "b3"}, {"k200000", "-", "b2"}} {
+		if err := d.InsertRow(row...); err != nil {
+			t.Fatalf("insert %v: %v", row, err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	want := d.st.Snapshot()
+	if err := d.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	re, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatalf("reopen of the store's own checkpoint: %v", err)
+	}
+	defer re.Close()
+	if !relation.Equal(re.st.Snapshot(), want) {
+		t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.st.Snapshot())
 	}
 }
 

@@ -226,7 +226,7 @@ func TestWeakAgainstChaseAndSemantics_Random(t *testing.T) {
 		if r.Len() == 0 {
 			continue
 		}
-		res, err := chase.Run(r, fds, chase.Options{Mode: chase.Extended, Engine: chase.Congruence})
+		res, err := chase.Run(r, fds, chase.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -260,9 +260,9 @@ func TxnWriteSet(rng *rand.Rand, g, k int, nextUID *int) [][]string {
 	return rows
 }
 
-// KV returns the key-value serving scheme shared by the shard benchmark
-// (fdbench E22) and the open-loop load simulator (internal/loadsim): a
-// unique constant key K determining two payload attributes,
+// KV returns the key-value serving scheme of the open-loop load simulator
+// (internal/loadsim): a unique constant key K determining two payload
+// attributes,
 //
 //	K  A  B    with  K -> A; K -> B
 //

@@ -64,7 +64,8 @@ smoke-txn:
 
 # The selection-engine comparison: the indexed planner (most selective
 # Eq/In/EqAttr conjunct pushed into an X-partition probe) vs the naive
-# scan, n={400,2000} both engines, plus the store's cached read path
+# scan, n={400,2000} both engines, plus the store's read path — one
+# planned selection on the live relation per iteration, nothing memoized
 # (E19 asserts the >=5x bar with answer agreement at n=2000, p=8).
 bench-query:
 	$(GO) test -bench 'BenchmarkSelect|BenchmarkStoreQuery' -benchmem -run '^$$' .
@@ -72,7 +73,10 @@ bench-query:
 # Short-mode query smoke: the differential fuzz (both engines vs the
 # per-tuple EvalBrute oracle, `!` cells and shared marks included), the
 # null-aware join differentials, the plan-time In dedupe regression, the
-# E19 sweep's agreement self-check in quick mode, and the explain goldens.
+# E19 sweep's agreement self-check in quick mode, the store's Maybe->Sure
+# refinement on its live relation, and the explain goldens. (The store's
+# planner-vs-scan agreement under writes rides in smoke-store, smoke-txn
+# and smoke-shard: the exercisers' per-step read battery.)
 smoke-query:
 	$(GO) test -short -run 'TestSelectDifferential|TestSelectAllDifferential|TestSelectJoined|TestInDedupeAtPlanTime' ./internal/query
 	$(GO) test -short -run 'TestQuerySweep|TestStoreQueryRefinement' ./cmd/fdbench ./internal/store
@@ -139,10 +143,13 @@ loc:
 		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
-# The ceiling on `make loc`'s total, set by the last PR that shrank the
-# tree to its own result: a PR that lowers the total lowers LOC_MAX with
-# it, and one that has to raise it says why in CHANGES.md.
-LOC_MAX = 20843
+# The ceilings `loc-check` holds: LOC_MAX on `make loc`'s total, and
+# CORE_LOC_MAX on internal/store + internal/query + internal/chase (the
+# ROADMAP's second bar). Each is set by the last PR that shrank it to its
+# own result: a PR that lowers a sum lowers its ceiling with it, and one
+# that has to raise one says why in CHANGES.md.
+LOC_MAX = 20602
+CORE_LOC_MAX = 6883
 
 # Report-only: the exported surface as `go doc -all` prints it —
 # internal/store's struct types and funcs + methods, and the root fdnull
@@ -156,10 +163,13 @@ surface:
 		END { printf "fdnull: %d exported identifiers\n", n }'
 
 loc-check:
-	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
-	if [ "$$total" -gt $(LOC_MAX) ]; then \
-		echo "make loc: $$total non-test lines, over LOC_MAX = $(LOC_MAX)"; exit 1; fi; \
-	echo "make loc: $$total non-test lines (LOC_MAX = $(LOC_MAX))"
+	@set -- $$($(MAKE) -s loc | awk '$$2 == "total" { t = $$1 } \
+		$$2 ~ /^\.\/internal\/(store|query|chase)$$/ { c += $$1 } END { print t, c }'); \
+	if [ "$$1" -gt $(LOC_MAX) ]; then \
+		echo "make loc: $$1 non-test lines, over LOC_MAX = $(LOC_MAX)"; exit 1; fi; \
+	if [ "$$2" -gt $(CORE_LOC_MAX) ]; then \
+		echo "make loc: store + query + chase $$2 non-test lines, over CORE_LOC_MAX = $(CORE_LOC_MAX)"; exit 1; fi; \
+	echo "make loc: $$1 non-test lines (LOC_MAX = $(LOC_MAX)), store + query + chase $$2 (CORE_LOC_MAX = $(CORE_LOC_MAX))"
 
 # An oracle is not a setting: the ground-truth engines may be named in
 # the package that owns them, in tests, in cmd/fdbench's agreement

@@ -356,8 +356,9 @@ func BenchmarkSelect(b *testing.B) {
 }
 
 func BenchmarkStoreQuery(b *testing.B) {
-	// The store's cached read path: after the first evaluation every
-	// repeat at the same version is a map hit.
+	// The store's read path: one planned selection on the live relation
+	// per iteration — plan, probe the D# index, evaluate the residual on
+	// the candidates. Nothing memoizes the repeat.
 	s, fds, r := employeesBench(2000)
 	st, err := fdnull.StoreFromRelation(s, fds, r, fdnull.StoreOptions{})
 	if err != nil {

@@ -27,11 +27,10 @@
 // queries run — queries then see everything the dependencies imply.
 //
 // With -store the instance is loaded into a guarded store and the
-// queries are served from its snapshot through the version-keyed query
-// cache: besides the chase normalization (everything -chase gives), the
-// NS-rules' NEC classes share marks, so attribute-equality atoms the
-// raw data leaves open may be decided. A file that contradicts its FDs
-// is rejected.
+// queries run over the instance the store settled on: besides the chase
+// normalization (everything -chase gives), the NS-rules' NEC classes
+// share marks, so attribute-equality atoms the raw data leaves open may
+// be decided. A file that contradicts its FDs is rejected.
 //
 // With -checkfds the file's FDs are first evaluated by the batch engine
 // (eval.CheckAll) and a per-FD satisfaction summary is printed before
@@ -72,7 +71,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var wheres multiFlag
 	fs.Var(&wheres, "where", "predicate, e.g. 'A = x and B in (y, z)'; may repeat")
 	doChase := fs.Bool("chase", false, "chase to the minimally incomplete instance first")
-	useStore := fs.Bool("store", false, "serve the queries from a guarded store snapshot (chase + NEC-shared marks + query cache)")
+	useStore := fs.Bool("store", false, "query the instance a guarded store settles on (chase + NEC-shared marks)")
 	checkFDs := fs.Bool("checkfds", false, "print a per-FD satisfaction summary before the answers")
 	explain := fs.Bool("explain", false, "print each predicate's compiled plan before its answers")
 	workers := fs.Int("workers", 0, "worker pool size for the predicate batch (0 = GOMAXPROCS)")
@@ -143,30 +142,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		preds[i] = p
 	}
 	opts := query.Options{Workers: *workers}
-	var st *store.Store
 	if *useStore {
-		st, err = store.FromRelation(parsed.Scheme, parsed.FDs, r, store.Options{})
+		st, err := store.FromRelation(parsed.Scheme, parsed.FDs, r, store.Options{})
 		if err != nil {
 			fmt.Fprintf(stderr, "fdquery: -store: %v\n", err)
 			return 2
 		}
-		r = st.Snapshot() // print the normalized tuples the answers index
+		r = st.Snapshot() // the normalized tuples the answers index
 	}
 	var results []query.Result
 	explains := make([]*query.Explain, len(preds))
-	switch {
-	case *explain:
+	if *explain {
 		// The explain path evaluates predicate by predicate so each report
-		// describes the plan that actually produced its answers (the store
-		// case runs over the normalized snapshot, bypassing the query
-		// cache — the answers are identical by the engines' agreement).
+		// describes the plan that actually produced its answers.
 		results = make([]query.Result, len(preds))
 		for i, p := range preds {
 			results[i], explains[i] = query.SelectExplain(r, p, opts)
 		}
-	case st != nil:
-		results = st.QueryAll(preds, opts)
-	default:
+	} else {
 		results = query.SelectAll(r, preds, opts)
 	}
 	for i, res := range results {

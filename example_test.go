@@ -91,8 +91,9 @@ func ExampleStore_Query() {
 	q := fdnull.Eq{Attr: s.MustAttr("SL"), Const: "s7"}
 	res := st.Query(q)
 	fmt.Println("sure:", res.Sure, "maybe:", res.Maybe)
-	// A second tuple for s2 lets E -> SL decide the null; the version
-	// move invalidates the cached answer and the maybe becomes sure.
+	// A second tuple for s2 lets E -> SL decide the null in place; the
+	// next query probes the index that write kept fresh, and the maybe
+	// becomes sure.
 	_ = st.InsertRow("s2", "s7")
 	res = st.Query(q)
 	fmt.Println("sure:", res.Sure, "maybe:", res.Maybe)

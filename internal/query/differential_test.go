@@ -101,11 +101,6 @@ func randPred(rng *rand.Rand, s *schema.Scheme, depth int) Pred {
 	}
 }
 
-// viewIndexer embeds a snapshot and exposes its per-call IndexOn, so
-// the planner engages (a bare relation.View is deliberately routed to
-// the scan by SelectWith).
-type viewIndexer struct{ relation.View }
-
 // verdictOf reads a tuple's three-valued verdict back out of a Result.
 func verdictOf(res Result, i int) tvl.T {
 	for _, j := range res.Sure {
@@ -139,15 +134,9 @@ func TestSelectDifferential(t *testing.T) {
 				trial, p, naive.Sure, naive.Maybe, indexed.Sure, indexed.Maybe, r)
 		}
 		// A COW snapshot must answer identically with zero
-		// materialization (a bare view degrades to the scan by design —
-		// the store's cached wrapper is the amortized indexed path).
+		// materialization (a view is not an Indexer, so it scans).
 		if snap := SelectWith(r.View(), p, Options{Engine: EngineIndexed}); !naive.Equal(snap) {
 			t.Fatalf("trial %d: view disagrees on %s", trial, p)
-		}
-		// The planner over a view-backed Indexer (the store's shape) must
-		// also agree; viewIndexer amortizes nothing but proves the path.
-		if vi := SelectWith(viewIndexer{r.View()}, p, Options{Engine: EngineIndexed}); !naive.Equal(vi) {
-			t.Fatalf("trial %d: view-indexer planner disagrees on %s", trial, p)
 		}
 		// Per-tuple soundness against the exponential ground truth; on
 		// atoms (depth 0) the analytic evaluation is exact.
@@ -269,9 +258,8 @@ func TestSelectEngineFallbacks(t *testing.T) {
 }
 
 // TestParseEngine pins what is left of the engine's spelling now that no
-// flag parses it: the renderings are part of the store's query-cache key
-// and of the plan report, where the oracle names itself as the reason
-// for its scan.
+// flag parses it: the renderings are part of the plan report, where the
+// oracle names itself as the reason for its scan.
 func TestParseEngine(t *testing.T) {
 	for e, want := range map[Engine]string{EngineIndexed: "indexed", EngineNaive: "naive", Engine(99): "Engine(99)"} {
 		if got := e.String(); got != want {

@@ -38,9 +38,7 @@ const (
 	EngineNaive
 )
 
-// String names the engine in plan reports. The rendering is also part
-// of the store's query-cache key, so the two engines must render
-// distinctly.
+// String names the engine in plan reports.
 func (e Engine) String() string {
 	switch e {
 	case EngineIndexed:
@@ -53,10 +51,11 @@ func (e Engine) String() string {
 
 // Indexer is the optional capability of a Source the planner needs:
 // X-partition indexes over the same tuples All() yields.
-// *relation.Relation provides it from its version-invalidated cache;
-// relation.View builds one per call (an O(n) pass — worthwhile only when
-// amortized, which is why the store keeps a version-keyed snapshot-index
-// cache and hands the planner that instead).
+// *relation.Relation provides it from its index cache, which the delta
+// mutators keep fresh across writes — the store answers selections on
+// its live relation for exactly that reason. A relation.View is not an
+// Indexer: a snapshot has no indexes to maintain, and selections over
+// one scan.
 type Indexer interface {
 	IndexOn(set schema.AttrSet) *relation.Index
 }
@@ -76,12 +75,6 @@ type Options struct {
 // indexed engine requires the source to be an Indexer and the
 // predicate to carry plannable structure; otherwise it degrades to the
 // scan, so the verdicts are engine-independent by construction.
-//
-// A bare relation.View also degrades to the scan: its IndexOn rebuilds
-// per call, so planning over it would pay one O(n) build per conjunct
-// just to probe once — strictly worse than the single O(n) scan. Views
-// get the planner only through an amortizing Indexer wrapper (the
-// store's version-keyed snapshot-index cache).
 func SelectWith(src Source, p Pred, opts Options) Result {
 	if ix, ok := plannerSource(src, opts.Engine); ok {
 		return PlanPred(src, ix, p).Run(src)
@@ -90,45 +83,30 @@ func SelectWith(src Source, p Pred, opts Options) Result {
 }
 
 // plannerSource reports whether the engine plans at all and the source
-// supports it (an Indexer that is not a bare, non-amortizing View).
+// supports it.
 func plannerSource(src Source, e Engine) (Indexer, bool) {
 	if e != EngineIndexed {
 		return nil, false
 	}
 	ix, ok := src.(Indexer)
-	if !ok {
-		return nil, false
-	}
-	if _, bare := src.(relation.View); bare {
-		return nil, false
-	}
-	return ix, true
+	return ix, ok
 }
 
 // SelectAll evaluates every predicate of the batch over one source,
-// fanning the predicates out over a bounded worker pool, and returns the
-// results in input order. Index builds are shared through the source's
-// index cache (relation.IndexOn serializes them internally), so workers
-// only ever read immutable state; the source must not be mutated while
-// SelectAll runs.
+// fanning the predicates out over a pool of at most Options.Workers
+// goroutines (never more than the batch), and returns the results in
+// input order. Index builds are shared through the source's index cache
+// (relation.IndexOn serializes them internally), so workers only ever
+// read immutable state; the source must not be mutated while SelectAll
+// runs.
 func SelectAll(src Source, preds []Pred, opts Options) []Result {
 	out := make([]Result, len(preds))
-	ForEachBounded(len(preds), opts.Workers, func(i int) {
-		out[i] = SelectWith(src, preds[i], opts)
-	})
-	return out
-}
-
-// ForEachBounded runs fn(0..n-1) over a worker pool of at most `workers`
-// goroutines (≤0 means GOMAXPROCS, never more than n). It is the batch
-// fan-out shared by SelectAll and the store's cached query batch; fn
-// must be safe to call concurrently for distinct indices.
-func ForEachBounded(n, workers int, fn func(i int)) {
+	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	if workers > len(preds) {
+		workers = len(preds)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -137,13 +115,14 @@ func ForEachBounded(n, workers int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
+				i := int(next.Add(1) - 1)
+				if i >= len(preds) {
 					return
 				}
-				fn(int(i))
+				out[i] = SelectWith(src, preds[i], opts)
 			}
 		}()
 	}
 	wg.Wait()
+	return out
 }

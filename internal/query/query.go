@@ -71,9 +71,9 @@ import (
 // returns false on any tuple admitting no completion (the
 // contradictory-tuple convention below), and String renders the
 // predicate *unambiguously* — two predicates with different semantics
-// must render differently, because the store's query cache keys results
-// by the rendering (the package's own atoms quote their constants for
-// exactly this reason).
+// must render differently, because plan reports (explain.go) identify
+// pushed atoms by the rendering (the package's own atoms quote their
+// constants for exactly this reason).
 type Pred interface {
 	// Eval returns the least-extension truth value of the predicate on t.
 	// On a tuple admitting no completion — a `!` cell anywhere, or a mark
@@ -175,9 +175,8 @@ type Or struct{ P, Q Pred }
 
 func (e Eq) String() string { return fmt.Sprintf("#%d = %q", e.Attr, e.Const) }
 
-// String quotes each value (like Eq): the rendering doubles as a cache
-// key in the store's query cache, and unquoted joining would let
-// {`a,b`} and {`a`, `b`} collide.
+// String quotes each value (like Eq): unquoted joining would let
+// {`a,b`} and {`a`, `b`} render alike.
 func (i In) String() string {
 	quoted := make([]string, len(i.Values))
 	for k, v := range i.Values {
@@ -399,9 +398,9 @@ func (o Or) Eval(s *schema.Scheme, t relation.Tuple) tvl.T {
 // Source is the read surface a selection evaluates over: a stable set of
 // tuples with positional access and zero-allocation iteration. Both
 // *relation.Relation and relation.View satisfy it, so snapshots are
-// queried with zero materialization; the store's query path wraps a
-// begin-time COW snapshot in one. The source must not be mutated while a
-// selection runs (views are immutable by construction).
+// queried with zero materialization. The source must not be mutated
+// while a selection runs: views are immutable by construction, and the
+// store evaluates on its live relation under the handle's read lock.
 type Source interface {
 	Scheme() *schema.Scheme
 	Len() int

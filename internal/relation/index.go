@@ -91,19 +91,14 @@ func (ix *Index) Stats() IndexStats {
 
 // BuildIndex partitions r's tuples by their projection on set.
 func BuildIndex(r *Relation, set schema.AttrSet) *Index {
-	return buildIndex(r.tuples, r.version, set)
-}
-
-// buildIndex is the shared partition pass of BuildIndex and View.IndexOn.
-func buildIndex(tuples []Tuple, version uint64, set schema.AttrSet) *Index {
 	ix := &Index{
 		set:     set,
 		attrs:   set.Attrs(),
-		groups:  make(map[string][]int, len(tuples)),
-		version: version,
+		groups:  make(map[string][]int, len(r.tuples)),
+		version: r.version,
 	}
 	var b strings.Builder
-	for i, t := range tuples {
+	for i, t := range r.tuples {
 		switch {
 		case t.HasNothingOn(set):
 			ix.nothing = append(ix.nothing, i)
@@ -196,14 +191,27 @@ func (r *Relation) IndexOn(set schema.AttrSet) *Index {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ix, ok := r.indexes[set]; ok && ix.version == r.version {
+		r.indexServed++
 		return ix
 	}
+	r.indexBuilt++
 	ix := BuildIndex(r, set)
 	if r.indexes == nil {
 		r.indexes = make(map[schema.AttrSet]*Index)
 	}
 	r.indexes[set] = ix
 	return ix
+}
+
+// IndexCounts reports how many IndexOn calls a fresh cached index
+// answered and how many had to build one, since r was created. A
+// workload whose writes all go through the delta mutators builds each
+// attribute set's index once; a built count that grows with the writes
+// is an index being rebuilt.
+func (r *Relation) IndexCounts() (served, built uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.indexServed, r.indexBuilt
 }
 
 // ConstKeyOn returns the unambiguous encoding of t's constant

@@ -135,6 +135,9 @@ type Relation struct {
 	version uint64
 	mu      sync.Mutex
 	indexes map[schema.AttrSet]*Index
+	// IndexOn calls answered by a fresh cached index, and calls that had
+	// to build one (guarded by mu).
+	indexServed, indexBuilt uint64
 
 	// Copy-on-write state (view.go). cowPending is set when a View shares
 	// the current tuple slice; rowShared marks rows whose cells are still

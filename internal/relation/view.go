@@ -15,6 +15,12 @@ import "fdnull/internal/schema"
 // It shares tuple storage with the relation it was taken from; the
 // relation transitions to copy-on-write, so later mutations never show
 // through. A View is safe for concurrent use by any number of readers.
+//
+// A View carries no indexes: the X-partition indexes belong to the live
+// relation, whose delta mutators keep them fresh, and a snapshot of them
+// would be a second structure to maintain. Selections over a View scan
+// (internal/query); callers that need a stable cut *and* repeated probes
+// Materialize it and index the copy.
 type View struct {
 	scheme  *schema.Scheme
 	tuples  []Tuple
@@ -46,17 +52,6 @@ func (v View) Tuple(i int) Tuple { return v.tuples[i] }
 
 // Version is the relation's mutation counter at snapshot time.
 func (v View) Version() uint64 { return v.version }
-
-// IndexOn builds an X-partition index over the snapshot's tuples
-// (index.go). A View is an immutable value, so unlike Relation.IndexOn
-// there is no cache behind this: every call pays one O(n) partition
-// pass. Callers that probe one snapshot repeatedly should hold on to the
-// result — the store's query path keeps a version-keyed snapshot-index
-// cache for exactly that. Row indices refer to the snapshot's ordering,
-// which is the owning relation's ordering at snapshot time.
-func (v View) IndexOn(set schema.AttrSet) *Index {
-	return buildIndex(v.tuples, v.version, set)
-}
 
 // Each calls fn for every tuple in order; fn returning false stops the
 // iteration. It performs no per-tuple allocation.

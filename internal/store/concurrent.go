@@ -1,9 +1,14 @@
 // concurrent.go wraps the Store in a reader/writer-locked facade so one
 // guarded instance can serve many goroutines: writers serialize behind
-// the write lock, while readers take O(1) copy-on-write snapshots under
-// the read lock and then work entirely lock-free on immutable data —
-// the snapshot-then-analyze pattern keeps FD checks, queries, and
-// reports off the write path.
+// the write lock, and readers share the read lock. A read is one of two
+// kinds. Query, QueryAll, CheckWeak, CheckStrong and Len evaluate on the
+// live relation and hold the read lock for their own length — a planned
+// selection is a few index probes, and the indexes it probes are the
+// ones the writers keep fresh. Snapshot and BeginTxn take an O(1)
+// copy-on-write view under the read lock and then work lock-free on
+// immutable data — the snapshot-then-analyze pattern for anything long
+// (discovery, reports, a stable cut across several reads), which a
+// writer should not wait for.
 //
 // The locked store is the unit of isolation AND of durability:
 // OpenDurable (recovery.go) returns a *Concurrent whose inner store

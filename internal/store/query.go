@@ -1,6 +1,6 @@
 // query.go implements the store's FD-aware read path: three-valued
-// selections served from begin-time COW snapshots with a version-keyed
-// result-and-index cache.
+// selections evaluated on the live relation, through the X-partition
+// indexes the write path already keeps fresh.
 //
 // Querying a *store* is strictly sharper than querying the raw input
 // relation, because the stored instance is always chase-normalized
@@ -12,312 +12,87 @@
 // Maybe to Sure with no enumeration. query_test.go pins this refinement
 // against per-tuple query.EvalBrute as the oracle.
 //
-// Reads never block writers for longer than the O(1) snapshot: Query
-// captures a copy-on-write view (under the concurrent facade's read
-// lock), releases it, and evaluates lock-free on the immutable snapshot.
-// Because the stored relation's version counter is monotone, results and
-// the planner's snapshot indexes are cached per version and served
-// without re-evaluating until the next accepted mutation.
+// There is one index structure per relation and no cache in front of it.
+// A selection plans over Relation.IndexOn, whose indexes the delta
+// mutators (relation/delta.go) update in place at O(touched group) per
+// write, so a read that follows a write probes a fresh index instead of
+// rebuilding one; against a Concurrent handle it holds the read lock for
+// its own length, the contract CheckWeak, CheckStrong and Len already
+// have. Three things are given up for that, deliberately:
+//
+//   - a *repeated identical* predicate at an unchanged version is
+//     planned and probed again rather than answered from a result map
+//     (8–9 % of the benchmark's mixed workload's reads and under 1 % of
+//     its read-only one's were such repeats when the map was removed);
+//   - evaluation is not lock-free: a selection holds its shard's read
+//     lock for microseconds when a probe answers it and for O(n) when
+//     the predicate offers the planner nothing. A long analysis that
+//     must not hold the lock takes Snapshot() and runs query.Select on
+//     it, as discover and check do;
+//   - an index a read caused to be built persists and is maintained by
+//     every later write. The planner asks for singleton sets and EqAttr
+//     pairs only, and such an index is rebuilt exactly when the write
+//     path's own are: after a Restore rollback or a recheck adopt.
 package store
 
-import (
-	"fmt"
-	"iter"
-	"sync"
-
-	"fdnull/internal/query"
-	"fdnull/internal/relation"
-	"fdnull/internal/schema"
-)
-
-// queryCache holds the per-version read-path caches: selection results
-// keyed by (engine, predicate) and the planner's X-partition indexes
-// over the current snapshot. The monotone relation version is the whole
-// invalidation story — any accepted mutation moves it, and the first
-// query at the new version resets the maps. Safe for concurrent use.
-type queryCache struct {
-	mu      sync.Mutex
-	version uint64
-	results map[string]query.Result
-	// order lists the results keys oldest-first; eviction at capacity
-	// pops the front, so the entry just published by a coalesced
-	// in-flight miss — always the back — is never the victim.
-	order    []string
-	indexes  map[schema.AttrSet]*relation.Index
-	inflight map[string]*inflightSelect
-	hits     uint64
-	misses   uint64
-	// limit overrides maxCachedResults when positive (tests exercise
-	// eviction without publishing a thousand distinct selections).
-	limit int
-}
-
-// inflightSelect coalesces concurrent identical selections: the first
-// misser evaluates, everyone else arriving at the same version blocks on
-// done and shares the result (counted as a hit). ok stays false when the
-// leader died mid-evaluation (a panic unwinding through selectCached);
-// waiters then evaluate for themselves instead of trusting a zero
-// Result.
-type inflightSelect struct {
-	ver  uint64
-	done chan struct{}
-	res  query.Result
-	ok   bool
-}
-
-// syncLocked aligns the cache with version ver. It reports false for a
-// stale reader (ver older than the cache — its entries must neither be
-// served nor stored); a newer ver resets the maps.
-func (qc *queryCache) syncLocked(ver uint64) bool {
-	if ver < qc.version {
-		return false
-	}
-	if ver > qc.version {
-		qc.version = ver
-		qc.results = nil
-		qc.order = nil
-		qc.indexes = nil
-		// Orphaned in-flight entries are harmless: their leaders hold
-		// direct pointers and still close done for any joined waiters.
-		qc.inflight = nil
-	}
-	return true
-}
-
-// indexOn returns the X-partition index over snapshot v, cached when v
-// is the cache's current version and built fresh (uncached) for stale
-// snapshots still held by older readers. The O(n) build runs with the
-// mutex released — result-cache hits must never stall behind a cold
-// index build — so two racing readers may build the same index; the
-// loser's copy is equivalent and simply dropped.
-func (qc *queryCache) indexOn(v relation.View, set schema.AttrSet) *relation.Index {
-	qc.mu.Lock()
-	if qc.syncLocked(v.Version()) {
-		if ix, ok := qc.indexes[set]; ok {
-			qc.mu.Unlock()
-			return ix
-		}
-	}
-	qc.mu.Unlock()
-	ix := v.IndexOn(set)
-	qc.mu.Lock()
-	if qc.syncLocked(v.Version()) {
-		if won, ok := qc.indexes[set]; ok {
-			ix = won // adopt the racing builder's copy for map stability
-		} else {
-			if qc.indexes == nil {
-				qc.indexes = make(map[schema.AttrSet]*relation.Index)
-			}
-			qc.indexes[set] = ix
-		}
-	}
-	qc.mu.Unlock()
-	return ix
-}
-
-// snapSource adapts a COW snapshot plus the cache into a query.Source
-// with the planner's Indexer capability.
-type snapSource struct {
-	v  relation.View
-	qc *queryCache
-}
-
-func (s snapSource) Scheme() *schema.Scheme              { return s.v.Scheme() }
-func (s snapSource) Len() int                            { return s.v.Len() }
-func (s snapSource) Tuple(i int) relation.Tuple          { return s.v.Tuple(i) }
-func (s snapSource) All() iter.Seq2[int, relation.Tuple] { return s.v.All() }
-func (s snapSource) IndexOn(set schema.AttrSet) *relation.Index {
-	return s.qc.indexOn(s.v, set)
-}
-
-// cacheKey identifies a selection by engine and rendered predicate; the
-// NUL separator cannot occur in either rendering.
-func cacheKey(e query.Engine, p query.Pred) string {
-	return fmt.Sprintf("%s\x00%s", e, p)
-}
-
-// maxCachedResults bounds the per-version result cache: a read-mostly
-// store at a stable version serving a stream of *distinct* predicates
-// (point probes across a key space, client-supplied -where strings)
-// must not grow memory without limit waiting for the next write to
-// reset the maps. When full, the OLDEST entry is evicted before the
-// new one is inserted — never an arbitrary map-order victim, which
-// could be the entry a coalesced in-flight miss just published, making
-// every joiner arriving after the leader re-register a miss at the
-// same version (see TestQueryCacheEvictOldestNotPublished).
-const maxCachedResults = 1024
-
-// capLocked is the effective result-cache bound (qc.mu held).
-func (qc *queryCache) capLocked() int {
-	if qc.limit > 0 {
-		return qc.limit
-	}
-	return maxCachedResults
-}
-
-// publishLocked stores res under key (qc.mu held, cache already synced
-// to the publishing version). Eviction runs before the insert and pops
-// keys oldest-first, so the key being published — appended to the back
-// of the order — can never be selected as the victim.
-func (qc *queryCache) publishLocked(key string, res query.Result) {
-	if qc.results == nil {
-		qc.results = make(map[string]query.Result)
-	}
-	if _, exists := qc.results[key]; !exists {
-		for len(qc.results) >= qc.capLocked() && len(qc.order) > 0 {
-			victim := qc.order[0]
-			qc.order = qc.order[1:]
-			delete(qc.results, victim)
-		}
-		qc.order = append(qc.order, key)
-	}
-	qc.results[key] = res
-}
-
-// selectCached answers one selection over snapshot v, serving and
-// feeding the version-keyed result cache. Concurrent identical misses
-// coalesce onto one evaluation (inflightSelect). The returned Result
-// shares its slices with the cache: callers must not mutate it.
-func (qc *queryCache) selectCached(v relation.View, p query.Pred, opts query.Options) query.Result {
-	key := cacheKey(opts.Engine, p)
-	ver := v.Version()
-	var fl *inflightSelect
-	qc.mu.Lock()
-	current := qc.syncLocked(ver)
-	if current {
-		if res, ok := qc.results[key]; ok {
-			qc.hits++
-			qc.mu.Unlock()
-			return res
-		}
-		if waiting, ok := qc.inflight[key]; ok && waiting.ver == ver {
-			qc.hits++
-			qc.mu.Unlock()
-			<-waiting.done
-			if waiting.ok {
-				return waiting.res
-			}
-			// The leader panicked before producing a result; fall through
-			// to an uncoalesced evaluation of our own.
-			return query.SelectWith(snapSource{v: v, qc: qc}, p, opts)
-		}
-		fl = &inflightSelect{ver: ver, done: make(chan struct{})}
-		if qc.inflight == nil {
-			qc.inflight = make(map[string]*inflightSelect)
-		}
-		qc.inflight[key] = fl
-	}
-	qc.misses++
-	qc.mu.Unlock()
-	if !current {
-		// A stale snapshot (an overtaken transaction) cannot use the
-		// cached indexes, and building throwaway ones per conjunct would
-		// cost more than the single O(n) scan — serve it by the scan.
-		return query.Select(snapSource{v: v, qc: qc}, p)
-	}
-	// The deferred cleanup runs even when the evaluation panics: the
-	// done channel always closes (no waiter can hang forever) and the
-	// dead entry leaves the map (no later query joins it).
-	defer func() {
-		qc.mu.Lock()
-		if qc.inflight[key] == fl {
-			delete(qc.inflight, key)
-		}
-		qc.mu.Unlock()
-		close(fl.done)
-	}()
-	res := query.SelectWith(snapSource{v: v, qc: qc}, p, opts)
-	fl.res, fl.ok = res, true
-	qc.mu.Lock()
-	if qc.syncLocked(ver) {
-		qc.publishLocked(key, res)
-	}
-	qc.mu.Unlock()
-	return res
-}
-
-// selectAllCached fans a predicate batch over the shared bounded worker
-// pool, each worker answering through the cache (so repeated predicates
-// and shared index sets amortize across the batch).
-func (qc *queryCache) selectAllCached(v relation.View, preds []query.Pred, opts query.Options) []query.Result {
-	out := make([]query.Result, len(preds))
-	query.ForEachBounded(len(preds), opts.Workers, func(i int) {
-		out[i] = qc.selectCached(v, preds[i], opts)
-	})
-	return out
-}
+import "fdnull/internal/query"
 
 // Query evaluates a three-valued selection over the stored (minimally
-// incomplete) instance with the default options: indexed engine, cached
-// per version. Sure lists tuples in the answer under every completion of
-// the stored instance, Maybe under some; the chase normalization behind
-// the store means FD-forced values and NEC-shared marks sharpen answers
-// raw inputs would leave Maybe. The result shares cache-owned slices —
-// callers must not mutate it.
+// incomplete) instance. Sure lists tuples in the answer under every
+// completion of the stored instance, Maybe under some; the chase
+// normalization behind the store means FD-forced values and NEC-shared
+// marks sharpen answers raw inputs would leave Maybe. Indices address
+// the instance as it is now and go stale with the next mutation.
 func (st *Store) Query(p query.Pred) query.Result {
-	return st.QueryWith(p, query.Options{})
+	return query.SelectWith(st.rel, p, query.Options{})
 }
 
-// QueryWith is Query with explicit engine/worker options.
-func (st *Store) QueryWith(p query.Pred, opts query.Options) query.Result {
-	return st.qcache.selectCached(st.rel.View(), p, opts)
-}
-
-// QueryAll answers a batch of selections over one snapshot of the
-// stored instance, fanned over a bounded worker pool (Options.Workers).
+// QueryAll answers a batch of selections over the stored instance,
+// fanned over a bounded worker pool (Options.Workers).
 func (st *Store) QueryAll(preds []query.Pred, opts query.Options) []query.Result {
-	return st.qcache.selectAllCached(st.rel.View(), preds, opts)
+	return query.SelectAll(st.rel, preds, opts)
 }
 
-// QueryCacheStats reports the read-path cache counters (for
-// observability and tests): result-cache hits and misses since the
-// store was created.
-func (st *Store) QueryCacheStats() (hits, misses uint64) {
-	st.qcache.mu.Lock()
-	defer st.qcache.mu.Unlock()
-	return st.qcache.hits, st.qcache.misses
-}
-
-// Query evaluates a selection against the concurrent store: the O(1)
-// snapshot is taken under the read lock, evaluation runs lock-free on
-// the immutable view, and results are cached per version exactly as for
-// Store.Query. Writers are never blocked by a long selection.
+// Query evaluates a selection against the concurrent store under the
+// read lock: readers proceed in parallel with each other, and a writer
+// waits for the selections in flight.
 func (c *Concurrent) Query(p query.Pred) query.Result {
-	return c.QueryWith(p, query.Options{})
-}
-
-// QueryWith is Query with explicit engine/worker options.
-func (c *Concurrent) QueryWith(p query.Pred, opts query.Options) query.Result {
 	c.mu.RLock()
-	v := c.st.View()
-	c.mu.RUnlock()
-	return c.st.qcache.selectCached(v, p, opts)
+	defer c.mu.RUnlock()
+	return c.st.Query(p)
 }
 
-// QueryAll answers a batch of selections over ONE snapshot: every
-// predicate sees the same committed state even while writers proceed.
+// QueryAll answers a batch of selections under ONE hold of the read
+// lock: every predicate sees the same committed state.
 func (c *Concurrent) QueryAll(preds []query.Pred, opts query.Options) []query.Result {
 	c.mu.RLock()
-	v := c.st.View()
-	c.mu.RUnlock()
-	return c.st.qcache.selectAllCached(v, preds, opts)
+	defer c.mu.RUnlock()
+	return c.st.QueryAll(preds, opts)
 }
 
-// QueryCacheStats reports the read-path cache counters.
+// QueryCacheStats reports how the relation's X-partition indexes served
+// the store so far: IndexOn calls — the planner's and the write path's —
+// answered by a fresh index (hits), and calls that had to build one
+// (misses). On the incremental engine misses stop growing once every
+// attribute set in use has been asked for; growth beside accepted
+// writes means an index is being rebuilt.
 func (c *Concurrent) QueryCacheStats() (hits, misses uint64) {
-	return c.st.QueryCacheStats()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.st.rel.IndexCounts()
 }
 
-// Query evaluates a selection over the transaction's begin-time
-// snapshot: later commits by other writers are invisible, exactly as
-// for the transaction's other reads. Results are cached only while the
-// snapshot is still current; a transaction overtaken by commits pays an
-// uncached (but still correct) evaluation.
+// Query evaluates a selection over the transaction's begin-time state:
+// later commits by other writers are invisible, exactly as for the
+// transaction's other reads. While no commit has overtaken the
+// transaction that state is the live relation, indexes included; once
+// overtaken, the begin-time snapshot is scanned.
 func (t *ConcurrentTxn) Query(p query.Pred) query.Result {
-	return t.QueryWith(p, query.Options{})
-}
-
-// QueryWith is Query with explicit engine/worker options.
-func (t *ConcurrentTxn) QueryWith(p query.Pred, opts query.Options) query.Result {
-	return t.c.st.qcache.selectCached(t.snap, p, opts)
+	t.c.mu.RLock()
+	if t.c.st.Version() == t.snap.Version() {
+		defer t.c.mu.RUnlock()
+		return t.c.st.Query(p)
+	}
+	t.c.mu.RUnlock()
+	return query.Select(t.snap, p)
 }

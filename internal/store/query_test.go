@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
 	"fdnull/internal/tvl"
-	"fdnull/internal/workload"
+	"fdnull/internal/value"
 )
 
 func refineScheme() (*schema.Scheme, []fd.FD) {
@@ -135,50 +136,6 @@ func TestStoreQueryDomainExhaustion(t *testing.T) {
 	}
 }
 
-func TestStoreQueryCache(t *testing.T) {
-	s, fds := refineScheme()
-	st := New(s, fds, Options{})
-	for _, row := range [][]string{{"e1", "s10", "d1"}, {"e2", "-", "d2"}} {
-		if err := st.InsertRow(row...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := query.Eq{Attr: s.MustAttr("D#"), Const: "d1"}
-	r1 := st.Query(p)
-	if h, m := st.QueryCacheStats(); h != 0 || m != 1 {
-		t.Fatalf("after first query: hits=%d misses=%d", h, m)
-	}
-	if r2 := st.Query(p); !r1.Equal(r2) {
-		t.Fatal("cached result differs")
-	}
-	if h, _ := st.QueryCacheStats(); h != 1 {
-		t.Fatal("second identical query must hit the cache")
-	}
-	// Engines cache under distinct keys but agree on the answer.
-	rn := st.QueryWith(p, query.Options{Engine: query.EngineNaive})
-	if !rn.Equal(r1) {
-		t.Fatal("naive engine disagrees with indexed")
-	}
-	if h, m := st.QueryCacheStats(); h != 1 || m != 2 {
-		t.Fatalf("engine key separation: hits=%d misses=%d", h, m)
-	}
-	// A mutation moves the version: the next query re-evaluates and sees
-	// the new tuple.
-	if err := st.InsertRow("e3", "s11", "d1"); err != nil {
-		t.Fatal(err)
-	}
-	r3 := st.Query(p)
-	if r3.Equal(r1) {
-		t.Fatal("post-mutation query must see the new tuple")
-	}
-	if h, m := st.QueryCacheStats(); h != 1 || m != 3 {
-		t.Fatalf("version invalidation: hits=%d misses=%d", h, m)
-	}
-	if want := query.Select(st.Snapshot(), p); !r3.Equal(want) {
-		t.Fatal("post-mutation result wrong")
-	}
-}
-
 func TestStoreQueryAll(t *testing.T) {
 	s, fds := refineScheme()
 	st := New(s, fds, Options{})
@@ -191,7 +148,7 @@ func TestStoreQueryAll(t *testing.T) {
 		query.Eq{Attr: 0, Const: "e1"},
 		query.Eq{Attr: 2, Const: "d1"},
 		query.In{Attr: 2, Values: []string{"d1", "d2"}},
-		query.Eq{Attr: 0, Const: "e1"}, // repeated: cache hit or coalesced in flight
+		query.Eq{Attr: 0, Const: "e1"}, // repeated: two workers plan over one shared index
 	}
 	batch := st.QueryAll(preds, query.Options{Workers: 3})
 	if len(batch) != len(preds) {
@@ -204,82 +161,57 @@ func TestStoreQueryAll(t *testing.T) {
 	}
 }
 
-// TestStoreQueryCacheBound: a stream of distinct predicates at one
-// version must not grow the result cache past its cap.
-func TestStoreQueryCacheBound(t *testing.T) {
-	s, fds := refineScheme()
-	st := New(s, fds, Options{})
-	if err := st.InsertRow("e1", "s10", "d1"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < maxCachedResults+50; i++ {
-		st.Query(query.In{Attr: 0, Values: []string{"e1", fmt.Sprintf("x%d", i)}})
-	}
-	st.qcache.mu.Lock()
-	n := len(st.qcache.results)
-	st.qcache.mu.Unlock()
-	if n > maxCachedResults {
-		t.Errorf("result cache grew to %d entries (cap %d)", n, maxCachedResults)
-	}
-	// Still serving: a repeat of the last predicate hits.
-	h0, _ := st.QueryCacheStats()
-	st.Query(query.In{Attr: 0, Values: []string{"e1", fmt.Sprintf("x%d", maxCachedResults+49)}})
-	if h1, _ := st.QueryCacheStats(); h1 != h0+1 {
-		t.Error("recently cached predicate should still hit")
-	}
-}
-
-// TestStoreQueryCoalescing: concurrent identical misses at one version
-// collapse onto a single evaluation — exactly one miss, everyone else a
-// (possibly in-flight) hit.
-func TestStoreQueryCoalescing(t *testing.T) {
-	s, fds := refineScheme()
-	c := NewConcurrent(s, fds, Options{})
-	for _, row := range [][]string{{"e1", "s10", "d1"}, {"e2", "-", "d2"}} {
-		if err := c.InsertRow(row...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := query.Eq{Attr: s.MustAttr("D#"), Const: "d1"}
-	const n = 8
-	results := make([]query.Result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = c.Query(p)
-		}(i)
-	}
-	wg.Wait()
-	hits, misses := c.QueryCacheStats()
-	if misses != 1 || hits != n-1 {
-		t.Errorf("coalescing: hits=%d misses=%d, want %d/1", hits, misses, n-1)
-	}
-	for i := 1; i < n; i++ {
-		if !results[i].Equal(results[0]) {
-			t.Fatalf("coalesced results differ")
-		}
-	}
-}
-
-// TestConcurrentQuery races snapshot queries against writers: results
-// must always describe one consistent committed snapshot (run under
-// -race; the final quiesced answer is checked against the naive scan).
+// TestConcurrentQuery races selections against writers on a two-shard
+// store (run under -race): a selection is evaluated on the live relation
+// under its shard's read lock, so it must always describe one committed
+// state of that shard — never a write-set in progress. Each writer owns
+// a key range and, per key, commits an insert, a second row whose null
+// the NS-rule K -> A substitutes in place (re-homing the row in the A
+// index the readers probe), a write-set the dependency rejects, and in
+// rotation a content-addressed update and a delete. Readers alternate
+// Concurrent.Query on one shard with Sharded.SelectTuples; the quiesced
+// answers are checked against the scan.
 func TestConcurrentQuery(t *testing.T) {
-	// The workload only provides the scheme/FD shape (domain sized for
-	// 100 employees); the store starts empty and the writers race.
-	s, fds, _ := workload.Employees(100, 2, 0, 42)
-	c := NewConcurrent(s, fds, Options{})
-	p := query.Eq{Attr: s.MustAttr("D#"), Const: "d1"}
+	s := schema.MustNew("R", []string{"K", "A", "B"}, []*schema.Domain{
+		schema.IntDomain("key", "k", 128),
+		schema.IntDomain("alpha", "a", 4),
+		schema.IntDomain("beta", "b", 4),
+	})
+	fds := fd.MustParseSet(s, "K -> A")
+	sh, err := NewSharded(s, fds, ShardedOptions{Shards: 2, Key: fds[0].X})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	attrA, attrB := s.MustAttr("A"), s.MustAttr("B")
+	p := query.Eq{Attr: attrA, Const: "a1"}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				if err := c.InsertRow(fmt.Sprintf("e%d", 2+w*40+i), "-", fmt.Sprintf("d%d", 1+i%2), "full"); err != nil {
+				k, a := fmt.Sprintf("k%d", 1+w*40+i), fmt.Sprintf("a%d", 1+i%2)
+				if err := sh.InsertRow(k, a, "b1"); err != nil {
 					t.Errorf("insert: %v", err)
+					return
+				}
+				if err := sh.InsertRow(k, "-", "b2"); err != nil {
+					t.Errorf("insert with a forced null: %v", err)
+					return
+				}
+				if err := sh.InsertRow(k, "a3", "b3"); !errors.Is(err, ErrInconsistent) {
+					t.Errorf("insert contradicting K -> A: got %v, want a constraint rejection", err)
+					return
+				}
+				var err error
+				switch i % 3 {
+				case 1:
+					err = sh.UpdateTuple(relation.MustFromRows(s, []string{k, a, "b1"}).Tuple(0), attrB, value.NewConst("b4"))
+				case 2:
+					err = sh.DeleteTuple(relation.MustFromRows(s, []string{k, a, "b2"}).Tuple(0))
+				}
+				if err != nil {
+					t.Errorf("update/delete: %v", err)
 					return
 				}
 			}
@@ -287,24 +219,41 @@ func TestConcurrentQuery(t *testing.T) {
 	}
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
-		go func() {
+		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
-				res := c.Query(p)
+				res := sh.Shard(r % 2).Query(p)
 				for j := 1; j < len(res.Sure); j++ {
 					if res.Sure[j] <= res.Sure[j-1] {
 						t.Error("Sure indices must be strictly ascending")
 						return
 					}
 				}
+				// Every null on A is forced inside the commit that stores
+				// it, so no committed state has a Maybe answer, and the
+				// answer tuples were cloned before the lock dropped.
+				sure, maybe := sh.SelectTuples(p, query.Options{})
+				if len(maybe) != 0 {
+					t.Errorf("SelectTuples saw an unsettled write-set: maybe %v", maybe)
+					return
+				}
+				for _, tup := range sure {
+					if !tup[attrA].IsConst() || tup[attrA].Const() != "a1" {
+						t.Errorf("SelectTuples(%s) returned %s", p, tup)
+						return
+					}
+				}
 			}
-		}()
+		}(r)
 	}
 	wg.Wait()
-	final := c.Query(p)
-	if want := query.Select(c.Snapshot(), p); !final.Equal(want) {
-		t.Fatalf("quiesced query disagrees with the scan: %v vs %v", final, want)
+	for i := 0; i < sh.NumShards(); i++ {
+		c := sh.Shard(i)
+		if got, want := c.Query(p), query.Select(c.Snapshot(), p); !got.Equal(want) {
+			t.Fatalf("shard %d: quiesced query disagrees with the scan: %v vs %v", i, got, want)
+		}
 	}
+	assertShardedReadsMatchScan(t, -1, sh, []query.Pred{p})
 }
 
 // TestTxnQuerySnapshotIsolation: a transaction's Query reads its
@@ -327,71 +276,5 @@ func TestTxnQuerySnapshotIsolation(t *testing.T) {
 	}
 	if got := c.Query(p); got.Equal(before) {
 		t.Fatal("store query must see the committed insert")
-	}
-}
-
-// TestQueryCacheEvictOldestNotPublished pins the eviction-order bugfix:
-// publishing into a full result cache must evict the OLDEST entry, not
-// an arbitrary map-order victim — under the old arbitrary eviction the
-// victim could be the entry another leader had just published, so every
-// joiner arriving after that leader re-registered a miss at the same
-// version. Each iteration uses a fresh store; the survival assertions
-// fail with probability ~1/2 per iteration under map-order eviction.
-func TestQueryCacheEvictOldestNotPublished(t *testing.T) {
-	pred := func(s *schema.Scheme, i int) query.Pred {
-		return query.Eq{Attr: s.MustAttr("SL"), Const: fmt.Sprintf("s%d", i)}
-	}
-	for iter := 0; iter < 20; iter++ {
-		s, fds := refineScheme()
-		st := New(s, fds, Options{})
-		if err := st.InsertRow("e1", "s1", "d1"); err != nil {
-			t.Fatal(err)
-		}
-		st.qcache.limit = 2
-		st.Query(pred(s, 1)) // miss, cached (oldest)
-		st.Query(pred(s, 2)) // miss, cached
-		st.Query(pred(s, 3)) // miss, published at capacity: must evict s1 only
-		h0, m0 := st.QueryCacheStats()
-		st.Query(pred(s, 3)) // the just-published entry must have survived
-		st.Query(pred(s, 2)) // ...and so must every entry newer than the victim
-		if h1, m1 := st.QueryCacheStats(); h1 != h0+2 || m1 != m0 {
-			t.Fatalf("iter %d: eviction hit a surviving entry: hits %d->%d misses %d->%d",
-				iter, h0, h1, m0, m1)
-		}
-		st.Query(pred(s, 1)) // the oldest entry is the one that went
-		if _, m2 := st.QueryCacheStats(); m2 != m0+1 {
-			t.Fatalf("iter %d: oldest entry was not the victim", iter)
-		}
-	}
-
-	// The coalescing contract at capacity: one leader, n-1 joiners, the
-	// published entry survives its own publish — exactly one miss, and
-	// an immediate repeat is a hit.
-	s, fds := refineScheme()
-	c := NewConcurrent(s, fds, Options{})
-	if err := c.InsertRow("e1", "s1", "d1"); err != nil {
-		t.Fatal(err)
-	}
-	c.st.qcache.limit = 1
-	c.Query(pred(s, 1)) // fills the 1-entry cache
-	_, m0 := c.QueryCacheStats()
-	p := pred(s, 2)
-	const n = 8
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Query(p)
-		}()
-	}
-	wg.Wait()
-	if _, m1 := c.QueryCacheStats(); m1 != m0+1 {
-		t.Fatalf("coalesced group at capacity: misses %d -> %d, want exactly one", m0, m1)
-	}
-	h1, _ := c.QueryCacheStats()
-	c.Query(p)
-	if h2, _ := c.QueryCacheStats(); h2 != h1+1 {
-		t.Fatal("entry published by the coalesced miss was evicted by its own publish")
 	}
 }

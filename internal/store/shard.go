@@ -351,23 +351,28 @@ func (s *Sharded) CheckStrong() bool {
 	return ok
 }
 
-// SelectTuples evaluates a three-valued selection on every shard
-// (each through its own version-keyed query cache) and returns the
-// answers as materialized tuples — per-shard indices mean nothing to
-// facade clients — ordered by shard, then by tuple index within the
-// shard's snapshot.
+// SelectTuples evaluates a three-valued selection on every shard's live
+// relation and returns the answers as materialized tuples — per-shard
+// indices mean nothing to facade clients — ordered by shard, then by
+// tuple index within the shard. Each shard is evaluated AND its answer
+// tuples cloned inside that shard's read lock: nothing pins live rows
+// once the lock drops, and the next write overwrites them in place. The
+// shards are visited one after another, so the answer is a committed
+// state of each shard, not one cut across them (SnapshotAll is).
 func (s *Sharded) SelectTuples(p query.Pred, opts query.Options) (sure, maybe []relation.Tuple) {
 	for _, c := range s.shards {
-		c.mu.RLock()
-		v := c.st.View()
-		c.mu.RUnlock()
-		res := c.st.qcache.selectCached(v, p, opts)
-		for _, i := range res.Sure {
-			sure = append(sure, v.Tuple(i).Clone())
-		}
-		for _, i := range res.Maybe {
-			maybe = append(maybe, v.Tuple(i).Clone())
-		}
+		func() {
+			c.mu.RLock()
+			defer c.mu.RUnlock()
+			rel := c.st.rel
+			res := query.SelectWith(rel, p, opts)
+			for _, i := range res.Sure {
+				sure = append(sure, rel.Tuple(i).Clone())
+			}
+			for _, i := range res.Maybe {
+				maybe = append(maybe, rel.Tuple(i).Clone())
+			}
+		}()
 	}
 	return sure, maybe
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fdnull/internal/fd"
+	"fdnull/internal/query"
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
 	"fdnull/internal/value"
@@ -87,9 +88,38 @@ func (o *oracleSlots) delete(ti int) {
 	o.slots = o.slots[:last]
 }
 
+// assertShardedReadsMatchScan is assertReadsMatchScan for the sharded
+// facade, whose answers are tuples: SelectTuples — each shard's planner
+// over its live indexes — must return exactly the tuples the scan picks
+// from the materialized union, which lists shards in the same order.
+func assertShardedReadsMatchScan(t *testing.T, n int, sh *Sharded, preds []query.Pred) {
+	t.Helper()
+	snap := sh.Snapshot()
+	all := snap.Scheme().All()
+	same := func(got []relation.Tuple, want []int) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for k, i := range want {
+			if !got[k].IdenticalOn(snap.Tuple(i), all) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, p := range preds {
+		sure, maybe := sh.SelectTuples(p, query.Options{})
+		if want := query.Select(snap, p); !same(sure, want.Sure) || !same(maybe, want.Maybe) {
+			t.Fatalf("txn %d: SelectTuples(%s) = sure %v maybe %v, the scan says sure %v maybe %v of\n%s",
+				n, p, sure, maybe, want.Sure, want.Maybe, snap)
+		}
+	}
+}
+
 func runShardedHistory(t *testing.T, rng *rand.Rand, sh *Sharded, oracle *Store, txns int) {
 	t.Helper()
 	s := oracle.Scheme()
+	qrng := rand.New(rand.NewSource(int64(txns))) // the read battery's own generator
 	attrA, attrB, attrK := s.MustAttr("A"), s.MustAttr("B"), s.MustAttr("K")
 	randConst := func(a schema.Attr) string {
 		d := s.Domain(a)
@@ -241,6 +271,7 @@ func runShardedHistory(t *testing.T, rng *rand.Rand, sh *Sharded, oracle *Store,
 			t.Fatalf("txn %d (%s): state diverged:\nsharded %v\noracle  %v",
 				n, sc, stateKeys(sh.Snapshot()), stateKeys(oracle.Snapshot()))
 		}
+		assertShardedReadsMatchScan(t, n, sh, readBattery(qrng, s))
 		if sh.NextMark() != oracle.NextMark() {
 			t.Fatalf("txn %d (%s): allocator diverged: sharded %d oracle %d", n, sc, sh.NextMark(), oracle.NextMark())
 		}

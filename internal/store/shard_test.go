@@ -628,3 +628,90 @@ func TestShardedDurableReopenChecksKey(t *testing.T) {
 		t.Fatalf("row clashing with a stored row on A,B: got %v, want ErrInconsistent", err)
 	}
 }
+
+// TestShardedReadAfterWriteBuildsNothing states the read-beside-write
+// cliff as a count: once every predicate shape has been asked once, an
+// accepted write of any kind followed by a point read and a group read
+// builds no index — the planner probes the X-partition indexes the
+// write's own deltas kept fresh. QueryCacheStats misses are index
+// builds, so their sum over the shards must not move across 200
+// write/read alternations. (A store that answers reads from per-version
+// snapshot indexes rebuilds on every one of them.)
+func TestShardedReadAfterWriteBuildsNothing(t *testing.T) {
+	s := schema.MustNew("R",
+		[]string{"K", "A", "B"},
+		[]*schema.Domain{
+			schema.IntDomain("key", "k", 4096),
+			schema.IntDomain("alpha", "a", 16),
+			schema.IntDomain("beta", "b", 64),
+		})
+	fds := fd.MustParseSet(s, "K -> A; K -> B")
+	sh, err := NewSharded(s, fds, ShardedOptions{Shards: 2, Key: fds[0].X})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	attrK, attrA, attrB := s.MustAttr("K"), s.MustAttr("A"), s.MustAttr("B")
+	row := func(i, b int) relation.Tuple {
+		return relation.Tuple{
+			value.NewConst(fmt.Sprintf("k%d", i)),
+			value.NewConst(fmt.Sprintf("a%d", 1+i%16)),
+			value.NewConst(fmt.Sprintf("b%d", 1+b%64)),
+		}
+	}
+	const rows = 3000
+	for i := 1; i <= rows; i++ {
+		if err := sh.Insert(row(i, i)); err != nil {
+			t.Fatalf("seed insert %d: %v", i, err)
+		}
+	}
+	point := func(i int) query.Pred { return query.Eq{Attr: attrK, Const: fmt.Sprintf("k%d", i)} }
+	group := func(i int) query.Pred { return query.Eq{Attr: attrA, Const: fmt.Sprintf("a%d", 1+i%16)} }
+	builds := func() (n uint64) {
+		for i := 0; i < sh.NumShards(); i++ {
+			_, m := sh.Shard(i).QueryCacheStats()
+			n += m
+		}
+		return n
+	}
+	sh.SelectTuples(point(1), query.Options{})
+	sh.SelectTuples(group(1), query.Options{})
+	warm := builds()
+	if warm == 0 {
+		t.Fatal("QueryCacheStats reports no index build after the warm-up reads")
+	}
+	for n := 0; n < 200; n++ {
+		i := 1 + n // the row this round updates or deletes
+		present, b := true, i
+		switch n % 3 {
+		case 0:
+			i = rows + 1 + n
+			b = i
+			err = sh.Insert(row(i, b))
+		case 1:
+			b = i + 1
+			err = sh.UpdateTuple(row(i, i), attrB, row(i, b)[attrB])
+		default:
+			present = false
+			err = sh.DeleteTuple(row(i, i))
+		}
+		if err != nil {
+			t.Fatalf("round %d: write refused: %v", n, err)
+		}
+		// Read your write: the point read and the group read both see the
+		// row as written, or gone.
+		want := row(i, b)
+		for _, p := range []query.Pred{point(i), group(i)} {
+			sure, maybe := sh.SelectTuples(p, query.Options{})
+			found := false
+			for _, tup := range sure {
+				found = found || tup.IdenticalOn(want, s.All())
+			}
+			if found != present || len(maybe) != 0 {
+				t.Fatalf("round %d: %s after the write: row present=%v, want %v (maybe %v)", n, p, found, present, maybe)
+			}
+		}
+	}
+	if got := builds(); got != warm {
+		t.Errorf("index builds went %d -> %d across 200 write/read rounds; a read after a write must build nothing", warm, got)
+	}
+}

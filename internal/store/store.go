@@ -118,9 +118,6 @@ type Store struct {
 	rel    *relation.Relation
 	opts   Options
 	inc    *incState
-	// qcache backs the read path (query.go): version-keyed selection
-	// results and snapshot indexes.
-	qcache queryCache
 	// mutation counters, exposed for observability and tests.
 	inserts, updates, deletes, rejected int
 	// wal is the durability state OpenDurable attaches (recovery.go); nil

@@ -90,6 +90,7 @@ func assertTxnCommitAgreement(t *testing.T, step int, errInc, errRec error, inc,
 
 func runTxnHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
+	qrng := rand.New(rand.NewSource(seed))
 	inc := New(ws.s, ws.fds, Options{Maintenance: MaintenanceIncremental})
 	rec := New(ws.s, ws.fds, Options{Maintenance: MaintenanceRecheck})
 	randCell := func(a schema.Attr) string {
@@ -122,6 +123,12 @@ func runTxnHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 		}
 		return inc.Find(target), tj
 	}
+	// assertReads is the per-step read-your-writes check (history_test.go),
+	// run on every way out of a step: per-op filler, rolled-back block,
+	// accepted and rejected commit.
+	assertReads := func(step int) {
+		assertReadsMatchScan(t, step, readBattery(qrng, ws.s), inc, rec)
+	}
 	commits, rejects, crossChecks := 0, 0, 0
 	for step := 0; step < steps; step++ {
 		if inc.Len() == 0 || rng.Intn(10) < 4 {
@@ -131,6 +138,7 @@ func runTxnHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 			errInc := inc.InsertRow(row...)
 			errRec := rec.InsertRow(row...)
 			assertAgreement(t, step, "insert", errInc, errRec, inc, rec)
+			assertReads(step)
 			continue
 		}
 
@@ -235,12 +243,14 @@ func runTxnHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 				t.Fatalf("step %d: rollback mutated the store", step)
 			}
 			assertAgreement(t, step, "rollback", nil, nil, inc, rec)
+			assertReads(step)
 			continue
 		}
 		nStaged := block.inc.Pending()
 		errInc := block.inc.Commit()
 		errRec := block.rec.Commit()
 		assertTxnCommitAgreement(t, step, errInc, errRec, inc, rec)
+		assertReads(step)
 		if errInc != nil {
 			rejects++
 			if !relation.Equal(before, inc.Snapshot()) {

@@ -1,8 +1,11 @@
 package eval
 
 import (
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"fdnull/internal/fd"
 	"fdnull/internal/relation"
@@ -104,6 +107,40 @@ func TestCheckAllErrorPropagates(t *testing.T) {
 		if res.Err() == nil {
 			t.Errorf("%v: batch Err() must surface the FD error", engine)
 		}
+	}
+}
+
+// TestCheckAllCompletionLimitPrecedesEnumeration: an instance is declined
+// for its size before any completion is built, not after. 160 rows with
+// twenty binary nulls have exactly CompletionLimit completions — each a
+// whole 160-row relation — and must be refused at once; six rows with four
+// are enumerated as before.
+func TestCheckAllCompletionLimitPrecedesEnumeration(t *testing.T) {
+	s := schema.MustNew("R", []string{"A", "B"},
+		[]*schema.Domain{schema.IntDomain("a", "v", 160), schema.IntDomain("b", "w", 2)})
+	fds := fd.MustParseSet(s, "A -> B")
+	instance := func(rows, nulls int) *relation.Relation {
+		r := relation.New(s)
+		for i := 1; i <= rows; i++ {
+			b := "w1"
+			if i <= nulls {
+				b = "-"
+			}
+			r.MustInsertRow("v"+strconv.Itoa(i), b)
+		}
+		return r
+	}
+	start := time.Now()
+	res := CheckAll(fds, instance(160, 20), CheckOptions{})
+	if err := res.Err(); !errors.Is(err, relation.ErrTooManyCompletions) {
+		t.Fatalf("160 rows, 20 binary nulls: err = %v, want ErrTooManyCompletions", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("the refusal took %v; it must precede the enumeration", d)
+	}
+	res = CheckAll(fds, instance(6, 4), CheckOptions{})
+	if err := res.Err(); err != nil || res.Summaries[0].Evaluated != 6 || !res.AllStrong {
+		t.Errorf("6 rows, 4 binary nulls: err = %v, summary %+v", err, res.Summaries[0])
 	}
 }
 

@@ -131,3 +131,41 @@ func TestBumpVersionIsMonotone(t *testing.T) {
 		t.Fatalf("BumpVersion must never lower the counter: %d", got)
 	}
 }
+
+// TestNullInsertAllocsIndependentOfSize pins the duplicate check's cost as
+// a count: one null-bearing one-row InsertDeltaBatch (the call the store's
+// commit makes for every insert) and its DeleteDelta allocate the same on
+// a relation holding 100 null-bearing rows and one holding 10,000.
+func TestNullInsertAllocsIndependentOfSize(t *testing.T) {
+	s := schema.Uniform("R", []string{"A", "B"}, schema.IntDomain("d", "v", 9))
+	allocs := func(n int) float64 {
+		r := New(s)
+		for i := 0; i < n; i++ {
+			r.InsertUnchecked(Tuple{value.NewConst("v1"), r.FreshNull()})
+		}
+		batch := []Tuple{{value.NewConst("v2"), r.FreshNull()}}
+		return testing.AllocsPerRun(50, func() {
+			first, _, err := r.InsertDeltaBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.DeleteDelta(first)
+		})
+	}
+	small, large := allocs(100), allocs(10000)
+	t.Logf("allocs: %.0f at 100 rows, %.0f at 10,000", small, large)
+	if large > small+1 || large < small-1 {
+		t.Errorf("insert+delete of a null-bearing row: %.0f allocs at 100 rows, %.0f at 10,000; the duplicate check must not grow with the instance", small, large)
+	}
+}
+
+// TestFindIdenticalWrongArity: a tuple of the wrong arity is not stored.
+func TestFindIdenticalWrongArity(t *testing.T) {
+	s := schema.Uniform("R", []string{"A", "B"}, schema.IntDomain("d", "v", 9))
+	r := MustFromRows(s, []string{"v1", "v2"})
+	for _, tup := range []Tuple{nil, {value.NewConst("v1")}, {value.NewConst("v1"), value.NewConst("v2"), value.NewConst("v3")}} {
+		if j := r.FindIdentical(tup); j != -1 {
+			t.Errorf("FindIdentical(%s) = %d, want -1", tup, j)
+		}
+	}
+}

@@ -1,19 +1,22 @@
 // delta.go implements the delta-update path for relations and their
-// cached X-partition indexes: instead of bumping the version counter and
-// letting every cached Index go stale (a full O(n) rebuild per index on
-// next use), the delta mutators apply the mutation to each cached index
-// in place —
+// cached indexes — the X-partition indexes and the identity index
+// (identity.go): instead of bumping the version counter and letting every
+// cached Index go stale (a full O(n) rebuild per index on next use), the
+// delta mutators apply the mutation to each cached index in place —
 //
-//   - InsertDelta appends the new row to the touched group or sidecar;
+//   - InsertDelta and InsertDeltaBatch (Insert is InsertDelta) append the
+//     new rows to their touched groups or sidecars;
 //   - DeleteDelta swaps the last row into the hole and pops, renumbering
 //     only the moved row's index entries;
-//   - SetCellDelta re-homes the one touched row in every index whose
-//     attribute set contains the overwritten attribute.
+//   - SetCellDelta (SetCell is the same call) re-homes the one touched
+//     row in every index whose attribute set contains the overwritten
+//     attribute.
 //
 // Each mutation therefore costs O(affected group · cached indexes), not
 // O(n). This is the substrate of the store's incremental FD maintenance
 // (internal/store): a write-heavy workload keeps its left-hand-side
 // partitions warm across mutations instead of rebuilding them per write.
+// Only InsertUnchecked, the ordered Delete and Restore still invalidate.
 //
 // Groups touched by delta updates no longer keep their rows in ascending
 // order (DeleteDelta renumbers in place); none of the evaluators depend
@@ -21,145 +24,64 @@
 package relation
 
 import (
-	"strconv"
+	"fmt"
 	"strings"
 
 	"fdnull/internal/schema"
 	"fdnull/internal/value"
 )
 
-// InsertDelta validates and appends a tuple like Insert, but keeps every
-// cached index fresh by appending the new row to its touched group or
-// sidecar. The duplicate check probes the index on the full attribute
-// set instead of scanning the relation, so it costs O(identical group +
-// null sidecar) — callers that insert many tuples should rely on this
-// path keeping that index warm. Returns the new row's index.
+// InsertDelta validates and appends a tuple — correct arity, constants
+// drawn from the attribute domains, no syntactic duplicate stored — as
+// the one-row InsertDeltaBatch. Returns the new row's index.
 func (r *Relation) InsertDelta(t Tuple) (int, error) {
-	if err := r.ValidateNew(t); err != nil {
-		return -1, err
-	}
-	if j := r.FindIdentical(t); j >= 0 {
-		return -1, r.errDuplicate(t)
-	}
-	r.noteMark(t)
-	tc := t.Clone()
-	i := len(r.tuples)
-	r.tuples = append(r.tuples, tc)
-	r.cowAppend()
-	r.applyDelta(func(ix *Index) {
-		ix.addRow(i, tupleGetter(tc))
-	})
-	return i, nil
+	first, _, err := r.InsertDeltaBatch([]Tuple{t})
+	return first, err
 }
 
 // InsertDeltaBatch validates and appends a write-set of tuples as one
-// multi-row delta: one version bump covers the whole batch, and every
-// cached fresh index receives the new rows in place, so a k-row batch
-// costs one cache sweep instead of k. Rows are checked against the
-// instance *and* the earlier rows of the batch: all-constant rows by a
-// group probe, null-bearing rows against a hashed identity set of the
-// sidecar rows built once per batch — O(sidecar + k) for the whole
-// write-set where k separate FindIdentical scans would pay
-// O(k·(sidecar + k)). The batch is all-or-nothing: on any duplicate the
-// appended prefix is unwound, the allocator restored, and bad reports
-// the offending position; on success first is the index of the batch's
-// first row and bad is -1.
+// multi-row delta: one version bump covers the whole batch and every
+// cached fresh index receives the new rows in one sweep, once the batch
+// is known good. Each row is checked by one probe of the identity index,
+// which already holds the batch's earlier rows — O(1) per row whatever
+// the instance holds. The batch is all-or-nothing: on any duplicate the
+// appended prefix is unwound, the allocator restored, and bad reports the
+// offending position; on success first is the batch's first row, bad -1.
 func (r *Relation) InsertDeltaBatch(ts []Tuple) (first, bad int, err error) {
 	first = len(r.tuples)
 	if len(ts) == 0 {
 		return first, -1, nil
 	}
 	for k, t := range ts {
-		if err := r.ValidateNew(t); err != nil {
+		if err := ValidateTuple(r.scheme, t); err != nil {
 			return -1, k, err
 		}
 	}
 	savedMark := r.nextMark
-	all := r.scheme.All()
-	r.applyDelta(func(*Index) {}) // one version bump; fresh indexes stay fresh
-	ix := r.IndexOn(all)          // stays fresh through the per-row addRow below
-	var nullDups map[string]bool  // identity keys of sidecar rows, built lazily
-	var keyBuf strings.Builder
-	identKeyOf := func(t Tuple) string {
-		keyBuf.Reset()
-		identKey(&keyBuf, t)
-		return keyBuf.String()
-	}
+	id := r.identityIndex()
 	for k, t := range ts {
-		dup := false
-		allConst := !t.HasNullOn(all) && !t.HasNothingOn(all)
-		if allConst {
-			rows, _ := ix.Probe(t)
-			dup = len(rows) > 0
-		} else {
-			if nullDups == nil {
-				nullDups = make(map[string]bool, len(ix.nulls)+len(ix.nothing)+len(ts))
-				for _, j := range ix.nulls {
-					nullDups[identKeyOf(r.tuples[j])] = true
-				}
-				for _, j := range ix.nothing {
-					nullDups[identKeyOf(r.tuples[j])] = true
-				}
-			}
-			dup = nullDups[identKeyOf(t)]
-		}
-		if dup {
+		if id.find(r.tuples, t) >= 0 {
 			for i := len(r.tuples) - 1; i >= first; i-- {
-				tc := r.tuples[i]
-				r.eachFreshIndex(func(ix *Index) { ix.removeRow(i, tupleGetter(tc)) })
+				id.remove(i, r.tuples[i])
 				r.tuples[i] = nil
 			}
 			r.tuples = r.tuples[:first]
-			if r.rowShared != nil {
-				r.rowShared = r.rowShared[:first]
-			}
 			r.nextMark = savedMark
-			return -1, k, r.errDuplicate(t)
+			return -1, k, fmt.Errorf("relation %s: duplicate tuple %s", r.scheme.Name(), t)
 		}
 		r.noteMark(t)
-		tc := t.Clone()
-		i := len(r.tuples)
-		r.tuples = append(r.tuples, tc)
+		id.add(len(r.tuples), t)
+		r.tuples = append(r.tuples, t.Clone())
+	}
+	for range ts {
 		r.cowAppend()
-		r.eachFreshIndex(func(ix *Index) { ix.addRow(i, tupleGetter(tc)) })
-		if !allConst && nullDups != nil {
-			nullDups[identKeyOf(tc)] = true
-		}
 	}
+	r.applyDelta(func(ix *Index) {
+		for i := first; i < len(r.tuples); i++ {
+			ix.addRow(i, tupleGetter(r.tuples[i]))
+		}
+	})
 	return first, -1, nil
-}
-
-// identKey appends an unambiguous encoding of a tuple's full syntactic
-// identity — constants, null marks, nothings — so that two tuples have
-// equal keys exactly when IdenticalOn(all) holds. Used by the batch
-// insert's hashed duplicate probe.
-func identKey(b *strings.Builder, t Tuple) {
-	for _, v := range t {
-		switch {
-		case v.IsConst():
-			b.WriteByte('c')
-			writeKeyPart(b, v.Const())
-		case v.IsNull():
-			b.WriteByte('n')
-			b.WriteString(strconv.Itoa(v.Mark()))
-			b.WriteByte(';')
-		default:
-			b.WriteByte('!')
-		}
-	}
-}
-
-// eachFreshIndex applies fn to every cached index stamped at the current
-// version without bumping the version — the batch mutators bump once up
-// front and then stream their per-row index updates through here.
-func (r *Relation) eachFreshIndex(fn func(ix *Index)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, ix := range r.indexes {
-		if ix.version == r.version {
-			fn(ix)
-		}
-	}
 }
 
 // DeleteDelta removes row i by swapping the last row into its place and
@@ -181,6 +103,12 @@ func (r *Relation) DeleteDelta(i int) int {
 			ix.renumberRow(last, i, tupleGetter(tMoved))
 		}
 	})
+	if r.ident != nil {
+		r.ident.remove(i, tDel)
+		if tMoved != nil {
+			r.ident.renumber(last, i, tMoved)
+		}
+	}
 	if tMoved != nil {
 		r.tuples[i] = tMoved
 	}
@@ -209,36 +137,24 @@ func (r *Relation) SetCellDelta(i int, a schema.Attr, v value.V) {
 		ix.removeRow(i, overrideGetter(t, a, old))
 		ix.addRow(i, overrideGetter(t, a, v))
 	})
+	if r.ident != nil {
+		r.ident.remove(i, t)
+	}
 	t[a] = v
+	if r.ident != nil {
+		r.ident.add(i, t)
+	}
 }
 
 // FindIdentical returns the index of a tuple syntactically identical to t
-// (same constants, same null marks, same nothings), or -1. It probes the
-// index on the full attribute set: an all-constant tuple is found by one
-// hash probe; a tuple with nulls can only be identical to a sidecar row,
-// so only the sidecars are scanned.
+// (same constants, same null marks, same nothings), or -1 — one probe of
+// the identity index, null-bearing or not. A tuple of the wrong arity is
+// not stored.
 func (r *Relation) FindIdentical(t Tuple) int {
-	all := r.scheme.All()
-	ix := r.IndexOn(all)
-	if rows, ok := ix.Probe(t); ok {
-		// Group rows are all-constant and agree with t on every attribute:
-		// any member is identical to t.
-		if len(rows) > 0 {
-			return rows[0]
-		}
+	if len(t) != r.scheme.Arity() {
 		return -1
 	}
-	for _, j := range ix.NullRows() {
-		if t.IdenticalOn(r.tuples[j], all) {
-			return j
-		}
-	}
-	for _, j := range ix.NothingRows() {
-		if t.IdenticalOn(r.tuples[j], all) {
-			return j
-		}
-	}
-	return -1
+	return r.identityIndex().find(r.tuples, t)
 }
 
 // applyDelta bumps the version and applies fn to every cached index that

@@ -29,19 +29,34 @@ func indexShape(ix *Index) string {
 	return fmt.Sprintf("groups=%v nulls=%v nothing=%v", groups, norm(ix.NullRows()), norm(ix.NothingRows()))
 }
 
-// TestDeltaIndexDifferential runs randomized InsertDelta / DeleteDelta /
-// SetCellDelta sequences and asserts after every mutation that each
-// cached, delta-maintained index is identical (up to row order) to a
-// fresh BuildIndex of the current tuples.
+// TestDeltaIndexDifferential runs randomized mutation sequences — the
+// delta mutators (InsertDelta, InsertDeltaBatch with batches that fail on
+// their k-th row, DeleteDelta, SetCellDelta), the plain ones (Insert,
+// SetCell, ordered Delete, InsertUnchecked of a true duplicate), View +
+// Restore and Clone — and asserts after every step that each cached index
+// is identical (up to row order) to a fresh BuildIndex of the current
+// tuples, and that the identity probe agrees with the linear scan it
+// replaced. The second run forces every identity hash to collide, so the
+// multi-row path alone has to carry the same sequence.
 func TestDeltaIndexDifferential(t *testing.T) {
+	t.Run("hashed", deltaIndexDifferential)
+	t.Run("colliding", func(t *testing.T) {
+		identMask = 0
+		defer func() { identMask = ^uint64(0) }()
+		deltaIndexDifferential(t)
+	})
+}
+
+func deltaIndexDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260730))
 	dom := schema.IntDomain("d", "v", 5)
 	s := schema.Uniform("R", []string{"A", "B", "C"}, dom)
+	all := s.All()
 	sets := []schema.AttrSet{
 		schema.NewAttrSet(0),
 		schema.NewAttrSet(0, 1),
 		schema.NewAttrSet(2),
-		s.All(),
+		all,
 	}
 	r := New(s)
 	randVal := func() value.V {
@@ -50,21 +65,87 @@ func TestDeltaIndexDifferential(t *testing.T) {
 		}
 		return value.NewConst(dom.Values[rng.Intn(dom.Size())])
 	}
-	for op := 0; op < 600; op++ {
+	scan := func(tup Tuple) int {
+		for j, u := range r.Tuples() {
+			if tup.IdenticalOn(u, all) {
+				return j
+			}
+		}
+		return -1
+	}
+	var snap *View
+	for op := 0; op < 900; op++ {
 		// Touch every set so the cache stays warm and delta-maintained.
 		for _, set := range sets {
 			r.IndexOn(set)
 		}
-		switch {
-		case r.Len() == 0 || rng.Intn(3) == 0:
+		switch k := rng.Intn(12); {
+		case r.Len() == 0 || k < 3:
 			tup := Tuple{randVal(), randVal(), randVal()}
 			if _, err := r.InsertDelta(tup); err != nil {
 				continue // duplicate or other rejection: no mutation happened
 			}
-		case rng.Intn(2) == 0:
+		case k < 5:
 			r.SetCellDelta(rng.Intn(r.Len()), schema.Attr(rng.Intn(3)), randVal())
-		default:
+		case k < 7:
 			r.DeleteDelta(rng.Intn(r.Len()))
+		case k == 7:
+			// A batch whose last row may repeat a stored row or an earlier
+			// row of the batch: it must then fail there and unwind whole.
+			n := r.Len()
+			batch := make([]Tuple, 1+rng.Intn(4))
+			for b := range batch {
+				batch[b] = Tuple{randVal(), randVal(), randVal()}
+			}
+			mark := r.NextMark()
+			switch last := len(batch) - 1; rng.Intn(3) {
+			case 0:
+				batch[last] = r.Tuple(rng.Intn(n)).Clone()
+			case 1:
+				batch[last] = batch[rng.Intn(len(batch))].Clone() // itself when last == 0: no duplicate
+			}
+			wantBad := -1
+			for b, tup := range batch {
+				dup := scan(tup) >= 0
+				for _, u := range batch[:b] {
+					dup = dup || tup.IdenticalOn(u, all)
+				}
+				if dup {
+					wantBad = b
+					break
+				}
+			}
+			first, bad, err := r.InsertDeltaBatch(batch)
+			if bad != wantBad || (err != nil) != (wantBad >= 0) {
+				t.Fatalf("op %d: batch bad=%d err=%v, want bad=%d", op, bad, err, wantBad)
+			}
+			if err == nil && (first != n || r.Len() != n+len(batch)) {
+				t.Fatalf("op %d: batch first=%d len=%d, want %d/%d", op, first, r.Len(), n, n+len(batch))
+			}
+			if err != nil && (r.Len() != n || r.NextMark() != mark) {
+				t.Fatalf("op %d: failed batch left len=%d mark=%d, want %d/%d", op, r.Len(), r.NextMark(), n, mark)
+			}
+		case k == 8:
+			switch rng.Intn(4) {
+			case 0:
+				_ = r.Insert(Tuple{randVal(), randVal(), randVal()}) // a duplicate draw is a no-op
+			case 1:
+				r.SetCell(rng.Intn(r.Len()), schema.Attr(rng.Intn(3)), randVal())
+			case 2:
+				r.Delete(rng.Intn(r.Len()))
+			default:
+				r.InsertUnchecked(r.Tuple(rng.Intn(r.Len()))) // a true duplicate
+			}
+		case k == 9 && snap == nil:
+			v := r.View()
+			snap = &v
+		case k == 9:
+			r.Restore(*snap)
+			snap = nil
+		case k == 10:
+			r, snap = r.Clone(), nil
+		default:
+			continue
 		}
 		for _, set := range sets {
 			got := indexShape(r.IndexOn(set))
@@ -72,6 +153,16 @@ func TestDeltaIndexDifferential(t *testing.T) {
 			if got != want {
 				t.Fatalf("op %d: delta index on %s diverged:\n got %s\nwant %s\n%s",
 					op, s.FormatSet(set), got, want, r)
+			}
+		}
+		for i, u := range r.Tuples() {
+			if j := r.FindIdentical(u); j < 0 || !u.IdenticalOn(r.Tuple(j), all) {
+				t.Fatalf("op %d: FindIdentical(row %d %s) = %d\n%s", op, i, u, j, r)
+			}
+			p := u.Clone()
+			p[rng.Intn(3)] = randVal()
+			if j, want := r.FindIdentical(p), scan(p); (j < 0) != (want < 0) || (j >= 0 && !p.IdenticalOn(r.Tuple(j), all)) {
+				t.Fatalf("op %d: FindIdentical(%s) = %d, scan says %d\n%s", op, p, j, want, r)
 			}
 		}
 	}

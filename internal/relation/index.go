@@ -7,8 +7,8 @@
 // TEST-FDs' grouping, the classical no-conflicting-pair test) — from a
 // linear scan into a hash probe. It is built once per (instance, X) and
 // cached on the relation, so checking many FDs with the same left-hand
-// side reuses one partition; any mutation of the instance invalidates the
-// cache through a version counter.
+// side reuses one partition; a mutation either patches the cached indexes
+// in place (delta.go) or invalidates them through a version counter.
 package relation
 
 import (
@@ -23,13 +23,14 @@ import (
 // into groups; tuples with a null (or the inconsistent element) on the set
 // cannot participate in constant equality and are kept in sidecar lists.
 //
-// An Index built by BuildIndex is immutable and safe for concurrent use by
-// readers. It describes the instance as it was when the index was built:
-// plain mutations (Insert, Delete, SetCell) do not touch it, and IndexOn
-// transparently rebuilds stale cached indexes. The *delta* mutators
-// (delta.go) instead update cached indexes in place, so they stay fresh at
-// O(affected group) per mutation; as with the relation itself, delta
-// mutation must not run concurrently with readers.
+// An Index built by BuildIndex and not cached is immutable and safe for
+// concurrent use by readers: it describes the instance as it was when the
+// index was built. A cached one (IndexOn) is updated in place by the delta
+// mutators (delta.go; Insert and SetCell are among them), so it stays
+// fresh at O(affected group) per mutation, and goes stale — IndexOn
+// transparently rebuilds it — under InsertUnchecked, the ordered Delete
+// and Restore; as with the relation itself, delta mutation must not run
+// concurrently with readers.
 type Index struct {
 	set     schema.AttrSet
 	attrs   []schema.Attr    // set.Attrs(), precomputed for the probe hot path
@@ -181,9 +182,9 @@ func (ix *Index) ForEachGroup(fn func(rows []int) bool) {
 }
 
 // IndexOn returns the index of r on set, building it on first use and
-// caching it on the relation. The cache is keyed by attribute set; plain
-// mutations (Insert, Delete, SetCell, …) invalidate it through the version
-// counter, while delta mutations (delta.go) keep it fresh in place — a
+// caching it on the relation. The cache is keyed by attribute set; delta
+// mutations (delta.go) keep it fresh in place, while InsertUnchecked, the
+// ordered Delete and Restore invalidate it through the version counter — a
 // returned index always describes the current tuples either way. Safe for
 // concurrent callers; the returned Index must not be read concurrently
 // with delta mutation.
@@ -203,11 +204,11 @@ func (r *Relation) IndexOn(set schema.AttrSet) *Index {
 	return ix
 }
 
-// IndexCounts reports how many IndexOn calls a fresh cached index
-// answered and how many had to build one, since r was created. A
-// workload whose writes all go through the delta mutators builds each
-// attribute set's index once; a built count that grows with the writes
-// is an index being rebuilt.
+// IndexCounts reports how many index lookups — IndexOn calls and identity
+// probes — a fresh cached index answered and how many had to build one,
+// since r was created. A workload whose writes all go through the delta
+// mutators builds each index once; a built count that grows with the
+// writes is an index being rebuilt.
 func (r *Relation) IndexCounts() (served, built uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -218,12 +219,12 @@ func (r *Relation) IndexCounts() (served, built uint64) {
 // projection on attrs — the same length-prefixed cell encoding the
 // X-partition group keys use, so identical projections (and only those)
 // share an encoding. It reports ok=false when any projected cell is a
-// marked null or the inconsistent element: constant routing (hash
-// sharding on a key) is undefined for such tuples.
+// marked null, the inconsistent element or absent (a short tuple):
+// constant routing (hash sharding on a key) is undefined for such tuples.
 func ConstKeyOn(t Tuple, attrs []schema.Attr) (string, bool) {
 	var b strings.Builder
 	for _, a := range attrs {
-		if !t[a].IsConst() {
+		if int(a) >= len(t) || !t[a].IsConst() {
 			return "", false
 		}
 		writeKeyPart(&b, t[a].Const())

@@ -128,14 +128,16 @@ type Relation struct {
 	tuples   []Tuple
 	nextMark int
 
-	// X-partition index cache (index.go). version counts mutations so a
-	// cached index can detect it is stale; mu guards the cache map only —
-	// tuple storage has no internal locking. The delta mutators (delta.go)
-	// update cached indexes in place instead of letting them go stale.
+	// X-partition index cache (index.go) and identity index (identity.go,
+	// nil until asked for). version counts mutations so a cached index can
+	// detect it is stale; mu guards these fields only — tuple storage has
+	// no internal locking. The delta mutators (delta.go) update the
+	// indexes in place instead of letting them go stale.
 	version uint64
 	mu      sync.Mutex
 	indexes map[schema.AttrSet]*Index
-	// IndexOn calls answered by a fresh cached index, and calls that had
+	ident   *identity
+	// Index lookups answered by a fresh cached index, and lookups that had
 	// to build one (guarded by mu).
 	indexServed, indexBuilt uint64
 
@@ -206,11 +208,13 @@ func (r *Relation) BumpVersion(v uint64) {
 	r.mu.Unlock()
 }
 
-// mutated records a change to the tuple storage so cached indexes know
-// they are stale. Every mutating method must call it.
+// mutated records a change to the tuple storage that maintained no index:
+// cached indexes go stale through the version counter, the identity index
+// is dropped. Every mutating method outside delta.go must call it.
 func (r *Relation) mutated() {
 	r.mu.Lock()
 	r.version++
+	r.ident = nil
 	r.mu.Unlock()
 }
 
@@ -224,14 +228,9 @@ func (r *Relation) noteMark(t Tuple) {
 	}
 }
 
-// ValidateNew checks a tuple against the scheme: correct arity and
-// constants drawn from the attribute domains. Insert runs it before the
-// duplicate scan; the delta path (delta.go) shares it so error texts
-// cannot drift between the engines.
-func (r *Relation) ValidateNew(t Tuple) error { return ValidateTuple(r.scheme, t) }
-
-// ValidateTuple is ValidateNew against a bare scheme, for callers that
-// must validate without touching any relation state — the store's
+// ValidateTuple checks a tuple against a scheme: correct arity and
+// constants drawn from the attribute domains. It takes the bare scheme so
+// callers can validate without touching any relation state — the store's
 // transaction staging is lock-free and may run concurrently with a
 // commit that swaps the instance out.
 func ValidateTuple(s *schema.Scheme, t Tuple) error {
@@ -249,28 +248,11 @@ func ValidateTuple(s *schema.Scheme, t Tuple) error {
 	return nil
 }
 
-// errDuplicate is the shared duplicate-tuple error of Insert and
-// InsertDelta.
-func (r *Relation) errDuplicate(t Tuple) error {
-	return fmt.Errorf("relation %s: duplicate tuple %s", r.scheme.Name(), t)
-}
-
-// Insert validates and appends a tuple: correct arity, constants drawn from
-// the attribute domains, and no syntactic duplicate of an existing tuple.
+// Insert is InsertDelta without the row number: it validates (arity,
+// domains, no syntactic duplicate of a stored tuple) and appends a tuple.
 func (r *Relation) Insert(t Tuple) error {
-	if err := r.ValidateNew(t); err != nil {
-		return err
-	}
-	for _, u := range r.tuples {
-		if t.IdenticalOn(u, r.scheme.All()) {
-			return r.errDuplicate(t)
-		}
-	}
-	r.noteMark(t)
-	r.mutated()
-	r.tuples = append(r.tuples, t.Clone())
-	r.cowAppend()
-	return nil
+	_, err := r.InsertDelta(t)
+	return err
 }
 
 // InsertUnchecked appends a tuple without arity, domain, or duplicate
@@ -283,13 +265,6 @@ func (r *Relation) InsertUnchecked(t Tuple) {
 	r.mutated()
 	r.tuples = append(r.tuples, t.Clone())
 	r.cowAppend()
-}
-
-// MustInsert is Insert for statically known-good tuples.
-func (r *Relation) MustInsert(t Tuple) {
-	if err := r.Insert(t); err != nil {
-		panic(err)
-	}
 }
 
 // ParseRow parses a row of cell strings into a tuple without inserting
@@ -359,14 +334,9 @@ func (r *Relation) Clone() *Relation {
 	return out
 }
 
-// SetCell overwrites one cell; used by the chase when an NS-rule
-// substitutes a null.
-func (r *Relation) SetCell(i int, a schema.Attr, v value.V) {
-	r.ensureOwnedSlice()
-	r.ensureOwnedRow(i)
-	r.mutated()
-	r.tuples[i][a] = v
-}
+// SetCell overwrites one cell (SetCellDelta under its older name); used by
+// the Section 4 X-side rules when they substitute a null.
+func (r *Relation) SetCell(i int, a schema.Attr, v value.V) { r.SetCellDelta(i, a, v) }
 
 // HasNulls reports whether any tuple has a null anywhere.
 func (r *Relation) HasNulls() bool {
@@ -414,18 +384,12 @@ func (r *Relation) Project(name string, keep schema.AttrSet) (*Relation, error) 
 		return nil, err
 	}
 	out := New(ps)
+	id := out.identityIndex()
 	for _, t := range r.tuples {
-		pt := t.Project(keep)
-		dup := false
-		for _, u := range out.tuples {
-			if pt.IdenticalOn(u, ps.All()) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if pt := t.Project(keep); id.find(out.tuples, pt) < 0 {
 			out.noteMark(pt)
-			out.tuples = append(out.tuples, pt.Clone())
+			id.add(len(out.tuples), pt)
+			out.tuples = append(out.tuples, pt)
 		}
 	}
 	return out, nil
@@ -490,9 +454,9 @@ func (r *Relation) String() string {
 	return b.String()
 }
 
-// CompletionLimit bounds the number of completions materialized by the
-// enumeration helpers; the least-extension definition is exponential and is
-// used as ground truth on small instances only.
+// CompletionLimit bounds the tuples the enumeration helpers materialize
+// (completions of a tuple; rows × completions of a relation): the least-
+// extension definition is exponential, ground truth on small instances only.
 const CompletionLimit = 1 << 20
 
 // ErrTooManyCompletions is returned when a completion enumeration would
@@ -643,7 +607,7 @@ func RelationCompletions(r *Relation, set schema.AttrSet) ([]*Relation, error) {
 		return []*Relation{r.Clone()}, nil
 	}
 	sort.Ints(order)
-	total := 1
+	total := len(r.tuples) // every completion is a whole relation
 	for _, m := range order {
 		total *= groups[m].dom.Size()
 		if total > CompletionLimit {

@@ -78,6 +78,7 @@ func (v View) Each(fn func(i int, t Tuple) bool) {
 func (r *Relation) Restore(v View) {
 	r.mu.Lock()
 	r.version++
+	r.ident = nil
 	r.cowPending = false
 	r.mu.Unlock()
 	r.tuples = append(make([]Tuple, 0, len(v.tuples)+1), v.tuples...)

@@ -514,6 +514,16 @@ func TestShardedQueryAndFind(t *testing.T) {
 			t.Fatalf("answer tuple %s not findable", tup)
 		}
 	}
+	// A tuple of the wrong arity is simply not stored, on either facade.
+	long := append(sure[0].Clone(), sure[0][0])
+	for _, tup := range []relation.Tuple{nil, sure[0][:1], sure[0][:2], long} {
+		if si, j := sh.Find(tup); si != -1 || j != -1 {
+			t.Errorf("Sharded.Find(%s) = (%d, %d), want (-1, -1)", tup, si, j)
+		}
+		if j := sh.Shard(0).st.Find(tup); j != -1 {
+			t.Errorf("Store.Find(%s) = %d, want -1", tup, j)
+		}
+	}
 }
 
 func TestShardedDurableReopen(t *testing.T) {
@@ -666,13 +676,7 @@ func TestShardedReadAfterWriteBuildsNothing(t *testing.T) {
 	}
 	point := func(i int) query.Pred { return query.Eq{Attr: attrK, Const: fmt.Sprintf("k%d", i)} }
 	group := func(i int) query.Pred { return query.Eq{Attr: attrA, Const: fmt.Sprintf("a%d", 1+i%16)} }
-	builds := func() (n uint64) {
-		for i := 0; i < sh.NumShards(); i++ {
-			_, m := sh.Shard(i).QueryCacheStats()
-			n += m
-		}
-		return n
-	}
+	builds := func() uint64 { return indexBuilds(sh) }
 	sh.SelectTuples(point(1), query.Options{})
 	sh.SelectTuples(group(1), query.Options{})
 	warm := builds()
@@ -713,5 +717,67 @@ func TestShardedReadAfterWriteBuildsNothing(t *testing.T) {
 	}
 	if got := builds(); got != warm {
 		t.Errorf("index builds went %d -> %d across 200 write/read rounds; a read after a write must build nothing", warm, got)
+	}
+}
+
+// indexBuilds sums the index builds (X-partition and identity) every
+// shard's relation has paid so far.
+func indexBuilds(sh *Sharded) (n uint64) {
+	for i := 0; i < sh.NumShards(); i++ {
+		_, m := sh.Shard(i).QueryCacheStats()
+		n += m
+	}
+	return n
+}
+
+// TestShardedNullWritesBuildNothing is the same guard on the identity
+// index: one-op inserts of null-bearing rows and content-addressed updates
+// whose match carries a null each probe it, it is maintained in place,
+// and nothing — identity or X-partition index — is built after the seed.
+func TestShardedNullWritesBuildNothing(t *testing.T) {
+	s := schema.MustNew("R",
+		[]string{"K", "A", "B"},
+		[]*schema.Domain{
+			schema.IntDomain("key", "k", 1024),
+			schema.IntDomain("alpha", "a", 16),
+			schema.IntDomain("beta", "b", 64),
+		})
+	fds := fd.MustParseSet(s, "K -> A; K -> B")
+	sh, err := NewSharded(s, fds, ShardedOptions{Shards: 2, Key: fds[0].X})
+	if err != nil {
+		t.Fatalf("NewSharded: %v", err)
+	}
+	attrB := s.MustAttr("B")
+	row := func(i int) relation.Tuple { // distinct keys: no NS-rule fires, the null stays
+		return relation.Tuple{
+			value.NewConst(fmt.Sprintf("k%d", i)),
+			value.NewConst(fmt.Sprintf("a%d", 1+i%16)),
+			value.NewNull(i),
+		}
+	}
+	const seed = 400
+	for i := 1; i <= seed; i++ {
+		if err := sh.Insert(row(i)); err != nil {
+			t.Fatalf("seed insert %d: %v", i, err)
+		}
+	}
+	builds := func() uint64 { return indexBuilds(sh) }
+	warm := builds()
+	for n := 1; n <= 200; n++ {
+		if err := sh.Insert(row(seed + n)); err != nil {
+			t.Fatalf("round %d: insert refused: %v", n, err)
+		}
+		if err := sh.UpdateTuple(row(n), attrB, value.NewConst(fmt.Sprintf("b%d", 1+n%64))); err != nil {
+			t.Fatalf("round %d: update matching a null refused: %v", n, err)
+		}
+	}
+	if _, j := sh.Find(row(1)); j >= 0 {
+		t.Error("row 1 still carries its null after the resolving update")
+	}
+	if _, j := sh.Find(row(seed + 200)); j < 0 {
+		t.Error("the last null-bearing insert is not findable")
+	}
+	if got := builds(); got != warm {
+		t.Errorf("index builds went %d -> %d across 200 null-bearing inserts and 200 updates matching a null; the write path must build nothing", warm, got)
 	}
 }

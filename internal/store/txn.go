@@ -464,7 +464,7 @@ func (st *Store) prepareTxnIncremental(ops []txnOp) (*preparedTxn, error) {
 		if ops[k].kind == txnInsert {
 			// Batch the maximal run of consecutive inserts through the
 			// relation's multi-row delta: one version bump, one cache
-			// sweep, duplicate probes against base plus earlier batch rows.
+			// sweep, one identity probe per row.
 			run := k
 			for run < len(ops) && ops[run].kind == txnInsert {
 				run++

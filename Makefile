@@ -123,11 +123,12 @@ smoke-load:
 	$(GO) test -race -short -run 'TestServeOpenLoop' ./internal/serve
 	$(GO) test -race -short -run 'TestRerunReproducesOpCounts' ./cmd/fdload
 
-# Seed-corpus fuzz smoke: the relio parser, the predicate parser, and
+# Seed-corpus fuzz smoke: the relio parser, the predicate parser, the
+# daemon's appended query reply (byte-identical to encoding/json's) and
 # the WAL record decoder must survive their corpora (use `go test -fuzz`
 # locally for open-ended exploration).
 smoke-fuzz:
-	$(GO) test -short -run 'Fuzz' ./internal/relio ./internal/query
+	$(GO) test -short -run 'Fuzz' ./internal/relio ./internal/query ./internal/serve
 	$(GO) test -short -run 'FuzzWAL' ./internal/store
 
 # errsweep flags discarded error returns of durability-relevant calls
@@ -148,8 +149,8 @@ loc:
 # ROADMAP's second bar). Each is set by the last PR that shrank it to its
 # own result: a PR that lowers a sum lowers its ceiling with it, and one
 # that has to raise one says why in CHANGES.md.
-LOC_MAX = 20602
-CORE_LOC_MAX = 6883
+LOC_MAX = 20634
+CORE_LOC_MAX = 6848
 
 # Report-only: the exported surface as `go doc -all` prints it —
 # internal/store's struct types and funcs + methods, and the root fdnull

@@ -67,6 +67,7 @@ import (
 	"strings"
 
 	fdnull "fdnull"
+	"fdnull/internal/value"
 )
 
 func main() {
@@ -415,19 +416,6 @@ func replayOps(stdout io.Writer, script io.Reader, st *fdnull.ConcurrentStore) e
 			fmt.Fprintf(stdout, "  %3d %-10s error: %v\n", line, what, err)
 		}
 	}
-	parseVal := func(c string) fdnull.Value {
-		switch {
-		case c == "-":
-			return st.FreshNull()
-		case c == "!":
-			return fdnull.Nothing()
-		case strings.HasPrefix(c, "-"):
-			if k, err := strconv.Atoi(c[1:]); err == nil {
-				return fdnull.NullValue(k)
-			}
-		}
-		return fdnull.Const(c)
-	}
 	sc := bufio.NewScanner(script)
 	line := 0
 	for sc.Scan() {
@@ -494,7 +482,12 @@ func replayOps(stdout io.Writer, script io.Reader, st *fdnull.ConcurrentStore) e
 			if !ok {
 				return fmt.Errorf("ops line %d: unknown attribute %q", line, args[1])
 			}
-			v := parseVal(args[2])
+			var v fdnull.Value // a cell as the row parser reads it
+			if args[2] == "-" {
+				v = st.FreshNull()
+			} else if v, err = value.Parse(args[2]); err != nil {
+				return fmt.Errorf("ops line %d: %v", line, err)
+			}
 			if inTxn {
 				report(line, "update*", tx.Update(n-1, a, v))
 			} else {

@@ -269,6 +269,19 @@ func TestRunOpsReplayBadScript(t *testing.T) {
 	if !strings.Contains(errOut.String(), "commit outside a transaction") {
 		t.Errorf("missing diagnostic: %s", errOut.String())
 	}
+	// An update's cell is read by the row parser's strict definition:
+	// "--5" used to store a null with mark -5, "-5abc" a stray constant.
+	for _, cell := range []string{"--5", "-5abc"} {
+		if err := os.WriteFile(opsPath, []byte("update 1 SL "+cell+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		errOut.Reset()
+		if code := run([]string{"-ops", opsPath}, strings.NewReader(employeesInput), &out, &errOut); code != 2 ||
+			!strings.Contains(errOut.String(), "ops line 1") || !strings.Contains(errOut.String(), "bad null cell") {
+			t.Errorf("update with cell %q: exit %d, stderr %q; want exit 2 naming line 1 and the bad null cell", cell, code, errOut.String())
+		}
+	}
 }
 
 // TestRunShardedReplay drives the -shards lockstep mode: rows with a

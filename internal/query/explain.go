@@ -48,15 +48,10 @@ type ExplainConjunct struct {
 
 // Explain reports the compiled plan.
 func (pl *Plan) Explain(engine Engine) *Explain {
-	e := &Explain{Engine: engine.String(), SourceLen: pl.n}
 	if pl.root == nil {
-		e.Scan = true
-		e.Reason = "no plannable conjunct"
-		e.Evaluated = pl.n
-		return e
+		return scanExplain(engine, pl.n, "no plannable conjunct")
 	}
-	e.Root = explainNode(pl.root)
-	e.Evaluated = len(pl.root.rows)
+	e := &Explain{Engine: engine.String(), SourceLen: pl.n, Root: explainNode(pl.root), Evaluated: len(pl.root.rows)}
 	for _, rc := range pl.residual {
 		e.Residual = append(e.Residual, ExplainConjunct{Pred: rc.pred.String(), Frac: rc.frac})
 	}
@@ -64,7 +59,10 @@ func (pl *Plan) Explain(engine Engine) *Explain {
 }
 
 func explainNode(n *planNode) *ExplainNode {
-	en := &ExplainNode{Op: n.op, Detail: n.label, Est: n.est, Actual: len(n.rows)}
+	en := &ExplainNode{Op: n.op, Est: n.est, Actual: len(n.rows)}
+	if n.atom != nil {
+		en.Detail = n.atom.String()
+	}
 	for _, k := range n.kids {
 		en.Kids = append(en.Kids, explainNode(k))
 	}

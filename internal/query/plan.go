@@ -35,7 +35,6 @@
 package query
 
 import (
-	"fmt"
 	"slices"
 
 	"fdnull/internal/relation"
@@ -53,6 +52,24 @@ func conjuncts(p Pred, out []Pred) []Pred {
 		return conjuncts(a.Q, conjuncts(a.P, out))
 	}
 	return append(out, p)
+}
+
+// SpineEq reports the constant an Eq atom of p's ∧-spine compares a
+// with (the first such atom, left to right). When ok, p is false on
+// every tuple holding a different constant on a: a false conjunct
+// falsifies the conjunction. In, ¬, ∨ and foreign Preds are opaque
+// leaves, as for conjuncts; nothing is allocated.
+func SpineEq(p Pred, a schema.Attr) (c string, ok bool) {
+	switch q := p.(type) {
+	case And:
+		if c, ok = SpineEq(q.P, a); ok {
+			return c, true
+		}
+		return SpineEq(q.Q, a)
+	case Eq:
+		return q.Const, q.Attr == a
+	}
+	return "", false
 }
 
 // disjuncts appends the ∨-spine leaves of p to out, mirroring conjuncts.
@@ -74,11 +91,11 @@ const (
 // materialized at plan time: rows is ascending and duplicate-free, and
 // est is the statistics-based estimate that ordered the node.
 type planNode struct {
-	op    string
-	label string // probes: the pushed atom's rendering
-	est   int    // estimated candidate count from relation.IndexStats
-	rows  []int  // materialized candidates, ascending, deduplicated
-	kids  []*planNode
+	op   string
+	atom Pred  // probes: the pushed atom; Explain renders it when asked
+	est  int   // estimated candidate count from relation.IndexStats
+	rows []int // materialized candidates, ascending, deduplicated
+	kids []*planNode
 }
 
 // residualConjunct is one ∧-spine leaf with its selectivity estimate —
@@ -201,13 +218,13 @@ func sketchFor(src Source, ix Indexer, p Pred) (planSketch, bool) {
 			return unionNode(est, built)
 		}}, true
 	case Eq:
-		return sketchEq(src, ix, q.Attr, []string{q.Const}, q.String()), true
+		return sketchEq(src, ix, q.Attr, []string{q.Const}, p), true
 	case In:
 		// Dedupe at plan time: repeated values would probe the same
 		// group twice, double-counting candidates in cost and evaluation.
 		vals := slices.Clone(q.Values)
 		slices.Sort(vals)
-		return sketchEq(src, ix, q.Attr, slices.Compact(vals), q.String()), true
+		return sketchEq(src, ix, q.Attr, slices.Compact(vals), p), true
 	case EqAttr:
 		if q.A == q.B {
 			return planSketch{}, false // true on every non-contradictory tuple; no probe
@@ -223,7 +240,7 @@ func sketchFor(src Source, ix Indexer, p Pred) (planSketch, bool) {
 // outside the attribute's domain still probe — the group is simply
 // absent. The estimate is vals' worth of average groups plus the
 // sidecar, from the index's statistics.
-func sketchEq(src Source, ix Indexer, attr schema.Attr, vals []string, label string) planSketch {
+func sketchEq(src Source, ix Indexer, attr schema.Attr, vals []string, atom Pred) planSketch {
 	idx := ix.IndexOn(schema.NewAttrSet(attr))
 	st := idx.Stats()
 	est := min(st.Rows, len(vals)*st.AvgGroup()) + st.Nulls
@@ -238,7 +255,7 @@ func sketchEq(src Source, ix Indexer, attr schema.Attr, vals []string, label str
 		}
 		rows = append(rows, idx.NullRows()...)
 		slices.Sort(rows) // distinct groups and the sidecar are disjoint: no dupes
-		return &planNode{op: opProbe, label: label, est: est, rows: rows}
+		return &planNode{op: opProbe, atom: atom, est: est, rows: rows}
 	}}
 }
 
@@ -264,7 +281,7 @@ func sketchEqAttr(src Source, ix Indexer, a EqAttr) planSketch {
 		})
 		rows = append(rows, idx.NullRows()...)
 		slices.Sort(rows)
-		return &planNode{op: opProbe, label: a.String(), est: est, rows: rows}
+		return &planNode{op: opProbe, atom: a, est: est, rows: rows}
 	}}
 }
 
@@ -372,12 +389,4 @@ func (pl *Plan) Run(src Source) Result {
 		}
 	}
 	return res
-}
-
-// describe renders a probe-node label for non-probe operators.
-func (n *planNode) describe() string {
-	if n.op == opProbe {
-		return fmt.Sprintf("%s %s", n.op, n.label)
-	}
-	return n.op
 }

@@ -70,3 +70,60 @@ func TestInDedupeAtPlanTime(t *testing.T) {
 	}
 	assertAscendingNoDupes(t, "union", pod.root.rows)
 }
+
+// TestSpineEq: the accessor sees Eq atoms on the ∧-spine — either side,
+// any depth, the leftmost when two name the attribute — and nothing
+// under ∨ or ¬, no In, no EqAttr; and it allocates nothing.
+func TestSpineEq(t *testing.T) {
+	eq := func(a schema.Attr, c string) Pred { return Eq{Attr: a, Const: c} }
+	cases := []struct {
+		p    Pred
+		want string
+		ok   bool
+	}{
+		{eq(0, "v1"), "v1", true},
+		{eq(1, "v1"), "", false},
+		{And{P: eq(1, "v2"), Q: eq(0, "v1")}, "v1", true},
+		{And{P: And{P: eq(1, "v2"), Q: And{P: eq(1, "v3"), Q: eq(0, "v4")}}, Q: eq(1, "v5")}, "v4", true},
+		{And{P: eq(0, "v1"), Q: eq(0, "v2")}, "v1", true},
+		{Or{P: eq(0, "v1"), Q: eq(1, "v2")}, "", false},
+		{Not{P: eq(0, "v1")}, "", false},
+		{And{P: Not{P: eq(0, "v1")}, Q: Or{P: eq(0, "v1"), Q: eq(0, "v2")}}, "", false},
+		{In{Attr: 0, Values: []string{"v1"}}, "", false},
+		{EqAttr{A: 0, B: 1}, "", false},
+	}
+	for _, tc := range cases {
+		if c, ok := SpineEq(tc.p, 0); ok != tc.ok || ok && c != tc.want {
+			t.Errorf("SpineEq(%s, #0) = %q, %v; want %q, %v", tc.p, c, ok, tc.want, tc.ok)
+		}
+	}
+	deep := cases[3].p
+	if n := testing.AllocsPerRun(100, func() { SpineEq(deep, 0) }); n != 0 {
+		t.Errorf("SpineEq allocates %v per call", n)
+	}
+}
+
+// TestExplainRendersPushedAtomOnDemand: plan nodes carry the atom, not
+// its rendering, and the report still names every probe.
+func TestExplainRendersPushedAtomOnDemand(t *testing.T) {
+	r := dedupeRel(t)
+	p := And{P: Eq{Attr: 0, Const: "v1"}, Q: In{Attr: 1, Values: []string{"v3", "v2"}}}
+	_, ex := SelectExplain(r, p, Options{})
+	var details []string
+	var walk func(n *ExplainNode)
+	walk = func(n *ExplainNode) {
+		if n.Op == opProbe {
+			details = append(details, n.Detail)
+		} else if n.Detail != "" {
+			t.Errorf("%s node carries detail %q", n.Op, n.Detail)
+		}
+		for _, k := range n.Kids {
+			walk(k)
+		}
+	}
+	walk(ex.Root)
+	slices.Sort(details)
+	if want := []string{`#0 = "v1"`, `#1 in {"v3","v2"}`}; !slices.Equal(details, want) {
+		t.Errorf("probe details %q, want %q\n%s", details, want, ex)
+	}
+}

@@ -97,20 +97,9 @@ func contradictory(s *schema.Scheme, t relation.Tuple) bool {
 		}
 	}
 	for i, v := range t {
-		if !v.IsNull() || earlierMark(t, i) {
-			continue
-		}
-		// Fast path: a mark confined to one attribute, or repeated across
-		// attributes sharing one *Domain, is trivially satisfiable.
-		dom := s.Domain(schema.Attr(i))
-		mixed := false
-		for j := i + 1; j < len(t); j++ {
-			if t[j].IsNull() && t[j].Mark() == v.Mark() && s.Domain(schema.Attr(j)) != dom {
-				mixed = true
-				break
-			}
-		}
-		if mixed && !markSatisfiable(s, t, v.Mark(), dom) {
+		// feasibleValues answers from the domain itself, without
+		// allocating, unless the mark spans different domains.
+		if v.IsNull() && !earlierMark(t, i) && len(feasibleValues(s, t, schema.Attr(i))) == 0 {
 			return true
 		}
 	}
@@ -122,25 +111,6 @@ func contradictory(s *schema.Scheme, t relation.Tuple) bool {
 func earlierMark(t relation.Tuple, i int) bool {
 	for j := 0; j < i; j++ {
 		if t[j].IsNull() && t[j].Mark() == t[i].Mark() {
-			return true
-		}
-	}
-	return false
-}
-
-// markSatisfiable reports whether some constant of dom lies in the
-// domain of every attribute carrying the mark — i.e. the mark's cells
-// admit a common substitution.
-func markSatisfiable(s *schema.Scheme, t relation.Tuple, mark int, dom *schema.Domain) bool {
-	for _, c := range dom.Values {
-		ok := true
-		for j, w := range t {
-			if w.IsNull() && w.Mark() == mark && !s.Domain(schema.Attr(j)).Contains(c) {
-				ok = false
-				break
-			}
-		}
-		if ok {
 			return true
 		}
 	}
@@ -226,10 +196,10 @@ func evalRaw(s *schema.Scheme, t relation.Tuple, p Pred) tvl.T {
 
 // feasibleValues returns the constants a null cell can complete to: the
 // cell's domain, narrowed by every other attribute carrying the same
-// mark (one unknown value must lie in all of them). The caller has
-// ruled out contradiction, so the result is non-empty; sharing within
-// one *Domain (the common case) returns the domain's own slice without
-// allocating.
+// mark (one unknown value must lie in all of them) — empty exactly when
+// the mark's cells admit no common substitution, which is how
+// contradictory decides. Sharing within one *Domain (the common case)
+// returns the domain's own slice without allocating.
 func feasibleValues(s *schema.Scheme, t relation.Tuple, a schema.Attr) []string {
 	dom := s.Domain(a)
 	mark := t[a].Mark()
@@ -273,14 +243,7 @@ func (e Eq) eval(s *schema.Scheme, t relation.Tuple) tvl.T {
 	if v.IsConst() {
 		return tvl.FromBool(v.Const() == e.Const)
 	}
-	vals := feasibleValues(s, t, e.Attr)
-	if !slices.Contains(vals, e.Const) {
-		return tvl.False
-	}
-	if len(vals) == 1 {
-		return tvl.True
-	}
-	return tvl.Unknown
+	return nullVsConst(feasibleValues(s, t, e.Attr), e.Const)
 }
 
 // Eval for attr ∈ S — the paper's married-or-single example: the lub
@@ -292,20 +255,12 @@ func (i In) Eval(s *schema.Scheme, t relation.Tuple) tvl.T {
 
 func (i In) eval(s *schema.Scheme, t relation.Tuple) tvl.T {
 	v := t[i.Attr]
-	inSet := func(c string) bool {
-		for _, x := range i.Values {
-			if x == c {
-				return true
-			}
-		}
-		return false
-	}
 	if v.IsConst() {
-		return tvl.FromBool(inSet(v.Const()))
+		return tvl.FromBool(slices.Contains(i.Values, v.Const()))
 	}
 	all, none := true, true
 	for _, c := range feasibleValues(s, t, i.Attr) {
-		if inSet(c) {
+		if slices.Contains(i.Values, c) {
 			none = false
 		} else {
 			all = false
@@ -346,7 +301,7 @@ func (e EqAttr) eval(s *schema.Scheme, t relation.Tuple) tvl.T {
 		// Two independently marked nulls: each ranges over its own
 		// feasible set.
 		va, vb := feasibleValues(s, t, e.A), feasibleValues(s, t, e.B)
-		if !valuesIntersect(va, vb) {
+		if !slices.ContainsFunc(va, func(c string) bool { return slices.Contains(vb, c) }) {
 			return tvl.False
 		}
 		if len(va) == 1 && len(vb) == 1 {
@@ -367,15 +322,6 @@ func nullVsConst(vals []string, c string) tvl.T {
 		return tvl.True
 	}
 	return tvl.Unknown
-}
-
-func valuesIntersect(a, b []string) bool {
-	for _, v := range a {
-		if slices.Contains(b, v) {
-			return true
-		}
-	}
-	return false
 }
 
 // Eval for ¬P is strong-Kleene negation. The contradictory-tuple guard

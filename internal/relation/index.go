@@ -148,14 +148,8 @@ func (ix *Index) Set() schema.AttrSet { return ix.set }
 // mutate it. Freshly built indexes list rows in ascending order; groups
 // touched by delta updates (delta.go) may not.
 func (ix *Index) Probe(t Tuple) ([]int, bool) {
-	for _, a := range ix.attrs {
-		if !t[a].IsConst() {
-			return nil, false
-		}
-	}
-	var b strings.Builder
-	writeKey(&b, t, ix.attrs)
-	return ix.groups[b.String()], true
+	k, ok := ConstKeyOn(t, ix.attrs)
+	return ix.groups[k], ok
 }
 
 // NullRows returns the indices of tuples with a null on the set (shared

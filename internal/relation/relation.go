@@ -10,6 +10,7 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -30,10 +31,12 @@ func (t Tuple) Clone() Tuple {
 
 // HasNullOn reports whether t has a null in any attribute of set.
 // This is the paper's "t[X] = null" convention (Section 6: "t[X]=null
-// implies that one of the Xi values is null").
+// implies that one of the Xi values is null"). Like HasNothingOn,
+// ConstEqOn and IdenticalOn it walks the bitset in place: set.Attrs() is
+// a slice per call, and these sit under every FD check and fireGroup.
 func (t Tuple) HasNullOn(set schema.AttrSet) bool {
-	for _, a := range set.Attrs() {
-		if t[a].IsNull() {
+	for v := uint64(set); v != 0; v &= v - 1 {
+		if t[bits.TrailingZeros64(v)].IsNull() {
 			return true
 		}
 	}
@@ -42,8 +45,8 @@ func (t Tuple) HasNullOn(set schema.AttrSet) bool {
 
 // HasNothingOn reports whether t has the inconsistent element in set.
 func (t Tuple) HasNothingOn(set schema.AttrSet) bool {
-	for _, a := range set.Attrs() {
-		if t[a].IsNothing() {
+	for v := uint64(set); v != 0; v &= v - 1 {
+		if t[bits.TrailingZeros64(v)].IsNothing() {
 			return true
 		}
 	}
@@ -65,8 +68,8 @@ func (t Tuple) NullsOn(set schema.AttrSet) []schema.Attr {
 // attribute of set. Any null or nothing on set makes this false: it is the
 // strict, classical notion of equality used by [T1]/[F1].
 func (t Tuple) ConstEqOn(u Tuple, set schema.AttrSet) bool {
-	for _, a := range set.Attrs() {
-		if !t[a].SameConst(u[a]) {
+	for v := uint64(set); v != 0; v &= v - 1 {
+		if a := bits.TrailingZeros64(v); !t[a].SameConst(u[a]) {
 			return false
 		}
 	}
@@ -76,8 +79,8 @@ func (t Tuple) ConstEqOn(u Tuple, set schema.AttrSet) bool {
 // IdenticalOn reports syntactic identity (same constants, same null marks,
 // same nothings) on set.
 func (t Tuple) IdenticalOn(u Tuple, set schema.AttrSet) bool {
-	for _, a := range set.Attrs() {
-		if !t[a].Identical(u[a]) {
+	for v := uint64(set); v != 0; v &= v - 1 {
+		if a := bits.TrailingZeros64(v); !t[a].Identical(u[a]) {
 			return false
 		}
 	}
@@ -300,20 +303,10 @@ func (r *Relation) MustInsertRow(cells ...string) {
 }
 
 func (r *Relation) parseCell(c string) (value.V, error) {
-	switch {
-	case c == "-":
+	if c == "-" {
 		return r.FreshNull(), nil
-	case c == "!":
-		return value.NewNothing(), nil
-	case strings.HasPrefix(c, "-"):
-		var mark int
-		if _, err := fmt.Sscanf(c, "-%d", &mark); err != nil {
-			return value.V{}, fmt.Errorf("relation: bad null cell %q", c)
-		}
-		return value.NewNull(mark), nil
-	default:
-		return value.NewConst(c), nil
 	}
+	return value.Parse(c)
 }
 
 // Delete removes the i-th tuple, preserving the order of the rest.

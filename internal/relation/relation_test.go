@@ -123,6 +123,53 @@ func TestInsertRowSyntax(t *testing.T) {
 	}
 }
 
+// TestParseRowMalformedNullCells: a "-k" cell is a minus and decimal
+// digits, nothing else. Each of these used to be stored — "-5abc" as ⊥5,
+// "--5" as a null with mark −5, "-0x10" as ⊥0 — and is now refused with
+// nothing inserted; the well-formed spellings still parse.
+func TestParseRowMalformedNullCells(t *testing.T) {
+	r := New(abcScheme())
+	for _, cell := range []string{"-5abc", "--5", "-0x10", "-+5", "- 5", "-5 ", "-99999999999999999999"} {
+		if tu, err := r.ParseRow("a1", cell, "a2"); err == nil {
+			t.Errorf("ParseRow(%q) = %v, want a refusal", cell, tu)
+		} else if !strings.Contains(err.Error(), "bad null cell") {
+			t.Errorf("ParseRow(%q): %v, want a bad-null-cell error", cell, err)
+		}
+		if err := r.InsertRow("a1", cell, "a2"); err == nil || r.Len() != 0 {
+			t.Errorf("InsertRow(%q): err %v, %d rows stored", cell, err, r.Len())
+		}
+	}
+	for cell, mark := range map[string]int{"-0": 0, "-5": 5, "-005": 5} {
+		tu, err := r.ParseRow("a1", cell, "a2")
+		if err != nil || !tu[1].IsNull() || tu[1].Mark() != mark {
+			t.Errorf("ParseRow(%q) = %v, %v; want mark %d", cell, tu, err, mark)
+		}
+	}
+}
+
+// TestTuplePredicatesDoNotAllocate: the four set-restricted predicates
+// walk the attribute bitset in place. They sit under every FD check and
+// under fireGroup on the write path; ranging over set.Attrs() cost each
+// call a slice.
+func TestTuplePredicatesDoNotAllocate(t *testing.T) {
+	s := abcScheme()
+	tu := Tuple{value.NewConst("a1"), value.NewConst("a2"), value.NewConst("a3")}
+	u := tu.Clone()
+	set := s.All()
+	var sink bool
+	for name, fn := range map[string]func(){
+		"HasNullOn":    func() { sink = tu.HasNullOn(set) },
+		"HasNothingOn": func() { sink = tu.HasNothingOn(set) },
+		"ConstEqOn":    func() { sink = tu.ConstEqOn(u, set) },
+		"IdenticalOn":  func() { sink = tu.IdenticalOn(u, set) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s allocates %v per call, want 0", name, n)
+		}
+	}
+	_ = sink
+}
+
 func TestFreshNullUnique(t *testing.T) {
 	r := New(abcScheme())
 	a, b := r.FreshNull(), r.FreshNull()

@@ -17,6 +17,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("domain d = x\nscheme R(A#:d, B:d)\nrow x x # comment\n")
 	f.Add("domain d = x\nscheme R(A:d)\nrow -2\nnextmark 9\n")
 	f.Add("domain d = x\nscheme R(A:d)\nnextmark 0\n")
+	f.Add("domain d = x\nscheme R(A:d, B:d, C:d)\nrow -5abc --5 -0x10\n")
+	f.Add("domain d = x\nscheme R(A:d, B:d)\nrow -5 -005\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		parsed, err := Parse(strings.NewReader(input))
 		if err != nil {

@@ -68,6 +68,17 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRefusesMalformedNullCells: a file row reads its cells by the
+// row parser's strict "-k" definition, and the refusal names the row.
+func TestParseRefusesMalformedNullCells(t *testing.T) {
+	for _, cell := range []string{"-5abc", "--5", "-0x10"} {
+		_, err := ParseString("domain d = x y\nscheme R(A:d, B:d)\nrow x -5\nrow y " + cell + "\n")
+		if err == nil || !strings.Contains(err.Error(), "row 2") || !strings.Contains(err.Error(), "bad null cell") {
+			t.Errorf("a row with cell %q: %v, want row 2 refused as a bad null cell", cell, err)
+		}
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	f, err := ParseString(sample)
 	if err != nil {

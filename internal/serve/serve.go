@@ -7,6 +7,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -15,11 +16,11 @@ import (
 	"net"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
 	fdnull "fdnull"
+	"fdnull/internal/value"
 )
 
 // ---- tenant configuration ----
@@ -214,8 +215,6 @@ type response struct {
 	Rejected bool        `json:"rejected,omitempty"`
 	Tenant   string      `json:"tenant,omitempty"`
 	N        *int        `json:"n,omitempty"`
-	Sure     [][]string  `json:"sure,omitempty"`
-	Maybe    [][]string  `json:"maybe,omitempty"`
 	FDs      []string    `json:"fds,omitempty"`
 	Weak     *bool       `json:"weak,omitempty"`
 	Strong   *bool       `json:"strong,omitempty"`
@@ -240,20 +239,13 @@ func errResponse(err error) response {
 // constants verbatim, "-k" the marked null ⊥k, "!" refused (nothing is
 // never stored), bare "-" refused (a fresh null cannot match anything).
 func parseMatchCell(c string) (fdnull.Value, error) {
-	switch {
-	case c == "-":
+	switch c {
+	case "-":
 		return fdnull.Value{}, errors.New("bare \"-\" cannot address a committed tuple; use the explicit \"-k\" mark")
-	case c == "!":
+	case "!":
 		return fdnull.Value{}, errors.New("the inconsistent element is never stored")
-	case strings.HasPrefix(c, "-"):
-		k, err := strconv.Atoi(c[1:])
-		if err != nil || k < 0 {
-			return fdnull.Value{}, fmt.Errorf("bad null cell %q", c)
-		}
-		return fdnull.NullValue(k), nil
-	default:
-		return fdnull.Const(c), nil
 	}
+	return value.Parse(c)
 }
 
 func (t *tenant) parseMatch(cells []string) (fdnull.Tuple, error) {
@@ -318,16 +310,78 @@ func (t *tenant) stageOp(tx *fdnull.ShardedTxn, op wireOp) error {
 	}
 }
 
-func renderRows(ts []fdnull.Tuple) [][]string {
-	out := make([][]string, len(ts))
-	for i, tup := range ts {
-		row := make([]string, len(tup))
-		for j, v := range tup {
-			row[j] = v.String()
-		}
-		out[i] = row
+// queryReply is one connection's scratch for query replies, the one
+// reply whose size scales with the data. Rows are appended cell by cell
+// while SelectVisit holds a shard's read lock — memory only, so a slow
+// client cannot pin a shard; sure and maybe apart, since shards
+// interleave them — and sent in one Write after every lock is released.
+// The bytes are what encoding/json emits for {"ok":true,"sure":[[…]],
+// "maybe":[[…]]} with omitempty on both lists.
+type queryReply struct{ sure, maybe, line []byte }
+
+// maxReplyScratch bounds the scratch a connection keeps between replies.
+const maxReplyScratch = 1 << 20
+
+// render answers where on tn; the line is valid until the next call.
+func (q *queryReply) render(tn *tenant, where string) ([]byte, error) {
+	p, err := fdnull.ParsePred(tn.scheme, where)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	q.sure, q.maybe = q.sure[:0], q.maybe[:0]
+	tn.store.SelectVisit(p, fdnull.QueryOptions{}, func(t fdnull.Tuple, sure bool) {
+		if sure {
+			q.sure = appendRow(q.sure, t)
+		} else {
+			q.maybe = appendRow(q.maybe, t)
+		}
+	})
+	q.line = append(q.line[:0], `{"ok":true`...)
+	q.line = appendList(q.line, `,"sure":[`, q.sure)
+	q.line = appendList(q.line, `,"maybe":[`, q.maybe)
+	q.line = append(q.line, "}\n"...)
+	return q.line, nil
+}
+
+// appendList appends one answer list after its opening, or nothing for
+// an empty one (omitempty). Each row is led by a comma; the first goes.
+func appendList(line []byte, open string, rows []byte) []byte {
+	if len(rows) == 0 {
+		return line
+	}
+	line = append(line, open...)
+	line = append(line, rows[1:]...)
+	return append(line, ']')
+}
+
+// appendRow appends `,["cell",…]`. A cell of printable ASCII outside
+// the five bytes encoding/json escapes (HTML escaping is on) is its own
+// JSON string body, and null marks and "!" always are; any other
+// constant goes through json.Marshal, so no escaping rule is restated.
+func appendRow(b []byte, t fdnull.Tuple) []byte {
+	b = append(b, ',', '[')
+	for i, v := range t {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if v.IsConst() && !plain(v.Const()) {
+			quoted, _ := json.Marshal(v.Const()) // a string always marshals
+			b = append(b, quoted...)
+			continue
+		}
+		b = append(b, '"')
+		b = append(v.AppendString(b), '"')
+	}
+	return append(b, ']')
+}
+
+func plain(cell string) bool {
+	for i := 0; i < len(cell); i++ {
+		if c := cell[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
 }
 
 // ---- server ----
@@ -458,23 +512,18 @@ func (srv *Server) CloseTenants() error {
 func (srv *Server) handle(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	out := bufio.NewWriter(conn)
-	enc := json.NewEncoder(out)
-	reply := func(resp response) bool {
-		if err := enc.Encode(resp); err != nil {
-			return false
-		}
-		return out.Flush() == nil
-	}
+	enc := json.NewEncoder(conn) // Encode is one Write per reply
+	reply := func(resp response) bool { return enc.Encode(resp) == nil }
 	var bound *tenant
+	var qr queryReply
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
 		var req request
 		var resp response
-		if err := json.Unmarshal([]byte(line), &req); err != nil {
+		if err := json.Unmarshal(line, &req); err != nil {
 			resp = errResponse(fmt.Errorf("bad request: %w", err))
 		} else if req.Op == "auth" {
 			tn, err := srv.authenticate(req)
@@ -486,6 +535,18 @@ func (srv *Server) handle(conn net.Conn) {
 			}
 		} else if bound == nil {
 			resp = errResponse(errors.New("authenticate first: {\"op\":\"auth\",\"tenant\":...,\"token\":...}"))
+		} else if req.Op == "query" {
+			out, err := qr.render(bound, req.Where)
+			if err == nil {
+				if _, err = conn.Write(out); err != nil {
+					return
+				}
+				if cap(qr.sure)+cap(qr.maybe)+cap(qr.line) > maxReplyScratch {
+					qr = queryReply{} // one large answer's buffers are not kept
+				}
+				continue
+			}
+			resp = errResponse(err)
 		} else {
 			resp = srv.dispatch(bound, req)
 		}
@@ -565,13 +626,6 @@ func (srv *Server) dispatch(tn *tenant, req request) response {
 			return errResponse(err)
 		}
 		return response{OK: true, N: intp(len(req.Ops))}
-	case "query":
-		p, err := fdnull.ParsePred(tn.scheme, req.Where)
-		if err != nil {
-			return errResponse(err)
-		}
-		sure, maybe := tn.store.SelectTuples(p, fdnull.QueryOptions{})
-		return response{OK: true, Sure: renderRows(sure), Maybe: renderRows(maybe)}
 	case "discover":
 		maxLHS := req.MaxLHS
 		if maxLHS <= 0 {

@@ -1,8 +1,8 @@
 // concurrent.go wraps the Store in a reader/writer-locked facade so one
 // guarded instance can serve many goroutines: writers serialize behind
 // the write lock, and readers share the read lock. A read is one of two
-// kinds. Query, QueryAll, CheckWeak, CheckStrong and Len evaluate on the
-// live relation and hold the read lock for their own length — a planned
+// kinds. Query, CheckWeak, CheckStrong and Len evaluate on the live
+// relation and hold the read lock for their own length — a planned
 // selection is a few index probes, and the indexes it probes are the
 // ones the writers keep fresh. Snapshot and BeginTxn take an O(1)
 // copy-on-write view under the read lock and then work lock-free on

@@ -47,12 +47,6 @@ func (st *Store) Query(p query.Pred) query.Result {
 	return query.SelectWith(st.rel, p, query.Options{})
 }
 
-// QueryAll answers a batch of selections over the stored instance,
-// fanned over a bounded worker pool (Options.Workers).
-func (st *Store) QueryAll(preds []query.Pred, opts query.Options) []query.Result {
-	return query.SelectAll(st.rel, preds, opts)
-}
-
 // Query evaluates a selection against the concurrent store under the
 // read lock: readers proceed in parallel with each other, and a writer
 // waits for the selections in flight.
@@ -60,14 +54,6 @@ func (c *Concurrent) Query(p query.Pred) query.Result {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.st.Query(p)
-}
-
-// QueryAll answers a batch of selections under ONE hold of the read
-// lock: every predicate sees the same committed state.
-func (c *Concurrent) QueryAll(preds []query.Pred, opts query.Options) []query.Result {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.st.QueryAll(preds, opts)
 }
 
 // QueryCacheStats reports how the relation's X-partition indexes served

@@ -136,31 +136,6 @@ func TestStoreQueryDomainExhaustion(t *testing.T) {
 	}
 }
 
-func TestStoreQueryAll(t *testing.T) {
-	s, fds := refineScheme()
-	st := New(s, fds, Options{})
-	for i := 1; i <= 4; i++ {
-		if err := st.InsertRow(fmt.Sprintf("e%d", i), "-", "d1"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	preds := []query.Pred{
-		query.Eq{Attr: 0, Const: "e1"},
-		query.Eq{Attr: 2, Const: "d1"},
-		query.In{Attr: 2, Values: []string{"d1", "d2"}},
-		query.Eq{Attr: 0, Const: "e1"}, // repeated: two workers plan over one shared index
-	}
-	batch := st.QueryAll(preds, query.Options{Workers: 3})
-	if len(batch) != len(preds) {
-		t.Fatalf("got %d results", len(batch))
-	}
-	for i, p := range preds {
-		if want := st.Query(p); !batch[i].Equal(want) {
-			t.Errorf("pred %d (%s): batch result differs", i, p)
-		}
-	}
-}
-
 // TestConcurrentQuery races selections against writers on a two-shard
 // store (run under -race): a selection is evaluated on the live relation
 // under its shard's read lock, so it must always describe one committed

@@ -176,10 +176,10 @@ func OpenShardedDurable(dir string, s *schema.Scheme, fds []fd.FD, opts ShardedO
 			sh.nextMark = nm
 		}
 		for _, t := range c.st.rel.Tuples() {
-			if home, err := sh.shardOf(t); err != nil || home != i {
+			if home, err := sh.ShardOf(t); err != nil || home != i {
 				sh.Close() // errcheck:ok refusing the open; the routing error below subsumes close failures
 				return nil, fmt.Errorf("store: sharded dir %s was not written under shard key %s: shard %d holds %s, which does not route there",
-					dir, formatAttrs(s, opts.Key), i, t)
+					dir, s.FormatSet(opts.Key), i, t)
 			}
 		}
 	}
@@ -194,35 +194,27 @@ func validateShardedOptions(s *schema.Scheme, fds []fd.FD, opts ShardedOptions) 
 		return errors.New("store: sharded store needs a non-empty shard key")
 	}
 	if !opts.Key.SubsetOf(s.All()) {
-		return fmt.Errorf("store: shard key %s outside scheme %s", formatAttrs(s, opts.Key), s.Name())
+		return fmt.Errorf("store: shard key %s outside scheme %s", s.FormatSet(opts.Key), s.Name())
 	}
 	for _, f := range fds {
 		if !opts.Key.SubsetOf(f.X) {
 			return fmt.Errorf("store: shard key %s is not a subset of the LHS of %s; cross-shard chases would be unsound",
-				formatAttrs(s, opts.Key), f.Format(s))
+				s.FormatSet(opts.Key), f.Format(s))
 		}
 	}
 	return nil
 }
 
-func formatAttrs(s *schema.Scheme, set schema.AttrSet) string {
-	names := make([]string, 0, set.Len())
-	for _, a := range set.Attrs() {
-		names = append(names, s.AttrName(a))
-	}
-	return strings.Join(names, ",")
-}
-
 // ---- routing ----
 
-// shardOf routes a tuple by the FNV-1a hash of its constant key
-// projection (the X-partition group-key encoding, so syntactically
-// identical projections — and only those — co-route).
-func (s *Sharded) shardOf(t relation.Tuple) (int, error) {
+// ShardOf routes a tuple — reports its home shard — by the FNV-1a hash
+// of its constant key projection (the X-partition group-key encoding, so
+// syntactically identical projections — and only those — co-route).
+func (s *Sharded) ShardOf(t relation.Tuple) (int, error) {
 	k, ok := relation.ConstKeyOn(t, s.keyAttrs)
 	if !ok {
 		return 0, fmt.Errorf("store: tuple %s is not constant on the shard key %s; nulls on key attributes cannot be routed",
-			t, formatAttrs(s.scheme, s.key))
+			t, s.scheme.FormatSet(s.key))
 	}
 	if len(s.shards) == 1 {
 		return 0, nil
@@ -234,10 +226,6 @@ func (s *Sharded) shardOf(t relation.Tuple) (int, error) {
 	}
 	return int(h % uint32(len(s.shards))), nil
 }
-
-// ShardOf reports the home shard of a tuple (for observability and the
-// exerciser's routing assertions).
-func (s *Sharded) ShardOf(t relation.Tuple) (int, error) { return s.shardOf(t) }
 
 // ---- accessors ----
 
@@ -351,36 +339,74 @@ func (s *Sharded) CheckStrong() bool {
 	return ok
 }
 
-// SelectTuples evaluates a three-valued selection on every shard's live
-// relation and returns the answers as materialized tuples — per-shard
-// indices mean nothing to facade clients — ordered by shard, then by
-// tuple index within the shard. Each shard is evaluated AND its answer
-// tuples cloned inside that shard's read lock: nothing pins live rows
-// once the lock drops, and the next write overwrites them in place. The
-// shards are visited one after another, so the answer is a committed
+// SelectVisit evaluates a three-valued selection on the live relations
+// and hands each answer tuple to visit (sure: a certain answer; false: a
+// possible one), ordered by shard, then the shard's sure answers before
+// its maybe ones, each by ascending tuple index.
+//
+// Routing: when p's ∧-spine carries an Eq atom on every shard-key
+// attribute, only the shard those constants hash to is evaluated. Sound,
+// because a stored tuple is constant on the key and lives where its key
+// projection hashes (ShardOf routes nothing else, cross-shard key moves
+// included): a tuple of any other shard differs from the pinned constants
+// on some key attribute, so that Eq atom is false on it and with it the
+// conjunction — the home shard's answers are what visiting every shard
+// yields, in the same order. In, Or, Not and a partly pinned key visit
+// every shard.
+//
+// Callback contract: visit runs under the shard's read lock on the LIVE
+// tuple. It must copy what it keeps (the next write overwrites the row in
+// place) and must not block or call into the store: a writer waits for
+// it. Shards are visited one after another, so the answer is a committed
 // state of each shard, not one cut across them (SnapshotAll is).
-func (s *Sharded) SelectTuples(p query.Pred, opts query.Options) (sure, maybe []relation.Tuple) {
-	for _, c := range s.shards {
+func (s *Sharded) SelectVisit(p query.Pred, opts query.Options, visit func(t relation.Tuple, sure bool)) {
+	shards := s.shards
+	if pinned := len(shards) > 1; pinned {
+		probe := make(relation.Tuple, s.scheme.Arity())
+		for _, a := range s.keyAttrs {
+			c, ok := query.SpineEq(p, a)
+			pinned = pinned && ok
+			probe[a] = value.NewConst(c)
+		}
+		if pinned {
+			home, _ := s.ShardOf(probe) // constant on the key: routable
+			shards = shards[home : home+1]
+		}
+	}
+	for _, c := range shards {
 		func() {
 			c.mu.RLock()
 			defer c.mu.RUnlock()
 			rel := c.st.rel
 			res := query.SelectWith(rel, p, opts)
 			for _, i := range res.Sure {
-				sure = append(sure, rel.Tuple(i).Clone())
+				visit(rel.Tuple(i), true)
 			}
 			for _, i := range res.Maybe {
-				maybe = append(maybe, rel.Tuple(i).Clone())
+				visit(rel.Tuple(i), false)
 			}
 		}()
 	}
+}
+
+// SelectTuples is SelectVisit with every answer cloned out from under
+// the lock — per-shard indices mean nothing to facade clients — sure and
+// maybe each ordered by shard, then by tuple index within the shard.
+func (s *Sharded) SelectTuples(p query.Pred, opts query.Options) (sure, maybe []relation.Tuple) {
+	s.SelectVisit(p, opts, func(t relation.Tuple, isSure bool) {
+		if isSure {
+			sure = append(sure, t.Clone())
+		} else {
+			maybe = append(maybe, t.Clone())
+		}
+	})
 	return sure, maybe
 }
 
 // Find reports whether a syntactically identical tuple is stored (its
 // home shard and in-shard index), or (-1, -1).
 func (s *Sharded) Find(t relation.Tuple) (shard, index int) {
-	si, err := s.shardOf(t)
+	si, err := s.ShardOf(t)
 	if err != nil {
 		return -1, -1
 	}
@@ -768,20 +794,20 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 	for k, op := range ops {
 		switch op.kind {
 		case txnInsert:
-			si, err := s.shardOf(parsed[k])
+			si, err := s.ShardOf(parsed[k])
 			if err != nil {
 				return structural(k, err)
 			}
 			perShard[si] = append(perShard[si], routedOp{gidx: k, op: op, ins: parsed[k]})
 		case txnUpdate:
-			si, err := s.shardOf(op.match)
+			si, err := s.ShardOf(op.match)
 			if err != nil {
 				return structural(k, err)
 			}
 			if s.key.Has(op.a) && !op.v.Identical(op.match[op.a]) {
 				moved := op.match.Clone()
 				moved[op.a] = op.v
-				sj, err := s.shardOf(moved)
+				sj, err := s.ShardOf(moved)
 				if err != nil {
 					return structural(k, err)
 				}
@@ -801,7 +827,7 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 			}
 			perShard[si] = append(perShard[si], routedOp{gidx: k, op: op})
 		default:
-			si, err := s.shardOf(op.match)
+			si, err := s.ShardOf(op.match)
 			if err != nil {
 				return structural(k, err)
 			}

@@ -116,10 +116,165 @@ func assertShardedReadsMatchScan(t *testing.T, n int, sh *Sharded, preds []query
 	}
 }
 
+// routingBattery draws one step's routed-read check from its own
+// generator: the shapes whose ∧-spine pins the whole shard key (alone,
+// beside another atom on either side of the spine, beside a second Eq on
+// the same key attribute that contradicts the first) and the shapes that
+// must keep the all-shards loop (a key atom under ∨, under ¬, an In on a
+// key attribute, and — for a composite key — each attribute pinned
+// without the others). Key constants come from a stored tuple two times
+// in three, so the routed answers are usually non-empty.
+func routingBattery(rrng *rand.Rand, sh *Sharded) []query.Pred {
+	s := sh.Scheme()
+	randConst := func(a schema.Attr) string {
+		d := s.Domain(a)
+		return d.Values[rrng.Intn(d.Size())]
+	}
+	stored := sh.Snapshot().Tuples()
+	pin := func() query.Pred { // Eq on every key attribute
+		var from relation.Tuple
+		if len(stored) > 0 && rrng.Intn(3) > 0 {
+			from = stored[rrng.Intn(len(stored))]
+		}
+		var p query.Pred
+		for _, a := range sh.keyAttrs {
+			c := randConst(a)
+			if from != nil {
+				c = from[a].Const()
+			}
+			if p == nil {
+				p = query.Eq{Attr: a, Const: c}
+			} else {
+				p = query.And{P: p, Q: query.Eq{Attr: a, Const: c}}
+			}
+		}
+		return p
+	}
+	var other schema.Attr // an attribute off the key
+	for sh.key.Has(other) {
+		other++
+	}
+	off := func() query.Pred { return query.Eq{Attr: other, Const: randConst(other)} }
+	k0 := sh.keyAttrs[0]
+	preds := []query.Pred{
+		pin(),
+		query.And{P: pin(), Q: off()},
+		query.And{P: off(), Q: query.And{P: off(), Q: pin()}},
+		query.And{P: pin(), Q: query.Eq{Attr: k0, Const: randConst(k0)}},
+		query.Or{P: pin(), Q: off()},
+		query.Not{P: pin()},
+		query.And{P: query.In{Attr: k0, Values: []string{randConst(k0), randConst(k0)}}, Q: off()},
+	}
+	if len(sh.keyAttrs) > 1 {
+		for _, a := range sh.keyAttrs {
+			preds = append(preds, query.And{P: query.Eq{Attr: a, Const: randConst(a)}, Q: off()})
+		}
+	}
+	return preds
+}
+
+// assertRoutedReadsMatchAllShards holds the routed read to the unrouted
+// one: SelectTuples must return, tuple for tuple and in order, what
+// evaluating the predicate on EVERY shard in turn returns — a test-local
+// loop over Concurrent.Query that knows nothing of routing.
+func assertRoutedReadsMatchAllShards(t *testing.T, n int, sh *Sharded, preds []query.Pred) {
+	t.Helper()
+	all := sh.Scheme().All()
+	same := func(got, want []relation.Tuple) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for k := range want {
+			if !got[k].IdenticalOn(want[k], all) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, p := range preds {
+		var wantSure, wantMaybe []relation.Tuple
+		for i := 0; i < sh.NumShards(); i++ {
+			res, rows := sh.Shard(i).Query(p), sh.Shard(i).Snapshot()
+			for _, j := range res.Sure {
+				wantSure = append(wantSure, rows.Tuple(j))
+			}
+			for _, j := range res.Maybe {
+				wantMaybe = append(wantMaybe, rows.Tuple(j))
+			}
+		}
+		sure, maybe := sh.SelectTuples(p, query.Options{})
+		if !same(sure, wantSure) || !same(maybe, wantMaybe) {
+			t.Fatalf("step %d, S=%d: SelectTuples(%s) = sure %v maybe %v, every shard in turn says sure %v maybe %v",
+				n, sh.NumShards(), p, sure, maybe, wantSure, wantMaybe)
+		}
+	}
+}
+
+// TestShardedRoutedReadsMatchAllShards runs the routed-read check over
+// whole histories at S ∈ {1, 2, 4}: the lockstep exerciser's own (key K;
+// it makes the check after every transaction at its S ∈ {1, 3, 8} too),
+// and a write stream over a two-attribute shard key, where a read is
+// routed only when BOTH attributes are pinned.
+func TestShardedRoutedReadsMatchAllShards(t *testing.T) {
+	steps := 300
+	if testing.Short() {
+		steps = 80
+	}
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("key=K/S=%d", shards), func(t *testing.T) {
+			sh, s, fds := mustSharded(t, shards, Options{})
+			runShardedHistory(t, rand.New(rand.NewSource(int64(31*shards))), sh, New(s, fds, Options{}), steps)
+		})
+		t.Run(fmt.Sprintf("key=K,J/S=%d", shards), func(t *testing.T) {
+			s := schema.MustNew("R",
+				[]string{"K", "J", "A", "B"},
+				[]*schema.Domain{
+					schema.IntDomain("key", "k", 6),
+					schema.IntDomain("sub", "j", 4),
+					schema.IntDomain("alpha", "a", 4),
+					schema.IntDomain("beta", "b", 4),
+				})
+			fds := fd.MustParseSet(s, "K,J -> A")
+			sh, err := NewSharded(s, fds, ShardedOptions{Shards: shards, Key: fds[0].X})
+			if err != nil {
+				t.Fatalf("NewSharded: %v", err)
+			}
+			rng := rand.New(rand.NewSource(int64(17 * shards)))
+			rrng := rand.New(rand.NewSource(int64(steps)))
+			cell := func(a schema.Attr, nullable bool) string {
+				if nullable && rng.Intn(4) == 0 {
+					return "-"
+				}
+				d := s.Domain(a)
+				return d.Values[rng.Intn(d.Size())]
+			}
+			for n := 0; n < steps; n++ {
+				// Rejections and duplicate refusals are part of the stream:
+				// the check is about reads, whatever the write's verdict.
+				stored := sh.Snapshot().Tuples()
+				switch k := rng.Intn(10); {
+				case k < 6 || len(stored) == 0:
+					_ = sh.InsertRow(cell(0, false), cell(1, false), cell(2, true), cell(3, true))
+				case k < 8:
+					a := schema.Attr(2 + rng.Intn(2))
+					_ = sh.UpdateTuple(stored[rng.Intn(len(stored))], a, value.NewConst(cell(a, false)))
+				default:
+					_ = sh.DeleteTuple(stored[rng.Intn(len(stored))])
+				}
+				assertRoutedReadsMatchAllShards(t, n, sh, routingBattery(rrng, sh))
+			}
+			if sh.Len() == 0 || !sh.CheckWeak() {
+				t.Fatalf("the stream left %d rows, weakly satisfiable: %v", sh.Len(), sh.CheckWeak())
+			}
+		})
+	}
+}
+
 func runShardedHistory(t *testing.T, rng *rand.Rand, sh *Sharded, oracle *Store, txns int) {
 	t.Helper()
 	s := oracle.Scheme()
 	qrng := rand.New(rand.NewSource(int64(txns))) // the read battery's own generator
+	rrng := rand.New(rand.NewSource(int64(txns))) // and the routed-read battery's
 	attrA, attrB, attrK := s.MustAttr("A"), s.MustAttr("B"), s.MustAttr("K")
 	randConst := func(a schema.Attr) string {
 		d := s.Domain(a)
@@ -272,6 +427,7 @@ func runShardedHistory(t *testing.T, rng *rand.Rand, sh *Sharded, oracle *Store,
 				n, sc, stateKeys(sh.Snapshot()), stateKeys(oracle.Snapshot()))
 		}
 		assertShardedReadsMatchScan(t, n, sh, readBattery(qrng, s))
+		assertRoutedReadsMatchAllShards(t, n, sh, routingBattery(rrng, sh))
 		if sh.NextMark() != oracle.NextMark() {
 			t.Fatalf("txn %d (%s): allocator diverged: sharded %d oracle %d", n, sc, sh.NextMark(), oracle.NextMark())
 		}

@@ -74,6 +74,7 @@ func TestShardedOptionsValidation(t *testing.T) {
 		{"zero shards", ShardedOptions{Shards: 0, Key: key}, "at least 1 shard"},
 		{"empty key", ShardedOptions{Shards: 2}, "non-empty shard key"},
 		{"key not in every LHS", ShardedOptions{Shards: 2, Key: fd.MustParseSet(s, "A -> B")[0].X}, "not a subset of the LHS"},
+		{"key outside the scheme", ShardedOptions{Shards: 2, Key: key.Add(7)}, "shard key #7,K outside scheme R"}, // used to panic rendering the key
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -717,6 +718,54 @@ func TestShardedReadAfterWriteBuildsNothing(t *testing.T) {
 	}
 	if got := builds(); got != warm {
 		t.Errorf("index builds went %d -> %d across 200 write/read rounds; a read after a write must build nothing", warm, got)
+	}
+}
+
+// TestShardedPointReadProbesHomeShardOnly states routing as a count: at
+// S = 4 a read whose ∧-spine pins the key — alone or beside another atom
+// — moves the index-lookup count (QueryCacheStats served + built) of the
+// key's home shard and of no other, while the same read with the key
+// under ∨ moves all four.
+func TestShardedPointReadProbesHomeShardOnly(t *testing.T) {
+	sh, s, _ := mustSharded(t, 4, Options{})
+	attrK, attrA := s.MustAttr("K"), s.MustAttr("A")
+	for i := 1; i <= 64; i++ {
+		if err := sh.InsertRow(fmt.Sprintf("k%d", i), fmt.Sprintf("a%d", 1+i%16), "b1"); err != nil {
+			t.Fatalf("seed insert %d: %v", i, err)
+		}
+	}
+	lookups := func() (n [4]uint64) {
+		for i := range n {
+			served, built := sh.Shard(i).QueryCacheStats()
+			n[i] = served + built
+		}
+		return n
+	}
+	for i := 1; i <= 64; i++ {
+		k := query.Eq{Attr: attrK, Const: fmt.Sprintf("k%d", i)}
+		a := query.Eq{Attr: attrA, Const: fmt.Sprintf("a%d", 1+i%16)}
+		home, _ := sh.Find(relation.Tuple{value.NewConst(k.Const), value.NewConst(a.Const), value.NewConst("b1")})
+		if home < 0 {
+			t.Fatalf("row k%d not found", i)
+		}
+		for _, p := range []query.Pred{k, query.And{P: a, Q: k}} {
+			before := lookups()
+			if sure, maybe := sh.SelectTuples(p, query.Options{}); len(sure) != 1 || len(maybe) != 0 {
+				t.Fatalf("%s: sure %v maybe %v, want the one row", p, sure, maybe)
+			}
+			for si, after := range lookups() {
+				if moved := after != before[si]; moved != (si == home) {
+					t.Errorf("%s (home shard %d): shard %d index lookups %d -> %d", p, home, si, before[si], after)
+				}
+			}
+		}
+		before := lookups()
+		sh.SelectTuples(query.Or{P: k, Q: a}, query.Options{})
+		for si, after := range lookups() {
+			if after == before[si] {
+				t.Errorf("(%s or %s): shard %d was not evaluated", k, a, si)
+			}
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ package value
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -144,17 +145,49 @@ func (v V) Lub(w V) V {
 // verbatim, nulls print "-" (or "-k" when marked with k > 0 to keep marks
 // visible), nothing prints "!".
 func (v V) String() string {
+	if v.kind == Const {
+		return v.c
+	}
+	var buf [24]byte // "-" and 19 digits at most: the rendering stays on the stack
+	return string(v.AppendString(buf[:0]))
+}
+
+// AppendString appends the String rendering to dst and returns the
+// extended buffer — the form for callers rendering many cells into one
+// buffer (the daemon's query reply), which pay no string per cell.
+func (v V) AppendString(dst []byte) []byte {
 	switch v.kind {
 	case Const:
-		return v.c
+		return append(dst, v.c...)
 	case Null:
+		dst = append(dst, '-')
 		if v.mark == 0 {
-			return "-"
+			return dst
 		}
-		return fmt.Sprintf("-%d", v.mark)
+		return strconv.AppendInt(dst, int64(v.mark), 10)
 	default:
-		return "!"
+		return append(dst, '!')
 	}
+}
+
+// Parse reads one cell in the notation String writes — the one
+// definition the row parser and the daemon's match cells share: "!" is
+// the inconsistent element, "-k" the marked null ⊥k (a minus, then
+// decimal digits only: no sign, no base prefix, no trailing bytes), any
+// other text a constant. Bare "-" is refused here; whether it draws a
+// fresh null or is an error is the caller's rule, applied before Parse.
+func Parse(cell string) (V, error) {
+	switch {
+	case cell == "!":
+		return NewNothing(), nil
+	case !strings.HasPrefix(cell, "-"):
+		return NewConst(cell), nil
+	}
+	k, err := strconv.Atoi(cell[1:])
+	if err != nil || strings.TrimLeft(cell[1:], "0123456789") != "" {
+		return V{}, fmt.Errorf("value: bad null cell %q", cell)
+	}
+	return NewNull(k), nil
 }
 
 // GoString renders an unambiguous debugging form.

@@ -215,3 +215,41 @@ func TestList(t *testing.T) {
 		t.Errorf("List mismatch: %v", got)
 	}
 }
+
+// TestParse pins the one cell definition the row parser, the daemon's
+// match cells and fdcheck's op scripts share. The refusals are the
+// spellings fmt.Sscanf("-%d") used to let through: trailing bytes stored
+// the leading digits' mark, a second sign a negative mark, a base prefix
+// mark 0.
+func TestParse(t *testing.T) {
+	for cell, want := range map[string]V{
+		"x": NewConst("x"), "": NewConst(""), "a-1": NewConst("a-1"), "!": NewNothing(),
+		"-0": NewNull(0), "-7": NewNull(7), "-007": NewNull(7), "-9223372036854775807": NewNull(1<<63 - 1),
+	} {
+		if got, err := Parse(cell); err != nil || !got.Identical(want) {
+			t.Errorf("Parse(%q) = %#v, %v; want %#v", cell, got, err, want)
+		}
+	}
+	for _, cell := range []string{"-", "-5abc", "--5", "-0x10", "-+5", "- 5", "-5 ", "-5\n", "-1_0", "-٣", "-9223372036854775808"} {
+		if got, err := Parse(cell); err == nil {
+			t.Errorf("Parse(%q) = %#v, want a refusal", cell, got)
+		}
+	}
+}
+
+// TestAppendStringIsString: the two renderings are one, whatever is
+// already in the buffer, and what String writes Parse reads back (mark 0
+// apart: it prints as the bare "-", which is the caller's to interpret).
+func TestAppendStringIsString(t *testing.T) {
+	for _, v := range []V{NewConst("a1"), NewConst(""), NewConst("-x"), NewNull(0), NewNull(7), NewNull(1<<63 - 1), NewNull(-5), NewNothing()} {
+		if got := string(v.AppendString([]byte("row "))); got != "row "+v.String() {
+			t.Errorf("AppendString of %#v = %q, String = %q", v, got, v.String())
+		}
+		if back, err := Parse(v.String()); err == nil && !back.Identical(v) {
+			t.Errorf("%#v prints %q, which parses back as %#v", v, v.String(), back)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = NewConst("a1").String() }); n != 0 {
+		t.Errorf("String of a constant allocates %v", n)
+	}
+}

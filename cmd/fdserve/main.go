@@ -26,8 +26,9 @@
 //
 // On SIGINT/SIGTERM the daemon stops accepting, drains in-flight
 // connections up to -drain, force-closes stragglers, and closes every
-// tenant store (checkpointing durable ones). Exit status 0 on a clean
-// shutdown, 1 on startup or shutdown errors.
+// tenant store (durable logs are synced and closed, not checkpointed:
+// the next start replays them). Exit status 0 on a clean shutdown, 1 on
+// startup or shutdown errors.
 package main
 
 import (

@@ -88,34 +88,85 @@ func TestInsertDeltaBatchAllOrNothing(t *testing.T) {
 	}
 }
 
-func TestRestoreRewindsToSnapshot(t *testing.T) {
+// TestUndeleteDeltaInvertsDeleteDelta: a speculative multi-row delta —
+// append, overwrite, delete — undone newest-first through the delta
+// mutators leaves the rows, their order, every cached index and the
+// identity index as they were, whichever row the delete took (the last,
+// one the last row moves into, a null-bearing one, one of two true
+// duplicates with every identity hash colliding), and a View taken before
+// the delete never sees an overwrite of the row that came back.
+func TestUndeleteDeltaInvertsDeleteDelta(t *testing.T) {
 	s := schema.Uniform("R", []string{"A", "B"}, schema.IntDomain("d", "v", 9))
-	r := MustFromRows(s, []string{"v1", "v2"}, []string{"v2", "v3"})
-	snap := r.View()
-	before := r.String()
-	v0 := r.Version()
-	savedMark := r.NextMark()
+	sets := []schema.AttrSet{s.MustSet("A"), s.MustSet("B"), s.All()}
+	for _, tc := range []struct {
+		name      string
+		del       int
+		duplicate bool // row 0 stored twice, every identity hash colliding
+	}{
+		{"last row", 3, false},
+		{"moved row", 0, false},
+		{"null-bearing row", 1, false},
+		{"true duplicate", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.duplicate {
+				identMask = 0
+				defer func() { identMask = ^uint64(0) }()
+			}
+			r := MustFromRows(s, []string{"v1", "v2"}, []string{"v2", "-"}, []string{"v3", "v3"})
+			if tc.duplicate {
+				r.InsertUnchecked(r.Tuple(0))
+			} else {
+				r.MustInsertRow("v4", "-2")
+			}
+			for _, set := range sets {
+				r.IndexOn(set)
+			}
+			r.FindIdentical(r.Tuple(0)) // builds the identity index
+			snap := r.View()
+			before, v0, savedMark := r.String(), r.Version(), r.NextMark()
+			_, built := r.IndexCounts()
 
-	// A speculative multi-row delta: append, overwrite, delete.
-	if _, _, err := r.InsertDeltaBatch([]Tuple{{value.NewConst("v5"), r.FreshNull()}}); err != nil {
-		t.Fatal(err)
-	}
-	r.SetCellDelta(0, 1, value.NewConst("v9"))
-	r.DeleteDelta(1)
+			first, _, err := r.InsertDeltaBatch([]Tuple{{value.NewConst("v5"), r.FreshNull()}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := r.Tuple(2)[1]
+			r.SetCellDelta(2, 1, value.NewConst("v9"))
+			gone := r.Tuple(tc.del)
+			r.DeleteDelta(tc.del)
 
-	r.Restore(snap)
-	r.SetNextMark(savedMark)
-	if r.String() != before {
-		t.Fatalf("restore mismatch:\nwant:\n%s\ngot:\n%s", before, r.String())
-	}
-	if r.Version() <= v0 {
-		t.Fatalf("restore must advance the version (%d -> %d)", v0, r.Version())
-	}
-	// Restored rows are shared with the snapshot: overwriting one must
-	// not show through it.
-	r.SetCellDelta(0, 0, value.NewConst("v7"))
-	if got := snap.Tuple(0)[0]; !got.IsConst() || got.Const() != "v1" {
-		t.Fatalf("restore broke copy-on-write: snapshot sees %s", got)
+			r.UndeleteDelta(tc.del, gone)
+			r.SetCellDelta(2, 1, old)
+			r.DeleteDelta(first)
+			r.SetNextMark(savedMark)
+
+			if r.String() != before {
+				t.Fatalf("undo mismatch:\nwant:\n%s\ngot:\n%s", before, r.String())
+			}
+			if r.Version() <= v0 {
+				t.Fatalf("the undo must advance the version (%d -> %d)", v0, r.Version())
+			}
+			for _, set := range sets {
+				if got, want := indexShape(r.IndexOn(set)), indexShape(BuildIndex(r, set)); got != want {
+					t.Errorf("index on %s after the undo:\n got %s\nwant %s", s.FormatSet(set), got, want)
+				}
+			}
+			for i, u := range r.Tuples() {
+				if j := r.FindIdentical(u); j < 0 || !u.IdenticalOn(r.Tuple(j), s.All()) {
+					t.Errorf("FindIdentical(row %d %s) = %d", i, u, j)
+				}
+			}
+			if _, after := r.IndexCounts(); after != built {
+				t.Errorf("index builds went %d -> %d; the undo must maintain every index in place", built, after)
+			}
+			// The row that came back is shared with the snapshot:
+			// overwriting it must not show through.
+			r.SetCellDelta(tc.del, 0, value.NewConst("v7"))
+			if got := snap.Materialize().String(); got != before {
+				t.Fatalf("undelete broke copy-on-write: the snapshot reads\n%swas\n%s", got, before)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,8 @@
 //   - InsertDelta and InsertDeltaBatch (Insert is InsertDelta) append the
 //     new rows to their touched groups or sidecars;
 //   - DeleteDelta swaps the last row into the hole and pops, renumbering
-//     only the moved row's index entries;
+//     only the moved row's index entries, and UndeleteDelta is its exact
+//     inverse (the store's rollback);
 //   - SetCellDelta (SetCell is the same call) re-homes the one touched
 //     row in every index whose attribute set contains the overwritten
 //     attribute.
@@ -16,7 +17,7 @@
 // O(n). This is the substrate of the store's incremental FD maintenance
 // (internal/store): a write-heavy workload keeps its left-hand-side
 // partitions warm across mutations instead of rebuilding them per write.
-// Only InsertUnchecked, the ordered Delete and Restore still invalidate.
+// Only InsertUnchecked and the ordered Delete still invalidate.
 //
 // Groups touched by delta updates no longer keep their rows in ascending
 // order (DeleteDelta renumbers in place); none of the evaluators depend
@@ -119,6 +120,40 @@ func (r *Relation) DeleteDelta(i int) int {
 		return last
 	}
 	return -1
+}
+
+// UndeleteDelta is DeleteDelta's inverse: given the slot i a DeleteDelta
+// vacated and the tuple t it removed, with the relation back in the state
+// that delete left, the row swapped into i returns to the end and t returns
+// to i — rows, tuple order and every cached index as before the delete. t
+// is stored, not copied, and flagged shared: a View taken before the delete
+// may still hold it, so a later overwrite clones the row first.
+func (r *Relation) UndeleteDelta(i int, t Tuple) {
+	r.ensureOwnedSlice()
+	last := len(r.tuples)
+	var tMoved Tuple
+	if i != last {
+		tMoved = r.tuples[i]
+	}
+	r.applyDelta(func(ix *Index) {
+		if tMoved != nil {
+			ix.renumberRow(i, last, tupleGetter(tMoved))
+		}
+		ix.addRow(i, tupleGetter(t))
+	})
+	if r.ident != nil {
+		if tMoved != nil {
+			r.ident.renumber(i, last, tMoved)
+		}
+		r.ident.add(i, t)
+	}
+	// Append t, then trade places with slot i (itself when i is the end).
+	r.tuples = append(r.tuples, t)
+	r.tuples[last], r.tuples[i] = r.tuples[i], t
+	if r.rowShared != nil {
+		r.rowShared = append(r.rowShared, true)
+		r.rowShared[last], r.rowShared[i] = r.rowShared[i], true
+	}
 }
 
 // SetCellDelta overwrites cell (i, a) and re-homes row i in every cached

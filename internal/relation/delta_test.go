@@ -32,12 +32,13 @@ func indexShape(ix *Index) string {
 // TestDeltaIndexDifferential runs randomized mutation sequences — the
 // delta mutators (InsertDelta, InsertDeltaBatch with batches that fail on
 // their k-th row, DeleteDelta, SetCellDelta), the plain ones (Insert,
-// SetCell, ordered Delete, InsertUnchecked of a true duplicate), View +
-// Restore and Clone — and asserts after every step that each cached index
-// is identical (up to row order) to a fresh BuildIndex of the current
-// tuples, and that the identity probe agrees with the linear scan it
-// replaced. The second run forces every identity hash to collide, so the
-// multi-row path alone has to carry the same sequence.
+// SetCell, ordered Delete, InsertUnchecked of a true duplicate), DeleteDelta
+// undone by UndeleteDelta (sometimes with a View outstanding), and Clone —
+// and asserts after every step that each cached index is identical (up to
+// row order) to a fresh BuildIndex of the current tuples, and that the
+// identity probe agrees with the linear scan it replaced. The second run
+// forces every identity hash to collide, so the multi-row path alone has to
+// carry the same sequence.
 func TestDeltaIndexDifferential(t *testing.T) {
 	t.Run("hashed", deltaIndexDifferential)
 	t.Run("colliding", func(t *testing.T) {
@@ -73,7 +74,6 @@ func deltaIndexDifferential(t *testing.T) {
 		}
 		return -1
 	}
-	var snap *View
 	for op := 0; op < 900; op++ {
 		// Touch every set so the cache stays warm and delta-maintained.
 		for _, set := range sets {
@@ -136,14 +136,28 @@ func deltaIndexDifferential(t *testing.T) {
 			default:
 				r.InsertUnchecked(r.Tuple(rng.Intn(r.Len()))) // a true duplicate
 			}
-		case k == 9 && snap == nil:
-			v := r.View()
-			snap = &v
 		case k == 9:
-			r.Restore(*snap)
-			snap = nil
+			// Delete and undelete: rows, order and (checked below) every
+			// index must be what they were. Every other time a View is
+			// outstanding, so the copy-on-write flags travel too.
+			before := r.String()
+			var v View
+			if rng.Intn(2) == 0 {
+				v = r.View()
+			}
+			i := rng.Intn(r.Len())
+			tup, want := r.Tuple(i), r.Tuple(i).Clone()
+			r.DeleteDelta(i)
+			r.UndeleteDelta(i, tup)
+			if r.String() != before {
+				t.Fatalf("op %d: delete + undelete of row %d changed the instance:\nbefore:\n%safter:\n%s", op, i, before, r)
+			}
+			r.SetCellDelta(i, 0, randVal())
+			if v.Len() > 0 && !v.Tuple(i).IdenticalOn(want, all) {
+				t.Fatalf("op %d: the View saw an overwrite of undeleted row %d: %s, was %s", op, i, v.Tuple(i), want)
+			}
 		case k == 10:
-			r, snap = r.Clone(), nil
+			r = r.Clone()
 		default:
 			continue
 		}

@@ -48,7 +48,7 @@ func identHash(t Tuple) uint64 {
 
 // identityIndex returns the identity index, building it on first use under
 // the mutex IndexOn takes (and counting in IndexCounts like IndexOn). The
-// delta mutators keep it exact in place; mutated and Restore drop it.
+// delta mutators keep it exact in place; mutated drops it.
 func (r *Relation) identityIndex() *identity {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -28,8 +28,8 @@ import (
 // index was built. A cached one (IndexOn) is updated in place by the delta
 // mutators (delta.go; Insert and SetCell are among them), so it stays
 // fresh at O(affected group) per mutation, and goes stale — IndexOn
-// transparently rebuilds it — under InsertUnchecked, the ordered Delete
-// and Restore; as with the relation itself, delta mutation must not run
+// transparently rebuilds it — under InsertUnchecked and the ordered
+// Delete; as with the relation itself, delta mutation must not run
 // concurrently with readers.
 type Index struct {
 	set     schema.AttrSet
@@ -177,9 +177,9 @@ func (ix *Index) ForEachGroup(fn func(rows []int) bool) {
 
 // IndexOn returns the index of r on set, building it on first use and
 // caching it on the relation. The cache is keyed by attribute set; delta
-// mutations (delta.go) keep it fresh in place, while InsertUnchecked, the
-// ordered Delete and Restore invalidate it through the version counter — a
-// returned index always describes the current tuples either way. Safe for
+// mutations (delta.go) keep it fresh in place, while InsertUnchecked and the
+// ordered Delete invalidate it through the version counter — a returned
+// index always describes the current tuples either way. Safe for
 // concurrent callers; the returned Index must not be read concurrently
 // with delta mutation.
 func (r *Relation) IndexOn(set schema.AttrSet) *Index {

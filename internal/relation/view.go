@@ -63,31 +63,6 @@ func (v View) Each(fn func(i int, t Tuple) bool) {
 	}
 }
 
-// Restore rewinds the relation's tuple storage to a snapshot previously
-// taken from it with View — the O(rows) rollback anchor of the store's
-// transactional commit: instead of deep-cloning the instance before a
-// speculative multi-row delta, the committer takes an O(1) View and, on
-// rejection, restores from it. Only row *headers* are copied; the cells
-// are re-shared with the snapshot, so a later in-place overwrite clones
-// the affected row first (ordinary copy-on-write).
-//
-// The mutation counter advances (a restore is a change of state for any
-// cached index or derived structure), and the fresh-mark allocator is
-// left alone — callers that saved it alongside the snapshot restore it
-// explicitly, preserving the allocator's monotonicity contract.
-func (r *Relation) Restore(v View) {
-	r.mu.Lock()
-	r.version++
-	r.ident = nil
-	r.cowPending = false
-	r.mu.Unlock()
-	r.tuples = append(make([]Tuple, 0, len(v.tuples)+1), v.tuples...)
-	r.rowShared = make([]bool, len(v.tuples))
-	for i := range r.rowShared {
-		r.rowShared[i] = true
-	}
-}
-
 // Materialize deep-copies the snapshot into a standalone relation, for
 // callers that need the full Relation API (checkers, the chase, …).
 func (v View) Materialize() *Relation {

@@ -10,7 +10,9 @@ package store
 // and — periodically — on the satisfaction verdicts under both null
 // conventions (TEST-FDs strong and weak). Any divergence between the
 // incremental engine and the clone-and-rechase ground truth surfaces as
-// a step-numbered failure with both states printed.
+// a step-numbered failure with both states printed. After every refused
+// operation the incremental store is additionally held to "a rollback
+// leaves no trace" (rollback_test.go).
 
 import (
 	"fmt"
@@ -139,6 +141,7 @@ func runHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 	for step := 0; step < steps; step++ {
 		var op string
 		var errInc, errRec error
+		before := captureTrace(inc)
 		switch {
 		case inc.Len() == 0 || rng.Intn(10) < 5:
 			op = "insert"
@@ -162,6 +165,7 @@ func runHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 				if !vi.Identical(vr) {
 					t.Fatalf("step %d: fresh-null allocators diverged: %s vs %s", step, vi, vr)
 				}
+				before.nextMark = inc.NextMark() // the FreshNull above is not the write-set's
 				errInc = inc.Update(ti, a, vi)
 				errRec = rec.Update(tj, a, vr)
 			} else {
@@ -182,6 +186,9 @@ func runHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 			errRec = rec.Delete(tj)
 		}
 		assertAgreement(t, step, op, errInc, errRec, inc, rec)
+		if errInc != nil {
+			assertNoTrace(t, fmt.Sprintf("step %d (%s refused)", step, op), inc, before)
+		}
 		assertReadsMatchScan(t, step, readBattery(qrng, ws.s), inc, rec)
 		// The store invariant, and verdict agreement under both null
 		// conventions: TEST-FDs' weak convention (Theorem 3) must accept

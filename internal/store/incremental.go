@@ -37,14 +37,16 @@
 // tuples are processed. The propagation terminates because every
 // substitution either binds a null or merges two mark classes.
 //
-// On any contradiction the committer rolls the write-set back (through
-// the delta mutators or a snapshot, so the indexes stay warm) and
+// On any contradiction the committer rolls the write-set back (the undo
+// log below, through the delta mutators, so every index stays warm) and
 // delegates to the recheck preparer, which re-derives the rejection with
 // its full chase witness — rejects are therefore bit-identical between
 // the engines, and the incremental path is a pure accept-side fast path.
 package store
 
 import (
+	"slices"
+
 	"fdnull/internal/fd"
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
@@ -57,76 +59,69 @@ type cellRef struct {
 	a  schema.Attr
 }
 
-// incState is the incremental engine's working state: the occurrence
-// index of live null marks. It is rebuilt lazily (O(n·p)) after the
-// recheck path replaced the instance or a rollback mangled it.
-type incState struct {
-	valid bool
-	marks map[int][]cellRef
-}
-
-func (st *Store) invalidateInc() {
-	if st.inc != nil {
-		st.inc.valid = false
-	}
-}
-
-func (st *Store) ensureInc() {
-	if st.inc == nil {
-		st.inc = &incState{}
-	}
-	if st.inc.valid {
+// ensureMarks builds the incremental engine's working state, the
+// occurrence index of live null marks (Store.marks), on first use: O(n·p)
+// once. Commits and rollbacks then keep it exact in place; only the
+// recheck path replacing the instance it describes drops it.
+func (st *Store) ensureMarks() {
+	if st.marks != nil {
 		return
 	}
-	marks := make(map[int][]cellRef)
+	st.marks = make(map[int][]cellRef)
 	for i, t := range st.rel.Tuples() {
-		for a, v := range t {
-			if v.IsNull() {
-				marks[v.Mark()] = append(marks[v.Mark()], cellRef{i, schema.Attr(a)})
-			}
+		eachNull(i, t, st.addMarkRef)
+	}
+}
+
+// eachNull calls fn with the mark and the address of every null cell of t,
+// the tuple stored (or about to be, or no longer) as row i.
+func eachNull(i int, t relation.Tuple, fn func(m int, ref cellRef)) {
+	for a, v := range t {
+		if v.IsNull() {
+			fn(v.Mark(), cellRef{i, schema.Attr(a)})
 		}
 	}
-	st.inc.marks = marks
-	st.inc.valid = true
 }
 
 // addMarkRef / dropMarkRef maintain the occurrence index around a single
 // cell change.
 func (st *Store) addMarkRef(m int, ref cellRef) {
-	st.inc.marks[m] = append(st.inc.marks[m], ref)
+	st.marks[m] = append(st.marks[m], ref)
 }
 
 func (st *Store) dropMarkRef(m int, ref cellRef) {
-	refs := st.inc.marks[m]
-	for k, r := range refs {
-		if r == ref {
-			refs[k] = refs[len(refs)-1]
-			refs = refs[:len(refs)-1]
-			break
-		}
+	refs := st.marks[m]
+	if k := slices.Index(refs, ref); k >= 0 {
+		refs[k] = refs[len(refs)-1]
+		refs = refs[:len(refs)-1]
 	}
 	if len(refs) == 0 {
-		delete(st.inc.marks, m)
+		delete(st.marks, m)
 	} else {
-		st.inc.marks[m] = refs
+		st.marks[m] = refs
 	}
 }
 
-// renumberMarkRefs rewrites the occurrence index after a swap-and-pop
-// moved a whole row.
-func (st *Store) renumberMarkRefs(t relation.Tuple, from, to int) {
-	for a, v := range t {
-		if !v.IsNull() {
-			continue
-		}
-		refs := st.inc.marks[v.Mark()]
-		for k, r := range refs {
-			if r.ti == from && r.a == schema.Attr(a) {
-				refs[k].ti = to
-				break
-			}
-		}
+// retargetMarkRef follows one cell overwrite from the value it held to the
+// value it holds now.
+func (st *Store) retargetMarkRef(ref cellRef, from, to value.V) {
+	if from.IsNull() {
+		st.dropMarkRef(from.Mark(), ref)
 	}
+	if to.IsNull() {
+		st.addMarkRef(to.Mark(), ref)
+	}
+}
+
+// renumberMarkRefs rewrites the occurrence index after a swap-and-pop (or
+// its undo) moved the whole row t.
+func (st *Store) renumberMarkRefs(t relation.Tuple, from, to int) {
+	eachNull(from, t, func(m int, ref cellRef) {
+		refs := st.marks[m]
+		if k := slices.Index(refs, ref); k >= 0 {
+			refs[k].ti = to
+		}
+	})
 }
 
 // The fresh-mark allocator needs no per-commit renormalization: both
@@ -138,16 +133,39 @@ func (st *Store) renumberMarkRefs(t relation.Tuple, from, to int) {
 // applyTxnOp). Monotonicity guarantees a mark handed out by FreshNull is
 // never recycled and aliased with an unrelated unknown.
 
-// undoLog records the cell overwrites of one delete-free write-set — the
-// staged updates, then every substitution the propagation makes — so a
-// detected contradiction can restore the pre-commit cells exactly.
-type undoCell struct {
-	ref cellRef
-	old value.V
-}
+// undoLog is one write-set's structural effects in the order they
+// happened — the applied ops, one entry per *run* of inserts, then every
+// substitution the propagation makes — and undo walks it newest-first
+// through the same delta mutators, so a rejected, structurally failed or
+// discarded (2PC) write-set leaves the instance exactly as it was: rows,
+// tuple order, cells, every cached index, the identity index and the
+// mark-occurrence index. Nothing is invalidated and nothing is left to
+// rebuild; the cost, either way, is what the write-set touched. (A run of
+// inserts needs no count: undone in reverse order it is the relation's
+// tail again, popped down to the run's first row.)
+type undoLog []appliedTxnOp
 
-type undoLog struct {
-	cells []undoCell
+func (st *Store) undo(log undoLog) {
+	rel := st.rel
+	for k := len(log) - 1; k >= 0; k-- {
+		switch e := log[k]; e.kind {
+		case txnInsert:
+			for i := rel.Len() - 1; i >= e.row; i-- {
+				eachNull(i, rel.Tuple(i), st.dropMarkRef)
+				rel.DeleteDelta(i)
+			}
+		case txnUpdate:
+			cur := rel.Tuple(e.row)[e.a]
+			rel.SetCellDelta(e.row, e.a, e.old)
+			st.retargetMarkRef(cellRef{e.row, e.a}, cur, e.old)
+		case txnDelete:
+			if end := rel.Len(); e.row != end {
+				st.renumberMarkRefs(rel.Tuple(e.row), e.row, end)
+			}
+			rel.UndeleteDelta(e.row, e.deleted)
+			eachNull(e.row, e.deleted, st.addMarkRef)
+		}
+	}
 }
 
 // ---- worklist propagation ----
@@ -161,8 +179,7 @@ type undoLog struct {
 // substitution through the mark occurrence index; rows touched by a
 // substitution become the next round's dirty set. It reports false on a
 // contradiction, leaving the partially substituted instance for the
-// caller to roll back (und is nil when the caller rolls back by snapshot
-// instead of by log).
+// caller to roll back through und.
 func (st *Store) settleSeeds(seeds []int, und *undoLog) bool {
 	p := propagation{st: st, und: und, nextSet: make(map[int]bool), done: make(map[int]bool)}
 	dirty := make([]int, 0, len(seeds))
@@ -304,17 +321,15 @@ func (p *propagation) fireGroup(i int, f fd.FD) bool {
 // occurrence index and re-dirtying every touched tuple.
 func (p *propagation) substitute(m int, v value.V) {
 	st := p.st
-	refs := st.inc.marks[m]
-	delete(st.inc.marks, m)
+	refs := st.marks[m]
+	delete(st.marks, m)
 	for _, ref := range refs {
 		old := st.rel.Tuple(ref.ti)[ref.a]
 		st.rel.SetCellDelta(ref.ti, ref.a, v)
-		if p.und != nil {
-			p.und.cells = append(p.und.cells, undoCell{ref, old})
-		}
+		*p.und = append(*p.und, appliedTxnOp{kind: txnUpdate, row: ref.ti, a: ref.a, old: old})
 		p.dirty(ref.ti)
 	}
 	if v.IsNull() {
-		st.inc.marks[v.Mark()] = append(st.inc.marks[v.Mark()], refs...)
+		st.marks[v.Mark()] = append(st.marks[v.Mark()], refs...)
 	}
 }

@@ -32,7 +32,7 @@
 //   - an index a read caused to be built persists and is maintained by
 //     every later write. The planner asks for singleton sets and EqAttr
 //     pairs only, and such an index is rebuilt exactly when the write
-//     path's own are: after a Restore rollback or a recheck adopt.
+//     path's own are: after a recheck adopt.
 package store
 
 import "fdnull/internal/query"

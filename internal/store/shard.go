@@ -1,7 +1,7 @@
 // shard.go implements the hash-sharded store facade: S independent
-// Concurrent stores — each with its own lock, version counter, query
-// cache, and (when opened with OpenShardedDurable) its own WAL directory
-// — with relations routed by the constant projection on a shard key.
+// Concurrent stores — each with its own lock, version counter, indexes,
+// and (when opened with OpenShardedDurable) its own WAL directory — with
+// relations routed by the constant projection on a shard key.
 //
 // # Soundness
 //
@@ -580,14 +580,9 @@ func (tx *ShardedTxn) Update(match relation.Tuple, a schema.Attr, v value.V) err
 	if err := relation.ValidateTuple(tx.s.scheme, match); err != nil {
 		return err
 	}
-	if int(a) < 0 || int(a) >= tx.s.scheme.Arity() {
-		return fmt.Errorf("store: update of attribute %d out of range", a)
-	}
-	if v.IsNothing() {
-		return errors.New("store: the inconsistent element cannot be stored")
-	}
-	if v.IsConst() && !tx.s.scheme.Domain(a).Contains(v.Const()) {
-		return fmt.Errorf("store: value %q outside domain %q", v.Const(), tx.s.scheme.Domain(a).Name)
+	// Content-addressed: row 0 of 1 passes the shared validation's range check.
+	if err := validateUpdate(tx.s.scheme, 1, 0, a, v); err != nil {
+		return err
 	}
 	if tx.s.key.Has(a) && !v.IsConst() {
 		return fmt.Errorf("store: cannot write a null to shard-key attribute %s", tx.s.scheme.AttrName(a))
@@ -700,6 +695,60 @@ type routedOp struct {
 	gidx int // index into the staged op list
 	op   shardedOp
 	ins  relation.Tuple // pre-parsed tuple for txnInsert
+}
+
+// slotSim replays one write-set's swap-and-pop evolution of one shard's
+// tentative instance, so that content-addressed targets resolve to the
+// slots the engine will see. It tracks only what the write-set's own
+// deletes displaced — a commit costs what it touches, not one word per
+// committed row: wherever the maps are silent, committed row j sits in
+// slot j and the slots from n up hold staged inserts.
+type slotSim struct {
+	n, length int         // committed rows; rows of the tentative instance
+	slotOf    map[int]int // displaced committed row -> its slot now (-1: deleted)
+	rowAt     map[int]int // displaced slot -> the committed row in it (-1: a staged insert)
+}
+
+// slot returns committed row j's current slot, or -1 once deleted.
+func (m *slotSim) slot(j int) int {
+	if cur, ok := m.slotOf[j]; ok {
+		return cur
+	}
+	return j
+}
+
+func (m *slotSim) occupant(slot int) int {
+	if j, ok := m.rowAt[slot]; ok {
+		return j
+	}
+	if slot < m.n {
+		return slot
+	}
+	return -1
+}
+
+func (m *slotSim) insert() {
+	if m.rowAt != nil { // possibly into a slot some delete freed
+		m.rowAt[m.length] = -1
+	}
+	m.length++
+}
+
+// delete removes committed row j from its slot: the last slot's occupant
+// moves into it.
+func (m *slotSim) delete(j, slot int) {
+	if m.slotOf == nil {
+		m.slotOf, m.rowAt = map[int]int{}, map[int]int{}
+	}
+	m.length--
+	m.slotOf[j] = -1
+	if slot != m.length {
+		moved := m.occupant(m.length)
+		m.rowAt[slot] = moved
+		if moved >= 0 {
+			m.slotOf[moved] = slot
+		}
+	}
 }
 
 // commitOps is the whole commit pipeline: parse rows and advance the
@@ -876,62 +925,36 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 	gidxOf := make(map[int][]int, len(perShard))
 	for _, si := range touched {
 		st := s.shards[si].st
-		var slots []int // current slot -> committed row (-1: staged insert); nil until a delete
-		staged := 0
-		locate := func(match relation.Tuple) (int, error) {
-			j := st.Find(match)
-			if j < 0 {
-				return -1, fmt.Errorf("store: no committed tuple identical to %s", match)
+		sim := slotSim{n: st.Len(), length: st.Len()}
+		locate := func(match relation.Tuple) (row, slot int, err error) {
+			if row = st.Find(match); row < 0 {
+				return -1, -1, fmt.Errorf("store: no committed tuple identical to %s", match)
 			}
-			if slots == nil {
-				return j, nil
+			if slot = sim.slot(row); slot < 0 {
+				return -1, -1, fmt.Errorf("store: tuple %s already deleted by an earlier op of this write-set", match)
 			}
-			for cur, cj := range slots {
-				if cj == j {
-					return cur, nil
-				}
-			}
-			return -1, fmt.Errorf("store: tuple %s already deleted by an earlier op of this write-set", match)
-		}
-		ensureSlots := func() {
-			if slots != nil {
-				return
-			}
-			n := st.Len()
-			slots = make([]int, n, n+staged)
-			for j := range slots {
-				slots[j] = j
-			}
-			for k := 0; k < staged; k++ {
-				slots = append(slots, -1)
-			}
+			return row, slot, nil
 		}
 		for _, ro := range perShard[si] {
 			switch ro.op.kind {
 			case txnInsert:
 				shardOps[si] = append(shardOps[si], txnOp{kind: txnInsert, t: ro.ins})
-				staged++
-				if slots != nil {
-					slots = append(slots, -1)
-				}
+				sim.insert()
 			case txnUpdate:
-				ti, err := locate(ro.op.match)
+				_, ti, err := locate(ro.op.match)
 				if err != nil {
 					unlockAll()
 					return structural(ro.gidx, err)
 				}
 				shardOps[si] = append(shardOps[si], txnOp{kind: txnUpdate, ti: ti, a: ro.op.a, v: ro.op.v})
 			default:
-				ti, err := locate(ro.op.match)
+				row, ti, err := locate(ro.op.match)
 				if err != nil {
 					unlockAll()
 					return structural(ro.gidx, err)
 				}
-				ensureSlots()
 				shardOps[si] = append(shardOps[si], txnOp{kind: txnDelete, ti: ti})
-				last := len(slots) - 1
-				slots[ti] = slots[last]
-				slots = slots[:last]
+				sim.delete(row, ti)
 			}
 			gidxOf[si] = append(gidxOf[si], ro.gidx)
 		}

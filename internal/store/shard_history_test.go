@@ -43,9 +43,19 @@ func TestShardedHistoryVsOracle(t *testing.T) {
 				}
 				oracle := New(s, fds, Options{Maintenance: m})
 				rng := rand.New(rand.NewSource(int64(7*shards) + int64(len(m.String()))))
-				runShardedHistory(t, rng, sh, oracle, txns)
+				runShardedHistory(t, rng, sh, oracle, txns, 4)
 			})
 		}
+	}
+	// Long write-sets: up to a dozen ops, so that deletes, inserts into the
+	// slots they freed and later content-addressed targets meet in one
+	// shard — commitOps tracks only the slots its deletes displaced, and
+	// oracleSlots below keeps the dense table it is checked against.
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("long write-sets/S=%d", shards), func(t *testing.T) {
+			sh, s, fds := mustSharded(t, shards, Options{})
+			runShardedHistory(t, rand.New(rand.NewSource(int64(13*shards))), sh, New(s, fds, Options{}), txns, 12)
+		})
 	}
 }
 
@@ -86,6 +96,49 @@ func (o *oracleSlots) delete(ti int) {
 	last := len(o.slots) - 1
 	o.slots[ti] = o.slots[last]
 	o.slots = o.slots[:last]
+}
+
+// TestShardedSlotSimMatchesDenseTable holds commitOps' slot simulation,
+// which tracks only the slots a write-set's deletes displaced, to the
+// dense table above, one entry per row: random sequences of staged
+// inserts and deletes of committed rows must leave every committed row in
+// the same slot — or deleted — after every op.
+func TestShardedSlotSimMatchesDenseTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for seq := 0; seq < 2000; seq++ {
+		n := rng.Intn(9)
+		dense := &oracleSlots{slots: make([]int, n)}
+		for j := range dense.slots {
+			dense.slots[j] = j
+		}
+		slotOf := func(j int) int {
+			for cur, cj := range dense.slots {
+				if cj == j {
+					return cur
+				}
+			}
+			return -1
+		}
+		sim := slotSim{n: n, length: n}
+		for op := 0; op < 12; op++ {
+			if j := rng.Intn(n + 1); j < n && slotOf(j) >= 0 && rng.Intn(2) == 0 {
+				sim.delete(j, sim.slot(j))
+				dense.delete(slotOf(j))
+			} else {
+				sim.insert()
+				dense.insert()
+			}
+			for j := 0; j < n; j++ {
+				if got, want := sim.slot(j), slotOf(j); got != want {
+					t.Fatalf("sequence %d, op %d: committed row %d of %d in slot %d, the dense table says %d (%v)",
+						seq, op, j, n, got, want, dense.slots)
+				}
+			}
+			if sim.length != len(dense.slots) {
+				t.Fatalf("sequence %d, op %d: %d rows, the dense table has %d", seq, op, sim.length, len(dense.slots))
+			}
+		}
+	}
 }
 
 // assertShardedReadsMatchScan is assertReadsMatchScan for the sharded
@@ -223,7 +276,7 @@ func TestShardedRoutedReadsMatchAllShards(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("key=K/S=%d", shards), func(t *testing.T) {
 			sh, s, fds := mustSharded(t, shards, Options{})
-			runShardedHistory(t, rand.New(rand.NewSource(int64(31*shards))), sh, New(s, fds, Options{}), steps)
+			runShardedHistory(t, rand.New(rand.NewSource(int64(31*shards))), sh, New(s, fds, Options{}), steps, 4)
 		})
 		t.Run(fmt.Sprintf("key=K,J/S=%d", shards), func(t *testing.T) {
 			s := schema.MustNew("R",
@@ -270,7 +323,7 @@ func TestShardedRoutedReadsMatchAllShards(t *testing.T) {
 	}
 }
 
-func runShardedHistory(t *testing.T, rng *rand.Rand, sh *Sharded, oracle *Store, txns int) {
+func runShardedHistory(t *testing.T, rng *rand.Rand, sh *Sharded, oracle *Store, txns, maxOps int) {
 	t.Helper()
 	s := oracle.Scheme()
 	qrng := rand.New(rand.NewSource(int64(txns))) // the read battery's own generator
@@ -308,11 +361,15 @@ func runShardedHistory(t *testing.T, rng *rand.Rand, sh *Sharded, oracle *Store,
 	}
 
 	for n := 0; n < txns; n++ {
+		traces := make([]rollbackTrace, sh.NumShards())
+		for si := range traces {
+			traces[si] = captureTrace(sh.Shard(si).st)
+		}
 		stx := sh.BeginTxn()
 		otx := oracle.Begin()
 		slots := newOracleSlots(oracle)
 		usedTargets := map[string]bool{} // distinct content targets per txn
-		nops := 1 + rng.Intn(4)
+		nops := 1 + rng.Intn(maxOps)
 		stageErrs := 0
 		for i := 0; i < nops; i++ {
 			switch k := rng.Intn(10); {
@@ -421,6 +478,13 @@ func runShardedHistory(t *testing.T, rng *rand.Rand, sh *Sharded, oracle *Store,
 		sc, oc := classify(serr), classify(oerr)
 		if sc != oc {
 			t.Fatalf("txn %d: commit verdicts diverged: sharded %q (%v) vs oracle %q (%v)", n, sc, serr, oc, oerr)
+		}
+		if serr != nil {
+			// Refused on one shard means discarded on every other: no shard
+			// may show it (rollback_test.go).
+			for si, before := range traces {
+				assertNoTrace(t, fmt.Sprintf("txn %d (%s), shard %d", n, sc, si), sh.Shard(si).st, before)
+			}
 		}
 		if !sameState(sh.Snapshot(), oracle.Snapshot()) {
 			t.Fatalf("txn %d (%s): state diverged:\nsharded %v\noracle  %v",

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -828,5 +829,97 @@ func TestShardedNullWritesBuildNothing(t *testing.T) {
 	}
 	if got := builds(); got != warm {
 		t.Errorf("index builds went %d -> %d across 200 null-bearing inserts and 200 updates matching a null; the write path must build nothing", warm, got)
+	}
+}
+
+// allocBytes reports the bytes fn allocates (the least of three runs, so
+// a stray runtime allocation cannot fail a gate).
+func allocBytes(fn func()) uint64 {
+	least := ^uint64(0)
+	for run := 0; run < 3; run++ {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		fn()
+		runtime.ReadMemStats(&b)
+		if d := b.TotalAlloc - a.TotalAlloc; d < least {
+			least = d
+		}
+	}
+	return least
+}
+
+// TestDeleteCommitAllocsIndependentOfSize is the count gate on the delete
+// path: a commit costs what its write-set touches, so Store.Delete,
+// Sharded.DeleteTuple and a four-row ShardedTxn of deletes allocate the
+// same number of bytes, within a small constant, on 1,000 committed rows
+// and on 100,000. (While deletes rolled back by snapshot, each copied the
+// relation's outer slice, 24 B a row, and a sharded one also filled a
+// slot table of one int per row.)
+func TestDeleteCommitAllocsIndependentOfSize(t *testing.T) {
+	const batch = 1000
+	build := func(n int) (*Store, *Sharded, func(i int) relation.Tuple) {
+		s := schema.MustNew("R",
+			[]string{"K", "A", "B"},
+			[]*schema.Domain{
+				schema.IntDomain("key", "k", n),
+				schema.IntDomain("alpha", "a", 16),
+				schema.IntDomain("beta", "b", 64),
+			})
+		fds := fd.MustParseSet(s, "K -> A; K -> B")
+		row := func(i int) relation.Tuple {
+			return relation.Tuple{
+				value.NewConst(fmt.Sprintf("k%d", i)),
+				value.NewConst(fmt.Sprintf("a%d", 1+i%16)),
+				value.NewConst(fmt.Sprintf("b%d", 1+i%64)),
+			}
+		}
+		st := New(s, fds, Options{})
+		sh, err := NewSharded(s, fds, ShardedOptions{Shards: 2, Key: fds[0].X})
+		if err != nil {
+			t.Fatalf("NewSharded: %v", err)
+		}
+		for lo := 1; lo <= n; lo += batch {
+			tx, stx := st.Begin(), sh.BeginTxn()
+			for i := lo; i < lo+batch && i <= n; i++ {
+				if err := errors.Join(tx.Insert(row(i)), stx.Insert(row(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := errors.Join(tx.Commit(), stx.Commit()); err != nil {
+				t.Fatalf("seed commit: %v", err)
+			}
+		}
+		return st, sh, row
+	}
+	measure := func(n int) (bytes [3]uint64) {
+		st, sh, row := build(n)
+		must := func(err error) {
+			if err != nil {
+				t.Fatalf("%d rows: delete refused: %v", n, err)
+			}
+		}
+		next := 1 // the next key to delete: every measured call needs its own
+		take := func() relation.Tuple { next++; return row(next - 1) }
+		// The first write pays for the mark index and the identity index.
+		must(st.Delete(0))
+		must(sh.DeleteTuple(take()))
+		bytes[0] = allocBytes(func() { must(st.Delete(0)) })
+		bytes[1] = allocBytes(func() { must(sh.DeleteTuple(take())) })
+		bytes[2] = allocBytes(func() {
+			tx := sh.BeginTxn()
+			for k := 0; k < 4; k++ {
+				must(tx.Delete(take()))
+			}
+			must(tx.Commit())
+		})
+		return bytes
+	}
+	small, large := measure(1000), measure(100000)
+	for k, name := range []string{"Store.Delete", "Sharded.DeleteTuple", "a 4-row ShardedTxn of deletes"} {
+		t.Logf("%s: %d B at 1,000 rows, %d B at 100,000", name, small[k], large[k])
+		if large[k] > small[k]+1024 {
+			t.Errorf("%s allocates %d B on 1,000 rows and %d B on 100,000; a commit must cost what its write-set touches, not what the shard holds",
+				name, small[k], large[k])
+		}
 	}
 }

@@ -117,7 +117,7 @@ type Store struct {
 	fds    []fd.FD
 	rel    *relation.Relation
 	opts   Options
-	inc    *incState
+	marks  map[int][]cellRef // mark → cells, the incremental engine's (incremental.go); nil until its first commit
 	// mutation counters, exposed for observability and tests.
 	inserts, updates, deletes, rejected int
 	// wal is the durability state OpenDurable attaches (recovery.go); nil

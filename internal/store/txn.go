@@ -336,15 +336,15 @@ func (st *Store) prepareTxn(ops []txnOp) (*preparedTxn, error) {
 
 // ---- structural application (shared by both engines) ----
 
-// appliedTxnOp describes the structural effect of one applied op, so
-// the incremental committer can maintain its mark-occurrence index and
-// seed set around the shared application.
+// appliedTxnOp describes the structural effect of one applied op: what
+// the incremental committer maintains its mark-occurrence index and seed
+// set from, and — logged in order — what it undoes (incremental.go).
 type appliedTxnOp struct {
 	kind    txnOpKind
-	row     int            // inserted row / updated row / delete slot
-	moved   int            // delete: previous index of the row swapped into the slot, or -1
+	row     int            // first inserted row / updated row / delete slot
+	a       schema.Attr    // update: the overwritten attribute
 	old     value.V        // update: the overwritten value
-	val     value.V        // update: the written value
+	moved   int            // delete: previous index of the row swapped into the slot, or -1
 	deleted relation.Tuple // delete: the removed tuple
 }
 
@@ -381,7 +381,7 @@ func applyTxnOp(s *schema.Scheme, r *relation.Relation, op txnOp) (appliedTxnOp,
 		if op.v.IsNull() && op.v.Mark() >= r.NextMark() {
 			r.SetNextMark(op.v.Mark() + 1)
 		}
-		return appliedTxnOp{kind: txnUpdate, row: op.ti, moved: -1, old: old, val: op.v}, nil
+		return appliedTxnOp{kind: txnUpdate, row: op.ti, a: op.a, moved: -1, old: old}, nil
 	default:
 		if op.ti < 0 || op.ti >= r.Len() {
 			return appliedTxnOp{}, fmt.Errorf("store: delete of tuple %d out of range", op.ti)
@@ -404,52 +404,17 @@ func applyTxnOp(s *schema.Scheme, r *relation.Relation, op txnOp) (appliedTxnOp,
 // engines. The store carries the settled state in place after a
 // successful prepare (covered by the caller's exclusion); apply only
 // finalizes the mutation counters, and discard restores the pre-prepare
-// state through the same undo log / snapshot the rejection path uses.
-//
-// Rollback strategy: a delete-free write-set only appends rows (at the
-// tail) and overwrites cells, so an undo log restores it exactly —
-// cells in reverse, then pop the appended tail — without ever touching
-// copy-on-write state. A write-set with deletes moves rows around
-// (swap-and-pop), so the committer instead anchors an O(1) snapshot
-// View up front and restores from it on failure; only such commits pay
-// the COW bookkeeping on the rows the propagation later touches.
+// state through the same undo log the rejection path uses (incremental.go).
 func (st *Store) prepareTxnIncremental(ops []txnOp) (*preparedTxn, error) {
-	st.ensureInc()
+	st.ensureMarks()
 	savedMark := st.rel.NextMark()
-	baseLen := st.rel.Len()
-	hasDelete := false
-	for _, op := range ops {
-		if op.kind == txnDelete {
-			hasDelete = true
-			break
-		}
-	}
-	var snap relation.View
-	var und *undoLog // nil when rollback goes by snapshot
-	if hasDelete {
-		snap = st.rel.View()
-	} else {
-		und = &undoLog{}
-	}
+	var und undoLog
 	seeds := make(map[int]bool, len(ops))
 	var counts [3]int
 
 	rollbackAll := func() {
-		if und == nil {
-			st.rel.Restore(snap) // O(rows) header copy; cells re-share with the snapshot
-		} else {
-			// Undo the cell overwrites in reverse, then pop the appended
-			// tail (inserts only ever append when no delete re-homes rows).
-			for k := len(und.cells) - 1; k >= 0; k-- {
-				c := und.cells[k]
-				st.rel.SetCellDelta(c.ref.ti, c.ref.a, c.old)
-			}
-			for i := st.rel.Len() - 1; i >= baseLen; i-- {
-				st.rel.DeleteDelta(i)
-			}
-		}
+		st.undo(und)
 		st.rel.SetNextMark(savedMark)
-		st.invalidateInc() // the mark index described the speculative state
 	}
 	structuralFail := func(k int, err error) (*preparedTxn, error) {
 		rollbackAll()
@@ -503,13 +468,9 @@ func (st *Store) prepareTxnIncremental(ops []txnOp) (*preparedTxn, error) {
 			if err != nil {
 				return structuralFail(k+bad, err)
 			}
-			for p := range ts {
-				i := first + p
-				for a, v := range st.rel.Tuple(i) {
-					if v.IsNull() {
-						st.addMarkRef(v.Mark(), cellRef{i, schema.Attr(a)})
-					}
-				}
+			und = append(und, appliedTxnOp{kind: txnInsert, row: first})
+			for i := first; i < first+len(ts); i++ {
+				eachNull(i, st.rel.Tuple(i), st.addMarkRef)
 				seeds[i] = true
 			}
 			counts[txnInsert] += len(ts)
@@ -521,25 +482,13 @@ func (st *Store) prepareTxnIncremental(ops []txnOp) (*preparedTxn, error) {
 			return structuralFail(k, err)
 		}
 		counts[ap.kind]++
+		und = append(und, ap)
 		switch ap.kind {
 		case txnUpdate:
-			ref := cellRef{ap.row, ops[k].a}
-			if und != nil {
-				und.cells = append(und.cells, undoCell{ref, ap.old})
-			}
-			if ap.old.IsNull() {
-				st.dropMarkRef(ap.old.Mark(), ref)
-			}
-			if ap.val.IsNull() {
-				st.addMarkRef(ap.val.Mark(), ref)
-			}
+			st.retargetMarkRef(cellRef{ap.row, ap.a}, ap.old, ops[k].v)
 			seeds[ap.row] = true
 		case txnDelete:
-			for a, v := range ap.deleted {
-				if v.IsNull() {
-					st.dropMarkRef(v.Mark(), cellRef{ap.row, schema.Attr(a)})
-				}
-			}
+			eachNull(ap.row, ap.deleted, st.dropMarkRef)
 			delete(seeds, ap.row)
 			if ap.moved >= 0 {
 				st.renumberMarkRefs(st.rel.Tuple(ap.row), ap.moved, ap.row)
@@ -556,7 +505,7 @@ func (st *Store) prepareTxnIncremental(ops []txnOp) (*preparedTxn, error) {
 		for i := range seeds {
 			seedList = append(seedList, i)
 		}
-		if !st.settleSeeds(seedList, und) {
+		if !st.settleSeeds(seedList, &und) {
 			return toOracle()
 		}
 	}
@@ -624,7 +573,7 @@ func (st *Store) prepareTxnRecheck(ops []txnOp) (*preparedTxn, error) {
 		preMark: preMark,
 		apply: func() {
 			st.rel = cur
-			st.invalidateInc() // the incremental state described the old instance
+			st.marks = nil // the mark index described the old instance
 			st.inserts += counts[txnInsert]
 			st.updates += counts[txnUpdate]
 			st.deletes += counts[txnDelete]

@@ -135,9 +135,13 @@ func runTxnHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 			// Per-op filler between transaction blocks, exactly like the
 			// base exerciser.
 			row := randRow()
+			trace := captureTrace(inc)
 			errInc := inc.InsertRow(row...)
 			errRec := rec.InsertRow(row...)
 			assertAgreement(t, step, "insert", errInc, errRec, inc, rec)
+			if errInc != nil {
+				assertNoTrace(t, fmt.Sprintf("step %d (insert refused)", step), inc, trace)
+			}
 			assertReads(step)
 			continue
 		}
@@ -149,6 +153,7 @@ func runTxnHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 		// engines' differently-ordered instances, so the harness, like
 		// any content-addressing client, stages deletes at the end).
 		before := inc.Snapshot()
+		trace := captureTrace(inc)
 		block := &stagedTxn{inc: inc.Begin(), rec: rec.Begin(), insertOnly: true}
 		baseLen := inc.Len()
 		nOps := 1 + rng.Intn(6)
@@ -250,6 +255,9 @@ func runTxnHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 		errInc := block.inc.Commit()
 		errRec := block.rec.Commit()
 		assertTxnCommitAgreement(t, step, errInc, errRec, inc, rec)
+		if errInc != nil {
+			assertNoTrace(t, fmt.Sprintf("step %d (commit refused)", step), inc, trace)
+		}
 		assertReads(step)
 		if errInc != nil {
 			rejects++

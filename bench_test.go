@@ -325,7 +325,7 @@ func BenchmarkLossless(b *testing.B) {
 func BenchmarkSelect(b *testing.B) {
 	// Three-valued selection (Section 2 semantics): the indexed planner
 	// vs the naive scan over a small predicate batch, per instance size
-	// (E19 is the full comparative sweep). The indexes are version-cached
+	// (E19 is the agreement sweep). The indexes are version-cached
 	// on the relation, so the indexed runs amortize one build across all
 	// iterations — the serving-system steady state.
 	for _, n := range []int{400, 2000} {
@@ -390,8 +390,8 @@ func BenchmarkStoreInsert(b *testing.B) {
 	// recheck engine clones and re-chases the instance per accepted
 	// insert (O(n)); the incremental engine re-verifies one partition
 	// group per FD and delta-updates the warm indexes (O(group)) —
-	// `make bench-store` runs this table, and E17 asserts the engines
-	// agree while the speedup is ≥ 10x.
+	// `make bench-store` runs this table, and fdbench E17 asserts the
+	// engines agree.
 	const n, groups = 2000, 250
 	for _, m := range storeMaintenances {
 		b.Run(fmt.Sprintf("n=%d/maintenance=%s", n, m), func(b *testing.B) {
@@ -545,8 +545,8 @@ func BenchmarkStoreTxnCommit(b *testing.B) {
 	// delta with ONE check (one propagation seeded from all staged
 	// rows, sweeping each touched group once); the recheck engine
 	// clones and chases once per commit. `make bench-txn` runs this
-	// table; E18 additionally compares against k per-op commits and
-	// asserts the ≥5x bar with state agreement.
+	// table; fdbench E18 holds both, and k per-op commits, to the same
+	// final state.
 	const n, k = 2000, 32
 	groups := n / 512
 	for _, m := range storeMaintenances {

@@ -10,11 +10,8 @@
 //	fdbench [-exp E1,E2,... | -exp all] [-quick]
 //
 // Each experiment prints a self-contained report; complexity sweeps print
-// aligned tables of parameters vs. measured time. E15 runs both
-// evaluation engines and compares them, E16 does the same for the
-// FD-discovery engines, E17 for the store's incremental vs recheck
-// maintenance engines, E18 for batched vs per-op commits, and E19 for
-// the query planner vs the naive selection scan.
+// aligned tables of parameters vs. measured time, and an agreement sweep
+// (agreement.go) prints one table and fails only on a disagreement.
 package main
 
 import (

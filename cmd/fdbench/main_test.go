@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -97,35 +99,79 @@ func TestComplexitySweeps(t *testing.T) {
 	}
 }
 
-// TestEngineSweep runs E15 in quick mode: it self-checks verdict
-// agreement between the naive and indexed engines and fails unless the
-// indexed engine wins at the largest size.
-func TestEngineSweep(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{"-quick", "-exp", "E15"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	for _, want := range []string{"indexed-seq", "speedup", "agree"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
-		}
+// TestAgreementSweeps runs E15–E19 in quick mode: each must find its
+// production engine and its oracle in agreement on every cell (exit 0)
+// and print one table per sweep with an agree column. Durations and
+// ratios are printed for information and are not looked at.
+func TestAgreementSweeps(t *testing.T) {
+	for _, tc := range []struct {
+		id     string
+		tables int
+		want   []string // column headers
+	}{
+		{"E15", 1, []string{"|F|", "naive", "indexed-seq", "indexed-pool("}},
+		{"E16", 1, []string{"conv", "naive", "partition("}},
+		{"E17", 1, []string{"ops", "recheck", "incremental"}},
+		{"E18", 1, []string{"sets", "oracle (1 chase)", "per-op inc", "batched txn"}},
+		{"E19", 2, []string{"|Q|", "naive", "indexed-seq", "indexed-pool(", "multi-conjunct battery"}},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			var out, errOut strings.Builder
+			if code := run([]string{"-quick", "-exp", tc.id}, &out, &errOut); code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+			}
+			if got := strings.Count(out.String(), "  agree\n"); got != tc.tables {
+				t.Errorf("%d tables with an agree column, want %d:\n%s", got, tc.tables, out.String())
+			}
+			if strings.Count(out.String(), "  yes\n") < 2*tc.tables {
+				t.Errorf("fewer than two agreeing cells per table:\n%s", out.String())
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("output missing %q:\n%s", want, out.String())
+				}
+			}
+		})
 	}
 }
 
-// TestQuerySweep runs E19 in quick mode: the selection engines must
-// agree answer-for-answer on both predicate batteries (the 5x bar is
-// asserted by full runs only).
-func TestQuerySweep(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{"-quick", "-exp", "E19"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+// TestSweepNamesDisagreement feeds the harness a cell on which the second
+// production side differs from the oracle: the error must name the cell
+// and that side, and a side's own error must come back the same way.
+func TestSweepNamesDisagreement(t *testing.T) {
+	sw := sweep[int]{
+		params: []string{"n", "p"},
+		sides:  []string{"oracle", "fast", "faster"},
+		equal: func(oracle, got int) error {
+			if oracle != got {
+				return fmt.Errorf("%d is not %d", got, oracle)
+			}
+			return nil
+		},
+		cells: []cell[int]{
+			{label: []string{"7", "2"}, run: func(int) (int, error) { return 1, nil }},
+			{label: []string{"8", "3"}, run: func(side int) (int, error) { return side / 2, nil }},
+		},
 	}
-	for _, want := range []string{"|Q|", "indexed-seq", "speedup", "agree", "multi-conjunct battery"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q:\n%s", want, out.String())
+	var out strings.Builder
+	err := sw.run(&out)
+	if err == nil {
+		t.Fatalf("a disagreement went unreported:\n%s", out.String())
+	}
+	for _, want := range []string{"[8 3]", "side faster", "1 is not 0"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
 		}
+	}
+	if strings.Contains(err.Error(), "[7 2]") || out.Len() != 0 {
+		t.Errorf("the agreeing cell was blamed, or a table was printed: %q\n%s", err, out.String())
+	}
+
+	broken := errors.New("side broke")
+	sw.cells = sw.cells[:1]
+	sw.cells[0].run = func(side int) (int, error) { return 0, broken }
+	if err := sw.run(&out); !errors.Is(err, broken) || !strings.Contains(err.Error(), "side oracle") {
+		t.Errorf("a side's own error should come back naming the side, got %v", err)
 	}
 }
 

@@ -25,10 +25,11 @@
 // dir/shard-NN and recovers on restart.
 //
 // On SIGINT/SIGTERM the daemon stops accepting, drains in-flight
-// connections up to -drain, force-closes stragglers, and closes every
-// tenant store (durable logs are synced and closed, not checkpointed:
-// the next start replays them). Exit status 0 on a clean shutdown, 1 on
-// startup or shutdown errors.
+// connections up to -drain, force-closes stragglers, then checkpoints
+// and closes every tenant store (the next start of a durable tenant
+// adopts the checkpoint and replays nothing; after a crash it replays
+// the log). Exit status 0 on a clean shutdown, 1 on startup or shutdown
+// errors.
 package main
 
 import (

@@ -262,10 +262,14 @@ func ExampleOpenDurableStore() {
 	fmt.Println("recovered tuples:", snap.Len())
 	fmt.Println("t1 contract:", snap.Tuple(0)[s.MustAttr("CT")])
 	fmt.Println("t4 contract:", snap.Tuple(3)[s.MustAttr("CT")])
+	// A selection runs on the live handle, under its read lock.
+	res := re.Query(fdnull.Eq{Attr: s.MustAttr("D#"), Const: "v9"})
+	fmt.Println("department v9: sure", res.Sure, "maybe", res.Maybe)
 	_ = re.Close()
 	// Output:
 	// txn commit: <nil>
 	// recovered tuples: 4
 	// t1 contract: v20
 	// t4 contract: v21
+	// department v9: sure [0 1] maybe []
 }

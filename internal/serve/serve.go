@@ -468,9 +468,9 @@ func (srv *Server) Serve() {
 }
 
 // Shutdown stops accepting, waits for in-flight connections up to the
-// context deadline, force-closes stragglers, and closes every tenant
-// store. Closing a durable tenant syncs and closes its logs; it takes
-// no checkpoint, so the next start replays the log suffix.
+// context deadline, force-closes stragglers, then checkpoints and closes
+// every tenant store: a durable tenant's next start adopts the
+// checkpoint and replays nothing (an in-memory tenant has neither step).
 func (srv *Server) Shutdown(ctx context.Context) error {
 	srv.mu.Lock()
 	srv.draining = true
@@ -493,11 +493,21 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 		srv.mu.Unlock()
 		<-done
 	}
-	return srv.CloseTenants()
+	var first error
+	for _, tn := range srv.tenants {
+		if err := tn.store.Checkpoint(); err != nil && first == nil {
+			first = fmt.Errorf("tenant %s: checkpoint: %w", tn.name, err)
+		}
+	}
+	if err := srv.CloseTenants(); first == nil {
+		first = err
+	}
+	return first
 }
 
 // CloseTenants closes every tenant store without touching the listener
-// — the startup-failure path; Shutdown calls it on the normal one.
+// and without a checkpoint — the startup-failure path; Shutdown calls it
+// on the normal one, after checkpointing.
 func (srv *Server) CloseTenants() error {
 	var first error
 	for _, tn := range srv.tenants {

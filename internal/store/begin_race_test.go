@@ -64,7 +64,7 @@ func TestConcurrentBeginTxnRace(t *testing.T) {
 				case 1:
 					// Pure reader transaction: query the begin-time snapshot,
 					// then walk away.
-					_ = tx.Query(p)
+					_ = query.Select(tx.Snapshot(), p)
 					tx.Rollback()
 				case 2:
 					// Stage an explicit tuple carrying a mark drawn under the

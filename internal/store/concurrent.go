@@ -201,9 +201,6 @@ func (t *ConcurrentTxn) RollbackTo(sp Savepoint) error { return t.tx.RollbackTo(
 // Rollback discards the transaction without taking any lock.
 func (t *ConcurrentTxn) Rollback() { t.tx.Rollback() }
 
-// Pending returns the number of staged ops.
-func (t *ConcurrentTxn) Pending() int { return t.tx.Pending() }
-
 // Len returns the row count the instance will have after Commit.
 func (t *ConcurrentTxn) Len() int { return t.tx.Len() }
 

@@ -127,35 +127,20 @@ func modeString(m uint8) string {
 }
 
 // ioEnv is the I/O environment one durable handle's disk operations run
-// under: the filesystem, the retry budget, and the health counters. It
+// under: the filesystem, the retry sleep, and the health counters. It
 // is shared by the writer, the checkpoint path, and recovery, so every
 // retry and sync lands in the same counters Health() reports.
 type ioEnv struct {
-	fs       iox.FS
-	attempts int           // extra attempts after the first transient failure
-	backoff  time.Duration // first retry delay; doubles per retry
-	sleep    func(time.Duration)
+	fs    iox.FS
+	sleep func(time.Duration)
 
 	syncs, retries, degradations uint64
 }
 
 func newIOEnv(opts DurableOptions) *ioEnv {
-	e := &ioEnv{
-		fs:       opts.FS,
-		attempts: opts.RetryAttempts,
-		backoff:  opts.RetryBackoff,
-		sleep:    opts.RetrySleep,
-	}
+	e := &ioEnv{fs: opts.FS, sleep: opts.RetrySleep}
 	if e.fs == nil {
 		e.fs = iox.OS
-	}
-	if e.attempts == 0 {
-		e.attempts = 3
-	} else if e.attempts < 0 {
-		e.attempts = 0
-	}
-	if e.backoff <= 0 {
-		e.backoff = 500 * time.Microsecond
 	}
 	if e.sleep == nil {
 		e.sleep = time.Sleep
@@ -163,16 +148,24 @@ func newIOEnv(opts DurableOptions) *ioEnv {
 	return e
 }
 
+// The retry budget for a TRANSIENT fault (iox.Transient: ENOSPC/EINTR
+// class): extra attempts after the first failure, and the first retry's
+// delay, which doubles per retry and is capped near 64ms.
+const (
+	retryAttempts = 3
+	retryBackoff  = 500 * time.Microsecond
+)
+
 // retry runs attempt, retrying with bounded exponential backoff while
 // the failure is transient. Callers guarantee the unit is safe to rerun
 // whole: every attempt opens fresh fds and rewrites all of its bytes.
 // (A failed fsync on a live fd must never reach here — see the package
 // comment.)
 func (e *ioEnv) retry(attempt func() error) error {
-	backoff := e.backoff
+	backoff := retryBackoff
 	for tries := 0; ; tries++ {
 		err := attempt()
-		if err == nil || tries >= e.attempts || !iox.Transient(err) {
+		if err == nil || tries >= retryAttempts || !iox.Transient(err) {
 			return err
 		}
 		e.retries++

@@ -67,18 +67,3 @@ func (c *Concurrent) QueryCacheStats() (hits, misses uint64) {
 	defer c.mu.RUnlock()
 	return c.st.rel.IndexCounts()
 }
-
-// Query evaluates a selection over the transaction's begin-time state:
-// later commits by other writers are invisible, exactly as for the
-// transaction's other reads. While no commit has overtaken the
-// transaction that state is the live relation, indexes included; once
-// overtaken, the begin-time snapshot is scanned.
-func (t *ConcurrentTxn) Query(p query.Pred) query.Result {
-	t.c.mu.RLock()
-	if t.c.st.Version() == t.snap.Version() {
-		defer t.c.mu.RUnlock()
-		return t.c.st.Query(p)
-	}
-	t.c.mu.RUnlock()
-	return query.Select(t.snap, p)
-}

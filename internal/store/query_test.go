@@ -231,8 +231,8 @@ func TestConcurrentQuery(t *testing.T) {
 	assertShardedReadsMatchScan(t, -1, sh, []query.Pred{p})
 }
 
-// TestTxnQuerySnapshotIsolation: a transaction's Query reads its
-// begin-time snapshot even after other writers commit.
+// TestTxnQuerySnapshotIsolation: a selection over a transaction's
+// Snapshot reads its begin-time state even after other writers commit.
 func TestTxnQuerySnapshotIsolation(t *testing.T) {
 	s, fds := refineScheme()
 	c := NewConcurrent(s, fds, Options{})
@@ -242,11 +242,11 @@ func TestTxnQuerySnapshotIsolation(t *testing.T) {
 	p := query.Eq{Attr: s.MustAttr("D#"), Const: "d1"}
 	tx := c.BeginTxn()
 	defer tx.Rollback()
-	before := tx.Query(p)
+	before := query.Select(tx.Snapshot(), p)
 	if err := c.InsertRow("e2", "s11", "d1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := tx.Query(p); !got.Equal(before) {
+	if got := query.Select(tx.Snapshot(), p); !got.Equal(before) {
 		t.Fatalf("txn query must be frozen at begin time: %v then %v", before, got)
 	}
 	if got := c.Query(p); got.Equal(before) {

@@ -92,24 +92,12 @@ type DurableOptions struct {
 	// deleting them (the crash exerciser replays from any historical
 	// manifest; production has no reason to set it).
 	RetainSegments bool
-	// NoSync skips every fsync (benchmarks measuring the fsync cost
-	// itself; no durability claim survives it).
-	NoSync bool
 	// FS is the filesystem all durable I/O goes through; nil means the
 	// production passthrough (iox.OS). Tests install iox.FaultFS to
 	// inject deterministic disk-fault schedules.
 	FS iox.FS
-	// RetryAttempts bounds how many times a TRANSIENT fault (iox
-	// .Transient: ENOSPC/EINTR class) is retried on operations that are
-	// safe to rerun whole — fresh-fd segment creation, checkpoint and
-	// manifest temp writes. 0 means the default (3); negative disables
-	// retries. A failed fsync on a live fd is never retried regardless.
-	RetryAttempts int
-	// RetryBackoff is the first retry's delay, doubling per retry
-	// (default 500µs, capped near 64ms).
-	RetryBackoff time.Duration
-	// RetrySleep replaces time.Sleep between retries (deterministic
-	// tests); nil means time.Sleep.
+	// RetrySleep replaces time.Sleep between the retries of a transient
+	// fault (ioEnv.retry; deterministic tests); nil means time.Sleep.
 	RetrySleep func(time.Duration)
 }
 
@@ -448,7 +436,6 @@ func initWAL(env *ioEnv, dir string, opts DurableOptions) (*durable, error) {
 		nextSeq:      1,
 		groupCommit:  opts.GroupCommit,
 		segmentBytes: opts.segmentBytes(),
-		noSync:       opts.NoSync,
 	}
 	if err := w.newSegment(1); err != nil {
 		return nil, walFail(err, "create first segment")
@@ -485,10 +472,8 @@ func writeCheckpoint(env *ioEnv, dir string, st *Store, view relation.View, wate
 		if err := relio.Write(f, img); err != nil {
 			return err
 		}
-		if !opts.NoSync {
-			if err := f.Sync(); err != nil {
-				return err
-			}
+		if err := f.Sync(); err != nil {
+			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
@@ -497,9 +482,6 @@ func writeCheckpoint(env *ioEnv, dir string, st *Store, view relation.View, wate
 			return err
 		}
 		ok = true
-		if opts.NoSync {
-			return nil
-		}
 		return env.fs.SyncDir(dir)
 	})
 	if err != nil {
@@ -511,7 +493,7 @@ func writeCheckpoint(env *ioEnv, dir string, st *Store, view relation.View, wate
 		checkpoint:  name,
 		ckptSeq:     seq,
 	}
-	if err := writeManifest(env, dir, m, opts.NoSync); err != nil {
+	if err := writeManifest(env, dir, m); err != nil {
 		return walFail(err, "manifest")
 	}
 	return nil
@@ -603,7 +585,7 @@ func replayWAL(env *ioEnv, dir string, opts DurableOptions) (*durable, error) {
 	newWriter := func() *walWriter {
 		return &walWriter{
 			env: env, dir: dir,
-			groupCommit: opts.GroupCommit, segmentBytes: opts.segmentBytes(), noSync: opts.NoSync,
+			groupCommit: opts.GroupCommit, segmentBytes: opts.segmentBytes(),
 		}
 	}
 	if len(segs) == 0 {
@@ -712,10 +694,8 @@ func replayWAL(env *ioEnv, dir string, opts DurableOptions) (*durable, error) {
 	if err := f.Truncate(lastEnd); err != nil {
 		return degradedOpen(walFail(err, "truncate torn tail"), f)
 	}
-	if !opts.NoSync {
-		if err := f.Sync(); err != nil {
-			return degradedOpen(walFail(err, "sync active segment"), f)
-		}
+	if err := f.Sync(); err != nil {
+		return degradedOpen(walFail(err, "sync active segment"), f)
 	}
 	if _, err := f.Seek(lastEnd, 0); err != nil {
 		return degradedOpen(walFail(err, "seek active segment"), f)

@@ -36,10 +36,10 @@
 // runs lightweight two-phase commit over the engine's prepare/apply
 // split (txn.go): write locks on every touched shard in ascending shard
 // order (deadlock-free against any other committer and against
-// SnapshotAll), per-shard first-committer-wins validation, prepareTxn
+// snapshotAll), per-shard first-committer-wins validation, prepareTxn
 // on every shard, and only when all prepares succeed apply on all —
 // otherwise discard on all. All locks are held until the decision is
-// applied everywhere, so no reader (and no SnapshotAll cut) ever
+// applied everywhere, so no reader (and no snapshotAll cut) ever
 // observes a half-committed cross-shard write-set. Conflict validation
 // is per TOUCHED shard: a concurrent commit on a shard this write-set
 // never touches does not abort it — exactly as sound as the unsharded
@@ -244,7 +244,7 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 func (s *Sharded) Shard(i int) *Concurrent { return s.shards[i] }
 
 // Len returns the total tuple count across shards. Shards are read one
-// at a time; use SnapshotAll for an atomic cut.
+// at a time; Snapshot is an atomic cut.
 func (s *Sharded) Len() int {
 	n := 0
 	for _, c := range s.shards {
@@ -287,12 +287,12 @@ func (s *Sharded) NextMark() int {
 	return s.nextMark
 }
 
-// SnapshotAll returns one O(1) copy-on-write snapshot per shard taken
+// snapshotAll returns one O(1) copy-on-write snapshot per shard taken
 // under ALL shard read locks (acquired in ascending shard order, the
 // same global order committers lock in), so the cut is atomic: a
 // cross-shard commit holds every touched write lock until fully
 // applied, and therefore appears in all of these views or in none.
-func (s *Sharded) SnapshotAll() []relation.View {
+func (s *Sharded) snapshotAll() []relation.View {
 	for _, c := range s.shards {
 		c.mu.RLock()
 	}
@@ -306,11 +306,11 @@ func (s *Sharded) SnapshotAll() []relation.View {
 	return views
 }
 
-// Snapshot materializes the union instance from an atomic SnapshotAll
+// Snapshot materializes the union instance from an atomic snapshotAll
 // cut: shard 0's tuples first, then shard 1's, and so on. The union's
 // allocator resumes at the global watermark.
 func (s *Sharded) Snapshot() *relation.Relation {
-	views := s.SnapshotAll()
+	views := s.snapshotAll()
 	out := relation.New(s.scheme)
 	for _, v := range views {
 		for i := 0; i < v.Len(); i++ {
@@ -358,7 +358,7 @@ func (s *Sharded) CheckStrong() bool {
 // tuple. It must copy what it keeps (the next write overwrites the row in
 // place) and must not block or call into the store: a writer waits for
 // it. Shards are visited one after another, so the answer is a committed
-// state of each shard, not one cut across them (SnapshotAll is).
+// state of each shard, not one cut across them (Snapshot is).
 func (s *Sharded) SelectVisit(p query.Pred, opts query.Options, visit func(t relation.Tuple, sure bool)) {
 	shards := s.shards
 	if pinned := len(shards) > 1; pinned {

@@ -519,7 +519,7 @@ func runShardedHistory(t *testing.T, rng *rand.Rand, sh *Sharded, oracle *Store,
 // TestShardedAtomicityUnderConcurrency is the 2PC atomicity proof under
 // the race detector: writers commit cross-shard transactions (batches
 // of 4 rows sharing a unique (A,B) tag, keys spread over the shard
-// space) while readers continuously take SnapshotAll cuts and assert
+// space) while readers continuously take snapshotAll cuts and assert
 // every tag appears 0 or 4 times — never a half-committed prefix.
 func TestShardedAtomicityUnderConcurrency(t *testing.T) {
 	s := schema.MustNew("R",
@@ -606,14 +606,14 @@ func TestShardedAtomicityUnderConcurrency(t *testing.T) {
 		go func() {
 			defer rwg.Done()
 			for !stop.Load() {
-				checkCut(sh.SnapshotAll())
+				checkCut(sh.snapshotAll())
 			}
 		}()
 	}
 	wg.Wait()
 	stop.Store(true)
 	rwg.Wait()
-	checkCut(sh.SnapshotAll())
+	checkCut(sh.snapshotAll())
 	if torn.Load() != 0 {
 		t.Fatalf("%d torn cuts observed", torn.Load())
 	}

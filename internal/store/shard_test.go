@@ -188,7 +188,7 @@ func TestShardedBasicOpsMatchOracle(t *testing.T) {
 }
 
 // TestShardedTxnCrossShard drives one transaction whose write-set spans
-// several shards and proves it commits atomically: SnapshotAll taken
+// several shards and proves it commits atomically: snapshotAll taken
 // after the commit shows every op applied, and a rejected cross-shard
 // set leaves every shard untouched and the allocator restored.
 func TestShardedTxnCrossShard(t *testing.T) {
@@ -216,11 +216,11 @@ func TestShardedTxnCrossShard(t *testing.T) {
 				t.Fatalf("len after cross-shard commit: %d", sh.Len())
 			}
 			total := 0
-			for _, v := range sh.SnapshotAll() {
+			for _, v := range sh.snapshotAll() {
 				total += v.Len()
 			}
 			if total != 8 {
-				t.Fatalf("SnapshotAll sees %d of 8 tuples", total)
+				t.Fatalf("snapshotAll sees %d of 8 tuples", total)
 			}
 
 			// A cross-shard set with one violating op must leave every shard
@@ -409,7 +409,7 @@ func TestShardedCrossShardKeyMove(t *testing.T) {
 		t.Fatalf("seed null-bearing: %v", err)
 	}
 	var nullTup relation.Tuple
-	for _, v := range sh.SnapshotAll() {
+	for _, v := range sh.snapshotAll() {
 		for i := 0; i < v.Len(); i++ {
 			if tup := v.Tuple(i); tup[0].IsConst() && tup[0].Const() == seedK {
 				nullTup = tup.Clone()

@@ -24,8 +24,10 @@
 // "-" draws the same fresh marks), update, delete. Logical logging
 // works because both maintenance engines are deterministic functions of
 // (state, engine, allocator, write-set); the manifest pins the engine so
-// replay cannot run under the other one, whose tuple order — and hence
-// op indices — diverges after deletes.
+// replay cannot run under the other one. The two reach the same states
+// in the same tuple order — deletes included, both swap-and-pop — but
+// that agreement is what the lockstep exercisers prove, not something
+// recovery assumes (recovery.go, step 1).
 //
 // # Segments
 //
@@ -509,7 +511,6 @@ type walWriter struct {
 	syncedSeq    uint64
 	groupCommit  int   // fsync every N appends; <=1 means every append
 	segmentBytes int64 // rotate once the active segment passes this
-	noSync       bool  // benchmarks only: skip fsync entirely
 }
 
 // newSegment creates (or truncates) the segment that will hold seq as
@@ -537,13 +538,11 @@ func (w *walWriter) newSegment(seq uint64) error {
 		if _, err := f.Write([]byte(walMagic)); err != nil {
 			return err
 		}
-		if !w.noSync {
-			if err := f.Sync(); err != nil {
-				return err
-			}
-			if err := w.env.fs.SyncDir(w.dir); err != nil {
-				return err
-			}
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		if err := w.env.fs.SyncDir(w.dir); err != nil {
+			return err
 		}
 		ok = true
 		return nil
@@ -603,12 +602,10 @@ func (w *walWriter) sync() error {
 	if w.f == nil {
 		return errors.New("no active segment")
 	}
-	if !w.noSync {
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
-		w.env.syncs++
+	if err := w.f.Sync(); err != nil {
+		return err
 	}
+	w.env.syncs++
 	w.syncedOff = w.size
 	if w.nextSeq > 1 {
 		w.syncedSeq = w.nextSeq - 1
@@ -711,7 +708,7 @@ func parseManifest(data string) (walManifest, error) {
 // one transient-retry unit — every attempt rewrites the temp file
 // through a fresh fd, re-renames, and re-syncs the directory, so no
 // attempt ever retries a failed fsync on a live fd.
-func writeManifest(env *ioEnv, dir string, m walManifest, noSync bool) error {
+func writeManifest(env *ioEnv, dir string, m walManifest) error {
 	tmp := filepath.Join(dir, manifestName+".tmp")
 	rendered := []byte(m.render())
 	return env.retry(func() error {
@@ -729,10 +726,8 @@ func writeManifest(env *ioEnv, dir string, m walManifest, noSync bool) error {
 		if _, err := f.Write(rendered); err != nil {
 			return err
 		}
-		if !noSync {
-			if err := f.Sync(); err != nil {
-				return err
-			}
+		if err := f.Sync(); err != nil {
+			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
@@ -741,9 +736,6 @@ func writeManifest(env *ioEnv, dir string, m walManifest, noSync bool) error {
 			return err
 		}
 		ok = true
-		if noSync {
-			return nil
-		}
 		return env.fs.SyncDir(dir)
 	})
 }

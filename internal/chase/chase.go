@@ -36,13 +36,17 @@
 // implementation of the plain system (which has no engine-independent
 // answer, so Mode: Plain always runs them, in RuleOrder), and under
 // Engine: Naive they are the oracle the tests and the fdbench agreement
-// sweeps compare the congruence engine against.
+// sweeps compare the congruence engine against. A congruence pass costs
+// per FD, not per tuple: tuples bucket on a maphash of their X-cells'
+// class roots, equalOn confirms a bucket, and one bucket table serves
+// every FD and pass.
 package chase
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"sort"
-	"strings"
 
 	"fdnull/internal/fd"
 	"fdnull/internal/relation"
@@ -203,7 +207,18 @@ type chaser struct {
 
 	applications int
 	stuck        []Conflict
+
+	// passCongruence's bucket table: signature hash → 1 + the last tuple
+	// bucketed under it, each tuple → the one bucketed before it (-1 ends a
+	// chain).
+	sigHead map[uint64]int32
+	sigNext []int32
+	sigHash maphash.Hash
 }
+
+// sigMask is all ones outside tests; a test clears it to make every
+// signature collide.
+var sigMask = ^uint64(0)
 
 type symbol struct {
 	isConst bool
@@ -414,25 +429,35 @@ func (c *chaser) applyY(f fd.FD, i, j int, a schema.Attr) bool {
 	return c.union(ra, rb)
 }
 
-// passCongruence buckets tuples by the class signature of their X-cells
-// and unions the Y-cells of each bucket.
+// passCongruence buckets tuples by the class roots of their X-cells and
+// unions the Y-cells of each bucket. A bucket is keyed on a hash of the
+// roots; equalOn confirms membership, so a collision costs a longer chain
+// walk, never a wrong merge.
 func (c *chaser) passCongruence() bool {
 	changed := false
 	n := c.r.Len()
+	if c.sigHead == nil {
+		c.sigHead, c.sigNext = make(map[uint64]int32, n), make([]int32, n)
+	}
 	for _, f := range c.fds {
 		xAttrs := f.X.Attrs()
 		yAttrs := f.Y.Attrs()
-		buckets := make(map[string]int, n) // signature -> first tuple index
-		var sig strings.Builder
+		clear(c.sigHead)
 		for i := 0; i < n; i++ {
-			sig.Reset()
+			c.sigHash.Reset()
+			var b [8]byte
 			for _, a := range xAttrs {
-				fmt.Fprintf(&sig, "%d,", c.find(c.cells[i][a]))
+				binary.LittleEndian.PutUint64(b[:], uint64(c.find(c.cells[i][a])))
+				c.sigHash.Write(b[:])
 			}
-			key := sig.String()
-			first, ok := buckets[key]
-			if !ok {
-				buckets[key] = i
+			h := c.sigHash.Sum64() & sigMask
+			head := c.sigHead[h] - 1 // -1 when nothing is bucketed under h
+			first := head
+			for first >= 0 && !c.equalOn(int(first), i, xAttrs) {
+				first = c.sigNext[first]
+			}
+			if first < 0 {
+				c.sigNext[i], c.sigHead[h] = head, int32(i)+1
 				continue
 			}
 			for _, a := range yAttrs {

@@ -21,6 +21,7 @@ package chase
 
 import (
 	"fmt"
+	"slices"
 
 	"fdnull/internal/fd"
 	"fdnull/internal/relation"
@@ -100,40 +101,28 @@ func xRuleFor(r *relation.Relation, f fd.FD, ti int) (XSubstitution, bool, error
 	agree := make([]bool, dom.Size())
 	disagreeOK := true // condition (2): every completion disagrees on Y with non-null values
 	for tj, u := range r.Tuples() {
-		if tj == ti {
+		if tj == ti || u.HasNullOn(f.X) || u.HasNothingOn(f.X) || !t.ConstEqOn(u, restX) {
 			continue
 		}
-		if u.HasNullOn(f.X) || u.HasNothingOn(f.X) {
-			continue
-		}
-		if !t.ConstEqOn(u, restX) {
-			continue
-		}
-		vi := domainIndex(dom, u[na])
+		vi := slices.Index(dom.Values, u[na].Const())
 		if vi < 0 {
 			continue
 		}
 		present[vi] = true
 		if u.HasNullOn(f.Y) || u.HasNothingOn(f.Y) {
 			disagreeOK = false
-			continue
-		}
-		if t.ConstEqOn(u, f.Y) {
+		} else if t.ConstEqOn(u, f.Y) {
 			agree[vi] = true
 		}
 	}
 	presentCount, agreeCount := 0, 0
-	missing := -1
-	agreeAt := -1
-	for i := 0; i < dom.Size(); i++ {
+	missing, agreeAt := slices.Index(present, false), slices.Index(agree, true)
+	for i := range present {
 		if present[i] {
 			presentCount++
-		} else {
-			missing = i
 		}
 		if agree[i] {
 			agreeCount++
-			agreeAt = i
 		}
 	}
 	// Condition (1): all completions present, exactly one agreeing.
@@ -148,16 +137,4 @@ func xRuleFor(r *relation.Relation, f fd.FD, ti int) (XSubstitution, bool, error
 			Value: dom.Values[missing], Condition: 2}, true, nil
 	}
 	return XSubstitution{}, false, nil
-}
-
-func domainIndex(d *schema.Domain, v value.V) int {
-	if !v.IsConst() {
-		return -1
-	}
-	for i, c := range d.Values {
-		if c == v.Const() {
-			return i
-		}
-	}
-	return -1
 }

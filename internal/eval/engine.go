@@ -18,6 +18,7 @@ package eval
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -113,32 +114,40 @@ func (c *checker) evaluate(ti int) (Verdict, error) {
 // skipped entirely.
 func (c *checker) classify(ti int) (Verdict, error) {
 	t := c.r.Tuple(ti)
-	nx := len(t.NullsOn(c.f.X))
-	ny := len(t.NullsOn(c.f.Y))
-
-	xComps, err := relation.TupleCompletions(c.s, t, xSubstSet(c.f, t))
-	if err != nil {
-		return Verdict{}, err
+	xComps := []relation.Tuple{t} // t is its own one X-completion
+	if subst := xSubstSet(c.f, t); t.HasNullOn(subst) {
+		var err error
+		if xComps, err = relation.TupleCompletions(c.s, t, subst); err != nil {
+			return Verdict{}, err
+		}
 	}
-	var results []tvl.T
+	truth := tvl.True            // the lub of no completions
 	var matches []relation.Tuple // reused across completions
-	for _, tc := range xComps {
+	for k, tc := range xComps {
 		rows, ok := c.idx.Probe(tc)
+		var v tvl.T
 		if !ok {
 			// Unreachable: tc is complete on X by construction.
-			results = append(results, classifyXComplete(c.f, c.r, ti, tc))
-			continue
-		}
-		matches = matches[:0]
-		for _, j := range rows {
-			if j != ti {
-				matches = append(matches, c.r.Tuple(j))
+			v = classifyXComplete(c.f, c.r, ti, tc)
+		} else {
+			matches = matches[:0]
+			if len(rows) > 1 {
+				matches = slices.Grow(matches, len(rows)-1)
 			}
+			for _, j := range rows {
+				if j != ti {
+					matches = append(matches, c.r.Tuple(j))
+				}
+			}
+			v = classifyAgainstMatches(c.f, c.s, tc, matches)
 		}
-		results = append(results, classifyAgainstMatches(c.f, c.s, tc, matches))
+		if k == 0 {
+			truth = v
+		} else {
+			truth = tvl.LubPair(truth, v)
+		}
 	}
-	truth := tvl.Lub(results...)
-	return Verdict{Truth: truth, Case: caseLabel(truth, nx, ny)}, nil
+	return Verdict{Truth: truth, Case: caseLabel(truth, len(t.NullsOn(c.f.X)), len(t.NullsOn(c.f.Y)))}, nil
 }
 
 // classicalHoldsIndexed is classicalHolds through the X-partition index:

@@ -23,6 +23,7 @@ package eval
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fdnull/internal/fd"
 	"fdnull/internal/relation"
@@ -128,8 +129,7 @@ func Classify(f fd.FD, r *relation.Relation, ti int) (Verdict, error) {
 			return Verdict{}, fmt.Errorf("eval: Classify requires r−{t} null-free on %s (tuple %d is not); use Evaluate", s.FormatSet(xy), j)
 		}
 	}
-	nx := len(t.NullsOn(f.X))
-	ny := len(t.NullsOn(f.Y))
+	nx, ny := len(t.NullsOn(f.X)), len(t.NullsOn(f.Y))
 
 	xComps, err := relation.TupleCompletions(s, t, xSubstSet(f, t))
 	if err != nil {
@@ -150,18 +150,23 @@ func Classify(f fd.FD, r *relation.Relation, ti int) (Verdict, error) {
 // indexed engine's classify so the engines cannot drift.
 func xSubstSet(f fd.FD, t relation.Tuple) schema.AttrSet {
 	subst := f.X
-	xMarks := map[int]bool{}
-	for _, a := range f.X.Attrs() {
-		if v := t[a]; v.IsNull() {
-			xMarks[v.Mark()] = true
-		}
-	}
-	for _, a := range f.Y.Attrs() {
-		if v := t[a]; v.IsNull() && xMarks[v.Mark()] {
+	for y := uint64(f.Y); y != 0; y &= y - 1 {
+		a := schema.Attr(bits.TrailingZeros64(y))
+		if v := t[a]; v.IsNull() && markOn(t, f.X, v.Mark()) {
 			subst = subst.Add(a)
 		}
 	}
 	return subst
+}
+
+// markOn reports whether some null of t on set carries mark.
+func markOn(t relation.Tuple, set schema.AttrSet, mark int) bool {
+	for v := uint64(set); v != 0; v &= v - 1 {
+		if w := t[bits.TrailingZeros64(v)]; w.IsNull() && w.Mark() == mark {
+			return true
+		}
+	}
+	return false
 }
 
 // classifyXComplete evaluates f(tc, r−{t} ∪ {tc}) where tc[X] is null-free
@@ -191,7 +196,8 @@ func classifyAgainstMatches(f fd.FD, s *schema.Scheme, tc relation.Tuple, matche
 	}
 	// Non-null Y attributes must agree with every match, else false for
 	// every substitution of the remaining nulls ([F1]).
-	for _, a := range f.Y.Attrs() {
+	for y := uint64(f.Y); y != 0; y &= y - 1 {
+		a := bits.TrailingZeros64(y)
 		if tc[a].IsNull() {
 			continue
 		}
@@ -203,50 +209,37 @@ func classifyAgainstMatches(f fd.FD, s *schema.Scheme, tc relation.Tuple, matche
 	}
 	// Null Y attributes, grouped by mark (shared marks co-vary): a
 	// substitution v satisfies the group iff v equals every match's value
-	// on every attribute of the group.
-	type group struct {
-		attrs []schema.Attr
-		doms  []*schema.Domain
-	}
-	groups := map[int]*group{}
-	for _, a := range f.Y.Attrs() {
-		v := tc[a]
-		if !v.IsNull() {
+	// on every attribute of the group. A group is visited at its first
+	// attribute and walked in place.
+	canBeFalse := false
+	for y := uint64(f.Y); y != 0; y &= y - 1 {
+		first := bits.TrailingZeros64(y)
+		v := tc[first]
+		if !v.IsNull() || markOn(tc, f.Y&schema.AttrSet(1<<first-1), v.Mark()) {
 			continue
 		}
-		g, ok := groups[v.Mark()]
-		if !ok {
-			g = &group{}
-			groups[v.Mark()] = g
-		}
-		g.attrs = append(g.attrs, a)
-		g.doms = append(g.doms, s.Domain(a))
-	}
-	if len(groups) == 0 {
-		return tvl.True // tc[Y] fully constant and agreed with all matches
-	}
-	canBeFalse := false
-	for _, g := range groups {
-		// The single value all matches force on this group, if any: a
-		// substitution v satisfies the group iff v equals every match's
-		// constant on every attribute of the group.
-		forced := matches[0][g.attrs[0]]
-		consistent := true
-		for _, a := range g.attrs {
-			for _, u := range matches {
-				if !u[a].SameConst(forced) {
-					consistent = false
+		group := func(yield func(a schema.Attr) bool) {
+			for g := y; g != 0; g &= g - 1 {
+				a := schema.Attr(bits.TrailingZeros64(g))
+				if w := tc[a]; w.IsNull() && w.Mark() == v.Mark() && !yield(a) {
+					return
 				}
 			}
 		}
-		if !consistent {
-			return tvl.False // no substitution satisfies this group
+		// The single value all matches force on this group, if any.
+		forced := matches[0][first]
+		for a := range group {
+			for _, u := range matches {
+				if !u[a].SameConst(forced) {
+					return tvl.False // no substitution satisfies this group
+				}
+			}
 		}
 		// Substitutions range over the intersection of the group's
 		// attribute domains (shared marks across attributes).
 		inDomain := func(c string) bool {
-			for _, d := range g.doms {
-				if !d.Contains(c) {
+			for a := range group {
+				if !s.Domain(a).Contains(c) {
 					return false
 				}
 			}
@@ -255,7 +248,7 @@ func classifyAgainstMatches(f fd.FD, s *schema.Scheme, tc relation.Tuple, matche
 		if !inDomain(forced.Const()) {
 			return tvl.False // the only satisfying value is unavailable
 		}
-		for _, c := range g.doms[0].Values {
+		for _, c := range s.Domain(schema.Attr(first)).Values {
 			if c != forced.Const() && inDomain(c) {
 				canBeFalse = true // a deviating substitution falsifies
 				break
@@ -314,26 +307,20 @@ func Evaluate(f fd.FD, r *relation.Relation, ti int) (Verdict, error) {
 		return v, nil
 	}
 	xy := f.X.Union(f.Y)
-	// Build an instance where tuple ti keeps its nulls but the rest are
-	// completed. RelationCompletions co-varies shared marks, so marks
-	// shared between t and other tuples must go through full enumeration:
-	// completing the rest would fix t's nulls too, which is exactly what
-	// the definition requires — so delegate to Value in that case.
-	tMarks := map[int]bool{}
-	for _, a := range xy.Attrs() {
-		if v := r.Tuple(ti)[a]; v.IsNull() {
-			tMarks[v.Mark()] = true
-		}
-	}
+	// Classify the tuple against every completion of the rest. Completing
+	// the rest co-varies shared marks, so marks shared between t and other
+	// tuples must go through full enumeration: completing the rest would fix
+	// t's nulls too, which is exactly what the definition requires — so
+	// delegate to Value in that case.
+	t := r.Tuple(ti)
 	shared := false
 	for j, u := range r.Tuples() {
 		if j == ti {
 			continue
 		}
-		for _, a := range xy.Attrs() {
-			if v := u[a]; v.IsNull() && tMarks[v.Mark()] {
-				shared = true
-			}
+		for v := uint64(xy); v != 0 && !shared; v &= v - 1 {
+			w := u[bits.TrailingZeros64(v)]
+			shared = w.IsNull() && markOn(t, xy, w.Mark())
 		}
 	}
 	if shared {
@@ -343,27 +330,37 @@ func Evaluate(f fd.FD, r *relation.Relation, ti int) (Verdict, error) {
 		}
 		return Verdict{Truth: truth, Case: CaseGeneral}, nil
 	}
-	// Enumerate completions of the rest only: temporarily swap t's cells
-	// for constants? Simpler: enumerate completions of a copy of r with
-	// tuple ti removed, then re-insert t and classify.
-	rest := r.Clone()
-	t := rest.Tuple(ti).Clone()
-	rest.Delete(ti)
-	comps, err := relation.RelationCompletions(rest, xy)
+	// The rest is read in place: RelationCompletions refuses an over-large
+	// completion set before it copies a row.
+	comps, err := relation.RelationCompletions(without{r, ti}, xy)
 	if err != nil {
 		return Verdict{}, err
 	}
 	var results []tvl.T
 	for _, c := range comps {
-		cc := c.Clone()
-		cc.InsertUnchecked(t)
-		v, err := Classify(f, cc, cc.Len()-1)
+		c.InsertUnchecked(t)
+		v, err := Classify(f, c, c.Len()-1)
 		if err != nil {
 			return Verdict{}, err
 		}
 		results = append(results, v.Truth)
 	}
 	return Verdict{Truth: tvl.Lub(results...), Case: CaseGeneral}, nil
+}
+
+// without is r less row skip, read in place.
+type without struct {
+	r    *relation.Relation
+	skip int
+}
+
+func (w without) Scheme() *schema.Scheme { return w.r.Scheme() }
+func (w without) Len() int               { return w.r.Len() - 1 }
+func (w without) Tuple(i int) relation.Tuple {
+	if i >= w.skip {
+		i++
+	}
+	return w.r.Tuple(i)
 }
 
 // StrongHolds reports whether f strongly holds in r: f(t,r) = true for

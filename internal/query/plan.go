@@ -35,6 +35,7 @@
 package query
 
 import (
+	"cmp"
 	"slices"
 
 	"fdnull/internal/relation"
@@ -160,15 +161,7 @@ func PlanPred(src Source, ix Indexer, p Pred) *Plan {
 		}
 		pl.residual[i] = residualConjunct{pred: leaf, frac: frac}
 	}
-	slices.SortStableFunc(pl.residual, func(a, b residualConjunct) int {
-		switch {
-		case a.frac < b.frac:
-			return -1
-		case a.frac > b.frac:
-			return 1
-		}
-		return 0
-	})
+	slices.SortStableFunc(pl.residual, func(a, b residualConjunct) int { return cmp.Compare(a.frac, b.frac) })
 	return pl
 }
 
@@ -319,11 +312,7 @@ func intersectSketch(kids []planSketch) planSketch {
 // set; the estimate (arms' sum capped at the source size) is computed
 // at sketch time and passed in.
 func unionNode(est int, arms []*planNode) *planNode {
-	total := 0
-	for _, a := range arms {
-		total += len(a.rows)
-	}
-	rows := make([]int, 0, total)
+	var rows []int
 	for _, a := range arms {
 		rows = append(rows, a.rows...)
 	}

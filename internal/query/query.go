@@ -99,8 +99,10 @@ func contradictory(s *schema.Scheme, t relation.Tuple) bool {
 	for i, v := range t {
 		// feasibleValues answers from the domain itself, without
 		// allocating, unless the mark spans different domains.
-		if v.IsNull() && !earlierMark(t, i) && len(feasibleValues(s, t, schema.Attr(i))) == 0 {
-			return true
+		if v.IsNull() && !earlierMark(t, i) {
+			if vals, _ := feasibleValues(s, t, schema.Attr(i)); len(vals) == 0 {
+				return true
+			}
 		}
 	}
 	return false
@@ -198,22 +200,16 @@ func evalRaw(s *schema.Scheme, t relation.Tuple, p Pred) tvl.T {
 // cell's domain, narrowed by every other attribute carrying the same
 // mark (one unknown value must lie in all of them) — empty exactly when
 // the mark's cells admit no common substitution, which is how
-// contradictory decides. Sharing within one *Domain (the common case)
-// returns the domain's own slice without allocating.
-func feasibleValues(s *schema.Scheme, t relation.Tuple, a schema.Attr) []string {
-	dom := s.Domain(a)
-	mark := t[a].Mark()
-	narrowed := false
+// contradictory decides. A mark no other domain narrows (the common
+// case) returns the domain's own slice without allocating.
+func feasibleValues(s *schema.Scheme, t relation.Tuple, a schema.Attr) (vals []string, narrowed bool) {
+	dom, mark := s.Domain(a), t[a].Mark()
 	for j, w := range t {
-		if schema.Attr(j) != a && w.IsNull() && w.Mark() == mark && s.Domain(schema.Attr(j)) != dom {
-			narrowed = true
-			break
-		}
+		narrowed = narrowed || w.IsNull() && w.Mark() == mark && s.Domain(schema.Attr(j)) != dom
 	}
 	if !narrowed {
-		return dom.Values
+		return dom.Values, false
 	}
-	var vals []string
 	for _, c := range dom.Values {
 		ok := true
 		for j, w := range t {
@@ -226,7 +222,30 @@ func feasibleValues(s *schema.Scheme, t relation.Tuple, a schema.Attr) []string 
 			vals = append(vals, c)
 		}
 	}
-	return vals
+	return vals, true
+}
+
+// feasibleHas reports whether c is among the null t[a]'s feasible values,
+// and how many there are. A null no other domain narrows ranges over its
+// whole domain: one Domain.Contains probe and Domain.Size answer.
+func feasibleHas(s *schema.Scheme, t relation.Tuple, a schema.Attr, c string) (bool, int) {
+	vals, narrowed := feasibleValues(s, t, a)
+	if !narrowed {
+		return s.Domain(a).Contains(c), len(vals)
+	}
+	return slices.Contains(vals, c), len(vals)
+}
+
+// nullEq decides null = c for the null t[a]: impossible when c is not
+// feasible, forced when it is the only feasible value.
+func nullEq(s *schema.Scheme, t relation.Tuple, a schema.Attr, c string) tvl.T {
+	switch in, n := feasibleHas(s, t, a, c); {
+	case !in:
+		return tvl.False
+	case n == 1:
+		return tvl.True
+	}
+	return tvl.Unknown
 }
 
 // Eval for attr = c: a constant compares directly; a null's completions
@@ -243,7 +262,7 @@ func (e Eq) eval(s *schema.Scheme, t relation.Tuple) tvl.T {
 	if v.IsConst() {
 		return tvl.FromBool(v.Const() == e.Const)
 	}
-	return nullVsConst(feasibleValues(s, t, e.Attr), e.Const)
+	return nullEq(s, t, e.Attr, e.Const)
 }
 
 // Eval for attr ∈ S — the paper's married-or-single example: the lub
@@ -258,22 +277,22 @@ func (i In) eval(s *schema.Scheme, t relation.Tuple) tvl.T {
 	if v.IsConst() {
 		return tvl.FromBool(slices.Contains(i.Values, v.Const()))
 	}
-	all, none := true, true
-	for _, c := range feasibleValues(s, t, i.Attr) {
-		if slices.Contains(i.Values, c) {
-			none = false
-		} else {
-			all = false
+	// Count the distinct listed values that are feasible (feasible values
+	// are distinct, and a tuple that got here has at least one).
+	hits, size := 0, 0
+	for k, c := range i.Values {
+		in, n := feasibleHas(s, t, i.Attr, c)
+		if size = n; in && !slices.Contains(i.Values[:k], c) {
+			hits++
 		}
 	}
-	switch {
-	case all:
-		return tvl.True
-	case none:
+	switch hits {
+	case 0:
 		return tvl.False
-	default:
-		return tvl.Unknown
+	case size:
+		return tvl.True
 	}
+	return tvl.Unknown
 }
 
 // Eval for attr1 = attr2: same marked null denotes one unknown value and
@@ -294,13 +313,14 @@ func (e EqAttr) eval(s *schema.Scheme, t relation.Tuple) tvl.T {
 	case a.IsNull() && b.IsNull() && a.Mark() == b.Mark():
 		return tvl.True
 	case a.IsNull() && b.IsConst():
-		return nullVsConst(feasibleValues(s, t, e.A), b.Const())
+		return nullEq(s, t, e.A, b.Const())
 	case b.IsNull() && a.IsConst():
-		return nullVsConst(feasibleValues(s, t, e.B), a.Const())
+		return nullEq(s, t, e.B, a.Const())
 	default:
 		// Two independently marked nulls: each ranges over its own
 		// feasible set.
-		va, vb := feasibleValues(s, t, e.A), feasibleValues(s, t, e.B)
+		va, _ := feasibleValues(s, t, e.A)
+		vb, _ := feasibleValues(s, t, e.B)
 		if !slices.ContainsFunc(va, func(c string) bool { return slices.Contains(vb, c) }) {
 			return tvl.False
 		}
@@ -309,19 +329,6 @@ func (e EqAttr) eval(s *schema.Scheme, t relation.Tuple) tvl.T {
 		}
 		return tvl.Unknown
 	}
-}
-
-// nullVsConst decides null = c over the null's feasible values:
-// impossible when c lies outside them, forced when they are the
-// singleton {c}.
-func nullVsConst(vals []string, c string) tvl.T {
-	if !slices.Contains(vals, c) {
-		return tvl.False
-	}
-	if len(vals) == 1 {
-		return tvl.True
-	}
-	return tvl.Unknown
 }
 
 // Eval for ¬P is strong-Kleene negation. The contradictory-tuple guard

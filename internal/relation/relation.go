@@ -56,8 +56,8 @@ func (t Tuple) HasNothingOn(set schema.AttrSet) bool {
 // NullsOn returns the attributes of set where t is null.
 func (t Tuple) NullsOn(set schema.AttrSet) []schema.Attr {
 	var out []schema.Attr
-	for _, a := range set.Attrs() {
-		if t[a].IsNull() {
+	for v := uint64(set); v != 0; v &= v - 1 {
+		if a := schema.Attr(bits.TrailingZeros64(v)); t[a].IsNull() {
 			out = append(out, a)
 		}
 	}
@@ -466,62 +466,96 @@ func TupleCompletions(s *schema.Scheme, t Tuple, set schema.AttrSet) ([]Tuple, e
 	if t.HasNothingOn(set) {
 		return nil, nil
 	}
-	// Group null positions by mark so shared marks co-vary.
-	type group struct {
-		attrs []schema.Attr
-		dom   *schema.Domain
-	}
-	groups := map[int]*group{}
-	var order []int
-	for _, a := range set.Attrs() {
-		v := t[a]
-		if !v.IsNull() {
-			continue
-		}
-		g, ok := groups[v.Mark()]
-		if !ok {
-			g = &group{dom: s.Domain(a)}
-			groups[v.Mark()] = g
-			order = append(order, v.Mark())
-		} else if g.dom != s.Domain(a) {
-			// Same mark across different domains: completions range over
-			// the intersection. Keep the smaller value list.
-			g.dom = intersectDomains(g.dom, s.Domain(a))
-		}
-		g.attrs = append(g.attrs, a)
-	}
-	if len(order) == 0 {
-		return []Tuple{t.Clone()}, nil
-	}
-	sort.Ints(order)
-	total := 1
-	for _, m := range order {
-		total *= groups[m].dom.Size()
-		if total > CompletionLimit {
-			return nil, ErrTooManyCompletions
-		}
+	rows := func(int) Tuple { return t }
+	marks, doms, total, err := completionSpace(s, 1, rows, set)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]Tuple, 0, total)
-	cur := t.Clone()
+	cur := []Tuple{t.Clone()}
+	substitute(cur, rows, set, marks, doms, func() { out = append(out, cur[0].Clone()) })
+	return out, nil
+}
+
+// completionSpace is the one completion-count test, run before any
+// enumeration copies a row. It maps every mark among the null cells of the
+// n rows on set to the domain its substitutions range over — the
+// intersection of its cells' domains, since one mark denotes one value —
+// and lists the marks ascending. The count is n times the product of those
+// domains' sizes, multiplied in mark order; it fails with
+// ErrTooManyCompletions as soon as a partial product passes
+// CompletionLimit.
+func completionSpace(s *schema.Scheme, n int, row func(int) Tuple, set schema.AttrSet) (marks []int, doms map[int]*schema.Domain, total int, err error) {
+	doms = map[int]*schema.Domain{}
+	for i := 0; i < n; i++ {
+		t := row(i)
+		for v := uint64(set); v != 0; v &= v - 1 {
+			a := schema.Attr(bits.TrailingZeros64(v))
+			if !t[a].IsNull() {
+				continue
+			}
+			m := t[a].Mark()
+			switch d, ok := doms[m]; {
+			case !ok:
+				doms[m] = s.Domain(a)
+				marks = append(marks, m)
+			case d != s.Domain(a):
+				doms[m] = intersectDomains(d, s.Domain(a))
+			}
+		}
+	}
+	sort.Ints(marks)
+	total = n
+	for _, m := range marks {
+		total *= doms[m].Size()
+		if total > CompletionLimit {
+			return nil, nil, 0, ErrTooManyCompletions
+		}
+	}
+	return marks, doms, total, nil
+}
+
+// cell addresses one null cell of an enumeration: row ti, attribute a.
+type cell struct {
+	ti int
+	a  schema.Attr
+}
+
+// substitute calls emit once per completion of the rows read through row:
+// cur, a copy of those rows, holds every combination of the ascending
+// marks' domain values in the marks' cells on set, each cell restored
+// afterwards.
+func substitute(cur []Tuple, row func(int) Tuple, set schema.AttrSet, marks []int, doms map[int]*schema.Domain, emit func()) {
+	pos := make(map[int]int, len(marks))
+	for k, m := range marks {
+		pos[m] = k
+	}
+	cells := make([][]cell, len(marks)) // each mark's cells, row-major
+	for i := range cur {
+		for v := uint64(set); v != 0; v &= v - 1 {
+			if a := schema.Attr(bits.TrailingZeros64(v)); row(i)[a].IsNull() {
+				k := pos[row(i)[a].Mark()]
+				cells[k] = append(cells[k], cell{i, a})
+			}
+		}
+	}
 	var rec func(k int)
 	rec = func(k int) {
-		if k == len(order) {
-			out = append(out, cur.Clone())
+		if k == len(marks) {
+			emit()
 			return
 		}
-		g := groups[order[k]]
-		for _, c := range g.dom.Values {
-			for _, a := range g.attrs {
-				cur[a] = value.NewConst(c)
+		for _, c := range doms[marks[k]].Values {
+			for _, cl := range cells[k] {
+				cur[cl.ti][cl.a] = value.NewConst(c)
 			}
 			rec(k + 1)
 		}
-		for _, a := range g.attrs {
-			cur[a] = t[a]
+		for _, cl := range cells[k] {
+			cur[cl.ti][cl.a] = row(cl.ti)[cl.a]
 		}
 	}
 	rec(0)
-	return out, nil
 }
 
 func intersectDomains(a, b *schema.Domain) *schema.Domain {
@@ -560,73 +594,35 @@ func CompletionCount(s *schema.Scheme, t Tuple, set schema.AttrSet) int {
 // RelationCompletions enumerates AP(r, set): the set of relations obtained
 // by completing every tuple's nulls on set (projected onto set's attributes
 // being the caller's business — tuples keep full arity here). Marks are
-// scoped per relation: the same mark in two tuples co-varies.
-func RelationCompletions(r *Relation, set schema.AttrSet) ([]*Relation, error) {
-	s := r.scheme
-	// Collect distinct marks across the instance on set.
-	type group struct {
-		cells []struct {
-			ti int
-			a  schema.Attr
-		}
-		dom *schema.Domain
-	}
-	groups := map[int]*group{}
-	var order []int
-	for ti, t := range r.tuples {
-		for _, a := range set.Attrs() {
-			v := t[a]
-			if v.IsNothing() {
-				return nil, nil // a contradiction admits no completion
-			}
-			if !v.IsNull() {
-				continue
-			}
-			g, ok := groups[v.Mark()]
-			if !ok {
-				g = &group{dom: s.Domain(a)}
-				groups[v.Mark()] = g
-				order = append(order, v.Mark())
-			} else if g.dom != s.Domain(a) {
-				g.dom = intersectDomains(g.dom, s.Domain(a))
-			}
-			g.cells = append(g.cells, struct {
-				ti int
-				a  schema.Attr
-			}{ti, a})
+// scoped per relation: the same mark in two tuples co-varies. r is read
+// through Scheme, Len and Tuple only, so a caller can enumerate a
+// sub-instance — a relation less one row, say — without building it; the
+// completion count is checked before any row is copied.
+func RelationCompletions(r interface {
+	Scheme() *schema.Scheme
+	Len() int
+	Tuple(i int) Tuple
+}, set schema.AttrSet) ([]*Relation, error) {
+	n := r.Len()
+	for i := 0; i < n; i++ {
+		if r.Tuple(i).HasNothingOn(set) {
+			return nil, nil // a contradiction admits no completion
 		}
 	}
-	if len(order) == 0 {
-		return []*Relation{r.Clone()}, nil
+	marks, doms, _, err := completionSpace(r.Scheme(), n, r.Tuple, set)
+	if err != nil {
+		return nil, err
 	}
-	sort.Ints(order)
-	total := len(r.tuples) // every completion is a whole relation
-	for _, m := range order {
-		total *= groups[m].dom.Size()
-		if total > CompletionLimit {
-			return nil, ErrTooManyCompletions
-		}
+	cur := New(r.Scheme())
+	for i := 0; i < n; i++ {
+		cur.noteMark(r.Tuple(i))
+		cur.tuples = append(cur.tuples, r.Tuple(i).Clone())
+	}
+	if len(marks) == 0 {
+		return []*Relation{cur}, nil
 	}
 	var out []*Relation
-	cur := r.Clone()
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(order) {
-			out = append(out, cur.Clone())
-			return
-		}
-		g := groups[order[k]]
-		for _, c := range g.dom.Values {
-			for _, cell := range g.cells {
-				cur.tuples[cell.ti][cell.a] = value.NewConst(c)
-			}
-			rec(k + 1)
-		}
-		for _, cell := range g.cells {
-			cur.tuples[cell.ti][cell.a] = r.tuples[cell.ti][cell.a]
-		}
-	}
-	rec(0)
+	substitute(cur.tuples, r.Tuple, set, marks, doms, func() { out = append(out, cur.Clone()) })
 	return out, nil
 }
 

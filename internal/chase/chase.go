@@ -43,9 +43,11 @@
 package chase
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 
 	"fdnull/internal/fd"
@@ -195,10 +197,10 @@ type chaser struct {
 	// symbol ids: constants and null marks get dense ids.
 	constID map[string]int
 	markID  map[int]int
-	symbols []symbol
 
-	// cells[i][a] is the symbol id of cell (i, a); -1 for input `nothing`.
-	cells [][]int
+	// cells[i*p+a] is the symbol id of cell (i, a): one n·p table.
+	p     int
+	cells []int
 
 	// union-find over symbol ids.
 	parent []int
@@ -219,12 +221,6 @@ type chaser struct {
 // sigMask is all ones outside tests; a test clears it to make every
 // signature collide.
 var sigMask = ^uint64(0)
-
-type symbol struct {
-	isConst bool
-	c       string
-	mark    int
-}
 
 type classInfo struct {
 	hasConst bool
@@ -257,53 +253,44 @@ func newChaser(r *relation.Relation, fds []fd.FD, opts Options) (*chaser, error)
 		}
 		c.fds = perm
 	}
-	p := r.Scheme().Arity()
-	c.cells = make([][]int, r.Len())
+	// One sweep gives each cell its symbol id and each new symbol its class;
+	// a cell adds at most one class, so the table is sized once.
+	c.p = r.Scheme().Arity()
+	c.cells = make([]int, r.Len()*c.p)
+	c.info = make([]classInfo, 0, len(c.cells))
 	for i, t := range r.Tuples() {
-		c.cells[i] = make([]int, p)
-		for a := 0; a < p; a++ {
-			v := t[a]
+		for a, v := range t {
+			id, ci := len(c.info), classInfo{poisoned: true} // input nothing: a fresh poisoned class
 			switch {
 			case v.IsConst():
-				c.cells[i][a] = c.internConst(v.Const())
+				id, ci = intern(c.constID, v.Const(), id), classInfo{hasConst: true, c: v.Const()}
 			case v.IsNull():
-				c.cells[i][a] = c.internMark(v.Mark())
-			default:
-				// Input nothing: a fresh poisoned class.
-				id := c.addSymbol(symbol{}, classInfo{poisoned: true})
-				c.cells[i][a] = id
+				id, ci = intern(c.markID, v.Mark(), id), classInfo{minMark: v.Mark(), hasMark: true}
 			}
+			if id == len(c.info) {
+				c.info = append(c.info, ci)
+			}
+			c.cells[i*c.p+a] = id
 		}
+	}
+	c.parent, c.rank = make([]int, len(c.info)), make([]int, len(c.info))
+	for x := range c.parent {
+		c.parent[x] = x
 	}
 	return c, nil
 }
 
-func (c *chaser) internConst(s string) int {
-	if id, ok := c.constID[s]; ok {
-		return id
+// intern returns key's symbol id, giving it id when it has none yet.
+func intern[K comparable](ids map[K]int, key K, id int) int {
+	if old, ok := ids[key]; ok {
+		return old
 	}
-	id := c.addSymbol(symbol{isConst: true, c: s}, classInfo{hasConst: true, c: s})
-	c.constID[s] = id
+	ids[key] = id
 	return id
 }
 
-func (c *chaser) internMark(m int) int {
-	if id, ok := c.markID[m]; ok {
-		return id
-	}
-	id := c.addSymbol(symbol{mark: m}, classInfo{minMark: m, hasMark: true})
-	c.markID[m] = id
-	return id
-}
-
-func (c *chaser) addSymbol(s symbol, ci classInfo) int {
-	id := len(c.symbols)
-	c.symbols = append(c.symbols, s)
-	c.parent = append(c.parent, id)
-	c.rank = append(c.rank, 0)
-	c.info = append(c.info, ci)
-	return id
-}
+// cell returns the symbol id of cell (i, a).
+func (c *chaser) cell(i int, a schema.Attr) int { return c.cells[i*c.p+int(a)] }
 
 func (c *chaser) find(x int) int {
 	for c.parent[x] != x {
@@ -400,7 +387,7 @@ func (c *chaser) passNaive() bool {
 // themselves only, which keeps rule application monotone.
 func (c *chaser) equalOn(i, j int, attrs []schema.Attr) bool {
 	for _, a := range attrs {
-		if c.find(c.cells[i][a]) != c.find(c.cells[j][a]) {
+		if c.find(c.cell(i, a)) != c.find(c.cell(j, a)) {
 			return false
 		}
 	}
@@ -410,7 +397,7 @@ func (c *chaser) equalOn(i, j int, attrs []schema.Attr) bool {
 // applyY fires the NS-rule on attribute a of tuples i and j. Returns true
 // if the class structure changed.
 func (c *chaser) applyY(f fd.FD, i, j int, a schema.Attr) bool {
-	ra, rb := c.find(c.cells[i][a]), c.find(c.cells[j][a])
+	ra, rb := c.find(c.cell(i, a)), c.find(c.cell(j, a))
 	if ra == rb {
 		return false
 	}
@@ -447,7 +434,7 @@ func (c *chaser) passCongruence() bool {
 			c.sigHash.Reset()
 			var b [8]byte
 			for _, a := range xAttrs {
-				binary.LittleEndian.PutUint64(b[:], uint64(c.find(c.cells[i][a])))
+				binary.LittleEndian.PutUint64(b[:], uint64(c.find(c.cell(i, a))))
 				c.sigHash.Write(b[:])
 			}
 			h := c.sigHash.Sum64() & sigMask
@@ -461,7 +448,7 @@ func (c *chaser) passCongruence() bool {
 				continue
 			}
 			for _, a := range yAttrs {
-				if c.union(c.cells[first][a], c.cells[i][a]) {
+				if c.union(c.cell(int(first), a), c.cell(i, a)) {
 					changed = true
 				}
 			}
@@ -475,38 +462,42 @@ func (c *chaser) result(passes int) *Result {
 	s := c.r.Scheme()
 	out := relation.New(s)
 	consistent := true
-	for i := 0; i < c.r.Len(); i++ {
-		t := make(relation.Tuple, s.Arity())
-		for a := 0; a < s.Arity(); a++ {
-			root := c.find(c.cells[i][a])
-			ci := c.info[root]
-			switch {
-			case ci.poisoned:
-				t[a] = value.NewNothing()
-				consistent = false
-			case ci.hasConst:
-				t[a] = value.NewConst(ci.c)
-			default:
-				t[a] = value.NewNull(ci.minMark)
-			}
+	// The resolved rows are carved out of one n·p slab the relation owns.
+	slab := make([]value.V, len(c.cells))
+	for k, id := range c.cells {
+		switch ci := c.info[c.find(id)]; {
+		case ci.poisoned:
+			slab[k] = value.NewNothing()
+			consistent = false
+		case ci.hasConst:
+			slab[k] = value.NewConst(ci.c)
+		default:
+			slab[k] = value.NewNull(ci.minMark)
 		}
-		out.InsertUnchecked(t)
+	}
+	for i := 0; i < c.r.Len(); i++ {
+		out.InsertUnchecked(slab[i*c.p : (i+1)*c.p : (i+1)*c.p])
 	}
 	// Collect surviving NEC classes: original marks grouped by root, for
-	// roots that remained unbound nulls, classes of size ≥ 2.
-	groups := map[int][]int{}
+	// roots that remained unbound nulls, classes of size ≥ 2: one sort of
+	// (root, mark) pairs, so only a class allocates.
+	open := make([][2]int, 0, len(c.markID))
 	for m, id := range c.markID {
-		root := c.find(id)
-		ci := c.info[root]
-		if ci.poisoned || ci.hasConst {
-			continue
+		if root := c.find(id); !c.info[root].poisoned && !c.info[root].hasConst {
+			open = append(open, [2]int{root, m})
 		}
-		groups[root] = append(groups[root], m)
 	}
+	slices.SortFunc(open, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
 	var necs [][]int
-	for _, ms := range groups {
-		if len(ms) >= 2 {
-			sort.Ints(ms)
+	for lo, hi := 0, 1; lo < len(open); lo, hi = hi, hi+1 {
+		for hi < len(open) && open[hi][0] == open[lo][0] {
+			hi++
+		}
+		if hi-lo >= 2 {
+			ms := make([]int, hi-lo)
+			for k, o := range open[lo:hi] {
+				ms[k] = o[1]
+			}
 			necs = append(necs, ms)
 		}
 	}

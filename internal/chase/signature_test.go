@@ -9,6 +9,7 @@ import (
 	"fdnull/internal/fd"
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
+	"fdnull/internal/workload"
 )
 
 // TestCongruenceUnderCollidingSignatures reruns the congruence-vs-naive
@@ -102,5 +103,29 @@ func TestCongruencePassAllocsPerFD(t *testing.T) {
 	if small != large || small > float64(2*len(fds)) {
 		t.Errorf("congruence pass allocates %v at n=200 and %v at n=2000; want the same, at most %d (two per FD)",
 			small, large, 2*len(fds))
+	}
+}
+
+// TestRunAllocsPerRow: a whole chase — symbol tables, passes, resolved
+// rows, NEC report — allocates per symbol table and per class, not per
+// row: on the employee workload with a fifth of its salary and contract
+// cells null, going from 200 to 2,000 rows adds fewer than one allocation
+// per ten rows.
+func TestRunAllocsPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	run := func(n int) float64 {
+		_, fds, r := workload.Employees(n, n/20, 0.2, 7)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(r, fds, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := run(200), run(2000)
+	t.Logf("chase.Run allocates %.0f at n=200, %.0f at n=2000", small, large)
+	if large-small >= (2000-200)/10 {
+		t.Errorf("chase.Run allocates %v at n=200 and %v at n=2000: %.2f per added row, want < 0.1", small, large, (large-small)/1800)
 	}
 }

@@ -338,7 +338,7 @@ func Evaluate(f fd.FD, r *relation.Relation, ti int) (Verdict, error) {
 	}
 	var results []tvl.T
 	for _, c := range comps {
-		c.InsertUnchecked(t)
+		c.InsertUnchecked(t) // c is read once and dropped: it may share t with r
 		v, err := Classify(f, c, c.Len()-1)
 		if err != nil {
 			return Verdict{}, err

@@ -42,21 +42,25 @@ func NewCache(r *relation.Relation, conv testfds.Convention) *Cache {
 	return &Cache{r: r, conv: conv, version: r.Version(), entries: map[schema.AttrSet]*entry{}}
 }
 
-// Get returns the partition on set, building it on first use. Level-1
-// sets are built by a column scan; larger sets are the product of the
-// cached partition on set minus its maximum attribute (the lattice
-// parent the level-wise search just tested) and the pinned level-1
-// partition of that attribute.
+// Get returns the partition on set, building it on first use. A level-1
+// strong partition is read off the relation's X-partition index on the
+// set (the one CheckAll and the query planner keep); a weak one, where
+// null marks are key symbols, is built by a column scan. Larger sets are
+// the product of the cached partition on set minus its maximum attribute
+// (the lattice parent the level-wise search just tested) and the pinned
+// level-1 partition of that attribute.
 func (c *Cache) Get(set schema.AttrSet) *Partition {
 	e := c.entry(set)
 	e.once.Do(func() {
-		if set.Len() <= 1 {
+		switch attrs := set.Attrs(); {
+		case len(attrs) > 1:
+			max := attrs[len(attrs)-1]
+			e.p = c.Get(set.Remove(max)).Intersect(c.Get(schema.NewAttrSet(max)))
+		case c.conv == testfds.Strong:
+			e.p = fromIndex(c.r.IndexOn(set), c.r.Len())
+		default:
 			e.p = Build(c.r, set, c.conv)
-			return
 		}
-		attrs := set.Attrs()
-		max := attrs[len(attrs)-1]
-		e.p = c.Get(set.Remove(max)).Intersect(c.Get(schema.NewAttrSet(max)))
 	})
 	return e.p
 }

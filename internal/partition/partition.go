@@ -26,13 +26,15 @@
 // tuple's class in the product is the pair (class in π_X, class in π_Y),
 // never a re-scan of the relation's values). Because partition product is
 // idempotent and associative, lattice-level results compose from cached
-// lower-level ones — the Cache exploits exactly this.
+// lower-level ones — the Cache exploits exactly this. Nor is a strong
+// level-1 partition scanned: π_{A} is the relation's X-partition index on
+// {A} (relation.IndexOn, shared with eval.CheckAll and the query planner)
+// with singletons stripped, and the Cache reads it off that index.
 package partition
 
 import (
 	"slices"
 	"strconv"
-	"strings"
 
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
@@ -60,19 +62,15 @@ type Partition struct {
 	nothing []int
 }
 
-// Build constructs the level-anything partition of r on set by a direct
-// scan. The Cache builds level-1 partitions this way and derives higher
-// levels by Intersect; Build on a larger set is the ground truth the
-// product is tested against.
+// Build constructs the partition of r on set by a direct scan, classes in
+// order of first row: the Cache's weak level-1 partitions, and the ground
+// truth its products and index-read partitions are tested against.
 func Build(r *relation.Relation, set schema.AttrSet, conv testfds.Convention) *Partition {
 	attrs := set.Attrs()
-	p := &Partition{set: set, conv: conv, n: r.Len(), classOf: make([]int, r.Len())}
-	for i := range p.classOf {
-		p.classOf[i] = -1
-	}
-	groups := make(map[string][]int)
-	var order []string
-	var b strings.Builder
+	p := &Partition{set: set, conv: conv, n: r.Len(), classOf: slices.Repeat([]int{-1}, r.Len())}
+	slots := map[string]int{}
+	var groups [][]int
+	var buf []byte
 	for i, t := range r.Tuples() {
 		if t.HasNothingOn(set) {
 			p.nothing = append(p.nothing, i)
@@ -82,34 +80,58 @@ func Build(r *relation.Relation, set schema.AttrSet, conv testfds.Convention) *P
 			p.nulls = append(p.nulls, i)
 			continue
 		}
-		b.Reset()
+		buf = buf[:0]
 		for _, a := range attrs {
-			v := t[a]
-			if v.IsNull() {
+			if v := t[a]; v.IsNull() {
 				// Weak convention only: the mark is the key symbol. The
 				// 'n'/'c' prefixes keep mark 12 distinct from constant "12".
-				b.WriteByte('n')
-				b.WriteString(strconv.Itoa(v.Mark()))
-				b.WriteByte(';')
+				buf = strconv.AppendInt(append(buf, 'n'), int64(v.Mark()), 10)
+				buf = append(buf, ';')
 			} else {
 				c := v.Const()
-				b.WriteByte('c')
-				b.WriteString(strconv.Itoa(len(c)))
-				b.WriteByte(':')
-				b.WriteString(c)
+				buf = strconv.AppendInt(append(buf, 'c'), int64(len(c)), 10)
+				buf = append(append(buf, ':'), c...)
 			}
 		}
-		k := b.String()
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		s, ok := slots[string(buf)]
+		if !ok {
+			s = len(groups)
+			slots[string(buf)] = s
+			groups = append(groups, nil)
 		}
-		groups[k] = append(groups[k], i)
+		groups[s] = append(groups[s], i)
 	}
-	for _, k := range order {
-		if rows := groups[k]; len(rows) >= 2 {
+	for _, rows := range groups {
+		if len(rows) >= 2 {
 			p.addClass(rows)
 		}
 	}
+	return p
+}
+
+// fromIndex is the strong-convention partition on ix's set read off the
+// X-partition index: its groups of two or more rows are the classes, its
+// sidecars the partition's. The index is patched in place by delta
+// updates, which also leave groups unordered, so the rows are copied into
+// one slab and sorted, and the classes ordered by first row: Build's order.
+func fromIndex(ix *relation.Index, n int) *Partition {
+	p := &Partition{set: ix.Set(), conv: testfds.Strong, n: n, classOf: slices.Repeat([]int{-1}, n)}
+	slab := make([]int, 0, ix.Stats().Rows)
+	var classes [][]int
+	ix.ForEachGroup(func(rows []int) bool {
+		if len(rows) >= 2 {
+			slab = append(slab, rows...)
+			cls := slab[len(slab)-len(rows) : len(slab) : len(slab)]
+			slices.Sort(cls)
+			classes = append(classes, cls)
+		}
+		return true
+	})
+	slices.SortFunc(classes, func(a, b []int) int { return a[0] - b[0] })
+	for _, cls := range classes {
+		p.addClass(cls)
+	}
+	p.nulls, p.nothing = slices.Sorted(slices.Values(ix.NullRows())), slices.Sorted(slices.Values(ix.NothingRows()))
 	return p
 }
 
@@ -132,10 +154,7 @@ func (p *Partition) Intersect(q *Partition) *Partition {
 	if p.conv != q.conv || p.n != q.n {
 		panic("partition: Intersect over mismatched partitions")
 	}
-	out := &Partition{set: p.set.Union(q.set), conv: p.conv, n: p.n, classOf: make([]int, p.n)}
-	for i := range out.classOf {
-		out.classOf[i] = -1
-	}
+	out := &Partition{set: p.set.Union(q.set), conv: p.conv, n: p.n, classOf: slices.Repeat([]int{-1}, p.n)}
 	var buf []int64
 	for _, cls := range p.classes {
 		buf = buf[:0]

@@ -26,7 +26,6 @@ package relation
 
 import (
 	"fmt"
-	"strings"
 
 	"fdnull/internal/schema"
 	"fdnull/internal/value"
@@ -236,30 +235,29 @@ const (
 )
 
 // locate classifies a projection the same way BuildIndex does: nothing
-// sidecar, null sidecar, or the constant group keyed like writeKey.
-func (ix *Index) locate(get getter) (int, string) {
+// sidecar, null sidecar, or the constant group whose key (appendKey) it
+// builds in the index's key scratch.
+func (ix *Index) locate(get getter) (int, []byte) {
 	hasNull := false
 	for _, a := range ix.attrs {
 		v := get(a)
 		if v.IsNothing() {
-			return locNothing, ""
+			return locNothing, nil
 		}
 		if v.IsNull() {
 			hasNull = true
 		}
 	}
 	if hasNull {
-		return locNulls, ""
+		return locNulls, nil
 	}
-	var b strings.Builder
-	for _, a := range ix.attrs {
-		writeKeyPart(&b, get(a).Const())
-	}
-	return locGroup, b.String()
+	ix.key = appendKey(ix.key[:0], get, ix.attrs)
+	return locGroup, ix.key
 }
 
 // addRow appends row i to the slot its projection selects, keeping the
-// partition statistics exact (maxGroup grows with the touched group).
+// partition statistics exact (maxGroup grows with the touched group). A
+// new group takes a freed slot when there is one.
 func (ix *Index) addRow(i int, get getter) {
 	switch kind, key := ix.locate(get); kind {
 	case locNothing:
@@ -267,20 +265,27 @@ func (ix *Index) addRow(i int, get getter) {
 	case locNulls:
 		ix.nulls = append(ix.nulls, i)
 	default:
-		g := append(ix.groups[key], i)
-		ix.groups[key] = g
-		ix.groupRows++
-		if len(g) > ix.maxGroup {
-			ix.maxGroup = len(g)
+		s, ok := ix.groups[string(key)]
+		if !ok {
+			if n := len(ix.free); n > 0 {
+				s, ix.free = ix.free[n-1], ix.free[:n-1]
+			} else {
+				s = int32(len(ix.rows))
+				ix.rows = append(ix.rows, nil)
+			}
+			ix.groups[string(key)] = s
 		}
+		ix.rows[s] = append(ix.rows[s], i)
+		ix.groupRows++
+		ix.maxGroup = max(ix.maxGroup, len(ix.rows[s]))
 	}
 }
 
-// removeRow removes row i from the slot its projection selects, deleting
-// groups that become empty so GroupCount stays exact. groupRows stays
-// exact; maxGroup is left as an upper bound (shrinking the once-largest
-// group would need a rescan to re-derive, and the planner only uses it
-// as a skew hint).
+// removeRow removes row i from the slot its projection selects, freeing
+// the slot of a group that becomes empty so GroupCount stays exact.
+// groupRows stays exact; maxGroup is left as an upper bound (shrinking the
+// once-largest group would need a rescan to re-derive, and the planner
+// only uses it as a skew hint).
 func (ix *Index) removeRow(i int, get getter) {
 	switch kind, key := ix.locate(get); kind {
 	case locNothing:
@@ -288,11 +293,10 @@ func (ix *Index) removeRow(i int, get getter) {
 	case locNulls:
 		ix.nulls = cutRow(ix.nulls, i)
 	default:
-		rows := cutRow(ix.groups[key], i)
-		if len(rows) == 0 {
-			delete(ix.groups, key)
-		} else {
-			ix.groups[key] = rows
+		s := ix.groups[string(key)]
+		if ix.rows[s] = cutRow(ix.rows[s], i); len(ix.rows[s]) == 0 {
+			delete(ix.groups, string(key))
+			ix.free = append(ix.free, s)
 		}
 		ix.groupRows--
 	}
@@ -307,7 +311,7 @@ func (ix *Index) renumberRow(old, new int, get getter) {
 	case locNulls:
 		swapRow(ix.nulls, old, new)
 	default:
-		swapRow(ix.groups[key], old, new)
+		swapRow(ix.group(key), old, new)
 	}
 }
 

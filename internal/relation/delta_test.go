@@ -134,7 +134,7 @@ func deltaIndexDifferential(t *testing.T) {
 			case 2:
 				r.Delete(rng.Intn(r.Len()))
 			default:
-				r.InsertUnchecked(r.Tuple(rng.Intn(r.Len()))) // a true duplicate
+				r.InsertUnchecked(r.Tuple(rng.Intn(r.Len())).Clone()) // a true duplicate
 			}
 		case k == 9:
 			// Delete and undelete: rows, order and (checked below) every

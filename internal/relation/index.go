@@ -12,8 +12,8 @@
 package relation
 
 import (
+	"maps"
 	"strconv"
-	"strings"
 
 	"fdnull/internal/schema"
 )
@@ -32,12 +32,18 @@ import (
 // Delete; as with the relation itself, delta mutation must not run
 // concurrently with readers.
 type Index struct {
-	set     schema.AttrSet
-	attrs   []schema.Attr    // set.Attrs(), precomputed for the probe hot path
-	groups  map[string][]int // constant X-projection → ascending tuple indices
-	nulls   []int            // tuples with ≥1 null (and no nothing) on set
-	nothing []int            // tuples with ≥1 inconsistent element on set
-	version uint64           // relation version the index was built at
+	set   schema.AttrSet
+	attrs []schema.Attr // set.Attrs(), precomputed for the probe hot path
+	// groups maps a constant projection's key (appendKey) to its slot in
+	// rows, the group's tuple indices (ascending when freshly built);
+	// removeRow frees an emptied slot into free, and addRow reuses it.
+	groups  map[string]int32
+	rows    [][]int
+	free    []int32
+	key     []byte // the delta mutators' key scratch (delta.go: locate)
+	nulls   []int  // tuples with ≥1 null (and no nothing) on set
+	nothing []int  // tuples with ≥1 inconsistent element on set
+	version uint64 // relation version the index was built at
 
 	// Partition statistics, maintained alongside the groups so planners
 	// can cost probes without touching the data. groupRows counts the
@@ -90,52 +96,66 @@ func (ix *Index) Stats() IndexStats {
 	}
 }
 
-// BuildIndex partitions r's tuples by their projection on set.
+// BuildIndex partitions r's tuples by their projection on set. One pass
+// maps each row to its group's slot, keyed in a reused buffer so only a
+// new group allocates a key; a second carves the groups out of one slab,
+// each capped so a later delta append reallocates only its own group.
 func BuildIndex(r *Relation, set schema.AttrSet) *Index {
-	ix := &Index{
-		set:     set,
-		attrs:   set.Attrs(),
-		groups:  make(map[string][]int, len(r.tuples)),
-		version: r.version,
-	}
-	var b strings.Builder
+	ix := &Index{set: set, attrs: set.Attrs(), groups: map[string]int32{}, version: r.version}
+	slot := make([]int32, len(r.tuples))
+	var sizes []int
+	var buf []byte
 	for i, t := range r.tuples {
+		if i == 1024 && len(sizes) > 512 { // keys mostly distinct: size the map for all rows
+			m := make(map[string]int32, len(sizes)*len(r.tuples)/1024)
+			maps.Copy(m, ix.groups)
+			ix.groups = m
+		}
+		slot[i] = -1
 		switch {
 		case t.HasNothingOn(set):
 			ix.nothing = append(ix.nothing, i)
 		case t.HasNullOn(set):
 			ix.nulls = append(ix.nulls, i)
 		default:
-			b.Reset()
-			writeKey(&b, t, ix.attrs)
-			k := b.String()
-			g := append(ix.groups[k], i)
-			ix.groups[k] = g
-			ix.groupRows++
-			if len(g) > ix.maxGroup {
-				ix.maxGroup = len(g)
+			buf = appendKey(buf[:0], tupleGetter(t), ix.attrs)
+			s, ok := ix.groups[string(buf)]
+			if !ok {
+				s = int32(len(sizes))
+				ix.groups[string(buf)] = s
+				sizes = append(sizes, 0)
 			}
+			slot[i] = s
+			sizes[s]++
+		}
+	}
+	ix.groupRows = len(r.tuples) - len(ix.nulls) - len(ix.nothing)
+	slab := make([]int, ix.groupRows)
+	ix.rows = make([][]int, len(sizes))
+	for s, k := range sizes {
+		ix.rows[s], slab = slab[:0:k], slab[k:]
+		ix.maxGroup = max(ix.maxGroup, k)
+	}
+	for i, s := range slot {
+		if s >= 0 {
+			ix.rows[s] = append(ix.rows[s], i)
 		}
 	}
 	return ix
 }
 
-// writeKey appends an unambiguous encoding of t's constant projection on
-// attrs: each constant is length-prefixed so distinct projections can never
-// collide ("a"+"bc" vs "ab"+"c").
-func writeKey(b *strings.Builder, t Tuple, attrs []schema.Attr) {
+// appendKey appends an unambiguous encoding of a constant projection on
+// attrs — the single definition of the group key, shared by BuildIndex,
+// Probe, the delta path's locate and ConstKeyOn: each constant is
+// length-prefixed, so distinct projections can never collide ("a"+"bc"
+// vs "ab"+"c").
+func appendKey(buf []byte, get getter, attrs []schema.Attr) []byte {
 	for _, a := range attrs {
-		writeKeyPart(b, t[a].Const())
+		c := get(a).Const()
+		buf = strconv.AppendInt(buf, int64(len(c)), 10)
+		buf = append(append(buf, ':'), c...)
 	}
-}
-
-// writeKeyPart is the single definition of the group-key cell encoding,
-// shared by writeKey and the delta path's locate so the two can never
-// drift into incompatible keys.
-func writeKeyPart(b *strings.Builder, c string) {
-	b.WriteString(strconv.Itoa(len(c)))
-	b.WriteByte(':')
-	b.WriteString(c)
+	return buf
 }
 
 // Set returns the attribute set the index partitions on.
@@ -146,10 +166,22 @@ func (ix *Index) Set() schema.AttrSet { return ix.set }
 // all-constant on the set, constant equality is undefined and Probe
 // returns (nil, false). The returned slice is shared; callers must not
 // mutate it. Freshly built indexes list rows in ascending order; groups
-// touched by delta updates (delta.go) may not.
+// touched by delta updates (delta.go) may not. The key is built on the
+// stack: a probe allocates nothing.
 func (ix *Index) Probe(t Tuple) ([]int, bool) {
-	k, ok := ConstKeyOn(t, ix.attrs)
-	return ix.groups[k], ok
+	var stack [64]byte
+	if key, ok := constKey(stack[:0], t, ix.attrs); ok {
+		return ix.group(key), true
+	}
+	return nil, false
+}
+
+// group returns the rows of the group keyed key, nil when there is none.
+func (ix *Index) group(key []byte) []int {
+	if s, ok := ix.groups[string(key)]; ok {
+		return ix.rows[s]
+	}
+	return nil
 }
 
 // NullRows returns the indices of tuples with a null on the set (shared
@@ -168,8 +200,8 @@ func (ix *Index) GroupCount() int { return len(ix.groups) }
 // (row and group order are unspecified). fn returning false stops the
 // iteration early.
 func (ix *Index) ForEachGroup(fn func(rows []int) bool) {
-	for _, rows := range ix.groups {
-		if !fn(rows) {
+	for _, rows := range ix.rows {
+		if len(rows) > 0 && !fn(rows) {
 			return
 		}
 	}
@@ -216,12 +248,18 @@ func (r *Relation) IndexCounts() (served, built uint64) {
 // marked null, the inconsistent element or absent (a short tuple):
 // constant routing (hash sharding on a key) is undefined for such tuples.
 func ConstKeyOn(t Tuple, attrs []schema.Attr) (string, bool) {
-	var b strings.Builder
+	var stack [64]byte
+	key, ok := constKey(stack[:0], t, attrs)
+	return string(key), ok
+}
+
+// constKey appends t's group key on attrs to buf, or reports ok=false
+// (buf unchanged) when t is not all-constant there.
+func constKey(buf []byte, t Tuple, attrs []schema.Attr) ([]byte, bool) {
 	for _, a := range attrs {
 		if int(a) >= len(t) || !t[a].IsConst() {
-			return "", false
+			return buf, false
 		}
-		writeKeyPart(&b, t[a].Const())
 	}
-	return b.String(), true
+	return appendKey(buf, tupleGetter(t), attrs), true
 }

@@ -263,10 +263,14 @@ func (r *Relation) Insert(t Tuple) error {
 // validated tuples, where a completion may legitimately coincide with an
 // existing tuple (instances are sets semantically; a syntactic duplicate
 // is harmless for truth-value computation).
+//
+// The caller vouches for the row in one more way: the relation stores t
+// itself, not a copy, and owns it from then on. Pass a fresh row, or
+// t.Clone() of one that is still written or stored elsewhere.
 func (r *Relation) InsertUnchecked(t Tuple) {
 	r.noteMark(t)
 	r.mutated()
-	r.tuples = append(r.tuples, t.Clone())
+	r.tuples = append(r.tuples, t)
 	r.cowAppend()
 }
 

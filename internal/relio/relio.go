@@ -188,12 +188,12 @@ func Parse(r io.Reader) (*File, error) {
 		// make two rows syntactically equal, and a file written from such
 		// an instance must load back verbatim (positions index it).
 		for a, v := range t {
-			if v.IsConst() && !anyDomainContains(s, v.Const()) {
+			if v.IsConst() && !s.Domain(schema.Attr(a)).Contains(v.Const()) && !anyDomainContains(s, v.Const()) {
 				return nil, fmt.Errorf("relio: row %d: value %q of attribute %s is in no domain of scheme %s",
 					i+1, v.Const(), s.AttrName(schema.Attr(a)), s.Name())
 			}
 		}
-		out.Relation.InsertUnchecked(t)
+		out.Relation.InsertUnchecked(t) // t is fresh: the relation takes it as it is
 	}
 	if nextMark > out.Relation.NextMark() {
 		out.Relation.SetNextMark(nextMark)

@@ -314,7 +314,7 @@ func (s *Sharded) Snapshot() *relation.Relation {
 	out := relation.New(s.scheme)
 	for _, v := range views {
 		for i := 0; i < v.Len(); i++ {
-			out.InsertUnchecked(v.Tuple(i)) // InsertUnchecked copies the row
+			out.InsertUnchecked(v.Tuple(i).Clone()) // the view's row is not ours to hand over
 		}
 	}
 	if nm := s.NextMark(); nm > out.NextMark() {

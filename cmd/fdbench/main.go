@@ -44,7 +44,7 @@ var experiments = []experiment{
 	{"E11", "Weak vs strong satisfiability as null density grows", runE11},
 	{"E12", "[F2] domain-exhaustion incidence vs domain size", runE12},
 	{"E13", "Normalization with nulls — decompose, pad, chase, recover", runE13},
-	{"E14", "Figure 3 'Additional Assumptions' — bucket sort and presorted paths", runE14},
+	{"E14", "Figure 3 'Additional Assumptions' — bucketed and presorted paths", runE14},
 	{"E15", "Indexed vs naive evaluation engine — agreement and comparative sweep", runE15},
 	{"E16", "Partition vs naive FD-discovery engine — agreement and comparative sweep", runE16},
 	{"E17", "Incremental vs recheck store maintenance — agreement and comparative sweep", runE17},

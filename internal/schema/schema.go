@@ -98,8 +98,9 @@ type Domain struct {
 	Name   string
 	Values []string
 
-	// lookup accelerates Contains for large domains; built lazily on
-	// first use so struct-literal construction keeps working.
+	// lookup accelerates Contains for large domains: NewDomain keeps the
+	// map its duplicate check built, and a struct-literal Domain builds
+	// it lazily on first use.
 	lookupOnce sync.Once
 	lookup     map[string]bool
 }
@@ -116,7 +117,11 @@ func NewDomain(name string, values ...string) (*Domain, error) {
 		}
 		seen[v] = true
 	}
-	return &Domain{Name: name, Values: append([]string(nil), values...)}, nil
+	d := &Domain{Name: name, Values: append([]string(nil), values...)}
+	if len(values) >= 16 {
+		d.lookupOnce.Do(func() { d.lookup = seen }) // Contains hashes from 16 values on
+	}
+	return d, nil
 }
 
 // MustDomain is NewDomain for statically known-good inputs.

@@ -20,17 +20,19 @@
 // into the weak-convention test.
 //
 // Three implementations are provided, matching the paper's complexity
-// discussion: a sort-based scan (O(|F|·n·log n)), a bucket-sort variant
-// (O(n·p) per FD, the "Additional Assumptions" paragraph), and the
-// footnote's unsorted pairwise variant (O(|F|·n²)). Under the strong
-// convention a null's X-value unifies with *every* X-value, which defeats
-// sorting (the paper's footnote); the sorted variants therefore scan
-// null-free-X tuples via sort groups and fall back to pairwise comparison
-// for the tuples with nulls in X.
+// discussion: a sort-based scan (O(|F|·n·log n)), a bucketed one on the
+// relation's shared X-partition index (hash buckets built in O(n·|X|) once
+// per relation and X, then O(n·|Y|) per FD: the "Additional Assumptions"
+// paragraph's linear grouping, and the deciders' path), and the footnote's
+// unsorted pairwise variant (O(|F|·n²)). Under the strong convention a
+// null's X-value unifies with *every* X-value, which defeats grouping (the
+// footnote); the sorted and bucketed scans therefore compare the tuples
+// with nulls in X pairwise.
 package testfds
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fdnull/internal/fd"
@@ -64,9 +66,9 @@ type Algorithm int
 const (
 	// Sorted is Figure 3: sort on X, scan groups. O(|F|·n·log n).
 	Sorted Algorithm = iota
-	// Bucket replaces the comparison sort with per-attribute bucket sort,
-	// O(n·p) per FD given enumerable domains (Figure 3's "Additional
-	// Assumptions").
+	// Bucket takes Figure 3's groups from the cached X-partition index
+	// (relation.IndexOn): O(n·|X|) once per relation and X, then O(n·|Y|)
+	// per FD (Figure 3's "Additional Assumptions").
 	Bucket
 	// Pairwise is the footnote's unsorted variant, O(|F|·n²).
 	Pairwise
@@ -168,9 +170,15 @@ func PairViolates(conv Convention, t, u relation.Tuple, x, y schema.AttrSet) boo
 
 // Check runs TEST-FDs on r for the whole FD set under the given convention
 // and algorithm. It answers (true, nil) for yes, or (false, witness) with
-// the first violating pair found. Under the Weak convention the answer
-// decides weak satisfiability only on minimally incomplete instances
-// (Theorem 3); compose with the chase for arbitrary instances.
+// the first violating pair found for the first violated FD: under Sorted
+// the first offending group in X-order, under Bucket the first in the
+// index's group order, under Pairwise the first pair in row order (Sorted
+// and Bucket sweep the tuples their groups leave out last). The witness
+// satisfies PairViolates, except for the weak nothing gate's one tuple.
+// Bucket leaves the X-partition index of each FD's X cached on r, as
+// eval.CheckAll does. Under the Weak convention the answer decides weak
+// satisfiability only on minimally incomplete instances (Theorem 3);
+// compose with the chase for arbitrary instances.
 func Check(r *relation.Relation, fds []fd.FD, conv Convention, algo Algorithm) (bool, *Violation) {
 	if conv == Weak {
 		// A `nothing` cell records an unavoidable conflict (Theorem 4(b)):
@@ -189,9 +197,9 @@ func Check(r *relation.Relation, fds []fd.FD, conv Convention, algo Algorithm) (
 		case Pairwise:
 			v = checkPairwise(r, f, conv)
 		case Sorted:
-			v = checkSorted(r, f, conv, false)
+			v = checkSorted(r, f, conv)
 		case Bucket:
-			v = checkSorted(r, f, conv, true)
+			v = checkBucket(r, f, conv)
 		}
 		if v != nil {
 			return false, v
@@ -219,7 +227,7 @@ func checkPairwise(r *relation.Relation, f fd.FD, conv Convention) *Violation {
 // tuple. Under the strong convention, tuples with a null in X unify with
 // every X-group and are handled by a pairwise sweep (the paper's footnote
 // observation that such values defeat sorting).
-func checkSorted(r *relation.Relation, f fd.FD, conv Convention, bucket bool) *Violation {
+func checkSorted(r *relation.Relation, f fd.FD, conv Convention) *Violation {
 	xAttrs, yAttrs := f.X.Attrs(), f.Y.Attrs()
 	ts := r.Tuples()
 	idx := make([]int, 0, len(ts))
@@ -231,19 +239,47 @@ func checkSorted(r *relation.Relation, f fd.FD, conv Convention, bucket bool) *V
 		}
 		idx = append(idx, i)
 	}
-	if bucket {
-		bucketSort(r, idx, xAttrs)
-	} else {
-		sort.Slice(idx, func(a, b int) bool {
-			return lessOn(ts[idx[a]], ts[idx[b]], xAttrs)
-		})
+	if v := scanSorted(f, conv, ts, idx, xAttrs, yAttrs); v != nil {
+		return v
 	}
-	// Scan groups: under the weak convention null marks are distinct sort
-	// keys, so same-class nulls land adjacent — exactly the paper's "they
-	// appear together in the sorted relation". Group membership may be
-	// judged against the group's first tuple (convention equality on X is
-	// transitive within the sorted tuples), but the Y side may not: see
-	// groupViolation.
+	return sweepNullX(f, ts, xAttrs, yAttrs, withNullX)
+}
+
+// checkBucket is Figure 3 on hash buckets: the constant groups of r's
+// cached X-partition index are the X-classes of all-constant X-values
+// under either convention. Of the rows the index sets aside, under the
+// strong convention each one with a null on X — the null sidecar, and the
+// nothing-sidecar rows that also carry one — is swept against all rows (a
+// nothing-only X matches nothing else); under the weak one Check's gate
+// has emptied the nothing sidecar and a null matches only a same-mark
+// null, so Figure 3 runs on the null sidecar alone.
+func checkBucket(r *relation.Relation, f fd.FD, conv Convention) *Violation {
+	xAttrs, yAttrs := f.X.Attrs(), f.Y.Attrs()
+	ts, ix := r.Tuples(), r.IndexOn(f.X)
+	var v *Violation
+	ix.ForEachGroup(func(rows []int) bool {
+		v = groupViolation(f, conv, ts, rows, 0, len(rows), yAttrs)
+		return v == nil
+	})
+	switch {
+	case v != nil:
+		return v
+	case conv == Weak:
+		return scanSorted(f, Weak, ts, slices.Clone(ix.NullRows()), xAttrs, yAttrs)
+	}
+	return sweepNullX(f, ts, xAttrs, yAttrs, ix.NullRows(), ix.NothingRows())
+}
+
+// scanSorted sorts idx on X and scans its groups of convention-equal
+// X-values. Under the weak convention null marks are distinct sort keys,
+// so same-class nulls land adjacent — exactly the paper's "they appear
+// together in the sorted relation". Group membership may be judged against
+// the group's first tuple (convention equality on X is transitive within
+// the sorted tuples), but the Y side may not: see groupViolation.
+func scanSorted(f fd.FD, conv Convention, ts []relation.Tuple, idx []int, xAttrs, yAttrs []schema.Attr) *Violation {
+	sort.Slice(idx, func(a, b int) bool {
+		return lessOn(ts[idx[a]], ts[idx[b]], xAttrs)
+	})
 	for g := 0; g < len(idx); {
 		h := g + 1
 		for h < len(idx) && eqOn(conv, ts[idx[g]], ts[idx[h]], xAttrs) {
@@ -254,18 +290,22 @@ func checkSorted(r *relation.Relation, f fd.FD, conv Convention, bucket bool) *V
 		}
 		g = h
 	}
-	// Strong convention: tuples with nulls in X match every tuple.
-	for _, i := range withNullX {
-		for j := range ts {
-			if j == i {
+	return nil
+}
+
+// sweepNullX is the strong convention's pairwise sweep: a listed row with
+// a null on X matches every tuple on X, so it is compared with all of
+// them. Listed rows without a null on X are skipped.
+func sweepNullX(f fd.FD, ts []relation.Tuple, xAttrs, yAttrs []schema.Attr, lists ...[]int) *Violation {
+	for _, rows := range lists {
+		for _, i := range rows {
+			if !ts[i].HasNullOn(f.X) {
 				continue
 			}
-			if eqOn(conv, ts[i], ts[j], xAttrs) && neqOn(conv, ts[i], ts[j], yAttrs) {
-				a, b := i, j
-				if b < a {
-					a, b = b, a
+			for j := range ts {
+				if j != i && eqOn(Strong, ts[i], ts[j], xAttrs) && neqOn(Strong, ts[i], ts[j], yAttrs) {
+					return &Violation{FD: f, T1: min(i, j), T2: max(i, j)}
 				}
-				return &Violation{FD: f, T1: a, T2: b}
 			}
 		}
 	}
@@ -347,63 +387,6 @@ func lessOn(t, u relation.Tuple, attrs []schema.Attr) bool {
 	return false
 }
 
-// bucketSort performs an LSD radix sort of idx on the attrs key using one
-// bucket per domain value (plus overflow buckets for nulls and nothing),
-// O(n + d) per attribute — the paper's O(n·p) claim.
-func bucketSort(r *relation.Relation, idx []int, attrs []schema.Attr) {
-	s := r.Scheme()
-	ts := r.Tuples()
-	// LSD radix: sort by the last attribute first.
-	for k := len(attrs) - 1; k >= 0; k-- {
-		a := attrs[k]
-		dom := s.Domain(a)
-		pos := make(map[string]int, dom.Size())
-		for i, v := range dom.Values {
-			pos[v] = i
-		}
-		// Buckets: one per domain value, then nulls keyed by mark
-		// (distinct, ordered), then nothing.
-		constBuckets := make([][]int, dom.Size())
-		nullBuckets := map[int][]int{}
-		var nothingBucket []int
-		var marks []int
-		for _, i := range idx {
-			v := ts[i][a]
-			switch {
-			case v.IsConst():
-				p := pos[v.Const()]
-				constBuckets[p] = append(constBuckets[p], i)
-			case v.IsNull():
-				if _, ok := nullBuckets[v.Mark()]; !ok {
-					marks = append(marks, v.Mark())
-				}
-				nullBuckets[v.Mark()] = append(nullBuckets[v.Mark()], i)
-			default:
-				nothingBucket = append(nothingBucket, i)
-			}
-		}
-		sort.Ints(marks)
-		out := idx[:0]
-		// Bucket order must match lessOn: domain values in lexicographic
-		// order. IntDomain values are not lexicographically sorted in
-		// general, so order buckets by value string.
-		order := make([]int, dom.Size())
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(x, y int) bool {
-			return dom.Values[order[x]] < dom.Values[order[y]]
-		})
-		for _, b := range order {
-			out = append(out, constBuckets[b]...)
-		}
-		for _, m := range marks {
-			out = append(out, nullBuckets[m]...)
-		}
-		out = append(out, nothingBucket...)
-	}
-}
-
 // CheckPresorted is the "Additional Assumptions" linear path: one FD, the
 // relation already sorted on f.X (e.g. BCNF with one key). It scans
 // adjacent tuples only and therefore requires the input order to group
@@ -426,12 +409,12 @@ func CheckPresorted(r *relation.Relation, f fd.FD, conv Convention) (bool, *Viol
 
 // StrongSatisfied decides strong satisfiability of F in r (Theorem 2).
 func StrongSatisfied(r *relation.Relation, fds []fd.FD) (bool, *Violation) {
-	return Check(r, fds, Strong, Sorted)
+	return Check(r, fds, Strong, Bucket)
 }
 
 // WeakSatisfiedMinimallyIncomplete decides weak satisfiability of F in a
 // minimally incomplete r (Theorem 3). The caller is responsible for the
 // minimality precondition; compose with chase.Run otherwise.
 func WeakSatisfiedMinimallyIncomplete(r *relation.Relation, fds []fd.FD) (bool, *Violation) {
-	return Check(r, fds, Weak, Sorted)
+	return Check(r, fds, Weak, Bucket)
 }

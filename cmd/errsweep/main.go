@@ -10,8 +10,7 @@
 //
 // Usage:
 //
-//	errsweep [dir ...]   # default: internal/iox internal/store internal/serve
-//	                     #          internal/loadsim cmd/fdserve cmd/fdload
+//	errsweep [dir ...]   # default: internal/iox internal/store internal/serve cmd/fdserve
 //
 // Exits 1 listing file:line for every unannotated discard. Test files
 // are skipped: tests discard errors on purpose while arranging fixtures.
@@ -42,10 +41,7 @@ const marker = "errcheck:ok "
 func main() {
 	dirs := os.Args[1:]
 	if len(dirs) == 0 {
-		dirs = []string{
-			"internal/iox", "internal/store", "internal/serve",
-			"internal/loadsim", "cmd/fdserve", "cmd/fdload",
-		}
+		dirs = []string{"internal/iox", "internal/store", "internal/serve", "cmd/fdserve"}
 	}
 	var findings []string
 	for _, dir := range dirs {

@@ -1,8 +1,8 @@
 // Package serve is the fdserve daemon core: named, isolated,
 // constraint-maintained tenant stores behind a newline-delimited JSON
 // TCP protocol. cmd/fdserve is a thin flag-and-signal wrapper around
-// this package; bench/ and the open-loop test (TestServeOpenLoop) boot it
-// in-process to drive a live daemon over real sockets.
+// this package; bench/ and this package's wire tests boot it in-process
+// to drive a live daemon over real sockets.
 package serve
 
 import (

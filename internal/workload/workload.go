@@ -260,9 +260,9 @@ func TxnWriteSet(rng *rand.Rand, g, k int, nextUID *int) [][]string {
 	return rows
 }
 
-// KV returns the key-value serving scheme of the open-loop load simulator
-// (internal/loadsim): a unique constant key K determining two payload
-// attributes,
+// KV returns a key-value serving scheme, the one the daemon's wire tests
+// and the WAL tests build their stores on: a unique constant key K
+// determining two payload attributes,
 //
 //	K  A  B    with  K -> A; K -> B
 //

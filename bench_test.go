@@ -134,7 +134,7 @@ func BenchmarkChase_Naive(b *testing.B) {
 		r, fds := chaseWorkload(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := chase.Run(r, fds, chase.Options{Mode: chase.Extended, Engine: chase.Naive}); err != nil {
+				if _, err := chase.RunPairwise(r, fds, chase.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -379,7 +379,7 @@ func BenchmarkStoreQuery(b *testing.B) {
 	// per iteration — plan, probe the D# index, evaluate the residual on
 	// the candidates. Nothing memoizes the repeat.
 	s, fds, r := employeesBench(2000)
-	st, err := fdnull.StoreFromRelation(s, fds, r, fdnull.StoreOptions{})
+	st, err := fdnull.StoreFromRelation(s, fds, r)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -399,10 +399,10 @@ func BenchmarkStoreQuery(b *testing.B) {
 
 // storeMaintenances are the two store engines the maintenance benches
 // compare: the incremental delta path vs the clone-and-rechase oracle.
-var storeMaintenances = []store.Maintenance{
-	store.MaintenanceRecheck,
-	store.MaintenanceIncremental,
-}
+var storeMaintenances = []struct {
+	name  string
+	build func(*schema.Scheme, []fd.FD, *relation.Relation) (*store.Store, error)
+}{{"recheck", store.NewRecheckOracle}, {"incremental", store.FromRelation}}
 
 func BenchmarkStoreInsert(b *testing.B) {
 	// Guarded insert cost per maintenance engine at n=2000, p=8: the
@@ -413,9 +413,9 @@ func BenchmarkStoreInsert(b *testing.B) {
 	// engines agree.
 	const n, groups = 2000, 250
 	for _, m := range storeMaintenances {
-		b.Run(fmt.Sprintf("n=%d/maintenance=%s", n, m), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/maintenance=%s", n, m.name), func(b *testing.B) {
 			s, fds, base, gen := workload.WriteHeavy(n, groups, 0, 11)
-			st, err := fdnull.StoreFromRelation(s, fds, base, fdnull.StoreOptions{Maintenance: m})
+			st, err := m.build(s, fds, base)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -428,7 +428,7 @@ func BenchmarkStoreInsert(b *testing.B) {
 				if st.Len() >= n+512 {
 					// Periodic untimed reset keeps the instance near n.
 					b.StopTimer()
-					st, err = fdnull.StoreFromRelation(s, fds, base, fdnull.StoreOptions{Maintenance: m})
+					st, err = m.build(s, fds, base)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -444,9 +444,9 @@ func BenchmarkStoreMixed(b *testing.B) {
 	// some doomed) at stable size n=2000, p=8, per maintenance engine.
 	const n, groups = 2000, 250
 	for _, m := range storeMaintenances {
-		b.Run(fmt.Sprintf("n=%d/maintenance=%s", n, m), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/maintenance=%s", n, m.name), func(b *testing.B) {
 			s, fds, base, gen := workload.WriteHeavy(n, groups, 0.05, 13)
-			st, err := fdnull.StoreFromRelation(s, fds, base, fdnull.StoreOptions{Maintenance: m})
+			st, err := m.build(s, fds, base)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -459,7 +459,7 @@ func BenchmarkStoreMixed(b *testing.B) {
 				if st.Len() >= 2*n {
 					// Untimed reset keeps the measurement regime at ~n.
 					b.StopTimer()
-					st, err = fdnull.StoreFromRelation(s, fds, base, fdnull.StoreOptions{Maintenance: m})
+					st, err = m.build(s, fds, base)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -569,9 +569,9 @@ func BenchmarkStoreTxnCommit(b *testing.B) {
 	const n, k = 2000, 32
 	groups := n / 512
 	for _, m := range storeMaintenances {
-		b.Run(fmt.Sprintf("n=%d/k=%d/maintenance=%s", n, k, m), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/k=%d/maintenance=%s", n, k, m.name), func(b *testing.B) {
 			s, fds, base, _ := workload.WriteHeavy(n, groups, 0, 41)
-			st, err := fdnull.StoreFromRelation(s, fds, base, fdnull.StoreOptions{Maintenance: m})
+			st, err := m.build(s, fds, base)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -583,7 +583,7 @@ func BenchmarkStoreTxnCommit(b *testing.B) {
 				if st.Len() >= n+16*k {
 					// Untimed reset keeps the measurement regime at ~n.
 					b.StopTimer()
-					st, err = fdnull.StoreFromRelation(s, fds, base, fdnull.StoreOptions{Maintenance: m})
+					st, err = m.build(s, fds, base)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -615,7 +615,7 @@ func BenchmarkStoreTxnPerOpEquivalent(b *testing.B) {
 	const n, k = 2000, 32
 	groups := n / 512
 	s, fds, base, _ := workload.WriteHeavy(n, groups, 0, 41)
-	st, err := fdnull.StoreFromRelation(s, fds, base, fdnull.StoreOptions{})
+	st, err := fdnull.StoreFromRelation(s, fds, base)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -626,7 +626,7 @@ func BenchmarkStoreTxnPerOpEquivalent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if st.Len() >= n+16*k {
 			b.StopTimer()
-			st, err = fdnull.StoreFromRelation(s, fds, base, fdnull.StoreOptions{})
+			st, err = fdnull.StoreFromRelation(s, fds, base)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -205,14 +205,19 @@ func equalOutcome(oracle, got storeOutcome) error {
 	return nil
 }
 
-// storeCell builds a fresh store over base under each side's engine,
-// outside the timing; side i runs history(i, ·) on its own.
+// storeCell builds a fresh store over base for each of the sides,
+// outside the timing — side 0 on the recheck oracle, every later side on
+// the incremental engine; side i runs history(i, ·) on its own.
 func storeCell(s *schema.Scheme, fds []fd.FD, base *relation.Relation, label []string,
-	engines []store.Maintenance, history func(side int, st *store.Store) (verdicts string, err error)) (cell[storeOutcome], error) {
-	stores := make([]*store.Store, len(engines))
-	for i, m := range engines {
+	sides int, history func(side int, st *store.Store) (verdicts string, err error)) (cell[storeOutcome], error) {
+	stores := make([]*store.Store, sides)
+	for i := range stores {
+		build := store.FromRelation
+		if i == 0 {
+			build = store.NewRecheckOracle
+		}
 		var err error
-		if stores[i], err = store.FromRelation(s, fds, base, store.Options{Maintenance: m}); err != nil {
+		if stores[i], err = build(s, fds, base); err != nil {
 			return cell[storeOutcome]{}, err
 		}
 	}
@@ -240,7 +245,7 @@ func runE17(w io.Writer, quick bool) error {
 		s, fds, base, gen := workload.WriteHeavy(n, n/8, 0.05, int64(n)+29)
 		// The history is generated against a shadow replica, which says how
 		// many tuples there are to pick a victim from at every step.
-		shadow, err := store.FromRelation(s, fds, base, store.Options{})
+		shadow, err := store.FromRelation(s, fds, base)
 		if err != nil {
 			return err
 		}
@@ -267,7 +272,7 @@ func runE17(w io.Writer, quick bool) error {
 			ops = append(ops, op)
 		}
 		c, err := storeCell(s, fds, base, []string{fmt.Sprint(n), fmt.Sprint(len(fds)), fmt.Sprintf("%d+%d", inserts, mixed)},
-			[]store.Maintenance{store.MaintenanceRecheck, store.MaintenanceIncremental},
+			2,
 			func(_ int, st *store.Store) (string, error) { return replay(st, ops), nil })
 		if err != nil {
 			return err
@@ -306,7 +311,7 @@ func runE18(w io.Writer, quick bool) error {
 			sets[b] = workload.TxnWriteSet(rng, (b*37)%groups, k, &nextUID)
 		}
 		c, err := storeCell(s, fds, base, []string{fmt.Sprint(n), fmt.Sprint(k), fmt.Sprint(batches)},
-			[]store.Maintenance{store.MaintenanceRecheck, store.MaintenanceIncremental, store.MaintenanceIncremental},
+			3,
 			func(side int, st *store.Store) (string, error) {
 				for _, rows := range sets {
 					if side == perOp {

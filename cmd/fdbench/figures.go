@@ -127,11 +127,11 @@ func runE5(w io.Writer, _ bool) error {
 	fmt.Fprintf(w, "plain NS-rules, order C->B then A->B:\n%s\n", p2.Relation)
 	diverged := !relation.Equal(p1.Relation, p2.Relation)
 	fmt.Fprintf(w, "plain system order-dependent: %v (paper: different minimally incomplete states)\n\n", diverged)
-	e1, err := chase.Run(r, fds, chase.Options{Mode: chase.Extended, Engine: chase.Naive, RuleOrder: []int{0, 1}})
+	e1, err := chase.RunPairwise(r, fds, chase.Options{Mode: chase.Extended, RuleOrder: []int{0, 1}})
 	if err != nil {
 		return err
 	}
-	e2, err := chase.Run(r, fds, chase.Options{Mode: chase.Extended, Engine: chase.Naive, RuleOrder: []int{1, 0}})
+	e2, err := chase.RunPairwise(r, fds, chase.Options{Mode: chase.Extended, RuleOrder: []int{1, 0}})
 	if err != nil {
 		return err
 	}

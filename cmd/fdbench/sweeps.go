@@ -219,7 +219,7 @@ func runE10(w io.Writer, quick bool) error {
 		var resN, resC *chase.Result
 		var err error
 		dNaive := timeIt(func() {
-			resN, err = chase.Run(r, fds, chase.Options{Mode: chase.Extended, Engine: chase.Naive})
+			resN, err = chase.RunPairwise(r, fds, chase.Options{})
 		})
 		if err != nil {
 			return err

@@ -229,7 +229,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // acquisition, and the store decides acceptance and substitutes the
 // forced nulls.
 func replayStore(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.Relation) {
-	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
+	st := fdnull.NewStore(s, fds)
 	fmt.Fprintln(stdout, "\nguarded replay:")
 	for i := 0; i < r.Len(); i++ {
 		switch err := st.Insert(r.Tuple(i).Clone()); {
@@ -263,7 +263,7 @@ func replaySharded(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnul
 	if len(fds) == 0 || key.Empty() {
 		return fmt.Errorf("sharded replay: the FD LHSs share no attribute, so no shard key keeps per-shard maintenance sound")
 	}
-	oracle := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
+	oracle := fdnull.NewStore(s, fds)
 	sh, err := fdnull.NewShardedStore(s, fds, fdnull.ShardedStoreOptions{Shards: shards, Key: key})
 	if err != nil {
 		return fmt.Errorf("sharded replay: %v", err)
@@ -330,7 +330,7 @@ func replaySharded(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnul
 // replayOpsMemory replays the script against an in-memory store seeded
 // with the loaded instance.
 func replayOpsMemory(stdout io.Writer, script io.Reader, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.Relation) error {
-	st, err := fdnull.StoreFromRelation(s, fds, r, fdnull.StoreOptions{})
+	st, err := fdnull.StoreFromRelation(s, fds, r)
 	if err != nil {
 		fmt.Fprintf(stdout, "\nops replay: the loaded instance is rejected: %v\n", err)
 		return nil

@@ -143,12 +143,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	opts := query.Options{Workers: *workers}
 	if *useStore {
-		st, err := store.FromRelation(parsed.Scheme, parsed.FDs, r, store.Options{})
+		st, err := store.FromRelation(parsed.Scheme, parsed.FDs, r)
 		if err != nil {
 			fmt.Fprintf(stderr, "fdquery: -store: %v\n", err)
 			return 2
 		}
-		r = st.Snapshot() // the normalized tuples the answers index
+		r = st.Snapshot() // the chase-normal-form tuples the answers index
 	}
 	var results []query.Result
 	explains := make([]*query.Explain, len(preds))

@@ -85,7 +85,7 @@ func ExampleSelect() {
 func ExampleStore_Query() {
 	s := fdnull.UniformScheme("R", []string{"E", "SL"}, fdnull.IntDomain("d", "s", 9))
 	fds := fdnull.MustParseFDs(s, "E -> SL")
-	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
+	st := fdnull.NewStore(s, fds)
 	_ = st.InsertRow("s1", "s7")
 	_ = st.InsertRow("s2", "-") // salary unknown: only a possible answer
 	q := fdnull.Eq{Attr: s.MustAttr("SL"), Const: "s7"}
@@ -171,7 +171,7 @@ func ExampleNewStore() {
 			fdnull.IntDomain("ct", "ct", 9),
 		})
 	fds := fdnull.MustParseFDs(s, "E# -> D#; D# -> CT")
-	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
+	st := fdnull.NewStore(s, fds)
 
 	_ = st.InsertRow("e1", "d1", "ct1")
 	_ = st.InsertRow("e2", "d1", "-")      // CT unknown, but d1 forces ct1
@@ -197,7 +197,7 @@ func ExampleTxn() {
 		[]string{"E#", "D#", "CT"},
 		fdnull.IntDomain("dom", "v", 60))
 	fds := fdnull.MustParseFDs(s, "E# -> D#; D# -> CT")
-	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
+	st := fdnull.NewStore(s, fds)
 
 	tx := st.Begin()
 	_ = tx.InsertRow("v1", "v9", "-")   // contract unknown
@@ -242,7 +242,6 @@ func ExampleOpenDurableStore() {
 		fdnull.IntDomain("dom", "v", 60))
 	fds := fdnull.MustParseFDs(s, "E# -> D#; D# -> CT")
 	opts := fdnull.DurableOptions{
-		Store:       fdnull.StoreOptions{},
 		Scheme:      s,
 		FDs:         fds,
 		GroupCommit: 8, // fsync every 8 commits instead of every commit

@@ -30,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fds := fdnull.MustParseFDs(s, "E# -> D#,MS")
-	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
+	st := fdnull.NewStore(s, fds)
 
 	// External acquisition: users insert what they know; gaps are nulls.
 	for _, row := range [][]string{

@@ -134,12 +134,6 @@ func ApplyXSubstitutions(r *relation.Relation, fds []fd.FD) (*relation.Relation,
 // and the NS-rules substitute forced nulls after every accepted change.
 type Store = store.Store
 
-// StoreOptions configure a Store. The zero value maintains the invariant
-// incrementally: a commit re-verifies only the partition groups it
-// touches and propagates forced substitutions from the delta tuples over
-// the delta-maintained X-partition indexes.
-type StoreOptions = store.Options
-
 // InconsistencyError is returned for mutations the dependencies forbid.
 // It wraps ErrInconsistent, so errors.Is(err, ErrInconsistent) matches.
 type InconsistencyError = store.InconsistencyError
@@ -178,22 +172,25 @@ type TxnError = store.TxnError
 // commit under the write lock, first-committer-wins conflicts.
 type ConcurrentTxn = store.ConcurrentTxn
 
-// NewStore creates an empty guarded store.
-func NewStore(s *schema.Scheme, fds []fd.FD, opts StoreOptions) *Store {
-	return store.New(s, fds, opts)
+// NewStore creates an empty guarded store. It maintains the invariant
+// incrementally: a commit re-verifies only the partition groups it
+// touches and propagates forced substitutions from the delta tuples over
+// the delta-maintained X-partition indexes.
+func NewStore(s *schema.Scheme, fds []fd.FD) *Store {
+	return store.New(s, fds, store.Options{})
 }
 
 // StoreFromRelation builds a store over an existing instance with one
 // chase (instead of n guarded inserts), rejecting instances that
 // contradict the dependencies.
-func StoreFromRelation(s *schema.Scheme, fds []fd.FD, r *relation.Relation, opts StoreOptions) (*Store, error) {
-	return store.FromRelation(s, fds, r, opts)
+func StoreFromRelation(s *schema.Scheme, fds []fd.FD, r *relation.Relation) (*Store, error) {
+	return store.FromRelation(s, fds, r)
 }
 
 // LoadStore reads a store persisted with Store.Save (the relio text
 // format), re-chasing and rejecting inconsistent files.
-func LoadStore(r io.Reader, opts StoreOptions) (*Store, error) {
-	return store.Load(r, opts)
+func LoadStore(r io.Reader) (*Store, error) {
+	return store.Load(r)
 }
 
 // ConcurrentStore is a Store safe for concurrent use: writers serialize
@@ -209,8 +206,8 @@ type ConcurrentStore = store.Concurrent
 type RelationView = relation.View
 
 // NewConcurrentStore creates an empty concurrent guarded store.
-func NewConcurrentStore(s *schema.Scheme, fds []fd.FD, opts StoreOptions) *ConcurrentStore {
-	return store.NewConcurrent(s, fds, opts)
+func NewConcurrentStore(s *schema.Scheme, fds []fd.FD) *ConcurrentStore {
+	return store.NewConcurrent(s, fds)
 }
 
 // GuardStore wraps an existing store in the concurrent facade; the

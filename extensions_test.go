@@ -59,7 +59,7 @@ func TestPublicQuerySection2(t *testing.T) {
 func TestPublicStoreLifecycle(t *testing.T) {
 	s := maritalScheme(t)
 	fds := fdnull.MustParseFDs(s, "E# -> D#,MS")
-	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
+	st := fdnull.NewStore(s, fds)
 	if err := st.InsertRow("e1", "d1", "married"); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestPublicStoreLifecycle(t *testing.T) {
 func TestPublicDiscoveryAndPersistence(t *testing.T) {
 	s := maritalScheme(t)
 	fds := fdnull.MustParseFDs(s, "E# -> D#,MS")
-	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
+	st := fdnull.NewStore(s, fds)
 	for _, row := range [][]string{
 		{"e1", "d1", "married"},
 		{"e2", "d1", "-"},
@@ -100,7 +100,7 @@ func TestPublicDiscoveryAndPersistence(t *testing.T) {
 	if err := st.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := fdnull.LoadStore(strings.NewReader(buf.String()), fdnull.StoreOptions{})
+	loaded, err := fdnull.LoadStore(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestPublicQueryV2(t *testing.T) {
 		t.Errorf("joined selection: chased=%v len=%d res=%v want=%v", j.Chased, j.Rel.Len(), j.Res, want)
 	}
 
-	st := fdnull.NewStore(s, fds, fdnull.StoreOptions{})
+	st := fdnull.NewStore(s, fds)
 	if err := st.InsertRow("e1", "d1", "married"); err != nil {
 		t.Fatal(err)
 	}

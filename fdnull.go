@@ -279,7 +279,10 @@ func CheckAll(fds []FD, r *Relation, opts CheckOptions) *BatchResult {
 
 // ---- The chase (Section 6) ----
 
-// ChaseOptions configures a chase run.
+// ChaseOptions configures a chase run: the rule system (Mode), the FD
+// order (RuleOrder) and a pass bound. The extended system always runs on
+// congruence closure, since its normal form is unique (Theorem 4); there
+// is no engine to choose.
 type ChaseOptions = chase.Options
 
 // ChaseResult reports a chase fixpoint: the resolved instance, surviving

@@ -16,6 +16,7 @@ import (
 	"fdnull/internal/paperex"
 	"fdnull/internal/query"
 	"fdnull/internal/relation"
+	"fdnull/internal/schema"
 	"fdnull/internal/store"
 	"fdnull/internal/testfds"
 	"fdnull/internal/workload"
@@ -95,13 +96,14 @@ func TestLargeScalePipeline(t *testing.T) {
 
 // TestZeroOptionsAreProduction pins the rule that an oracle is never a
 // default: at every layer the zero Options run the production engine —
-// the same result, and the same Engine/Maintenance value, as naming the
-// production constant — and that engine agrees with the layer's oracle
-// on instances from the differential generators (workload.Config, the
-// FD-set shapes, workload.WriteHeavy).
+// the same result, and the same Engine value, as naming the production
+// constant; the chase and the store name no engine at all, their oracles
+// being chase.RunPairwise and store.NewRecheckOracle — and that engine
+// agrees with the layer's oracle on instances from the differential
+// generators (workload.Config, the FD-set shapes, workload.WriteHeavy).
 func TestZeroOptionsAreProduction(t *testing.T) {
-	if z := (chase.Options{}); z.Mode != chase.Extended || z.Engine != chase.Congruence {
-		t.Errorf("chase.Options{} = %v/%v", z.Mode, z.Engine)
+	if z := (chase.Options{}); z.Mode != chase.Extended {
+		t.Errorf("chase.Options{} = %v", z.Mode)
 	}
 	if z := (eval.CheckOptions{}); z.Engine != eval.EngineIndexed {
 		t.Errorf("eval.CheckOptions{}.Engine = %v", z.Engine)
@@ -112,9 +114,6 @@ func TestZeroOptionsAreProduction(t *testing.T) {
 	if z := (query.Options{}); z.Engine != query.EngineIndexed {
 		t.Errorf("query.Options{}.Engine = %v", z.Engine)
 	}
-	if z := (store.Options{}); z.Maintenance != store.MaintenanceIncremental {
-		t.Errorf("store.Options{}.Maintenance = %v", z.Maintenance)
-	}
 	for _, cfg := range []workload.Config{
 		{Seed: 1, Tuples: 14, Attrs: 3, DomainSize: 4, NullDensity: 0, GroupBias: 0.5},
 		{Seed: 2, Tuples: 10, Attrs: 3, DomainSize: 4, NullDensity: 0.08, GroupBias: 0.4},
@@ -123,10 +122,14 @@ func TestZeroOptionsAreProduction(t *testing.T) {
 		s := cfg.Scheme()
 		r := cfg.Instance(s)
 		for _, fds := range [][]fd.FD{workload.ChainFDs(s), workload.StarFDs(s), workload.RandomFDs(s, 3, 2, cfg.Seed)} {
-			// chase: zero, the named production pair, the pairwise oracle.
+			// chase: zero, the named production mode, the pairwise oracle.
 			var runs []*chase.Result
-			for _, o := range []chase.Options{{}, {Mode: chase.Extended, Engine: chase.Congruence}, {Engine: chase.Naive}} {
-				res, err := chase.Run(r, fds, o)
+			for k, o := range []chase.Options{{}, {Mode: chase.Extended}, {}} {
+				run := chase.Run
+				if k == 2 {
+					run = chase.RunPairwise
+				}
+				res, err := run(r, fds, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -187,13 +190,13 @@ func TestZeroOptionsAreProduction(t *testing.T) {
 	}
 
 	// store: replay the write-heavy generator's rows (every tenth one
-	// restating its group's D, so it must be rejected) into all three
-	// spellings.
+	// restating its group's D, so it must be rejected) into the
+	// production store and the recheck oracle.
 	const n, groups = 60, 12
 	s, fds, base, gen := workload.WriteHeavy(n, groups, 0.2, 5)
 	var stores []*store.Store
-	for _, o := range []store.Options{{}, {Maintenance: store.MaintenanceIncremental}, {Maintenance: store.MaintenanceRecheck}} {
-		st, err := store.FromRelation(s, fds, base, o)
+	for _, build := range [...]func(*schema.Scheme, []fd.FD, *relation.Relation) (*store.Store, error){store.FromRelation, store.NewRecheckOracle} {
+		st, err := build(s, fds, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,13 +212,13 @@ func TestZeroOptionsAreProduction(t *testing.T) {
 		if errZero != nil {
 			rejected++
 		}
-		for k, st := range stores[1:] {
+		for _, st := range stores[1:] {
 			err := st.InsertRow(row...)
 			if (err == nil) != (errZero == nil) || (err != nil && err.Error() != errZero.Error()) {
-				t.Fatalf("row %d: store.Options{} answered %v, spelling %d answered %v", i, errZero, k+1, err)
+				t.Fatalf("row %d: store.FromRelation answered %v, the recheck oracle answered %v", i, errZero, err)
 			}
 			if !relation.Equal(st.Snapshot(), stores[0].Snapshot()) {
-				t.Fatalf("row %d: store.Options{} diverged from spelling %d", i, k+1)
+				t.Fatalf("row %d: store.FromRelation diverged from the recheck oracle", i)
 			}
 		}
 	}

@@ -29,14 +29,14 @@
 // # One production path and its oracle
 //
 // Because the extended normal form is unique, which engine computes it
-// is not a choice a caller has to make: Options{} runs the
+// is not a choice a caller has to make: Run computes it with the
 // congruence-closure passes, and that is what the store, the query
 // layer, the CLIs and the fdnull facade run. The pairwise passes of the
 // paper's own analysis stay for two jobs only — they are the one
 // implementation of the plain system (which has no engine-independent
-// answer, so Mode: Plain always runs them, in RuleOrder), and under
-// Engine: Naive they are the oracle the tests and the fdbench agreement
-// sweeps compare the congruence engine against. A congruence pass costs
+// answer, so Run in Mode: Plain always runs them, in RuleOrder), and
+// RunPairwise is the oracle the tests and the fdbench agreement sweeps
+// compare the congruence engine against. A congruence pass costs
 // per FD, not per tuple: tuples bucket on a maphash of their X-cells'
 // class roots, equalOn confirms a bucket, and one bucket table serves
 // every FD and pass.
@@ -66,8 +66,7 @@ const (
 	Extended Mode = iota
 	// Plain is Definition 2 exactly: NS-rules fire only when at least one
 	// of the Y-cells is null. Not confluent, so it always runs the
-	// pairwise passes in the stated rule order, whatever Options.Engine
-	// says.
+	// pairwise passes in the stated rule order.
 	Plain
 )
 
@@ -76,28 +75,6 @@ func (m Mode) String() string {
 		return "plain"
 	}
 	return "extended"
-}
-
-// Engine selects the implementation of the extended system.
-type Engine int
-
-const (
-	// Congruence buckets tuples by X-signature each pass — the
-	// congruence-closure strategy of [Downey–Sethi–Tarjan 80] that Theorem
-	// 4 builds on, O(|F|·n·log(|F|·n))-flavored on our workloads. The
-	// production path and the zero value.
-	Congruence Engine = iota
-	// Naive applies rules pairwise in passes, in a deterministic
-	// (configurable) order — the paper's O(|F|·n³·p) analysis; kept as
-	// the ground truth Congruence is differentially tested against.
-	Naive
-)
-
-func (e Engine) String() string {
-	if e == Naive {
-		return "naive"
-	}
-	return "congruence"
 }
 
 // Result reports the outcome of a chase.
@@ -134,12 +111,10 @@ func (c Conflict) String() string {
 	return fmt.Sprintf("tuples %d,%d conflict on attribute %d", c.T1, c.T2, c.Attr)
 }
 
-// Options configure a chase run. The zero value is the extended system
-// on the congruence engine: what the store, the CLIs and
-// WeaklySatisfiable run.
+// Options configure a chase run. The zero value is the extended system:
+// what the store, the CLIs and WeaklySatisfiable run.
 type Options struct {
-	Mode   Mode
-	Engine Engine
+	Mode Mode
 	// RuleOrder permutes the FD list; nil means given order. Exists to
 	// exhibit the Plain system's order dependence.
 	RuleOrder []int
@@ -149,12 +124,28 @@ type Options struct {
 }
 
 // Run chases r with the NS-rules for fds and returns the fixpoint. The
-// input relation is not modified.
+// input relation is not modified. The extended system runs the
+// congruence-closure passes — each pass buckets tuples by X-signature,
+// the strategy of [Downey–Sethi–Tarjan 80] that Theorem 4 builds on —
+// and the plain system the pairwise ones.
 func Run(r *relation.Relation, fds []fd.FD, opts Options) (*Result, error) {
+	return run(r, fds, opts, opts.Mode == Plain)
+}
+
+// RunPairwise is Run on the pairwise passes whatever the mode: every
+// rule applied to every tuple pair, in a deterministic (RuleOrder)
+// order — the paper's O(|F|·n³·p) analysis, kept as the ground truth
+// the congruence passes are differentially tested against.
+func RunPairwise(r *relation.Relation, fds []fd.FD, opts Options) (*Result, error) {
+	return run(r, fds, opts, true)
+}
+
+func run(r *relation.Relation, fds []fd.FD, opts Options, pairwise bool) (*Result, error) {
 	c, err := newChaser(r, fds, opts)
 	if err != nil {
 		return nil, err
 	}
+	c.pairwise = pairwise
 	return c.run()
 }
 
@@ -193,6 +184,8 @@ type chaser struct {
 	r    *relation.Relation
 	fds  []fd.FD
 	opts Options
+	// pairwise runs passNaive instead of passCongruence.
+	pairwise bool
 
 	// symbol ids: constants and null marks get dense ids.
 	constID map[string]int
@@ -343,7 +336,7 @@ func (c *chaser) run() (*Result, error) {
 	for passes < maxPasses {
 		passes++
 		var changed bool
-		if c.opts.Mode == Plain || c.opts.Engine == Naive {
+		if c.pairwise {
 			changed = c.passNaive()
 		} else {
 			changed = c.passCongruence()

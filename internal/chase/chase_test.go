@@ -169,11 +169,11 @@ func TestChase_ChurchRosserExtended(t *testing.T) {
 	// same unique instance — here, the whole B-column becomes nothing
 	// (including the constants equal to the merged ones, per the paper).
 	_, fds, r := figure5()
-	res1, err := Run(r, fds, Options{Mode: Extended, Engine: Naive, RuleOrder: []int{0, 1}})
+	res1, err := RunPairwise(r, fds, Options{Mode: Extended, RuleOrder: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Run(r, fds, Options{Mode: Extended, Engine: Naive, RuleOrder: []int{1, 0}})
+	res2, err := RunPairwise(r, fds, Options{Mode: Extended, RuleOrder: []int{1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestInputNothingPropagates(t *testing.T) {
 	r := relation.MustFromRows(s,
 		[]string{"v1", "!", "v1"},
 		[]string{"v1", "-", "v2"})
-	res, err := Run(r, fds, Options{Mode: Extended, Engine: Naive})
+	res, err := RunPairwise(r, fds, Options{Mode: Extended})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,18 +299,18 @@ func TestRuleOrderValidation(t *testing.T) {
 	if _, err := Run(r, fds, Options{RuleOrder: []int{0, 0}}); err == nil {
 		t.Error("non-permutation RuleOrder must error")
 	}
-	// Plain has one implementation, so Engine does not select anything.
+	// Plain has one implementation: Run runs the pairwise passes for it.
 	_, fds, r = figure5()
 	a, err := Run(r, fds, Options{Mode: Plain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(r, fds, Options{Mode: Plain, Engine: Naive})
+	b, err := RunPairwise(r, fds, Options{Mode: Plain})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !relation.Equal(a.Relation, b.Relation) || a.Applications != b.Applications {
-		t.Error("plain must run the pairwise passes whatever Engine says")
+		t.Error("Run in Plain mode must run the pairwise passes")
 	}
 }
 
@@ -442,7 +442,7 @@ func TestNaiveAndCongruenceAgree_Random(t *testing.T) {
 		if r.Len() == 0 {
 			continue
 		}
-		a, err := Run(r, fds, Options{Mode: Extended, Engine: Naive})
+		a, err := RunPairwise(r, fds, Options{Mode: Extended})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +487,7 @@ func TestChurchRosser_RandomOrders(t *testing.T) {
 		}
 		var first *relation.Relation
 		for _, ord := range orders {
-			res, err := Run(r, fds, Options{Mode: Extended, Engine: Naive, RuleOrder: ord})
+			res, err := RunPairwise(r, fds, Options{Mode: Extended, RuleOrder: ord})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -109,22 +109,22 @@ func TestSection6Example(t *testing.T) {
 
 func TestFigure5OrderDependence(t *testing.T) {
 	_, fds, r := Figure5()
-	res1, err := chase.Run(r, fds, chase.Options{Mode: chase.Plain, Engine: chase.Naive, RuleOrder: []int{0, 1}})
+	res1, err := chase.Run(r, fds, chase.Options{Mode: chase.Plain, RuleOrder: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := chase.Run(r, fds, chase.Options{Mode: chase.Plain, Engine: chase.Naive, RuleOrder: []int{1, 0}})
+	res2, err := chase.Run(r, fds, chase.Options{Mode: chase.Plain, RuleOrder: []int{1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if relation.Equal(res1.Relation, res2.Relation) {
 		t.Error("plain NS-rules must be order-dependent on Figure 5")
 	}
-	ext1, err := chase.Run(r, fds, chase.Options{Mode: chase.Extended, Engine: chase.Naive, RuleOrder: []int{0, 1}})
+	ext1, err := chase.RunPairwise(r, fds, chase.Options{Mode: chase.Extended, RuleOrder: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext2, err := chase.Run(r, fds, chase.Options{Mode: chase.Extended, Engine: chase.Naive, RuleOrder: []int{1, 0}})
+	ext2, err := chase.RunPairwise(r, fds, chase.Options{Mode: chase.Extended, RuleOrder: []int{1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

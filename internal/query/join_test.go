@@ -259,7 +259,7 @@ func TestSelectJoinedNullRouteMatchesNaiveStack_Random(t *testing.T) {
 		if perr != nil {
 			t.Fatal(perr)
 		}
-		res, cerr := chase.Run(padded, fds, chase.Options{Mode: chase.Extended, Engine: chase.Naive})
+		res, cerr := chase.RunPairwise(padded, fds, chase.Options{Mode: chase.Extended})
 		if cerr != nil {
 			t.Fatal(cerr)
 		}

@@ -38,8 +38,8 @@ type Concurrent struct {
 }
 
 // NewConcurrent creates an empty concurrent store over s guarded by fds.
-func NewConcurrent(s *schema.Scheme, fds []fd.FD, opts Options) *Concurrent {
-	return &Concurrent{st: New(s, fds, opts)}
+func NewConcurrent(s *schema.Scheme, fds []fd.FD) *Concurrent {
+	return &Concurrent{st: New(s, fds, Options{})}
 }
 
 // Guard wraps an existing store. The caller must not use st directly

@@ -25,7 +25,7 @@ func concurrentFixture() (*Concurrent, *schema.Scheme, []fd.FD) {
 			schema.IntDomain("contract", "ct", 3),
 		})
 	fds := fd.MustParseSet(s, "E# -> SL,D#; D# -> CT")
-	return NewConcurrent(s, fds, Options{}), s, fds
+	return NewConcurrent(s, fds), s, fds
 }
 
 // TestConcurrentStress runs writer goroutines against snapshot readers.

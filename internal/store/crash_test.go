@@ -11,8 +11,11 @@ package store
 // each reconstruction, and asserts the recovered store is identical to
 // the oracle's state at that prefix: instance (marks included),
 // allocator watermark, the weak-convention invariant, and the recorded
-// strong-convention verdict. Both maintenance engines run the same
-// matrix.
+// strong-convention verdict. The matrix runs twice: once on the
+// incremental engine, and once with the durable store and the oracle
+// both committing through the recheck oracle — recovery always replays
+// on the incremental engine, so that leg also holds replay to the
+// states the recheck engine logged.
 //
 // TestDurableConcurrentHistoryWithCrashes extends the transactional
 // history exerciser across process lifetimes: first-committer-wins
@@ -151,13 +154,13 @@ func buildCrashDir(t *testing.T, dst, src string, k uint64, extra int,
 
 // reopenAndCheck recovers dst and asserts it equals the oracle's state
 // at prefix k.
-func reopenAndCheck(t *testing.T, dst string, k uint64, extra int, opts Options, snaps map[uint64]crashSnapshot) {
+func reopenAndCheck(t *testing.T, dst string, k uint64, extra int, snaps map[uint64]crashSnapshot) {
 	t.Helper()
 	want, ok := snaps[k]
 	if !ok {
 		t.Fatalf("no oracle snapshot for seq %d", k)
 	}
-	re, err := OpenDurable(dst, DurableOptions{Store: opts, RetainSegments: true})
+	re, err := OpenDurable(dst, DurableOptions{RetainSegments: true})
 	if err != nil {
 		var dump string
 		if entries, derr := os.ReadDir(dst); derr == nil {
@@ -188,11 +191,10 @@ func reopenAndCheck(t *testing.T, dst string, k uint64, extra int, opts Options,
 
 // runCrashHistory drives one randomized durable history, then proves
 // recovery at every record boundary plus torn-tail variants.
-func runCrashHistory(t *testing.T, ws histScheme, maint Maintenance, seed int64, steps int) {
+func runCrashHistory(t *testing.T, ws histScheme, maint engine, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	dir := filepath.Join(t.TempDir(), "wal")
 	opts := DurableOptions{
-		Store:          Options{Maintenance: maint},
 		Scheme:         ws.s,
 		FDs:            ws.fds,
 		RetainSegments: true, // the harness rebuilds historical dirs
@@ -203,7 +205,8 @@ func runCrashHistory(t *testing.T, ws histScheme, maint Maintenance, seed int64,
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	oracle := New(ws.s, ws.fds, opts.Store)
+	maint.onHandle(d)
+	oracle := maint.on(New(ws.s, ws.fds, Options{}))
 	snaps := map[uint64]crashSnapshot{0: crashSnap(oracle)}
 	manifests := []crashManifest{{0, readFileT(t, filepath.Join(dir, manifestName))}}
 	lastSeq := func() uint64 { return d.st.wal.w.nextSeq - 1 }
@@ -373,7 +376,7 @@ func runCrashHistory(t *testing.T, ws histScheme, maint Maintenance, seed int64,
 		for _, extra := range extras {
 			dst := filepath.Join(crashRoot, fmt.Sprintf("k%d-e%d", k, extra))
 			buildCrashDir(t, dst, dir, k, extra, manifests, images, ckpts)
-			reopenAndCheck(t, dst, k, extra, opts.Store, snaps)
+			reopenAndCheck(t, dst, k, extra, snaps)
 			if err := os.RemoveAll(dst); err != nil {
 				t.Fatal(err)
 			}
@@ -407,7 +410,7 @@ func TestCrashPointExerciser(t *testing.T) {
 			// one seed per engine covers the long-line path.
 			seeds = seeds[:1]
 		}
-		for _, maint := range []Maintenance{MaintenanceIncremental, MaintenanceRecheck} {
+		for _, maint := range bothEngines {
 			for _, seed := range seeds {
 				ws, maint, seed := ws, maint, seed
 				t.Run(fmt.Sprintf("%s/%s/seed=%d", ws.name, maint, seed), func(t *testing.T) {
@@ -416,23 +419,6 @@ func TestCrashPointExerciser(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestCrashPointExerciserXRules covers the Section 4 X-rules
-// configuration (which forces the recheck engine; the manifest pins
-// that too).
-func TestCrashPointExerciserXRules(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full matrix only")
-	}
-	ws := histSchemes()[0]
-	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			runCrashHistory(t, histScheme{ws.name, ws.s, ws.fds}, MaintenanceRecheck, seed, 30)
-		})
 	}
 }
 
@@ -463,7 +449,6 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 	rng := rand.New(rand.NewSource(seed))
 	dir := filepath.Join(t.TempDir(), "wal")
 	opts := DurableOptions{
-		Store:        Options{Maintenance: MaintenanceIncremental},
 		Scheme:       ws.s,
 		FDs:          ws.fds,
 		GroupCommit:  []int{1, 4}[rng.Intn(2)],
@@ -473,7 +458,7 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	oracle := New(ws.s, ws.fds, opts.Store)
+	oracle := New(ws.s, ws.fds, Options{})
 	snaps := map[uint64]crashSnapshot{0: crashSnap(oracle)}
 	lastSeq := func() uint64 { return dc.st.wal.w.nextSeq - 1 }
 	record := func() {
@@ -485,7 +470,7 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 	// tuple order (replay is deterministic) and same watermark, so
 	// index-based lockstep mirroring keeps holding.
 	adopt := func(st *Store) {
-		oracle = New(ws.s, ws.fds, opts.Store)
+		oracle = New(ws.s, ws.fds, Options{})
 		oracle.rel = st.Snapshot()
 		oracle.rel.SetNextMark(st.rel.NextMark())
 	}
@@ -633,7 +618,7 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 			crashes++
 			synced := killDurableConcurrent(t, dc)
 			re, err := OpenDurable(dir, DurableOptions{
-				Store: opts.Store, GroupCommit: opts.GroupCommit, SegmentBytes: opts.SegmentBytes,
+				GroupCommit: opts.GroupCommit, SegmentBytes: opts.SegmentBytes,
 			})
 			if err != nil {
 				t.Fatalf("round %d: reopen after crash: %v", round, err)

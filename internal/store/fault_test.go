@@ -104,7 +104,6 @@ func faultWorkload() []faultOp {
 func faultDurableOpts(fs iox.FS) DurableOptions {
 	ws := histSchemes()[0]
 	return DurableOptions{
-		Store:        Options{Maintenance: MaintenanceRecheck},
 		Scheme:       ws.s,
 		FDs:          ws.fds,
 		SegmentBytes: 128, // several rotations over the workload
@@ -180,7 +179,10 @@ func runFaultSchedule(t *testing.T, ctx string, plan map[uint64]iox.Fault) sched
 		return scheduleResult{}
 	}
 
-	oracle := New(ws.s, ws.fds, opts.Store)
+	oracle, err := NewRecheckOracle(ws.s, ws.fds, relation.New(ws.s))
+	if err != nil {
+		t.Fatal(err)
+	}
 	snaps := []crashSnapshot{crashSnap(oracle)}
 	for _, op := range faultWorkload() {
 		if d.Health().Degraded {
@@ -240,7 +242,7 @@ func runFaultSchedule(t *testing.T, ctx string, plan map[uint64]iox.Fault) sched
 		// some oracle prefix, covering every acknowledged-synced seq.
 		crashDir := filepath.Join(base, "crash")
 		copyDirT(t, dir, crashDir)
-		re, err := OpenDurable(crashDir, DurableOptions{Store: opts.Store, RetainSegments: true})
+		re, err := OpenDurable(crashDir, DurableOptions{RetainSegments: true})
 		if err != nil {
 			t.Fatalf("%s: crash-copy reopen failed: %v", ctx, err)
 		}
@@ -287,7 +289,7 @@ func runFaultSchedule(t *testing.T, ctx string, plan map[uint64]iox.Fault) sched
 	if err := d.Close(); err != nil {
 		t.Fatalf("%s: close after heal: %v", ctx, err)
 	}
-	re, err := OpenDurable(dir, DurableOptions{Store: opts.Store})
+	re, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatalf("%s: final reopen: %v", ctx, err)
 	}
@@ -513,7 +515,7 @@ func TestReopenFaultSweep(t *testing.T) {
 // rename leaves *.tmp garbage; reopen must prune it and recover.
 func TestStrayTmpPruned(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	d, err := OpenDurable(dir, employeeDurableOpts(MaintenanceRecheck))
+	d, err := OpenDurable(dir, employeeDurableOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +531,7 @@ func TestStrayTmpPruned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	re, err := OpenDurable(dir, DurableOptions{Store: Options{Maintenance: MaintenanceRecheck}})
+	re, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatalf("reopen with stray tmp files: %v", err)
 	}
@@ -553,7 +555,7 @@ func TestStrayTmpPruned(t *testing.T) {
 // name), the open succeeds degraded instead of failing.
 func TestDegradedOpenServesReads(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	d, err := OpenDurable(dir, employeeDurableOpts(MaintenanceRecheck))
+	d, err := OpenDurable(dir, employeeDurableOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +584,7 @@ func TestDegradedOpenServesReads(t *testing.T) {
 	if err := os.Mkdir(squat, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDurable(dir, DurableOptions{Store: Options{Maintenance: MaintenanceRecheck}})
+	re, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatalf("open should degrade, not fail: %v", err)
 	}

@@ -256,7 +256,7 @@ func (d *durable) reestablish() error {
 		d.w.f = nil
 	}
 	seq := d.w.nextSeq - 1
-	if err := writeCheckpoint(d.env, d.dir, d.st, d.st.View(), d.st.rel.NextMark(), seq, d.opts); err != nil {
+	if err := writeCheckpoint(d.env, d.dir, d.st, d.st.View(), d.st.rel.NextMark(), seq); err != nil {
 		d.cause = err
 		return err
 	}

@@ -35,9 +35,9 @@ func (a handleState) equal(b handleState) bool {
 
 // assertReopensTo reopens dir and requires the instance and allocator
 // watermark of want (counters are per-process and restart at zero).
-func assertReopensTo(t *testing.T, dir string, opts Options, want handleState) {
+func assertReopensTo(t *testing.T, dir string, want handleState) {
 	t.Helper()
-	re, err := OpenDurable(dir, DurableOptions{Store: opts})
+	re, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -63,13 +63,13 @@ func TestHandleDurabilitySurface(t *testing.T) {
 	}{
 		{
 			name:     "memory",
-			open:     func(*testing.T) *Concurrent { return NewConcurrent(ws.s, ws.fds, Options{}) },
+			open:     func(*testing.T) *Concurrent { return NewConcurrent(ws.s, ws.fds) },
 			openMode: "memory", closedMode: "memory",
 		},
 		{
 			name: "durable",
 			open: func(t *testing.T) *Concurrent {
-				c, err := OpenDurable(filepath.Join(t.TempDir(), "wal"), employeeDurableOpts(MaintenanceIncremental))
+				c, err := OpenDurable(filepath.Join(t.TempDir(), "wal"), employeeDurableOpts())
 				if err != nil {
 					t.Fatalf("open: %v", err)
 				}
@@ -150,7 +150,7 @@ func (b *blockingFS) Create(name string) (iox.File, error) {
 // reopen to the pre-close state, whichever manifest won.
 func TestCloseDuringCheckpoint(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	opts := employeeDurableOpts(MaintenanceIncremental)
+	opts := employeeDurableOpts()
 	opts.GroupCommit = 8 // Close has an unsynced suffix to flush
 	c, err := OpenDurable(dir, opts)
 	if err != nil {
@@ -177,7 +177,7 @@ func TestCloseDuringCheckpoint(t *testing.T) {
 		t.Fatalf("Checkpoint overtaken by Close: %v", err)
 	}
 
-	assertReopensTo(t, dir, opts.Store, want)
+	assertReopensTo(t, dir, want)
 }
 
 func commitRows(c *Concurrent, rows ...[]string) error {
@@ -194,7 +194,7 @@ func commitRows(c *Concurrent, rows ...[]string) error {
 // exactly one record per accepted commit and none otherwise.
 func TestOneRecordPerCommit(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	opts := employeeDurableOpts(MaintenanceIncremental)
+	opts := employeeDurableOpts()
 	c, err := OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -228,5 +228,5 @@ func TestOneRecordPerCommit(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	assertReopensTo(t, dir, opts.Store, want)
+	assertReopensTo(t, dir, want)
 }

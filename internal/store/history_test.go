@@ -111,7 +111,7 @@ func assertReadsMatchScan(t *testing.T, step int, preds []query.Pred, stores ...
 		for _, p := range preds {
 			if got, want := st.Query(p), query.Select(snap, p); !got.Equal(want) {
 				t.Fatalf("step %d (%s engine): Query(%s) = sure %v maybe %v, the scan says sure %v maybe %v\n%s",
-					step, st.Maintenance(), p, got.Sure, got.Maybe, want.Sure, want.Maybe, snap)
+					step, engine(st.recheck), p, got.Sure, got.Maybe, want.Sure, want.Maybe, snap)
 			}
 		}
 	}
@@ -120,9 +120,9 @@ func assertReadsMatchScan(t *testing.T, step int, preds []query.Pred, stores ...
 func runHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	qrng := rand.New(rand.NewSource(seed))
-	inc := New(ws.s, ws.fds, Options{Maintenance: MaintenanceIncremental})
-	rec := New(ws.s, ws.fds, Options{Maintenance: MaintenanceRecheck})
-	if !inc.incrementalMode() || rec.incrementalMode() {
+	inc := New(ws.s, ws.fds, Options{})
+	rec, err := NewRecheckOracle(ws.s, ws.fds, relation.New(ws.s))
+	if err != nil || inc.recheck || !rec.recheck {
 		t.Fatal("engine selection is broken")
 	}
 	randCell := func(a schema.Attr) string {

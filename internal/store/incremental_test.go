@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,24 +12,28 @@ import (
 	"fdnull/internal/value"
 )
 
+// TestMaintenanceFlag: a manifest's engine lines accept exactly what
+// every version writes — "maintenance incremental", "xrules false" —
+// and refuse any other engine or X-rules spelling.
 func TestMaintenanceFlag(t *testing.T) {
 	for _, tc := range []struct {
-		in   string
-		want Maintenance
+		maintenance, xrules string
+		ok                  bool
 	}{
-		{"incremental", MaintenanceIncremental},
-		{"recheck", MaintenanceRecheck},
+		{"incremental", "false", true},
+		{"recheck", "false", false},
+		{"bogus", "false", false},
+		{"incremental", "true", false},
+		{"incremental", "0", false},
 	} {
-		got, err := parseMaintenance(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("parseMaintenance(%q) = %v, %v", tc.in, got, err)
+		data := fmt.Sprintf("fdwal 1\nmaintenance %s\nxrules %s\ncheckpoint %s\nckptseq 3\n", tc.maintenance, tc.xrules, ckptName(3))
+		m, err := parseManifest(data)
+		if (err == nil) != tc.ok {
+			t.Errorf("maintenance %s, xrules %s: parse error %v, want ok=%t", tc.maintenance, tc.xrules, err, tc.ok)
 		}
-		if got.String() != tc.in {
-			t.Errorf("String round trip: %q != %q", got.String(), tc.in)
+		if tc.ok && m.render() != data {
+			t.Errorf("render round trip: %q != %q", m.render(), data)
 		}
-	}
-	if _, err := parseMaintenance("bogus"); err == nil {
-		t.Error("bogus engine must not parse")
 	}
 }
 
@@ -36,7 +41,7 @@ func TestMaintenanceFlag(t *testing.T) {
 // on the incremental path directly: shared unknown contracts are linked
 // into one class, and learning one value fixes every member in place.
 func TestIncrementalNECPropagation(t *testing.T) {
-	st := employeeStore(Options{Maintenance: MaintenanceIncremental})
+	st := employeeStore(engIncremental)
 	for _, row := range [][]string{
 		{"e1", "s1", "d3", "-"},
 		{"e2", "s2", "d3", "-"},
@@ -67,7 +72,7 @@ func TestIncrementalNECPropagation(t *testing.T) {
 // delegates rejections to the recheck path, so the error is the same
 // InconsistencyError with a full chase witness.
 func TestIncrementalRejectCarriesChaseWitness(t *testing.T) {
-	st := employeeStore(Options{Maintenance: MaintenanceIncremental})
+	st := employeeStore(engIncremental)
 	if err := st.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +93,7 @@ func TestIncrementalRejectCarriesChaseWitness(t *testing.T) {
 	// A cascading rejection: the conflict is only reachable through a
 	// null-class substitution, so no single group sweep sees it up
 	// front — the propagation itself must catch it and roll back.
-	st2 := employeeStore(Options{Maintenance: MaintenanceIncremental})
+	st2 := employeeStore(engIncremental)
 	for _, row := range [][]string{
 		{"e1", "s1", "d1", "-"},
 		{"e2", "s2", "d2", "ct2"},
@@ -118,7 +123,7 @@ func TestFromRelation(t *testing.T) {
 		[]*schema.Domain{schema.IntDomain("da", "a", 4), schema.IntDomain("db", "b", 4)})
 	fds := fd.MustParseSet(s, "A -> B")
 	good := relation.MustFromRows(s, []string{"a1", "b1"}, []string{"a2", "-"})
-	st, err := FromRelation(s, fds, good, Options{})
+	st, err := FromRelation(s, fds, good)
 	if err != nil || st.Len() != 2 {
 		t.Fatalf("FromRelation: %v (len %d)", err, st.Len())
 	}
@@ -126,7 +131,7 @@ func TestFromRelation(t *testing.T) {
 		t.Fatal("loaded store must satisfy the invariant")
 	}
 	bad := relation.MustFromRows(s, []string{"a1", "b1"}, []string{"a1", "b2"})
-	if _, err := FromRelation(s, fds, bad, Options{}); err == nil {
+	if _, err := FromRelation(s, fds, bad); err == nil {
 		t.Fatal("contradictory instance must be rejected")
 	}
 	if good.Len() != 2 {
@@ -139,8 +144,7 @@ func TestFromRelation(t *testing.T) {
 // rebuild's reset — otherwise histories diverge on the marks of later
 // nulls.
 func TestIncrementalFreshMarkParity(t *testing.T) {
-	mk := func(m Maintenance) *Store { return employeeStore(Options{Maintenance: m}) }
-	inc, rec := mk(MaintenanceIncremental), mk(MaintenanceRecheck)
+	inc, rec := employeeStore(engIncremental), employeeStore(engRecheck)
 	ops := func(st *Store) []string {
 		var trace []string
 		check := func(err error) {
@@ -181,8 +185,8 @@ func TestIncrementalFreshMarkParity(t *testing.T) {
 // mutation — recycling would silently alias two unrelated unknowns into
 // one null-equivalence class. Both engines keep the allocator monotone.
 func TestFreshNullNeverRecycled(t *testing.T) {
-	for _, m := range []Maintenance{MaintenanceIncremental, MaintenanceRecheck} {
-		st := employeeStore(Options{Maintenance: m})
+	for _, m := range bothEngines {
+		st := employeeStore(m)
 		held := st.FreshNull() // handed out, not yet stored
 		if err := st.InsertRow("e2", "s2", "d2", "ct2"); err != nil {
 			t.Fatal(err)
@@ -210,8 +214,8 @@ func TestFreshNullNeverRecycled(t *testing.T) {
 // reject it identically — the incremental path routes it to the recheck
 // chase, which poisons the cell.
 func TestNothingInsertRejectedByBothEngines(t *testing.T) {
-	for _, m := range []Maintenance{MaintenanceIncremental, MaintenanceRecheck} {
-		st := employeeStore(Options{Maintenance: m})
+	for _, m := range bothEngines {
+		st := employeeStore(m)
 		if err := st.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 			t.Fatal(err)
 		}

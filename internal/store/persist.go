@@ -25,12 +25,12 @@ func (st *Store) Save(w io.Writer) error {
 // instance is chased immediately: a file whose rows contradict its own
 // dependencies is rejected with an InconsistencyError rather than loaded
 // silently.
-func Load(r io.Reader, opts Options) (*Store, error) {
+func Load(r io.Reader) (*Store, error) {
 	parsed, err := relio.Parse(r)
 	if err != nil {
 		return nil, err
 	}
-	return FromRelation(parsed.Scheme, parsed.FDs, parsed.Relation, opts)
+	return FromRelation(parsed.Scheme, parsed.FDs, parsed.Relation)
 }
 
 // String renders the store compactly for logs.

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	rows := [][]string{
 		{"e1", "s1", "d1", "ct1"},
 		{"e2", "-", "d1", "-"},  // chased: CT forced to ct1
@@ -25,7 +25,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := st.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(strings.NewReader(buf.String()), Options{})
+	loaded, err := Load(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatalf("load failed: %v\n%s", err, buf.String())
 	}
@@ -57,7 +57,7 @@ fd A -> B
 row x x
 row x y
 `
-	_, err := Load(strings.NewReader(bad), Options{})
+	_, err := Load(strings.NewReader(bad))
 	var ierr *InconsistencyError
 	if !errors.As(err, &ierr) {
 		t.Fatalf("expected InconsistencyError, got %v", err)
@@ -65,13 +65,13 @@ row x y
 }
 
 func TestLoadRejectsBadSyntax(t *testing.T) {
-	if _, err := Load(strings.NewReader("junk"), Options{}); err == nil {
+	if _, err := Load(strings.NewReader("junk")); err == nil {
 		t.Error("syntax errors must propagate")
 	}
 }
 
 func TestStoreString(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	_ = st.InsertRow("e1", "-", "d1", "ct1")
 	got := st.String()
 	if !strings.Contains(got, "1 tuples") || !strings.Contains(got, "2 FDs") {

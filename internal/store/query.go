@@ -3,7 +3,7 @@
 // indexes the write path already keeps fresh.
 //
 // Querying a *store* is strictly sharper than querying the raw input
-// relation, because the stored instance is always chase-normalized
+// relation, because the stored instance is always in chase normal form
 // (minimally incomplete): every null the dependencies force has been
 // substituted, and nulls one NEC class proved equal share one mark. The
 // analytic atoms then *decide* comparisons raw data leaves open —

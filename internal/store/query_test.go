@@ -29,7 +29,7 @@ func refineScheme() (*schema.Scheme, []fd.FD) {
 // the stored tuples confirms every promotion is a certainty, not a
 // guess.
 func TestStoreQueryRefinement(t *testing.T) {
-	for _, m := range []Maintenance{MaintenanceIncremental, MaintenanceRecheck} {
+	for _, m := range bothEngines {
 		t.Run(m.String(), func(t *testing.T) {
 			s, fds := refineScheme()
 			rows := [][]string{
@@ -37,7 +37,7 @@ func TestStoreQueryRefinement(t *testing.T) {
 				{"e1", "-", "d2"}, // SL forced to s10 by E# -> SL
 				{"e2", "-", "d1"}, // SL genuinely unknown
 			}
-			st := New(s, fds, Options{Maintenance: m})
+			st := m.on(New(s, fds, Options{}))
 			for _, row := range rows {
 				if err := st.InsertRow(row...); err != nil {
 					t.Fatal(err)
@@ -68,7 +68,7 @@ func TestStoreQueryRefinement(t *testing.T) {
 			dom := schema.IntDomain("d", "v", 6)
 			s2 := schema.Uniform("S", []string{"A", "B", "C"}, dom)
 			fds2 := fd.MustParseSet(s2, "A -> B; A -> C")
-			st2 := New(s2, fds2, Options{Maintenance: m})
+			st2 := m.on(New(s2, fds2, Options{}))
 			if err := st2.InsertRow("v1", "-1", "-1"); err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +235,7 @@ func TestConcurrentQuery(t *testing.T) {
 // Snapshot reads its begin-time state even after other writers commit.
 func TestTxnQuerySnapshotIsolation(t *testing.T) {
 	s, fds := refineScheme()
-	c := NewConcurrent(s, fds, Options{})
+	c := NewConcurrent(s, fds)
 	if err := c.InsertRow("e1", "s10", "d1"); err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func assertNoTrace(t *testing.T, label string, st *Store, before rollbackTrace) 
 	if _, built := st.rel.IndexCounts(); built != before.built {
 		t.Errorf("%s: index builds %d -> %d: a write-set that did not commit left an index to rebuild", label, before.built, built)
 	}
-	if !st.incrementalMode() {
+	if st.recheck {
 		return
 	}
 	if st.marks == nil {
@@ -206,7 +206,7 @@ func TestRollbackLeavesNoTrace(t *testing.T) {
 	for _, tc := range cases {
 		for _, mode := range []string{"rejected", "discarded"} {
 			t.Run(tc.name+"/"+mode, func(t *testing.T) {
-				st := employeeStore(Options{})
+				st := employeeStore(engIncremental)
 				for _, row := range tc.base {
 					if err := st.InsertRow(row...); err != nil {
 						t.Fatal(err)
@@ -263,7 +263,7 @@ func TestRollbackLeavesNoTrace(t *testing.T) {
 // place — and is refused by the other, so the coordinator discards the
 // healthy shard. Both shards must be as they were.
 func TestShardedDiscardLeavesNoTrace(t *testing.T) {
-	sh, _, _ := mustSharded(t, 2, Options{})
+	sh, _, _ := mustSharded(t, 2, engIncremental)
 	row := func(k int, a, b string) relation.Tuple {
 		cell := func(c string) value.V {
 			v, err := value.Parse(c)

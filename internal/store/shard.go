@@ -79,8 +79,6 @@ type ShardedOptions struct {
 	// dependency's LHS (see the soundness argument above); tuples must
 	// be constant on it.
 	Key schema.AttrSet
-	// Store configures each shard's underlying store.
-	Store Options
 }
 
 // Sharded is a hash-sharded constraint-maintained store: S independent
@@ -121,7 +119,7 @@ func NewSharded(s *schema.Scheme, fds []fd.FD, opts ShardedOptions) (*Sharded, e
 		shards:   make([]*Concurrent, opts.Shards),
 	}
 	for i := range sh.shards {
-		sh.shards[i] = NewConcurrent(s, fds, opts.Store)
+		sh.shards[i] = NewConcurrent(s, fds)
 	}
 	sh.nextMark = sh.shards[0].st.NextMark()
 	return sh, nil
@@ -162,7 +160,6 @@ func OpenShardedDurable(dir string, s *schema.Scheme, fds []fd.FD, opts ShardedO
 	}
 	dopts.Scheme = s
 	dopts.FDs = fds
-	dopts.Store = opts.Store
 	for i := 0; i < opts.Shards; i++ {
 		c, err := OpenDurable(filepath.Join(dir, fmt.Sprintf("shard-%02d", i)), dopts)
 		if err != nil {

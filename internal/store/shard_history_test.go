@@ -32,16 +32,17 @@ func TestShardedHistoryVsOracle(t *testing.T) {
 	if testing.Short() {
 		txns = 60
 	}
-	for _, m := range []Maintenance{MaintenanceIncremental, MaintenanceRecheck} {
+	for _, m := range bothEngines {
 		for _, shards := range []int{1, 3, 8} {
 			t.Run(fmt.Sprintf("%s/S=%d", m, shards), func(t *testing.T) {
 				s, fds := shardScheme()
 				key := fd.MustParseSet(s, "K -> A")[0].X
-				sh, err := NewSharded(s, fds, ShardedOptions{Shards: shards, Key: key, Store: Options{Maintenance: m}})
+				sh, err := NewSharded(s, fds, ShardedOptions{Shards: shards, Key: key})
 				if err != nil {
 					t.Fatalf("NewSharded: %v", err)
 				}
-				oracle := New(s, fds, Options{Maintenance: m})
+				m.onSharded(sh)
+				oracle := m.on(New(s, fds, Options{}))
 				rng := rand.New(rand.NewSource(int64(7*shards) + int64(len(m.String()))))
 				runShardedHistory(t, rng, sh, oracle, txns, 4)
 			})
@@ -53,7 +54,7 @@ func TestShardedHistoryVsOracle(t *testing.T) {
 	// oracleSlots below keeps the dense table it is checked against.
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("long write-sets/S=%d", shards), func(t *testing.T) {
-			sh, s, fds := mustSharded(t, shards, Options{})
+			sh, s, fds := mustSharded(t, shards, engIncremental)
 			runShardedHistory(t, rand.New(rand.NewSource(int64(13*shards))), sh, New(s, fds, Options{}), txns, 12)
 		})
 	}
@@ -275,7 +276,7 @@ func TestShardedRoutedReadsMatchAllShards(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("key=K/S=%d", shards), func(t *testing.T) {
-			sh, s, fds := mustSharded(t, shards, Options{})
+			sh, s, fds := mustSharded(t, shards, engIncremental)
 			runShardedHistory(t, rand.New(rand.NewSource(int64(31*shards))), sh, New(s, fds, Options{}), steps, 4)
 		})
 		t.Run(fmt.Sprintf("key=K,J/S=%d", shards), func(t *testing.T) {
@@ -672,7 +673,7 @@ func TestShardedInterleavedConflictDivergence(t *testing.T) {
 		t.Fatalf("sharded tx2 (disjoint shards) should commit, got %v", err)
 	}
 
-	c := NewConcurrent(s, fds, Options{})
+	c := NewConcurrent(s, fds)
 	otx1, otx2 := c.BeginTxn(), c.BeginTxn()
 	if err := otx1.InsertRow(k1, "a1", "b1"); err != nil {
 		t.Fatalf("stage: %v", err)

@@ -29,14 +29,14 @@ func shardScheme() (*schema.Scheme, []fd.FD) {
 	return s, fd.MustParseSet(s, "K -> A; K -> B")
 }
 
-func mustSharded(t *testing.T, shards int, opts Options) (*Sharded, *schema.Scheme, []fd.FD) {
+func mustSharded(t *testing.T, shards int, e engine) (*Sharded, *schema.Scheme, []fd.FD) {
 	t.Helper()
 	s, fds := shardScheme()
-	sh, err := NewSharded(s, fds, ShardedOptions{Shards: shards, Key: fd.MustParseSet(s, "K -> A")[0].X, Store: opts})
+	sh, err := NewSharded(s, fds, ShardedOptions{Shards: shards, Key: fd.MustParseSet(s, "K -> A")[0].X})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
-	return sh, s, fds
+	return e.onSharded(sh), s, fds
 }
 
 // stateKeys renders a relation's content as a sorted multiset of tuple
@@ -91,7 +91,7 @@ func TestShardedOptionsValidation(t *testing.T) {
 }
 
 func TestShardedRoutingDeterministic(t *testing.T) {
-	sh, s, _ := mustSharded(t, 8, Options{})
+	sh, s, _ := mustSharded(t, 8, engIncremental)
 	seen := map[int]int{}
 	for i := 1; i <= 64; i++ {
 		tup := relation.Tuple{value.NewConst(fmt.Sprintf("k%d", i)), value.NewConst("a1"), value.NewConst("b1")}
@@ -125,10 +125,10 @@ func TestShardedRoutingDeterministic(t *testing.T) {
 }
 
 func TestShardedBasicOpsMatchOracle(t *testing.T) {
-	for _, m := range []Maintenance{MaintenanceIncremental, MaintenanceRecheck} {
+	for _, m := range bothEngines {
 		t.Run(m.String(), func(t *testing.T) {
-			sh, s, fds := mustSharded(t, 4, Options{Maintenance: m})
-			oracle := New(s, fds, Options{Maintenance: m})
+			sh, s, fds := mustSharded(t, 4, m)
+			oracle := m.on(New(s, fds, Options{}))
 
 			rows := [][]string{
 				{"k1", "a1", "b1"},
@@ -192,9 +192,9 @@ func TestShardedBasicOpsMatchOracle(t *testing.T) {
 // after the commit shows every op applied, and a rejected cross-shard
 // set leaves every shard untouched and the allocator restored.
 func TestShardedTxnCrossShard(t *testing.T) {
-	for _, m := range []Maintenance{MaintenanceIncremental, MaintenanceRecheck} {
+	for _, m := range bothEngines {
 		t.Run(m.String(), func(t *testing.T) {
-			sh, _, _ := mustSharded(t, 4, Options{Maintenance: m})
+			sh, _, _ := mustSharded(t, 4, m)
 			tx := sh.BeginTxn()
 			shardsTouched := map[int]bool{}
 			for i := 1; i <= 8; i++ {
@@ -287,7 +287,7 @@ func TestShardedTxnCrossShard(t *testing.T) {
 }
 
 func TestShardedTxnConflict(t *testing.T) {
-	sh, _, _ := mustSharded(t, 4, Options{})
+	sh, _, _ := mustSharded(t, 4, engIncremental)
 	if err := sh.InsertRow("k1", "a1", "b1"); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -359,7 +359,7 @@ func TestShardedTxnConflict(t *testing.T) {
 }
 
 func TestShardedCrossShardKeyMove(t *testing.T) {
-	sh, s, _ := mustSharded(t, 8, Options{})
+	sh, s, _ := mustSharded(t, 8, engIncremental)
 	if err := sh.InsertRow("k1", "a1", "b1"); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -439,7 +439,7 @@ func TestShardedCrossShardKeyMove(t *testing.T) {
 // updates later in one write-set address the committed state as evolved
 // by the set's own earlier swap-and-pop deletes.
 func TestShardedTxnWriteSetOrdering(t *testing.T) {
-	sh, s, _ := mustSharded(t, 1, Options{}) // one shard: all ops collide in one stream
+	sh, s, _ := mustSharded(t, 1, engIncremental) // one shard: all ops collide in one stream
 	rows := [][]string{{"k1", "a1", "b1"}, {"k2", "a2", "b2"}, {"k3", "a3", "b3"}}
 	for _, r := range rows {
 		if err := sh.InsertRow(r...); err != nil {
@@ -488,7 +488,7 @@ func TestShardedTxnWriteSetOrdering(t *testing.T) {
 }
 
 func TestShardedQueryAndFind(t *testing.T) {
-	sh, s, _ := mustSharded(t, 4, Options{})
+	sh, s, _ := mustSharded(t, 4, engIncremental)
 	for i := 1; i <= 12; i++ {
 		if err := sh.InsertRow(fmt.Sprintf("k%d", i), fmt.Sprintf("a%d", i%4+1), "b1"); err != nil {
 			t.Fatalf("seed: %v", err)
@@ -728,7 +728,7 @@ func TestShardedReadAfterWriteBuildsNothing(t *testing.T) {
 // key's home shard and of no other, while the same read with the key
 // under ∨ moves all four.
 func TestShardedPointReadProbesHomeShardOnly(t *testing.T) {
-	sh, s, _ := mustSharded(t, 4, Options{})
+	sh, s, _ := mustSharded(t, 4, engIncremental)
 	attrK, attrA := s.MustAttr("K"), s.MustAttr("A")
 	for i := 1; i <= 64; i++ {
 		if err := sh.InsertRow(fmt.Sprintf("k%d", i), fmt.Sprintf("a%d", 1+i%16), "b1"); err != nil {

@@ -15,13 +15,13 @@
 //     mutation, substituting exactly the nulls the dependencies force
 //     ("the only value that a user can insert without the creation of an
 //     inconsistency") and recording the induced NEC classes as shared
-//     marks;
-//   - optionally the Section 4 X-side substitution rules run as well
-//     (ApplyXRules), completing determinant nulls when the domain forces
-//     them.
+//     marks.
 //
 // The stored instance therefore always weakly satisfies F, and every
 // stored constant is a certain consequence of user-provided data.
+// Section 4's X-side substitution rules are domain-dependent and, as the
+// paper recommends, not part of the maintained invariant; they stay
+// available on a relation as chase.ApplyXSubstitutions.
 //
 // # One write path, one maintenance engine and its oracle
 //
@@ -31,20 +31,21 @@
 // the NS-closure of a set of changes does not depend on the order they
 // are processed in (Theorem 4), so the two cannot differ.
 //
-// MaintenanceIncremental — the zero value of Options, and the only
-// engine a CLI flag, a tenant config or the fdnull facade can reach —
-// exploits that the stored instance is always a chase fixpoint: a delta
-// can only fire NS-rules inside the partition groups it touches, so the
-// engine applies the write-set in place and sweeps just those groups,
-// propagating forced substitutions through a worklist over the
-// delta-maintained X-partition indexes (incremental.go) — O(affected
-// groups) per accepted commit, one sweep per group however many of its
-// rows the write-set staged. MaintenanceRecheck is its oracle: clone the
-// instance, apply the write-set, run one extended chase — O(n) per
-// commit. It is what rejections and ApplyXRules stores delegate to, and
-// what history_test.go and txn_history_test.go replay randomized
-// operation histories against: the two agree verdict-for-verdict and
-// state-for-state, tuple order included.
+// The store maintains the invariant incrementally, and that is the only
+// engine a constructor other than NewRecheckOracle builds: the stored
+// instance is always a chase fixpoint, so a delta can only fire NS-rules
+// inside the partition groups it touches, and the engine applies the
+// write-set in place and sweeps just those groups, propagating forced
+// substitutions through a worklist over the delta-maintained X-partition
+// indexes (incremental.go) — O(affected groups) per accepted commit, one
+// sweep per group however many of its rows the write-set staged. The
+// recheck preparer is its oracle: clone the instance, apply the
+// write-set, run one extended chase — O(n) per commit. It is what
+// rejections delegate to, and what a store built by NewRecheckOracle
+// commits through, which is how history_test.go, txn_history_test.go
+// and fdbench's agreement sweeps replay randomized operation histories
+// against it: the two agree verdict-for-verdict and state-for-state,
+// tuple order included.
 package store
 
 import (
@@ -59,54 +60,11 @@ import (
 	"fdnull/internal/value"
 )
 
-// Maintenance selects the engine that re-establishes the store invariant
-// after each mutation.
-type Maintenance int
-
-const (
-	// MaintenanceIncremental re-verifies only the partition groups the
-	// write-set touches and propagates NS-substitutions from the staged
-	// rows (the default).
-	MaintenanceIncremental Maintenance = iota
-	// MaintenanceRecheck clones the instance and re-chases it from
-	// scratch on every commit; kept as the differential ground truth
-	// the incremental engine is tested against.
-	MaintenanceRecheck
-)
-
-// String returns the WAL manifest spelling of the engine.
-func (m Maintenance) String() string {
-	switch m {
-	case MaintenanceIncremental:
-		return "incremental"
-	case MaintenanceRecheck:
-		return "recheck"
-	}
-	return fmt.Sprintf("Maintenance(%d)", int(m))
-}
-
-// parseMaintenance reads the engine a WAL manifest was written under.
-func parseMaintenance(s string) (Maintenance, error) {
-	switch s {
-	case "incremental":
-		return MaintenanceIncremental, nil
-	case "recheck":
-		return MaintenanceRecheck, nil
-	}
-	return 0, fmt.Errorf("store: unknown maintenance engine %q (want incremental or recheck)", s)
-}
-
-// Options configure a store.
-type Options struct {
-	// ApplyXRules additionally runs the Section 4 X-side substitution
-	// rules after each mutation (domain-dependent; off by default, as the
-	// paper recommends). The X-rules scan the whole instance, so they
-	// force the recheck path regardless of Maintenance.
-	ApplyXRules bool
-	// Maintenance selects the invariant-maintenance engine; the zero
-	// value is MaintenanceIncremental.
-	Maintenance Maintenance
-}
+// Options is a fieldless struct that configures nothing: a store has
+// one maintenance engine, and the recheck oracle is a constructor
+// (NewRecheckOracle), not an option. It remains only as New's third
+// parameter, which the repository benchmark still passes.
+type Options struct{}
 
 // Store is a relation instance guarded by a set of functional
 // dependencies under weak satisfiability. It is not safe for concurrent
@@ -116,8 +74,10 @@ type Store struct {
 	scheme *schema.Scheme
 	fds    []fd.FD
 	rel    *relation.Relation
-	opts   Options
-	marks  map[int][]cellRef // mark → cells, the incremental engine's (incremental.go); nil until its first commit
+	// recheck commits through the recheck preparer, the per-commit
+	// oracle (txn.go); only NewRecheckOracle sets it.
+	recheck bool
+	marks   map[int][]cellRef // mark → cells, the incremental engine's (incremental.go); nil until its first commit
 	// mutation counters, exposed for observability and tests.
 	inserts, updates, deletes, rejected int
 	// wal is the durability state OpenDurable attaches (recovery.go); nil
@@ -155,23 +115,23 @@ func (e *InconsistencyError) Error() string {
 func (e *InconsistencyError) Unwrap() error { return ErrInconsistent }
 
 // New creates an empty store over s guarded by fds.
-func New(s *schema.Scheme, fds []fd.FD, opts Options) *Store {
-	return &Store{scheme: s, fds: fds, rel: relation.New(s), opts: opts}
+func New(s *schema.Scheme, fds []fd.FD, _ Options) *Store {
+	return &Store{scheme: s, fds: fds, rel: relation.New(s)}
 }
 
 // FromRelation builds a store over an existing instance, chasing it once
 // (one O(n) pass instead of n guarded inserts) and rejecting instances
 // that contradict the dependencies. r is only read: the chase builds the
 // stored instance afresh.
-func FromRelation(s *schema.Scheme, fds []fd.FD, r *relation.Relation, opts Options) (*Store, error) {
-	st := New(s, fds, opts)
-	cur, rejected, err := st.resolve(r)
+func FromRelation(s *schema.Scheme, fds []fd.FD, r *relation.Relation) (*Store, error) {
+	res, err := chase.Run(r, fds, chase.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if rejected != nil {
-		return nil, &InconsistencyError{Op: "load", Chase: rejected}
+	if !res.Consistent {
+		return nil, &InconsistencyError{Op: "load", Chase: res}
 	}
+	cur := res.Relation
 	// The chase rebuilds its result relation, resetting the fresh-mark
 	// allocator to (max surviving mark)+1; carry r's watermark over so a
 	// mark the source already spent is never recycled and silently
@@ -179,7 +139,20 @@ func FromRelation(s *schema.Scheme, fds []fd.FD, r *relation.Relation, opts Opti
 	if nm := r.NextMark(); nm > cur.NextMark() {
 		cur.SetNextMark(nm)
 	}
-	st.rel = cur
+	return &Store{scheme: s, fds: fds, rel: cur}, nil
+}
+
+// NewRecheckOracle is FromRelation for the oracle: the store it builds
+// commits every write-set by cloning the instance, applying the set and
+// running one extended chase, O(n) per commit. It exists for the
+// differential tests and fdbench's agreement sweeps, which hold the
+// incremental engine to it verdict for verdict and state for state.
+func NewRecheckOracle(s *schema.Scheme, fds []fd.FD, r *relation.Relation) (*Store, error) {
+	st, err := FromRelation(s, fds, r)
+	if err != nil {
+		return nil, err
+	}
+	st.recheck = true
 	return st, nil
 }
 
@@ -217,7 +190,7 @@ func (st *Store) TupleView(i int) relation.Tuple { return st.rel.Tuple(i) }
 
 // Find returns the index of the stored tuple syntactically identical to
 // t (same constants, marks, and nothings), or -1. Every delete is a
-// swap-and-pop, under either engine, so a tuple's index changes when an
+// swap-and-pop, so a tuple's index changes when an
 // earlier one is deleted; content lookup is the stable way to address
 // one tuple across mutations.
 func (st *Store) Find(t relation.Tuple) int { return st.rel.FindIdentical(t) }
@@ -240,59 +213,10 @@ func (st *Store) Version() uint64 { return st.rel.Version() }
 // FreshNull allocates a null mark unused in the store.
 func (st *Store) FreshNull() value.V { return st.rel.FreshNull() }
 
-// Maintenance reports the configured maintenance engine.
-func (st *Store) Maintenance() Maintenance { return st.opts.Maintenance }
-
 // Stats reports the mutation counters: inserts, updates, deletes
 // accepted, and mutations rejected.
 func (st *Store) Stats() (inserts, updates, deletes, rejected int) {
 	return st.inserts, st.updates, st.deletes, st.rejected
-}
-
-// incrementalMode reports whether mutations take the incremental path.
-// The X-rules re-scan the whole instance, so ApplyXRules forces the
-// recheck path to keep the engines behaviorally identical.
-func (st *Store) incrementalMode() bool {
-	return st.opts.Maintenance == MaintenanceIncremental && !st.opts.ApplyXRules
-}
-
-// resolve brings a tentative instance to the store's normal form: one
-// extended chase, plus — when configured — the Section 4 X-side
-// substitution rules iterated with re-chases. On consistency it returns
-// the resolved instance; on contradiction it returns the rejecting
-// chase result as the witness. It never touches store state, so the
-// rejection-attribution scan (txn.go: offendingOp) shares it and
-// decides prefixes under the store's configured semantics.
-func (st *Store) resolve(tentative *relation.Relation) (*relation.Relation, *chase.Result, error) {
-	res, err := chase.Run(tentative, st.fds, chase.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	if !res.Consistent {
-		return nil, res, nil
-	}
-	cur := res.Relation
-	if st.opts.ApplyXRules {
-		for {
-			next, subs, err := chase.ApplyXSubstitutions(cur, st.fds)
-			if err != nil {
-				return nil, nil, err
-			}
-			if len(subs) == 0 {
-				break
-			}
-			// X-substitutions may enable further NS-rules.
-			res2, err := chase.Run(next, st.fds, chase.Options{})
-			if err != nil {
-				return nil, nil, err
-			}
-			if !res2.Consistent {
-				return nil, res2, nil
-			}
-			cur = res2.Relation
-		}
-	}
-	return cur, nil, nil
 }
 
 // perOpNames spells the operation an InconsistencyError from a per-op
@@ -367,7 +291,7 @@ func validateUpdate(s *schema.Scheme, n, ti int, a schema.Attr, v value.V) error
 }
 
 // Delete removes a tuple by swap-and-pop: the last tuple moves into the
-// hole, under either maintenance engine. Deletion cannot introduce a
+// hole. Deletion cannot introduce a
 // violation (rules need pairs, and no surviving pair changed).
 func (st *Store) Delete(ti int) error {
 	return st.commitOne(txnOp{kind: txnDelete, ti: ti})

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fdnull/internal/chase"
 	"fdnull/internal/eval"
 	"fdnull/internal/fd"
 	"fdnull/internal/relation"
@@ -12,7 +13,48 @@ import (
 	"fdnull/internal/value"
 )
 
-func employeeStore(opts Options) *Store {
+// engine names a leg of the differential tests: the production
+// incremental engine, or the recheck oracle. NewRecheckOracle is the
+// oracle's one exported constructor; on puts a store of any shape —
+// per-op, concurrent, sharded, durable — on it through the unexported
+// flag, so each leg runs the same assertions on both.
+type engine bool
+
+const (
+	engIncremental engine = false
+	engRecheck     engine = true
+)
+
+var bothEngines = []engine{engIncremental, engRecheck}
+
+func (e engine) String() string {
+	if e {
+		return "recheck"
+	}
+	return "incremental"
+}
+
+// on puts st on engine e and returns it.
+func (e engine) on(st *Store) *Store {
+	st.recheck = bool(e)
+	return st
+}
+
+// onHandle puts a concurrent (or durable) handle's store on engine e.
+func (e engine) onHandle(c *Concurrent) *Concurrent {
+	e.on(c.st)
+	return c
+}
+
+// onSharded puts every shard of sh on engine e.
+func (e engine) onSharded(sh *Sharded) *Sharded {
+	for _, c := range sh.shards {
+		e.onHandle(c)
+	}
+	return sh
+}
+
+func employeeStore(e engine) *Store {
 	s := schema.MustNew("R",
 		[]string{"E#", "SL", "D#", "CT"},
 		[]*schema.Domain{
@@ -21,11 +63,11 @@ func employeeStore(opts Options) *Store {
 			schema.IntDomain("dept#", "d", 8),
 			schema.IntDomain("contract", "ct", 3),
 		})
-	return New(s, fd.MustParseSet(s, "E# -> SL,D#; D# -> CT"), opts)
+	return e.on(New(s, fd.MustParseSet(s, "E# -> SL,D#; D# -> CT"), Options{}))
 }
 
 func TestInsertTupleAndErrorText(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	tup := relation.Tuple{
 		value.NewConst("e1"), value.NewConst("s1"),
 		value.NewConst("d1"), value.NewConst("ct1"),
@@ -54,7 +96,7 @@ func TestInsertTupleAndErrorText(t *testing.T) {
 }
 
 func TestInsertAndInternalAcquisition(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	if err := st.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +116,7 @@ func TestInsertAndInternalAcquisition(t *testing.T) {
 }
 
 func TestInsertRejectedOnContradiction(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	if err := st.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +140,7 @@ func TestInsertRejectedOnContradiction(t *testing.T) {
 }
 
 func TestInsertConflictingContractRejected(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	if err := st.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +155,7 @@ func TestInsertConflictingContractRejected(t *testing.T) {
 }
 
 func TestUpdateNullToConstant(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	if err := st.InsertRow("e1", "-", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +173,7 @@ func TestUpdateNullToConstant(t *testing.T) {
 }
 
 func TestUpdateRejectedOnViolation(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	if err := st.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +203,7 @@ func TestUpdateRejectedOnViolation(t *testing.T) {
 }
 
 func TestUpdateValidation(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	if err := st.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +222,7 @@ func TestUpdateValidation(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	if err := st.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +243,7 @@ func TestDelete(t *testing.T) {
 func TestNECAcrossInserts(t *testing.T) {
 	// Two employees in the same unknown-contract department: their CT
 	// nulls must be linked (same canonical mark) by the NS-rules.
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	if err := st.InsertRow("e1", "s1", "d3", "-"); err != nil {
 		t.Fatal(err)
 	}
@@ -223,38 +265,40 @@ func TestNECAcrossInserts(t *testing.T) {
 }
 
 func TestXRulesOption(t *testing.T) {
-	// With ApplyXRules, a determinant null forced by the domain is
-	// completed (Section 4 condition 2).
+	// The Section 4 X-side rules are not part of the store's invariant:
+	// a determinant null the domain forces survives in the store, and
+	// chase.ApplyXSubstitutions completes it on the stored instance
+	// (Section 4 condition 2).
 	s := schema.MustNew("R", []string{"A", "B", "C"}, []*schema.Domain{
 		schema.MustDomain("domA", "a1", "a2"),
 		schema.IntDomain("domB", "b", 4),
 		schema.IntDomain("domC", "c", 4),
 	})
 	fds := fd.MustParseSet(s, "A,B -> C")
-	st := New(s, fds, Options{ApplyXRules: true})
+	st := New(s, fds, Options{})
 	if err := st.InsertRow("a1", "b1", "c2"); err != nil {
 		t.Fatal(err)
 	}
 	// (-, b1, c1): a1 is present and disagrees on C; the only other
-	// completion is a2 ⇒ the null must be a2.
+	// completion is a2 ⇒ the X-rules make the null a2.
 	if err := st.InsertRow("-", "b1", "c1"); err != nil {
 		t.Fatal(err)
 	}
 	a := st.Scheme().MustAttr("A")
-	if got := st.Tuple(1)[a]; !got.IsConst() || got.Const() != "a2" {
-		t.Errorf("A = %v, want a2 (X-side condition 2)", got)
+	if got := st.Tuple(1)[a]; !got.IsNull() {
+		t.Errorf("the store must not run the X-rules: A = %v, want a null", got)
 	}
-	// Without the option the null survives.
-	st2 := New(s, fds, Options{})
-	_ = st2.InsertRow("a1", "b1", "c2")
-	_ = st2.InsertRow("-", "b1", "c1")
-	if got := st2.Tuple(1)[a]; !got.IsNull() {
-		t.Errorf("without ApplyXRules the null must survive, got %v", got)
+	next, subs, err := chase.ApplyXSubstitutions(st.Snapshot(), fds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := next.Tuple(1)[a]; len(subs) != 1 || !got.IsConst() || got.Const() != "a2" {
+		t.Errorf("A = %v after %d X-substitutions, want a2 (X-side condition 2)", got, len(subs))
 	}
 }
 
 func TestCheckStrong(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	_ = st.InsertRow("e1", "s1", "d1", "ct1")
 	if !st.CheckStrong() {
 		t.Error("complete instance should be strong")
@@ -278,7 +322,7 @@ func TestStoreInvariantRandomOps(t *testing.T) {
 	// doomed; the invariant (weak satisfiability, ground truth) must
 	// survive every accepted mutation.
 	rng := rand.New(rand.NewSource(20250612))
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	s := st.Scheme()
 	randVal := func(a schema.Attr) string {
 		d := s.Domain(a)

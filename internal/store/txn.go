@@ -11,20 +11,19 @@
 // only (deferred checking, like SQL's DEFERRABLE INITIALLY DEFERRED):
 // the staged ops are applied structurally in order, then one
 // re-verification — one NS-propagation worklist seeded from all staged
-// rows, sweeping the partition groups they touch (incremental engine),
-// or one chase of the applied write-set (recheck engine, the per-commit
-// oracle) — decides the whole commit. A write-set whose intermediate
-// states would be rejected op by op can therefore commit if its final
-// state is consistent (insert a doomed tuple, then delete it), and
-// conversely a commit is rejected as a unit: either every staged op
-// takes effect or none does.
+// rows, sweeping the partition groups they touch (or, in the recheck
+// oracle, one chase of the applied write-set) — decides the whole
+// commit. A write-set whose intermediate states would be rejected op
+// by op can therefore commit if its final state is consistent (insert a
+// doomed tuple, then delete it), and conversely a commit is rejected
+// as a unit: either every staged op takes effect or none does.
 //
 // Staged tuple indices address the transaction's own evolving state:
 // the committed instance as of Begin, plus the effects of earlier
 // staged ops applied in order (inserts append at Len, updates overwrite
-// in place, deletes swap the last row into the hole — both maintenance
-// engines apply staged deletes by swap-and-pop, so index evolution
-// inside a commit is engine-independent).
+// in place, deletes swap the last row into the hole — the engine and
+// its oracle both apply staged deletes by swap-and-pop, so index
+// evolution inside a commit is the same under both).
 //
 // Marked nulls are transaction-scoped: an explicit ⊥k ("-k") staged in
 // several rows of one write-set denotes the SAME unknown across all of
@@ -52,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 
+	"fdnull/internal/chase"
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
 	"fdnull/internal/value"
@@ -317,7 +317,7 @@ type preparedTxn struct {
 	discard func() // roll every structural effect back; no-op when prepare staged on a clone
 }
 
-// prepareTxn runs the configured engine's whole commit pipeline —
+// prepareTxn runs the store's whole commit pipeline —
 // structural application, then NS-propagation or chase — stopping just
 // short of the point of no return. It is total over ops: every
 // structural defect (arity, domain, duplicate, range, a stored
@@ -328,10 +328,10 @@ type preparedTxn struct {
 // rejections bump the rejected counter on this store only, since only
 // the rejecting shard refused.
 func (st *Store) prepareTxn(ops []txnOp) (*preparedTxn, error) {
-	if st.incrementalMode() {
-		return st.prepareTxnIncremental(ops)
+	if st.recheck {
+		return st.prepareTxnRecheck(ops)
 	}
-	return st.prepareTxnRecheck(ops)
+	return st.prepareTxnIncremental(ops)
 }
 
 // ---- structural application (shared by both engines) ----
@@ -546,16 +546,17 @@ func (st *Store) prepareTxnRecheck(ops []txnOp) (*preparedTxn, error) {
 		}
 		counts[ops[k].kind]++
 	}
-	cur, rejectedChase, err := st.resolve(tentative)
+	res, err := chase.Run(tentative, st.fds, chase.Options{})
 	if err != nil {
 		return nil, err
 	}
-	if rejectedChase != nil {
+	if !res.Consistent {
 		st.rejected++
 		k := st.offendingOp(ops)
 		return nil, &TxnError{Op: k, OpDesc: ops[k].describe(st.scheme),
-			Err: &InconsistencyError{Op: "commit", Chase: rejectedChase}}
+			Err: &InconsistencyError{Op: "commit", Chase: res}}
 	}
+	cur := res.Relation
 	// The chase rebuilds its result relation, resetting the fresh-mark
 	// allocator to (max surviving mark)+1 and the mutation counter to
 	// zero. Restore monotonicity of both: a mark handed out by FreshNull
@@ -583,8 +584,8 @@ func (st *Store) prepareTxnRecheck(ops []txnOp) (*preparedTxn, error) {
 }
 
 // offendingOp attributes a rejected commit to the earliest staged op
-// whose prefix write-set is already unsatisfiable under the store's
-// configured semantics (resolve: chase plus the X-rules when enabled).
+// whose prefix write-set is already unsatisfiable (its extended chase
+// produces nothing).
 // Prefix consistency is not monotone (a later delete can remove a
 // conflict), so the scan is linear; it only runs on the rejection
 // path, after the full write-set was found inconsistent — the final
@@ -610,6 +611,6 @@ func (st *Store) rejects(ops []txnOp) bool {
 			return false
 		}
 	}
-	_, rejected, err := st.resolve(tent)
-	return err == nil && rejected != nil
+	res, err := chase.Run(tent, st.fds, chase.Options{})
+	return err == nil && !res.Consistent
 }

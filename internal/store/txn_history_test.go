@@ -91,8 +91,8 @@ func assertTxnCommitAgreement(t *testing.T, step int, errInc, errRec error, inc,
 func runTxnHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	qrng := rand.New(rand.NewSource(seed))
-	inc := New(ws.s, ws.fds, Options{Maintenance: MaintenanceIncremental})
-	rec := New(ws.s, ws.fds, Options{Maintenance: MaintenanceRecheck})
+	inc := engIncremental.on(New(ws.s, ws.fds, Options{}))
+	rec := engRecheck.on(New(ws.s, ws.fds, Options{}))
 	randCell := func(a schema.Attr) string {
 		d := ws.s.Domain(a)
 		switch rng.Intn(16) {
@@ -269,7 +269,7 @@ func runTxnHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 			// For committed insert-only write-sets, the batched commit
 			// must equal a fresh per-op recheck replay of the same rows.
 			if block.insertOnly && nStaged > 0 {
-				shadow, err := FromRelation(ws.s, ws.fds, before, Options{Maintenance: MaintenanceRecheck})
+				shadow, err := NewRecheckOracle(ws.s, ws.fds, before)
 				if err != nil {
 					t.Fatalf("step %d: shadow rebuild: %v", step, err)
 				}

@@ -9,15 +9,13 @@ import (
 	"fdnull/internal/value"
 )
 
-var bothEngines = []Maintenance{MaintenanceIncremental, MaintenanceRecheck}
-
 // TestTxnCommitResolvesNullsWithinWriteSet pins the motivating scenario:
 // a department's worth of rows whose nulls resolve against *each other*
 // commits as one write-set, and the single propagation completes every
 // forced cell — identically under both engines.
 func TestTxnCommitResolvesNullsWithinWriteSet(t *testing.T) {
 	for _, m := range bothEngines {
-		st := employeeStore(Options{Maintenance: m})
+		st := employeeStore(m)
 		tx := st.Begin()
 		for _, row := range [][]string{
 			{"e1", "s1", "d3", "-"},   // contract unknown
@@ -57,7 +55,7 @@ func TestTxnCommitResolvesNullsWithinWriteSet(t *testing.T) {
 func TestTxnCommitAtomicRejection(t *testing.T) {
 	var texts [2]string
 	for mi, m := range bothEngines {
-		st := employeeStore(Options{Maintenance: m})
+		st := employeeStore(m)
 		if err := st.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +106,7 @@ func TestTxnCommitAtomicRejection(t *testing.T) {
 // although per-op application would reject the insert.
 func TestTxnDeferredChecking(t *testing.T) {
 	for _, m := range bothEngines {
-		st := employeeStore(Options{Maintenance: m})
+		st := employeeStore(m)
 		if err := st.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +134,7 @@ func TestTxnDeferredChecking(t *testing.T) {
 // effect.
 func TestTxnSavepoints(t *testing.T) {
 	for _, m := range bothEngines {
-		st := employeeStore(Options{Maintenance: m})
+		st := employeeStore(m)
 		tx := st.Begin()
 		if err := tx.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 			t.Fatal(err)
@@ -176,7 +174,7 @@ func TestTxnSavepoints(t *testing.T) {
 // TestTxnLifecycleSentinels: a finished transaction refuses further
 // staging and commits; empty commits are no-ops.
 func TestTxnLifecycleSentinels(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	tx := st.Begin()
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("empty commit: %v", err)
@@ -207,7 +205,7 @@ func TestTxnLifecycleSentinels(t *testing.T) {
 // interleaved mutation and against another transaction.
 func TestTxnConflict(t *testing.T) {
 	for _, m := range bothEngines {
-		st := employeeStore(Options{Maintenance: m})
+		st := employeeStore(m)
 		tx := st.Begin()
 		if err := tx.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 			t.Fatal(err)
@@ -255,7 +253,7 @@ func TestTxnConflict(t *testing.T) {
 func TestTxnStructuralFailure(t *testing.T) {
 	var texts [2]string
 	for mi, m := range bothEngines {
-		st := employeeStore(Options{Maintenance: m})
+		st := employeeStore(m)
 		if err := st.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 			t.Fatal(err)
 		}
@@ -292,8 +290,8 @@ func TestTxnStructuralFailure(t *testing.T) {
 // base and staged rows), and a trailing delete produces identical final
 // state, stats, and marks under both engines.
 func TestTxnMixedOpsEngineParity(t *testing.T) {
-	mk := func(m Maintenance) *Store {
-		st := employeeStore(Options{Maintenance: m})
+	mk := func(m engine) *Store {
+		st := employeeStore(m)
 		for _, row := range [][]string{
 			{"e1", "s1", "d1", "-"},
 			{"e2", "s2", "d2", "ct2"},
@@ -321,7 +319,7 @@ func TestTxnMixedOpsEngineParity(t *testing.T) {
 		check(tx.Delete(1))                            // drop e2; the last row swaps into slot 1
 		return tx.Commit()
 	}
-	inc, rec := mk(MaintenanceIncremental), mk(MaintenanceRecheck)
+	inc, rec := mk(engIncremental), mk(engRecheck)
 	errInc, errRec := run(inc), run(rec)
 	if errInc != nil || errRec != nil {
 		t.Fatalf("commits failed: incremental=%v recheck=%v", errInc, errRec)
@@ -346,7 +344,7 @@ func TestTxnMixedOpsEngineParity(t *testing.T) {
 // the oracle and rejects with the poisoned witness under both engines.
 func TestTxnNothingInsertRejected(t *testing.T) {
 	for _, m := range bothEngines {
-		st := employeeStore(Options{Maintenance: m})
+		st := employeeStore(m)
 		tx := st.Begin()
 		if err := tx.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 			t.Fatal(err)
@@ -372,8 +370,8 @@ func TestTxnNothingInsertRejected(t *testing.T) {
 // group exercises the multi-seed propagation's group dedup against the
 // one-chase oracle.
 func TestTxnLargeBatchMatchesOracle(t *testing.T) {
-	mk := func(m Maintenance) (*Store, error) {
-		st := employeeStore(Options{Maintenance: m})
+	mk := func(m engine) (*Store, error) {
+		st := employeeStore(m)
 		tx := st.Begin()
 		for i := 0; i < 16; i++ {
 			g := i % 4
@@ -387,8 +385,8 @@ func TestTxnLargeBatchMatchesOracle(t *testing.T) {
 		}
 		return st, tx.Commit()
 	}
-	inc, errInc := mk(MaintenanceIncremental)
-	rec, errRec := mk(MaintenanceRecheck)
+	inc, errInc := mk(engIncremental)
+	rec, errRec := mk(engRecheck)
 	if errInc != nil || errRec != nil {
 		t.Fatalf("commit: incremental=%v recheck=%v", errInc, errRec)
 	}
@@ -446,7 +444,7 @@ func TestConcurrentTxn(t *testing.T) {
 // class (under BOTH engines, so only this direct probe can catch it).
 func TestTxnUpdateMarkDoesNotAliasFreshNulls(t *testing.T) {
 	for _, m := range bothEngines {
-		st := employeeStore(Options{Maintenance: m})
+		st := employeeStore(m)
 		if err := st.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +491,7 @@ func mustParsed(t *testing.T, st *Store, e string) relation.Tuple {
 // applies nothing and must not report a conflict even when other
 // writers committed after Begin.
 func TestTxnEmptyCommitNeverConflicts(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	tx := st.Begin()
 	if err := tx.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
@@ -520,7 +518,7 @@ func TestTxnRejectAfterSubstitutionRollsBack(t *testing.T) {
 		var stores [2]*Store
 		var texts [2]string
 		for mi, m := range bothEngines {
-			st := employeeStore(Options{Maintenance: m})
+			st := employeeStore(m)
 			for _, row := range [][]string{
 				{"e1", "-1", "d1", "ct1"}, // ⊥1 is shared with e2's salary
 				{"e2", "-1", "d2", "ct2"},

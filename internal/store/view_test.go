@@ -11,7 +11,7 @@ import (
 // must not allocate per call — the fix for read-only iteration paying a
 // deep copy per tuple.
 func TestReadPathAllocations(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	for _, row := range [][]string{
 		{"e1", "s1", "d1", "ct1"},
 		{"e2", "s2", "d2", "-"},
@@ -68,7 +68,7 @@ func TestReadPathAllocations(t *testing.T) {
 // through the store: NS-substitutions triggered by later mutations must
 // not leak into an earlier view.
 func TestViewUnaffectedByStoreMutation(t *testing.T) {
-	st := employeeStore(Options{})
+	st := employeeStore(engIncremental)
 	if err := st.InsertRow("e1", "s1", "d3", "-"); err != nil {
 		t.Fatal(err)
 	}

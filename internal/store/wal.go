@@ -628,23 +628,22 @@ func (w *walWriter) close() error {
 
 // ---- the manifest ----
 
-// walManifest pins everything recovery needs to interpret the log: the
-// maintenance engine and X-rules setting the records were produced
-// under (replay is pinned to them: the logged op indices address the
-// states that configuration produced), the checkpoint file, and the
-// last seq the checkpoint subsumes.
+// walManifest names what recovery needs to interpret the log: the
+// checkpoint file and the last seq it subsumes. Every manifest also
+// carries the lines "maintenance incremental" and "xrules false", the
+// one engine and X-rules setting a log is written under; they are kept
+// byte for byte so that directories stay readable across versions, and
+// a manifest naming anything else is refused.
 type walManifest struct {
-	maintenance Maintenance
-	xrules      bool
-	checkpoint  string
-	ckptSeq     uint64
+	checkpoint string
+	ckptSeq    uint64
 }
 
 func (m walManifest) render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fdwal 1\n")
-	fmt.Fprintf(&b, "maintenance %s\n", m.maintenance)
-	fmt.Fprintf(&b, "xrules %t\n", m.xrules)
+	fmt.Fprintf(&b, "maintenance incremental\n")
+	fmt.Fprintf(&b, "xrules false\n")
 	fmt.Fprintf(&b, "checkpoint %s\n", m.checkpoint)
 	fmt.Fprintf(&b, "ckptseq %d\n", m.ckptSeq)
 	return b.String()
@@ -669,17 +668,13 @@ func parseManifest(data string) (walManifest, error) {
 		seen[key] = true
 		switch key {
 		case "maintenance":
-			eng, err := parseMaintenance(val)
-			if err != nil {
-				return m, err
+			if val != "incremental" {
+				return m, fmt.Errorf("manifest maintenance %q: only incremental logs can be replayed", val)
 			}
-			m.maintenance = eng
 		case "xrules":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return m, fmt.Errorf("manifest xrules %q is not a bool", val)
+			if val != "false" {
+				return m, fmt.Errorf("manifest xrules %q: only logs written without X-rules can be replayed", val)
 			}
-			m.xrules = b
 		case "checkpoint":
 			if _, ok := parseCkptName(val); !ok {
 				return m, fmt.Errorf("manifest checkpoint %q is not a checkpoint filename", val)

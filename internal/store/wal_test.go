@@ -11,6 +11,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,10 +25,9 @@ import (
 	"fdnull/internal/workload"
 )
 
-func employeeDurableOpts(maint Maintenance) DurableOptions {
+func employeeDurableOpts() DurableOptions {
 	ws := histSchemes()[0]
 	return DurableOptions{
-		Store:  Options{Maintenance: maint},
 		Scheme: ws.s,
 		FDs:    ws.fds,
 	}
@@ -82,13 +82,14 @@ func TestWALFrameFailsClosed(t *testing.T) {
 }
 
 func TestOpenDurableFreshAndReopen(t *testing.T) {
-	for _, maint := range []Maintenance{MaintenanceIncremental, MaintenanceRecheck} {
+	for _, maint := range bothEngines {
 		t.Run(maint.String(), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "wal")
-			d, err := OpenDurable(dir, employeeDurableOpts(maint))
+			d, err := OpenDurable(dir, employeeDurableOpts())
 			if err != nil {
 				t.Fatalf("fresh open: %v", err)
 			}
+			maint.onHandle(d)
 			if err := d.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 				t.Fatalf("insert: %v", err)
 			}
@@ -114,7 +115,7 @@ func TestOpenDurableFreshAndReopen(t *testing.T) {
 				t.Fatalf("close: %v", err)
 			}
 
-			re, err := OpenDurable(dir, DurableOptions{Store: Options{Maintenance: maint}})
+			re, err := OpenDurable(dir, DurableOptions{})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -175,63 +176,6 @@ func TestCheckpointWideDomainReopens(t *testing.T) {
 	}
 }
 
-// TestOpenDurableXRulesNormalized is the regression test for the
-// normalization bug: Incremental+ApplyXRules silently executes as
-// recheck, and the handle used to keep the UNnormalized options, so the
-// first explicit Checkpoint wrote a manifest (maintenance=incremental
-// xrules=true) that no reopen — which normalizes — could ever match,
-// bricking the directory. The same options must round-trip through any
-// number of checkpoints and reopens.
-func TestOpenDurableXRulesNormalized(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	opts := employeeDurableOpts(MaintenanceIncremental)
-	opts.Store.ApplyXRules = true
-	d, err := OpenDurable(dir, opts)
-	if err != nil {
-		t.Fatalf("fresh open: %v", err)
-	}
-	if err := d.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	// A record after the checkpoint, so reopen also exercises replay.
-	if err := d.InsertRow("e2", "-", "d2", "-"); err != nil {
-		t.Fatal(err)
-	}
-	want := d.st.Snapshot()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := parseManifest(readFileT(t, filepath.Join(dir, manifestName)))
-	if err != nil {
-		t.Fatalf("manifest: %v", err)
-	}
-	if m.maintenance != MaintenanceRecheck {
-		t.Fatalf("manifest pins maintenance=%s; want recheck, the engine that actually executes under xrules", m.maintenance)
-	}
-
-	// Reopening with the exact same options the caller used must work...
-	re, err := OpenDurable(dir, DurableOptions{Store: Options{Maintenance: MaintenanceIncremental, ApplyXRules: true}})
-	if err != nil {
-		t.Fatalf("reopen with identical options: %v", err)
-	}
-	if !relation.Equal(re.st.Snapshot(), want) {
-		t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.st.Snapshot())
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// ...and so must the normalized spelling of the same engine.
-	re2, err := OpenDurable(dir, DurableOptions{Store: Options{Maintenance: MaintenanceRecheck, ApplyXRules: true}})
-	if err != nil {
-		t.Fatalf("reopen with normalized options: %v", err)
-	}
-	re2.Close()
-}
-
 func TestOpenDurableFreshNeedsScheme(t *testing.T) {
 	_, err := OpenDurable(filepath.Join(t.TempDir(), "w"), DurableOptions{})
 	if err == nil || !errors.Is(err, ErrWAL) {
@@ -239,27 +183,89 @@ func TestOpenDurableFreshNeedsScheme(t *testing.T) {
 	}
 }
 
+// TestOpenDurableEnginePinned: a manifest pins the one engine a log is
+// written under. The manifest a store writes is byte for byte what
+// earlier versions wrote, and a directory carrying those bytes reopens
+// to the same state; a manifest naming the recheck engine, X-rules or an
+// unknown engine is refused with ErrWAL and the directory is left as it
+// was.
 func TestOpenDurableEnginePinned(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	d, err := OpenDurable(dir, employeeDurableOpts(MaintenanceIncremental))
+	for _, tc := range []struct {
+		name, maintenance, xrules string
+		ok                        bool
+	}{
+		{"written bytes", "incremental", "false", true},
+		{"maintenance recheck", "recheck", "false", false},
+		{"xrules true", "incremental", "true", false},
+		{"unknown engine", "naive", "false", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "wal")
+			d, err := OpenDurable(dir, employeeDurableOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			// A record after the checkpoint, so reopen also exercises replay.
+			if err := d.InsertRow("e2", "-", "d2", "-"); err != nil {
+				t.Fatal(err)
+			}
+			want := d.st.Snapshot()
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			written := "fdwal 1\nmaintenance incremental\nxrules false\ncheckpoint " + ckptName(1) + "\nckptseq 1\n"
+			if got := readFileT(t, filepath.Join(dir, manifestName)); got != written {
+				t.Fatalf("manifest bytes changed:\n%q\nwant\n%q", got, written)
+			}
+			manifest := fmt.Sprintf("fdwal 1\nmaintenance %s\nxrules %s\ncheckpoint %s\nckptseq 1\n", tc.maintenance, tc.xrules, ckptName(1))
+			if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirImage(t, dir)
+			re, err := OpenDurable(dir, DurableOptions{})
+			if !tc.ok {
+				if err == nil || !errors.Is(err, ErrWAL) {
+					t.Fatalf("reopen: got %v, want ErrWAL", err)
+				}
+				if after := dirImage(t, dir); !reflect.DeepEqual(after, before) {
+					t.Fatal("a refused reopen changed the directory")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer re.Close()
+			if !relation.Equal(re.st.Snapshot(), want) {
+				t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.st.Snapshot())
+			}
+		})
+	}
+}
+
+// dirImage maps each file in dir to its contents.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
-		t.Fatal(err)
+	img := map[string]string{}
+	for _, e := range entries {
+		img[e.Name()] = readFileT(t, filepath.Join(dir, e.Name()))
 	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = OpenDurable(dir, DurableOptions{Store: Options{Maintenance: MaintenanceRecheck}})
-	if err == nil || !errors.Is(err, ErrWAL) || !strings.Contains(err.Error(), "engine") {
-		t.Fatalf("reopen under the other engine: got %v, want engine-pinning ErrWAL", err)
-	}
+	return img
 }
 
 func TestWALRotationAndPruning(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	opts := employeeDurableOpts(MaintenanceIncremental)
+	opts := employeeDurableOpts()
 	opts.SegmentBytes = 96 // force frequent rotation
 	d, err := OpenDurable(dir, opts)
 	if err != nil {
@@ -293,7 +299,7 @@ func TestWALRotationAndPruning(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDurable(dir, DurableOptions{Store: opts.Store, SegmentBytes: 96})
+	re, err := OpenDurable(dir, DurableOptions{SegmentBytes: 96})
 	if err != nil {
 		t.Fatalf("reopen after prune: %v", err)
 	}
@@ -305,7 +311,7 @@ func TestWALRotationAndPruning(t *testing.T) {
 
 func TestWALTornTailTruncated(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	opts := employeeDurableOpts(MaintenanceIncremental)
+	opts := employeeDurableOpts()
 	d, err := OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +339,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err := os.Truncate(path, info.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDurable(dir, DurableOptions{Store: opts.Store})
+	re, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatalf("reopen over a torn tail: %v", err)
 	}
@@ -348,7 +354,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := OpenDurable(dir, DurableOptions{Store: opts.Store})
+	re2, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatalf("third open: %v", err)
 	}
@@ -360,7 +366,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALCorruptSealedSegmentFailsClosed(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	opts := employeeDurableOpts(MaintenanceIncremental)
+	opts := employeeDurableOpts()
 	opts.SegmentBytes = 96
 	opts.RetainSegments = true
 	d, err := OpenDurable(dir, opts)
@@ -390,7 +396,7 @@ func TestWALCorruptSealedSegmentFailsClosed(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenDurable(dir, DurableOptions{Store: opts.Store, SegmentBytes: 96})
+	_, err = OpenDurable(dir, DurableOptions{SegmentBytes: 96})
 	if err == nil || !errors.Is(err, ErrWAL) {
 		t.Fatalf("corrupt sealed segment: got %v, want fail-closed ErrWAL", err)
 	}
@@ -398,7 +404,7 @@ func TestWALCorruptSealedSegmentFailsClosed(t *testing.T) {
 
 func TestDurablePoisonsOnWALFailure(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	opts := employeeDurableOpts(MaintenanceIncremental)
+	opts := employeeDurableOpts()
 	d, err := OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +442,7 @@ func TestDurablePoisonsOnWALFailure(t *testing.T) {
 // commit survives recovery.
 func TestAutoCheckpointFailureDoesNotFailCommit(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	opts := employeeDurableOpts(MaintenanceIncremental)
+	opts := employeeDurableOpts()
 	opts.CheckpointEvery = 2
 	d, err := OpenDurable(dir, opts)
 	if err != nil {
@@ -459,7 +465,7 @@ func TestAutoCheckpointFailureDoesNotFailCommit(t *testing.T) {
 	}
 	d.Close()
 	// Both commits are on disk; recovery proves the second one survived.
-	re, err := OpenDurable(dir, DurableOptions{Store: opts.Store})
+	re, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -475,14 +481,14 @@ func TestAutoCheckpointFailureDoesNotFailCommit(t *testing.T) {
 // the instance, the allocator watermark, and the Stats counters — and
 // the checkpoint file itself must be byte-identical to Save's output.
 func TestSaveLoadEqualsCheckpointRecovery(t *testing.T) {
-	for _, maint := range []Maintenance{MaintenanceIncremental, MaintenanceRecheck} {
+	for _, maint := range bothEngines {
 		t.Run(maint.String(), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "wal")
-			opts := employeeDurableOpts(maint)
-			d, err := OpenDurable(dir, opts)
+			d, err := OpenDurable(dir, employeeDurableOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
+			maint.onHandle(d)
 			seed := [][]string{
 				{"e1", "s1", "d1", "-"},
 				{"e2", "-", "d1", "-"},
@@ -526,11 +532,11 @@ func TestSaveLoadEqualsCheckpointRecovery(t *testing.T) {
 				t.Fatalf("checkpoint file diverged from Save output:\nsave:\n%s\ncheckpoint:\n%s", saved.String(), ckpt)
 			}
 
-			loaded, err := Load(strings.NewReader(saved.String()), opts.Store)
+			loaded, err := Load(strings.NewReader(saved.String()))
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			re, err := OpenDurable(dir, DurableOptions{Store: opts.Store})
+			re, err := OpenDurable(dir, DurableOptions{})
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -566,7 +572,7 @@ func readFileT(t *testing.T, path string) string {
 
 func TestDurableConcurrentBasics(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	opts := employeeDurableOpts(MaintenanceIncremental)
+	opts := employeeDurableOpts()
 	opts.GroupCommit = 8
 	dc, err := OpenDurable(dir, opts)
 	if err != nil {
@@ -600,7 +606,7 @@ func TestDurableConcurrentBasics(t *testing.T) {
 	if err := dc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDurable(dir, DurableOptions{Store: opts.Store})
+	re, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -619,7 +625,7 @@ func TestDurableConcurrentBasics(t *testing.T) {
 // flag. Run under -race.
 func TestDurableConcurrentCheckpointRace(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	opts := employeeDurableOpts(MaintenanceIncremental)
+	opts := employeeDurableOpts()
 	opts.CheckpointEvery = 3
 	opts.GroupCommit = 4
 	opts.SegmentBytes = 256 // frequent rotation so pruning has segments to eat
@@ -670,7 +676,7 @@ func TestDurableConcurrentCheckpointRace(t *testing.T) {
 	if err := dc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDurable(dir, DurableOptions{Store: opts.Store})
+	re, err := OpenDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatalf("reopen after checkpoint storm: %v", err)
 	}

@@ -98,9 +98,9 @@ func TestWritePathTotal(t *testing.T) {
 	}
 	for _, m := range bothEngines {
 		s, fds := shardScheme()
-		st := New(s, fds, Options{Maintenance: m})
-		c := NewConcurrent(s, fds, Options{Maintenance: m})
-		sh, _, _ := mustSharded(t, 2, Options{Maintenance: m})
+		st := m.on(New(s, fds, Options{}))
+		c := m.onHandle(NewConcurrent(s, fds))
+		sh, _, _ := mustSharded(t, 2, m)
 		preload(st.InsertRow)
 		preload(c.InsertRow)
 		preload(sh.InsertRow)

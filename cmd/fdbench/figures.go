@@ -72,7 +72,7 @@ func runE3(w io.Writer, _ bool) error {
 	}
 	t := &table{header: []string{"instance", "f(t1, r)", "case", "paper says"}}
 	for _, c := range cases {
-		v, err := eval.EvaluateWith(eval.EngineIndexed, c.f, c.r, 0)
+		v, err := eval.Evaluate(c.f, c.r, 0)
 		if err != nil {
 			return err
 		}

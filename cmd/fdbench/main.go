@@ -1,17 +1,14 @@
 // Command fdbench regenerates every figure, example, theorem validation,
-// and complexity claim of the paper (E1–E14), plus the five
-// engine-agreement sweeps that hold each production engine to its oracle
-// (E15–E19); the per-experiment index is the experiments table below,
-// printed by -list. It is not the repository's benchmark: that is
-// `go run ./bench` (see bench/README.md).
+// and complexity claim of the paper (E1–E14); the per-experiment index is
+// the experiments table below, printed by -list. It is not the
+// repository's benchmark: that is `go run ./bench` (see bench/README.md).
 //
 // Usage:
 //
 //	fdbench [-exp E1,E2,... | -exp all] [-quick]
 //
 // Each experiment prints a self-contained report; complexity sweeps print
-// aligned tables of parameters vs. measured time, and an agreement sweep
-// (agreement.go) prints one table and fails only on a disagreement.
+// aligned tables of parameters vs. measured time.
 package main
 
 import (
@@ -45,11 +42,6 @@ var experiments = []experiment{
 	{"E12", "[F2] domain-exhaustion incidence vs domain size", runE12},
 	{"E13", "Normalization with nulls — decompose, pad, chase, recover", runE13},
 	{"E14", "Figure 3 'Additional Assumptions' — bucketed and presorted paths", runE14},
-	{"E15", "Indexed vs naive evaluation engine — agreement and comparative sweep", runE15},
-	{"E16", "Partition vs naive FD-discovery engine — agreement and comparative sweep", runE16},
-	{"E17", "Incremental vs recheck store maintenance — agreement and comparative sweep", runE17},
-	{"E18", "Transactional batched commit vs per-op commits — agreement and comparative sweep", runE18},
-	{"E19", "Indexed vs naive selection engine — agreement and comparative sweep", runE19},
 }
 
 func main() {
@@ -59,7 +51,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fdbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	expFlag := fs.String("exp", "all", "comma-separated experiment ids (E1..E19) or 'all'")
+	expFlag := fs.String("exp", "all", "comma-separated experiment ids (E1..E14) or 'all'")
 	quick := fs.Bool("quick", false, "smaller sweeps for smoke testing")
 	list := fs.Bool("list", false, "list experiments and exit")
 	if err := fs.Parse(args); err != nil {

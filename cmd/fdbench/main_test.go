@@ -1,8 +1,6 @@
 package main
 
 import (
-	"errors"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -17,11 +15,16 @@ func TestListFlag(t *testing.T) {
 			t.Errorf("list missing %s", id)
 		}
 	}
+	// The index ends at E14: engine agreement is checked by package tests.
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "E14 ") {
+		t.Errorf("-list ends with %q, want E14", last)
+	}
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	// The index ends at E19; E20 is as unknown as E99.
-	for _, id := range []string{"E99", "E20"} {
+	// The index ends at E14; E15 and E19 are as unknown as E99.
+	for _, id := range []string{"E99", "E15", "E19"} {
 		var out, errOut strings.Builder
 		if code := run([]string{"-exp", id}, &out, &errOut); code != 2 {
 			t.Errorf("unknown experiment %s should exit 2, got %d", id, code)
@@ -96,82 +99,6 @@ func TestComplexitySweeps(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q", want)
 		}
-	}
-}
-
-// TestAgreementSweeps runs E15–E19 in quick mode: each must find its
-// production engine and its oracle in agreement on every cell (exit 0)
-// and print one table per sweep with an agree column. Durations and
-// ratios are printed for information and are not looked at.
-func TestAgreementSweeps(t *testing.T) {
-	for _, tc := range []struct {
-		id     string
-		tables int
-		want   []string // column headers
-	}{
-		{"E15", 1, []string{"|F|", "naive", "indexed-seq", "indexed-pool("}},
-		{"E16", 1, []string{"conv", "naive", "partition("}},
-		{"E17", 1, []string{"ops", "recheck", "incremental"}},
-		{"E18", 1, []string{"sets", "oracle (1 chase)", "per-op inc", "batched txn"}},
-		{"E19", 2, []string{"|Q|", "naive", "indexed-seq", "indexed-pool(", "multi-conjunct battery"}},
-	} {
-		t.Run(tc.id, func(t *testing.T) {
-			var out, errOut strings.Builder
-			if code := run([]string{"-quick", "-exp", tc.id}, &out, &errOut); code != 0 {
-				t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-			}
-			if got := strings.Count(out.String(), "  agree\n"); got != tc.tables {
-				t.Errorf("%d tables with an agree column, want %d:\n%s", got, tc.tables, out.String())
-			}
-			if strings.Count(out.String(), "  yes\n") < 2*tc.tables {
-				t.Errorf("fewer than two agreeing cells per table:\n%s", out.String())
-			}
-			for _, want := range tc.want {
-				if !strings.Contains(out.String(), want) {
-					t.Errorf("output missing %q:\n%s", want, out.String())
-				}
-			}
-		})
-	}
-}
-
-// TestSweepNamesDisagreement feeds the harness a cell on which the second
-// production side differs from the oracle: the error must name the cell
-// and that side, and a side's own error must come back the same way.
-func TestSweepNamesDisagreement(t *testing.T) {
-	sw := sweep[int]{
-		params: []string{"n", "p"},
-		sides:  []string{"oracle", "fast", "faster"},
-		equal: func(oracle, got int) error {
-			if oracle != got {
-				return fmt.Errorf("%d is not %d", got, oracle)
-			}
-			return nil
-		},
-		cells: []cell[int]{
-			{label: []string{"7", "2"}, run: func(int) (int, error) { return 1, nil }},
-			{label: []string{"8", "3"}, run: func(side int) (int, error) { return side / 2, nil }},
-		},
-	}
-	var out strings.Builder
-	err := sw.run(&out)
-	if err == nil {
-		t.Fatalf("a disagreement went unreported:\n%s", out.String())
-	}
-	for _, want := range []string{"[8 3]", "side faster", "1 is not 0"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
-		}
-	}
-	if strings.Contains(err.Error(), "[7 2]") || out.Len() != 0 {
-		t.Errorf("the agreeing cell was blamed, or a table was printed: %q\n%s", err, out.String())
-	}
-
-	broken := errors.New("side broke")
-	sw.cells = sw.cells[:1]
-	sw.cells[0].run = func(side int) (int, error) { return 0, broken }
-	if err := sw.run(&out); !errors.Is(err, broken) || !strings.Contains(err.Error(), "side oracle") {
-		t.Errorf("a side's own error should come back naming the side, got %v", err)
 	}
 }
 

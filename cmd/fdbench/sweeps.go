@@ -307,7 +307,7 @@ func runE12(w io.Writer, quick bool) error {
 					"b1",
 					fmt.Sprintf("c%d", 1+rng.Intn(6)))
 			}
-			v, err := eval.EvaluateWith(eval.EngineIndexed, f, r, 0)
+			v, err := eval.Evaluate(f, r, 0)
 			if err != nil {
 				return err
 			}

@@ -51,25 +51,22 @@ type SelectResult = query.Result
 // materialization.
 type QuerySource = query.Source
 
-// QueryOptions configure SelectWith/SelectAll/SelectExplain; the zero
-// value is the planner with GOMAXPROCS workers. The planner compiles an
-// algebraic plan over X-partition indexes — Eq/In/EqAttr probes
-// intersected along the ∧-spine by ascending cost estimate, ∨ evaluated
-// as a deduplicated union of sub-plans, residual conjuncts ordered by
-// estimated selectivity from IndexStats — and degrades to the scan when
-// the predicate offers no plannable structure.
+// QueryOptions configure SelectAll/SelectExplain; the zero value is the
+// planner with GOMAXPROCS workers.
 type QueryOptions = query.Options
 
 // Select evaluates a predicate three-valuedly on every tuple: Sure lists
 // tuples in the answer under every completion, Maybe under some. Tuples
 // admitting no completion (a `!` cell, or a mark spanning domains with
 // empty intersection) are in neither list — no predicate holds on them.
-func Select(src QuerySource, p Pred) SelectResult { return query.Select(src, p) }
-
-// SelectWith is Select through the planner.
-func SelectWith(src QuerySource, p Pred, opts QueryOptions) SelectResult {
-	return query.SelectWith(src, p, opts)
-}
+// It runs the planner, which compiles an algebraic plan over X-partition
+// indexes — Eq/In/EqAttr probes intersected along the ∧-spine by
+// ascending cost estimate, ∨ evaluated as a deduplicated union of
+// sub-plans, residual conjuncts ordered by estimated selectivity from
+// IndexStats — and degrades to the scan when the source has no indexes
+// (a RelationView) or the predicate offers no plannable structure; the
+// answer is the same either way.
+func Select(src QuerySource, p Pred) SelectResult { return query.SelectWith(src, p, QueryOptions{}) }
 
 // SelectAll evaluates a predicate batch over one source, fanned across a
 // bounded worker pool, returning results in input order.
@@ -95,7 +92,7 @@ type QueryExplain = query.Explain
 // QueryExplainNode mirrors one plan operator in a QueryExplain.
 type QueryExplainNode = query.ExplainNode
 
-// SelectExplain is SelectWith returning the plan report alongside the
+// SelectExplain is Select returning the plan report alongside the
 // answer; the report always describes what actually ran.
 func SelectExplain(src QuerySource, p Pred, opts QueryOptions) (SelectResult, *QueryExplain) {
 	return query.SelectExplain(src, p, opts)

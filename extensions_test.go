@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	fdnull "fdnull"
+	"fdnull/internal/query"
 )
 
 func maritalScheme(t *testing.T) *fdnull.Scheme {
@@ -191,9 +192,9 @@ func TestPublicQueryV2(t *testing.T) {
 		P: fdnull.Eq{Attr: s.MustAttr("E#"), Const: "e1"},
 		Q: fdnull.Eq{Attr: s.MustAttr("D#"), Const: "d2"},
 	}
-	want := fdnull.Select(r, p)
-	if got := fdnull.SelectWith(r, p, fdnull.QueryOptions{}); !got.Equal(want) {
-		t.Errorf("indexed diverged from the scan: %v vs %v", got, want)
+	want := query.Select(r, p)
+	if got := fdnull.Select(r, p); !got.Equal(want) {
+		t.Errorf("the planner diverged from the scan: %v vs %v", got, want)
 	}
 	res, ex := fdnull.SelectExplain(r, p, fdnull.QueryOptions{})
 	if !res.Equal(want) || ex.Scan || !strings.Contains(ex.String(), "union") {

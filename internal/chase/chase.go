@@ -35,8 +35,8 @@
 // paper's own analysis stay for two jobs only — they are the one
 // implementation of the plain system (which has no engine-independent
 // answer, so Run in Mode: Plain always runs them, in RuleOrder), and
-// RunPairwise is the oracle the tests and the fdbench agreement sweeps
-// compare the congruence engine against. A congruence pass costs
+// RunPairwise is the oracle the tests and fdbench's E5/E10 compare the
+// congruence engine against. A congruence pass costs
 // per FD, not per tuple: tuples bucket on a maphash of their X-cells'
 // class roots, equalOn confirms a bucket, and one bucket table serves
 // every FD and pass.

@@ -3,11 +3,14 @@ package discover
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
 	"fdnull/internal/testfds"
+	"fdnull/internal/workload"
 )
 
 // TestDiscoverDifferential is the engine-agreement property test: on
@@ -16,7 +19,7 @@ import (
 // FD-for-FD identical result (same dependencies, same order) as the
 // naive TEST-FDs engine, under both conventions, at every MaxLHS, and
 // for any worker count. Short mode (the CI smoke) runs a reduced trial
-// count.
+// count and the two smallest workload.Config cells.
 func TestDiscoverDifferential(t *testing.T) {
 	trials := 150
 	if testing.Short() {
@@ -75,5 +78,34 @@ func TestDiscoverDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+	// Generated instances at the size of BenchmarkDiscover's acceptance
+	// point, MaxLHS = 2: an n-sweep at p = 8 and a p-sweep at n = 500.
+	sizes := [][2]int{{100, 6}, {250, 6}}
+	if !testing.Short() {
+		sizes = append(sizes, [][2]int{{250, 8}, {500, 8}, {1000, 8}, {2000, 8}, {500, 4}, {500, 6}, {500, 10}}...)
+	}
+	for _, np := range sizes {
+		t.Run(fmt.Sprintf("workload/n=%d,p=%d", np[0], np[1]), func(t *testing.T) {
+			cfg := workload.Config{
+				Seed: int64(np[0] + np[1]), Tuples: np[0], Attrs: np[1],
+				DomainSize: 16, NullDensity: 0.1, GroupBias: 0.5,
+			}
+			r := cfg.Instance(cfg.Scheme())
+			for _, conv := range []testfds.Convention{testfds.Strong, testfds.Weak} {
+				naive, err := Run(r, Options{MaxLHS: 2, Convention: conv, Engine: EngineNaive})
+				if err != nil {
+					t.Fatal(err)
+				}
+				part, err := Run(r, Options{MaxLHS: 2, Convention: conv, Workers: runtime.GOMAXPROCS(0)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(naive, part) {
+					t.Fatalf("n=%d p=%d conv %v: naive found %d FDs, partition %d, or not the same ones in the same order\nnaive: %v\npartition: %v",
+						np[0], np[1], conv, len(naive), len(part), naive, part)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fdnull/internal/fd"
@@ -89,62 +91,88 @@ func TestIndexedEngineAgreesWithNaivePerTuple(t *testing.T) {
 	}
 }
 
+// TestCheckAllAgreesAcrossEnginesAndWorkers holds every engine and
+// worker count to the naive sequential run: on diffConfigs' small
+// instances (nulls concentrated in one tuple), and on complete employee
+// instances up to n = 1000 (4000 outside -short), where the naive
+// engine's O(|F| n²) re-scans and the indexed engine's probes must still
+// produce the same verdict matrix. The employee instances are complete
+// because nulls spread across many tuples push both engines into the
+// definition's exponential completion enumeration, which is not the path
+// the two engines differ on.
 func TestCheckAllAgreesAcrossEnginesAndWorkers(t *testing.T) {
 	for ci, cfg := range diffConfigs() {
 		s := cfg.Scheme()
 		r := cfg.Instance(s)
 		nullifyOneTuple(rand.New(rand.NewSource(cfg.Seed)), r)
 		for fi, fds := range diffFDs(s, cfg.Seed) {
-			var results []*BatchResult
-			for _, opts := range []CheckOptions{
-				{Engine: EngineNaive, Workers: 1, KeepVerdicts: true},
-				{Engine: EngineIndexed, Workers: 1, KeepVerdicts: true},
-				{Engine: EngineIndexed, Workers: 8, KeepVerdicts: true},
-				{Engine: EngineNaive, Workers: 4, KeepVerdicts: true},
-			} {
-				results = append(results, CheckAll(fds, r, opts))
+			assertCheckAllAgrees(t, fmt.Sprintf("cfg %d fds %d", ci, fi), s, fds, r,
+				CheckOptions{Engine: EngineIndexed, Workers: 1},
+				CheckOptions{Engine: EngineIndexed, Workers: 8},
+				CheckOptions{Engine: EngineNaive, Workers: 4})
+		}
+	}
+	sizes := []int{100, 250, 1000}
+	if !testing.Short() {
+		sizes = append(sizes, 2000, 4000)
+	}
+	for _, n := range sizes {
+		t.Run(fmt.Sprintf("employees/n=%d", n), func(t *testing.T) {
+			s, fds, r := workload.Employees(n, 8, 0, int64(n)+17)
+			assertCheckAllAgrees(t, fmt.Sprintf("employees n=%d", n), s, fds, r,
+				CheckOptions{Engine: EngineIndexed, Workers: 1},
+				CheckOptions{Engine: EngineIndexed, Workers: runtime.GOMAXPROCS(0)})
+		})
+	}
+}
+
+// assertCheckAllAgrees runs CheckAll on the naive engine with one worker
+// and then with each of opts, and fails unless every run has the same
+// per-FD summaries and verdict matrix, and the batch aggregates agree
+// with the sequential satisfaction API.
+func assertCheckAllAgrees(t *testing.T, label string, s *schema.Scheme, fds []fd.FD, r *relation.Relation, opts ...CheckOptions) {
+	t.Helper()
+	base := CheckAll(fds, r, CheckOptions{Engine: EngineNaive, Workers: 1, KeepVerdicts: true})
+	for ri, o := range opts {
+		o.KeepVerdicts = true
+		res := CheckAll(fds, r, o)
+		for k := range base.Summaries {
+			a, b := base.Summaries[k], res.Summaries[k]
+			if (a.Err == nil) != (b.Err == nil) {
+				t.Fatalf("%s run %d FD %s: error presence differs:\n%+v\n%+v",
+					label, ri+1, fds[k].Format(s), a, b)
 			}
-			base := results[0]
-			for ri, res := range results[1:] {
-				for k := range base.Summaries {
-					a, b := base.Summaries[k], res.Summaries[k]
-					if (a.Err == nil) != (b.Err == nil) {
-						t.Fatalf("cfg %d fds %d run %d FD %s: error presence differs:\n%+v\n%+v",
-							ci, fi, ri+1, fds[k].Format(s), a, b)
-					}
-					// On error the counts are partial and scheduling-
-					// dependent (see FDSummary.Err); compare them only for
-					// error-free summaries.
-					if a.Err == nil && (a.True != b.True || a.Unknown != b.Unknown || a.False != b.False ||
-						a.StrongHolds != b.StrongHolds || a.WeakHolds != b.WeakHolds ||
-						a.FirstFalse != b.FirstFalse) {
-						t.Fatalf("cfg %d fds %d run %d FD %s: summaries differ:\n%+v\n%+v",
-							ci, fi, ri+1, fds[k].Format(s), a, b)
-					}
-					if a.Err == nil {
-						for ti := 0; ti < r.Len(); ti++ {
-							if base.Verdicts[k][ti] != res.Verdicts[k][ti] {
-								t.Fatalf("cfg %d fds %d run %d FD %s tuple %d: %v vs %v",
-									ci, fi, ri+1, fds[k].Format(s), ti,
-									base.Verdicts[k][ti], res.Verdicts[k][ti])
-							}
-						}
+			// On error the counts are partial and scheduling-dependent
+			// (see FDSummary.Err); compare them only for error-free
+			// summaries.
+			if a.Err == nil && (a.True != b.True || a.Unknown != b.Unknown || a.False != b.False ||
+				a.StrongHolds != b.StrongHolds || a.WeakHolds != b.WeakHolds ||
+				a.FirstFalse != b.FirstFalse) {
+				t.Fatalf("%s run %d FD %s: summaries differ:\n%+v\n%+v",
+					label, ri+1, fds[k].Format(s), a, b)
+			}
+			if a.Err == nil {
+				for ti := 0; ti < r.Len(); ti++ {
+					if base.Verdicts[k][ti] != res.Verdicts[k][ti] {
+						t.Fatalf("%s run %d FD %s tuple %d: %v vs %v",
+							label, ri+1, fds[k].Format(s), ti,
+							base.Verdicts[k][ti], res.Verdicts[k][ti])
 					}
 				}
-				if base.AllStrong != res.AllStrong || base.AllWeak != res.AllWeak {
-					t.Fatalf("cfg %d fds %d run %d: aggregates differ", ci, fi, ri+1)
-				}
-			}
-			// The batch aggregates must match the sequential satisfaction API.
-			wantStrong, err1 := StrongSatisfied(fds, r)
-			wantWeak, err2 := EachWeaklyHolds(fds, r)
-			if err1 == nil && base.AllStrong != wantStrong {
-				t.Fatalf("cfg %d fds %d: AllStrong=%v, StrongSatisfied=%v", ci, fi, base.AllStrong, wantStrong)
-			}
-			if err2 == nil && base.AllWeak != wantWeak {
-				t.Fatalf("cfg %d fds %d: AllWeak=%v, EachWeaklyHolds=%v", ci, fi, base.AllWeak, wantWeak)
 			}
 		}
+		if base.AllStrong != res.AllStrong || base.AllWeak != res.AllWeak {
+			t.Fatalf("%s run %d: aggregates differ", label, ri+1)
+		}
+	}
+	// The batch aggregates must match the sequential satisfaction API.
+	wantStrong, err1 := StrongSatisfied(fds, r)
+	wantWeak, err2 := EachWeaklyHolds(fds, r)
+	if err1 == nil && base.AllStrong != wantStrong {
+		t.Fatalf("%s: AllStrong=%v, StrongSatisfied=%v", label, base.AllStrong, wantStrong)
+	}
+	if err2 == nil && base.AllWeak != wantWeak {
+		t.Fatalf("%s: AllWeak=%v, EachWeaklyHolds=%v", label, base.AllWeak, wantWeak)
 	}
 }
 

@@ -171,16 +171,6 @@ func classicalHoldsIndexed(f fd.FD, r *relation.Relation) bool {
 	return hold
 }
 
-// EvaluateWith computes f(t, r) with the chosen engine. Both engines
-// return identical verdicts; EngineIndexed amortizes better when many
-// tuples of the same relation are evaluated (see CheckAll, StrongHolds).
-func EvaluateWith(e Engine, f fd.FD, r *relation.Relation, ti int) (Verdict, error) {
-	if e == EngineIndexed {
-		return newChecker(f, r).evaluate(ti)
-	}
-	return Evaluate(f, r, ti)
-}
-
 // CheckOptions configures a CheckAll run. The zero value means: indexed
 // engine, GOMAXPROCS workers, no early cancellation, no verdict matrix.
 type CheckOptions struct {

@@ -158,6 +158,8 @@ func TestCheckAllDegenerateShapes(t *testing.T) {
 	}
 }
 
+// TestEvaluateWithMatchesEvaluate: the indexed per-tuple evaluator
+// returns Evaluate's verdict on a tuple with a null on the right-hand side.
 func TestEvaluateWithMatchesEvaluate(t *testing.T) {
 	s := engineScheme()
 	r := relation.MustFromRows(s,
@@ -169,10 +171,7 @@ func TestEvaluateWithMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []Engine{EngineNaive, EngineIndexed} {
-		got, err := EvaluateWith(e, f, r, 0)
-		if err != nil || got != want {
-			t.Errorf("EvaluateWith(%v) = %v, %v; want %v", e, got, err, want)
-		}
+	if got, err := newChecker(f, r).evaluate(0); err != nil || got != want {
+		t.Errorf("the indexed evaluator = %v, %v; want %v", got, err, want)
 	}
 }

@@ -39,22 +39,22 @@ func ExampleCheckAll() {
 	// all strong: false, each weakly holds: true
 }
 
-// ExampleEvaluateWith shows that the indexed engine and the naive
+// ExampleCheckAll_engines shows that the indexed engine and the naive
 // ground-truth engine return the same verdict for the same tuple.
-func ExampleEvaluateWith() {
+func ExampleCheckAll_engines() {
 	s := schema.Uniform("R", []string{"A", "B"},
 		schema.IntDomain("d", "v", 3))
 	r := relation.MustFromRows(s,
 		[]string{"v1", "v2"},
 		[]string{"v1", "-"},
 	)
-	f := fd.MustParse(s, "A -> B")
+	fds := fd.MustParseSet(s, "A -> B")
 	for _, e := range []eval.Engine{eval.EngineNaive, eval.EngineIndexed} {
-		v, err := eval.EvaluateWith(e, f, r, 1)
-		if err != nil {
+		res := eval.CheckAll(fds, r, eval.CheckOptions{Engine: e, Workers: 1, KeepVerdicts: true})
+		if err := res.Err(); err != nil {
 			panic(err)
 		}
-		fmt.Printf("%s engine: %s\n", e, v)
+		fmt.Printf("%s engine: %s\n", e, res.Verdicts[0][1])
 	}
 	// Output:
 	// naive engine: unknown [U]

@@ -10,18 +10,23 @@ package query
 //   - the analytic evaluation behind both engines must be *sound*
 //     against per-tuple EvalBrute — a Sure answer is true in every
 //     completion, an excluded tuple in none — and *exact* on atoms;
-//   - SelectAll must agree predicate-for-predicate with Select.
+//   - SelectAll must agree predicate-for-predicate with Select, on random
+//     relations and on two fixed-shape batteries over employee instances.
 //
 // `go test -short` runs a reduced trial count (the CI smoke).
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
 	"fdnull/internal/tvl"
 	"fdnull/internal/value"
+	"fdnull/internal/workload"
 )
 
 // diffScheme mixes domain shapes: A and B share a 3-value domain (so
@@ -205,6 +210,11 @@ func TestSelectDifferentialDelta(t *testing.T) {
 	}
 }
 
+// TestSelectAllDifferential holds SelectAll, on both engines and any
+// worker count, to Select predicate for predicate: on small random
+// relations with random predicates, and on employee instances (10% nulls)
+// up to n = 1000 (2000 outside -short) with the two 96-predicate
+// batteries, queryShape and orShape, at Workers 1 and GOMAXPROCS.
 func TestSelectAllDifferential(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -234,6 +244,111 @@ func TestSelectAllDifferential(t *testing.T) {
 	if out := SelectAll(relation.New(s), nil, Options{}); len(out) != 0 {
 		t.Errorf("empty batch returned %d results", len(out))
 	}
+
+	sizes := []int{100, 250, 1000}
+	if !testing.Short() {
+		sizes = append(sizes, 500, 2000)
+	}
+	for _, n := range sizes {
+		t.Run(fmt.Sprintf("employees/n=%d", n), func(t *testing.T) {
+			es, _, r := workload.Employees(n, 8, 0.1, int64(n)+19)
+			for _, b := range []struct {
+				name  string
+				shape func(a *predAtoms, i int) Pred
+			}{{"mixed", queryShape}, {"∨", orShape}} {
+				a := &predAtoms{rand.New(rand.NewSource(int64(n))), es.MustAttr("E#"), es.MustAttr("D#"), es.MustAttr("CT"), n, 8}
+				preds := make([]Pred, 96)
+				for i := range preds {
+					preds[i] = b.shape(a, i)
+				}
+				naive := SelectAll(r, preds, Options{Engine: EngineNaive, Workers: 1})
+				if err := sanityCheckAnswers(naive); err != nil {
+					t.Fatalf("n=%d %s battery: %v", n, b.name, err)
+				}
+				for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+					got := SelectAll(r, preds, Options{Workers: w})
+					for i, p := range preds {
+						if !naive[i].Equal(got[i]) {
+							t.Fatalf("n=%d %s battery, %d workers: answers differ on %s\nnaive   %v %v\nindexed %v %v",
+								n, b.name, w, p, naive[i].Sure, naive[i].Maybe, got[i].Sure, got[i].Maybe)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// predAtoms draws a battery's atoms over the employee scheme, every
+// constant from one seeded source.
+type predAtoms struct {
+	rng         *rand.Rand
+	e, d, ct    schema.Attr
+	nEmp, nDept int
+}
+
+func (a *predAtoms) emp() string            { return fmt.Sprintf("e%d", 1+a.rng.Intn(a.nEmp)) }
+func (a *predAtoms) dep() string            { return fmt.Sprintf("d%d", 1+a.rng.Intn(a.nDept)) }
+func (a *predAtoms) eqE() Pred              { return Eq{Attr: a.e, Const: a.emp()} }
+func (a *predAtoms) eqD() Pred              { return Eq{Attr: a.d, Const: a.dep()} }
+func (a *predAtoms) eqCT(c string) Pred     { return Eq{Attr: a.ct, Const: c} }
+func in(x schema.Attr, vals ...string) Pred { return In{Attr: x, Values: vals} }
+
+// queryShape is predicate i of the mixed battery: point probes on the
+// key, department probes with residual conjuncts, membership atoms
+// (including domain-covering ones — the paper's married-or-single
+// transformation), and un-indexable negation shapes that exercise the
+// planner's scan fallback.
+func queryShape(a *predAtoms, i int) Pred {
+	switch i % 12 {
+	case 1, 9:
+		return And{P: a.eqD(), Q: a.eqCT("full")}
+	case 2, 6:
+		return And{P: a.eqE(), Q: Not{P: a.eqCT("part")}}
+	case 3:
+		return And{P: in(a.d, a.dep(), a.dep()), Q: in(a.ct, "full", "part")}
+	case 5:
+		return And{P: a.eqD(), Q: Or{P: a.eqCT("full"), Q: EqAttr{A: a.e, B: a.e}}}
+	case 7, 10:
+		return in(a.e, a.emp(), a.emp(), a.emp())
+	case 11:
+		if i%24 == 11 {
+			// No indexable conjunct: the planner must fall back to the
+			// scan (kept to 1 in 24 — each costs n in BOTH engines).
+			return Not{P: a.eqD()}
+		}
+	}
+	return a.eqE() // 0, 4, 8 and every other 11
+}
+
+// orShape is predicate i of the ∨/multi-conjunct battery. Two thirds of
+// the shapes carry a disjunction (planned as a union of the arms'
+// probes), the rest are ∧-chains of three indexable atoms (all probes
+// intersected before the residual).
+func orShape(a *predAtoms, i int) Pred {
+	switch i % 6 {
+	case 0, 3:
+		return Or{P: a.eqE(), Q: a.eqE()}
+	case 1:
+		return Or{P: And{P: a.eqD(), Q: a.eqCT("full")}, Q: a.eqE()}
+	case 2:
+		return And{P: a.eqD(), Q: And{P: in(a.ct, "full", "part"), Q: in(a.e, a.emp(), a.emp(), a.emp())}}
+	case 4:
+		return Or{P: in(a.e, a.emp(), a.emp()), Q: And{P: a.eqD(), Q: a.eqCT("part")}}
+	}
+	return Or{P: a.eqE(), Q: Or{P: a.eqE(), Q: And{P: a.eqD(), Q: a.eqCT("part")}}}
+}
+
+// sanityCheckAnswers guards against a degenerate battery: engine
+// agreement alone would also pass on a battery that answers nothing (e.g.
+// a mis-generated workload), so some predicate must answer something.
+func sanityCheckAnswers(res []Result) error {
+	for _, r := range res {
+		if len(r.Sure)+len(r.Maybe) > 0 {
+			return nil
+		}
+	}
+	return errors.New("battery answered nothing at all; workload broken")
 }
 
 // TestSelectEngineFallbacks pins the planner's degradation contract:

@@ -15,8 +15,10 @@ package store
 // leaves no trace" (rollback_test.go).
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fdnull/internal/fd"
@@ -24,6 +26,7 @@ import (
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
 	"fdnull/internal/value"
+	"fdnull/internal/workload"
 )
 
 // histScheme is one workload shape for the exerciser.
@@ -213,14 +216,19 @@ func runHistory(t *testing.T, ws histScheme, seed int64, steps int) {
 
 // TestHistoryDifferential replays randomized operation histories against
 // both maintenance engines (HISTEX-style: the recheck engine is the
-// oracle) over several workload shapes and seeds. `go test -short` runs
-// a reduced matrix as the CI smoke.
+// oracle) over several workload shapes and seeds, plus write-heavy
+// histories over a preloaded workload.WriteHeavy store of n rows. `go
+// test -short` runs a reduced matrix as the CI smoke.
 func TestHistoryDifferential(t *testing.T) {
 	seeds := []int64{1, 2, 3, 7, 11, 20260730}
 	steps := 160
+	sizes := []int{250, 500, 1000, 2000}
+	inserts, mixed := 256, 200
 	if testing.Short() {
 		seeds = seeds[:2]
 		steps = 70
+		sizes = []int{100, 250, 500}
+		inserts, mixed = 96, 80
 	}
 	for _, ws := range histSchemes() {
 		for _, seed := range seeds {
@@ -231,4 +239,101 @@ func TestHistoryDifferential(t *testing.T) {
 			})
 		}
 	}
+	for _, n := range sizes {
+		t.Run(fmt.Sprintf("write-heavy/n=%d", n), func(t *testing.T) {
+			t.Parallel()
+			runWriteHeavyHistory(t, n, inserts, mixed)
+		})
+	}
+}
+
+// writeHeavyOp is one replayable operation of a write-heavy history. An
+// update's or delete's victim is a tuple index: the engines keep the
+// same tuple order.
+type writeHeavyOp struct {
+	kind int // 0 insert, 1 update of D, 2 delete
+	row  []string
+	ti   int
+	val  value.V
+}
+
+// replayWriteHeavy applies ops to st and returns one verdict byte per op:
+// 'a' accepted, 'r' rejected with a chase witness, 'e' refused
+// structurally (duplicate, domain, range).
+func replayWriteHeavy(st *Store, ops []writeHeavyOp) string {
+	d := st.Scheme().MustAttr("D")
+	verdicts := make([]byte, len(ops))
+	for k, op := range ops {
+		var err error
+		switch op.kind {
+		case 0:
+			err = st.InsertRow(op.row...)
+		case 1:
+			err = st.Update(op.ti, d, op.val)
+		default:
+			err = st.Delete(op.ti)
+		}
+		switch {
+		case err == nil:
+			verdicts[k] = 'a'
+		case errors.Is(err, ErrInconsistent):
+			verdicts[k] = 'r'
+		default:
+			verdicts[k] = 'e'
+		}
+	}
+	return string(verdicts)
+}
+
+// runWriteHeavyHistory replays one history over a preloaded
+// workload.WriteHeavy instance — `inserts` fresh inserts, then 55%
+// inserts, 30% updates that move a tuple to a random D (which B -> D
+// mostly rejects) and 15% deletes — against the recheck oracle and the
+// incremental engine: the verdict strings, the final states and the
+// Stats counters must be equal. The history is generated against a
+// shadow store, which says how many tuples there are to pick a victim
+// from at every step.
+func runWriteHeavyHistory(t *testing.T, n, inserts, mixed int) {
+	s, fds, base, gen := workload.WriteHeavy(n, n/8, 0.05, int64(n)+29)
+	shadow, err := FromRelation(s, fds, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(n) + 31))
+	var ops []writeHeavyOp
+	for next := n; len(ops) < inserts+mixed; {
+		r := 0
+		if len(ops) >= inserts {
+			r = rng.Intn(100)
+		}
+		var op writeHeavyOp
+		switch {
+		case r < 55:
+			op = writeHeavyOp{kind: 0, row: gen(next)}
+			next++
+		case r < 85:
+			op = writeHeavyOp{kind: 1, ti: rng.Intn(shadow.Len()),
+				val: value.NewConst(fmt.Sprintf("d%d", 1+rng.Intn(13)))}
+		default:
+			op = writeHeavyOp{kind: 2, ti: rng.Intn(shadow.Len())}
+		}
+		replayWriteHeavy(shadow, []writeHeavyOp{op})
+		ops = append(ops, op)
+	}
+	rec, err := NewRecheckOracle(s, fds, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := FromRelation(s, fds, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vRec, vInc := replayWriteHeavy(rec, ops), replayWriteHeavy(inc, ops)
+	if vRec != vInc {
+		t.Fatalf("verdicts diverged:\nrecheck:     %s\nincremental: %s", vRec, vInc)
+	}
+	if !strings.Contains(vInc, "r") || !strings.Contains(vInc, "a") {
+		t.Errorf("the history should both accept and reject: %s", vInc)
+	}
+	assertAgreement(t, len(ops), "end of history", nil, nil, inc, rec)
 }

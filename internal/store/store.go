@@ -43,7 +43,7 @@
 // write-set, run one extended chase — O(n) per commit. It is what
 // rejections delegate to, and what a store built by NewRecheckOracle
 // commits through, which is how history_test.go, txn_history_test.go
-// and fdbench's agreement sweeps replay randomized operation histories
+// and the other lockstep exercisers replay randomized operation histories
 // against it: the two agree verdict-for-verdict and state-for-state,
 // tuple order included.
 package store
@@ -145,8 +145,8 @@ func FromRelation(s *schema.Scheme, fds []fd.FD, r *relation.Relation) (*Store, 
 // NewRecheckOracle is FromRelation for the oracle: the store it builds
 // commits every write-set by cloning the instance, applying the set and
 // running one extended chase, O(n) per commit. It exists for the
-// differential tests and fdbench's agreement sweeps, which hold the
-// incremental engine to it verdict for verdict and state for state.
+// differential tests, which hold the incremental engine to it verdict
+// for verdict and state for state.
 func NewRecheckOracle(s *schema.Scheme, fds []fd.FD, r *relation.Relation) (*Store, error) {
 	st, err := FromRelation(s, fds, r)
 	if err != nil {

@@ -3,10 +3,12 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"fdnull/internal/relation"
 	"fdnull/internal/value"
+	"fdnull/internal/workload"
 )
 
 // TestTxnCommitResolvesNullsWithinWriteSet pins the motivating scenario:
@@ -368,7 +370,14 @@ func TestTxnNothingInsertRejected(t *testing.T) {
 
 // TestTxnLargeBatchMatchesOracle: a bigger randomized-ish write-set per
 // group exercises the multi-seed propagation's group dedup against the
-// one-chase oracle.
+// one-chase oracle. Then write-sets of k = 32 inserts that land in ONE
+// partition group of a preloaded workload.WriteHeavy store are committed
+// three ways: one Txn each on the recheck oracle (one chase per commit),
+// k one-op commits each on the incremental engine, and one Txn each on
+// it (one multi-row delta, one NS-propagation seeded from all staged
+// rows). For pure-insert write-sets deferred and op-by-op checking
+// coincide, so all three must reach the identical instance, marks
+// included, with equal stats and no refusal.
 func TestTxnLargeBatchMatchesOracle(t *testing.T) {
 	mk := func(m engine) (*Store, error) {
 		st := employeeStore(m)
@@ -398,6 +407,59 @@ func TestTxnLargeBatchMatchesOracle(t *testing.T) {
 		if !inc.TupleView(i)[ct].IsConst() {
 			t.Fatalf("row %d CT not forced:\n%s", i, inc.Snapshot())
 		}
+	}
+
+	sizes, batches := []int{500, 1000, 2000}, 8
+	if testing.Short() {
+		sizes, batches = []int{250, 500}, 4
+	}
+	const k = 32
+	for _, n := range sizes {
+		t.Run(fmt.Sprintf("write-heavy/n=%d", n), func(t *testing.T) {
+			// Division-scale partition groups (a handful of several hundred
+			// rows at n=2000), so the group a write-set lands in is large
+			// against k.
+			groups := max(n/512, 2)
+			s, fds, base, _ := workload.WriteHeavy(n, groups, 0, int64(n)+41)
+			rng := rand.New(rand.NewSource(int64(n) + 43))
+			nextUID := n + 1
+			sets := make([][][]string, batches)
+			for b := range sets {
+				sets[b] = workload.TxnWriteSet(rng, (b*37)%groups, k, &nextUID)
+			}
+			oracle, err := NewRecheckOracle(s, fds, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perOp, err := FromRelation(s, fds, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batched, err := FromRelation(s, fds, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b, rows := range sets {
+				for _, row := range rows {
+					if err := perOp.InsertRow(row...); err != nil {
+						t.Fatalf("n=%d set %d: one-op commit refused: %v", n, b, err)
+					}
+				}
+				for _, st := range []*Store{oracle, batched} {
+					tx := st.Begin()
+					for _, row := range rows {
+						if err := tx.InsertRow(row...); err != nil {
+							t.Fatalf("n=%d set %d: staging refused: %v", n, b, err)
+						}
+					}
+					if err := tx.Commit(); err != nil {
+						t.Fatalf("n=%d set %d (%s): commit refused: %v", n, b, engine(st.recheck), err)
+					}
+				}
+			}
+			assertAgreement(t, batches, fmt.Sprintf("n=%d, one-op commits", n), nil, nil, perOp, oracle)
+			assertAgreement(t, batches, fmt.Sprintf("n=%d, batched commits", n), nil, nil, batched, oracle)
+		})
 	}
 }
 

@@ -234,7 +234,7 @@ func WriteHeavy(n, groups int, nullDensity float64, seed int64) (*schema.Scheme,
 // the U1 ids draw from *nextUID so successive write-sets never collide.
 // This is the "insert a department's worth of tuples whose nulls
 // resolve against each other" workload of the transactional store's
-// benchmarks (fdbench E18, BenchmarkStoreTxn*).
+// tests and benchmarks (TestTxnLargeBatchMatchesOracle, BenchmarkStoreTxn*).
 func TxnWriteSet(rng *rand.Rand, g, k int, nextUID *int) [][]string {
 	rows := make([][]string, k)
 	orNull := func(c string) string {

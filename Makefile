@@ -167,8 +167,8 @@ loc:
 # ROADMAP's second bar). Each is set by the last PR that shrank it to its
 # own result: a PR that lowers a sum lowers its ceiling with it, and one
 # that has to raise one says why in CHANGES.md.
-LOC_MAX = 17967
-CORE_LOC_MAX = 6646
+LOC_MAX = 17826
+CORE_LOC_MAX = 6518
 
 # The exported surface as `go doc -all` prints it — internal/store's
 # struct types and funcs + methods, and the root fdnull facade's exported
@@ -177,8 +177,8 @@ CORE_LOC_MAX = 6646
 # recounting. `surface-check` holds the last two under the ceilings
 # below, by LOC_MAX's rule: the PR that lowers a count lowers its ceiling,
 # and one that has to raise one says why in CHANGES.md.
-STORE_SURFACE_MAX = 112
-FACADE_SURFACE_MAX = 166
+STORE_SURFACE_MAX = 83
+FACADE_SURFACE_MAX = 162
 
 surface:
 	@$(GO) doc -all ./internal/store | awk '/^type [A-Za-z]+ struct/ { s++ } /^ *func / { f++ } \

@@ -92,7 +92,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *shardsFlag < 0 {
-		fmt.Fprintln(stderr, "fdcheck: -shards must be positive")
+		fmt.Fprintln(stderr, "fdcheck: -shards must not be negative")
 		return 2
 	}
 	if *shardsFlag > 0 && (*dirFlag != "" || *opsFile != "") {
@@ -336,7 +336,7 @@ func replayOpsMemory(stdout io.Writer, script io.Reader, s *fdnull.Scheme, fds [
 		return nil
 	}
 	fmt.Fprintln(stdout, "\nops replay:")
-	return replayOps(stdout, script, fdnull.GuardStore(st))
+	return replayOps(stdout, script, st)
 }
 
 // replayOpsDurable replays the script against a durable store in dir: a
@@ -403,8 +403,8 @@ func printHealth(stdout io.Writer, h fdnull.DurableHealth) {
 // begin/save/rollbackto/rollback/commit transaction blocks — against
 // st: an in-memory store, or a durable handle that write-ahead logs
 // each accepted commit before confirming it.
-func replayOps(stdout io.Writer, script io.Reader, st *fdnull.ConcurrentStore) error {
-	var tx *fdnull.ConcurrentTxn
+func replayOps(stdout io.Writer, script io.Reader, st *fdnull.Store) error {
+	var tx *fdnull.Txn
 	var saves []fdnull.TxnSavepoint
 	report := func(line int, what string, err error) {
 		switch {
@@ -431,7 +431,7 @@ func replayOps(stdout io.Writer, script io.Reader, st *fdnull.ConcurrentStore) e
 			if inTxn {
 				return fmt.Errorf("ops line %d: begin inside an open transaction", line)
 			}
-			tx = st.BeginTxn()
+			tx = st.Begin()
 			saves = saves[:0]
 			report(line, "begin", nil)
 		case "save":
@@ -520,7 +520,7 @@ func replayOps(stdout io.Writer, script io.Reader, st *fdnull.ConcurrentStore) e
 	ins, upd, del, rej := st.Stats()
 	fmt.Fprintf(stdout, "accepted %d inserts, %d updates, %d deletes; %d rejections; settled instance:\n",
 		ins, upd, del, rej)
-	fmt.Fprint(stdout, indent(st.Snapshot().Materialize().String(), "  "))
+	fmt.Fprint(stdout, indent(st.Snapshot().String(), "  "))
 	return nil
 }
 

@@ -342,6 +342,9 @@ row k1 a2 b1
 	if code := run([]string{"-shards", "-1"}, strings.NewReader(employeesInput), &out, &errOut); code != 2 {
 		t.Errorf("negative -shards: exit %d, want 2", code)
 	}
+	if !strings.Contains(errOut.String(), "-shards must not be negative") {
+		t.Errorf("negative -shards diagnostic: %q", errOut.String())
+	}
 }
 
 // TestRunOpsReplayDurable drives the -dir durable mode across three

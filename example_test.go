@@ -178,7 +178,7 @@ func ExampleNewStore() {
 	view := st.View()                      // O(1) copy-on-write snapshot
 	err := st.InsertRow("e3", "d1", "ct2") // contradicts D# -> CT
 
-	fmt.Println("e2 contract:", st.TupleView(1)[s.MustAttr("CT")])
+	fmt.Println("e2 contract:", st.Tuple(1)[s.MustAttr("CT")])
 	fmt.Println("rejected:", err != nil)
 	fmt.Println("view still has", view.Len(), "tuples")
 	// Output:
@@ -206,7 +206,7 @@ func ExampleTxn() {
 	_ = tx.InsertRow("v3", "v9", "v21") // would contradict D# -> CT
 	_ = tx.RollbackTo(sp)               // ...discarded before commit
 	fmt.Println("commit:", tx.Commit())
-	fmt.Println("t1 contract:", st.TupleView(0)[s.MustAttr("CT")])
+	fmt.Println("t1 contract:", st.Tuple(0)[s.MustAttr("CT")])
 
 	// A doomed write-set is rejected atomically; the error names the
 	// offending staged op and matches the ErrInconsistent sentinel.
@@ -229,7 +229,7 @@ func ExampleTxn() {
 }
 
 // ExampleOpenDurableStore shows the durable write path: the handle is a
-// ConcurrentStore whose commits are write-ahead logged to a directory,
+// Store whose commits are write-ahead logged to a directory,
 // the process "dies", and reopening the directory recovers the exact
 // committed state — accepted rows, resolved nulls, and the fresh-mark
 // allocator watermark included.
@@ -250,14 +250,14 @@ func ExampleOpenDurableStore() {
 	d, _ := fdnull.OpenDurableStore(dir, opts)
 	_ = d.InsertRow("v1", "v9", "-")   // contract unknown
 	_ = d.InsertRow("v2", "v9", "v20") // fixes department v9's contract
-	tx := d.BeginTxn()
+	tx := d.Begin()
 	_ = tx.InsertRow("v3", "v10", "v21")
 	_ = tx.InsertRow("v4", "v10", "-")
 	fmt.Println("txn commit:", tx.Commit())
 	_ = d.Close() // flushes the group-commit window
 
 	re, _ := fdnull.OpenDurableStore(dir, fdnull.DurableOptions{})
-	snap := re.Snapshot() // reads go through O(1) snapshots
+	snap := re.View() // reads go through O(1) snapshots
 	fmt.Println("recovered tuples:", snap.Len())
 	fmt.Println("t1 contract:", snap.Tuple(0)[s.MustAttr("CT")])
 	fmt.Println("t4 contract:", snap.Tuple(3)[s.MustAttr("CT")])

@@ -129,6 +129,9 @@ func ApplyXSubstitutions(r *relation.Relation, fds []fd.FD) (*relation.Relation,
 // Store is a relation instance guarded by FDs under weak satisfiability:
 // mutations that admit no completion are rejected with a chase witness,
 // and the NS-rules substitute forced nulls after every accepted change.
+// It is safe for concurrent use: writers serialize behind a write lock,
+// readers share the read lock, and View hands out an O(1) copy-on-write
+// snapshot that is read lock-free afterwards.
 type Store = store.Store
 
 // InconsistencyError is returned for mutations the dependencies forbid.
@@ -154,6 +157,9 @@ var (
 // Insert/InsertRow/Update/Delete (with Save/RollbackTo savepoints),
 // then Commit applies the whole set as one multi-row delta with a
 // single constraint check — or rejects it atomically with a TxnError.
+// Staging takes no lock and Commit takes the store's write lock, so
+// transactions on one store give first-committer-wins snapshot
+// isolation.
 type Txn = store.Txn
 
 // TxnSavepoint marks a position in a transaction's staged write-set.
@@ -163,11 +169,6 @@ type TxnSavepoint = store.Savepoint
 // op plus the underlying cause (an *InconsistencyError carrying the
 // chase witness for constraint rejections).
 type TxnError = store.TxnError
-
-// ConcurrentTxn is a snapshot-isolated transaction against the
-// concurrent facade: lock-free staging over a begin-time COW snapshot,
-// commit under the write lock, first-committer-wins conflicts.
-type ConcurrentTxn = store.ConcurrentTxn
 
 // NewStore creates an empty guarded store. It maintains the invariant
 // incrementally: a commit re-verifies only the partition groups it
@@ -190,26 +191,9 @@ func LoadStore(r io.Reader) (*Store, error) {
 	return store.Load(r)
 }
 
-// ConcurrentStore is a Store safe for concurrent use: writers serialize
-// behind a write lock while readers take O(1) copy-on-write snapshots
-// under the read lock and then work lock-free on immutable data. It is
-// also the durable handle (OpenDurableStore): Err, Sync, Checkpoint,
-// Close, Health and Recover are its durability surface, all no-ops on an
-// in-memory store, whose Health reports Mode "memory".
-type ConcurrentStore = store.Concurrent
-
 // RelationView is an immutable O(1) copy-on-write snapshot of a relation
-// instance (Store.View, ConcurrentStore.Snapshot).
+// instance (Store.View).
 type RelationView = relation.View
-
-// NewConcurrentStore creates an empty concurrent guarded store.
-func NewConcurrentStore(s *schema.Scheme, fds []fd.FD) *ConcurrentStore {
-	return store.NewConcurrent(s, fds)
-}
-
-// GuardStore wraps an existing store in the concurrent facade; the
-// caller must not use the bare store afterwards.
-func GuardStore(st *Store) *ConcurrentStore { return store.Guard(st) }
 
 // ---- Durability ----
 
@@ -219,8 +203,9 @@ func GuardStore(st *Store) *ConcurrentStore { return store.Guard(st) }
 type DurableOptions = store.DurableOptions
 
 // ErrWAL tags every write-ahead-log failure: a poisoned durable handle,
-// a refused open (engine mismatch, corrupt fsync'd segment, missing
-// checkpoint), or a failed checkpoint.
+// a refused open (a manifest naming any maintenance but incremental,
+// a corrupt fsync'd segment, a missing checkpoint), or a failed
+// checkpoint.
 var ErrWAL = store.ErrWAL
 
 // ErrDurableClosed reports an operation on a closed durable handle.
@@ -238,15 +223,15 @@ var ErrTransient = store.ErrTransient
 // is in degraded read-only mode: an unrecoverable log failure (a failed
 // fsync on the active segment, say) stops mutations but keeps queries
 // and snapshots serving the in-memory state. The error also wraps the
-// degradation's root cause, which matches ErrWAL. ConcurrentStore.Health
-// reports the state; ConcurrentStore.Recover re-establishes durability
-// once the filesystem heals.
+// degradation's root cause, which matches ErrWAL. Store.Health reports
+// the state; Store.Recover re-establishes durability once the filesystem
+// heals.
 var ErrDegraded = store.ErrDegraded
 
 // DurableHealth is a point-in-time snapshot of a store handle's
 // durability state and I/O counters (mode, synced/next/checkpoint seq,
 // fsync/retry/degradation counts, root cause while degraded), as
-// returned by ConcurrentStore.Health and ShardedStore.ShardHealth.
+// returned by Store.Health and ShardedStore.ShardHealth.
 type DurableHealth = store.Health
 
 // FS is the filesystem interface all durable I/O goes through
@@ -283,24 +268,26 @@ func NewFaultFS(inner FS, plan map[uint64]Fault) *FaultInjectionFS {
 	return iox.NewFaultFS(inner, plan)
 }
 
-// OpenDurableStore opens (or creates) a durable store in dir, behind
-// the concurrent facade: accepted commits are write-ahead logged to a
-// segmented, checksummed log, and reopening the directory replays the
-// manifest's checkpoint plus the log suffix and reconstructs the exact
-// committed instance, marks and allocator watermark included. A torn
-// tail (a record cut short by the crash) is truncated at the last valid
-// record; corruption anywhere already fsync'd fails the open with
-// ErrWAL. A fresh directory needs opts.Scheme and opts.FDs; a reopen
-// ignores them, and refuses a maintenance engine different from the one
-// the log was produced under.
-func OpenDurableStore(dir string, opts DurableOptions) (*ConcurrentStore, error) {
+// OpenDurableStore opens (or creates) a durable store in dir: accepted
+// commits are write-ahead logged to a segmented, checksummed log, and
+// reopening the directory replays the manifest's checkpoint plus the log
+// suffix and reconstructs the exact committed instance, marks and
+// allocator watermark included. A torn tail (a record cut short by the
+// crash) is truncated at the last valid record; corruption anywhere
+// already fsync'd fails the open with ErrWAL. A fresh directory needs
+// opts.Scheme and opts.FDs; a reopen ignores them, and refuses a
+// manifest that names any maintenance other than incremental or X-rules
+// other than false. Err, Sync, Checkpoint, Close, Health and Recover are
+// the returned store's durability surface, all no-ops on an in-memory
+// store, whose Health reports Mode "memory".
+func OpenDurableStore(dir string, opts DurableOptions) (*Store, error) {
 	return store.OpenDurable(dir, opts)
 }
 
 // ---- Sharded store ----
 
 // ShardedStore is a hash-sharded constraint-maintained store: S
-// independent concurrent shards routed by the constant projection on a
+// independent Store shards routed by the constant projection on a
 // shard key that must be a subset of every dependency's LHS (which
 // makes the chase shard-local and the sharding sound). Single-shard
 // transactions lock only their home shard; cross-shard write-sets
@@ -309,7 +296,7 @@ func OpenDurableStore(dir string, opts DurableOptions) (*ConcurrentStore, error)
 type ShardedStore = store.Sharded
 
 // ShardedStoreOptions configure NewShardedStore / OpenShardedStore:
-// shard count, routing key, and the per-shard store options.
+// the shard count and the routing key.
 type ShardedStoreOptions = store.ShardedOptions
 
 // ShardedTxn is a staged write-set against a sharded store. Updates and

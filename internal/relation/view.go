@@ -30,7 +30,7 @@ type View struct {
 // View returns a copy-on-write snapshot of the instance.
 //
 // The caller must hold off concurrent *mutation* while View is invoked
-// (the store's concurrent facade takes its reader lock); concurrent View
+// (the store takes its read lock); concurrent View
 // calls are safe with each other.
 func (r *Relation) View() View {
 	r.mu.Lock()

@@ -12,12 +12,11 @@ import (
 )
 
 // TestConcurrentBeginTxnRace is the -race stress regression for the
-// begin path: many goroutines run BeginTxn — which executes
-// Store.Begin()/View() holding only the facade's READ lock, so any
-// shared-state mutation on that path (fresh-mark allocator, cached
-// indexes, COW bookkeeping) would race with the other concurrent
-// Begins — interleaved with committing writers, snapshot readers, and
-// queries.
+// begin path: many goroutines run Begin and View — which hold only the
+// store's READ lock, so any shared-state mutation on that path
+// (fresh-mark allocator, cached indexes, COW bookkeeping) would race
+// with the other concurrent Begins — interleaved with committing
+// writers, snapshot readers, and queries.
 func TestConcurrentBeginTxnRace(t *testing.T) {
 	c, s, _ := concurrentFixture()
 	for i := 0; i < 8; i++ {
@@ -41,8 +40,9 @@ func TestConcurrentBeginTxnRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				tx := c.BeginTxn()
-				_ = tx.Snapshot().Len()
+				tx := c.Begin()
+				snap := c.View()
+				_ = snap.Len()
 				switch (g + i) % 4 {
 				case 0:
 					// Stage through the row parser (commit-time fresh-mark
@@ -64,7 +64,7 @@ func TestConcurrentBeginTxnRace(t *testing.T) {
 				case 1:
 					// Pure reader transaction: query the begin-time snapshot,
 					// then walk away.
-					_ = query.Select(tx.Snapshot(), p)
+					_ = query.Select(snap, p)
 					tx.Rollback()
 				case 2:
 					// Stage an explicit tuple carrying a mark drawn under the

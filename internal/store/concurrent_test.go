@@ -15,7 +15,7 @@ import (
 	"fdnull/internal/value"
 )
 
-func concurrentFixture() (*Concurrent, *schema.Scheme, []fd.FD) {
+func concurrentFixture() (*Store, *schema.Scheme, []fd.FD) {
 	s := schema.MustNew("R",
 		[]string{"E#", "SL", "D#", "CT"},
 		[]*schema.Domain{
@@ -25,7 +25,7 @@ func concurrentFixture() (*Concurrent, *schema.Scheme, []fd.FD) {
 			schema.IntDomain("contract", "ct", 3),
 		})
 	fds := fd.MustParseSet(s, "E# -> SL,D#; D# -> CT")
-	return NewConcurrent(s, fds), s, fds
+	return New(s, fds, Options{}), s, fds
 }
 
 // TestConcurrentStress runs writer goroutines against snapshot readers.
@@ -86,7 +86,7 @@ func TestConcurrentStress(t *testing.T) {
 			var lastVersion uint64
 			reads := 0
 			for !stop.Load() {
-				snap := c.Snapshot()
+				snap := c.View()
 				if snap.Version() < lastVersion {
 					t.Errorf("version went backwards: %d after %d", snap.Version(), lastVersion)
 					return
@@ -124,7 +124,7 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestTxnConcurrentStress runs transactional writers — BeginTxn, stage
+// TestTxnConcurrentStress runs transactional writers — Begin, stage
 // a small write-set lock-free, Commit under first-committer-wins — in
 // parallel with snapshot readers and with each other. Run under -race
 // (the CI does) this is the data-race proof for the lock-free staging
@@ -157,8 +157,8 @@ func TestTxnConcurrentStress(t *testing.T) {
 			}
 			for txn := 0; txn < txnsPerWriter; txn++ {
 				for attempt := 0; ; attempt++ {
-					tx := c.BeginTxn()
-					snap := tx.Snapshot()
+					tx := c.Begin()
+					snap := c.View()
 					k := 1 + rng.Intn(4)
 					for o := 0; o < k; o++ {
 						switch {
@@ -215,7 +215,7 @@ func TestTxnConcurrentStress(t *testing.T) {
 			var lastVersion uint64
 			reads := 0
 			for !stop.Load() {
-				snap := c.Snapshot()
+				snap := c.View()
 				if snap.Version() < lastVersion {
 					t.Errorf("version went backwards: %d after %d", snap.Version(), lastVersion)
 					return
@@ -249,8 +249,8 @@ func TestTxnConcurrentStress(t *testing.T) {
 	t.Logf("committed=%d conflicted=%d rejected=%d", committed.Load(), conflicted.Load(), rejected.Load())
 }
 
-// TestConcurrentSnapshotIsolation pins the copy-on-write contract at the
-// facade level: a snapshot taken before a burst of writes is bit-stable.
+// TestConcurrentSnapshotIsolation pins the copy-on-write contract on the
+// store handle: a view taken before a burst of writes is bit-stable.
 func TestConcurrentSnapshotIsolation(t *testing.T) {
 	c, s, _ := concurrentFixture()
 	for i := 1; i <= 8; i++ {
@@ -258,7 +258,7 @@ func TestConcurrentSnapshotIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := c.Snapshot()
+	snap := c.View()
 	before := make([]string, snap.Len())
 	for i := range before {
 		before[i] = snap.Tuple(i).String()

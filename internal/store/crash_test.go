@@ -19,8 +19,8 @@ package store
 //
 // TestDurableConcurrentHistoryWithCrashes extends the transactional
 // history exerciser across process lifetimes: first-committer-wins
-// conflict rounds race two goroutines through the concurrent durable
-// facade (with a concurrent reader), interleaved with checkpoints,
+// conflict rounds race two goroutines through one durable store (with
+// a concurrent reader), interleaved with checkpoints,
 // group-commit syncs, and simulated power failures — the active
 // segment is truncated to its synced offset mid-run, the store is
 // reopened, and the history continues from the recovered state.
@@ -173,7 +173,7 @@ func reopenAndCheck(t *testing.T, dst string, k uint64, extra int, snaps map[uin
 		t.Fatalf("crash point %d (torn %d bytes): reopen: %v\n%s", k, extra, err, dump)
 	}
 	defer re.Close()
-	got := re.st
+	got := re
 	if !relation.Equal(got.Snapshot(), want.rel) {
 		t.Fatalf("crash point %d (torn %d bytes): recovered state != oracle prefix:\nrecovered:\n%s\noracle:\n%s",
 			k, extra, got.Snapshot(), want.rel)
@@ -205,11 +205,11 @@ func runCrashHistory(t *testing.T, ws histScheme, maint engine, seed int64, step
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	maint.onHandle(d)
+	maint.on(d)
 	oracle := maint.on(New(ws.s, ws.fds, Options{}))
 	snaps := map[uint64]crashSnapshot{0: crashSnap(oracle)}
 	manifests := []crashManifest{{0, readFileT(t, filepath.Join(dir, manifestName))}}
-	lastSeq := func() uint64 { return d.st.wal.w.nextSeq - 1 }
+	lastSeq := func() uint64 { return d.wal.w.nextSeq - 1 }
 	record := func() {
 		if _, ok := snaps[lastSeq()]; !ok {
 			// Keyed by seq and written once: a later FreshNull may advance
@@ -244,17 +244,17 @@ func runCrashHistory(t *testing.T, ws histScheme, maint engine, seed int64, step
 		// The durable store and the oracle share engine, history, and
 		// allocator, so tuple order — and hence indices — is identical.
 		switch k := rng.Intn(20); {
-		case k < 7 || d.st.Len() == 0:
+		case k < 7 || d.Len() == 0:
 			row := randRow()
 			errD := d.InsertRow(row...)
 			errO := oracle.InsertRow(row...)
-			assertAgreement(t, step, "insert", errD, errO, d.st, oracle)
+			assertAgreement(t, step, "insert", errD, errO, d, oracle)
 		case k < 10:
-			ti := rng.Intn(d.st.Len())
+			ti := rng.Intn(d.Len())
 			a := schema.Attr(rng.Intn(ws.s.Arity()))
 			var v value.V
 			if rng.Intn(4) == 0 {
-				vd, vo := d.st.FreshNull(), oracle.FreshNull()
+				vd, vo := d.FreshNull(), oracle.FreshNull()
 				if !vd.Identical(vo) {
 					t.Fatalf("step %d: allocators diverged: %s vs %s", step, vd, vo)
 				}
@@ -265,15 +265,15 @@ func runCrashHistory(t *testing.T, ws histScheme, maint engine, seed int64, step
 			}
 			errD := d.Update(ti, a, v)
 			errO := oracle.Update(ti, a, v)
-			assertAgreement(t, step, "update", errD, errO, d.st, oracle)
+			assertAgreement(t, step, "update", errD, errO, d, oracle)
 		case k < 12:
-			ti := rng.Intn(d.st.Len())
+			ti := rng.Intn(d.Len())
 			errD := d.Delete(ti)
 			errO := oracle.Delete(ti)
-			assertAgreement(t, step, "delete", errD, errO, d.st, oracle)
+			assertAgreement(t, step, "delete", errD, errO, d, oracle)
 		case k < 16:
 			// A transaction block with an occasional savepoint rollback.
-			txD, txO := d.BeginTxn(), oracle.Begin()
+			txD, txO := d.Begin(), oracle.Begin()
 			nOps := 1 + rng.Intn(5)
 			var spD, spO Savepoint
 			saved := false
@@ -326,13 +326,13 @@ func runCrashHistory(t *testing.T, ws histScheme, maint engine, seed int64, step
 				txO.Rollback()
 			} else {
 				errD, errO := txD.Commit(), txO.Commit()
-				assertTxnCommitAgreement(t, step, errD, errO, d.st, oracle)
+				assertTxnCommitAgreement(t, step, errD, errO, d, oracle)
 			}
 		case k < 18:
 			if err := d.Checkpoint(); err != nil {
 				t.Fatalf("step %d: checkpoint: %v", step, err)
 			}
-			manifests = append(manifests, crashManifest{d.st.wal.ckptSeq, readFileT(t, filepath.Join(dir, manifestName))})
+			manifests = append(manifests, crashManifest{d.wal.ckptSeq, readFileT(t, filepath.Join(dir, manifestName))})
 		default:
 			if err := d.Sync(); err != nil {
 				t.Fatalf("step %d: sync: %v", step, err)
@@ -428,9 +428,9 @@ func TestCrashPointExerciser(t *testing.T) {
 // handle is abandoned without a final sync and the active segment loses
 // everything past its synced offset. It returns the seq of the last
 // record that survived.
-func killDurableConcurrent(t *testing.T, dc *Concurrent) uint64 {
+func killDurableConcurrent(t *testing.T, dc *Store) uint64 {
 	t.Helper()
-	w := dc.st.wal.w
+	w := dc.wal.w
 	synced, name, off := w.syncedSeq, w.name, w.syncedOff
 	w.f.Close()
 	if err := os.Truncate(filepath.Join(w.dir, name), off); err != nil {
@@ -460,7 +460,7 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 	}
 	oracle := New(ws.s, ws.fds, Options{})
 	snaps := map[uint64]crashSnapshot{0: crashSnap(oracle)}
-	lastSeq := func() uint64 { return dc.st.wal.w.nextSeq - 1 }
+	lastSeq := func() uint64 { return dc.wal.w.nextSeq - 1 }
 	record := func() {
 		if _, ok := snaps[lastSeq()]; !ok {
 			snaps[lastSeq()] = crashSnap(oracle)
@@ -504,7 +504,7 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 			if (errD == nil) != (errO == nil) {
 				t.Fatalf("round %d: insert verdicts diverged: %v vs %v", round, errD, errO)
 			}
-			if !relation.Equal(dc.st.Snapshot(), oracle.Snapshot()) {
+			if !relation.Equal(dc.Snapshot(), oracle.Snapshot()) {
 				t.Fatalf("round %d: durable state diverged from the oracle after insert", round)
 			}
 		case k < 7:
@@ -519,7 +519,7 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 				}
 			}
 			useSavepoint := rng.Intn(3) == 0
-			txs := [2]*ConcurrentTxn{c.BeginTxn(), c.BeginTxn()}
+			txs := [2]*Txn{c.Begin(), c.Begin()}
 			var wg, readerWg sync.WaitGroup
 			var errs [2]error
 			stop := make(chan struct{})
@@ -532,7 +532,7 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 						return
 					default:
 					}
-					snap := c.Snapshot()
+					snap := c.View()
 					for i := 0; i < snap.Len(); i++ {
 						_ = snap.Tuple(i)
 					}
@@ -599,9 +599,9 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 					t.Fatalf("round %d: winner committed but the oracle rejects the same write-set: %v", round, err)
 				}
 			}
-			if !relation.Equal(dc.st.Snapshot(), oracle.Snapshot()) {
+			if !relation.Equal(dc.Snapshot(), oracle.Snapshot()) {
 				t.Fatalf("round %d: durable state diverged from the oracle:\ndurable:\n%s\noracle:\n%s",
-					round, dc.st.Snapshot(), oracle.Snapshot())
+					round, dc.Snapshot(), oracle.Snapshot())
 			}
 		case k < 8:
 			if err := dc.Checkpoint(); err != nil {
@@ -627,15 +627,15 @@ func runDurableConcurrentHistory(t *testing.T, ws histScheme, seed int64, rounds
 			if !ok {
 				t.Fatalf("round %d: no snapshot for synced seq %d", round, synced)
 			}
-			if !relation.Equal(re.st.Snapshot(), want.rel) {
+			if !relation.Equal(re.Snapshot(), want.rel) {
 				t.Fatalf("round %d: crash at synced seq %d: recovered != oracle prefix:\nrecovered:\n%s\noracle:\n%s",
-					round, synced, re.st.Snapshot(), want.rel)
+					round, synced, re.Snapshot(), want.rel)
 			}
-			if re.st.rel.NextMark() != want.mark {
-				t.Fatalf("round %d: recovered watermark %d, oracle %d", round, re.st.rel.NextMark(), want.mark)
+			if re.rel.NextMark() != want.mark {
+				t.Fatalf("round %d: recovered watermark %d, oracle %d", round, re.rel.NextMark(), want.mark)
 			}
 			dc = re
-			adopt(re.st)
+			adopt(re)
 			// Seqs are not reused after a crash drops an unsynced suffix,
 			// but the state they lead to changes; forget stale snapshots.
 			snaps = map[uint64]crashSnapshot{lastSeq(): crashSnap(oracle)}

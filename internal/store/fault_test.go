@@ -41,8 +41,8 @@ import (
 // dur ops (Sync/Checkpoint) touch only the durable handle.
 type faultOp struct {
 	name string
-	mut  func(m *Concurrent) error
-	dur  func(d *Concurrent) error
+	mut  func(m *Store) error
+	dur  func(d *Store) error
 }
 
 // faultWorkload is the deterministic script every fault schedule runs.
@@ -51,17 +51,17 @@ type faultOp struct {
 // semantic.
 func faultWorkload() []faultOp {
 	row := func(cells ...string) faultOp {
-		return faultOp{name: "insert " + cells[0], mut: func(m *Concurrent) error { return m.InsertRow(cells...) }}
+		return faultOp{name: "insert " + cells[0], mut: func(m *Store) error { return m.InsertRow(cells...) }}
 	}
 	upd := func(ti int, a schema.Attr, v string) faultOp {
-		return faultOp{name: fmt.Sprintf("update %d.%d", ti, a), mut: func(m *Concurrent) error { return m.Update(ti, a, value.NewConst(v)) }}
+		return faultOp{name: fmt.Sprintf("update %d.%d", ti, a), mut: func(m *Store) error { return m.Update(ti, a, value.NewConst(v)) }}
 	}
 	del := func(ti int) faultOp {
-		return faultOp{name: fmt.Sprintf("delete %d", ti), mut: func(m *Concurrent) error { return m.Delete(ti) }}
+		return faultOp{name: fmt.Sprintf("delete %d", ti), mut: func(m *Store) error { return m.Delete(ti) }}
 	}
-	txn := func(name string, stage func(tx *ConcurrentTxn) error) faultOp {
-		return faultOp{name: name, mut: func(m *Concurrent) error {
-			tx := m.BeginTxn()
+	txn := func(name string, stage func(tx *Txn) error) faultOp {
+		return faultOp{name: name, mut: func(m *Store) error {
+			tx := m.Begin()
 			if err := stage(tx); err != nil {
 				tx.Rollback()
 				return err
@@ -73,27 +73,27 @@ func faultWorkload() []faultOp {
 		row("e1", "s1", "d1", "ct1"),
 		row("e2", "s2", "d2", "ct2"),
 		row("e3", "-", "d1", "ct1"),
-		{name: "sync", dur: func(d *Concurrent) error { return d.Sync() }},
+		{name: "sync", dur: func(d *Store) error { return d.Sync() }},
 		upd(0, 1, "s3"),
-		txn("txn insert e4,e5", func(tx *ConcurrentTxn) error {
+		txn("txn insert e4,e5", func(tx *Txn) error {
 			if err := tx.InsertRow("e4", "s4", "d3", "ct3"); err != nil {
 				return err
 			}
 			return tx.InsertRow("e5", "s5", "d2", "ct2")
 		}),
-		{name: "checkpoint", dur: func(d *Concurrent) error { return d.Checkpoint() }},
+		{name: "checkpoint", dur: func(d *Store) error { return d.Checkpoint() }},
 		del(1),
 		row("e6", "-", "d4", "-"),
 		upd(0, 1, "s4"),
-		txn("txn delete 2 + insert e7", func(tx *ConcurrentTxn) error {
+		txn("txn delete 2 + insert e7", func(tx *Txn) error {
 			if err := tx.Delete(2); err != nil {
 				return err
 			}
 			return tx.InsertRow("e7", "s7", "d1", "ct1")
 		}),
-		{name: "sync", dur: func(d *Concurrent) error { return d.Sync() }},
+		{name: "sync", dur: func(d *Store) error { return d.Sync() }},
 		row("e8", "s8", "d4", "-"),
-		{name: "checkpoint", dur: func(d *Concurrent) error { return d.Checkpoint() }},
+		{name: "checkpoint", dur: func(d *Store) error { return d.Checkpoint() }},
 		upd(1, 1, "s9"),
 		row("e9", "s9", "d2", "ct2"),
 		del(0),
@@ -212,7 +212,7 @@ func runFaultSchedule(t *testing.T, ctx string, plan map[uint64]iox.Fault) sched
 		default:
 			t.Fatalf("%s: op %q failed outside the taxonomy: %v", ctx, op.name, errD)
 		}
-		if err := op.mut(Guard(oracle)); err != nil {
+		if err := op.mut(oracle); err != nil {
 			t.Fatalf("%s: oracle rejected %q the durable store accepted: %v", ctx, op.name, err)
 		}
 		snaps = append(snaps, crashSnap(oracle))
@@ -225,13 +225,13 @@ func runFaultSchedule(t *testing.T, ctx string, plan map[uint64]iox.Fault) sched
 	if health.Degraded {
 		// Invariant 1: a degraded handle serves reads frozen exactly at
 		// the oracle's state and refuses mutations without touching it.
-		if !relation.Equal(d.st.Snapshot(), snaps[applied].rel) {
+		if !relation.Equal(d.Snapshot(), snaps[applied].rel) {
 			t.Fatalf("%s: degraded reads diverge from the oracle", ctx)
 		}
 		if err := d.InsertRow("e11", "s1", "d1", "ct1"); !errors.Is(err, ErrDegraded) {
 			t.Fatalf("%s: mutation on a degraded handle returned %v, want ErrDegraded", ctx, err)
 		}
-		if d.st.Len() != snaps[applied].rel.Len() {
+		if d.Len() != snaps[applied].rel.Len() {
 			t.Fatalf("%s: rejected mutation changed the in-memory state", ctx)
 		}
 		if !errors.Is(d.Err(), ErrWAL) {
@@ -246,14 +246,14 @@ func runFaultSchedule(t *testing.T, ctx string, plan map[uint64]iox.Fault) sched
 		if err != nil {
 			t.Fatalf("%s: crash-copy reopen failed: %v", ctx, err)
 		}
-		m := matchingPrefix(re.st, snaps)
+		m := matchingPrefix(re, snaps)
 		if m < 0 {
-			t.Fatalf("%s: crash-copy recovered a state matching NO oracle prefix (torn state):\n%s", ctx, re.st.Snapshot())
+			t.Fatalf("%s: crash-copy recovered a state matching NO oracle prefix (torn state):\n%s", ctx, re.Snapshot())
 		}
 		if uint64(m) < health.SyncedSeq {
 			t.Fatalf("%s: crash-copy recovered prefix %d < acknowledged synced seq %d (silent loss)", ctx, m, health.SyncedSeq)
 		}
-		if !re.st.CheckWeak() {
+		if !re.CheckWeak() {
 			t.Fatalf("%s: crash-copy violates the weak invariant", ctx)
 		}
 		if err := re.Close(); err != nil && !errors.Is(err, ErrWAL) {
@@ -294,19 +294,19 @@ func runFaultSchedule(t *testing.T, ctx string, plan map[uint64]iox.Fault) sched
 		t.Fatalf("%s: final reopen: %v", ctx, err)
 	}
 	defer re.Close()
-	if !relation.Equal(re.st.Snapshot(), oracle.Snapshot()) {
+	if !relation.Equal(re.Snapshot(), oracle.Snapshot()) {
 		t.Fatalf("%s: final reopen diverges from the oracle:\nrecovered:\n%s\noracle:\n%s",
-			ctx, re.st.Snapshot(), oracle.Snapshot())
+			ctx, re.Snapshot(), oracle.Snapshot())
 	}
-	if re.st.NextMark() != oracle.NextMark() {
-		t.Fatalf("%s: final watermark %d, oracle %d", ctx, re.st.NextMark(), oracle.NextMark())
+	if re.NextMark() != oracle.NextMark() {
+		t.Fatalf("%s: final watermark %d, oracle %d", ctx, re.NextMark(), oracle.NextMark())
 	}
 	return res
 }
 
 // dur runs a durable-only op (Sync/Checkpoint), which may fail under
 // faults — legal iff inside the taxonomy.
-func (d *Concurrent) dur(op faultOp, t *testing.T, ctx string) {
+func (d *Store) dur(op faultOp, t *testing.T, ctx string) {
 	t.Helper()
 	if err := op.dur(d); err != nil && !errors.Is(err, ErrWAL) && !errors.Is(err, ErrDegraded) {
 		t.Fatalf("%s: %q failed outside the taxonomy: %v", ctx, op.name, err)
@@ -437,7 +437,7 @@ func TestReopenFaultSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := crashSnap(d.st)
+	want := crashSnap(d)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestReopenFaultSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("count reopen: %v", err)
 	}
-	check("count reopen", re.st)
+	check("count reopen", re)
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -488,12 +488,12 @@ func TestReopenFaultSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: fault-free reopen after failed open: %v", ctx, err)
 			}
-			check(ctx+" (after failed open)", re2.st)
+			check(ctx+" (after failed open)", re2)
 			re2.Close()
 			continue
 		}
 		if re.Health().Degraded {
-			check(ctx+" (degraded reads)", re.st)
+			check(ctx+" (degraded reads)", re)
 			ffs.SetPlan(nil)
 			if err := re.Recover(); err != nil {
 				t.Fatalf("%s: Recover: %v", ctx, err)
@@ -502,7 +502,7 @@ func TestReopenFaultSweep(t *testing.T) {
 				t.Fatalf("%s: insert after Recover: %v", ctx, err)
 			}
 		} else {
-			check(ctx, re.st)
+			check(ctx, re)
 			ffs.SetPlan(nil)
 		}
 		if err := re.Close(); err != nil {
@@ -522,7 +522,7 @@ func TestStrayTmpPruned(t *testing.T) {
 	if err := d.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
-	want := crashSnap(d.st)
+	want := crashSnap(d)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +536,7 @@ func TestStrayTmpPruned(t *testing.T) {
 		t.Fatalf("reopen with stray tmp files: %v", err)
 	}
 	defer re.Close()
-	if !relation.Equal(re.st.Snapshot(), want.rel) {
+	if !relation.Equal(re.Snapshot(), want.rel) {
 		t.Fatal("stray tmp files changed the recovered state")
 	}
 	entries, err := os.ReadDir(dir)
@@ -565,8 +565,8 @@ func TestDegradedOpenServesReads(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	want := crashSnap(d.st)
-	ckptSeq := d.st.wal.ckptSeq
+	want := crashSnap(d)
+	ckptSeq := d.wal.ckptSeq
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +593,7 @@ func TestDegradedOpenServesReads(t *testing.T) {
 	if !h.Degraded || h.Err == nil {
 		t.Fatalf("health after blocked open: %+v", h)
 	}
-	if !relation.Equal(re.st.Snapshot(), want.rel) {
+	if !relation.Equal(re.Snapshot(), want.rel) {
 		t.Fatal("degraded open lost state")
 	}
 	if err := re.InsertRow("e2", "s2", "d2", "ct2"); !errors.Is(err, ErrDegraded) {
@@ -634,8 +634,8 @@ func TestDegradedTxnCommitDoesNotMutate(t *testing.T) {
 	if !d.Health().Degraded {
 		t.Fatal("handle did not degrade on a failed sync")
 	}
-	lenBefore, verBefore := d.st.Len(), d.st.Version()
-	tx := d.BeginTxn()
+	lenBefore, verBefore := d.Len(), d.Version()
+	tx := d.Begin()
 	if err := tx.InsertRow("e2", "s2", "d2", "ct2"); err != nil {
 		t.Fatalf("staging must work on a degraded handle: %v", err)
 	}
@@ -647,7 +647,7 @@ func TestDegradedTxnCommitDoesNotMutate(t *testing.T) {
 	if !errors.As(err, &de) || de.Cause == nil {
 		t.Fatalf("degraded commit error %v does not expose its cause", err)
 	}
-	if d.st.Len() != lenBefore || d.st.Version() != verBefore {
+	if d.Len() != lenBefore || d.Version() != verBefore {
 		t.Fatal("rejected degraded commit mutated the in-memory state")
 	}
 }
@@ -685,8 +685,8 @@ func TestTransientRetryHeals(t *testing.T) {
 	}
 }
 
-// TestConcurrentHealthAndRecover exercises the facade plumbing: Health
-// under the read lock, degradation propagating to Err, Recover under
+// TestConcurrentHealthAndRecover exercises the handle's durability
+// surface: Health under the read lock, degradation propagating to Err, Recover under
 // the write lock.
 func TestConcurrentHealthAndRecover(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")

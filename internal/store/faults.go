@@ -256,7 +256,7 @@ func (d *durable) reestablish() error {
 		d.w.f = nil
 	}
 	seq := d.w.nextSeq - 1
-	if err := writeCheckpoint(d.env, d.dir, d.st, d.st.View(), d.st.rel.NextMark(), seq); err != nil {
+	if err := writeCheckpoint(d.env, d.dir, d.st, d.st.rel.View(), d.st.rel.NextMark(), seq); err != nil {
 		d.cause = err
 		return err
 	}
@@ -280,10 +280,10 @@ func (d *durable) reestablish() error {
 }
 
 // Health reports the handle's durability state under the read lock.
-func (c *Concurrent) Health() Health {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.st.wal.health()
+func (st *Store) Health() Health {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.wal.health()
 }
 
 // Recover leaves degraded mode by re-establishing durability from the
@@ -291,8 +291,8 @@ func (c *Concurrent) Health() Health {
 // lock throughout, so the checkpoint serialization stalls writers —
 // acceptable for an emergency path that only runs while mutations fail
 // anyway.
-func (c *Concurrent) Recover() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st.wal.reestablish()
+func (st *Store) Recover() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.wal.reestablish()
 }

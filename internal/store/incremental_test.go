@@ -52,9 +52,9 @@ func TestIncrementalNECPropagation(t *testing.T) {
 		}
 	}
 	ct := st.Scheme().MustAttr("CT")
-	m := st.TupleView(0)[ct]
+	m := st.Tuple(0)[ct]
 	for i := 1; i < 3; i++ {
-		if got := st.TupleView(i)[ct]; !got.Identical(m) {
+		if got := st.Tuple(i)[ct]; !got.Identical(m) {
 			t.Fatalf("CT nulls must share one class: %s vs %s", m, got)
 		}
 	}
@@ -62,7 +62,7 @@ func TestIncrementalNECPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if got := st.TupleView(i)[ct]; !got.IsConst() || got.Const() != "ct2" {
+		if got := st.Tuple(i)[ct]; !got.IsConst() || got.Const() != "ct2" {
 			t.Fatalf("tuple %d CT = %s, want ct2 (class substitution)", i, got)
 		}
 	}
@@ -195,14 +195,14 @@ func TestFreshNullNeverRecycled(t *testing.T) {
 		if err := st.Update(0, ct, st.FreshNull()); err != nil {
 			t.Fatal(err)
 		}
-		if got := st.TupleView(0)[ct]; got.IsNull() && got.Mark() == held.Mark() {
+		if got := st.Tuple(0)[ct]; got.IsNull() && got.Mark() == held.Mark() {
 			t.Fatalf("[%s] held mark %d was recycled into the store", m, held.Mark())
 		}
 		// Storing the held mark later must not alias it with anything.
 		if err := st.Update(0, st.Scheme().MustAttr("SL"), held); err != nil {
 			t.Fatal(err)
 		}
-		sl := st.TupleView(0)[st.Scheme().MustAttr("SL")]
+		sl := st.Tuple(0)[st.Scheme().MustAttr("SL")]
 		if !sl.IsNull() || sl.Mark() != held.Mark() {
 			t.Fatalf("[%s] held mark %d lost its identity: %s", m, held.Mark(), sl)
 		}

@@ -13,6 +13,8 @@ import (
 // allocator watermark rides along as a `nextmark` directive so a
 // reloaded store can never recycle a mark the saved one already spent.
 func (st *Store) Save(w io.Writer) error {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return relio.Write(w, &relio.File{
 		Scheme:   st.scheme,
 		FDs:      st.fds,
@@ -35,6 +37,8 @@ func Load(r io.Reader) (*Store, error) {
 
 // String renders the store compactly for logs.
 func (st *Store) String() string {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return fmt.Sprintf("store{%s, %d FDs, %d tuples, %d nulls}",
 		st.scheme.Name(), len(st.fds), st.rel.Len(), st.rel.NullCount())
 }

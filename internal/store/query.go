@@ -16,9 +16,9 @@
 // A selection plans over Relation.IndexOn, whose indexes the delta
 // mutators (relation/delta.go) update in place at O(touched group) per
 // write, so a read that follows a write probes a fresh index instead of
-// rebuilding one; against a Concurrent handle it holds the read lock for
-// its own length, the contract CheckWeak, CheckStrong and Len already
-// have. Three things are given up for that, deliberately:
+// rebuilding one; it holds the store's read lock for its own length, the
+// contract CheckWeak, CheckStrong and Len already have. Three things are
+// given up for that, deliberately:
 //
 //   - a *repeated identical* predicate at an unchanged version is
 //     planned and probed again rather than answered from a result map
@@ -27,8 +27,8 @@
 //   - evaluation is not lock-free: a selection holds its shard's read
 //     lock for microseconds when a probe answers it and for O(n) when
 //     the predicate offers the planner nothing. A long analysis that
-//     must not hold the lock takes Snapshot() and runs query.Select on
-//     it, as discover and check do;
+//     must not hold the lock takes View() and runs query.Select on it,
+//     as discover and check do;
 //   - an index a read caused to be built persists and is maintained by
 //     every later write. The planner asks for singleton sets and EqAttr
 //     pairs only, and such an index is rebuilt exactly when the write
@@ -42,18 +42,13 @@ import "fdnull/internal/query"
 // completion of the stored instance, Maybe under some; the chase
 // normalization behind the store means FD-forced values and NEC-shared
 // marks sharpen answers raw inputs would leave Maybe. Indices address
-// the instance as it is now and go stale with the next mutation.
+// the instance as it is now and go stale with the next mutation. It runs
+// under the read lock: readers proceed in parallel with each other, and
+// a writer waits for the selections in flight.
 func (st *Store) Query(p query.Pred) query.Result {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return query.SelectWith(st.rel, p, query.Options{})
-}
-
-// Query evaluates a selection against the concurrent store under the
-// read lock: readers proceed in parallel with each other, and a writer
-// waits for the selections in flight.
-func (c *Concurrent) Query(p query.Pred) query.Result {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.st.Query(p)
 }
 
 // QueryCacheStats reports how the relation's X-partition indexes served
@@ -62,8 +57,8 @@ func (c *Concurrent) Query(p query.Pred) query.Result {
 // (misses). On the incremental engine misses stop growing once every
 // attribute set in use has been asked for; growth beside accepted
 // writes means an index is being rebuilt.
-func (c *Concurrent) QueryCacheStats() (hits, misses uint64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.st.rel.IndexCounts()
+func (st *Store) QueryCacheStats() (hits, misses uint64) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.rel.IndexCounts()
 }

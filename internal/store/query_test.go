@@ -102,7 +102,7 @@ func assertBruteAgrees(t *testing.T, st *Store, p query.Pred, res query.Result) 
 		verdict[i] = tvl.Unknown
 	}
 	for i := 0; i < st.Len(); i++ {
-		want, err := query.EvalBrute(st.Scheme(), st.TupleView(i), p)
+		want, err := query.EvalBrute(st.Scheme(), st.Tuple(i), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func assertBruteAgrees(t *testing.T, st *Store, p query.Pred, res query.Result) 
 			got = tvl.False
 		}
 		if got != want {
-			t.Fatalf("tuple %d %s: store=%v brute=%v", i, st.TupleView(i), got, want)
+			t.Fatalf("tuple %d %s: store=%v brute=%v", i, st.Tuple(i), got, want)
 		}
 	}
 }
@@ -144,7 +144,7 @@ func TestStoreQueryDomainExhaustion(t *testing.T) {
 // the NS-rule K -> A substitutes in place (re-homing the row in the A
 // index the readers probe), a write-set the dependency rejects, and in
 // rotation a content-addressed update and a delete. Readers alternate
-// Concurrent.Query on one shard with Sharded.SelectTuples; the quiesced
+// Store.Query on one shard with Sharded.SelectTuples; the quiesced
 // answers are checked against the scan.
 func TestConcurrentQuery(t *testing.T) {
 	s := schema.MustNew("R", []string{"K", "A", "B"}, []*schema.Domain{
@@ -224,7 +224,7 @@ func TestConcurrentQuery(t *testing.T) {
 	wg.Wait()
 	for i := 0; i < sh.NumShards(); i++ {
 		c := sh.Shard(i)
-		if got, want := c.Query(p), query.Select(c.Snapshot(), p); !got.Equal(want) {
+		if got, want := c.Query(p), query.Select(c.View(), p); !got.Equal(want) {
 			t.Fatalf("shard %d: quiesced query disagrees with the scan: %v vs %v", i, got, want)
 		}
 	}
@@ -235,18 +235,19 @@ func TestConcurrentQuery(t *testing.T) {
 // Snapshot reads its begin-time state even after other writers commit.
 func TestTxnQuerySnapshotIsolation(t *testing.T) {
 	s, fds := refineScheme()
-	c := NewConcurrent(s, fds)
+	c := New(s, fds, Options{})
 	if err := c.InsertRow("e1", "s10", "d1"); err != nil {
 		t.Fatal(err)
 	}
 	p := query.Eq{Attr: s.MustAttr("D#"), Const: "d1"}
-	tx := c.BeginTxn()
+	tx := c.Begin()
 	defer tx.Rollback()
-	before := query.Select(tx.Snapshot(), p)
+	snap := c.View()
+	before := query.Select(snap, p)
 	if err := c.InsertRow("e2", "s11", "d1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := query.Select(tx.Snapshot(), p); !got.Equal(before) {
+	if got := query.Select(snap, p); !got.Equal(before) {
 		t.Fatalf("txn query must be frozen at begin time: %v then %v", before, got)
 	}
 	if got := c.Query(p); got.Equal(before) {

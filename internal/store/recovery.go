@@ -1,9 +1,9 @@
 // recovery.go is the replay half of the durable store (wal.go is the
 // on-disk half, faults.go the robustness layer): OpenDurable
 // reconstructs the exact committed state from the manifest's checkpoint
-// plus the log suffix into a lock-guarded *Concurrent, whose inner store
-// carries its WAL state (Store.wal) and keeps the directory current by
-// appending one record per accepted commit.
+// plus the log suffix into a *Store that carries its WAL state
+// (Store.wal) and keeps the directory current by appending one record
+// per accepted commit.
 //
 // # Recovery
 //
@@ -105,7 +105,7 @@ func (o DurableOptions) segmentBytes() int64 {
 // state survives process death. A nil *durable is an in-memory store's:
 // gate, logRecord, err, sync, close, health and reestablish all treat a
 // nil receiver as "no WAL" and do nothing. It has no lock of its own —
-// everything runs under the owning Concurrent's lock.
+// everything runs under the owning Store's lock.
 //
 // An unrecoverable WAL failure does not kill the handle: it DEGRADES it
 // to read-only (faults.go). The failed commit is in memory but may not
@@ -127,7 +127,7 @@ type durable struct {
 	// first root cause; close moves to modeClosed.
 	mode  uint8
 	cause error
-	// ckptInFlight is set while Concurrent.Checkpoint serializes a
+	// ckptInFlight is set while Store.Checkpoint serializes a
 	// snapshot outside the write lock. Auto-checkpoints (which run under
 	// that lock) skip while it is set, so two checkpoints never write
 	// MANIFEST.tmp concurrently and a finished checkpoint can never
@@ -135,22 +135,22 @@ type durable struct {
 	ckptInFlight bool
 }
 
-// OpenDurable opens (or creates) a durable store in dir and returns it
-// behind the RW-locked facade: many readers and transaction stagers in
-// parallel, writers serialized at commit, one log record per accepted
-// commit (appended under the write lock, so log order IS commit order).
+// OpenDurable opens (or creates) a durable store in dir: many readers
+// and transaction stagers in parallel, writers serialized at commit, one
+// log record per accepted commit (appended under the write lock, so log
+// order IS commit order).
 // A fresh dir needs opts.Scheme and opts.FDs; a reopen replays
 // checkpoint + log suffix and ignores them. When the state is fully
 // recovered but a writable segment cannot be established, the handle
 // opens in degraded read-only mode instead of failing (check
 // Health().Degraded).
-func OpenDurable(dir string, opts DurableOptions) (*Concurrent, error) {
+func OpenDurable(dir string, opts DurableOptions) (*Store, error) {
 	d, err := openWAL(newIOEnv(opts), dir, opts)
 	if err != nil {
 		return nil, err
 	}
 	d.st.wal = d
-	return Guard(d.st), nil
+	return d.st, nil
 }
 
 // err returns the degradation root cause, ErrDurableClosed after close,
@@ -246,7 +246,7 @@ func (d *durable) capture() (view relation.View, watermark int, seq uint64, err 
 	if err := d.w.sync(); err != nil {
 		return relation.View{}, 0, 0, d.degrade(walFail(err, "sync before checkpoint"))
 	}
-	return d.st.View(), d.st.rel.NextMark(), d.w.nextSeq - 1, nil
+	return d.st.rel.View(), d.st.rel.NextMark(), d.w.nextSeq - 1, nil
 }
 
 // publish is a checkpoint's last step, given writeCheckpoint's outcome
@@ -292,24 +292,24 @@ func (d *durable) close() error {
 	return nil
 }
 
-// ---- the durability surface of the locked store ----
+// ---- the durability surface of the store ----
 //
-// On an in-memory store (NewConcurrent, Guard) every method below is a
+// On an in-memory store (New, FromRelation) every method below is a
 // no-op returning nil, and Health reports Mode "memory".
 
 // Err returns the degradation root cause, ErrDurableClosed after Close,
 // or nil while the handle is healthy.
-func (c *Concurrent) Err() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.st.wal.err()
+func (st *Store) Err() error {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.wal.err()
 }
 
 // Sync forces the group-commit window closed under the write lock.
-func (c *Concurrent) Sync() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st.wal.sync()
+func (st *Store) Sync() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.wal.sync()
 }
 
 // Checkpoint snapshots the current state into a relio checkpoint file,
@@ -321,32 +321,32 @@ func (c *Concurrent) Sync() error {
 // serializing, a concurrent Checkpoint call returns nil without doing
 // anything (the in-flight checkpoint covers a seq at most
 // CheckpointEvery-ish older) and auto-checkpoints are skipped.
-func (c *Concurrent) Checkpoint() error {
-	d := c.st.wal
+func (st *Store) Checkpoint() error {
+	d := st.wal
 	if d == nil {
 		return nil
 	}
-	c.mu.Lock()
+	st.mu.Lock()
 	if err := d.gate(); err != nil || d.ckptInFlight {
-		c.mu.Unlock()
+		st.mu.Unlock()
 		return err // the gate's refusal, or nil behind the checkpoint in flight
 	}
 	view, watermark, seq, err := d.capture()
 	if err != nil {
-		c.mu.Unlock()
+		st.mu.Unlock()
 		return err
 	}
 	d.ckptInFlight = true
-	c.mu.Unlock()
+	st.mu.Unlock()
 
 	// Lock-free: the view is immutable; writers COW around it.
-	err = writeCheckpoint(d.env, d.dir, c.st, view, watermark, seq)
+	err = writeCheckpoint(d.env, d.dir, st, view, watermark, seq)
 
-	c.mu.Lock()
+	st.mu.Lock()
 	d.ckptInFlight = false
 	err = d.publish(seq, err)
 	activeName := d.w.name
-	c.mu.Unlock()
+	st.mu.Unlock()
 	if err == nil && !d.opts.RetainSegments {
 		pruneWAL(d.env.fs, d.dir, seq, activeName)
 	}
@@ -355,10 +355,10 @@ func (c *Concurrent) Checkpoint() error {
 
 // Close syncs and closes the log under the write lock. Reads keep
 // serving; mutations return ErrDurableClosed, as does a second Close.
-func (c *Concurrent) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st.wal.close()
+func (st *Store) Close() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.wal.close()
 }
 
 // ---- shared open/replay machinery ----
@@ -404,7 +404,7 @@ func initWAL(env *ioEnv, dir string, opts DurableOptions) (*durable, error) {
 		return nil, walFail(err, "create dir")
 	}
 	st := New(opts.Scheme, opts.FDs, Options{})
-	if err := writeCheckpoint(env, dir, st, st.View(), st.rel.NextMark(), 0); err != nil {
+	if err := writeCheckpoint(env, dir, st, st.rel.View(), st.rel.NextMark(), 0); err != nil {
 		return nil, err
 	}
 	w := &walWriter{

@@ -289,7 +289,7 @@ func TestShardedDiscardLeavesNoTrace(t *testing.T) {
 	if err := sh.Insert(row(o, "a1", "b1")); err != nil {
 		t.Fatal(err)
 	}
-	before := []rollbackTrace{captureTrace(sh.Shard(0).st), captureTrace(sh.Shard(1).st)}
+	before := []rollbackTrace{captureTrace(sh.Shard(0)), captureTrace(sh.Shard(1))}
 
 	tx := sh.BeginTxn()
 	stage := func(err error) {
@@ -309,6 +309,6 @@ func TestShardedDiscardLeavesNoTrace(t *testing.T) {
 		t.Fatalf("commit: %v; want a constraint rejection blaming op 4", err)
 	}
 	for si := range before {
-		assertNoTrace(t, fmt.Sprintf("shard %d", si), sh.Shard(si).st, before[si])
+		assertNoTrace(t, fmt.Sprintf("shard %d", si), sh.Shard(si), before[si])
 	}
 }

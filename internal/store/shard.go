@@ -1,5 +1,5 @@
 // shard.go implements the hash-sharded store facade: S independent
-// Concurrent stores — each with its own lock, version counter, indexes,
+// stores — each with its own lock, version counter, indexes,
 // and (when opened with OpenShardedDurable) its own WAL directory — with
 // relations routed by the constant projection on a shard key.
 //
@@ -82,14 +82,14 @@ type ShardedOptions struct {
 }
 
 // Sharded is a hash-sharded constraint-maintained store: S independent
-// Concurrent shards plus a facade-global fresh-mark allocator and
+// Store shards plus a facade-global fresh-mark allocator and
 // logical operation counters. Safe for concurrent use.
 type Sharded struct {
 	scheme   *schema.Scheme
 	fds      []fd.FD
 	key      schema.AttrSet
 	keyAttrs []schema.Attr
-	shards   []*Concurrent
+	shards   []*Store
 
 	// markMu guards the facade-global fresh-mark allocator. Every mark
 	// enters the shards pre-allocated from here (rows are parsed at the
@@ -116,12 +116,12 @@ func NewSharded(s *schema.Scheme, fds []fd.FD, opts ShardedOptions) (*Sharded, e
 		fds:      append([]fd.FD(nil), fds...),
 		key:      opts.Key,
 		keyAttrs: opts.Key.Attrs(),
-		shards:   make([]*Concurrent, opts.Shards),
+		shards:   make([]*Store, opts.Shards),
 	}
 	for i := range sh.shards {
-		sh.shards[i] = NewConcurrent(s, fds)
+		sh.shards[i] = New(s, fds, Options{})
 	}
-	sh.nextMark = sh.shards[0].st.NextMark()
+	sh.nextMark = sh.shards[0].NextMark()
 	return sh, nil
 }
 
@@ -156,7 +156,7 @@ func OpenShardedDurable(dir string, s *schema.Scheme, fds []fd.FD, opts ShardedO
 		fds:      append([]fd.FD(nil), fds...),
 		key:      opts.Key,
 		keyAttrs: opts.Key.Attrs(),
-		shards:   make([]*Concurrent, 0, opts.Shards),
+		shards:   make([]*Store, 0, opts.Shards),
 	}
 	dopts.Scheme = s
 	dopts.FDs = fds
@@ -169,10 +169,10 @@ func OpenShardedDurable(dir string, s *schema.Scheme, fds []fd.FD, opts ShardedO
 		sh.shards = append(sh.shards, c)
 	}
 	for i, c := range sh.shards {
-		if nm := c.st.NextMark(); nm > sh.nextMark {
+		if nm := c.NextMark(); nm > sh.nextMark {
 			sh.nextMark = nm
 		}
-		for _, t := range c.st.rel.Tuples() {
+		for _, t := range c.rel.Tuples() { // not yet shared: nothing else holds c
 			if home, err := sh.ShardOf(t); err != nil || home != i {
 				sh.Close() // errcheck:ok refusing the open; the routing error below subsumes close failures
 				return nil, fmt.Errorf("store: sharded dir %s was not written under shard key %s: shard %d holds %s, which does not route there",
@@ -235,10 +235,10 @@ func (s *Sharded) FDs() []fd.FD { return append([]fd.FD(nil), s.fds...) }
 // NumShards returns the shard count S.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// Shard exposes shard i's concurrent facade (read access for tests and
-// benchmarks; mutating a shard directly bypasses routing and the global
-// allocator and voids the sharding invariants).
-func (s *Sharded) Shard(i int) *Concurrent { return s.shards[i] }
+// Shard exposes shard i's store (read access for tests and benchmarks;
+// mutating a shard directly bypasses routing and the global allocator
+// and voids the sharding invariants).
+func (s *Sharded) Shard(i int) *Store { return s.shards[i] }
 
 // Len returns the total tuple count across shards. Shards are read one
 // at a time; Snapshot is an atomic cut.
@@ -295,7 +295,7 @@ func (s *Sharded) snapshotAll() []relation.View {
 	}
 	views := make([]relation.View, len(s.shards))
 	for i, c := range s.shards {
-		views[i] = c.st.View()
+		views[i] = c.rel.View()
 	}
 	for _, c := range s.shards {
 		c.mu.RUnlock()
@@ -374,7 +374,7 @@ func (s *Sharded) SelectVisit(p query.Pred, opts query.Options, visit func(t rel
 		func() {
 			c.mu.RLock()
 			defer c.mu.RUnlock()
-			rel := c.st.rel
+			rel := c.rel
 			res := query.SelectWith(rel, p, opts)
 			for _, i := range res.Sure {
 				visit(rel.Tuple(i), true)
@@ -407,10 +407,7 @@ func (s *Sharded) Find(t relation.Tuple) (shard, index int) {
 	if err != nil {
 		return -1, -1
 	}
-	c := s.shards[si]
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if j := c.st.Find(t); j >= 0 {
+	if j := s.shards[si].Find(t); j >= 0 {
 		return si, j
 	}
 	return -1, -1
@@ -528,7 +525,7 @@ func (s *Sharded) BeginTxn() *ShardedTxn {
 	base := make([]uint64, len(s.shards))
 	for i, c := range s.shards {
 		c.mu.RLock()
-		base[i] = c.st.acceptedOps()
+		base[i] = c.acceptedOps()
 		c.mu.RUnlock()
 	}
 	return &ShardedTxn{s: s, base: base}
@@ -678,7 +675,7 @@ func (s *Sharded) offendingOpGlobal(touched []int, shardOps map[int][]txnOp, gid
 		for _, si := range touched {
 			// gidxOf[si] ascends, so the ops at or below k are a prefix.
 			n := sort.SearchInts(gidxOf[si], k+1)
-			if n > 0 && s.shards[si].st.rejects(shardOps[si][:n]) {
+			if n > 0 && s.shards[si].rejects(shardOps[si][:n]) {
 				return k
 			}
 		}
@@ -899,7 +896,7 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 	// ---- validate: per-shard first-committer-wins, then durable gates.
 	if base != nil {
 		for _, si := range touched {
-			if s.shards[si].st.acceptedOps() != base[si] {
+			if s.shards[si].acceptedOps() != base[si] {
 				unlockAll()
 				restoreMarks()
 				return ErrTxnConflict
@@ -907,7 +904,7 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 		}
 	}
 	for _, si := range touched {
-		if err := s.shards[si].st.wal.gate(); err != nil {
+		if err := s.shards[si].wal.gate(); err != nil {
 			unlockAll()
 			restoreMarks()
 			return err
@@ -921,10 +918,10 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 	shardOps := make(map[int][]txnOp, len(perShard))
 	gidxOf := make(map[int][]int, len(perShard))
 	for _, si := range touched {
-		st := s.shards[si].st
-		sim := slotSim{n: st.Len(), length: st.Len()}
+		st := s.shards[si]
+		sim := slotSim{n: st.rel.Len(), length: st.rel.Len()}
 		locate := func(match relation.Tuple) (row, slot int, err error) {
-			if row = st.Find(match); row < 0 {
+			if row = st.rel.FindIdentical(match); row < 0 {
 				return -1, -1, fmt.Errorf("store: no committed tuple identical to %s", match)
 			}
 			if slot = sim.slot(row); slot < 0 {
@@ -973,7 +970,7 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 	}
 	var fails []shardFail
 	for _, si := range touched {
-		p, err := s.shards[si].st.prepareTxn(shardOps[si])
+		p, err := s.shards[si].prepareTxn(shardOps[si])
 		if err != nil {
 			fails = append(fails, shardFail{si: si, err: err})
 			continue

@@ -230,7 +230,7 @@ func routingBattery(rrng *rand.Rand, sh *Sharded) []query.Pred {
 // assertRoutedReadsMatchAllShards holds the routed read to the unrouted
 // one: SelectTuples must return, tuple for tuple and in order, what
 // evaluating the predicate on EVERY shard in turn returns — a test-local
-// loop over Concurrent.Query that knows nothing of routing.
+// loop over Store.Query that knows nothing of routing.
 func assertRoutedReadsMatchAllShards(t *testing.T, n int, sh *Sharded, preds []query.Pred) {
 	t.Helper()
 	all := sh.Scheme().All()
@@ -248,7 +248,7 @@ func assertRoutedReadsMatchAllShards(t *testing.T, n int, sh *Sharded, preds []q
 	for _, p := range preds {
 		var wantSure, wantMaybe []relation.Tuple
 		for i := 0; i < sh.NumShards(); i++ {
-			res, rows := sh.Shard(i).Query(p), sh.Shard(i).Snapshot()
+			res, rows := sh.Shard(i).Query(p), sh.Shard(i).View()
 			for _, j := range res.Sure {
 				wantSure = append(wantSure, rows.Tuple(j))
 			}
@@ -364,7 +364,7 @@ func runShardedHistory(t *testing.T, rng *rand.Rand, sh *Sharded, oracle *Store,
 	for n := 0; n < txns; n++ {
 		traces := make([]rollbackTrace, sh.NumShards())
 		for si := range traces {
-			traces[si] = captureTrace(sh.Shard(si).st)
+			traces[si] = captureTrace(sh.Shard(si))
 		}
 		stx := sh.BeginTxn()
 		otx := oracle.Begin()
@@ -484,7 +484,7 @@ func runShardedHistory(t *testing.T, rng *rand.Rand, sh *Sharded, oracle *Store,
 			// Refused on one shard means discarded on every other: no shard
 			// may show it (rollback_test.go).
 			for si, before := range traces {
-				assertNoTrace(t, fmt.Sprintf("txn %d (%s), shard %d", n, sc, si), sh.Shard(si).st, before)
+				assertNoTrace(t, fmt.Sprintf("txn %d (%s), shard %d", n, sc, si), sh.Shard(si), before)
 			}
 		}
 		if !sameState(sh.Snapshot(), oracle.Snapshot()) {
@@ -673,8 +673,8 @@ func TestShardedInterleavedConflictDivergence(t *testing.T) {
 		t.Fatalf("sharded tx2 (disjoint shards) should commit, got %v", err)
 	}
 
-	c := NewConcurrent(s, fds)
-	otx1, otx2 := c.BeginTxn(), c.BeginTxn()
+	c := New(s, fds, Options{})
+	otx1, otx2 := c.Begin(), c.Begin()
 	if err := otx1.InsertRow(k1, "a1", "b1"); err != nil {
 		t.Fatalf("stage: %v", err)
 	}

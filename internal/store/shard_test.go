@@ -522,7 +522,7 @@ func TestShardedQueryAndFind(t *testing.T) {
 		if si, j := sh.Find(tup); si != -1 || j != -1 {
 			t.Errorf("Sharded.Find(%s) = (%d, %d), want (-1, -1)", tup, si, j)
 		}
-		if j := sh.Shard(0).st.Find(tup); j != -1 {
+		if j := sh.Shard(0).Find(tup); j != -1 {
 			t.Errorf("Store.Find(%s) = %d, want -1", tup, j)
 		}
 	}
@@ -850,11 +850,13 @@ func allocBytes(fn func()) uint64 {
 
 // TestDeleteCommitAllocsIndependentOfSize is the count gate on the delete
 // path: a commit costs what its write-set touches, so Store.Delete,
-// Sharded.DeleteTuple and a four-row ShardedTxn of deletes allocate the
+// Sharded.DeleteTuple, a four-row ShardedTxn of deletes and a four-row
+// Txn of deletes with a second transaction open across it allocate the
 // same number of bytes, within a small constant, on 1,000 committed rows
 // and on 100,000. (While deletes rolled back by snapshot, each copied the
 // relation's outer slice, 24 B a row, and a sharded one also filled a
-// slot table of one int per row.)
+// slot table of one int per row; a Begin that took a view would make
+// every delete committed while its transaction is open do the same.)
 func TestDeleteCommitAllocsIndependentOfSize(t *testing.T) {
 	const batch = 1000
 	build := func(n int) (*Store, *Sharded, func(i int) relation.Tuple) {
@@ -891,7 +893,7 @@ func TestDeleteCommitAllocsIndependentOfSize(t *testing.T) {
 		}
 		return st, sh, row
 	}
-	measure := func(n int) (bytes [3]uint64) {
+	measure := func(n int) (bytes [4]uint64) {
 		st, sh, row := build(n)
 		must := func(err error) {
 			if err != nil {
@@ -912,10 +914,18 @@ func TestDeleteCommitAllocsIndependentOfSize(t *testing.T) {
 			}
 			must(tx.Commit())
 		})
+		bytes[3] = allocBytes(func() {
+			held, tx := st.Begin(), st.Begin()
+			for k := 0; k < 4; k++ {
+				must(tx.Delete(0))
+			}
+			must(tx.Commit())
+			held.Rollback()
+		})
 		return bytes
 	}
 	small, large := measure(1000), measure(100000)
-	for k, name := range []string{"Store.Delete", "Sharded.DeleteTuple", "a 4-row ShardedTxn of deletes"} {
+	for k, name := range []string{"Store.Delete", "Sharded.DeleteTuple", "a 4-row ShardedTxn of deletes", "a 4-row Txn of deletes beside an open one"} {
 		t.Logf("%s: %d B at 1,000 rows, %d B at 100,000", name, small[k], large[k])
 		if large[k] > small[k]+1024 {
 			t.Errorf("%s allocates %d B on 1,000 rows and %d B on 100,000; a commit must cost what its write-set touches, not what the shard holds",

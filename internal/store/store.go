@@ -46,11 +46,35 @@
 // and the other lockstep exercisers replay randomized operation histories
 // against it: the two agree verdict-for-verdict and state-for-state,
 // tuple order included.
+//
+// # One handle, one lock
+//
+// A Store is safe for concurrent use: writers serialize behind its
+// write lock, and readers share the read lock. A read is one of two
+// kinds. Query, CheckWeak, CheckStrong, Len and Find evaluate on the
+// live relation and hold the read lock for their own length — a planned
+// selection is a few index probes, and the indexes it probes are the
+// ones the writers keep fresh. View takes an O(1) copy-on-write view
+// under the read lock, and everything after that works lock-free on
+// immutable data — the snapshot-then-analyze pattern for anything long
+// (discovery, reports, a stable cut across several reads), which a
+// writer should not wait for. A transaction reads its base under the
+// read lock at Begin, stages without any lock, and takes the write lock
+// at Commit (txn.go).
+//
+// The store is the unit of isolation AND of durability: OpenDurable
+// (recovery.go) returns a *Store that write-ahead logs every accepted
+// commit under the write lock, and Err / Sync / Checkpoint / Close /
+// Health / Recover (recovery.go, faults.go) are its durability surface —
+// no-ops on an in-memory store. The lock is not reentrant, so code that
+// already holds it reaches the instance through st.rel and the
+// unexported helpers, never through an exported method.
 package store
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"fdnull/internal/chase"
 	"fdnull/internal/fd"
@@ -67,10 +91,17 @@ import (
 type Options struct{}
 
 // Store is a relation instance guarded by a set of functional
-// dependencies under weak satisfiability. It is not safe for concurrent
-// use; Concurrent wraps it in a reader/writer-locked facade, which is
-// also the only handle a durable store is reachable through.
+// dependencies under weak satisfiability. It is safe for concurrent use:
+// mutations take the write lock, and the read accessors take the read
+// lock, so any number of readers proceed in parallel with each other. On
+// a durable handle a mutation is refused, with the instance unchanged,
+// once the handle is degraded (ErrDegraded) or closed
+// (ErrDurableClosed).
 type Store struct {
+	// mu guards every field below but scheme and fds, which are fixed at
+	// construction. Every exported method but Scheme and FDs takes it
+	// exactly once.
+	mu     sync.RWMutex
 	scheme *schema.Scheme
 	fds    []fd.FD
 	rel    *relation.Relation
@@ -156,48 +187,76 @@ func NewRecheckOracle(s *schema.Scheme, fds []fd.FD, r *relation.Relation) (*Sto
 	return st, nil
 }
 
-// Scheme returns the store's scheme.
+// Scheme returns the store's scheme. It is fixed at construction, so
+// Scheme and FDs take no lock.
 func (st *Store) Scheme() *schema.Scheme { return st.scheme }
 
 // FDs returns the guarding dependencies.
 func (st *Store) FDs() []fd.FD { return append([]fd.FD(nil), st.fds...) }
 
 // Len returns the number of stored tuples.
-func (st *Store) Len() int { return st.rel.Len() }
+func (st *Store) Len() int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.rel.Len()
+}
 
 // NextMark returns the fresh-mark allocator watermark: the mark the next
 // FreshNull (or "-" cell) would take. Save, checkpoints, and WAL records
 // persist it so a recycled mark can never alias an unrelated unknown.
-func (st *Store) NextMark() int { return st.rel.NextMark() }
+func (st *Store) NextMark() int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.rel.NextMark()
+}
 
 // Snapshot returns a deep copy of the stored (minimally incomplete)
-// instance. For read-only iteration prefer View, which is O(1).
-func (st *Store) Snapshot() *relation.Relation { return st.rel.Clone() }
+// instance, allocator watermark included. The copy is materialized from
+// a View outside the lock, so writers wait only for the O(1) view. For
+// read-only iteration prefer View itself.
+func (st *Store) Snapshot() *relation.Relation {
+	st.mu.RLock()
+	view, watermark := st.rel.View(), st.rel.NextMark()
+	st.mu.RUnlock()
+	out := view.Materialize()
+	out.SetNextMark(watermark)
+	return out
+}
 
-// View returns an O(1) copy-on-write snapshot of the stored instance:
-// the store clones only the rows later mutations actually touch, and the
-// view never observes them.
-func (st *Store) View() relation.View { return st.rel.View() }
+// View returns an O(1) copy-on-write snapshot of the stored instance,
+// taken under the read lock. The view is immutable and safe to read
+// without any lock: the store clones only the rows later mutations
+// actually touch, so writers pay for what they touch, never the readers.
+func (st *Store) View() relation.View {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.rel.View()
+}
 
-// Tuple returns a copy of the i-th stored tuple. For read-only access
-// prefer TupleView, which does not allocate.
-func (st *Store) Tuple(i int) relation.Tuple { return st.rel.Tuple(i).Clone() }
-
-// TupleView returns the i-th stored tuple without copying. The caller
-// must not mutate it and must not retain it across mutations (take a
-// View for that).
-func (st *Store) TupleView(i int) relation.Tuple { return st.rel.Tuple(i) }
+// Tuple returns a copy of the i-th stored tuple.
+func (st *Store) Tuple(i int) relation.Tuple {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.rel.Tuple(i).Clone()
+}
 
 // Find returns the index of the stored tuple syntactically identical to
 // t (same constants, marks, and nothings), or -1. Every delete is a
 // swap-and-pop, so a tuple's index changes when an
 // earlier one is deleted; content lookup is the stable way to address
 // one tuple across mutations.
-func (st *Store) Find(t relation.Tuple) int { return st.rel.FindIdentical(t) }
+func (st *Store) Find(t relation.Tuple) int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.rel.FindIdentical(t)
+}
 
 // Each calls fn for every stored tuple in order without copying; fn
-// returning false stops the iteration. The tuples must not be mutated.
+// returning false stops the iteration. It runs under the read lock, so
+// fn must not mutate the tuples, retain them, or call into the store.
 func (st *Store) Each(fn func(i int, t relation.Tuple) bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	for i, t := range st.rel.Tuples() {
 		if !fn(i, t) {
 			return
@@ -208,14 +267,25 @@ func (st *Store) Each(fn func(i int, t relation.Tuple) bool) {
 // Version returns the stored relation's mutation counter; it increases
 // on every accepted mutation (and never decreases), so readers can
 // detect change cheaply.
-func (st *Store) Version() uint64 { return st.rel.Version() }
+func (st *Store) Version() uint64 {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.rel.Version()
+}
 
-// FreshNull allocates a null mark unused in the store.
-func (st *Store) FreshNull() value.V { return st.rel.FreshNull() }
+// FreshNull allocates a null mark unused in the store; it advances the
+// allocator, so it takes the write lock.
+func (st *Store) FreshNull() value.V {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.rel.FreshNull()
+}
 
 // Stats reports the mutation counters: inserts, updates, deletes
 // accepted, and mutations rejected.
 func (st *Store) Stats() (inserts, updates, deletes, rejected int) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return st.inserts, st.updates, st.deletes, st.rejected
 }
 
@@ -227,8 +297,10 @@ var perOpNames = [...]string{txnInsert: "insert", txnUpdate: "update", txnDelete
 // the same gate, prepare and apply as Txn.Commit, logged as a per-op
 // record. Per-op callers see the rejection itself rather than the
 // write-set wrapper: the bare structural error, or the
-// *InconsistencyError naming the operation.
+// *InconsistencyError naming the operation. It takes the write lock.
 func (st *Store) commitOne(op txnOp) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if err := st.wal.gate(); err != nil {
 		return err
 	}
@@ -300,6 +372,8 @@ func (st *Store) Delete(ti int) error {
 // CheckStrong reports whether the stored instance strongly satisfies the
 // dependencies (TEST-FDs under the strong convention, Theorem 2).
 func (st *Store) CheckStrong() bool {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	ok, _ := testfds.StrongSatisfied(st.rel, st.fds)
 	return ok
 }
@@ -308,6 +382,8 @@ func (st *Store) CheckStrong() bool {
 // TEST-FDs under the weak convention (Theorem 3) — always true by the
 // store's invariant; exposed for auditing and tests.
 func (st *Store) CheckWeak() bool {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	ok, _ := testfds.WeakSatisfiedMinimallyIncomplete(st.rel, st.fds)
 	return ok
 }

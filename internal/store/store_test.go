@@ -16,7 +16,7 @@ import (
 // engine names a leg of the differential tests: the production
 // incremental engine, or the recheck oracle. NewRecheckOracle is the
 // oracle's one exported constructor; on puts a store of any shape —
-// per-op, concurrent, sharded, durable — on it through the unexported
+// in memory, sharded, durable — on it through the unexported
 // flag, so each leg runs the same assertions on both.
 type engine bool
 
@@ -40,16 +40,10 @@ func (e engine) on(st *Store) *Store {
 	return st
 }
 
-// onHandle puts a concurrent (or durable) handle's store on engine e.
-func (e engine) onHandle(c *Concurrent) *Concurrent {
-	e.on(c.st)
-	return c
-}
-
 // onSharded puts every shard of sh on engine e.
 func (e engine) onSharded(sh *Sharded) *Sharded {
 	for _, c := range sh.shards {
-		e.onHandle(c)
+		e.on(c)
 	}
 	return sh
 }

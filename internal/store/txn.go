@@ -38,12 +38,24 @@
 // store's monotone accepted-op count — rejected-and-rolled-back
 // mutations leave the committed state untouched and do not conflict);
 // a concurrent or interleaved writer that committed first aborts this
-// transaction with ErrTxnConflict. Combined with the concurrent facade
-// — readers keep lock-free copy-on-write snapshots, writers serialize
-// at commit — this is first-committer-wins snapshot isolation. The
-// conflict check is deliberately coarse (any committed write
-// conflicts): under a shared FD set the whole instance is one
-// constraint scope, so any concurrent write can change the chase
+// transaction with ErrTxnConflict. The locking is the store's own:
+//
+//   - Begin reads the accepted-op count and row count under the read lock —
+//     concurrent with other readers and other Begins. It takes no view:
+//     a reader that wants the begin-time state takes View right after
+//     Begin, and if a commit slips in between, this transaction's Commit
+//     fails with ErrTxnConflict, so no staged index is ever applied to a
+//     state it was not computed against;
+//   - staging (Insert/InsertRow/Update/Delete/Save/RollbackTo) is pure
+//     bookkeeping on transaction-local state and takes NO lock — any
+//     number of transactions stage in parallel while readers read;
+//   - Commit takes the write lock for the single batched apply-and-
+//     check; writers therefore serialize at commit only.
+//
+// With readers on copy-on-write views, this is first-committer-wins
+// snapshot isolation. The conflict check is deliberately coarse (any
+// committed write conflicts): under a shared FD set the whole instance
+// is one constraint scope, so any concurrent write can change the chase
 // outcome of this write-set.
 package store
 
@@ -105,8 +117,7 @@ const (
 )
 
 // txnOp is one staged operation. Ops are pure records: staging touches
-// no store state, so a transaction on the concurrent facade stages
-// without any lock.
+// no store state, so a transaction stages without any lock.
 type txnOp struct {
 	kind txnOpKind
 	t    relation.Tuple // insert: explicit tuple (nil when row is set)
@@ -138,8 +149,8 @@ func (op txnOp) describe(s *schema.Scheme) string {
 
 // Txn is a staged write-set against a Store. It is created by Begin,
 // mutated by the staging methods, and finished by exactly one Commit or
-// Rollback. A Txn is not safe for concurrent use by itself; the
-// concurrent facade's ConcurrentTxn documents the locking protocol.
+// Rollback. One Txn must not be shared between goroutines; Isolation
+// above documents how it locks the store.
 type Txn struct {
 	st           *Store
 	baseAccepted uint64
@@ -153,8 +164,10 @@ type Txn struct {
 // checked, once — by Commit; until then the store is unchanged and
 // reads see the committed state. Several transactions may be open
 // against one store; the first to commit wins and the rest abort with
-// ErrTxnConflict.
+// ErrTxnConflict. Begin reads its base under the read lock.
 func (st *Store) Begin() *Txn {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	n := st.rel.Len()
 	return &Txn{st: st, baseAccepted: st.acceptedOps(), baseLen: n, length: n}
 }
@@ -276,7 +289,8 @@ func (tx *Txn) Rollback() {
 // is ErrTxnConflict when the store changed since Begin, ErrTxnFinished
 // on a second finish, or a *TxnError identifying the offending staged
 // op — wrap-matching ErrInconsistent (with the chase witness available
-// via errors.As on *InconsistencyError) for constraint rejections.
+// via errors.As on *InconsistencyError) for constraint rejections. It
+// takes the write lock.
 func (tx *Txn) Commit() error {
 	if tx.done {
 		return ErrTxnFinished
@@ -286,6 +300,8 @@ func (tx *Txn) Commit() error {
 	if len(tx.ops) == 0 {
 		return nil // an empty write-set applies nothing and conflicts with nothing
 	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if err := st.wal.gate(); err != nil {
 		return err
 	}
@@ -560,8 +576,7 @@ func (st *Store) prepareTxnRecheck(ops []txnOp) (*preparedTxn, error) {
 	// The chase rebuilds its result relation, resetting the fresh-mark
 	// allocator to (max surviving mark)+1 and the mutation counter to
 	// zero. Restore monotonicity of both: a mark handed out by FreshNull
-	// (possibly not yet stored, or held by another writer of the
-	// concurrent facade) must never be recycled and silently aliased with
+	// (possibly not yet stored, or held by another writer) must never be recycled and silently aliased with
 	// an unrelated unknown, and readers (and snapshot-isolated
 	// transactions) detect change by "version moved".
 	if nm := tentative.NextMark(); nm > cur.NextMark() {

@@ -36,7 +36,7 @@ func TestTxnCommitResolvesNullsWithinWriteSet(t *testing.T) {
 		}
 		ct := st.Scheme().MustAttr("CT")
 		for i := 0; i < 3; i++ {
-			if got := st.TupleView(i)[ct]; !got.IsConst() || got.Const() != "ct2" {
+			if got := st.Tuple(i)[ct]; !got.IsConst() || got.Const() != "ct2" {
 				t.Fatalf("[%s] tuple %d CT = %s, want ct2", m, i, got)
 			}
 		}
@@ -404,7 +404,7 @@ func TestTxnLargeBatchMatchesOracle(t *testing.T) {
 	}
 	ct := inc.Scheme().MustAttr("CT")
 	for i := 0; i < inc.Len(); i++ {
-		if !inc.TupleView(i)[ct].IsConst() {
+		if !inc.Tuple(i)[ct].IsConst() {
 			t.Fatalf("row %d CT not forced:\n%s", i, inc.Snapshot())
 		}
 	}
@@ -464,15 +464,15 @@ func TestTxnLargeBatchMatchesOracle(t *testing.T) {
 }
 
 // TestConcurrentTxn: snapshot stability, lock-free staging, and
-// first-committer-wins conflicts at the facade level.
+// first-committer-wins conflicts on one store handle.
 func TestConcurrentTxn(t *testing.T) {
 	c, s, _ := concurrentFixture()
 	if err := c.InsertRow("e1", "s1", "d1", "-"); err != nil {
 		t.Fatal(err)
 	}
-	txA := c.BeginTxn()
-	txB := c.BeginTxn()
-	snap := txA.Snapshot()
+	txA := c.Begin()
+	txB := c.Begin()
+	snap := c.View()
 	if err := txA.InsertRow("e2", "s2", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestConcurrentTxn(t *testing.T) {
 	if got := snap.Tuple(0)[ct]; !got.IsNull() {
 		t.Fatalf("snapshot leaked a post-begin substitution: %s", got)
 	}
-	if got := c.Snapshot().Tuple(0)[ct]; !got.IsConst() || got.Const() != "ct1" {
+	if got := c.View().Tuple(0)[ct]; !got.IsConst() || got.Const() != "ct1" {
 		t.Fatalf("committed state missing the substitution: %s", got)
 	}
 	if c.Len() != 2 {
@@ -521,14 +521,14 @@ func TestTxnUpdateMarkDoesNotAliasFreshNulls(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatalf("[%s] commit: %v", m, err)
 		}
-		upd := st.TupleView(st.Find(mustParsed(t, st, "e2"))) // resolve e2's row
+		upd := st.Tuple(st.Find(mustParsed(t, st, "e2"))) // resolve e2's row
 		for a, v := range upd {
 			if v.IsNull() && v.Mark() == 4 {
 				t.Fatalf("[%s] fresh null aliased the staged update's ⊥4 (attr %d):\n%s",
 					m, a, st.Snapshot())
 			}
 		}
-		if got := st.TupleView(0)[ct]; !got.IsNull() || got.Mark() != 4 {
+		if got := st.Tuple(0)[ct]; !got.IsNull() || got.Mark() != 4 {
 			t.Fatalf("[%s] update's explicit mark lost: %s", m, got)
 		}
 		if f := st.FreshNull(); f.Mark() <= 4 {
@@ -541,8 +541,8 @@ func TestTxnUpdateMarkDoesNotAliasFreshNulls(t *testing.T) {
 func mustParsed(t *testing.T, st *Store, e string) relation.Tuple {
 	t.Helper()
 	for i := 0; i < st.Len(); i++ {
-		if v := st.TupleView(i)[0]; v.IsConst() && v.Const() == e {
-			return st.TupleView(i)
+		if v := st.Tuple(i)[0]; v.IsConst() && v.Const() == e {
+			return st.Tuple(i)
 		}
 	}
 	t.Fatalf("no row with E#=%s", e)
@@ -637,7 +637,7 @@ func TestTxnRejectAfterSubstitutionRollsBack(t *testing.T) {
 				withDelete, a.NextMark(), a.Snapshot(), b.NextMark(), b.Snapshot())
 		}
 		sl := a.Scheme().MustAttr("SL")
-		if got := a.TupleView(1)[sl]; !got.IsConst() || got.Const() != "s4" {
+		if got := a.Tuple(1)[sl]; !got.IsConst() || got.Const() != "s4" {
 			t.Fatalf("delete=%t: e2's salary = %s, want s4 through the shared mark", withDelete, got)
 		}
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // TestReadPathAllocations is the allocation regression for the read
-// views: Tuple/Snapshot clone (by design), but TupleView, Each, and View
-// must not allocate per call — the fix for read-only iteration paying a
-// deep copy per tuple.
+// views: Tuple/Snapshot clone (by design), but Each and View must not
+// allocate per call — the fix for read-only iteration paying a deep copy
+// per tuple.
 func TestReadPathAllocations(t *testing.T) {
 	st := employeeStore(engIncremental)
 	for _, row := range [][]string{
@@ -20,12 +20,6 @@ func TestReadPathAllocations(t *testing.T) {
 		if err := st.InsertRow(row...); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	if n := testing.AllocsPerRun(200, func() {
-		_ = st.TupleView(1)
-	}); n != 0 {
-		t.Errorf("TupleView allocates %.1f per call, want 0", n)
 	}
 
 	cells := 0
@@ -59,8 +53,8 @@ func TestReadPathAllocations(t *testing.T) {
 	}
 
 	// The eager paths still clone — that is their contract.
-	if st.Tuple(0)[0] != st.TupleView(0)[0] {
-		t.Error("Tuple and TupleView disagree")
+	if st.Tuple(0)[0] != st.View().Tuple(0)[0] {
+		t.Error("Tuple and View disagree")
 	}
 }
 
@@ -83,7 +77,7 @@ func TestViewUnaffectedByStoreMutation(t *testing.T) {
 	if err := st.InsertRow("e2", "s2", "d3", "ct1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.TupleView(0)[ct]; !got.IsConst() || got.Const() != "ct1" {
+	if got := st.Tuple(0)[ct]; !got.IsConst() || got.Const() != "ct1" {
 		t.Fatalf("store should have substituted CT, got %s", got)
 	}
 	if got := v.Tuple(0)[ct]; !got.Identical(before) {

@@ -89,14 +89,14 @@ func TestOpenDurableFreshAndReopen(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fresh open: %v", err)
 			}
-			maint.onHandle(d)
+			maint.on(d)
 			if err := d.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 				t.Fatalf("insert: %v", err)
 			}
 			if err := d.InsertRow("e2", "-", "d1", "-"); err != nil {
 				t.Fatalf("insert: %v", err)
 			}
-			tx := d.BeginTxn()
+			tx := d.Begin()
 			if err := tx.InsertRow("e3", "s3", "d2", "-"); err != nil {
 				t.Fatalf("stage: %v", err)
 			}
@@ -109,8 +109,8 @@ func TestOpenDurableFreshAndReopen(t *testing.T) {
 			if err := d.Delete(1); err != nil {
 				t.Fatalf("delete: %v", err)
 			}
-			want := d.st.Snapshot()
-			wantMark := d.st.rel.NextMark()
+			want := d.Snapshot()
+			wantMark := d.rel.NextMark()
 			if err := d.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
@@ -120,13 +120,13 @@ func TestOpenDurableFreshAndReopen(t *testing.T) {
 				t.Fatalf("reopen: %v", err)
 			}
 			defer re.Close()
-			if !relation.Equal(re.st.Snapshot(), want) {
-				t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.st.Snapshot())
+			if !relation.Equal(re.Snapshot(), want) {
+				t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.Snapshot())
 			}
-			if got := re.st.rel.NextMark(); got != wantMark {
+			if got := re.rel.NextMark(); got != wantMark {
 				t.Fatalf("recovered watermark %d, want %d", got, wantMark)
 			}
-			if !re.st.CheckWeak() {
+			if !re.CheckWeak() {
 				t.Fatal("recovered store violates the weak-convention invariant")
 			}
 			// The recovered store keeps working durably.
@@ -162,7 +162,7 @@ func TestCheckpointWideDomainReopens(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	want := d.st.Snapshot()
+	want := d.Snapshot()
 	if err := d.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -171,8 +171,8 @@ func TestCheckpointWideDomainReopens(t *testing.T) {
 		t.Fatalf("reopen of the store's own checkpoint: %v", err)
 	}
 	defer re.Close()
-	if !relation.Equal(re.st.Snapshot(), want) {
-		t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.st.Snapshot())
+	if !relation.Equal(re.Snapshot(), want) {
+		t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.Snapshot())
 	}
 }
 
@@ -215,7 +215,7 @@ func TestOpenDurableEnginePinned(t *testing.T) {
 			if err := d.InsertRow("e2", "-", "d2", "-"); err != nil {
 				t.Fatal(err)
 			}
-			want := d.st.Snapshot()
+			want := d.Snapshot()
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -242,8 +242,8 @@ func TestOpenDurableEnginePinned(t *testing.T) {
 				t.Fatalf("reopen: %v", err)
 			}
 			defer re.Close()
-			if !relation.Equal(re.st.Snapshot(), want) {
-				t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.st.Snapshot())
+			if !relation.Equal(re.Snapshot(), want) {
+				t.Fatalf("recovered state diverged:\nwant:\n%s\ngot:\n%s", want, re.Snapshot())
 			}
 		})
 	}
@@ -295,7 +295,7 @@ func TestWALRotationAndPruning(t *testing.T) {
 	if len(pruned) >= len(segs) {
 		t.Fatalf("checkpoint pruned nothing: %d segments before, %d after", len(segs), len(pruned))
 	}
-	want := d.st.Snapshot()
+	want := d.Snapshot()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +304,8 @@ func TestWALRotationAndPruning(t *testing.T) {
 		t.Fatalf("reopen after prune: %v", err)
 	}
 	defer re.Close()
-	if !relation.Equal(re.st.Snapshot(), want) {
-		t.Fatalf("recovered state diverged after pruning:\nwant:\n%s\ngot:\n%s", want, re.st.Snapshot())
+	if !relation.Equal(re.Snapshot(), want) {
+		t.Fatalf("recovered state diverged after pruning:\nwant:\n%s\ngot:\n%s", want, re.Snapshot())
 	}
 }
 
@@ -319,7 +319,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err := d.InsertRow("e1", "s1", "d1", "ct1"); err != nil {
 		t.Fatal(err)
 	}
-	want := d.st.Snapshot()
+	want := d.Snapshot()
 	if err := d.InsertRow("e2", "s2", "d2", "ct2"); err != nil {
 		t.Fatal(err)
 	}
@@ -343,14 +343,14 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen over a torn tail: %v", err)
 	}
-	if !relation.Equal(re.st.Snapshot(), want) {
-		t.Fatalf("torn-tail recovery diverged:\nwant:\n%s\ngot:\n%s", want, re.st.Snapshot())
+	if !relation.Equal(re.Snapshot(), want) {
+		t.Fatalf("torn-tail recovery diverged:\nwant:\n%s\ngot:\n%s", want, re.Snapshot())
 	}
 	// The torn bytes are gone from disk and appending resumes cleanly.
 	if err := re.InsertRow("e3", "s3", "d1", "ct1"); err != nil {
 		t.Fatalf("append after truncation: %v", err)
 	}
-	want2 := re.st.Snapshot()
+	want2 := re.Snapshot()
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatalf("third open: %v", err)
 	}
 	defer re2.Close()
-	if !relation.Equal(re2.st.Snapshot(), want2) {
+	if !relation.Equal(re2.Snapshot(), want2) {
 		t.Fatal("state diverged after appending over a truncated tail")
 	}
 }
@@ -413,7 +413,7 @@ func TestDurablePoisonsOnWALFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Yank the log file out from under the writer.
-	d.st.wal.w.f.Close()
+	d.wal.w.f.Close()
 	err = d.InsertRow("e2", "s2", "d2", "ct2")
 	if err == nil || !errors.Is(err, ErrWAL) {
 		t.Fatalf("append to a closed log: got %v, want ErrWAL", err)
@@ -423,11 +423,11 @@ func TestDurablePoisonsOnWALFailure(t *testing.T) {
 	}
 	// Every later mutation reports the same poisoning error without
 	// touching state.
-	n := d.st.Len()
+	n := d.Len()
 	if err2 := d.InsertRow("e3", "s3", "d1", "ct1"); !errors.Is(err2, ErrWAL) {
 		t.Fatalf("poisoned insert: got %v", err2)
 	}
-	if d.st.Len() != n {
+	if d.Len() != n {
 		t.Fatal("poisoned handle still mutates state")
 	}
 	if err := d.Checkpoint(); !errors.Is(err, ErrWAL) {
@@ -453,7 +453,7 @@ func TestAutoCheckpointFailureDoesNotFailCommit(t *testing.T) {
 	}
 	// Break checkpointing only: the segment file stays open and writable,
 	// but writeCheckpoint's temp file lands in a directory that is gone.
-	d.st.wal.dir = filepath.Join(dir, "missing")
+	d.wal.dir = filepath.Join(dir, "missing")
 	if err := d.InsertRow("e2", "s2", "d2", "ct2"); err != nil {
 		t.Fatalf("durably appended commit reported failure because its auto-checkpoint failed: %v", err)
 	}
@@ -470,7 +470,7 @@ func TestAutoCheckpointFailureDoesNotFailCommit(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer re.Close()
-	if got := re.st.Len(); got != 2 {
+	if got := re.Len(); got != 2 {
 		t.Fatalf("recovered %d tuples, want 2 (the checkpoint-triggering commit was durable)", got)
 	}
 }
@@ -488,7 +488,7 @@ func TestSaveLoadEqualsCheckpointRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			maint.onHandle(d)
+			maint.on(d)
 			seed := [][]string{
 				{"e1", "s1", "d1", "-"},
 				{"e2", "-", "d1", "-"},
@@ -505,14 +505,14 @@ func TestSaveLoadEqualsCheckpointRecovery(t *testing.T) {
 			}
 			// Advance the allocator past its live marks so the watermark
 			// comparison is not vacuous.
-			d.st.FreshNull()
-			d.st.FreshNull()
+			d.FreshNull()
+			d.FreshNull()
 			if err := d.Delete(2); err != nil {
 				t.Fatalf("delete: %v", err)
 			}
 
 			var saved bytes.Buffer
-			if err := d.st.Save(&saved); err != nil {
+			if err := d.Save(&saved); err != nil {
 				t.Fatalf("save: %v", err)
 			}
 			if err := d.Checkpoint(); err != nil {
@@ -541,7 +541,7 @@ func TestSaveLoadEqualsCheckpointRecovery(t *testing.T) {
 				t.Fatalf("recover: %v", err)
 			}
 			defer re.Close()
-			rec := re.st
+			rec := re
 			if !relation.Equal(loaded.Snapshot(), rec.Snapshot()) {
 				t.Fatalf("Load and recovery diverged:\nload:\n%s\nrecovery:\n%s", loaded.Snapshot(), rec.Snapshot())
 			}
@@ -582,8 +582,8 @@ func TestDurableConcurrentBasics(t *testing.T) {
 	if err := c.InsertRow("e1", "s1", "d1", "-"); err != nil {
 		t.Fatal(err)
 	}
-	// First-committer-wins still holds through the durable facade.
-	t1, t2 := c.BeginTxn(), c.BeginTxn()
+	// First-committer-wins still holds on a durable store.
+	t1, t2 := c.Begin(), c.Begin()
 	if err := t1.InsertRow("e2", "s2", "d1", "-"); err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +602,7 @@ func TestDurableConcurrentBasics(t *testing.T) {
 	if err := c.InsertRow("e3", "s3", "d2", "-"); err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Snapshot()
+	snap := c.View()
 	if err := dc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +611,7 @@ func TestDurableConcurrentBasics(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer re.Close()
-	if !relation.Equal(re.Snapshot().Materialize(), snap.Materialize()) {
+	if !relation.Equal(re.View().Materialize(), snap.Materialize()) {
 		t.Fatal("concurrent durable recovery diverged")
 	}
 }
@@ -672,7 +672,7 @@ func TestDurableConcurrentCheckpointRace(t *testing.T) {
 	if err := dc.Checkpoint(); err != nil {
 		t.Fatalf("final checkpoint: %v", err)
 	}
-	snap := c.Snapshot()
+	snap := c.View()
 	if err := dc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +681,7 @@ func TestDurableConcurrentCheckpointRace(t *testing.T) {
 		t.Fatalf("reopen after checkpoint storm: %v", err)
 	}
 	defer re.Close()
-	if !relation.Equal(re.Snapshot().Materialize(), snap.Materialize()) {
+	if !relation.Equal(re.View().Materialize(), snap.Materialize()) {
 		t.Fatal("recovery diverged after concurrent checkpoints")
 	}
 }

@@ -10,9 +10,8 @@ import (
 	"fdnull/internal/value"
 )
 
-// indexWriter is the mutation surface Store, Concurrent, Txn and
-// ConcurrentTxn share; the sharded store (content-addressed) is adapted
-// to it by shardedByIndex.
+// indexWriter is the mutation surface Store and Txn share; the sharded
+// store (content-addressed) is adapted to it by shardedByIndex.
 type indexWriter interface {
 	Insert(relation.Tuple) error
 	InsertRow(...string) error
@@ -99,7 +98,7 @@ func TestWritePathTotal(t *testing.T) {
 	for _, m := range bothEngines {
 		s, fds := shardScheme()
 		st := m.on(New(s, fds, Options{}))
-		c := m.onHandle(NewConcurrent(s, fds))
+		c := m.on(New(s, fds, Options{})) // the Concurrent legs' store: a second handle, driven per op and by Begin/Commit
 		sh, _, _ := mustSharded(t, 2, m)
 		preload(st.InsertRow)
 		preload(c.InsertRow)
@@ -127,14 +126,14 @@ func TestWritePathTotal(t *testing.T) {
 				}
 				return tx.Commit()
 			}, storeState(st), storeRej(st)},
-			{"Concurrent", func(do func(indexWriter) error) error { return do(c) }, storeState(c.st), storeRej(c.st)},
+			{"Concurrent", func(do func(indexWriter) error) error { return do(c) }, storeState(c), storeRej(c)},
 			{"ConcurrentTxn", func(do func(indexWriter) error) error {
-				tx := c.BeginTxn()
+				tx := c.Begin()
 				if err := do(tx); err != nil {
 					return err
 				}
 				return tx.Commit()
-			}, storeState(c.st), storeRej(c.st)},
+			}, storeState(c), storeRej(c)},
 			{"Sharded", func(do func(indexWriter) error) error {
 				return do(shardedByIndex{sh, sh.Insert, sh.InsertRow, sh.UpdateTuple, sh.DeleteTuple})
 			}, shState, shRej},

@@ -96,9 +96,11 @@ smoke-query:
 # off it allocate per group (the same at n=2000 as at n=20000), and an
 # index probe or an append into a group with room allocates nothing;
 # TEST-FDs' two deciders build no index after CheckAll and, on cached
-# indexes, allocate per FD (the same at n=2000 as at n=20000).
+# indexes, allocate per FD (the same at n=2000 as at n=20000); a domain's
+# Contains and Canonical allocate nothing, and every write path stores
+# the domain's own string for a constant, not the caller's copy.
 smoke-allocs:
-	$(GO) test -run 'TestCongruencePassAllocsPerFD|TestRunAllocsPerRow|TestEvaluateRefusesBeforeCopying|TestEqOnNullAllocs|TestIndexKernelAllocs|TestLevelOneFromIndexAllocs|TestDecidersReuseIndexes|TestBucketAllocs' ./internal/chase ./internal/eval ./internal/query ./internal/relation ./internal/partition ./internal/testfds
+	$(GO) test -run 'TestCongruencePassAllocsPerFD|TestRunAllocsPerRow|TestEvaluateRefusesBeforeCopying|TestEqOnNullAllocs|TestIndexKernelAllocs|TestLevelOneFromIndexAllocs|TestDecidersReuseIndexes|TestBucketAllocs|TestDomainProbeAllocs|TestStoredConstantsShareDomainStrings' ./internal/chase ./internal/eval ./internal/query ./internal/relation ./internal/partition ./internal/testfds ./internal/schema ./internal/store
 
 # Per-kernel time and allocs/op for the analysis path (chase, CheckAll,
 # TEST-FDs, Evaluate, selection, index build, discovery), quotable without
@@ -142,11 +144,12 @@ smoke-serve:
 # Seed-corpus fuzz smoke: the relio parser, the predicate parser, the
 # daemon's request edge (FuzzServeRequest: any one line gets exactly one
 # reply, and a refused one changes nothing), its appended query reply
-# (byte-identical to encoding/json's) and the WAL record decoder must
-# survive their corpora (use `go test -fuzz` locally for open-ended
-# exploration).
+# (byte-identical to encoding/json's), an IntDomain's computed membership
+# (FuzzIntDomain: the same answers as a NewDomain over its values) and the
+# WAL record decoder must survive their corpora (use `go test -fuzz`
+# locally for open-ended exploration).
 smoke-fuzz:
-	$(GO) test -short -run 'Fuzz' ./internal/relio ./internal/query ./internal/serve
+	$(GO) test -short -run 'Fuzz' ./internal/relio ./internal/query ./internal/serve ./internal/schema
 	$(GO) test -short -run 'FuzzWAL' ./internal/store
 
 # errsweep flags discarded error returns of durability-relevant calls
@@ -167,8 +170,8 @@ loc:
 # ROADMAP's second bar). Each is set by the last PR that shrank it to its
 # own result: a PR that lowers a sum lowers its ceiling with it, and one
 # that has to raise one says why in CHANGES.md.
-LOC_MAX = 17826
-CORE_LOC_MAX = 6518
+LOC_MAX = 17904
+CORE_LOC_MAX = 6523
 
 # The exported surface as `go doc -all` prints it — internal/store's
 # struct types and funcs + methods, and the root fdnull facade's exported

@@ -99,7 +99,7 @@ func NewDomain(name string, values ...string) (*Domain, error) {
 	return schema.NewDomain(name, values...)
 }
 
-// IntDomain builds the domain {prefix1 … prefixN}.
+// IntDomain builds the domain {prefix1 … prefixN}; membership is computed.
 func IntDomain(name, prefix string, n int) *Domain {
 	return schema.IntDomain(name, prefix, n)
 }

@@ -47,15 +47,20 @@ func (r *Relation) InsertDelta(t Tuple) (int, error) {
 // the instance holds. The batch is all-or-nothing: on any duplicate the
 // appended prefix is unwound, the allocator restored, and bad reports the
 // offending position; on success first is the batch's first row, bad -1.
+// The rows stored are copies whose constants are the domains' own strings
+// (Domain.Canonical), never the caller's bytes; each copy replaces its
+// tuple in ts.
 func (r *Relation) InsertDeltaBatch(ts []Tuple) (first, bad int, err error) {
 	first = len(r.tuples)
 	if len(ts) == 0 {
 		return first, -1, nil
 	}
 	for k, t := range ts {
-		if err := ValidateTuple(r.scheme, t); err != nil {
+		own := make(Tuple, len(t))
+		if err := validate(r.scheme, t, own); err != nil {
 			return -1, k, err
 		}
+		ts[k] = own
 	}
 	savedMark := r.nextMark
 	id := r.identityIndex()
@@ -71,7 +76,7 @@ func (r *Relation) InsertDeltaBatch(ts []Tuple) (first, bad int, err error) {
 		}
 		r.noteMark(t)
 		id.add(len(r.tuples), t)
-		r.tuples = append(r.tuples, t.Clone())
+		r.tuples = append(r.tuples, t)
 	}
 	for range ts {
 		r.cowAppend()

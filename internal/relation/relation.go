@@ -236,16 +236,28 @@ func (r *Relation) noteMark(t Tuple) {
 // callers can validate without touching any relation state — the store's
 // transaction staging is lock-free and may run concurrently with a
 // commit that swaps the instance out.
-func ValidateTuple(s *schema.Scheme, t Tuple) error {
+func ValidateTuple(s *schema.Scheme, t Tuple) error { return validate(s, t, nil) }
+
+// validate is ValidateTuple; given a dst of t's length, it also copies t
+// into dst with every constant replaced by its domain's own string, found
+// by the same probe that validates it — the row a relation stores.
+func validate(s *schema.Scheme, t, dst Tuple) error {
 	if len(t) != s.Arity() {
 		return fmt.Errorf("relation %s: tuple arity %d, scheme arity %d",
 			s.Name(), len(t), s.Arity())
 	}
 	for i, v := range t {
-		if v.IsConst() && !s.Domain(schema.Attr(i)).Contains(v.Const()) {
-			return fmt.Errorf("relation %s: value %q outside domain %q of attribute %s",
-				s.Name(), v.Const(), s.Domain(schema.Attr(i)).Name,
-				s.AttrName(schema.Attr(i)))
+		if v.IsConst() {
+			d := s.Domain(schema.Attr(i))
+			c, ok := d.Canonical(v.Const())
+			if !ok {
+				return fmt.Errorf("relation %s: value %q outside domain %q of attribute %s",
+					s.Name(), v.Const(), d.Name, s.AttrName(schema.Attr(i)))
+			}
+			v = value.NewConst(c)
+		}
+		if dst != nil {
+			dst[i] = v
 		}
 	}
 	return nil

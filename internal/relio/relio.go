@@ -42,6 +42,7 @@ import (
 	"fdnull/internal/fd"
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
+	"fdnull/internal/value"
 )
 
 // File is a parsed input: a scheme, its FDs, and an instance.
@@ -55,18 +56,19 @@ type File struct {
 	NextMark int
 }
 
-// anyDomainContains reports whether some attribute domain of s contains
-// the constant c. Row cells are validated against this union rather
-// than the column's own domain: every constant in a store-reachable
-// instance entered through some column's domain, but chase substitution
-// can move it into a different column.
-func anyDomainContains(s *schema.Scheme, c string) bool {
-	for a := 0; a < s.Arity(); a++ {
-		if s.Domain(schema.Attr(a)).Contains(c) {
-			return true
-		}
+// canonicalConst returns the copy of constant c that the domain of
+// attribute a holds or, failing that, the copy some other attribute's
+// domain holds. Row cells are validated against this union rather than
+// the column's own domain: every constant in a store-reachable instance
+// entered through some column's domain, but chase substitution can move
+// it into a different column. The cell stores the domain's string, so a
+// loaded row keeps no bytes of the file's text.
+func canonicalConst(s *schema.Scheme, a schema.Attr, c string) (string, bool) {
+	v, ok := s.Domain(a).Canonical(c)
+	for b := 0; !ok && b < s.Arity(); b++ {
+		v, ok = s.Domain(schema.Attr(b)).Canonical(c)
 	}
-	return false
+	return v, ok
 }
 
 // Parse reads the textual format.
@@ -188,10 +190,15 @@ func Parse(r io.Reader) (*File, error) {
 		// make two rows syntactically equal, and a file written from such
 		// an instance must load back verbatim (positions index it).
 		for a, v := range t {
-			if v.IsConst() && !s.Domain(schema.Attr(a)).Contains(v.Const()) && !anyDomainContains(s, v.Const()) {
+			if !v.IsConst() {
+				continue
+			}
+			c, ok := canonicalConst(s, schema.Attr(a), v.Const())
+			if !ok {
 				return nil, fmt.Errorf("relio: row %d: value %q of attribute %s is in no domain of scheme %s",
 					i+1, v.Const(), s.AttrName(schema.Attr(a)), s.Name())
 			}
+			t[a] = value.NewConst(c)
 		}
 		out.Relation.InsertUnchecked(t) // t is fresh: the relation takes it as it is
 	}

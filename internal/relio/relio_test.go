@@ -58,6 +58,8 @@ func TestParseErrors(t *testing.T) {
 		"domain d = x\nscheme R(A:d)\nfd A -> B\n",    // unknown attribute in FD
 		"domain d = x\nscheme R(A:d)\nrow y\n",        // out-of-domain value
 		"domain d = x x\nscheme R(A:d)\n",             // duplicate domain value
+		"domain d = -1 x\nscheme R(A:d)\nrow x\n",     // domain value that reads as a null
+		"domain d = ! x\nscheme R(A:d)\nrow x\n",      // domain value that reads as nothing
 		"row x\n",                                     // no scheme at all
 		"domain d = x\nscheme R(A:d, A:d)\nrow x x\n", // duplicate attr
 	}

@@ -11,9 +11,10 @@ package schema
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 
 	"fdnull/internal/value"
 )
@@ -94,34 +95,51 @@ func (s AttrSet) ForEach(fn func(Attr)) {
 // Domain is a finite attribute domain with known, enumerable values.
 // The order of Values is the canonical enumeration order used when
 // generating completions.
+//
+// The domain owns its constants: every path that makes a constant cell
+// resident in a relation stores the Values entry Canonical returns, so
+// stored cells share the domain's strings. Do not modify Values: an
+// IntDomain computes membership from its prefix and size, and a large
+// NewDomain hashes into a map of positions. A struct literal scans.
 type Domain struct {
 	Name   string
 	Values []string
 
-	// lookup accelerates Contains for large domains: NewDomain keeps the
-	// map its duplicate check built, and a struct-literal Domain builds
-	// it lazily on first use.
-	lookupOnce sync.Once
-	lookup     map[string]bool
+	isInt  bool             // an IntDomain: Values[k-1] is prefix+k
+	prefix string           // an IntDomain's prefix
+	pos    map[string]int32 // a NewDomain of 16+ values: position+1 per value
 }
 
-// NewDomain constructs a domain; values must be non-empty and distinct.
+// NewDomain constructs a domain. Values must be non-empty and distinct,
+// and each must read back as itself in the cell notation (value.Parse):
+// there "!" and any text starting with "-" are not constants.
 func NewDomain(name string, values ...string) (*Domain, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("schema: domain %q must have at least one value", name)
 	}
-	seen := make(map[string]bool, len(values))
-	for _, v := range values {
-		if seen[v] {
+	pos := make(map[string]int32, len(values))
+	for i, v := range values {
+		if pos[v] != 0 {
 			return nil, fmt.Errorf("schema: domain %q has duplicate value %q", name, v)
 		}
-		seen[v] = true
+		if err := checkCell(name, v); err != nil {
+			return nil, err
+		}
+		pos[v] = int32(i + 1)
 	}
 	d := &Domain{Name: name, Values: append([]string(nil), values...)}
 	if len(values) >= 16 {
-		d.lookupOnce.Do(func() { d.lookup = seen }) // Contains hashes from 16 values on
+		d.pos = pos // small domains scan, which is cheaper than hashing
 	}
 	return d, nil
+}
+
+// checkCell refuses a value that value.Parse does not read as a constant.
+func checkCell(name, v string) error {
+	if c, err := value.Parse(v); err != nil || !c.IsConst() {
+		return fmt.Errorf("schema: domain %q value %q is not a constant in the cell notation", name, v)
+	}
+	return nil
 }
 
 // MustDomain is NewDomain for statically known-good inputs.
@@ -133,50 +151,80 @@ func MustDomain(name string, values ...string) *Domain {
 	return d
 }
 
-// IntDomain builds the domain {prefix1 … prefixN}, convenient for synthetic
-// workloads ("sufficiently large" domains per the paper's practicality
-// argument).
-func IntDomain(name, prefix string, n int) *Domain {
+// NewIntDomain builds the domain {prefix1 … prefixN}, convenient for
+// synthetic workloads ("sufficiently large" domains per the paper's
+// practicality argument). Membership is computed, with no map: c is a value
+// iff it is prefix and then k, 1 ≤ k ≤ n, in decimal without leading zeros.
+// A prefix starting with "-" is refused, as NewDomain refuses such values.
+func NewIntDomain(name, prefix string, n int) (*Domain, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("schema: domain %q must have at least one value", name)
+	}
+	if err := checkCell(name, prefix+"1"); err != nil {
+		return nil, err
+	}
+	// The values are substrings of one string: the capacity is an upper
+	// bound, so no write moves the bytes String has already handed out.
+	var b strings.Builder
+	b.Grow(n * (len(prefix) + len(strconv.Itoa(n))))
+	var num [20]byte
 	vals := make([]string, n)
 	for i := range vals {
-		vals[i] = fmt.Sprintf("%s%d", prefix, i+1)
+		start := b.Len()
+		b.WriteString(prefix)
+		b.Write(strconv.AppendInt(num[:0], int64(i+1), 10))
+		vals[i] = b.String()[start:]
 	}
-	return MustDomain(name, vals...)
+	return &Domain{Name: name, Values: vals, isInt: true, prefix: prefix}, nil
+}
+
+// IntDomain is NewIntDomain for statically known-good inputs.
+func IntDomain(name, prefix string, n int) *Domain {
+	d, err := NewIntDomain(name, prefix, n)
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // Size returns |dom|.
 func (d *Domain) Size() int { return len(d.Values) }
 
-// Contains reports whether c is a domain value. Small domains scan
-// (cheaper than hashing); large ones build a lookup map once — Contains
-// guards every constant on the store's write path, so it must not be
-// linear in the domain size there.
-func (d *Domain) Contains(c string) bool {
-	if len(d.Values) < 16 {
-		for _, v := range d.Values {
-			if v == c {
-				return true
-			}
-		}
-		return false
+// Contains reports whether c is a domain value. It guards every constant
+// on the store's write path, so it is not linear in the domain size: an
+// IntDomain computes, a NewDomain of 16+ values hashes, a smaller one
+// scans. It allocates nothing.
+func (d *Domain) Contains(c string) bool { return d.index(c) >= 0 }
+
+// Canonical is Contains that also returns the domain's own copy of c, the
+// Values entry equal to it, for a write path to store. It allocates nothing.
+func (d *Domain) Canonical(c string) (string, bool) {
+	if i := d.index(c); i >= 0 {
+		return d.Values[i], true
 	}
-	d.lookupOnce.Do(func() {
-		m := make(map[string]bool, len(d.Values))
-		for _, v := range d.Values {
-			m[v] = true
-		}
-		d.lookup = m
-	})
-	return d.lookup[c]
+	return "", false
 }
 
-// Consts returns the domain values as constants.
-func (d *Domain) Consts() []value.V {
-	out := make([]value.V, len(d.Values))
-	for i, v := range d.Values {
-		out[i] = value.NewConst(v)
+// index returns c's position in Values, or -1.
+func (d *Domain) index(c string) int {
+	if d.pos != nil {
+		return int(d.pos[c]) - 1 // a miss reads 0
 	}
-	return out
+	if !d.isInt {
+		return slices.Index(d.Values, c)
+	}
+	digits, ok := strings.CutPrefix(c, d.prefix)
+	if !ok || digits == "" || digits[0] == '0' {
+		return -1
+	}
+	k := 0
+	for _, ch := range []byte(digits) {
+		// k ≤ n before this step, so it cannot overflow.
+		if k = k*10 + int(ch-'0'); ch < '0' || ch > '9' || k > len(d.Values) {
+			return -1
+		}
+	}
+	return k - 1
 }
 
 // Scheme is a relation scheme R(A1, …, Ap): an ordered list of named

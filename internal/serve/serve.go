@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	fdnull "fdnull"
+	"fdnull/internal/schema"
 	"fdnull/internal/value"
 )
 
@@ -88,7 +89,7 @@ func buildDomain(sp DomainSpec) (*fdnull.Domain, error) {
 	case len(sp.Values) > 0:
 		return fdnull.NewDomain(sp.Name, sp.Values...)
 	case sp.Prefix != "" && sp.Size > 0:
-		return fdnull.IntDomain(sp.Name, sp.Prefix, sp.Size), nil
+		return schema.NewIntDomain(sp.Name, sp.Prefix, sp.Size)
 	default:
 		return nil, fmt.Errorf("domain %s: need values or prefix+size", sp.Name)
 	}

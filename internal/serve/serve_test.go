@@ -444,4 +444,13 @@ func TestLoadConfigErrors(t *testing.T) {
 	if _, err := New(&Config{Tenants: []TenantSpec{{Name: ""}}}); err == nil {
 		t.Fatal("nameless tenant accepted")
 	}
+	// A domain value the cell notation reads as a null or as "!" is
+	// refused when the tenant is built, in either domain form.
+	for _, dom := range []DomainSpec{{Name: "d", Prefix: "-", Size: 3}, {Name: "d", Values: []string{"-1", "!", "a"}}} {
+		spec := TenantSpec{Name: "t", Token: "tok", Shards: 1, Key: []string{"K"},
+			Scheme: SchemeSpec{Name: "R", Attrs: []AttrSpec{{Name: "K", Domain: dom}}}}
+		if _, err := New(&Config{Tenants: []TenantSpec{spec}}); err == nil || !strings.Contains(err.Error(), "cell notation") {
+			t.Errorf("tenant over domain %+v: err = %v, want the domain refused", dom, err)
+		}
+	}
 }

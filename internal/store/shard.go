@@ -575,7 +575,7 @@ func (tx *ShardedTxn) Update(match relation.Tuple, a schema.Attr, v value.V) err
 		return err
 	}
 	// Content-addressed: row 0 of 1 passes the shared validation's range check.
-	if err := validateUpdate(tx.s.scheme, 1, 0, a, v); err != nil {
+	if _, err := validateUpdate(tx.s.scheme, 1, 0, a, v); err != nil {
 		return err
 	}
 	if tx.s.key.Has(a) && !v.IsConst() {

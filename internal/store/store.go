@@ -345,21 +345,25 @@ func (st *Store) Update(ti int, a schema.Attr, v value.V) error {
 
 // validateUpdate is the structural half of an update, shared by eager
 // transaction staging and the apply path (txn.go) so error texts cannot
-// drift between them.
-func validateUpdate(s *schema.Scheme, n, ti int, a schema.Attr, v value.V) error {
+// drift between them. It returns v as stored (Domain.Canonical).
+func validateUpdate(s *schema.Scheme, n, ti int, a schema.Attr, v value.V) (value.V, error) {
 	if ti < 0 || ti >= n {
-		return fmt.Errorf("store: update of tuple %d out of range", ti)
+		return v, fmt.Errorf("store: update of tuple %d out of range", ti)
 	}
 	if int(a) < 0 || int(a) >= s.Arity() {
-		return fmt.Errorf("store: update of attribute %d out of range", a)
+		return v, fmt.Errorf("store: update of attribute %d out of range", a)
 	}
 	if v.IsNothing() {
-		return fmt.Errorf("store: the inconsistent element cannot be stored")
+		return v, fmt.Errorf("store: the inconsistent element cannot be stored")
 	}
-	if v.IsConst() && !s.Domain(a).Contains(v.Const()) {
-		return fmt.Errorf("store: value %q outside domain %q", v.Const(), s.Domain(a).Name)
+	if !v.IsConst() {
+		return v, nil
 	}
-	return nil
+	c, ok := s.Domain(a).Canonical(v.Const())
+	if !ok {
+		return v, fmt.Errorf("store: value %q outside domain %q", v.Const(), s.Domain(a).Name)
+	}
+	return value.NewConst(c), nil
 }
 
 // Delete removes a tuple by swap-and-pop: the last tuple moves into the

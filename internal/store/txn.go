@@ -227,7 +227,7 @@ func (tx *Txn) Update(ti int, a schema.Attr, v value.V) error {
 	if tx.done {
 		return ErrTxnFinished
 	}
-	if err := validateUpdate(tx.st.scheme, tx.length, ti, a, v); err != nil {
+	if _, err := validateUpdate(tx.st.scheme, tx.length, ti, a, v); err != nil {
 		return err
 	}
 	tx.ops = append(tx.ops, txnOp{kind: txnUpdate, ti: ti, a: a, v: v})
@@ -385,11 +385,12 @@ func applyTxnOp(s *schema.Scheme, r *relation.Relation, op txnOp) (appliedTxnOp,
 		}
 		return appliedTxnOp{kind: txnInsert, row: i, moved: -1}, nil
 	case txnUpdate:
-		if err := validateUpdate(s, r.Len(), op.ti, op.a, op.v); err != nil {
+		v, err := validateUpdate(s, r.Len(), op.ti, op.a, op.v)
+		if err != nil {
 			return appliedTxnOp{}, err
 		}
 		old := r.Tuple(op.ti)[op.a]
-		r.SetCellDelta(op.ti, op.a, op.v)
+		r.SetCellDelta(op.ti, op.a, v)
 		// An explicit marked null written from above the allocator bumps
 		// it immediately — a later staged InsertRow's "-" cell parses
 		// from this same allocator, and handing it the update's mark

@@ -71,19 +71,25 @@ smoke-txn:
 # scan, n={400,2000} both engines, plus the store's read path — one
 # planned selection on the live relation per iteration, nothing memoized
 # (TestSelectAllDifferential holds the engines answer-for-answer equal up
-# to n=2000; no ratio is asserted anywhere).
+# to n=2000; no ratio is asserted anywhere). Then the read kernel on
+# kv-read's group shape from a cold cache, in ns per candidate row:
+# Plan.Run over 586-row groups spaced 256 apart in 150k rows, plus a read
+# of the answer's constants; every iteration first sweeps a buffer larger
+# than the last-level cache, so the count is fixed at 200.
 bench-query:
 	$(GO) test -bench 'BenchmarkSelect|BenchmarkStoreQuery' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkPlanRunStrided' -benchtime 200x -run '^$$' ./internal/query
 
 # Short-mode query smoke: the differential fuzz (both engines vs the
 # per-tuple EvalBrute oracle, `!` cells and shared marks included), the
 # null-aware join differentials, the plan-time In dedupe regression,
-# SelectAll against the scan on the two employee batteries, the store's Maybe->Sure
+# SelectAll against the scan on the two employee batteries, Plan.Run against
+# the scan at its 64-row block edges, the store's Maybe->Sure
 # refinement on its live relation, and the explain goldens. (The store's
 # planner-vs-scan agreement under writes rides in smoke-store, smoke-txn
 # and smoke-shard: the exercisers' per-step read battery.)
 smoke-query:
-	$(GO) test -short -run 'TestSelectDifferential|TestSelectAllDifferential|TestSelectJoined|TestInDedupeAtPlanTime' ./internal/query
+	$(GO) test -short -run 'TestSelectDifferential|TestSelectAllDifferential|TestSelectJoined|TestInDedupeAtPlanTime|TestRunBlockBoundaries' ./internal/query
 	$(GO) test -short -run 'TestStoreQueryRefinement' ./internal/store
 	$(GO) test -short -run 'TestQueryExplain' ./cmd/fdquery
 
@@ -98,9 +104,11 @@ smoke-query:
 # TEST-FDs' two deciders build no index after CheckAll and, on cached
 # indexes, allocate per FD (the same at n=2000 as at n=20000); a domain's
 # Contains and Canonical allocate nothing, and every write path stores
-# the domain's own string for a constant, not the caller's copy.
+# the domain's own string for a constant, not the caller's copy; a
+# daemon query reply allocates 19 times for a point read and at most 49
+# for a 600-row answer (Plan.Run's candidate block stays on the stack).
 smoke-allocs:
-	$(GO) test -run 'TestCongruencePassAllocsPerFD|TestRunAllocsPerRow|TestEvaluateRefusesBeforeCopying|TestEqOnNullAllocs|TestIndexKernelAllocs|TestLevelOneFromIndexAllocs|TestDecidersReuseIndexes|TestBucketAllocs|TestDomainProbeAllocs|TestStoredConstantsShareDomainStrings' ./internal/chase ./internal/eval ./internal/query ./internal/relation ./internal/partition ./internal/testfds ./internal/schema ./internal/store
+	$(GO) test -run 'TestCongruencePassAllocsPerFD|TestRunAllocsPerRow|TestEvaluateRefusesBeforeCopying|TestEqOnNullAllocs|TestIndexKernelAllocs|TestLevelOneFromIndexAllocs|TestDecidersReuseIndexes|TestBucketAllocs|TestDomainProbeAllocs|TestStoredConstantsShareDomainStrings|TestServeQueryReplyAllocs' ./internal/chase ./internal/eval ./internal/query ./internal/relation ./internal/partition ./internal/testfds ./internal/schema ./internal/store ./internal/serve
 
 # Per-kernel time and allocs/op for the analysis path (chase, CheckAll,
 # TEST-FDs, Evaluate, selection, index build, discovery), quotable without
@@ -170,8 +178,8 @@ loc:
 # ROADMAP's second bar). Each is set by the last PR that shrank it to its
 # own result: a PR that lowers a sum lowers its ceiling with it, and one
 # that has to raise one says why in CHANGES.md.
-LOC_MAX = 17904
-CORE_LOC_MAX = 6523
+LOC_MAX = 17957
+CORE_LOC_MAX = 6561
 
 # The exported surface as `go doc -all` prints it — internal/store's
 # struct types and funcs + methods, and the root fdnull facade's exported

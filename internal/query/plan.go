@@ -32,10 +32,16 @@
 // contradictions off the probed sets are dropped by the per-candidate
 // guard. A predicate offering no plannable structure falls back to the
 // scan.
+//
+// Run reads the candidates 64 at a time. A cold candidate is three
+// dependent loads — its tuple header, its cells, its constants' bytes in
+// the domain's string — and evaluated row by row they miss one after
+// another; a block's loads are issued together first (see Run).
 package query
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
 
 	"fdnull/internal/relation"
@@ -344,38 +350,70 @@ func intersectSorted(a, b []int) []int {
 	return out
 }
 
+// runBlock is how many candidates Run gathers before it evaluates them.
+const runBlock = 64
+
 // Run evaluates the plan: the full predicate on the root's candidates
 // (ascending, so the Result is ascending), or the scan when nothing was
 // plannable. With a residual order in place the ∧-spine is folded
 // conjunct by conjunct with an early exit on the first false — sound
 // because strong-Kleene ∧ is commutative, associative, and
 // false-absorbing, so any evaluation order yields the same meet.
+//
+// The candidates go in blocks of runBlock on the stack: gather the
+// block's tuple headers, read every cell and the first byte of every
+// constant, then evaluate. The first two passes are short loops of
+// independent loads, so the block's cache misses overlap instead of
+// waiting one per load between long evaluations, and the evaluation and
+// the caller's rendering of the answer read warm lines. The bytes read
+// go into a local fold kept by runtime.KeepAlive: unused, the fold and
+// its loads would be deleted, and a package variable would race between
+// concurrent selections. Verdicts and order are the row-by-row loop's.
 func (pl *Plan) Run(src Source) Result {
 	if pl.root == nil {
 		return Select(src, pl.pred)
 	}
 	s := src.Scheme()
 	var res Result
-	for _, i := range pl.root.rows {
-		t := src.Tuple(i)
-		if contradictory(s, t) {
-			continue
+	var block [runBlock]relation.Tuple
+	var fold byte
+	rows := pl.root.rows
+	for lo := 0; lo < len(rows); lo += runBlock {
+		ids := rows[lo:min(lo+runBlock, len(rows))]
+		ts := block[:len(ids)]
+		for j, i := range ids {
+			ts[j] = src.Tuple(i)
 		}
-		v := tvl.True
-		for _, rc := range pl.residual {
-			w := evalRaw(s, t, rc.pred)
-			if w == tvl.False {
-				v = tvl.False
-				break
+		for _, t := range ts {
+			for _, v := range t {
+				if v.IsConst() {
+					if c := v.Const(); c != "" {
+						fold += c[0]
+					}
+				}
 			}
-			v = tvl.And(v, w)
 		}
-		switch v {
-		case tvl.True:
-			res.Sure = append(res.Sure, i)
-		case tvl.Unknown:
-			res.Maybe = append(res.Maybe, i)
+		for j, t := range ts {
+			if contradictory(s, t) {
+				continue
+			}
+			v := tvl.True
+			for _, rc := range pl.residual {
+				w := evalRaw(s, t, rc.pred)
+				if w == tvl.False {
+					v = tvl.False
+					break
+				}
+				v = tvl.And(v, w)
+			}
+			switch v {
+			case tvl.True:
+				res.Sure = append(res.Sure, ids[j])
+			case tvl.Unknown:
+				res.Maybe = append(res.Maybe, ids[j])
+			}
 		}
 	}
+	runtime.KeepAlive(fold)
 	return res
 }

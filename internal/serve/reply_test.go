@@ -82,7 +82,7 @@ func replyTenant(t testing.TB, keys int, vals []string) *tenant {
 	if err != nil {
 		t.Fatalf("NewShardedStore: %v", err)
 	}
-	return &tenant{name: "t", scheme: scheme, store: st}
+	return newTenant("t", "", scheme, st)
 }
 
 // FuzzQueryReplyMatchesEncodingJSON holds the appended reply to
@@ -152,12 +152,13 @@ func FuzzQueryReplyMatchesEncodingJSON(f *testing.F) {
 // TestServeQueryReplyAllocs pins what a query costs the daemon past
 // request decoding — parse, route, plan, probe, render — as allocation
 // counts. No per-row allocation: a group answer twice as long costs at
-// most the few extra slice doublings of the planner's row lists (49 and 51
-// at 300 and 600 rows when this was written; through Clone, [][]string and
-// the reflection encoder the same two answers cost 663 and 1,266). And a
-// point read stays at its measured count, all of it the predicate parser's
-// and the planner's: 19, against 39 before (21 while the index probe and
-// the shard router built their keys on the heap).
+// most the few extra slice doublings of the planner's row lists (47 and 49
+// at 300 and 600 rows; through Clone, [][]string and the reflection
+// encoder the same two answers once cost 663 and 1,266). The 600-row
+// answer stays at its measured 49, which also holds Plan.Run's candidate
+// block on the stack. A point read stays at its measured count, all of it
+// the predicate parser's and the planner's: 19, against 39 before (21
+// while the index probe and the shard router built their keys on the heap).
 func TestServeQueryReplyAllocs(t *testing.T) {
 	const n = 300
 	tn := replyTenant(t, 3*n, []string{"a1", "a2", "b1"})
@@ -186,6 +187,9 @@ func TestServeQueryReplyAllocs(t *testing.T) {
 	}
 	if point > 19 {
 		t.Errorf("a point read allocates %.0f, pinned at 19", point)
+	}
+	if group2 > 49 {
+		t.Errorf("a %d-row answer allocates %.0f, pinned at 49", 2*n, group2)
 	}
 }
 

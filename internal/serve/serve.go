@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -101,6 +102,19 @@ type tenant struct {
 	token  string
 	scheme *fdnull.Scheme
 	store  *fdnull.ShardedStore
+	// plain[a]: every value of attribute a's domain is its own JSON
+	// string body. A stored constant is one of them, so replies skip
+	// the escape scan on a.
+	plain []bool
+}
+
+// newTenant is the one way a tenant is built: it works out plain.
+func newTenant(name, token string, scheme *fdnull.Scheme, st *fdnull.ShardedStore) *tenant {
+	tn := &tenant{name: name, token: token, scheme: scheme, store: st, plain: make([]bool, scheme.Arity())}
+	for a := range tn.plain {
+		tn.plain[a] = !slices.ContainsFunc(scheme.Domain(fdnull.Attr(a)).Values, func(c string) bool { return !plain(c) })
+	}
+	return tn
 }
 
 func buildTenant(sp TenantSpec) (*tenant, error) {
@@ -143,7 +157,7 @@ func buildTenant(sp TenantSpec) (*tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tenant %s: %w", sp.Name, err)
 	}
-	return &tenant{name: sp.Name, token: sp.Token, scheme: scheme, store: st}, nil
+	return newTenant(sp.Name, sp.Token, scheme, st), nil
 }
 
 // ---- wire protocol ----
@@ -332,9 +346,9 @@ func (q *queryReply) render(tn *tenant, where string) ([]byte, error) {
 	q.sure, q.maybe = q.sure[:0], q.maybe[:0]
 	tn.store.SelectVisit(p, fdnull.QueryOptions{}, func(t fdnull.Tuple, sure bool) {
 		if sure {
-			q.sure = appendRow(q.sure, t)
+			q.sure = appendRow(q.sure, t, tn.plain)
 		} else {
-			q.maybe = appendRow(q.maybe, t)
+			q.maybe = appendRow(q.maybe, t, tn.plain)
 		}
 	})
 	q.line = append(q.line[:0], `{"ok":true`...)
@@ -359,13 +373,14 @@ func appendList(line []byte, open string, rows []byte) []byte {
 // the five bytes encoding/json escapes (HTML escaping is on) is its own
 // JSON string body, and null marks and "!" always are; any other
 // constant goes through json.Marshal, so no escaping rule is restated.
-func appendRow(b []byte, t fdnull.Tuple) []byte {
+// A constant of an attribute plain marks is not scanned.
+func appendRow(b []byte, t fdnull.Tuple, plainAttr []bool) []byte {
 	b = append(b, ',', '[')
 	for i, v := range t {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		if v.IsConst() && !plain(v.Const()) {
+		if v.IsConst() && !plainAttr[i] && !plain(v.Const()) {
 			quoted, _ := json.Marshal(v.Const()) // a string always marshals
 			b = append(b, quoted...)
 			continue

@@ -84,12 +84,15 @@ bench-query:
 # per-tuple EvalBrute oracle, `!` cells and shared marks included), the
 # null-aware join differentials, the plan-time In dedupe regression,
 # SelectAll against the scan on the two employee batteries, Plan.Run against
-# the scan at its 64-row block edges, the store's Maybe->Sure
+# the scan at its 64-row block edges, one reused Result against a fresh
+# scan across plan shapes and delta mutations, a probe of a group a
+# delete left out of order, the planner a reused Result keeps holding no
+# predicate or index between calls, the store's Maybe->Sure
 # refinement on its live relation, and the explain goldens. (The store's
 # planner-vs-scan agreement under writes rides in smoke-store, smoke-txn
 # and smoke-shard: the exercisers' per-step read battery.)
 smoke-query:
-	$(GO) test -short -run 'TestSelectDifferential|TestSelectAllDifferential|TestSelectJoined|TestInDedupeAtPlanTime|TestRunBlockBoundaries' ./internal/query
+	$(GO) test -short -run 'TestSelectDifferential|TestSelectAllDifferential|TestSelectJoined|TestInDedupeAtPlanTime|TestRunBlockBoundaries|TestSelectIntoReusedResult|TestProbeSortsOutOfOrderGroup|TestSelectIntoReleasesThePlan' ./internal/query
 	$(GO) test -short -run 'TestStoreQueryRefinement' ./internal/store
 	$(GO) test -short -run 'TestQueryExplain' ./cmd/fdquery
 
@@ -105,10 +108,14 @@ smoke-query:
 # indexes, allocate per FD (the same at n=2000 as at n=20000); a domain's
 # Contains and Canonical allocate nothing, and every write path stores
 # the domain's own string for a constant, not the caller's copy; a
-# daemon query reply allocates 19 times for a point read and at most 49
-# for a 600-row answer (Plan.Run's candidate block stays on the stack).
+# daemon query reply allocates at most 8 times for a point read and 12
+# for a 300- or 600-row answer, and the 600-row answer at most 1 KB more
+# than the 300-row one (the connection's Result carries the planner and
+# the answer's index lists; Plan.Run's candidate block stays on the stack),
+# and a predicate of 20,000 arms grows the scratch past the 1 MiB the
+# connection drops.
 smoke-allocs:
-	$(GO) test -run 'TestCongruencePassAllocsPerFD|TestRunAllocsPerRow|TestEvaluateRefusesBeforeCopying|TestEqOnNullAllocs|TestIndexKernelAllocs|TestLevelOneFromIndexAllocs|TestDecidersReuseIndexes|TestBucketAllocs|TestDomainProbeAllocs|TestStoredConstantsShareDomainStrings|TestServeQueryReplyAllocs' ./internal/chase ./internal/eval ./internal/query ./internal/relation ./internal/partition ./internal/testfds ./internal/schema ./internal/store ./internal/serve
+	$(GO) test -run 'TestCongruencePassAllocsPerFD|TestRunAllocsPerRow|TestEvaluateRefusesBeforeCopying|TestEqOnNullAllocs|TestIndexKernelAllocs|TestLevelOneFromIndexAllocs|TestDecidersReuseIndexes|TestBucketAllocs|TestDomainProbeAllocs|TestStoredConstantsShareDomainStrings|TestServeQueryReplyAllocs|TestQueryReplyTrimDropsLargePlan' ./internal/chase ./internal/eval ./internal/query ./internal/relation ./internal/partition ./internal/testfds ./internal/schema ./internal/store ./internal/serve
 
 # Per-kernel time and allocs/op for the analysis path (chase, CheckAll,
 # TEST-FDs, Evaluate, selection, index build, discovery), quotable without
@@ -178,8 +185,8 @@ loc:
 # ROADMAP's second bar). Each is set by the last PR that shrank it to its
 # own result: a PR that lowers a sum lowers its ceiling with it, and one
 # that has to raise one says why in CHANGES.md.
-LOC_MAX = 17957
-CORE_LOC_MAX = 6561
+LOC_MAX = 18113
+CORE_LOC_MAX = 6699
 
 # The exported surface as `go doc -all` prints it — internal/store's
 # struct types and funcs + methods, and the root fdnull facade's exported

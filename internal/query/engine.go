@@ -76,10 +76,28 @@ type Options struct {
 // predicate to carry plannable structure; otherwise it degrades to the
 // scan, so the verdicts are engine-independent by construction.
 func SelectWith(src Source, p Pred, opts Options) Result {
-	if ix, ok := plannerSource(src, opts.Engine); ok {
-		return PlanPred(src, ix, p).Run(src)
+	var res Result
+	SelectInto(src, p, opts, &res)
+	return Result{Sure: res.Sure, Maybe: res.Maybe} // the planner is not kept
+}
+
+// SelectInto is SelectWith into res, which it empties and refills (see
+// Result). The planner res kept from its last call compiles p again in
+// its own scratch, so through a reused Result a read allocates nothing
+// that grows with its answer. Before it returns the planner lets go of
+// p and of src's indexes; it keeps only its buffers.
+func SelectInto(src Source, p Pred, opts Options, res *Result) {
+	ix, ok := plannerSource(src, opts.Engine)
+	if !ok {
+		scan(src, p, res)
+		return
 	}
-	return Select(src, p)
+	if res.plan == nil {
+		res.plan = new(Plan)
+	}
+	res.plan.compile(src, ix, p)
+	res.plan.Run(src, res)
+	res.plan.release()
 }
 
 // plannerSource reports whether the engine plans at all and the source

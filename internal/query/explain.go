@@ -89,7 +89,9 @@ func SelectExplain(src Source, p Pred, opts Options) (Result, *Explain) {
 		return Select(src, p), scanExplain(opts.Engine, src.Len(), reason)
 	}
 	plan := PlanPred(src, ix, p)
-	return plan.Run(src), plan.Explain(opts.Engine)
+	var res Result
+	plan.Run(src, &res)
+	return res, plan.Explain(opts.Engine)
 }
 
 // Format writes the report as an indented tree:

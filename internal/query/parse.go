@@ -32,9 +32,12 @@ import (
 	"fdnull/internal/schema"
 )
 
-// ParsePred parses a predicate against a scheme.
+// ParsePred parses a predicate against a scheme. Up to 16 tokens live
+// on the caller's stack: a point read's parse allocates only the atom it
+// returns.
 func ParsePred(s *schema.Scheme, input string) (Pred, error) {
-	toks, err := lex(input)
+	var stack [16]string
+	toks, err := lex(input, stack[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -49,8 +52,8 @@ func ParsePred(s *schema.Scheme, input string) (Pred, error) {
 	return pred, nil
 }
 
-func lex(input string) ([]string, error) {
-	var toks []string
+// lex appends input's tokens to toks.
+func lex(input string, toks []string) ([]string, error) {
 	i := 0
 	for i < len(input) {
 		c := input[i]
@@ -58,7 +61,7 @@ func lex(input string) ([]string, error) {
 		case c == ' ' || c == '\t' || c == '\n':
 			i++
 		case c == '(' || c == ')' || c == ',' || c == '=':
-			toks = append(toks, string(c))
+			toks = append(toks, input[i:i+1])
 			i++
 		default:
 			j := i
@@ -176,9 +179,10 @@ func domainsIntersect(a, b *schema.Domain) bool {
 // reserved reports whether tok is a keyword of the predicate language
 // (case-insensitive, like the keywords themselves).
 func reserved(tok string) bool {
-	switch strings.ToLower(tok) {
-	case "not", "and", "or", "in":
-		return true
+	for _, kw := range [...]string{"not", "and", "or", "in"} {
+		if strings.EqualFold(tok, kw) {
+			return true
+		}
 	}
 	return false
 }

@@ -56,7 +56,10 @@ func TestInDedupeAtPlanTime(t *testing.T) {
 		t.Errorf("duplicated In changed the estimate: %d vs %d", pd.root.est, pc.root.est)
 	}
 	assertAscendingNoDupes(t, "v2 probe", pd.root.rows)
-	if !pd.Run(r).Equal(pc.Run(r)) {
+	var gd, gc Result
+	pd.Run(r, &gd)
+	pc.Run(r, &gc)
+	if !gd.Equal(gc) {
 		t.Error("duplicated In changed the answer")
 	}
 

@@ -363,6 +363,11 @@ type Source interface {
 
 // Result partitions a selection's answer by certainty. Both lists are in
 // ascending tuple order regardless of the engine that produced them.
+//
+// A Result passed to Plan.Run or SelectInto is emptied and refilled in
+// place, and SelectInto keeps its planner's scratch in it: a reader that
+// selects again and again through one Result reuses the same arrays. A
+// copy of a Result shares them.
 type Result struct {
 	// Sure lists indices of tuples where the predicate is true: they
 	// belong to the answer under every completion.
@@ -370,6 +375,8 @@ type Result struct {
 	// Maybe lists indices where the predicate is unknown: they belong to
 	// the answer under some completions.
 	Maybe []int
+
+	plan *Plan // SelectInto's planner, compiled again on every call
 }
 
 // Equal reports that two results list the same answers with the same
@@ -385,16 +392,23 @@ func (r Result) Equal(o Result) bool {
 // planner; SelectWith picks the engine explicitly.
 func Select(src Source, p Pred) Result {
 	var res Result
+	scan(src, p, &res)
+	return res
+}
+
+// scan empties res and fills it with Select's answer. It walks by
+// position, not through All, whose loop body would put res on the heap.
+func scan(src Source, p Pred, res *Result) {
+	res.Sure, res.Maybe = res.Sure[:0], res.Maybe[:0]
 	s := src.Scheme()
-	for i, t := range src.All() {
-		switch EvalTuple(s, t, p) {
+	for i, n := 0, src.Len(); i < n; i++ {
+		switch EvalTuple(s, src.Tuple(i), p) {
 		case tvl.True:
 			res.Sure = append(res.Sure, i)
 		case tvl.Unknown:
 			res.Maybe = append(res.Maybe, i)
 		}
 	}
-	return res
 }
 
 // EvalBrute computes the least-extension value of p on t by enumerating

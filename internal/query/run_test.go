@@ -2,11 +2,14 @@ package query
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
@@ -77,7 +80,9 @@ func TestRunBlockBoundaries(t *testing.T) {
 				if pl.root == nil {
 					t.Fatalf("n=%d %s: %v did not plan", n, kind, p)
 				}
-				if got, want := pl.Run(r), Select(r, p); !got.Equal(want) {
+				var got Result
+				pl.Run(r, &got)
+				if want := Select(r, p); !got.Equal(want) {
 					t.Errorf("n=%d %s, %v:\nRun    sure %v maybe %v\nSelect sure %v maybe %v",
 						n, kind, p, got.Sure, got.Maybe, want.Sure, want.Maybe)
 				}
@@ -118,6 +123,7 @@ func BenchmarkPlanRunStrided(b *testing.B) {
 	sweep := make([]byte, llcBytes()*5/4)
 	var fold byte
 	candidates := 0
+	var res Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -127,7 +133,7 @@ func BenchmarkPlanRunStrided(b *testing.B) {
 		pl := plans[i%groups]
 		candidates += len(pl.root.rows)
 		b.StartTimer()
-		res := pl.Run(r)
+		pl.Run(r, &res)
 		if len(res.Sure) != len(pl.root.rows) {
 			b.Fatalf("group %d: %d sure of %d candidates", i%groups, len(res.Sure), len(pl.root.rows))
 		}
@@ -165,4 +171,171 @@ func llcBytes() int {
 		}
 	}
 	return 64 << 20
+}
+
+// TestSelectIntoReusedResult runs one Result through SelectInto across a
+// seeded sequence of predicates and delta mutations of the source, and
+// holds every answer to a fresh Select's, order included. The sequence
+// mixes the plan shapes — scan fallback, probe, intersection, union — so
+// the planner's pooled nodes, residual and sketches are reused across
+// shapes; the relations carry `!` cells, shared marks and nulls, so Maybe
+// answers and contradictory rows occur, and every other relation has no
+// null on A, so a probe of A's order is its group's alone. A delta
+// mutation between reads moves rows between index groups and leaves some
+// groups out of order, and the reused plan must not answer from the last
+// read's candidates.
+func TestSelectIntoReusedResult(t *testing.T) {
+	s := diffScheme()
+	rng := rand.New(rand.NewSource(35))
+	fixed := map[string]Pred{
+		"scan":      Not{P: Eq{Attr: 0, Const: "v1"}},
+		"probe":     Eq{Attr: 0, Const: "v1"},
+		"intersect": And{P: Eq{Attr: 0, Const: "v2"}, Q: In{Attr: 2, Values: []string{"w1"}}},
+		"union":     Or{P: Eq{Attr: 0, Const: "v3"}, Q: EqAttr{A: 1, B: 4}},
+	}
+	trials := 400
+	if testing.Short() {
+		trials = 100
+	}
+	var res Result
+	seen := map[string]int{}
+	for trial := 0; trial < trials; trial++ {
+		r := randRelation(rng, s, 40+rng.Intn(80))
+		if trial%2 == 1 { // no null on A: no sidecar for a probe of A to sort in
+			for i := 0; i < r.Len(); i++ {
+				if r.Tuple(i)[0].IsNull() {
+					r.SetCellDelta(i, 0, value.NewConst("v1"))
+				}
+			}
+		}
+		for step := 0; step < 8; step++ {
+			var p Pred
+			if step < 4 {
+				p = fixed[[]string{"scan", "probe", "intersect", "union"}[(trial+step)%4]]
+			} else {
+				p = randPred(rng, s, rng.Intn(3))
+			}
+			if pl := PlanPred(r, r, p); pl.root == nil {
+				seen["scan"]++
+			} else {
+				seen[pl.root.op]++
+				if eq, ok := pl.root.atom.(Eq); ok {
+					ix := r.IndexOn(schema.NewAttrSet(eq.Attr))
+					g, _ := ix.Probe(relation.Tuple{value.NewConst(eq.Const), {}, {}, {}, {}})
+					if len(ix.NullRows()) == 0 && !slices.IsSorted(g) {
+						seen["out-of-order group"]++
+					}
+				}
+			}
+			SelectInto(r, p, Options{}, &res)
+			want := Select(r, p)
+			if !res.Equal(want) {
+				t.Fatalf("trial %d step %d, %v:\nreused sure %v maybe %v\nSelect sure %v maybe %v",
+					trial, step, p, res.Sure, res.Maybe, want.Sure, want.Maybe)
+			}
+			if len(want.Maybe) > 0 {
+				seen["maybe"]++
+			}
+			switch i := rng.Intn(r.Len()); rng.Intn(3) {
+			case 0:
+				r.DeleteDelta(i)
+			case 1:
+				a := schema.Attr(rng.Intn(s.Arity()))
+				r.SetCellDelta(i, a, value.NewConst(s.Domain(a).Values[rng.Intn(s.Domain(a).Size())]))
+			default:
+				r.SetCellDelta(i, schema.Attr(rng.Intn(s.Arity())), value.NewNull(1+rng.Intn(4)))
+			}
+		}
+	}
+	for _, shape := range []string{"scan", opProbe, "out-of-order group", opIntersect, opUnion, "maybe"} {
+		if seen[shape] == 0 {
+			t.Errorf("the sequence never produced a %s (saw %v)", shape, seen)
+		}
+	}
+}
+
+// TestProbeSortsOutOfOrderGroup: DeleteDelta renumbers the last row into
+// the hole, which leaves the group of A = a1 as [0 2 1] with no null
+// sidecar to sort in; the probe copies the group into its own buffer and
+// sorts it, or Run answers out of order.
+func TestProbeSortsOutOfOrderGroup(t *testing.T) {
+	s := blockScheme()
+	r := relation.New(s)
+	for _, a := range []string{"a1", "a2", "a1", "a1"} {
+		r.InsertUnchecked(relation.Tuple{value.NewConst(a), value.NewConst("b1"), value.NewConst("c1")})
+	}
+	p := Eq{Attr: 0, Const: "a1"}
+	PlanPred(r, r, p) // builds the index before the delete, which reorders it
+	r.DeleteDelta(1)  // row 3 (a1) becomes row 1
+	g, _ := r.IndexOn(schema.NewAttrSet(0)).Probe(relation.Tuple{value.NewConst("a1"), {}, {}})
+	if slices.IsSorted(g) {
+		t.Fatalf("the group of a1 after DeleteDelta is %v, want it out of order", g)
+	}
+	pl := PlanPred(r, r, p)
+	if &pl.root.rows[0] == &g[0] {
+		t.Fatal("the probe's candidates are the index's group, not the plan's own")
+	}
+	var got Result
+	pl.Run(r, &got)
+	if want := Select(r, p); !got.Equal(want) || !slices.Equal(got.Sure, []int{0, 1, 2}) {
+		t.Errorf("A = a1 over the group %v: Run sure %v, Select sure %v, want [0 1 2]", g, got.Sure, want.Sure)
+	}
+}
+
+// TestSelectIntoReleasesThePlan: after SelectInto the planner kept in the
+// Result holds no predicate — a daemon's predicates are substrings of a
+// request line — and no index, only its buffers, and ScratchBytes counts
+// those buffers, so a caller can see a union of thousands of arms and
+// drop it.
+func TestSelectIntoReleasesThePlan(t *testing.T) {
+	s := blockScheme()
+	r := relation.New(s)
+	for _, a := range []string{"a1", "a2", "a1"} {
+		r.InsertUnchecked(relation.Tuple{value.NewConst(a), value.NewConst("b1"), value.NewConst("c1")})
+	}
+	const arms = 2000
+	var p Pred = Eq{Attr: 0, Const: "a1"}
+	for i := 1; i < arms; i++ {
+		p = Or{P: p, Q: Eq{Attr: 0, Const: "a1"}}
+	}
+	var res Result
+	SelectInto(r, And{P: p, Q: Eq{Attr: 1, Const: "b1"}}, Options{}, &res)
+	if !slices.Equal(res.Sure, []int{0, 2}) {
+		t.Fatalf("sure %v, want [0 2]", res.Sure)
+	}
+	pl := res.plan
+	if pl.pred != nil || pl.root != nil {
+		t.Error("the plan keeps its predicate or its root")
+	}
+	for _, l := range pl.leaves[:cap(pl.leaves)] {
+		if l != nil {
+			t.Fatalf("the plan keeps the leaf %v", l)
+		}
+	}
+	for _, sk := range pl.sketches[:cap(pl.sketches)] {
+		if sk.atom != nil || sk.idx != nil || sk.kids != nil {
+			t.Fatalf("the plan keeps a sketch of %v", sk.atom)
+		}
+	}
+	for _, rc := range pl.residual[:cap(pl.residual)] {
+		if rc.pred != nil {
+			t.Fatalf("the plan keeps the residual %v", rc.pred)
+		}
+	}
+	for _, v := range pl.probe {
+		if v != (value.V{}) {
+			t.Fatalf("the plan keeps the probe key %v", pl.probe)
+		}
+	}
+	for _, n := range pl.nodes {
+		if n.atom != nil || slices.ContainsFunc(n.kids[:cap(n.kids)], func(k *planNode) bool { return k != nil }) {
+			t.Fatalf("a pooled %s node keeps %v or its children", n.op, n.atom)
+		}
+	}
+	if len(pl.nodes) < arms {
+		t.Fatalf("%d pooled nodes for a union of %d arms", len(pl.nodes), arms)
+	}
+	if got, least := res.ScratchBytes(), arms*int(unsafe.Sizeof(planNode{})); got < least {
+		t.Errorf("ScratchBytes = %d, under the %d B of the pooled nodes alone", got, least)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -151,14 +152,18 @@ func FuzzQueryReplyMatchesEncodingJSON(f *testing.F) {
 
 // TestServeQueryReplyAllocs pins what a query costs the daemon past
 // request decoding — parse, route, plan, probe, render — as allocation
-// counts. No per-row allocation: a group answer twice as long costs at
-// most the few extra slice doublings of the planner's row lists (47 and 49
-// at 300 and 600 rows; through Clone, [][]string and the reflection
-// encoder the same two answers once cost 663 and 1,266). The 600-row
-// answer stays at its measured 49, which also holds Plan.Run's candidate
-// block on the stack. A point read stays at its measured count, all of it
-// the predicate parser's and the planner's: 19, against 39 before (21
-// while the index probe and the shard router built their keys on the heap).
+// counts and bytes. The connection's queryReply owns the scratch: the
+// reply's buffers, and the Result SelectVisit plans and runs into, whose
+// planner reuses its nodes and copies a probed group into a node's own
+// buffer. The parser's tokens live on the stack. What is left is the
+// parsed atom: 1 allocation for a point read and for 300- and 600-row
+// answers alike (19, 47 and 49 while the planner built its nodes, copied
+// the group and grew the answer's index lists afresh on every read;
+// through Clone, [][]string and the reflection encoder the two answers
+// once cost 663 and 1,266). The bounds leave room for
+// toolchain drift: 8 for the point read, 12 for each group, and a
+// 600-row answer may allocate at most 1 KB more than a 300-row one — no
+// per-row bytes.
 func TestServeQueryReplyAllocs(t *testing.T) {
 	const n = 300
 	tn := replyTenant(t, 3*n, []string{"a1", "a2", "b1"})
@@ -172,24 +177,73 @@ func TestServeQueryReplyAllocs(t *testing.T) {
 		}
 	}
 	var qr queryReply
-	allocs := func(where string, rows int) float64 {
+	const runs = 20
+	measure := func(where string, rows int) (allocs, bytes float64) {
 		line, err := qr.render(tn, where) // also warms the indexes and the scratch
-		if err != nil || bytes.Count(line, []byte(`["k`)) != rows {
-			t.Fatalf("render(%q) = %d rows (%v), want %d", where, bytes.Count(line, []byte(`["k`)), err, rows)
+		if err != nil || rowCount(line) != rows {
+			t.Fatalf("render(%q) = %d rows (%v), want %d", where, rowCount(line), err, rows)
 		}
-		return testing.AllocsPerRun(20, func() { qr.render(tn, where) })
+		allocs = testing.AllocsPerRun(runs, func() { qr.render(tn, where) })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			qr.render(tn, where)
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	point := allocs("K = k7", 1)
-	group, group2 := allocs("A = a1", n), allocs("A = a2", 2*n)
-	t.Logf("allocations per query: point %.0f, %d-row group %.0f, %d-row group %.0f", point, n, group, 2*n, group2)
-	if group2 > group+4 {
-		t.Errorf("a %d-row answer allocates %.0f, a %d-row answer %.0f: rendering allocates per row", 2*n, group2, n, group)
+	point, _ := measure("K = k7", 1)
+	group, groupBytes := measure("A = a1", n)
+	group2, group2Bytes := measure("A = a2", 2*n)
+	t.Logf("per query: point %.0f allocations; %d-row group %.0f (%.0f B); %d-row group %.0f (%.0f B)",
+		point, n, group, groupBytes, 2*n, group2, group2Bytes)
+	if point > 8 {
+		t.Errorf("a point read allocates %.0f times, bound 8", point)
 	}
-	if point > 19 {
-		t.Errorf("a point read allocates %.0f, pinned at 19", point)
+	if group > 12 || group2 > 12 {
+		t.Errorf("%d- and %d-row answers allocate %.0f and %.0f times, bound 12 each", n, 2*n, group, group2)
 	}
-	if group2 > 49 {
-		t.Errorf("a %d-row answer allocates %.0f, pinned at 49", 2*n, group2)
+	if group2Bytes > groupBytes+1024 {
+		t.Errorf("a %d-row answer allocates %.0f B, a %d-row answer %.0f B: the read allocates per row", 2*n, group2Bytes, n, groupBytes)
+	}
+}
+
+// rowCount counts the rows of a rendered reply line.
+func rowCount(line []byte) int { return bytes.Count(line, []byte(`["k`)) }
+
+// TestQueryReplyTrimDropsLargePlan: the planner kept in the connection's
+// scratch grows with the predicate, not only with the answer — a request
+// line of up to 1 MiB can spell an ∨ of tens of thousands of arms, each a
+// pooled plan node with its own candidate buffer. size counts that
+// scratch, so trim lets it go after the reply instead of pinning it to an
+// idle connection, and the next read renders from empty scratch.
+func TestQueryReplyTrimDropsLargePlan(t *testing.T) {
+	tn := replyTenant(t, 8, []string{"a1", "a2"})
+	for _, row := range [][]string{{"k1", "a1", "a2", "x"}, {"k2", "a2", "a1", "x"}, {"k3", "a1", "a1", "y"}} {
+		if err := tn.store.InsertRow(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const arms = 20000
+	where := strings.Repeat("A = a1 or ", arms-1) + "A = a1"
+	var qr queryReply
+	line, err := qr.render(tn, where)
+	if err != nil || rowCount(line) != 2 {
+		t.Fatalf("render(%d arms) = %d rows (%v), want 2", arms, rowCount(line), err)
+	}
+	if qr.size() <= maxReplyScratch {
+		t.Fatalf("after a %d-arm predicate the scratch is %d B, counted under maxReplyScratch = %d", arms, qr.size(), maxReplyScratch)
+	}
+	qr.trim()
+	if qr.size() != 0 {
+		t.Fatalf("trim kept %d B", qr.size())
+	}
+	if line, err := qr.render(tn, "K = k3"); err != nil || rowCount(line) != 1 {
+		t.Fatalf("after trim K = k3 rendered %d rows (%v), want 1", rowCount(line), err)
+	}
+	qr.trim()
+	if qr.size() == 0 {
+		t.Error("trim dropped a point read's small scratch")
 	}
 }
 

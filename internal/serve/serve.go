@@ -331,11 +331,30 @@ func (t *tenant) stageOp(tx *fdnull.ShardedTxn, op wireOp) error {
 // client cannot pin a shard; sure and maybe apart, since shards
 // interleave them — and sent in one Write after every lock is released.
 // The bytes are what encoding/json emits for {"ok":true,"sure":[[…]],
-// "maybe":[[…]]} with omitempty on both lists.
-type queryReply struct{ sure, maybe, line []byte }
+// "maybe":[[…]]} with omitempty on both lists. res is the selection's
+// own scratch — its index lists and its planner — that SelectVisit
+// fills shard by shard, so a read allocates nothing that grows with its
+// answer.
+type queryReply struct {
+	sure, maybe, line []byte
+	res               fdnull.SelectResult
+}
 
 // maxReplyScratch bounds the scratch a connection keeps between replies.
 const maxReplyScratch = 1 << 20
+
+// size is the bytes q keeps between replies.
+func (q *queryReply) size() int {
+	return cap(q.sure) + cap(q.maybe) + cap(q.line) + q.res.ScratchBytes()
+}
+
+// trim drops q's scratch once one large answer or predicate grew it past
+// maxReplyScratch.
+func (q *queryReply) trim() {
+	if q.size() > maxReplyScratch {
+		*q = queryReply{}
+	}
+}
 
 // render answers where on tn; the line is valid until the next call.
 func (q *queryReply) render(tn *tenant, where string) ([]byte, error) {
@@ -344,7 +363,7 @@ func (q *queryReply) render(tn *tenant, where string) ([]byte, error) {
 		return nil, err
 	}
 	q.sure, q.maybe = q.sure[:0], q.maybe[:0]
-	tn.store.SelectVisit(p, fdnull.QueryOptions{}, func(t fdnull.Tuple, sure bool) {
+	tn.store.SelectVisit(p, &q.res, func(t fdnull.Tuple, sure bool) {
 		if sure {
 			q.sure = appendRow(q.sure, t, tn.plain)
 		} else {
@@ -542,12 +561,13 @@ func (srv *Server) handle(conn net.Conn) {
 	reply := func(resp response) bool { return enc.Encode(resp) == nil }
 	var bound *tenant
 	var qr queryReply
+	var req request // one per connection: Unmarshal puts it on the heap
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var req request
+		req = request{} // a field the last request sent must not carry over
 		var resp response
 		if err := json.Unmarshal(line, &req); err != nil {
 			resp = errResponse(fmt.Errorf("bad request: %w", err))
@@ -567,9 +587,7 @@ func (srv *Server) handle(conn net.Conn) {
 				if _, err = conn.Write(out); err != nil {
 					return
 				}
-				if cap(qr.sure)+cap(qr.maybe)+cap(qr.line) > maxReplyScratch {
-					qr = queryReply{} // one large answer's buffers are not kept
-				}
+				qr.trim()
 				continue
 			}
 			resp = errResponse(err)

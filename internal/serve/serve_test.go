@@ -338,6 +338,41 @@ func TestServeProtocolErrors(t *testing.T) {
 	after.mustOK(t, map[string]any{"op": "ping"})
 }
 
+// TestServeRequestFieldsDoNotCarryOver: a connection decodes every request
+// into one reused struct, so each field a request sends must be gone from
+// the next request that omits it — a where, a row, an update's attribute
+// and value, an auth token. Each omission must draw the refusal the field's
+// absence earns, not an answer built from the last request's field.
+func TestServeRequestFieldsDoNotCarryOver(t *testing.T) {
+	srv := startTestServer(t, writeTestConfig(t, ""))
+	defer shutdownTestServer(t, srv)
+	c := dialClient(t, srv.Addr())
+	defer c.conn.Close() // errcheck:ok test client teardown
+	c.mustOK(t, map[string]any{"op": "auth", "tenant": "hr", "token": "hr-secret"})
+	c.mustOK(t, map[string]any{"op": "insert", "row": []string{"k1", "a1", "b1"}})
+	c.mustOK(t, map[string]any{"op": "update", "match": []string{"k1", "a1", "b1"}, "attr": "B", "value": "b2"})
+	if resp := c.mustOK(t, map[string]any{"op": "query", "where": "K = k1"}); fmt.Sprint(resp["sure"]) != "[[k1 a1 b2]]" {
+		t.Fatalf("K = k1 answered %v", resp["sure"])
+	}
+	for _, step := range []struct {
+		req  map[string]any
+		want string // in the refusal
+	}{
+		{map[string]any{"op": "query"}, "empty predicate"},
+		{map[string]any{"op": "insert"}, "arity"},
+		{map[string]any{"op": "update", "match": []string{"k1", "a1", "b2"}}, "no attribute"},
+		{map[string]any{"op": "auth", "tenant": "hr"}, "bad token"},
+	} {
+		resp := c.call(t, step.req)
+		if resp["ok"] == true || !strings.Contains(fmt.Sprint(resp["error"]), step.want) {
+			t.Errorf("%v after a request that sent the omitted field: %v, want a refusal naming %q", step.req, resp, step.want)
+		}
+	}
+	if resp := c.mustOK(t, map[string]any{"op": "query", "where": "K = k1"}); fmt.Sprint(resp["sure"]) != "[[k1 a1 b2]]" {
+		t.Errorf("after the refusals K = k1 answered %v, want the one updated row", resp["sure"])
+	}
+}
+
 // TestServeDurableTenant proves a durable tenant's state survives a
 // daemon restart: insert over the wire, shut down (which checkpoints
 // through Close), boot a second server on the same directory, read the

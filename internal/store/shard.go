@@ -208,20 +208,26 @@ func validateShardedOptions(s *schema.Scheme, fds []fd.FD, opts ShardedOptions) 
 // of its constant key projection (the X-partition group-key encoding, so
 // syntactically identical projections — and only those — co-route).
 func (s *Sharded) ShardOf(t relation.Tuple) (int, error) {
-	k, ok := relation.ConstKeyOn(t, s.keyAttrs)
+	i, ok := s.shardOf(t)
 	if !ok {
 		return 0, fmt.Errorf("store: tuple %s is not constant on the shard key %s; nulls on key attributes cannot be routed",
 			t, s.scheme.FormatSet(s.key))
 	}
-	if len(s.shards) == 1 {
-		return 0, nil
+	return i, nil
+}
+
+// shardOf is ShardOf without the error, which would put t on the heap.
+func (s *Sharded) shardOf(t relation.Tuple) (int, bool) {
+	k, ok := relation.ConstKeyOn(t, s.keyAttrs)
+	if !ok || len(s.shards) == 1 {
+		return 0, ok
 	}
 	h := uint32(2166136261)
 	for i := 0; i < len(k); i++ {
 		h ^= uint32(k[i])
 		h *= 16777619
 	}
-	return int(h % uint32(len(s.shards))), nil
+	return int(h % uint32(len(s.shards))), true
 }
 
 // ---- accessors ----
@@ -356,17 +362,24 @@ func (s *Sharded) CheckStrong() bool {
 // place) and must not block or call into the store: a writer waits for
 // it. Shards are visited one after another, so the answer is a committed
 // state of each shard, not one cut across them (Snapshot is).
-func (s *Sharded) SelectVisit(p query.Pred, opts query.Options, visit func(t relation.Tuple, sure bool)) {
+//
+// res is the caller's scratch (query.SelectInto): each shard's answer is
+// planned and run into it, so a caller that passes the same Result to
+// every read allocates nothing that grows with the answers. On return it
+// holds the last visited shard's indices, which mean nothing outside the
+// lock.
+func (s *Sharded) SelectVisit(p query.Pred, res *query.Result, visit func(t relation.Tuple, sure bool)) {
 	shards := s.shards
 	if pinned := len(shards) > 1; pinned {
-		probe := make(relation.Tuple, s.scheme.Arity())
+		var stack [16]value.V // the key tuple of a scheme of up to 16 attributes
+		probe := append(relation.Tuple(stack[:0]), make(relation.Tuple, s.scheme.Arity())...)
 		for _, a := range s.keyAttrs {
 			c, ok := query.SpineEq(p, a)
 			pinned = pinned && ok
 			probe[a] = value.NewConst(c)
 		}
 		if pinned {
-			home, _ := s.ShardOf(probe) // constant on the key: routable
+			home, _ := s.shardOf(probe) // constant on the key: routable
 			shards = shards[home : home+1]
 		}
 	}
@@ -375,7 +388,7 @@ func (s *Sharded) SelectVisit(p query.Pred, opts query.Options, visit func(t rel
 			c.mu.RLock()
 			defer c.mu.RUnlock()
 			rel := c.rel
-			res := query.SelectWith(rel, p, opts)
+			query.SelectInto(rel, p, query.Options{}, res)
 			for _, i := range res.Sure {
 				visit(rel.Tuple(i), true)
 			}
@@ -389,8 +402,12 @@ func (s *Sharded) SelectVisit(p query.Pred, opts query.Options, visit func(t rel
 // SelectTuples is SelectVisit with every answer cloned out from under
 // the lock — per-shard indices mean nothing to facade clients — sure and
 // maybe each ordered by shard, then by tuple index within the shard.
-func (s *Sharded) SelectTuples(p query.Pred, opts query.Options) (sure, maybe []relation.Tuple) {
-	s.SelectVisit(p, opts, func(t relation.Tuple, isSure bool) {
+// The options are not read: every shard plans with the indexed engine,
+// whose verdicts are the scan's. The parameter is kept only because the
+// benchmark harness (bench/target.go) calls SelectTuples with it.
+func (s *Sharded) SelectTuples(p query.Pred, _ query.Options) (sure, maybe []relation.Tuple) {
+	var res query.Result
+	s.SelectVisit(p, &res, func(t relation.Tuple, isSure bool) {
 		if isSure {
 			sure = append(sure, t.Clone())
 		} else {

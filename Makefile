@@ -87,12 +87,15 @@ bench-query:
 # the scan at its 64-row block edges, one reused Result against a fresh
 # scan across plan shapes and delta mutations, a probe of a group a
 # delete left out of order, the planner a reused Result keeps holding no
-# predicate or index between calls, the store's Maybe->Sure
+# predicate or index between calls, probe sizes equal to what the probes
+# gather on a Zipf-skewed EMP instance (a hot D = d and CT = c gathers
+# one probe, D = d and E = e one candidate through the cached {D,E}
+# index) against the scan across delta mutations, the store's Maybe->Sure
 # refinement on its live relation, and the explain goldens. (The store's
 # planner-vs-scan agreement under writes rides in smoke-store, smoke-txn
 # and smoke-shard: the exercisers' per-step read battery.)
 smoke-query:
-	$(GO) test -short -run 'TestSelectDifferential|TestSelectAllDifferential|TestSelectJoined|TestInDedupeAtPlanTime|TestRunBlockBoundaries|TestSelectIntoReusedResult|TestProbeSortsOutOfOrderGroup|TestSelectIntoReleasesThePlan' ./internal/query
+	$(GO) test -short -run 'TestSelectDifferential|TestSelectAllDifferential|TestSelectJoined|TestInDedupeAtPlanTime|TestRunBlockBoundaries|TestSelectIntoReusedResult|TestProbeSortsOutOfOrderGroup|TestSelectIntoReleasesThePlan|TestPlanSizesProbedGroup' ./internal/query
 	$(GO) test -short -run 'TestStoreQueryRefinement' ./internal/store
 	$(GO) test -short -run 'TestQueryExplain' ./cmd/fdquery
 
@@ -185,8 +188,8 @@ loc:
 # ROADMAP's second bar). Each is set by the last PR that shrank it to its
 # own result: a PR that lowers a sum lowers its ceiling with it, and one
 # that has to raise one says why in CHANGES.md.
-LOC_MAX = 18113
-CORE_LOC_MAX = 6699
+LOC_MAX = 18164
+CORE_LOC_MAX = 6764
 
 # The exported surface as `go doc -all` prints it — internal/store's
 # struct types and funcs + methods, and the root fdnull facade's exported

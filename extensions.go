@@ -60,10 +60,10 @@ type QueryOptions = query.Options
 // admitting no completion (a `!` cell, or a mark spanning domains with
 // empty intersection) are in neither list — no predicate holds on them.
 // It runs the planner, which compiles an algebraic plan over X-partition
-// indexes — Eq/In/EqAttr probes intersected along the ∧-spine by
-// ascending cost estimate, ∨ evaluated as a deduplicated union of
-// sub-plans, residual conjuncts ordered by estimated selectivity from
-// IndexStats — and degrades to the scan when the source has no indexes
+// indexes — Eq/In/EqAttr probes sized before they are gathered and
+// intersected along the ∧-spine smallest first, ∨ evaluated as a
+// deduplicated union of sub-plans, residual conjuncts ordered by those
+// sizes — and degrades to the scan when the source has no indexes
 // (a RelationView) or the predicate offers no plannable structure; the
 // answer is the same either way.
 func Select(src QuerySource, p Pred) SelectResult { return query.SelectWith(src, p, QueryOptions{}) }

@@ -225,9 +225,9 @@ func (p *Partition) Support() int {
 }
 
 // Stats summarizes a stripped partition's shape the way
-// relation.IndexStats summarizes an X-partition index: support size,
-// class count, sidecar sizes, and largest-class skew. Unlike the index
-// statistics these are always exact — partitions are immutable.
+// relation.IndexStats summarizes an X-partition index — support size,
+// class count, sidecar sizes — plus the largest class. Partitions are
+// immutable, so these stay exact.
 type Stats struct {
 	Support  int // tuples in stripped classes (size ≥ 2)
 	Classes  int // stripped class count

@@ -53,11 +53,14 @@ func (e Engine) String() string {
 // X-partition indexes over the same tuples All() yields.
 // *relation.Relation provides it from its index cache, which the delta
 // mutators keep fresh across writes — the store answers selections on
-// its live relation for exactly that reason. A relation.View is not an
-// Indexer: a snapshot has no indexes to maintain, and selections over
-// one scan.
+// its live relation for exactly that reason. IndexOn builds an index on
+// first use; CachedIndexes lists the fresh ones already cached, which
+// the planner reads and never builds (a multi-attribute left-hand
+// side's, kept by the write path). A relation.View is not an Indexer: a
+// snapshot has no indexes to maintain, and selections over one scan.
 type Indexer interface {
 	IndexOn(set schema.AttrSet) *relation.Index
+	CachedIndexes(dst []*relation.Index) []*relation.Index
 }
 
 // Options configure SelectWith and SelectAll. The zero value means:

@@ -34,7 +34,7 @@ type Explain struct {
 type ExplainNode struct {
 	Op     string // "probe", "intersect", "union"
 	Detail string // probes: the pushed atom's rendering
-	Est    int    // estimated candidates
+	Est    int    // candidates the planner sized it at (exact for Eq, In and key probes)
 	Actual int    // materialized candidates
 	Kids   []*ExplainNode
 }
@@ -51,20 +51,31 @@ func (pl *Plan) Explain(engine Engine) *Explain {
 	if pl.root == nil {
 		return scanExplain(engine, pl.n, "no plannable conjunct")
 	}
-	e := &Explain{Engine: engine.String(), SourceLen: pl.n, Root: explainNode(pl.root), Evaluated: len(pl.root.rows)}
+	e := &Explain{Engine: engine.String(), SourceLen: pl.n, Root: pl.explainNode(pl.root), Evaluated: len(pl.root.rows)}
 	for _, rc := range pl.residual {
 		e.Residual = append(e.Residual, ExplainConjunct{Pred: rc.pred.String(), Frac: rc.frac})
 	}
 	return e
 }
 
-func explainNode(n *planNode) *ExplainNode {
+func (pl *Plan) explainNode(n *planNode) *ExplainNode {
 	en := &ExplainNode{Op: n.op, Est: n.est, Actual: len(n.rows)}
 	if n.atom != nil {
 		en.Detail = n.atom.String()
 	}
+	key := n.key
+	for _, leaf := range pl.leaves { // a key probe: the leftmost Eq atom on each attribute
+		if q, ok := leaf.(Eq); ok && key.Has(q.Attr) {
+			if en.Detail != "" {
+				en.Detail = "(" + en.Detail + " and " + leaf.String() + ")"
+			} else {
+				en.Detail = leaf.String()
+			}
+			key = key.Remove(q.Attr)
+		}
+	}
 	for _, k := range n.kids {
-		en.Kids = append(en.Kids, explainNode(k))
+		en.Kids = append(en.Kids, pl.explainNode(k))
 	}
 	return en
 }
@@ -96,15 +107,14 @@ func SelectExplain(src Source, p Pred, opts Options) (Result, *Explain) {
 
 // Format writes the report as an indented tree:
 //
-//	plan (indexed, 2000 tuples): evaluated 17
-//	  union (est 23, got 17)
-//	    intersect (est 4, got 2)
-//	      probe #1 = "d3" (est 9, got 8)
-//	      probe #2 = "full" (est 40, got 36)
+//	plan (indexed, 2000 tuples): evaluated 12
+//	  union (est 9, got 12)
+//	    intersect (est 5, got 8)
+//	      probe #1 = #3 (est 5, got 40)
+//	      probe #2 = "full" (est 36, got 36)
 //	    probe #0 in {"e1"} (est 4, got 4)
 //	  residual order:
-//	    1. #1 = "d3" (est frac 0.00)
-//	    2. #2 = "full" (est frac 0.02)
+//	    1. ((#1 = #3 and #2 = "full") or #0 in {"e1"}) (est frac 0.00)
 func (e *Explain) Format(w io.Writer) {
 	fmt.Fprintf(w, "plan (%s, %d tuples): evaluated %d\n", e.Engine, e.SourceLen, e.Evaluated)
 	if e.Scan {

@@ -1,11 +1,15 @@
 package query
 
 import (
+	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
+	"fdnull/internal/value"
 )
 
 func dedupeScheme() *schema.Scheme {
@@ -107,11 +111,24 @@ func TestSpineEq(t *testing.T) {
 }
 
 // TestExplainRendersPushedAtomOnDemand: plan nodes carry the atom, not
-// its rendering, and the report still names every probe.
+// its rendering, and the report still names every probe. A = B's size
+// is a guess from the pair index (6 rows / 6 values = 1) while five rows
+// agree, so the In probe, 3 rows, is smaller than the candidates so far
+// and is gathered: the plan is an intersect of the two.
 func TestExplainRendersPushedAtomOnDemand(t *testing.T) {
-	r := dedupeRel(t)
-	p := And{P: Eq{Attr: 0, Const: "v1"}, Q: In{Attr: 1, Values: []string{"v3", "v2"}}}
-	_, ex := SelectExplain(r, p, Options{})
+	r := relation.MustFromRows(dedupeScheme(),
+		[]string{"v1", "v1"},
+		[]string{"v2", "v2"},
+		[]string{"v3", "v3"},
+		[]string{"v4", "v4"},
+		[]string{"v5", "v5"},
+		[]string{"v1", "v2"},
+	)
+	p := And{P: EqAttr{A: 0, B: 1}, Q: In{Attr: 1, Values: []string{"v3", "v2"}}}
+	res, ex := SelectExplain(r, p, Options{})
+	if ex.Root.Op != opIntersect || !slices.Equal(res.Sure, []int{1, 2}) {
+		t.Fatalf("want an intersect answering [1 2], got sure %v\n%s", res.Sure, ex)
+	}
 	var details []string
 	var walk func(n *ExplainNode)
 	walk = func(n *ExplainNode) {
@@ -126,7 +143,140 @@ func TestExplainRendersPushedAtomOnDemand(t *testing.T) {
 	}
 	walk(ex.Root)
 	slices.Sort(details)
-	if want := []string{`#0 = "v1"`, `#1 in {"v3","v2"}`}; !slices.Equal(details, want) {
+	if want := []string{`#0 = #1`, `#1 in {"v3","v2"}`}; !slices.Equal(details, want) {
 		t.Errorf("probe details %q, want %q\n%s", details, want, ex)
+	}
+}
+
+// empSizingScheme is EMP(D, E, SL, CT) with D -> CT and D,E -> SL in
+// mind: 24 departments, employee numbers 1..400 within a department,
+// 8 salaries, 3 contract types.
+func empSizingScheme() *schema.Scheme {
+	return schema.MustNew("EMP", []string{"D", "E", "SL", "CT"}, []*schema.Domain{
+		schema.IntDomain("dept", "d", 24),
+		schema.IntDomain("emp", "e", 400),
+		schema.IntDomain("sal", "s", 8),
+		schema.IntDomain("ct", "c", 3),
+	})
+}
+
+// TestPlanSizesProbedGroup plans over an instance shaped like a store's
+// in chase normal form: departments drawn Zipf-skewed, every row of a
+// department agreeing on CT (a constant, or in every fifth department
+// one shared mark), a third of the salaries null, D and E never null,
+// and the {D,E} index cached as the write path keeps it for D,E -> SL.
+// Across delta inserts, deletes, salary resolutions and renumberings it
+// checks that
+//
+//   - every Eq and In probe's est is the size it gathered;
+//   - D = d and CT = c on the hot department gathers the D probe alone:
+//     the CT group holds every row of the D group and more;
+//   - D = d and E = e probes the {D,E} index and evaluates one
+//     candidate (none when no such employee is left), and the planner
+//     builds no index on two attributes;
+//   - every answer is the scan's.
+func TestPlanSizesProbedGroup(t *testing.T) {
+	s := empSizingScheme()
+	rng := rand.New(rand.NewSource(36))
+	zipf := rand.NewZipf(rng, 1.3, 1, 23)
+	r := relation.New(s)
+	nextE := make([]int, 24)
+	konst := func(a schema.Attr, k int) value.V { return value.NewConst(s.Domain(a).Values[k]) }
+	ct := func(d int) value.V {
+		if d%5 == 4 {
+			return value.NewNull(1000 + d) // the department's one contract mark
+		}
+		return konst(3, d%3)
+	}
+	newRow := func() relation.Tuple {
+		d := int(zipf.Uint64())
+		if nextE[d] == 399 { // e400 stays unused
+			return nil
+		}
+		sl := konst(2, rng.Intn(8))
+		if rng.Intn(3) == 0 {
+			sl = r.FreshNull()
+		}
+		nextE[d]++
+		return relation.Tuple{konst(0, d), konst(1, nextE[d]-1), sl, ct(d)}
+	}
+	for r.Len() < 600 {
+		if row := newRow(); row != nil {
+			r.InsertUnchecked(row)
+		}
+	}
+	de := schema.NewAttrSet(0, 1)
+	r.IndexOn(de)
+	hot := s.Domain(0).Values[0]
+	if g, _ := r.IndexOn(schema.NewAttrSet(0)).Probe(relation.Tuple{value.NewConst(hot), {}, {}, {}}); len(g) < 5*600/24 {
+		t.Fatalf("department %s holds %d of 600 rows; the instance is not skewed", hot, len(g))
+	}
+	var res Result
+	for step := 0; step < 60; step++ {
+		probe := r.Tuple(rng.Intn(r.Len())) // an existing employee
+		d, e, c := probe[0].Const(), probe[1].Const(), s.Domain(3).Values[rng.Intn(3)]
+		hotCT := ct(0).Const()
+		preds := map[string]Pred{
+			"hot group": And{P: Eq{Attr: 0, Const: hot}, Q: Eq{Attr: 3, Const: hotCT}},
+			"point":     And{P: Eq{Attr: 0, Const: d}, Q: Eq{Attr: 1, Const: e}},
+			"hot point": And{P: Eq{Attr: 0, Const: hot}, Q: Eq{Attr: 1, Const: "e1"}}, // e1 is in most departments
+			"point, E first and a salary": And{P: Eq{Attr: 1, Const: e},
+				Q: And{P: Eq{Attr: 2, Const: "s1"}, Q: Eq{Attr: 0, Const: d}}},
+			"group":   And{P: Eq{Attr: 0, Const: d}, Q: Eq{Attr: 3, Const: c}},
+			"in":      And{P: In{Attr: 0, Values: []string{d, hot, "d9"}}, Q: In{Attr: 2, Values: []string{"s2", "s3"}}},
+			"missing": And{P: Eq{Attr: 0, Const: d}, Q: Eq{Attr: 1, Const: "e400"}},
+		}
+		for name, p := range preds {
+			want := Select(r, p)
+			SelectInto(r, p, Options{}, &res)
+			got, ex := SelectExplain(r, p, Options{})
+			if !res.Equal(want) || !got.Equal(want) {
+				t.Fatalf("step %d, %s %v: planned %v / %v, scan %v", step, name, p, res, got, want)
+			}
+			var walk func(n *ExplainNode)
+			walk = func(n *ExplainNode) {
+				if n.Op == opProbe && n.Est != n.Actual {
+					t.Errorf("step %d, %s: probe %s sized %d, gathered %d", step, name, n.Detail, n.Est, n.Actual)
+				}
+				for _, k := range n.Kids {
+					walk(k)
+				}
+			}
+			walk(ex.Root)
+			switch name {
+			case "hot group":
+				if ex.Root.Op != opProbe || ex.Root.Detail != `#0 = "`+hot+`"` {
+					t.Errorf("step %d: the hot group gathers more than its D probe:\n%s", step, ex)
+				}
+			case "point", "point, E first and a salary", "hot point":
+				if ex.Evaluated > 1 || ex.Evaluated < len(want.Sure) || ex.Root.Op != opProbe || !strings.HasPrefix(ex.Root.Detail, "(") {
+					t.Errorf("step %d, %s: want one candidate from the {D,E} probe:\n%s", step, name, ex)
+				}
+			}
+		}
+		for _, ix := range r.CachedIndexes(nil) {
+			if set := ix.Set(); set.Len() > 1 && set != de {
+				t.Fatalf("step %d: the planner built an index on %v", step, set.Attrs())
+			}
+		}
+		switch i := rng.Intn(r.Len()); rng.Intn(4) {
+		case 0:
+			if row := newRow(); row != nil {
+				if _, err := r.InsertDelta(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 1:
+			r.DeleteDelta(i)
+		case 2:
+			if r.Tuple(i)[2].IsNull() {
+				r.SetCellDelta(i, 2, konst(2, rng.Intn(8)))
+			}
+		default: // a renumbering: the row takes its department's next number
+			if dn, _ := strconv.Atoi(r.Tuple(i)[0].Const()[1:]); nextE[dn-1] < 399 {
+				r.SetCellDelta(i, 1, konst(1, nextE[dn-1]))
+				nextE[dn-1]++
+			}
+		}
 	}
 }

@@ -180,7 +180,10 @@ func llcBytes() int {
 // the planner's pooled nodes, residual and sketches are reused across
 // shapes; the relations carry `!` cells, shared marks and nulls, so Maybe
 // answers and contradictory rows occur, and every other relation has no
-// null on A, so a probe of A's order is its group's alone. A delta
+// null on A, so a probe of A's order is its group's alone, and B equal
+// to A wherever both are constants. On those A = B agrees on three
+// times the rows its size guess (a third of them) says, so the smaller
+// C in {w1} probe is gathered after it: an intersect with a pushed In. A delta
 // mutation between reads moves rows between index groups and leaves some
 // groups out of order, and the reused plan must not answer from the last
 // read's candidates.
@@ -190,7 +193,7 @@ func TestSelectIntoReusedResult(t *testing.T) {
 	fixed := map[string]Pred{
 		"scan":      Not{P: Eq{Attr: 0, Const: "v1"}},
 		"probe":     Eq{Attr: 0, Const: "v1"},
-		"intersect": And{P: Eq{Attr: 0, Const: "v2"}, Q: In{Attr: 2, Values: []string{"w1"}}},
+		"intersect": And{P: EqAttr{A: 0, B: 1}, Q: In{Attr: 2, Values: []string{"w1"}}},
 		"union":     Or{P: Eq{Attr: 0, Const: "v3"}, Q: EqAttr{A: 1, B: 4}},
 	}
 	trials := 400
@@ -206,6 +209,9 @@ func TestSelectIntoReusedResult(t *testing.T) {
 				if r.Tuple(i)[0].IsNull() {
 					r.SetCellDelta(i, 0, value.NewConst("v1"))
 				}
+				if t := r.Tuple(i); t[0].IsConst() && t[1].IsConst() {
+					r.SetCellDelta(i, 1, t[0])
+				}
 			}
 		}
 		for step := 0; step < 8; step++ {
@@ -219,6 +225,12 @@ func TestSelectIntoReusedResult(t *testing.T) {
 				seen["scan"]++
 			} else {
 				seen[pl.root.op]++
+				if pl.root.op == opIntersect && slices.ContainsFunc(pl.root.kids, func(k *planNode) bool {
+					_, ok := k.atom.(In)
+					return ok
+				}) {
+					seen["pushed In"]++
+				}
 				if eq, ok := pl.root.atom.(Eq); ok {
 					ix := r.IndexOn(schema.NewAttrSet(eq.Attr))
 					g, _ := ix.Probe(relation.Tuple{value.NewConst(eq.Const), {}, {}, {}, {}})
@@ -247,7 +259,7 @@ func TestSelectIntoReusedResult(t *testing.T) {
 			}
 		}
 	}
-	for _, shape := range []string{"scan", opProbe, "out-of-order group", opIntersect, opUnion, "maybe"} {
+	for _, shape := range []string{"scan", opProbe, "out-of-order group", opIntersect, "pushed In", opUnion, "maybe"} {
 		if seen[shape] == 0 {
 			t.Errorf("the sequence never produced a %s (saw %v)", shape, seen)
 		}
@@ -284,7 +296,8 @@ func TestProbeSortsOutOfOrderGroup(t *testing.T) {
 
 // TestSelectIntoReleasesThePlan: after SelectInto the planner kept in the
 // Result holds no predicate — a daemon's predicates are substrings of a
-// request line — and no index, only its buffers, and ScratchBytes counts
+// request line — and no index or index group, only its buffers, also after
+// a key probe of a cached two-attribute index, and ScratchBytes counts
 // those buffers, so a caller can see a union of thousands of arms and
 // drop it.
 func TestSelectIntoReleasesThePlan(t *testing.T) {
@@ -331,6 +344,16 @@ func TestSelectIntoReleasesThePlan(t *testing.T) {
 		if n.atom != nil || slices.ContainsFunc(n.kids[:cap(n.kids)], func(k *planNode) bool { return k != nil }) {
 			t.Fatalf("a pooled %s node keeps %v or its children", n.op, n.atom)
 		}
+	}
+	// A key probe: the plan looked up the cached {A,B} index and its group.
+	r.IndexOn(schema.NewAttrSet(0, 1))
+	SelectInto(r, And{P: Eq{Attr: 0, Const: "a1"}, Q: Eq{Attr: 1, Const: "b1"}}, Options{}, &res)
+	if !slices.Equal(res.Sure, []int{0, 2}) {
+		t.Fatalf("key probe: sure %v, want [0 2]", res.Sure)
+	}
+	if slices.ContainsFunc(pl.groups[:cap(pl.groups)], func(g []int) bool { return g != nil }) ||
+		slices.ContainsFunc(pl.cached[:cap(pl.cached)], func(ix *relation.Index) bool { return ix != nil }) {
+		t.Error("the plan keeps an index or an index group")
 	}
 	if len(pl.nodes) < arms {
 		t.Fatalf("%d pooled nodes for a union of %d arms", len(pl.nodes), arms)

@@ -261,8 +261,8 @@ func (ix *Index) locate(get getter) (int, []byte) {
 }
 
 // addRow appends row i to the slot its projection selects, keeping the
-// partition statistics exact (maxGroup grows with the touched group). A
-// new group takes a freed slot when there is one.
+// partition statistics exact. A new group takes a freed slot when there
+// is one.
 func (ix *Index) addRow(i int, get getter) {
 	switch kind, key := ix.locate(get); kind {
 	case locNothing:
@@ -282,15 +282,12 @@ func (ix *Index) addRow(i int, get getter) {
 		}
 		ix.rows[s] = append(ix.rows[s], i)
 		ix.groupRows++
-		ix.maxGroup = max(ix.maxGroup, len(ix.rows[s]))
 	}
 }
 
 // removeRow removes row i from the slot its projection selects, freeing
-// the slot of a group that becomes empty so GroupCount stays exact.
-// groupRows stays exact; maxGroup is left as an upper bound (shrinking the
-// once-largest group would need a rescan to re-derive, and the planner
-// only uses it as a skew hint).
+// the slot of a group that becomes empty so GroupCount and groupRows stay
+// exact.
 func (ix *Index) removeRow(i int, get getter) {
 	switch kind, key := ix.locate(get); kind {
 	case locNothing:

@@ -45,54 +45,29 @@ type Index struct {
 	nothing []int  // tuples with ≥1 inconsistent element on set
 	version uint64 // relation version the index was built at
 
-	// Partition statistics, maintained alongside the groups so planners
-	// can cost probes without touching the data. groupRows counts the
-	// rows living in constant groups (excluding both sidecars) and is
-	// exact; maxGroup tracks the largest group size ever reached and is
-	// exact for freshly built indexes but only an upper bound after
-	// delta deletions shrink the once-largest group (a skew *hint*, never
-	// a correctness input).
+	// groupRows counts the rows living in constant groups (excluding both
+	// sidecars), maintained alongside the groups so Stats is exact.
 	groupRows int
-	maxGroup  int
 }
 
-// IndexStats is the planner-facing summary of an index's partition
-// shape: how many rows hash into constant groups, across how many
-// distinct groups, how large the sidecars are, and how skewed the
-// largest group is. Rows, Groups, Nulls and Nothing are exact;
-// MaxGroup is exact on freshly built indexes and an upper bound on
-// delta-maintained ones (see Index). All figures describe the indexed
+// IndexStats is the summary of an index's partition shape: how many rows
+// hash into constant groups, across how many distinct groups, and how
+// large the sidecars are. All four are exact and describe the indexed
 // instance at the index's version.
 type IndexStats struct {
-	Rows     int // rows in constant groups (excludes sidecars)
-	Groups   int // distinct constant projections
-	Nulls    int // null-sidecar size
-	Nothing  int // nothing-sidecar size
-	MaxGroup int // largest group size (upper bound after deletes)
-}
-
-// AvgGroup returns the expected size of one constant group, rounded up
-// — the planner's estimate for a uniform-random Eq probe. Zero when the
-// index has no constant groups.
-func (s IndexStats) AvgGroup() int {
-	if s.Groups == 0 {
-		return 0
-	}
-	return (s.Rows + s.Groups - 1) / s.Groups
+	Rows    int // rows in constant groups (excludes sidecars)
+	Groups  int // distinct constant projections
+	Nulls   int // null-sidecar size
+	Nothing int // nothing-sidecar size
 }
 
 // Stats returns the index's partition statistics.
 func (ix *Index) Stats() IndexStats {
-	mg := ix.maxGroup
-	if mg > ix.groupRows {
-		mg = ix.groupRows
-	}
 	return IndexStats{
-		Rows:     ix.groupRows,
-		Groups:   len(ix.groups),
-		Nulls:    len(ix.nulls),
-		Nothing:  len(ix.nothing),
-		MaxGroup: mg,
+		Rows:    ix.groupRows,
+		Groups:  len(ix.groups),
+		Nulls:   len(ix.nulls),
+		Nothing: len(ix.nothing),
 	}
 }
 
@@ -134,7 +109,6 @@ func BuildIndex(r *Relation, set schema.AttrSet) *Index {
 	ix.rows = make([][]int, len(sizes))
 	for s, k := range sizes {
 		ix.rows[s], slab = slab[:0:k], slab[k:]
-		ix.maxGroup = max(ix.maxGroup, k)
 	}
 	for i, s := range slot {
 		if s >= 0 {
@@ -228,6 +202,21 @@ func (r *Relation) IndexOn(set schema.AttrSet) *Index {
 	}
 	r.indexes[set] = ix
 	return ix
+}
+
+// CachedIndexes appends to dst the indexes r has cached that describe
+// its current tuples, in no particular order. It builds none: a caller
+// that wants an index only when the write path already keeps it asks
+// here, not IndexOn.
+func (r *Relation) CachedIndexes(dst []*Index) []*Index {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, ix := range r.indexes {
+		if ix.version == r.version {
+			dst = append(dst, ix)
+		}
+	}
+	return dst
 }
 
 // IndexCounts reports how many index lookups — IndexOn calls and identity

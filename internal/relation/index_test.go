@@ -178,8 +178,7 @@ func TestIndexConcurrentReaders(t *testing.T) {
 }
 
 // TestIndexStats pins the statistics contract on a hand-built instance:
-// Rows/Groups/Nulls/Nothing are exact, MaxGroup is the largest group,
-// and AvgGroup rounds up (zero without groups).
+// Rows/Groups/Nulls/Nothing are exact.
 func TestIndexStats(t *testing.T) {
 	s := indexTestScheme()
 	r := MustFromRows(s,
@@ -191,24 +190,19 @@ func TestIndexStats(t *testing.T) {
 		[]string{"!", "v1", "v1"},
 	)
 	st := BuildIndex(r, schema.NewAttrSet(0)).Stats()
-	want := IndexStats{Rows: 4, Groups: 2, Nulls: 1, Nothing: 1, MaxGroup: 3}
+	want := IndexStats{Rows: 4, Groups: 2, Nulls: 1, Nothing: 1}
 	if st != want {
 		t.Errorf("Stats() = %+v, want %+v", st, want)
 	}
-	if st.AvgGroup() != 2 { // ceil(4/2)
-		t.Errorf("AvgGroup() = %d, want 2", st.AvgGroup())
-	}
-	empty := BuildIndex(New(s), schema.NewAttrSet(0)).Stats()
-	if empty != (IndexStats{}) || empty.AvgGroup() != 0 {
-		t.Errorf("empty stats = %+v, AvgGroup = %d", empty, empty.AvgGroup())
+	if empty := BuildIndex(New(s), schema.NewAttrSet(0)).Stats(); empty != (IndexStats{}) {
+		t.Errorf("empty stats = %+v", empty)
 	}
 }
 
 // TestIndexStatsDeltaMaintained checks the delta-mutation contract on
 // random workloads: after any interleaving of InsertDelta, DeleteDelta
 // and SetCellDelta, the cached index's Rows, Groups, Nulls and Nothing
-// equal a fresh rebuild's (exact), while MaxGroup is an upper bound —
-// at least the rebuild's true maximum, never above Rows.
+// equal a fresh rebuild's.
 func TestIndexStatsDeltaMaintained(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	s := indexTestScheme()
@@ -245,15 +239,8 @@ func TestIndexStatsDeltaMaintained(t *testing.T) {
 				}
 				r.SetCellDelta(i, a, v)
 			}
-			got := r.IndexOn(set).Stats()
-			fresh := BuildIndex(r, set).Stats()
-			if got.Rows != fresh.Rows || got.Groups != fresh.Groups ||
-				got.Nulls != fresh.Nulls || got.Nothing != fresh.Nothing {
+			if got, fresh := r.IndexOn(set).Stats(), BuildIndex(r, set).Stats(); got != fresh {
 				t.Fatalf("trial %d op %d: delta stats %+v diverged from rebuild %+v", trial, op, got, fresh)
-			}
-			if got.MaxGroup < fresh.MaxGroup || got.MaxGroup > got.Rows {
-				t.Fatalf("trial %d op %d: MaxGroup %d out of bounds (true max %d, rows %d)",
-					trial, op, got.MaxGroup, fresh.MaxGroup, got.Rows)
 			}
 		}
 	}

@@ -188,8 +188,8 @@ loc:
 # ROADMAP's second bar). Each is set by the last PR that shrank it to its
 # own result: a PR that lowers a sum lowers its ceiling with it, and one
 # that has to raise one says why in CHANGES.md.
-LOC_MAX = 18164
-CORE_LOC_MAX = 6764
+LOC_MAX = 17936
+CORE_LOC_MAX = 6685
 
 # The exported surface as `go doc -all` prints it — internal/store's
 # struct types and funcs + methods, and the root fdnull facade's exported
@@ -199,7 +199,7 @@ CORE_LOC_MAX = 6764
 # below, by LOC_MAX's rule: the PR that lowers a count lowers its ceiling,
 # and one that has to raise one says why in CHANGES.md.
 STORE_SURFACE_MAX = 83
-FACADE_SURFACE_MAX = 162
+FACADE_SURFACE_MAX = 155
 
 surface:
 	@$(GO) doc -all ./internal/store | awk '/^type [A-Za-z]+ struct/ { s++ } /^ *func / { f++ } \

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	fdcheck [-f file] [-algo sorted|bucket|pairwise] [-workers N]
-//	        [-store] [-ops file] [-dir DIR] [-shards S]
+//	        [-store] [-ops file] [-dir DIR]
 //
 // With no -f the input is read from stdin. Per-tuple verdicts are computed
 // by the indexed evaluation engine, which probes X-partition indexes and
@@ -41,17 +41,6 @@
 // log — the input rows are ignored. A checkpoint is taken on exit so the
 // next open replays only new commits.
 //
-// With -shards S the rows are replayed a second time into a hash-sharded
-// store (S shards, shard key = the intersection of every FD's LHS — the
-// condition that keeps per-shard maintenance sound) in lockstep with an
-// unsharded oracle: every row must draw the same verdict class from
-// both replicas, the final instances must agree tuple-for-tuple, and
-// the report shows how the rows distributed over the shards. Rows with
-// nulls on the shard key cannot be routed and are skipped in both
-// replicas. Memory-only: -shards rejects -dir (per-shard durability is
-// exercised by the store's own tests) and -ops (scripts address tuples
-// by store index, which has no sharded analogue).
-//
 // Exit status: 0 if the FD set is weakly satisfiable, 1 if not, 2 on
 // input errors.
 package main
@@ -83,20 +72,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	storeReplay := fs.Bool("store", false, "replay the rows as guarded store inserts and report rejections")
 	opsFile := fs.String("ops", "", "replay an operation script (insert/update/delete/begin/save/rollbackto/rollback/commit) against the loaded store")
 	dirFlag := fs.String("dir", "", "durable store directory for the -ops replay: commits are write-ahead logged and survive restarts")
-	shardsFlag := fs.Int("shards", 0, "also replay the rows into a hash-sharded store with this many shards, in lockstep with the unsharded oracle")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *dirFlag != "" && *opsFile == "" {
 		fmt.Fprintln(stderr, "fdcheck: -dir is only meaningful with -ops")
-		return 2
-	}
-	if *shardsFlag < 0 {
-		fmt.Fprintln(stderr, "fdcheck: -shards must not be negative")
-		return 2
-	}
-	if *shardsFlag > 0 && (*dirFlag != "" || *opsFile != "") {
-		fmt.Fprintln(stderr, "fdcheck: -shards is a memory-only row replay; it cannot combine with -ops or -dir")
 		return 2
 	}
 	var algorithm fdnull.Algorithm
@@ -186,22 +166,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			// The replay shows *which* rows the dependencies reject.
 			replayStore(stdout, s, fds, r)
 		}
-		if *shardsFlag > 0 {
-			if err := replaySharded(stdout, s, fds, r, *shardsFlag); err != nil {
-				fmt.Fprintf(stderr, "fdcheck: %v\n", err)
-				return 2
-			}
-		}
 		return 1
 	}
 	if *storeReplay {
 		replayStore(stdout, s, fds, r)
-	}
-	if *shardsFlag > 0 {
-		if err := replaySharded(stdout, s, fds, r, *shardsFlag); err != nil {
-			fmt.Fprintf(stderr, "fdcheck: %v\n", err)
-			return 2
-		}
 	}
 	if *opsFile != "" {
 		f, err := os.Open(*opsFile)
@@ -245,86 +213,6 @@ func replayStore(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.
 	ins, _, _, rej := st.Stats()
 	fmt.Fprintf(stdout, "accepted %d, rejected %d; settled instance:\n", ins, rej)
 	fmt.Fprint(stdout, indent(st.Snapshot().String(), "  "))
-}
-
-// replaySharded replays the instance row by row into a hash-sharded
-// store in lockstep with an unsharded oracle. The shard key is the
-// intersection of every FD's LHS — the soundness condition for
-// per-shard constraint maintenance — so an FD set whose LHSs share no
-// attribute cannot be sharded and the replay says so. Any verdict-class
-// disagreement or final-state divergence between the replicas is an
-// error (exit 2): the sharded store must be observationally identical
-// to the store it splits.
-func replaySharded(stdout io.Writer, s *fdnull.Scheme, fds []fdnull.FD, r *fdnull.Relation, shards int) error {
-	key := s.All()
-	for _, f := range fds {
-		key = key.Intersect(f.X)
-	}
-	if len(fds) == 0 || key.Empty() {
-		return fmt.Errorf("sharded replay: the FD LHSs share no attribute, so no shard key keeps per-shard maintenance sound")
-	}
-	oracle := fdnull.NewStore(s, fds)
-	sh, err := fdnull.NewShardedStore(s, fds, fdnull.ShardedStoreOptions{Shards: shards, Key: key})
-	if err != nil {
-		return fmt.Errorf("sharded replay: %v", err)
-	}
-	fmt.Fprintf(stdout, "\nsharded lockstep replay (%d shards, key %s):\n", shards, s.FormatSet(key))
-	classify := func(err error) string {
-		switch {
-		case err == nil:
-			return "accepted"
-		case errors.Is(err, fdnull.ErrInconsistent):
-			return "rejected"
-		default:
-			return "error"
-		}
-	}
-	skipped := 0
-	for i := 0; i < r.Len(); i++ {
-		t := r.Tuple(i)
-		home, err := sh.ShardOf(t)
-		if err != nil {
-			// Nulls on the shard key have no home shard; keep the
-			// replicas identical by skipping the row in both.
-			fmt.Fprintf(stdout, "  t%-3d unroutable (null on the shard key); skipped in both replicas\n", i+1)
-			skipped++
-			continue
-		}
-		oerr := oracle.Insert(t.Clone())
-		serr := sh.Insert(t.Clone())
-		oc, sc := classify(oerr), classify(serr)
-		if oc != sc {
-			return fmt.Errorf("sharded replay diverged at t%d: oracle %s (%v), sharded %s (%v)", i+1, oc, oerr, sc, serr)
-		}
-		if oc == "accepted" {
-			fmt.Fprintf(stdout, "  t%-3d accepted by both -> shard %d\n", i+1, home)
-		} else {
-			fmt.Fprintf(stdout, "  t%-3d %s by both: %v\n", i+1, oc, serr)
-		}
-	}
-	osnap, ssnap := oracle.Snapshot(), sh.Snapshot()
-	if osnap.Len() != ssnap.Len() {
-		return fmt.Errorf("sharded replay: final length diverged (oracle %d, sharded %d)", osnap.Len(), ssnap.Len())
-	}
-	want := map[string]int{}
-	for _, t := range osnap.Tuples() {
-		want[t.String()]++
-	}
-	for _, t := range ssnap.Tuples() {
-		if want[t.String()] == 0 {
-			return fmt.Errorf("sharded replay: settled instances diverged at %s", t)
-		}
-		want[t.String()]--
-	}
-	if !sh.CheckWeak() {
-		return fmt.Errorf("sharded replay: the sharded union lost weak satisfiability")
-	}
-	ins, _, _, rej := sh.Stats()
-	fmt.Fprintf(stdout, "accepted %d, rejected %d, unroutable %d; replicas agree tuple-for-tuple; distribution:\n", ins, rej, skipped)
-	for i := 0; i < sh.NumShards(); i++ {
-		fmt.Fprintf(stdout, "  shard %2d: %d tuples\n", i, sh.Shard(i).Len())
-	}
-	return nil
 }
 
 // replayOpsMemory replays the script against an in-memory store seeded

@@ -284,69 +284,6 @@ func TestRunOpsReplayBadScript(t *testing.T) {
 	}
 }
 
-// TestRunShardedReplay drives the -shards lockstep mode: rows with a
-// routable key land on agreeing replicas, a null on the shard key is
-// skipped in both, a constraint violation is rejected by both, and FD
-// sets whose LHSs share no attribute are refused (no sound shard key).
-func TestRunShardedReplay(t *testing.T) {
-	shardable := `
-domain dk = k1 k2 k3 k4 k5 k6 k7 k8
-domain da = a1 a2 a3
-domain db = b1 b2 b3
-scheme R(K:dk, A:da, B:db)
-fd K -> A
-fd K -> B
-row k1 a1 -
-row k2 - b2
-row k3 a3 b3
-row - a2 b1
-row k1 a2 b1
-`
-	var out, errOut strings.Builder
-	// Row 5 restates k1's A, so the instance as a whole is weakly
-	// unsatisfiable (exit 1); the lockstep replay still runs and must
-	// agree row for row.
-	code := run([]string{"-shards", "3"}, strings.NewReader(shardable), &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit %d (want 1), stderr: %s", code, errOut.String())
-	}
-	got := out.String()
-	for _, want := range []string{
-		"sharded lockstep replay (3 shards, key K):",
-		"t4   unroutable (null on the shard key); skipped in both replicas",
-		"t5   rejected by both",
-		"accepted 3, rejected 1, unroutable 1; replicas agree tuple-for-tuple",
-		"shard  0:",
-		"shard  2:",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-
-	// E -> SL,D and D -> CT share no LHS attribute: no sound shard key.
-	errOut.Reset()
-	if code := run([]string{"-shards", "2"}, strings.NewReader(employeesInput), &out, &errOut); code != 2 {
-		t.Fatalf("unshardable FD set: exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "share no attribute") {
-		t.Errorf("missing soundness diagnostic: %s", errOut.String())
-	}
-
-	// -shards is memory-only and row-oriented: -ops and -dir are refused.
-	errOut.Reset()
-	if code := run([]string{"-shards", "2", "-ops", "x"}, strings.NewReader(employeesInput), &out, &errOut); code != 2 {
-		t.Errorf("-shards with -ops: exit %d, want 2", code)
-	}
-	errOut.Reset()
-	if code := run([]string{"-shards", "-1"}, strings.NewReader(employeesInput), &out, &errOut); code != 2 {
-		t.Errorf("negative -shards: exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "-shards must not be negative") {
-		t.Errorf("negative -shards diagnostic: %q", errOut.String())
-	}
-}
-
 // TestRunOpsReplayDurable drives the -dir durable mode across three
 // process lifetimes: a fresh directory seeded from the input and a
 // second run that recovers the first run's commits from checkpoint + log.

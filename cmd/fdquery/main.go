@@ -12,13 +12,13 @@
 // -where may repeat; the predicates are evaluated as one batch over one
 // instance, fanned across -workers goroutines (query.SelectAll).
 //
-// Each predicate is compiled to an algebraic plan — Eq/In/EqAttr probes
-// intersected along the ∧-spine, ∨ as a deduplicated union of
+// Each predicate is compiled to an algebraic plan — the smallest
+// Eq/In/EqAttr probe of the ∧-spine, ∨ as a deduplicated union of
 // sub-plans, residuals ordered by estimated selectivity — and falls
 // back to the full scan when nothing is plannable.
 //
 // -explain prints, before each predicate's answers, the compiled plan:
-// the probe/intersect/union tree with estimated vs actual candidate
+// the probe/union tree with estimated vs actual candidate
 // counts, and the residual conjunct evaluation order — or the full-scan
 // reason when nothing was plannable.
 //

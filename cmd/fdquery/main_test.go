@@ -326,7 +326,7 @@ func TestQueryExplainWithStore(t *testing.T) {
 	for _, line := range strings.Split(got, "\n") {
 		trimmed := strings.TrimLeft(line, " ")
 		if strings.HasPrefix(line, "plan (") || (line != trimmed && (strings.HasPrefix(trimmed, "probe") ||
-			strings.HasPrefix(trimmed, "intersect") || strings.HasPrefix(trimmed, "union") ||
+			strings.HasPrefix(trimmed, "union") ||
 			strings.HasPrefix(trimmed, "residual") || strings.HasPrefix(trimmed, "full scan") ||
 			(len(trimmed) > 1 && trimmed[0] >= '1' && trimmed[0] <= '9' && trimmed[1] == '.'))) {
 			continue

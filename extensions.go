@@ -6,7 +6,6 @@ import (
 	"fdnull/internal/chase"
 	"fdnull/internal/discover"
 	"fdnull/internal/fd"
-	"fdnull/internal/iox"
 	"fdnull/internal/query"
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
@@ -60,10 +59,9 @@ type QueryOptions = query.Options
 // admitting no completion (a `!` cell, or a mark spanning domains with
 // empty intersection) are in neither list — no predicate holds on them.
 // It runs the planner, which compiles an algebraic plan over X-partition
-// indexes — Eq/In/EqAttr probes sized before they are gathered and
-// intersected along the ∧-spine smallest first, ∨ evaluated as a
-// deduplicated union of sub-plans, residual conjuncts ordered by those
-// sizes — and degrades to the scan when the source has no indexes
+// indexes — Eq/In/EqAttr probes sized before any is gathered, the
+// ∧-spine's smallest gathered alone, ∨ evaluated as a deduplicated union
+// of sub-plans, residual conjuncts ordered by those sizes — and degrades to the scan when the source has no indexes
 // (a RelationView) or the predicate offers no plannable structure; the
 // answer is the same either way.
 func Select(src QuerySource, p Pred) SelectResult { return query.SelectWith(src, p, QueryOptions{}) }
@@ -82,11 +80,10 @@ func ParsePred(s *schema.Scheme, input string) (Pred, error) {
 	return query.ParsePred(s, input)
 }
 
-// QueryExplain is the plan report of one selection: the chosen probes,
-// intersections and union arms with estimated vs actual candidate
-// counts, the residual evaluation order, or the full-scan reason.
-// Format/String render it as the indented tree `fdquery -explain`
-// prints.
+// QueryExplain is the plan report of one selection: the chosen probe or
+// union arms with estimated vs actual candidate counts, the residual
+// evaluation order, or the full-scan reason. Format/String render it as
+// the indented tree `fdquery -explain` prints.
 type QueryExplain = query.Explain
 
 // QueryExplainNode mirrors one plan operator in a QueryExplain.
@@ -233,40 +230,6 @@ var ErrDegraded = store.ErrDegraded
 // fsync/retry/degradation counts, root cause while degraded), as
 // returned by Store.Health and ShardedStore.ShardHealth.
 type DurableHealth = store.Health
-
-// FS is the filesystem interface all durable I/O goes through
-// (DurableOptions.FS; nil means the production passthrough OSFS).
-// Implementations can interpose fault injection, instrumentation, or an
-// alternative backing store.
-type FS = iox.FS
-
-// OSFS returns the production passthrough filesystem (the default).
-func OSFS() FS { return iox.OS }
-
-// FaultInjectionFS wraps an FS and fails chosen I/O calls
-// deterministically — the 1-based call index selects the site, the
-// Fault the manifestation (error, short write, failed fsync with page
-// drop). Built for crash-consistency test harnesses; see NewFaultFS.
-type FaultInjectionFS = iox.FaultFS
-
-// Fault is one planned injection for FaultInjectionFS: a kind (outright
-// error or short write) and an errno (EIO by default).
-type Fault = iox.Fault
-
-// Fault kinds for FaultInjectionFS plans.
-const (
-	// FaultErr fails the call outright.
-	FaultErr = iox.FaultErr
-	// FaultShortWrite writes half the buffer, then fails.
-	FaultShortWrite = iox.FaultShortWrite
-)
-
-// NewFaultFS wraps inner (nil means OSFS) with a plan mapping 1-based
-// I/O call indices to faults. A nil plan counts calls without injecting
-// — run a workload once to enumerate its fault-injectable sites.
-func NewFaultFS(inner FS, plan map[uint64]Fault) *FaultInjectionFS {
-	return iox.NewFaultFS(inner, plan)
-}
 
 // OpenDurableStore opens (or creates) a durable store in dir: accepted
 // commits are write-ahead logged to a segmented, checksummed log, and

@@ -336,8 +336,8 @@ func queryShape(a *predAtoms, i int) Pred {
 
 // orShape is predicate i of the ∨/multi-conjunct battery. Two thirds of
 // the shapes carry a disjunction (planned as a union of the arms'
-// probes), the rest are ∧-chains of three indexable atoms (all probes
-// intersected before the residual).
+// probes), the rest are ∧-chains of three indexable atoms (the smallest
+// probe gathered, the others evaluated in the residual).
 func orShape(a *predAtoms, i int) Pred {
 	switch i % 6 {
 	case 0, 3:

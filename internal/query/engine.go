@@ -3,7 +3,7 @@
 // The naive Select full-scans the source per predicate: O(n) Eval calls
 // whatever the predicate's selectivity. The indexed engine (plan.go)
 // compiles an algebraic plan over the source's X-partition indexes —
-// Eq/In/EqAttr probes intersected along the ∧-spine, ∨ evaluated as a
+// the smallest Eq/In/EqAttr probe of the ∧-spine, ∨ evaluated as a
 // deduplicated union of sub-plans, residual conjuncts ordered by
 // estimated selectivity — so the full predicate runs on the plan's
 // candidates alone. SelectAll fans a batch of predicates over a bounded
@@ -28,8 +28,8 @@ import (
 type Engine int
 
 const (
-	// EngineIndexed compiles algebraic plans — probe/intersect/union
-	// over X-partition indexes, statistics-ordered residuals (plan.go) —
+	// EngineIndexed compiles algebraic plans — a probe or a union of
+	// probes over X-partition indexes, size-ordered residuals (plan.go) —
 	// falling back to the scan when the predicate offers no plannable
 	// structure. The default.
 	EngineIndexed Engine = iota

@@ -1,7 +1,7 @@
 // explain.go renders compiled plans for `fdquery -explain`: the chosen
-// probes, intersections, union arms, residual evaluation order, and
-// estimated vs actual candidate counts, so plan regressions are
-// debuggable from the CLI.
+// probe or union arms, residual evaluation order, and estimated vs
+// actual candidate counts, so plan regressions are debuggable from the
+// CLI.
 package query
 
 import (
@@ -32,7 +32,7 @@ type Explain struct {
 
 // ExplainNode mirrors one plan operator.
 type ExplainNode struct {
-	Op     string // "probe", "intersect", "union"
+	Op     string // "probe", "union"
 	Detail string // probes: the pushed atom's rendering
 	Est    int    // candidates the planner sized it at (exact for Eq, In and key probes)
 	Actual int    // materialized candidates
@@ -107,11 +107,9 @@ func SelectExplain(src Source, p Pred, opts Options) (Result, *Explain) {
 
 // Format writes the report as an indented tree:
 //
-//	plan (indexed, 2000 tuples): evaluated 12
-//	  union (est 9, got 12)
-//	    intersect (est 5, got 8)
-//	      probe #1 = #3 (est 5, got 40)
-//	      probe #2 = "full" (est 36, got 36)
+//	plan (indexed, 2000 tuples): evaluated 44
+//	  union (est 9, got 44)
+//	    probe #1 = #3 (est 5, got 40)
 //	    probe #0 in {"e1"} (est 4, got 4)
 //	  residual order:
 //	    1. ((#1 = #3 and #2 = "full") or #0 in {"e1"}) (est frac 0.00)

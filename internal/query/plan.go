@@ -12,14 +12,15 @@
 //     side's X-partition, fresh because the write path maintains it for
 //     its FD — one *key* probe of that index joins them, sized the same
 //     way. The planner never builds such an index;
-//   - an ∧ of several probes becomes an *intersect* node: a tuple on
-//     which any conjunct is false makes the whole conjunction false
-//     (strong-Kleene ∧ is the truth-order meet), so the candidates are
-//     the intersection of the conjuncts' candidate sets. The smallest
-//     is gathered first, and each next one only while it is smaller
-//     than the candidates so far (intersection over any subset of the
-//     conjuncts is sound, so a probe that cannot pay for its gather and
-//     sort stays in the residual);
+//   - an ∧ gathers its smallest probe alone, and every other conjunct
+//     is evaluated in the residual: a tuple on which any conjunct is
+//     false makes the whole conjunction false (strong-Kleene ∧ is the
+//     truth-order meet), so one conjunct's candidates are candidates for
+//     the conjunction. Every probe is sized when it is sketched and only
+//     the chosen one gathers rows. Sized exactly, no second probe is
+//     smaller than the first one's candidates, and in a store in chase
+//     normal form D -> CT makes a D-group agree on CT, so it would cut
+//     nothing anyway;
 //   - an ∨ whose arms are all plannable becomes a *union* node: a tuple
 //     on which the disjunction is non-false is non-false on some arm,
 //     so the candidates are the deduplicated union of the arms' sets;
@@ -29,16 +30,15 @@
 //     first false conjunct.
 //
 // Soundness of every node is the superset property: a probe's set
-// contains every tuple on which its atom can be true or unknown, an
-// intersection of supersets (over any subset of the conjuncts) is a
-// superset for the conjunction, and a union of supersets is a superset
-// for the disjunction. The full predicate is still evaluated on every
-// candidate, so sizes steer cost only — never verdicts. Tuples in a
-// probed index's nothing sidecar are contradictory and false for every
-// predicate by the package convention, so no plan visits them;
-// contradictions off the probed sets are dropped by the per-candidate
-// guard. A predicate offering no plannable structure falls back to the
-// scan.
+// contains every tuple on which its atom can be true or unknown, one
+// conjunct's superset is a superset for the conjunction, and a union of
+// supersets is a superset for the disjunction. The full predicate is
+// still evaluated on every candidate, so sizes steer cost only — never
+// verdicts. Tuples in a probed index's nothing sidecar are contradictory
+// and false for every predicate by the package convention, so no plan
+// visits them; contradictions off the probed sets are dropped by the
+// per-candidate guard. A predicate offering no plannable structure falls
+// back to the scan.
 //
 // Run reads the candidates 64 at a time. A cold candidate is three
 // dependent loads — its tuple header, its cells, its constants' bytes in
@@ -106,22 +106,24 @@ func disjuncts(p Pred, out []Pred) []Pred {
 
 // Plan node operators.
 const (
-	opProbe     = "probe"
-	opIntersect = "intersect"
-	opUnion     = "union"
+	opProbe = "probe"
+	opUnion = "union"
 )
 
-// planNode is one operator of an algebraic plan. Candidates are
-// materialized at plan time: rows is ascending and duplicate-free, and
-// est is the size the planner ordered the node by. rows is the node's
-// own buffer, kept when the node is handed out again.
+// planNode is one operator of an algebraic plan. It is sized when it is
+// sketched, and it gathers its candidates only if it is chosen: rows is
+// then ascending and duplicate-free, and est is the size the planner
+// chose it by. rows is the node's own buffer, kept when the node is
+// handed out again.
 type planNode struct {
-	op   string
-	atom Pred           // Eq, In and EqAttr probes: the pushed atom; Explain renders it when asked
-	key  schema.AttrSet // key probes: the index's attributes
-	est  int            // candidate count: exact for Eq, In and key probes, a guess for EqAttr
-	rows []int          // materialized candidates, ascending, deduplicated
-	kids []*planNode
+	op     string
+	atom   Pred            // Eq, In and EqAttr probes: the pushed atom; Explain renders it when asked
+	key    schema.AttrSet  // key probes: the index's attributes
+	idx    *relation.Index // probes: the index probed
+	lo, hi int             // Eq, In and key probes: their groups, pl.groups[lo:hi]
+	est    int             // candidate count: exact for Eq, In and key probes, a guess for EqAttr
+	rows   []int           // materialized candidates, ascending, deduplicated
+	kids   []*planNode     // unions: the arms
 }
 
 // residualConjunct is one ∧-spine leaf with its selectivity estimate —
@@ -142,28 +144,12 @@ type Plan struct {
 	residual []residualConjunct
 	n        int // source length at plan time
 
-	leaves   []Pred            // the ∧-spine leaves
-	sketches []planSketch      // the plannable leaves' sketches, and the key probe's
-	probe    relation.Tuple    // a probe's key tuple
-	groups   [][]int           // the index groups the sketches looked up (the indexes' own)
-	cached   []*relation.Index // the source's fresh cached indexes
-	nodes    []*planNode       // every node built so far, handed out in order
-	used     int               // nodes handed out by this compile
-}
-
-// planSketch is a node before materialization: its size alone, with the
-// build deferred. Intersections compare the sizes to decide which probes
-// are worth materializing at all — a probe at least as large as the
-// candidates it could cut costs more to gather and sort than its atom
-// costs to evaluate on them, so it is left to the residual.
-type planSketch struct {
-	op     string
-	est    int
-	atom   Pred            // Eq, In and EqAttr probes: the atom pushed
-	key    schema.AttrSet  // key probes: the index's attributes
-	idx    *relation.Index // probes: the index probed
-	lo, hi int             // Eq, In and key probes: their groups, pl.groups[lo:hi]
-	kids   []planSketch    // intersections (est-ascending) and unions
+	leaves []Pred            // the ∧-spine leaves
+	probe  relation.Tuple    // a probe's key tuple
+	groups [][]int           // the index groups the probes looked up (the indexes' own)
+	cached []*relation.Index // the source's fresh cached indexes
+	nodes  []*planNode       // every node sketched so far, handed out in order
+	used   int               // nodes handed out by this compile
 }
 
 // PlanPred compiles p over src's indexes. It always returns a plan;
@@ -175,94 +161,79 @@ func PlanPred(src Source, ix Indexer, p Pred) *Plan {
 }
 
 // compile plans p into pl, reusing the scratch of pl's last compile.
+// The root is the smallest node sketched; the key probe is sketched
+// first, so it wins a tie on size.
 func (pl *Plan) compile(src Source, ix Indexer, p Pred) {
-	pl.pred, pl.root, pl.n, pl.used = p, nil, src.Len(), 0
+	pl.pred, pl.n, pl.used = p, src.Len(), 0
 	pl.groups = pl.groups[:0]
 	if n := src.Scheme().Arity(); len(pl.probe) < n {
 		pl.probe = make(relation.Tuple, n)
 	}
 	pl.leaves = conjuncts(p, pl.leaves[:0])
-	kids := slices.Grow(pl.sketches[:0], len(pl.leaves)+1)
-	if sk, ok := pl.sketchKey(ix); ok {
-		kids = append(kids, sk) // first: it wins a tie on size
-	}
+	pl.root = pl.sketchKey(ix)
 	pl.residual = slices.Grow(pl.residual[:0], len(pl.leaves))
 	// Residual order: every ∧-spine leaf, cheapest-to-falsify first.
 	// Leaves without an estimate keep their original relative order at
 	// the back (stable sort).
 	for _, leaf := range pl.leaves {
 		frac := 1.0
-		if sk, ok := pl.sketch(src, ix, leaf); ok {
-			kids = append(kids, sk)
+		if n := pl.sketch(src, ix, leaf); n != nil {
+			if pl.root == nil || n.est < pl.root.est {
+				pl.root = n
+			}
 			if pl.n > 0 {
-				frac = float64(sk.est) / float64(pl.n)
+				frac = float64(n.est) / float64(pl.n)
 			}
 		}
 		pl.residual = append(pl.residual, residualConjunct{pred: leaf, frac: frac})
 	}
-	pl.sketches = kids
-	switch len(kids) {
-	case 0:
-		return // scan fallback
-	case 1:
-		pl.root = pl.build(src, kids[0])
-	default:
-		pl.root = pl.build(src, intersectSketch(kids))
+	if pl.root != nil {
+		pl.build(src, pl.root)
 	}
 	slices.SortStableFunc(pl.residual, func(a, b residualConjunct) int { return cmp.Compare(a.frac, b.frac) })
 }
 
-// sketch compiles one predicate into a deferred candidate node, or
-// reports ok = false when the shape offers no index structure. And
-// yields the intersection of its plannable conjuncts (sound for any
-// subset — intersecting supersets of a subset of the conjuncts still
-// contains every tuple where the whole conjunction is non-false); Or
-// requires *every* arm plannable (a tuple can satisfy the disjunction
+// sketch compiles one predicate into a sized node, or returns nil when
+// the shape offers no index structure. And yields its smallest plannable
+// conjunct, the left one on a tie (a superset of one conjunct's non-false
+// tuples contains every tuple where the whole conjunction is non-false);
+// Or requires *every* arm plannable (a tuple can satisfy the disjunction
 // through an unplanned arm alone, so a partial union would be unsound).
-func (pl *Plan) sketch(src Source, ix Indexer, p Pred) (planSketch, bool) {
+func (pl *Plan) sketch(src Source, ix Indexer, p Pred) *planNode {
 	switch q := p.(type) {
 	case And:
-		var kids []planSketch
-		for _, leaf := range conjuncts(p, nil) {
-			if sk, ok := pl.sketch(src, ix, leaf); ok {
-				kids = append(kids, sk)
-			}
+		l, r := pl.sketch(src, ix, q.P), pl.sketch(src, ix, q.Q)
+		if l == nil || r != nil && r.est < l.est {
+			return r
 		}
-		switch len(kids) {
-		case 0:
-			return planSketch{}, false
-		case 1:
-			return kids[0], true
-		}
-		return intersectSketch(kids), true
+		return l
 	case Or:
-		arms := disjuncts(p, nil)
-		kids := make([]planSketch, len(arms))
-		est := 0
-		for i, arm := range arms {
-			sk, ok := pl.sketch(src, ix, arm)
-			if !ok {
-				return planSketch{}, false
+		n := pl.node(opUnion)
+		for _, arm := range disjuncts(p, nil) {
+			k := pl.sketch(src, ix, arm)
+			if k == nil {
+				return nil
 			}
-			kids[i] = sk
-			est += sk.est
+			n.kids = append(n.kids, k)
+			n.est += k.est
 		}
-		return planSketch{op: opUnion, est: min(est, src.Len()), kids: kids}, true
+		n.est = min(n.est, src.Len())
+		return n
 	case Eq:
-		return pl.sketchEq(ix, q.Attr, []string{q.Const}, p), true
+		return pl.sketchEq(ix, q.Attr, []string{q.Const}, p)
 	case In:
 		// Dedupe at plan time: repeated values would probe the same
 		// group twice, double-counting candidates in cost and evaluation.
 		vals := slices.Clone(q.Values)
 		slices.Sort(vals)
-		return pl.sketchEq(ix, q.Attr, slices.Compact(vals), p), true
+		return pl.sketchEq(ix, q.Attr, slices.Compact(vals), p)
 	case EqAttr:
 		if q.A == q.B {
-			return planSketch{}, false // true on every non-contradictory tuple; no probe
+			return nil // true on every non-contradictory tuple; no probe
 		}
-		return sketchEqAttr(src, ix, q), true
+		return pl.sketchEqAttr(src, ix, q)
 	}
-	return planSketch{}, false
+	return nil
 }
 
 // sketchEq sketches the probe node of attr ∈ vals: the groups keyed by
@@ -270,17 +241,18 @@ func (pl *Plan) sketch(src Source, ix Indexer, p Pred) (planSketch, bool) {
 // to any constant). Values outside the attribute's domain still probe —
 // the group is simply absent. The size is exact: each group is looked up
 // here, one hash lookup per value, and kept in pl.groups for build.
-func (pl *Plan) sketchEq(ix Indexer, attr schema.Attr, vals []string, atom Pred) planSketch {
-	idx := ix.IndexOn(schema.NewAttrSet(attr))
-	sk := planSketch{op: opProbe, est: len(idx.NullRows()), atom: atom, idx: idx, lo: len(pl.groups)}
+func (pl *Plan) sketchEq(ix Indexer, attr schema.Attr, vals []string, atom Pred) *planNode {
+	n := pl.node(opProbe)
+	n.atom, n.idx = atom, ix.IndexOn(schema.NewAttrSet(attr))
+	n.est, n.lo = len(n.idx.NullRows()), len(pl.groups)
 	for _, c := range vals {
 		pl.probe[attr] = value.NewConst(c)
-		g, _ := idx.Probe(pl.probe)
+		g, _ := n.idx.Probe(pl.probe)
 		pl.groups = append(pl.groups, g)
-		sk.est += len(g)
+		n.est += len(g)
 	}
-	sk.hi = len(pl.groups)
-	return sk
+	n.hi = len(pl.groups)
+	return n
 }
 
 // sketchKey sketches one probe of an index the source already keeps on
@@ -291,7 +263,7 @@ func (pl *Plan) sketchEq(ix Indexer, attr schema.Attr, vals []string, atom Pred)
 // the group plus the index's null sidecar. Of several such indexes the
 // smallest probe wins, a tie going to the lower attribute set. Nothing is
 // built: without such an index there is no key probe.
-func (pl *Plan) sketchKey(ix Indexer) (planSketch, bool) {
+func (pl *Plan) sketchKey(ix Indexer) *planNode {
 	var bound schema.AttrSet
 	for i := len(pl.leaves) - 1; i >= 0; i-- { // the leftmost atom on an attribute writes last
 		if q, ok := pl.leaves[i].(Eq); ok {
@@ -300,10 +272,12 @@ func (pl *Plan) sketchKey(ix Indexer) (planSketch, bool) {
 		}
 	}
 	if bound.Len() < 2 {
-		return planSketch{}, false
+		return nil
 	}
-	sk := planSketch{op: opProbe}
+	var best *relation.Index
+	var key schema.AttrSet
 	var group []int
+	est := 0
 	pl.cached = ix.CachedIndexes(pl.cached[:0])
 	for _, idx := range pl.cached {
 		set := idx.Set()
@@ -311,53 +285,44 @@ func (pl *Plan) sketchKey(ix Indexer) (planSketch, bool) {
 			continue
 		}
 		g, _ := idx.Probe(pl.probe)
-		est := len(g) + len(idx.NullRows())
-		if sk.idx == nil || est < sk.est || est == sk.est && set < sk.key {
-			sk.idx, sk.key, sk.est, group = idx, set, est, g
+		e := len(g) + len(idx.NullRows())
+		if best == nil || e < est || e == est && set < key {
+			best, key, est, group = idx, set, e, g
 		}
 	}
-	if sk.idx == nil {
-		return planSketch{}, false
+	if best == nil {
+		return nil
 	}
-	sk.lo, sk.hi = len(pl.groups), len(pl.groups)+1
+	n := pl.node(opProbe)
+	n.idx, n.key, n.est = best, key, est
+	n.lo, n.hi = len(pl.groups), len(pl.groups)+1
 	pl.groups = append(pl.groups, group)
-	return sk, true
+	return n
 }
 
 // sketchEqAttr sketches the probe node of attr1 = attr2 over the pair
 // index. Its size is a guess, not a lookup: assuming uniform independent
 // values, about 1 in min(|dom1|, |dom2|) rows agree.
-func sketchEqAttr(src Source, ix Indexer, a EqAttr) planSketch {
-	idx := ix.IndexOn(schema.NewAttrSet(a.A, a.B))
-	st := idx.Stats()
+func (pl *Plan) sketchEqAttr(src Source, ix Indexer, a EqAttr) *planNode {
+	n := pl.node(opProbe)
+	n.atom, n.idx = a, ix.IndexOn(schema.NewAttrSet(a.A, a.B))
+	st := n.idx.Stats()
 	s := src.Scheme()
 	d := min(s.Domain(a.A).Size(), s.Domain(a.B).Size())
-	return planSketch{op: opProbe, est: st.Rows/max(d, 1) + st.Nulls, atom: a, idx: idx}
-}
-
-// intersectSketch intersects its children smallest first (it sorts kids
-// in place). build gathers each next child only while its size is below
-// the running candidate count: a child at least that large costs more to
-// gather and sort than evaluating its atom on the candidates it could
-// cut. After an exact-size probe that ends the loop — in a store in chase
-// normal form, D -> CT makes a D-group agree on CT, so the CT group cuts
-// nothing; only an under-guessed EqAttr leaves room for a second probe.
-// A skipped conjunct still falsifies candidates in the residual.
-func intersectSketch(kids []planSketch) planSketch {
-	slices.SortStableFunc(kids, func(a, b planSketch) int { return a.est - b.est })
-	return planSketch{op: opIntersect, est: kids[0].est, kids: kids}
+	n.est = st.Rows/max(d, 1) + st.Nulls
+	return n
 }
 
 // node hands out pl's next node, reset but for its emptied buffers; the
 // pool grows by one when this compile has used every node the earlier
-// ones built.
-func (pl *Plan) node(sk planSketch) *planNode {
+// ones sketched.
+func (pl *Plan) node(op string) *planNode {
 	if pl.used == len(pl.nodes) {
 		pl.nodes = append(pl.nodes, new(planNode))
 	}
 	n := pl.nodes[pl.used]
 	pl.used++
-	*n = planNode{op: sk.op, atom: sk.atom, key: sk.key, est: sk.est, rows: n.rows[:0], kids: n.kids[:0]}
+	*n = planNode{op: op, rows: n.rows[:0], kids: n.kids[:0]}
 	return n
 }
 
@@ -366,13 +331,12 @@ func (pl *Plan) node(sk planSketch) *planNode {
 // their groups, children — and keeps the buffers.
 func (pl *Plan) release() {
 	clear(pl.leaves)
-	clear(pl.sketches)
 	clear(pl.residual)
 	clear(pl.probe)
 	clear(pl.groups)
 	clear(pl.cached)
 	for _, n := range pl.nodes[:pl.used] {
-		n.atom = nil
+		n.atom, n.idx = nil, nil
 		clear(n.kids)
 	}
 	pl.pred, pl.root = nil, nil
@@ -387,7 +351,6 @@ func (r *Result) ScratchBytes() int {
 	if pl := r.plan; pl != nil {
 		b += int(unsafe.Sizeof(*pl)) + (cap(pl.nodes)+cap(pl.cached))*word +
 			cap(pl.leaves)*int(unsafe.Sizeof(Pred(nil))) +
-			cap(pl.sketches)*int(unsafe.Sizeof(planSketch{})) +
 			cap(pl.residual)*int(unsafe.Sizeof(residualConjunct{})) +
 			cap(pl.probe)*int(unsafe.Sizeof(value.V{})) +
 			cap(pl.groups)*int(unsafe.Sizeof([]int(nil)))
@@ -398,54 +361,34 @@ func (r *Result) ScratchBytes() int {
 	return b
 }
 
-// build materializes a sketch into a node, its candidates in the node's
-// own buffer. An intersection gathers its children smallest first while
-// each is smaller than the candidates so far (see intersectSketch); with
-// one child gathered it is that child.
-func (pl *Plan) build(src Source, sk planSketch) *planNode {
-	n := pl.node(sk)
-	switch sk.op {
+// build gathers a chosen node's candidates into its own buffer: a
+// probe's, or a union's from its arms'.
+func (pl *Plan) build(src Source, n *planNode) {
+	switch n.op {
 	case opProbe:
-		n.rows = pl.probeRows(src, sk, n.rows)
+		n.rows = pl.probeRows(src, n)
 	case opUnion:
-		for _, k := range sk.kids {
-			kn := pl.build(src, k)
-			n.kids = append(n.kids, kn)
-			n.rows = append(n.rows, kn.rows...)
+		for _, k := range n.kids {
+			pl.build(src, k)
+			n.rows = append(n.rows, k.rows...)
 		}
 		slices.Sort(n.rows)
 		n.rows = slices.Compact(n.rows)
-	case opIntersect:
-		first := pl.build(src, sk.kids[0])
-		n.kids = append(n.kids, first)
-		rows := first.rows
-		for _, k := range sk.kids[1:] {
-			if k.est >= len(rows) {
-				break
-			}
-			kn := pl.build(src, k)
-			n.kids = append(n.kids, kn)
-			n.rows = intersectSorted(n.rows[:0], rows, kn.rows)
-			rows = n.rows
-		}
-		if len(n.kids) == 1 {
-			return first
-		}
 	}
-	return n
 }
 
-// probeRows appends a probe's candidates to rows, sorted. attr = c,
-// attr ∈ S and a key probe take the groups their sketch looked up plus
-// the null sidecar; attr1 = attr2 takes the pair index's groups whose
-// two constants agree (every row of a group shares the projection, so
-// the first row decides), plus the sidecar. The groups are copied and
+// probeRows appends a probe's candidates to its buffer, sorted.
+// attr = c, attr ∈ S and a key probe take the groups looked up when they
+// were sketched, plus the null sidecar; attr1 = attr2 takes the pair index's groups
+// whose two constants agree (every row of a group shares the projection,
+// so the first row decides), plus the sidecar. The groups are copied and
 // sorted: a delta mutation can leave a group out of order (taking a row
 // out swaps the group's last into its slot; DeleteDelta also renumbers a
 // row), and the candidates must be ascending.
-func (pl *Plan) probeRows(src Source, sk planSketch, rows []int) []int {
-	if q, ok := sk.atom.(EqAttr); ok {
-		sk.idx.ForEachGroup(func(g []int) bool {
+func (pl *Plan) probeRows(src Source, n *planNode) []int {
+	rows := n.rows
+	if q, ok := n.atom.(EqAttr); ok {
+		n.idx.ForEachGroup(func(g []int) bool {
 			t := src.Tuple(g[0])
 			if t[q.A].Const() == t[q.B].Const() {
 				rows = append(rows, g...)
@@ -453,32 +396,12 @@ func (pl *Plan) probeRows(src Source, sk planSketch, rows []int) []int {
 			return true
 		})
 	}
-	for _, g := range pl.groups[sk.lo:sk.hi] {
+	for _, g := range pl.groups[n.lo:n.hi] {
 		rows = append(rows, g...)
 	}
-	rows = append(rows, sk.idx.NullRows()...)
+	rows = append(rows, n.idx.NullRows()...)
 	slices.Sort(rows) // distinct groups and the sidecar are disjoint: no dupes
 	return rows
-}
-
-// intersectSorted appends the intersection of two ascending
-// duplicate-free slices to dst, ascending. dst may be a[:0] or b[:0]:
-// the output never overtakes either input.
-func intersectSorted(dst, a, b []int) []int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
 }
 
 // runBlock is how many candidates Run gathers before it evaluates them.

@@ -176,14 +176,14 @@ func llcBytes() int {
 // TestSelectIntoReusedResult runs one Result through SelectInto across a
 // seeded sequence of predicates and delta mutations of the source, and
 // holds every answer to a fresh Select's, order included. The sequence
-// mixes the plan shapes — scan fallback, probe, intersection, union — so
-// the planner's pooled nodes, residual and sketches are reused across
+// mixes the plan shapes — scan fallback, probe, probe plus residual,
+// union — so the planner's pooled nodes and residual are reused across
 // shapes; the relations carry `!` cells, shared marks and nulls, so Maybe
 // answers and contradictory rows occur, and every other relation has no
 // null on A, so a probe of A's order is its group's alone, and B equal
 // to A wherever both are constants. On those A = B agrees on three
-// times the rows its size guess (a third of them) says, so the smaller
-// C in {w1} probe is gathered after it: an intersect with a pushed In. A delta
+// times the rows its size guess (a third of them) says, and it is still
+// the one probe gathered, C in {w1} going to the residual. A delta
 // mutation between reads moves rows between index groups and leaves some
 // groups out of order, and the reused plan must not answer from the last
 // read's candidates.
@@ -191,10 +191,10 @@ func TestSelectIntoReusedResult(t *testing.T) {
 	s := diffScheme()
 	rng := rand.New(rand.NewSource(35))
 	fixed := map[string]Pred{
-		"scan":      Not{P: Eq{Attr: 0, Const: "v1"}},
-		"probe":     Eq{Attr: 0, Const: "v1"},
-		"intersect": And{P: EqAttr{A: 0, B: 1}, Q: In{Attr: 2, Values: []string{"w1"}}},
-		"union":     Or{P: Eq{Attr: 0, Const: "v3"}, Q: EqAttr{A: 1, B: 4}},
+		"scan":     Not{P: Eq{Attr: 0, Const: "v1"}},
+		"probe":    Eq{Attr: 0, Const: "v1"},
+		"residual": And{P: EqAttr{A: 0, B: 1}, Q: In{Attr: 2, Values: []string{"w1"}}},
+		"union":    Or{P: Eq{Attr: 0, Const: "v3"}, Q: EqAttr{A: 1, B: 4}},
 	}
 	trials := 400
 	if testing.Short() {
@@ -217,7 +217,7 @@ func TestSelectIntoReusedResult(t *testing.T) {
 		for step := 0; step < 8; step++ {
 			var p Pred
 			if step < 4 {
-				p = fixed[[]string{"scan", "probe", "intersect", "union"}[(trial+step)%4]]
+				p = fixed[[]string{"scan", "probe", "residual", "union"}[(trial+step)%4]]
 			} else {
 				p = randPred(rng, s, rng.Intn(3))
 			}
@@ -225,12 +225,6 @@ func TestSelectIntoReusedResult(t *testing.T) {
 				seen["scan"]++
 			} else {
 				seen[pl.root.op]++
-				if pl.root.op == opIntersect && slices.ContainsFunc(pl.root.kids, func(k *planNode) bool {
-					_, ok := k.atom.(In)
-					return ok
-				}) {
-					seen["pushed In"]++
-				}
 				if eq, ok := pl.root.atom.(Eq); ok {
 					ix := r.IndexOn(schema.NewAttrSet(eq.Attr))
 					g, _ := ix.Probe(relation.Tuple{value.NewConst(eq.Const), {}, {}, {}, {}})
@@ -259,7 +253,7 @@ func TestSelectIntoReusedResult(t *testing.T) {
 			}
 		}
 	}
-	for _, shape := range []string{"scan", opProbe, "out-of-order group", opIntersect, "pushed In", opUnion, "maybe"} {
+	for _, shape := range []string{"scan", opProbe, "out-of-order group", opUnion, "maybe"} {
 		if seen[shape] == 0 {
 			t.Errorf("the sequence never produced a %s (saw %v)", shape, seen)
 		}
@@ -325,11 +319,6 @@ func TestSelectIntoReleasesThePlan(t *testing.T) {
 			t.Fatalf("the plan keeps the leaf %v", l)
 		}
 	}
-	for _, sk := range pl.sketches[:cap(pl.sketches)] {
-		if sk.atom != nil || sk.idx != nil || sk.kids != nil {
-			t.Fatalf("the plan keeps a sketch of %v", sk.atom)
-		}
-	}
 	for _, rc := range pl.residual[:cap(pl.residual)] {
 		if rc.pred != nil {
 			t.Fatalf("the plan keeps the residual %v", rc.pred)
@@ -341,8 +330,8 @@ func TestSelectIntoReleasesThePlan(t *testing.T) {
 		}
 	}
 	for _, n := range pl.nodes {
-		if n.atom != nil || slices.ContainsFunc(n.kids[:cap(n.kids)], func(k *planNode) bool { return k != nil }) {
-			t.Fatalf("a pooled %s node keeps %v or its children", n.op, n.atom)
+		if n.atom != nil || n.idx != nil || slices.ContainsFunc(n.kids[:cap(n.kids)], func(k *planNode) bool { return k != nil }) {
+			t.Fatalf("a pooled %s node keeps %v, its index or its children", n.op, n.atom)
 		}
 	}
 	// A key probe: the plan looked up the cached {A,B} index and its group.

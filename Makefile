@@ -100,11 +100,15 @@ smoke-query:
 	$(GO) test -short -run 'TestQueryExplain' ./cmd/fdquery
 
 # The analysis kernels' allocation pins, outside -race (they skip under
-# it): a congruence pass allocates per FD, not per tuple, and a whole
-# chase adds < 1 allocation per 10 rows from n=200 to n=2000; Evaluate
+# it): a congruence pass allocates per FD, not per tuple, a whole chase
+# adds < 1 allocation per 10 rows from n=200 to n=2000, and its result
+# allocates cells for the rows it changed, not for all n; Evaluate
 # refuses an over-large completion set before it copies a row (the same
 # at n=200 as at n=2000); attr = c on a null over a 16+-value domain
-# allocates nothing; an index build and the strong level-1 partition read
+# allocates nothing, and neither does SelectInto into a reused Result for
+# an Eq, an ∧, an In or a two-arm ∨; a relio Parse adds < 0.01
+# allocations per row from n=200 to n=2,000 and makes at most 150 for a
+# 2,500-row file; an index build and the strong level-1 partition read
 # off it allocate per group (the same at n=2000 as at n=20000), and an
 # index probe or an append into a group with room allocates nothing;
 # TEST-FDs' two deciders build no index after CheckAll and, on cached
@@ -118,13 +122,13 @@ smoke-query:
 # and a predicate of 20,000 arms grows the scratch past the 1 MiB the
 # connection drops.
 smoke-allocs:
-	$(GO) test -run 'TestCongruencePassAllocsPerFD|TestRunAllocsPerRow|TestEvaluateRefusesBeforeCopying|TestEqOnNullAllocs|TestIndexKernelAllocs|TestLevelOneFromIndexAllocs|TestDecidersReuseIndexes|TestBucketAllocs|TestDomainProbeAllocs|TestStoredConstantsShareDomainStrings|TestServeQueryReplyAllocs|TestQueryReplyTrimDropsLargePlan' ./internal/chase ./internal/eval ./internal/query ./internal/relation ./internal/partition ./internal/testfds ./internal/schema ./internal/store ./internal/serve
+	$(GO) test -run 'TestCongruencePassAllocsPerFD|TestRunAllocsPerRow|TestResultAllocatesChangedRows|TestEvaluateRefusesBeforeCopying|TestEqOnNullAllocs|TestSelectIntoAllocs|TestIndexKernelAllocs|TestLevelOneFromIndexAllocs|TestDecidersReuseIndexes|TestBucketAllocs|TestDomainProbeAllocs|TestStoredConstantsShareDomainStrings|TestParseAllocsIndependentOfRows|TestServeQueryReplyAllocs|TestQueryReplyTrimDropsLargePlan' ./internal/chase ./internal/eval ./internal/query ./internal/relation ./internal/partition ./internal/testfds ./internal/schema ./internal/relio ./internal/store ./internal/serve
 
-# Per-kernel time and allocs/op for the analysis path (chase, CheckAll,
-# TEST-FDs, Evaluate, selection, index build, discovery), quotable without
-# a bench/ run.
+# Per-kernel time and allocs/op for the analysis path (relio parse, chase,
+# CheckAll, TEST-FDs, Evaluate, selection, index build, discovery),
+# quotable without a bench/ run.
 bench-analysis:
-	$(GO) test -bench 'Chase_Congruence|CheckAll|TestFDs_|Evaluate_|Select$$|IndexBuild|Discover' -benchmem -run '^$$' .
+	$(GO) test -bench 'RelioParse|Chase_Congruence|CheckAll|TestFDs_|Evaluate_|Select$$|IndexBuild|Discover' -benchmem -run '^$$' .
 
 # Short-mode durability smoke: the crash-point exerciser (kill at every
 # record boundary + torn tails, reopen, compare to the oracle prefix)
@@ -188,8 +192,8 @@ loc:
 # ROADMAP's second bar). Each is set by the last PR that shrank it to its
 # own result: a PR that lowers a sum lowers its ceiling with it, and one
 # that has to raise one says why in CHANGES.md.
-LOC_MAX = 17936
-CORE_LOC_MAX = 6685
+LOC_MAX = 18038
+CORE_LOC_MAX = 6722
 
 # The exported surface as `go doc -all` prints it — internal/store's
 # struct types and funcs + methods, and the root fdnull facade's exported

@@ -6,6 +6,7 @@ package fdnull_test
 //	TEST-FDs (Figure 3, Theorem 2/3):   BenchmarkTestFDs_*
 //	Additional Assumptions (Figure 3):  BenchmarkTestFDs_Bucket (cold, warm), _Presorted
 //	NS-rules / chase (Section 6):       BenchmarkChase_*
+//	Loading a relio file:               BenchmarkRelioParse
 //	Proposition 1 vs the definition:    BenchmarkEvaluate_*
 //	Closure / implication substrate:    BenchmarkClosure, BenchmarkImplies
 //	System C model checking:            BenchmarkSystemC_Infers
@@ -14,6 +15,7 @@ package fdnull_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	fdnull "fdnull"
@@ -23,6 +25,7 @@ import (
 	"fdnull/internal/fd"
 	"fdnull/internal/query"
 	"fdnull/internal/relation"
+	"fdnull/internal/relio"
 	"fdnull/internal/schema"
 	"fdnull/internal/store"
 	"fdnull/internal/systemc"
@@ -148,6 +151,28 @@ func BenchmarkChase_Congruence(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := chase.Run(r, fds, chase.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRelioParse prices loading a file the CLIs read: the employee
+// instance at 200 and 2,500 rows, a fifth of its salary and contract
+// cells null, rendered by relio.Write and parsed back (run with -benchmem
+// for the allocations a load makes).
+func BenchmarkRelioParse(b *testing.B) {
+	for _, n := range []int{200, 2500} {
+		s, fds, r := workload.Employees(n, n/20, 0.2, int64(n))
+		text, err := relio.WriteString(&relio.File{Scheme: s, FDs: fds, Relation: r, NextMark: r.NextMark()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(len(text)))
+			for i := 0; i < b.N; i++ {
+				if _, err := relio.Parse(strings.NewReader(text)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -82,7 +82,10 @@ type Result struct {
 	// Relation is the resolved instance: substituted nulls are written
 	// back, surviving nulls are renamed to canonical marks (the smallest
 	// mark of their NEC class, so same-class nulls share a mark), and
-	// poisoned cells hold `nothing`.
+	// poisoned cells hold `nothing`; its allocator starts at (max
+	// surviving mark)+1. It shares each row the chase did not change with
+	// the input, copy-on-write as after a View of the input: the input's
+	// next structural write pays one O(n) slice copy.
 	Relation *relation.Relation
 	// NECs lists the nontrivial equivalence classes of surviving null
 	// marks (original marks, ascending within a class).
@@ -124,7 +127,7 @@ type Options struct {
 }
 
 // Run chases r with the NS-rules for fds and returns the fixpoint. The
-// input relation is not modified. The extended system runs the
+// input's rows are not modified (see Result.Relation). The extended system runs the
 // congruence-closure passes — each pass buckets tuples by X-signature,
 // the strategy of [Downey–Sethi–Tarjan 80] that Theorem 4 builds on —
 // and the plain system the pairwise ones.
@@ -246,27 +249,34 @@ func newChaser(r *relation.Relation, fds []fd.FD, opts Options) (*chaser, error)
 		}
 		c.fds = perm
 	}
-	// One sweep gives each cell its symbol id and each new symbol its class;
-	// a cell adds at most one class, so the table is sized once.
+	// One sweep gives each cell its symbol id; the class table is sized
+	// by the symbols and filled from the symbol maps (the rest: nothings).
 	c.p = r.Scheme().Arity()
 	c.cells = make([]int, r.Len()*c.p)
-	c.info = make([]classInfo, 0, len(c.cells))
+	ids := 0
 	for i, t := range r.Tuples() {
 		for a, v := range t {
-			id, ci := len(c.info), classInfo{poisoned: true} // input nothing: a fresh poisoned class
+			id := ids // input nothing: a fresh symbol, of a poisoned class
 			switch {
 			case v.IsConst():
-				id, ci = intern(c.constID, v.Const(), id), classInfo{hasConst: true, c: v.Const()}
+				id = intern(c.constID, v.Const(), id)
 			case v.IsNull():
-				id, ci = intern(c.markID, v.Mark(), id), classInfo{minMark: v.Mark(), hasMark: true}
+				id = intern(c.markID, v.Mark(), id)
 			}
-			if id == len(c.info) {
-				c.info = append(c.info, ci)
+			if id == ids {
+				ids++
 			}
 			c.cells[i*c.p+a] = id
 		}
 	}
-	c.parent, c.rank = make([]int, len(c.info)), make([]int, len(c.info))
+	c.info = slices.Repeat([]classInfo{{poisoned: true}}, ids)
+	for k, id := range c.constID {
+		c.info[id] = classInfo{hasConst: true, c: k}
+	}
+	for m, id := range c.markID {
+		c.info[id] = classInfo{minMark: m, hasMark: true}
+	}
+	c.parent, c.rank = make([]int, ids), make([]int, ids)
 	for x := range c.parent {
 		c.parent[x] = x
 	}
@@ -450,27 +460,48 @@ func (c *chaser) passCongruence() bool {
 	return changed
 }
 
-// result materializes the resolved relation and class report.
+// resolve returns the value the normal form holds for symbol id.
+func (c *chaser) resolve(id int) value.V {
+	switch ci := &c.info[c.find(id)]; {
+	case ci.poisoned:
+		return value.NewNothing()
+	case ci.hasConst:
+		return value.NewConst(ci.c)
+	default:
+		return value.NewNull(ci.minMark)
+	}
+}
+
+// result builds the resolved relation and class report. A row the chase
+// left as it was is the input's own tuple, shared copy-on-write; the
+// changed rows are carved out of one slab of changed·p cells.
 func (c *chaser) result(passes int) *Result {
-	s := c.r.Scheme()
-	out := relation.New(s)
-	consistent := true
-	// The resolved rows are carved out of one n·p slab the relation owns.
-	slab := make([]value.V, len(c.cells))
-	for k, id := range c.cells {
-		switch ci := c.info[c.find(id)]; {
-		case ci.poisoned:
-			slab[k] = value.NewNothing()
-			consistent = false
-		case ci.hasConst:
-			slab[k] = value.NewConst(ci.c)
-		default:
-			slab[k] = value.NewNull(ci.minMark)
+	rows := slices.Clone(c.r.Tuples()) // a changed row's entry goes nil
+	changed, consistent := 0, true
+	for i, t := range rows {
+		for a, v := range t {
+			w := c.resolve(c.cells[i*c.p+a])
+			consistent = consistent && !w.IsNothing()
+			if w != v && rows[i] != nil {
+				rows[i] = nil
+				changed++
+			}
 		}
 	}
-	for i := 0; i < c.r.Len(); i++ {
-		out.InsertUnchecked(slab[i*c.p : (i+1)*c.p : (i+1)*c.p])
+	slab := make([]value.V, changed*c.p)
+	shared := make([]bool, len(rows))
+	for i := range rows {
+		if shared[i] = rows[i] != nil; !shared[i] {
+			rows[i], slab = slab[:c.p:c.p], slab[c.p:]
+			for a := range rows[i] {
+				rows[i][a] = c.resolve(c.cells[i*c.p+a])
+			}
+		}
 	}
+	if changed < len(rows) {
+		c.r.View() // the input's writes clone the rows it now shares
+	}
+	out := relation.FromTuples(c.r.Scheme(), rows, shared)
 	// Collect surviving NEC classes: original marks grouped by root, for
 	// roots that remained unbound nulls, classes of size ≥ 2: one sort of
 	// (root, mark) pairs, so only a class allocates.

@@ -96,14 +96,6 @@ func SpineEq(p Pred, a schema.Attr) (c string, ok bool) {
 	return "", false
 }
 
-// disjuncts appends the ∨-spine leaves of p to out, mirroring conjuncts.
-func disjuncts(p Pred, out []Pred) []Pred {
-	if o, ok := p.(Or); ok {
-		return disjuncts(o.Q, disjuncts(o.P, out))
-	}
-	return append(out, p)
-}
-
 // Plan node operators.
 const (
 	opProbe = "probe"
@@ -145,6 +137,7 @@ type Plan struct {
 	n        int // source length at plan time
 
 	leaves []Pred            // the ∧-spine leaves
+	vals   []string          // an In's values, sorted and deduplicated
 	probe  relation.Tuple    // a probe's key tuple
 	groups [][]int           // the index groups the probes looked up (the indexes' own)
 	cached []*relation.Index // the source's fresh cached indexes
@@ -209,13 +202,8 @@ func (pl *Plan) sketch(src Source, ix Indexer, p Pred) *planNode {
 		return l
 	case Or:
 		n := pl.node(opUnion)
-		for _, arm := range disjuncts(p, nil) {
-			k := pl.sketch(src, ix, arm)
-			if k == nil {
-				return nil
-			}
-			n.kids = append(n.kids, k)
-			n.est += k.est
+		if !pl.sketchArms(src, ix, p, n) {
+			return nil
 		}
 		n.est = min(n.est, src.Len())
 		return n
@@ -224,9 +212,10 @@ func (pl *Plan) sketch(src Source, ix Indexer, p Pred) *planNode {
 	case In:
 		// Dedupe at plan time: repeated values would probe the same
 		// group twice, double-counting candidates in cost and evaluation.
-		vals := slices.Clone(q.Values)
-		slices.Sort(vals)
-		return pl.sketchEq(ix, q.Attr, slices.Compact(vals), p)
+		pl.vals = append(pl.vals[:0], q.Values...)
+		slices.Sort(pl.vals)
+		pl.vals = slices.Compact(pl.vals)
+		return pl.sketchEq(ix, q.Attr, pl.vals, p)
 	case EqAttr:
 		if q.A == q.B {
 			return nil // true on every non-contradictory tuple; no probe
@@ -234,6 +223,21 @@ func (pl *Plan) sketch(src Source, ix Indexer, p Pred) *planNode {
 		return pl.sketchEqAttr(src, ix, q)
 	}
 	return nil
+}
+
+// sketchArms sketches the ∨-spine leaves of p into union u's arms, left
+// to right; it reports false at the first one with no index structure.
+func (pl *Plan) sketchArms(src Source, ix Indexer, p Pred, u *planNode) bool {
+	if o, ok := p.(Or); ok {
+		return pl.sketchArms(src, ix, o.P, u) && pl.sketchArms(src, ix, o.Q, u)
+	}
+	k := pl.sketch(src, ix, p)
+	if k == nil {
+		return false
+	}
+	u.kids = append(u.kids, k)
+	u.est += k.est
+	return true
 }
 
 // sketchEq sketches the probe node of attr ∈ vals: the groups keyed by
@@ -331,6 +335,7 @@ func (pl *Plan) node(op string) *planNode {
 // their groups, children — and keeps the buffers.
 func (pl *Plan) release() {
 	clear(pl.leaves)
+	clear(pl.vals[:cap(pl.vals)]) // an earlier In of this compile may have held more
 	clear(pl.residual)
 	clear(pl.probe)
 	clear(pl.groups)
@@ -350,7 +355,7 @@ func (r *Result) ScratchBytes() int {
 	b := (cap(r.Sure) + cap(r.Maybe)) * word
 	if pl := r.plan; pl != nil {
 		b += int(unsafe.Sizeof(*pl)) + (cap(pl.nodes)+cap(pl.cached))*word +
-			cap(pl.leaves)*int(unsafe.Sizeof(Pred(nil))) +
+			cap(pl.leaves)*int(unsafe.Sizeof(Pred(nil))) + cap(pl.vals)*int(unsafe.Sizeof("")) +
 			cap(pl.residual)*int(unsafe.Sizeof(residualConjunct{})) +
 			cap(pl.probe)*int(unsafe.Sizeof(value.V{})) +
 			cap(pl.groups)*int(unsafe.Sizeof([]int(nil)))

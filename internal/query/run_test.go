@@ -351,3 +351,36 @@ func TestSelectIntoReleasesThePlan(t *testing.T) {
 		t.Errorf("ScratchBytes = %d, under the %d B of the pooled nodes alone", got, least)
 	}
 }
+
+// TestSelectIntoAllocs: a reused Result plans and answers an Eq, an ∧ of
+// Eqs, an In with a repeated value and a two-arm ∨ without allocating —
+// the In deduplicates into the plan's own scratch, the ∨ sketches its arms
+// straight into the union's — and between calls the plan holds none of
+// the In's values.
+func TestSelectIntoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := blockScheme()
+	r := relation.New(s)
+	for _, row := range [][3]string{{"a1", "b1", "c1"}, {"a2", "b1", "c2"}, {"a1", "b2", "c2"}, {"a2", "b2", "c1"}} {
+		r.InsertUnchecked(relation.Tuple{value.NewConst(row[0]), value.NewConst(row[1]), value.NewConst(row[2])})
+	}
+	var res Result
+	for name, p := range map[string]Pred{
+		"Eq": Eq{Attr: 0, Const: "a1"},
+		"∧":  And{P: Eq{Attr: 0, Const: "a1"}, Q: Eq{Attr: 1, Const: "b2"}},
+		"In": In{Attr: 1, Values: []string{"b2", "b1", "b2"}},
+		"∨":  Or{P: Eq{Attr: 0, Const: "a2"}, Q: In{Attr: 2, Values: []string{"c1"}}},
+	} {
+		SelectInto(r, p, Options{}, &res) // grow the buffers, build the indexes
+		if n := testing.AllocsPerRun(100, func() { SelectInto(r, p, Options{}, &res) }); n != 0 {
+			t.Errorf("SelectInto of %s (%v) into a reused Result allocates %v, want 0", name, p, n)
+		}
+		for _, v := range res.plan.vals[:cap(res.plan.vals)] {
+			if v != "" {
+				t.Fatalf("after %s the plan keeps the In value %q", name, v)
+			}
+		}
+	}
+}

@@ -286,6 +286,18 @@ func (r *Relation) InsertUnchecked(t Tuple) {
 	r.cowAppend()
 }
 
+// FromTuples returns an instance of s storing ts as InsertUnchecked
+// would, allocator at (max mark)+1. shared, if not nil, flags the rows
+// another relation also holds, which must be in copy-on-write mode (take
+// a View of it): the instance clones such a row before overwriting it.
+func FromTuples(s *schema.Scheme, ts []Tuple, shared []bool) *Relation {
+	r := &Relation{scheme: s, tuples: ts, nextMark: 1, rowShared: shared}
+	for _, t := range ts {
+		r.noteMark(t)
+	}
+	return r
+}
+
 // ParseRow parses a row of cell strings into a tuple without inserting
 // it: "-" is a fresh unmarked-by-name null (each occurrence gets a fresh
 // mark, consuming the allocator), "-k" is the marked null ⊥k, "!" is

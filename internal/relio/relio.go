@@ -29,15 +29,25 @@
 // duplicate rows are kept in order (positions index an instance), and a
 // constant is valid if any domain of the scheme contains it — the chase
 // substitutes a marked null everywhere it occurs, which can carry one
-// column's constant into another.
+// column's constant into another. It refuses a "-0" cell (⊥0 prints as
+// a fresh "-") and a domain value or attribute name starting with '#'
+// (Write would print it after a space, as a comment).
+//
+// A loaded file keeps one copy of each row, carved from one n·p slab, and
+// no byte of its text. A domain line listing exactly prefix1 … prefixN
+// loads as schema.NewIntDomain, so an IntDomain round-trips with no map.
+// chase.Run on the loaded relation shares its unchanged rows with it
+// copy-on-write: the relation's next structural write pays one O(n) slice
+// copy, as after a View.
 package relio
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode"
 
 	"fdnull/internal/fd"
 	"fdnull/internal/relation"
@@ -56,66 +66,50 @@ type File struct {
 	NextMark int
 }
 
-// canonicalConst returns the copy of constant c that the domain of
-// attribute a holds or, failing that, the copy some other attribute's
-// domain holds. Row cells are validated against this union rather than
-// the column's own domain: every constant in a store-reachable instance
-// entered through some column's domain, but chase substitution can move
-// it into a different column. The cell stores the domain's string, so a
-// loaded row keeps no bytes of the file's text.
-func canonicalConst(s *schema.Scheme, a schema.Attr, c string) (string, bool) {
-	v, ok := s.Domain(a).Canonical(c)
-	for b := 0; !ok && b < s.Arity(); b++ {
-		v, ok = s.Domain(schema.Attr(b)).Canonical(c)
-	}
-	return v, ok
-}
-
 // Parse reads the textual format.
 func Parse(r io.Reader) (*File, error) {
-	// Lines are bounded only by the input: a domain is one line, however
-	// many values it lists.
-	br := bufio.NewReader(r)
+	var text strings.Builder
+	if _, err := io.Copy(&text, r); err != nil {
+		return nil, err
+	}
+	return ParseString(text.String())
+}
 
+// ParseString is Parse over a string. It sweeps text's lines once,
+// keeping the rows as spans of text until the scheme is built, then
+// decodes them into one n·p slab.
+func ParseString(text string) (*File, error) {
 	domains := map[string]*schema.Domain{}
 	var schemeName string
 	var attrNames, attrDoms []string
-	var fdLines []string
-	var rows [][]string
+	var fdLines, rows []string
 	nextMark := 0
-	lineno := 0
-	for eof := false; !eof; {
-		text, err := br.ReadString('\n')
-		eof = err == io.EOF
-		if err != nil && !eof {
-			return nil, err
-		}
-		if eof && text == "" {
-			break
-		}
-		lineno++
-		line := strings.TrimSpace(text)
+	for lineno := 1; text != ""; lineno++ {
+		line, rest, _ := strings.Cut(text, "\n")
+		text = rest
+		line = strings.TrimSpace(line)
 		// '#' starts a comment only at the beginning of a line or after
-		// whitespace — attribute names like "E#" must survive.
-		for i := 0; i < len(line); i++ {
-			if line[i] == '#' && (i == 0 || line[i-1] == ' ' || line[i-1] == '\t') {
+		// white space, where a field starts — attribute names like "E#"
+		// must survive.
+		prev := ' '
+		for i, r := range line {
+			if r == '#' && unicode.IsSpace(prev) {
 				line = strings.TrimSpace(line[:i])
 				break
 			}
+			prev = r
 		}
 		if line == "" {
 			continue
 		}
 		switch {
 		case strings.HasPrefix(line, "domain "):
-			rest := strings.TrimPrefix(line, "domain ")
-			parts := strings.SplitN(rest, "=", 2)
-			if len(parts) != 2 {
+			name, vals, ok := strings.Cut(strings.TrimPrefix(line, "domain "), "=")
+			if !ok {
 				return nil, fmt.Errorf("relio: line %d: domain needs '='", lineno)
 			}
-			name := strings.TrimSpace(parts[0])
-			vals := strings.Fields(parts[1])
-			d, err := schema.NewDomain(name, vals...)
+			name = strings.Clone(strings.TrimSpace(name))
+			d, err := loadDomain(name, vals)
 			if err != nil {
 				return nil, fmt.Errorf("relio: line %d: %v", lineno, err)
 			}
@@ -127,20 +121,23 @@ func Parse(r io.Reader) (*File, error) {
 			if open < 0 || closeP < open {
 				return nil, fmt.Errorf("relio: line %d: scheme needs R(...)", lineno)
 			}
-			schemeName = strings.TrimSpace(rest[:open])
+			schemeName = strings.Clone(strings.TrimSpace(rest[:open]))
 			for _, spec := range strings.Split(rest[open+1:closeP], ",") {
 				spec = strings.TrimSpace(spec)
-				bits := strings.SplitN(spec, ":", 2)
-				if len(bits) != 2 {
+				name, dom, ok := strings.Cut(spec, ":")
+				if !ok {
 					return nil, fmt.Errorf("relio: line %d: attribute %q needs name:domain", lineno, spec)
 				}
-				attrNames = append(attrNames, strings.TrimSpace(bits[0]))
-				attrDoms = append(attrDoms, strings.TrimSpace(bits[1]))
+				if name = strings.TrimSpace(name); strings.HasPrefix(name, "#") {
+					return nil, fmt.Errorf("relio: line %d: attribute %q would print as a comment", lineno, name)
+				}
+				attrNames = append(attrNames, strings.Clone(name))
+				attrDoms = append(attrDoms, strings.TrimSpace(dom))
 			}
 		case strings.HasPrefix(line, "fd "):
 			fdLines = append(fdLines, strings.TrimPrefix(line, "fd "))
 		case strings.HasPrefix(line, "row "):
-			rows = append(rows, strings.Fields(strings.TrimPrefix(line, "row ")))
+			rows = append(rows, strings.TrimPrefix(line, "row "))
 		case strings.HasPrefix(line, "nextmark "):
 			n := 0
 			if _, err := fmt.Sscanf(strings.TrimSpace(strings.TrimPrefix(line, "nextmark ")), "%d", &n); err != nil || n < 1 {
@@ -166,7 +163,7 @@ func Parse(r io.Reader) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &File{Scheme: s, Relation: relation.New(s)}
+	out := &File{Scheme: s}
 	for _, fl := range fdLines {
 		f, err := fd.Parse(s, fl)
 		if err != nil {
@@ -174,34 +171,17 @@ func Parse(r io.Reader) (*File, error) {
 		}
 		out.FDs = append(out.FDs, f)
 	}
+	p := s.Arity()
+	slab := make([]value.V, len(rows)*p)
+	tuples := make([]relation.Tuple, len(rows))
+	fresh := 1 // the mark a "-" draws
 	for i, row := range rows {
-		if len(row) != s.Arity() {
-			return nil, fmt.Errorf("relio: row %d: %d cells, scheme %s has arity %d",
-				i+1, len(row), s.Name(), s.Arity())
-		}
-		t, err := out.Relation.ParseRow(row...)
-		if err != nil {
+		tuples[i], slab = slab[:p:p], slab[p:]
+		if err := decodeRow(s, row, tuples[i], &fresh); err != nil {
 			return nil, fmt.Errorf("relio: row %d: %v", i+1, err)
 		}
-		// Constants are validated against the union of the scheme's
-		// domains, not the column they appear in, and duplicate rows are
-		// accepted: the chase substitutes a marked null everywhere it
-		// occurs, which can land another column's constant in a cell or
-		// make two rows syntactically equal, and a file written from such
-		// an instance must load back verbatim (positions index it).
-		for a, v := range t {
-			if !v.IsConst() {
-				continue
-			}
-			c, ok := canonicalConst(s, schema.Attr(a), v.Const())
-			if !ok {
-				return nil, fmt.Errorf("relio: row %d: value %q of attribute %s is in no domain of scheme %s",
-					i+1, v.Const(), s.AttrName(schema.Attr(a)), s.Name())
-			}
-			t[a] = value.NewConst(c)
-		}
-		out.Relation.InsertUnchecked(t) // t is fresh: the relation takes it as it is
 	}
+	out.Relation = relation.FromTuples(s, tuples, nil)
 	if nextMark > out.Relation.NextMark() {
 		out.Relation.SetNextMark(nextMark)
 	}
@@ -209,9 +189,82 @@ func Parse(r io.Reader) (*File, error) {
 	return out, nil
 }
 
-// ParseString is Parse over a string.
-func ParseString(s string) (*File, error) {
-	return Parse(strings.NewReader(s))
+// loadDomain builds the domain a `domain` line lists: prefix1 … prefixN
+// as a schema.NewIntDomain, any other list as a NewDomain over a copy of
+// it. A value Write would print after a space, as a comment, is refused.
+func loadDomain(name, list string) (*schema.Domain, error) {
+	var num [20]byte
+	prefix, n, isInt := "", 0, true
+	for f, rest := nextField(list); f != ""; f, rest = nextField(rest) {
+		if f[0] == '#' {
+			return nil, fmt.Errorf("domain %q value %q would print as a comment", name, f)
+		}
+		if n++; n == 1 {
+			prefix = strings.TrimSuffix(f, "1")
+		}
+		digits, ok := strings.CutPrefix(f, prefix)
+		isInt = isInt && ok && digits == string(strconv.AppendInt(num[:0], int64(n), 10))
+	}
+	if !isInt || n == 0 {
+		return schema.NewDomain(name, strings.Fields(strings.Clone(list))...)
+	}
+	return schema.NewIntDomain(name, strings.Clone(prefix), n)
+}
+
+// decodeRow reads a row's cells into t: "-" draws the mark *fresh, which
+// then moves past the row's marks; "-k" (k ≥ 1) and "!" read as in
+// value.Parse; any other cell is its domain's string. Errors rank as
+// ParseRow's did: the width, a malformed null, a constant in no domain.
+func decodeRow(s *schema.Scheme, row string, t relation.Tuple, fresh *int) error {
+	var bad, miss error
+	a := 0
+	for f, rest := nextField(row); f != ""; f, rest = nextField(rest) {
+		switch {
+		case a >= len(t) || bad != nil:
+		case f == "-":
+			t[a] = value.NewNull(*fresh)
+			*fresh++
+		case f == "!" || f[0] == '-':
+			if t[a], bad = value.Parse(f); bad == nil && t[a] == value.NewNull(0) {
+				bad = fmt.Errorf("null cell %q: marks start at 1 (⊥0 prints as a fresh -)", f)
+			}
+		default: // its own column's domain first, then any: the chase moves constants
+			c, ok := s.Domain(schema.Attr(a)).Canonical(f)
+			for b := 0; !ok && b < s.Arity(); b++ {
+				c, ok = s.Domain(schema.Attr(b)).Canonical(f)
+			}
+			if !ok && miss == nil {
+				miss = fmt.Errorf("value %q of attribute %s is in no domain of scheme %s",
+					f, s.AttrName(schema.Attr(a)), s.Name())
+			}
+			t[a] = value.NewConst(c)
+		}
+		a++
+	}
+	switch {
+	case a != len(t):
+		return fmt.Errorf("%d cells, scheme %s has arity %d", a, s.Name(), s.Arity())
+	case bad != nil:
+		return bad
+	case miss != nil:
+		return miss
+	}
+	for _, v := range t {
+		if v.IsNull() && v.Mark() >= *fresh {
+			*fresh = v.Mark() + 1
+		}
+	}
+	return nil
+}
+
+// nextField returns s's first field, split off as strings.Fields splits,
+// and the rest of s; field is "" when s has none.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 // Write renders a File back into the textual format (domains first, then

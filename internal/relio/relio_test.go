@@ -1,10 +1,14 @@
 package relio
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"fdnull/internal/relation"
+	"fdnull/internal/schema"
+	"fdnull/internal/workload"
 )
 
 const sample = `
@@ -196,6 +200,121 @@ func TestParseAcceptsStoreReachableInstances(t *testing.T) {
 	} {
 		if _, err := ParseString(bad); err == nil {
 			t.Errorf("should reject %q", bad)
+		}
+	}
+}
+
+// employeesText renders the employee workload at n rows, a fifth of its
+// salary and contract cells null, in the file format.
+func employeesText(t testing.TB, n int) string {
+	s, fds, r := workload.Employees(n, n/20, 0.2, 7)
+	text, err := WriteString(&File{Scheme: s, FDs: fds, Relation: r, NextMark: r.NextMark()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
+}
+
+// TestParseAllocsIndependentOfRows: Parse allocates per directive and
+// per domain, not per row — the rows share one slab, every constant is
+// its domain's string and a prefix1 … prefixN list loads as a computed
+// domain, so going from 200 to 2,000 rows adds fewer than 0.01
+// allocations per row, and a 2,500-row file takes at most 150.
+func TestParseAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	parse := func(n int) float64 {
+		text := employeesText(t, n)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := ParseString(text); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large, full := parse(200), parse(2000), parse(2500)
+	t.Logf("Parse allocates %.0f at n=200, %.0f at n=2000, %.0f at n=2500", small, large, full)
+	if (large-small)/1800 >= 0.01 {
+		t.Errorf("Parse allocates %v at n=200 and %v at n=2000: %.3f per added row, want < 0.01", small, large, (large-small)/1800)
+	}
+	if full > 150 {
+		t.Errorf("Parse of a 2,500-row file allocates %v, want at most 150", full)
+	}
+}
+
+// TestParseKeepsNoInputBytes: scribbling over the text after Parse
+// changes nothing the file renders — names, domain values and cells are
+// all copies or the domains' own strings.
+func TestParseKeepsNoInputBytes(t *testing.T) {
+	for _, text := range []string{sample, employeesText(t, 40),
+		"domain d = x y z\ndomain n = a1 a2 a3\nscheme Q(A:d, B:n)\nfd A -> B\nrow x a2\nrow - -4\n"} {
+		buf := []byte(text)
+		f, err := ParseString(unsafe.String(&buf[0], len(buf)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := WriteString(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = '?'
+		}
+		if got, _ := WriteString(f); got != want {
+			t.Errorf("the parsed file changed with its input text:\n%s\nvs\n%s", got, want)
+		}
+	}
+}
+
+// TestParseLoadsIntDomains: a domain line listing exactly prefix1 …
+// prefixN is a computed domain with the same members; any other list is
+// a value list.
+func TestParseLoadsIntDomains(t *testing.T) {
+	for _, c := range []struct {
+		list  string
+		isInt bool
+	}{
+		{"e1 e2 e3", true}, {"a11 a12", true}, {"1 2 3", true}, {"x1", true}, {"e01", true},
+		{"e2 e1", false}, {"e1 e3", false}, {"x", false}, {"e1 e2 f3", false}, {"e1 e1", false},
+	} {
+		f, err := ParseString("domain d = " + c.list + "\nscheme R(A:d)\n")
+		if c.list == "e1 e1" {
+			if err == nil {
+				t.Errorf("%q: duplicate values accepted", c.list)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%q: %v", c.list, err)
+		}
+		d := f.Scheme.Domain(0)
+		ref := schema.MustDomain("d", strings.Fields(c.list)...)
+		// A computed domain prints its prefix where a value list has none.
+		if got := fmt.Sprintf("%#v", d) != fmt.Sprintf("%#v", ref); got != c.isInt {
+			t.Errorf("%q: loaded as a computed domain %v, want %v", c.list, got, c.isInt)
+		}
+		for _, v := range append(strings.Fields(c.list), "e", "e0", "e4", "a1", "a13", "0", "4", "x", "x2", "e001") {
+			if d.Contains(v) != ref.Contains(v) {
+				t.Errorf("%q: Contains(%q) = %v, want %v", c.list, v, d.Contains(v), ref.Contains(v))
+			}
+		}
+	}
+}
+
+// TestParseRefusesWhatWouldNotReadBack: a "-0" cell (⊥0 prints as a
+// fresh "-") and a domain value or attribute name that Write would print
+// after a space, as a comment, are refused with the row or line named.
+func TestParseRefusesWhatWouldNotReadBack(t *testing.T) {
+	for in, want := range map[string]string{
+		"domain d = x\nscheme R(A:d)\nrow x\nrow -0\n":   "row 2",
+		"domain d = x\nscheme R(A:d)\nrow -00\n":         "row 1",
+		"domain d=#x y\nscheme R(A:d)\n":                 "line 1",
+		"domain d = x\nscheme R(A:d,#B:d)\nrow x x\n":    "line 2",
+		"domain d = x\nscheme R(A:d, #B:d)\nrow x x\n":   "line 2",
+		"domain d = x\nscheme R(A:d, B#:d)\nrow x -0x\n": "row 1",
+	} {
+		if _, err := ParseString(in); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: %v, want an error naming %s", in, err, want)
 		}
 	}
 }

@@ -152,8 +152,9 @@ func New(s *schema.Scheme, fds []fd.FD, _ Options) *Store {
 
 // FromRelation builds a store over an existing instance, chasing it once
 // (one O(n) pass instead of n guarded inserts) and rejecting instances
-// that contradict the dependencies. r is only read: the chase builds the
-// stored instance afresh.
+// that contradict the dependencies. r's rows are only read: the stored
+// instance shares those the chase left unchanged with r copy-on-write,
+// so r's next structural write pays one O(n) slice copy.
 func FromRelation(s *schema.Scheme, fds []fd.FD, r *relation.Relation) (*Store, error) {
 	res, err := chase.Run(r, fds, chase.Options{})
 	if err != nil {

@@ -109,8 +109,10 @@ smoke-query:
 # an Eq, an ∧, an In or a two-arm ∨; a relio Parse adds < 0.01
 # allocations per row from n=200 to n=2,000 and makes at most 150 for a
 # 2,500-row file; an index build and the strong level-1 partition read
-# off it allocate per group (the same at n=2000 as at n=20000), and an
-# index probe or an append into a group with room allocates nothing;
+# off it allocate per group (the same at n=2000 as at n=20000), a
+# one-attribute build over 20,000 distinct values allocates no key per
+# group, and an index probe, an append into a group with room or a row
+# opening a new one-attribute group allocates nothing;
 # TEST-FDs' two deciders build no index after CheckAll and, on cached
 # indexes, allocate per FD (the same at n=2000 as at n=20000); a domain's
 # Contains and Canonical allocate nothing, and every write path stores
@@ -192,8 +194,8 @@ loc:
 # ROADMAP's second bar). Each is set by the last PR that shrank it to its
 # own result: a PR that lowers a sum lowers its ceiling with it, and one
 # that has to raise one says why in CHANGES.md.
-LOC_MAX = 18038
-CORE_LOC_MAX = 6722
+LOC_MAX = 18078
+CORE_LOC_MAX = 6728
 
 # The exported surface as `go doc -all` prints it — internal/store's
 # struct types and funcs + methods, and the root fdnull facade's exported

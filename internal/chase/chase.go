@@ -227,11 +227,15 @@ type classInfo struct {
 }
 
 func newChaser(r *relation.Relation, fds []fd.FD, opts Options) (*chaser, error) {
+	consts := 0 // Σₐ min(n, |dom(a)|): interning never rehashes the constant table
+	for a := range r.Scheme().Arity() {
+		consts += min(r.Len(), r.Scheme().Domain(schema.Attr(a)).Size())
+	}
 	c := &chaser{
 		r:       r,
 		fds:     fds,
 		opts:    opts,
-		constID: map[string]int{},
+		constID: make(map[string]int, consts),
 		markID:  map[int]int{},
 	}
 	if opts.RuleOrder != nil {

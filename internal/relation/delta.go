@@ -240,8 +240,8 @@ const (
 )
 
 // locate classifies a projection the same way BuildIndex does: nothing
-// sidecar, null sidecar, or the constant group whose key (appendKey) it
-// builds in the index's key scratch.
+// sidecar, null sidecar, or the constant group whose key (appendGroupKey)
+// it builds in the index's key scratch.
 func (ix *Index) locate(get getter) (int, []byte) {
 	hasNull := false
 	for _, a := range ix.attrs {
@@ -256,7 +256,7 @@ func (ix *Index) locate(get getter) (int, []byte) {
 	if hasNull {
 		return locNulls, nil
 	}
-	ix.key = appendKey(ix.key[:0], get, ix.attrs)
+	ix.key = ix.appendGroupKey(ix.key[:0], get)
 	return locGroup, ix.key
 }
 
@@ -278,7 +278,7 @@ func (ix *Index) addRow(i int, get getter) {
 				s = int32(len(ix.rows))
 				ix.rows = append(ix.rows, nil)
 			}
-			ix.groups[string(key)] = s
+			ix.groups[ix.newKey(key, get)] = s
 		}
 		ix.rows[s] = append(ix.rows[s], i)
 		ix.groupRows++

@@ -34,7 +34,7 @@ import (
 type Index struct {
 	set   schema.AttrSet
 	attrs []schema.Attr // set.Attrs(), precomputed for the probe hot path
-	// groups maps a constant projection's key (appendKey) to its slot in
+	// groups maps a constant projection's key (appendGroupKey) to its slot in
 	// rows, the group's tuple indices (ascending when freshly built);
 	// removeRow frees an emptied slot into free, and addRow reuses it.
 	groups  map[string]int32
@@ -73,8 +73,8 @@ func (ix *Index) Stats() IndexStats {
 
 // BuildIndex partitions r's tuples by their projection on set. One pass
 // maps each row to its group's slot, keyed in a reused buffer so only a
-// new group allocates a key; a second carves the groups out of one slab,
-// each capped so a later delta append reallocates only its own group.
+// new wider group allocates a key; a second carves the groups out of one
+// slab, each capped so a later delta append reallocates only its own group.
 func BuildIndex(r *Relation, set schema.AttrSet) *Index {
 	ix := &Index{set: set, attrs: set.Attrs(), groups: map[string]int32{}, version: r.version}
 	slot := make([]int32, len(r.tuples))
@@ -93,11 +93,11 @@ func BuildIndex(r *Relation, set schema.AttrSet) *Index {
 		case t.HasNullOn(set):
 			ix.nulls = append(ix.nulls, i)
 		default:
-			buf = appendKey(buf[:0], tupleGetter(t), ix.attrs)
+			buf = ix.appendGroupKey(buf[:0], tupleGetter(t))
 			s, ok := ix.groups[string(buf)]
 			if !ok {
 				s = int32(len(sizes))
-				ix.groups[string(buf)] = s
+				ix.groups[ix.newKey(buf, tupleGetter(t))] = s
 				sizes = append(sizes, 0)
 			}
 			slot[i] = s
@@ -118,11 +118,27 @@ func BuildIndex(r *Relation, set schema.AttrSet) *Index {
 	return ix
 }
 
+// appendGroupKey appends a constant projection's group key: on a
+// one-attribute index the constant itself, else appendKey's encoding.
+func (ix *Index) appendGroupKey(buf []byte, get getter) []byte {
+	if len(ix.attrs) == 1 {
+		return append(buf, get(ix.attrs[0]).Const()...)
+	}
+	return appendKey(buf, get, ix.attrs)
+}
+
+// newKey returns a new group's key: the cell's own string, or a copy.
+func (ix *Index) newKey(key []byte, get getter) string {
+	if len(ix.attrs) == 1 {
+		return get(ix.attrs[0]).Const()
+	}
+	return string(key)
+}
+
 // appendKey appends an unambiguous encoding of a constant projection on
-// attrs — the single definition of the group key, shared by BuildIndex,
-// Probe, the delta path's locate and ConstKeyOn: each constant is
-// length-prefixed, so distinct projections can never collide ("a"+"bc"
-// vs "ab"+"c").
+// attrs — the group key of a wider index, and ConstKeyOn's routing key
+// for every width: each constant is length-prefixed, so distinct
+// projections can never collide ("a"+"bc" vs "ab"+"c").
 func appendKey(buf []byte, get getter, attrs []schema.Attr) []byte {
 	for _, a := range attrs {
 		c := get(a).Const()
@@ -143,11 +159,13 @@ func (ix *Index) Set() schema.AttrSet { return ix.set }
 // touched by delta updates (delta.go) may not. The key is built on the
 // stack: a probe allocates nothing.
 func (ix *Index) Probe(t Tuple) ([]int, bool) {
-	var stack [64]byte
-	if key, ok := constKey(stack[:0], t, ix.attrs); ok {
-		return ix.group(key), true
+	for _, a := range ix.attrs {
+		if int(a) >= len(t) || !t[a].IsConst() {
+			return nil, false
+		}
 	}
-	return nil, false
+	var stack [64]byte
+	return ix.group(ix.appendGroupKey(stack[:0], tupleGetter(t))), true
 }
 
 // group returns the rows of the group keyed key, nil when there is none.
@@ -230,12 +248,12 @@ func (r *Relation) IndexCounts() (served, built uint64) {
 	return r.indexServed, r.indexBuilt
 }
 
-// ConstKeyOn returns the unambiguous encoding of t's constant
-// projection on attrs — the same length-prefixed cell encoding the
-// X-partition group keys use, so identical projections (and only those)
-// share an encoding. It reports ok=false when any projected cell is a
-// marked null, the inconsistent element or absent (a short tuple):
-// constant routing (hash sharding on a key) is undefined for such tuples.
+// ConstKeyOn returns appendKey's encoding of t's constant projection on
+// attrs, so identical projections (and only those) share an encoding:
+// the routing key sharded stores hash, fixed for every key width. It
+// reports ok=false when any projected cell is a marked null, the
+// inconsistent element or absent (a short tuple): constant routing (hash
+// sharding on a key) is undefined for such tuples.
 func ConstKeyOn(t Tuple, attrs []schema.Attr) (string, bool) {
 	var stack [64]byte
 	key, ok := constKey(stack[:0], t, attrs)

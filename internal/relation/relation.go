@@ -231,8 +231,8 @@ func (r *Relation) noteMark(t Tuple) {
 	}
 }
 
-// ValidateTuple checks a tuple against a scheme: correct arity and
-// constants drawn from the attribute domains. It takes the bare scheme so
+// ValidateTuple checks a tuple against a scheme: arity, marks ≥ 1, and
+// constants from the attribute domains. It takes the bare scheme so
 // callers can validate without touching any relation state — the store's
 // transaction staging is lock-free and may run concurrently with a
 // commit that swaps the instance out.
@@ -247,7 +247,10 @@ func validate(s *schema.Scheme, t, dst Tuple) error {
 			s.Name(), len(t), s.Arity())
 	}
 	for i, v := range t {
-		if v.IsConst() {
+		switch {
+		case v.IsNull() && v.Mark() < 1:
+			return fmt.Errorf("relation %s: null mark %d: marks start at 1 (⊥0 prints as a fresh -)", s.Name(), v.Mark())
+		case v.IsConst():
 			d := s.Domain(schema.Attr(i))
 			c, ok := d.Canonical(v.Const())
 			if !ok {

@@ -34,6 +34,10 @@ func FuzzParse(f *testing.F) {
 	f.Add("domain d=#00000\nscheme 0(0:d)")
 	f.Add("domain d = x\nscheme R(A:d,#B:d)\n")
 	f.Add("domain d=00\nscheme 0(0:d)\nrow -0")
+	f.Add("domain d =\u00a0é\u0085x\u00a0☃\nscheme R(A:d, B:d)\nrow é\u0085x\u3000\nrow ☃\u00a0-\u0085# c\n")
+	for _, row := range oddlySpaced {
+		f.Add("domain d = x y z é ☃ a\x85b \xe2x \xc2\nscheme R(A:d, B:d, C:d)\nrow " + row + "\n")
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		parsed, err := Parse(strings.NewReader(input))
 		if err != nil {

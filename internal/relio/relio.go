@@ -45,9 +45,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"fdnull/internal/fd"
 	"fdnull/internal/relation"
@@ -91,13 +91,14 @@ func ParseString(text string) (*File, error) {
 		// '#' starts a comment only at the beginning of a line or after
 		// white space, where a field starts — attribute names like "E#"
 		// must survive.
-		prev := ' '
-		for i, r := range line {
-			if r == '#' && unicode.IsSpace(prev) {
+		for i := 0; i < len(line); i++ {
+			if line[i] != '#' {
+				continue
+			}
+			if r, _ := utf8.DecodeLastRuneInString(line[:i]); i == 0 || unicode.IsSpace(r) {
 				line = strings.TrimSpace(line[:i])
 				break
 			}
-			prev = r
 		}
 		if line == "" {
 			continue
@@ -193,7 +194,6 @@ func ParseString(text string) (*File, error) {
 // as a schema.NewIntDomain, any other list as a NewDomain over a copy of
 // it. A value Write would print after a space, as a comment, is refused.
 func loadDomain(name, list string) (*schema.Domain, error) {
-	var num [20]byte
 	prefix, n, isInt := "", 0, true
 	for f, rest := nextField(list); f != ""; f, rest = nextField(rest) {
 		if f[0] == '#' {
@@ -202,8 +202,12 @@ func loadDomain(name, list string) (*schema.Domain, error) {
 		if n++; n == 1 {
 			prefix = strings.TrimSuffix(f, "1")
 		}
-		digits, ok := strings.CutPrefix(f, prefix)
-		isInt = isInt && ok && digits == string(strconv.AppendInt(num[:0], int64(n), 10))
+		digits, ok := strings.CutPrefix(f, prefix) // must read n, no leading zero
+		k := 0
+		for i := 0; isInt && ok && i < len(digits) && k <= n; i++ {
+			k, ok = k*10+int(digits[i]-'0'), digits[i] >= '0' && digits[i] <= '9'
+		}
+		isInt = isInt && ok && k == n && digits[0] != '0'
 	}
 	if !isInt || n == 0 {
 		return schema.NewDomain(name, strings.Fields(strings.Clone(list))...)
@@ -225,9 +229,7 @@ func decodeRow(s *schema.Scheme, row string, t relation.Tuple, fresh *int) error
 			t[a] = value.NewNull(*fresh)
 			*fresh++
 		case f == "!" || f[0] == '-':
-			if t[a], bad = value.Parse(f); bad == nil && t[a] == value.NewNull(0) {
-				bad = fmt.Errorf("null cell %q: marks start at 1 (⊥0 prints as a fresh -)", f)
-			}
+			t[a], bad = value.Parse(f)
 		default: // its own column's domain first, then any: the chase moves constants
 			c, ok := s.Domain(schema.Attr(a)).Canonical(f)
 			for b := 0; !ok && b < s.Arity(); b++ {
@@ -257,15 +259,26 @@ func decodeRow(s *schema.Scheme, row string, t relation.Tuple, fresh *int) error
 	return nil
 }
 
-// nextField returns s's first field, split off as strings.Fields splits,
-// and the rest of s; field is "" when s has none.
+// nextField returns s's first field, as strings.Fields splits (only a byte
+// ≥ 0x80 decodes a rune), and the rest of s; field is "" when s has none.
 func nextField(s string) (field, rest string) {
-	s = strings.TrimLeftFunc(s, unicode.IsSpace)
-	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
-		return s[:i], s[i:]
+	start := len(s)
+	for i, n := 0, 0; i < len(s); i += n {
+		r, sp := rune(s[i]), asciiSpace[s[i]]
+		if n = 1; r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRuneInString(s[i:])
+			sp = unicode.IsSpace(r)
+		}
+		if !sp && start == len(s) {
+			start = i
+		} else if sp && start < i {
+			return s[start:i], s[i:]
+		}
 	}
-	return s, ""
+	return s[start:], ""
 }
+
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // Write renders a File back into the textual format (domains first, then
 // scheme, FDs, rows).

@@ -2,6 +2,7 @@ package relio
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -276,6 +277,8 @@ func TestParseLoadsIntDomains(t *testing.T) {
 	}{
 		{"e1 e2 e3", true}, {"a11 a12", true}, {"1 2 3", true}, {"x1", true}, {"e01", true},
 		{"e2 e1", false}, {"e1 e3", false}, {"x", false}, {"e1 e2 f3", false}, {"e1 e1", false},
+		{"e1 e02", false}, {"e1 e2x", false}, {"e1 e2 e3 e4 e5 e6 e7 e8 e9 e10", true},
+		{"e1 e2 e3 e4 e5 e6 e7 e8 e9 e010", false}, {"e1 e2 e3 e4 e5 e6 e7 e8 e9 e1:", false},
 	} {
 		f, err := ParseString("domain d = " + c.list + "\nscheme R(A:d)\n")
 		if c.list == "e1 e1" {
@@ -317,4 +320,53 @@ func TestParseRefusesWhatWouldNotReadBack(t *testing.T) {
 			t.Errorf("%q: %v, want an error naming %s", in, err, want)
 		}
 	}
+}
+
+// oddlySpaced holds inputs whose fields are split by white space outside
+// ASCII — U+0085, U+00A0, U+1680, U+3000 — around multibyte constants,
+// next to bytes that are not white space: a lone continuation byte and a
+// truncated rune.
+var oddlySpaced = []string{
+	"x\u0085y\u00a0é ☃\t z",
+	"\u00a0\u0085 é\u00a0\u00a0x \u0085",
+	"é\u1680x\u3000☃",
+	"a\x85b \xe2x\u00a0\xc2",
+	"\u0085",
+}
+
+// TestNextFieldIsStringsFields: nextField's ASCII table and its fallback
+// to unicode.IsSpace split exactly as strings.Fields does, and a file
+// separated that way loads as the same file separated by spaces.
+func TestNextFieldIsStringsFields(t *testing.T) {
+	for _, in := range oddlySpaced {
+		var got []string
+		for f, rest := nextField(in); f != ""; f, rest = nextField(rest) {
+			got = append(got, f)
+		}
+		if want := strings.Fields(in); !slices.Equal(got, want) {
+			t.Errorf("nextField splits %q into %q, strings.Fields into %q", in, got, want)
+		}
+	}
+	spaced := "domain d = é x ☃\nscheme R(A:d, B:d)\nrow é x\nrow ☃ -\n"
+	odd := "domain d =\u00a0é\u0085x\u00a0☃\u0085\nscheme R(A:d, B:d)\nrow é\u0085x\u3000\nrow ☃\u00a0\u00a0-\u0085# comment\n"
+	want, err := ParseString(spaced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseString(odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, g := mustWrite(t, want), mustWrite(t, got); w != g {
+		t.Errorf("oddly spaced file loads as\n%s\nwant\n%s", g, w)
+	}
+}
+
+func mustWrite(t *testing.T, f *File) string {
+	t.Helper()
+	out, err := WriteString(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -373,6 +373,45 @@ func TestServeRequestFieldsDoNotCarryOver(t *testing.T) {
 	}
 }
 
+// TestServeRefusesMarkZero: "-0" would store ⊥0, which prints as a fresh
+// "-" and so would not read back from a checkpoint as the same unknown.
+// An insert, a txn insert, an update value and a match cell spelling it
+// are refused, and the tenant's rows and counters are unchanged.
+func TestServeRefusesMarkZero(t *testing.T) {
+	srv := startTestServer(t, writeTestConfig(t, ""))
+	defer shutdownTestServer(t, srv)
+	c := dialClient(t, srv.Addr())
+	defer c.conn.Close() // errcheck:ok test client teardown
+	c.mustOK(t, map[string]any{"op": "auth", "tenant": "hr", "token": "hr-secret"})
+	c.mustOK(t, map[string]any{"op": "insert", "row": []string{"k1", "a1", "-3"}})
+	before := c.mustOK(t, map[string]any{"op": "stats"})
+	if before["inserts"] != float64(1) {
+		t.Fatalf("stats before the refusals: %v, want 1 insert", before)
+	}
+	for _, req := range []map[string]any{
+		{"op": "insert", "row": []string{"k2", "a1", "-0"}},
+		{"op": "txn", "ops": []map[string]any{{"op": "insert", "row": []string{"k3", "-0", "b1"}}}},
+		{"op": "update", "match": []string{"k1", "a1", "-3"}, "attr": "B", "value": "-0"},
+		{"op": "update", "match": []string{"k1", "a1", "-0"}, "attr": "B", "value": "b1"},
+	} {
+		if resp := c.call(t, req); resp["ok"] == true || resp["rejected"] == true || !strings.Contains(fmt.Sprint(resp["error"]), `"-0"`) {
+			t.Errorf("%v answered %v, want a structural refusal naming \"-0\"", req, resp)
+		}
+	}
+	if resp := c.mustOK(t, map[string]any{"op": "len"}); resp["n"] != float64(1) {
+		t.Errorf("len after the refusals: %v, want 1", resp["n"])
+	}
+	if resp := c.mustOK(t, map[string]any{"op": "query", "where": "K = k1"}); fmt.Sprint(resp["sure"]) != "[[k1 a1 -3]]" {
+		t.Errorf("K = k1 answered %v, want the row as inserted", resp["sure"])
+	}
+	after := c.mustOK(t, map[string]any{"op": "stats"})
+	for _, k := range []string{"inserts", "updates", "deletes", "rejects"} {
+		if before[k] != after[k] {
+			t.Errorf("stats %s moved %v -> %v", k, before[k], after[k])
+		}
+	}
+}
+
 // TestServeDurableTenant proves a durable tenant's state survives a
 // daemon restart: insert over the wire, shut down (which checkpoints
 // through Close), boot a second server on the same directory, read the

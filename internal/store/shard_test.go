@@ -90,6 +90,55 @@ func TestShardedOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestRoutingBytesPinned freezes what decides a row's home shard, and so
+// which shard's WAL holds it: ConstKeyOn's bytes for a one- and a
+// two-attribute key, and the shard ShardOf picks from them at S = 2 and
+// S = 4. The X-partition index keys a one-attribute group by the bare
+// constant; routing must not follow it, or a reopened directory would
+// look for its rows on other shards.
+func TestRoutingBytesPinned(t *testing.T) {
+	s := schema.MustNew("R", []string{"K", "A", "B"}, []*schema.Domain{
+		schema.IntDomain("key", "k", 512), schema.IntDomain("alpha", "a", 16), schema.IntDomain("beta", "b", 16)})
+	fds := fd.MustParseSet(s, "K,A -> B")
+	golden := []struct {
+		k, a, key1, key2 string
+		shard            [4]int // key {K} at S = 2, 4; key {K, A} at S = 2, 4
+	}{
+		{"k1", "a1", "2:k1", "2:k12:a1", [4]int{1, 1, 1, 3}},
+		{"k2", "a1", "2:k2", "2:k22:a1", [4]int{0, 0, 0, 2}},
+		{"k7", "a3", "2:k7", "2:k72:a3", [4]int{1, 3, 1, 3}},
+		{"k10", "a12", "3:k10", "3:k103:a12", [4]int{0, 0, 1, 3}},
+		{"k42", "a5", "3:k42", "3:k422:a5", [4]int{1, 3, 1, 1}},
+		{"k100", "a16", "4:k100", "4:k1003:a16", [4]int{1, 3, 0, 2}},
+		{"k511", "a2", "4:k511", "4:k5112:a2", [4]int{1, 1, 0, 2}},
+		{"k512", "a9", "4:k512", "4:k5122:a9", [4]int{0, 0, 0, 2}},
+	}
+	var stores []*Sharded
+	for _, key := range []schema.AttrSet{s.MustSet("K"), s.MustSet("K", "A")} {
+		for _, n := range []int{2, 4} {
+			sh, err := NewSharded(s, fds, ShardedOptions{Shards: n, Key: key})
+			if err != nil {
+				t.Fatalf("NewSharded: %v", err)
+			}
+			stores = append(stores, sh)
+		}
+	}
+	for _, g := range golden {
+		tup := relation.Tuple{value.NewConst(g.k), value.NewConst(g.a), value.NewConst("b1")}
+		if got, _ := relation.ConstKeyOn(tup, []schema.Attr{0}); got != g.key1 {
+			t.Errorf("ConstKeyOn(%s, K) = %q, want %q", tup, got, g.key1)
+		}
+		if got, _ := relation.ConstKeyOn(tup, []schema.Attr{0, 1}); got != g.key2 {
+			t.Errorf("ConstKeyOn(%s, K A) = %q, want %q", tup, got, g.key2)
+		}
+		for i, sh := range stores {
+			if got, err := sh.ShardOf(tup); err != nil || got != g.shard[i] {
+				t.Errorf("store %d routes %s to shard %d (%v), want %d", i, tup, got, err, g.shard[i])
+			}
+		}
+	}
+}
+
 func TestShardedRoutingDeterministic(t *testing.T) {
 	sh, s, _ := mustSharded(t, 8, engIncremental)
 	seen := map[int]int{}

@@ -354,10 +354,12 @@ func validateUpdate(s *schema.Scheme, n, ti int, a schema.Attr, v value.V) (valu
 	if int(a) < 0 || int(a) >= s.Arity() {
 		return v, fmt.Errorf("store: update of attribute %d out of range", a)
 	}
-	if v.IsNothing() {
+	switch {
+	case v.IsNothing():
 		return v, fmt.Errorf("store: the inconsistent element cannot be stored")
-	}
-	if !v.IsConst() {
+	case v.IsNull() && v.Mark() < 1:
+		return v, fmt.Errorf("store: null mark %d cannot be stored: marks start at 1", v.Mark())
+	case !v.IsConst():
 		return v, nil
 	}
 	c, ok := s.Domain(a).Canonical(v.Const())

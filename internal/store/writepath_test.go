@@ -75,6 +75,8 @@ func TestWritePathTotal(t *testing.T) {
 		{"update attribute above range", func(w indexWriter) error { return w.Update(0, 3, a) }},
 		{"update constant outside domain", func(w indexWriter) error { return w.Update(0, 1, value.NewConst("zz")) }},
 		{"update to nothing", func(w indexWriter) error { return w.Update(0, 1, value.NewNothing()) }},
+		{"null of mark 0 in a tuple", func(w indexWriter) error { return w.Insert(relation.Tuple{k, a, value.V{}}) }},
+		{"update to a null of mark 0", func(w indexWriter) error { return w.Update(0, 2, value.V{}) }},
 		{"delete index below range", func(w indexWriter) error { return w.Delete(-1) }},
 		{"delete index above range", func(w indexWriter) error { return w.Delete(2) }},
 	}

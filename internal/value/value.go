@@ -173,9 +173,9 @@ func (v V) AppendString(dst []byte) []byte {
 // Parse reads one cell in the notation String writes — the one
 // definition the row parser and the daemon's match cells share: "!" is
 // the inconsistent element, "-k" the marked null ⊥k (a minus, then
-// decimal digits only: no sign, no base prefix, no trailing bytes), any
-// other text a constant. Bare "-" is refused here; whether it draws a
-// fresh null or is an error is the caller's rule, applied before Parse.
+// decimal digits only: no sign, no base prefix, no trailing bytes, and
+// k ≥ 1: ⊥0 prints as a bare "-"), any other text a constant. Bare "-" is
+// refused here; whether it draws a fresh null is the caller's rule.
 func Parse(cell string) (V, error) {
 	switch {
 	case cell == "!":
@@ -184,7 +184,7 @@ func Parse(cell string) (V, error) {
 		return NewConst(cell), nil
 	}
 	k, err := strconv.Atoi(cell[1:])
-	if err != nil || strings.TrimLeft(cell[1:], "0123456789") != "" {
+	if err != nil || k < 1 || strings.TrimLeft(cell[1:], "0123456789") != "" {
 		return V{}, fmt.Errorf("value: bad null cell %q", cell)
 	}
 	return NewNull(k), nil

@@ -220,17 +220,17 @@ func TestList(t *testing.T) {
 // match cells and fdcheck's op scripts share. The refusals are the
 // spellings fmt.Sscanf("-%d") used to let through: trailing bytes stored
 // the leading digits' mark, a second sign a negative mark, a base prefix
-// mark 0.
+// mark 0; and mark 0 itself, which String prints as the bare "-".
 func TestParse(t *testing.T) {
 	for cell, want := range map[string]V{
 		"x": NewConst("x"), "": NewConst(""), "a-1": NewConst("a-1"), "!": NewNothing(),
-		"-0": NewNull(0), "-7": NewNull(7), "-007": NewNull(7), "-9223372036854775807": NewNull(1<<63 - 1),
+		"-7": NewNull(7), "-007": NewNull(7), "-9223372036854775807": NewNull(1<<63 - 1),
 	} {
 		if got, err := Parse(cell); err != nil || !got.Identical(want) {
 			t.Errorf("Parse(%q) = %#v, %v; want %#v", cell, got, err, want)
 		}
 	}
-	for _, cell := range []string{"-", "-5abc", "--5", "-0x10", "-+5", "- 5", "-5 ", "-5\n", "-1_0", "-٣", "-9223372036854775808"} {
+	for _, cell := range []string{"-", "-0", "-00", "-5abc", "--5", "-0x10", "-+5", "- 5", "-5 ", "-5\n", "-1_0", "-٣", "-9223372036854775808"} {
 		if got, err := Parse(cell); err == nil {
 			t.Errorf("Parse(%q) = %#v, want a refusal", cell, got)
 		}

@@ -42,9 +42,11 @@
 package relio
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -281,9 +283,13 @@ func nextField(s string) (field, rest string) {
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // Write renders a File back into the textual format (domains first, then
-// scheme, FDs, rows).
+// scheme, FDs, rows). The text goes through one writeBlock-sized buffer,
+// so w sees one Write per block, not one per row, and a row costs no
+// allocation: its cells are appended in place. The error is the first w
+// returned.
 func Write(w io.Writer, f *File) error {
 	s := f.Scheme
+	bw := bufio.NewWriterSize(w, writeBlock)
 	// Collect distinct domains in attribute order.
 	seen := map[string]*schema.Domain{}
 	var order []string
@@ -297,38 +303,33 @@ func Write(w io.Writer, f *File) error {
 		specs[i] = s.AttrName(schema.Attr(i)) + ":" + d.Name
 	}
 	sort.Strings(order)
-	for _, name := range order {
-		d := seen[name]
-		if _, err := fmt.Fprintf(w, "domain %s = %s\n", name, strings.Join(d.Values, " ")); err != nil {
-			return err
-		}
+	for _, name := range order { // bufio keeps the first error for Flush
+		fmt.Fprintf(bw, "domain %s = %s\n", name, strings.Join(seen[name].Values, " "))
 	}
-	if _, err := fmt.Fprintf(w, "scheme %s(%s)\n", s.Name(), strings.Join(specs, ", ")); err != nil {
-		return err
-	}
+	fmt.Fprintf(bw, "scheme %s(%s)\n", s.Name(), strings.Join(specs, ", "))
 	for _, dep := range f.FDs {
-		if _, err := fmt.Fprintf(w, "fd %s\n", dep.Format(s)); err != nil {
-			return err
-		}
+		fmt.Fprintf(bw, "fd %s\n", dep.Format(s))
 	}
+	line := make([]byte, 0, 128)
 	if f.NextMark > 0 {
-		if _, err := fmt.Fprintf(w, "nextmark %d\n", f.NextMark); err != nil {
-			return err
-		}
+		line = strconv.AppendInt(append(line, "nextmark "...), int64(f.NextMark), 10)
+		bw.Write(append(line, '\n')) // errcheck:ok bufio keeps the first error; Flush returns it
 	}
 	if f.Relation != nil {
 		for _, t := range f.Relation.Tuples() {
-			cells := make([]string, len(t))
-			for i, v := range t {
-				cells[i] = v.String()
+			line = append(line[:0], "row"...)
+			for _, v := range t {
+				line = v.AppendString(append(line, ' '))
 			}
-			if _, err := fmt.Fprintf(w, "row %s\n", strings.Join(cells, " ")); err != nil {
-				return err
-			}
+			line = append(line, '\n')
+			bw.Write(line) // errcheck:ok bufio keeps the first error; Flush returns it
 		}
 	}
-	return nil
+	return bw.Flush()
 }
+
+// writeBlock is the size of the blocks Write hands its writer.
+const writeBlock = 64 << 10
 
 // WriteString renders a File to a string.
 func WriteString(f *File) (string, error) {

@@ -17,35 +17,7 @@ import (
 // insert/update/delete counters where they were — only a constraint
 // rejection may count itself.
 func FuzzServeRequest(f *testing.F) {
-	for _, line := range []string{
-		`{"op":"auth","tenant":"t","token":"tok"}`,
-		`{"op":"auth","tenant":"t","token":"wrong"}`,
-		`{"op":"ping"}`,
-		`{"op":"insert","row":["k3","a1","-"]}`,
-		`{"op":"insert","row":["k1","a2","b1"]}`, // K -> A refuses it
-		`{"op":"update","match":["k1","a1","-7"],"attr":"B","value":"b2"}`,
-		`{"op":"delete","match":["k2","a2","b2"]}`,
-		`{"op":"txn","ops":[{"op":"insert","row":["k4","-","-"]},{"op":"update","match":["k1","a1","-7"],"attr":"B","value":"b1"},{"op":"delete","match":["k2","a2","b2"]}]}`,
-		`{"op":"query","where":"K = k1 or B = b2"}`,
-		`{"op":"discover","maxlhs":2}`,
-		`{"op":"check"}`,
-		`{"op":"stats"}`,
-		`{"op":"len"}`,
-		`{"op":"nope"}`,
-		`{"op":"insert","row":["k5","a1"]}`,
-		`{"op":"query","where":"K = "}`,
-		`{"op":"insert","row":7}`,
-		`{"op":`,
-		`[]`,
-		"\x00\xff",
-		// TestServeMalformedNullCells' spellings, in each position a cell is read.
-		`{"op":"insert","row":["k5","a1","-5abc"]}`,
-		`{"op":"insert","row":["k5","a1","--5"]}`,
-		`{"op":"txn","ops":[{"op":"insert","row":["k5","a1","-0x10"]}]}`,
-		`{"op":"delete","match":["k1","a1","-+5"]}`,
-		`{"op":"update","match":["k1","a1","-7"],"attr":"B","value":"- 5"}`,
-		`{"op":"update","match":["k1","a1","-7"],"attr":"B","value":"-99999999999999999999"}`,
-	} {
+	for _, line := range serveRequestSeeds {
 		f.Add([]byte(line))
 	}
 	dom := func(name, prefix string) DomainSpec { return DomainSpec{Name: name, Prefix: prefix, Size: 8} }
@@ -115,4 +87,36 @@ func FuzzServeRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// serveRequestSeeds is FuzzServeRequest's corpus; the decoder's fuzz
+// starts from it too.
+var serveRequestSeeds = []string{
+	`{"op":"auth","tenant":"t","token":"tok"}`,
+	`{"op":"auth","tenant":"t","token":"wrong"}`,
+	`{"op":"ping"}`,
+	`{"op":"insert","row":["k3","a1","-"]}`,
+	`{"op":"insert","row":["k1","a2","b1"]}`, // K -> A refuses it
+	`{"op":"update","match":["k1","a1","-7"],"attr":"B","value":"b2"}`,
+	`{"op":"delete","match":["k2","a2","b2"]}`,
+	`{"op":"txn","ops":[{"op":"insert","row":["k4","-","-"]},{"op":"update","match":["k1","a1","-7"],"attr":"B","value":"b1"},{"op":"delete","match":["k2","a2","b2"]}]}`,
+	`{"op":"query","where":"K = k1 or B = b2"}`,
+	`{"op":"discover","maxlhs":2}`,
+	`{"op":"check"}`,
+	`{"op":"stats"}`,
+	`{"op":"len"}`,
+	`{"op":"nope"}`,
+	`{"op":"insert","row":["k5","a1"]}`,
+	`{"op":"query","where":"K = "}`,
+	`{"op":"insert","row":7}`,
+	`{"op":`,
+	`[]`,
+	"\x00\xff",
+	// TestServeMalformedNullCells' spellings, in each position a cell is read.
+	`{"op":"insert","row":["k5","a1","-5abc"]}`,
+	`{"op":"insert","row":["k5","a1","--5"]}`,
+	`{"op":"txn","ops":[{"op":"insert","row":["k5","a1","-0x10"]}]}`,
+	`{"op":"delete","match":["k1","a1","-+5"]}`,
+	`{"op":"update","match":["k1","a1","-7"],"attr":"B","value":"- 5"}`,
+	`{"op":"update","match":["k1","a1","-7"],"attr":"B","value":"-99999999999999999999"}`,
 }

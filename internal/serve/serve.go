@@ -212,6 +212,154 @@ type request struct {
 	MaxLHS int      `json:"maxlhs,omitempty"`
 }
 
+// requestKeys are request's JSON names, string fields first; wireOpKeys
+// marks those a wireOp has (op, attr, value, row, match).
+var requestKeys = [...]string{"op", "attr", "value", "tenant", "token", "where", "row", "match", "ops", "maxlhs"}
+
+const wireOpKeys = 1<<0 | 1<<1 | 1<<2 | 1<<6 | 1<<7
+
+// lineDecoder is one connection's request decoder. scan reads a line in
+// the canonical shape — an object of requestKeys, each at most once;
+// strings of printable ASCII without `\`, arrays of them, ops an array of
+// such objects, maxlhs up to nine digits; JSON whitespace between tokens —
+// without reflection, and decode leaves every other line to
+// encoding/json, so no result or error text depends on which decoder ran.
+// A string scan stores is a substring of the line's one string; the cell
+// and op slices are the connection's, reused from line to line.
+type lineDecoder struct {
+	s     string
+	i     int
+	cells []string
+	ops   []wireOp
+	op    request // the op object being read
+}
+
+// decode zeroes req and fills it from line.
+func (d *lineDecoder) decode(line []byte, req *request) error {
+	if d.scan(line, req) {
+		return nil
+	}
+	*req = request{}
+	return json.Unmarshal(line, req)
+}
+
+func (d *lineDecoder) scan(line []byte, req *request) bool {
+	*req = request{} // a field the last request sent must not carry over
+	if d.cells == nil {
+		// Non-nil, so an empty array reads as encoding/json's empty slice.
+		d.cells, d.ops = make([]string, 0, 16), make([]wireOp, 0, 4)
+	}
+	d.s, d.i, d.cells, d.ops = string(line), 0, d.cells[:0], d.ops[:0]
+	ok := d.fields(req, 1<<len(requestKeys)-1)
+	d.space()
+	return ok && d.i == len(d.s)
+}
+
+// trim drops the slices a request with very many cells or ops grew.
+func (d *lineDecoder) trim() {
+	if cap(d.cells) > 1<<14 || cap(d.ops) > 1<<12 {
+		*d = lineDecoder{}
+	}
+}
+
+// fields reads an object into r, taking each key of the keys mask once.
+func (d *lineDecoder) fields(r *request, keys uint) bool {
+	strField := [...]*string{&r.Op, &r.Attr, &r.Value, &r.Tenant, &r.Token, &r.Where}
+	return d.list('{', '}', func() bool {
+		key, ok := d.str()
+		k := slices.Index(requestKeys[:], key)
+		if !ok || k < 0 || keys&(1<<k) == 0 || !d.eat(':') {
+			return false
+		}
+		keys &^= 1 << k
+		switch {
+		case k < len(strField):
+			*strField[k], ok = d.str()
+		case key == "row":
+			r.Row, ok = d.strs()
+		case key == "match":
+			r.Match, ok = d.strs()
+		case key == "ops":
+			ok = d.list('[', ']', func() bool {
+				op := &d.op
+				*op = request{}
+				ok := d.fields(op, wireOpKeys)
+				d.ops = append(d.ops, wireOp{Op: op.Op, Row: op.Row, Match: op.Match, Attr: op.Attr, Value: op.Value})
+				return ok
+			})
+			r.Ops = d.ops
+		default:
+			r.MaxLHS, ok = d.uint()
+		}
+		return ok
+	})
+}
+
+// list reads open, elements separated by commas, then close.
+func (d *lineDecoder) list(open, close byte, elem func() bool) bool {
+	if !d.eat(open) {
+		return false
+	}
+	for first := true; !d.eat(close); first = false {
+		if !first && !d.eat(',') || !elem() {
+			return false
+		}
+	}
+	return true
+}
+
+func (d *lineDecoder) strs() ([]string, bool) {
+	start := len(d.cells)
+	ok := d.list('[', ']', func() bool {
+		c, ok := d.str()
+		d.cells = append(d.cells, c)
+		return ok
+	})
+	return d.cells[start:len(d.cells):len(d.cells)], ok
+}
+
+func (d *lineDecoder) str() (string, bool) {
+	if !d.eat('"') {
+		return "", false
+	}
+	for start := d.i; d.i < len(d.s); d.i++ {
+		if c := d.s[d.i]; c == '"' {
+			d.i++
+			return d.s[start : d.i-1], true
+		} else if c < 0x20 || c >= 0x7f || c == '\\' {
+			return "", false
+		}
+	}
+	return "", false
+}
+
+// uint reads at most nine digits without a leading zero.
+func (d *lineDecoder) uint() (int, bool) {
+	d.space()
+	n, start := 0, d.i
+	for ; d.i < len(d.s) && '0' <= d.s[d.i] && d.s[d.i] <= '9'; d.i++ {
+		n = n*10 + int(d.s[d.i]-'0')
+	}
+	digits := d.i - start
+	return n, digits > 0 && digits <= 9 && (digits == 1 || d.s[start] != '0')
+}
+
+// eat consumes c after any JSON whitespace.
+func (d *lineDecoder) eat(c byte) bool {
+	d.space()
+	if d.i < len(d.s) && d.s[d.i] == c {
+		d.i++
+		return true
+	}
+	return false
+}
+
+func (d *lineDecoder) space() {
+	for d.i < len(d.s) && (d.s[d.i] == ' ' || d.s[d.i] == '\t' || d.s[d.i] == '\n' || d.s[d.i] == '\r') {
+		d.i++
+	}
+}
+
 // walHealth is one shard's durability state in a stats reply.
 type walHealth struct {
 	Shard         int    `json:"shard"`
@@ -561,15 +709,15 @@ func (srv *Server) handle(conn net.Conn) {
 	reply := func(resp response) bool { return enc.Encode(resp) == nil }
 	var bound *tenant
 	var qr queryReply
+	var dec lineDecoder
 	var req request // one per connection: Unmarshal puts it on the heap
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		req = request{} // a field the last request sent must not carry over
 		var resp response
-		if err := json.Unmarshal(line, &req); err != nil {
+		if err := dec.decode(line, &req); err != nil {
 			resp = errResponse(fmt.Errorf("bad request: %w", err))
 		} else if req.Op == "auth" {
 			tn, err := srv.authenticate(req)
@@ -588,6 +736,7 @@ func (srv *Server) handle(conn net.Conn) {
 					return
 				}
 				qr.trim()
+				dec.trim()
 				continue
 			}
 			resp = errResponse(err)
@@ -597,6 +746,7 @@ func (srv *Server) handle(conn net.Conn) {
 		if !reply(resp) {
 			return
 		}
+		dec.trim()
 	}
 	// A line beyond the 1MB cap poisons the scanner: the stream framing
 	// is lost, so send one terminal error and disconnect rather than

@@ -37,6 +37,9 @@
 // tuples are processed. The propagation terminates because every
 // substitution either binds a null or merges two mark classes.
 //
+// The propagation's scratch (Store.prop) lives on the Store, and each
+// commit clears it: the write lock already serializes commits.
+//
 // On any contradiction the committer rolls the write-set back (the undo
 // log below, through the delta mutators, so every index stays warm) and
 // delegates to the recheck preparer, which re-derives the rejection with
@@ -171,7 +174,7 @@ func (st *Store) undo(log undoLog) {
 // ---- worklist propagation ----
 
 // settleSeeds is the propagation behind every commit, one op or k: it
-// re-establishes the fixpoint invariant after the rows in seeds changed,
+// re-establishes the fixpoint invariant after the rows in p.seeds changed,
 // firing NS-rules at *group* granularity. Each round sweeps, per FD, the
 // partition groups of the currently dirty rows — a group shared by many
 // dirty rows is swept once, which is what makes a k-row write-set into
@@ -180,20 +183,17 @@ func (st *Store) undo(log undoLog) {
 // substitution become the next round's dirty set. It reports false on a
 // contradiction, leaving the partially substituted instance for the
 // caller to roll back through und.
-func (st *Store) settleSeeds(seeds []int, und *undoLog) bool {
-	p := propagation{st: st, und: und, nextSet: make(map[int]bool), done: make(map[int]bool)}
-	dirty := make([]int, 0, len(seeds))
-	for _, i := range seeds {
-		if !p.nextSet[i] {
-			p.nextSet[i] = true
-			dirty = append(dirty, i)
-		}
+func (st *Store) settleSeeds(und *undoLog) bool {
+	p := &st.prop
+	clear(p.nextSet) // a rejected commit leaves its last round behind
+	p.und, p.cur, p.next = und, p.cur[:0], p.next[:0]
+	for i := range p.seeds {
+		p.cur = append(p.cur, i)
 	}
-	clear(p.nextSet)
-	for len(dirty) > 0 {
+	for len(p.cur) > 0 {
 		for _, f := range st.fds {
 			clear(p.done)
-			for _, i := range dirty {
+			for _, i := range p.cur {
 				if p.done[i] {
 					continue
 				}
@@ -202,16 +202,20 @@ func (st *Store) settleSeeds(seeds []int, und *undoLog) bool {
 				}
 			}
 		}
-		dirty = append(dirty[:0], p.next...)
-		p.next = p.next[:0]
+		p.cur, p.next = p.next, p.cur[:0]
 		clear(p.nextSet)
 	}
 	return true
 }
 
+// propagation is the incremental commit's scratch: the Store keeps one,
+// and each commit clears its maps and reuses its buffers.
 type propagation struct {
 	st      *Store
 	und     *undoLog
+	log     undoLog      // und's backing
+	seeds   map[int]bool // rows the write-set's ops touched
+	cur     []int        // this round's dirty rows
 	next    []int        // rows re-dirtied by substitutions (next round)
 	nextSet map[int]bool // membership for next
 	done    map[int]bool // rows whose group was swept for the current FD

@@ -58,6 +58,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -687,11 +688,11 @@ func (s *Sharded) DeleteTuple(match relation.Tuple) error {
 // prepares were discarded (shard state is committed state), and only on
 // the rejection path; like the unsharded scan it is quadratic in the
 // write-set and never runs on accepted commits.
-func (s *Sharded) offendingOpGlobal(touched []int, shardOps map[int][]txnOp, gidxOf map[int][]int, nops int) int {
+func (s *Sharded) offendingOpGlobal(touched []int, perShard [][]routedOp, shardOps [][]txnOp, nops int) int {
 	for k := 0; k < nops-1; k++ {
 		for _, si := range touched {
-			// gidxOf[si] ascends, so the ops at or below k are a prefix.
-			n := sort.SearchInts(gidxOf[si], k+1)
+			// A shard's staged indices ascend, so the ops at or below k are a prefix.
+			n := sort.Search(len(perShard[si]), func(j int) bool { return perShard[si][j].gidx > k })
 			if n > 0 && s.shards[si].rejects(shardOps[si][:n]) {
 				return k
 			}
@@ -700,12 +701,12 @@ func (s *Sharded) offendingOpGlobal(touched []int, shardOps map[int][]txnOp, gid
 	return nops - 1
 }
 
-// routedOp is one per-shard op awaiting index resolution, tagged with
-// the staged op it came from (for error attribution and stats).
+// routedOp is one per-shard op awaiting index resolution, tagged with its
+// staged op (a cross-shard key move routes as a delete and an insert).
 type routedOp struct {
-	gidx int // index into the staged op list
-	op   shardedOp
-	ins  relation.Tuple // pre-parsed tuple for txnInsert
+	si, gidx int // home shard; index into the staged op list
+	kind     txnOpKind
+	ins      relation.Tuple // pre-parsed tuple for txnInsert
 }
 
 // slotSim replays one write-set's swap-and-pop evolution of one shard's
@@ -846,7 +847,7 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 	}
 
 	// ---- route (no locks: routing reads only the staged tuples' keys).
-	perShard := make(map[int][]routedOp)
+	routed := make([]routedOp, 0, len(ops))
 	structural := func(k int, err error) error {
 		restoreMarks()
 		return &TxnError{Op: k, OpDesc: ops[k].describe(s.scheme), Err: err}
@@ -858,7 +859,7 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 			if err != nil {
 				return structural(k, err)
 			}
-			perShard[si] = append(perShard[si], routedOp{gidx: k, op: op, ins: parsed[k]})
+			routed = append(routed, routedOp{si: si, gidx: k, kind: txnInsert, ins: parsed[k]})
 		case txnUpdate:
 			si, err := s.ShardOf(op.match)
 			if err != nil {
@@ -880,25 +881,29 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 							return structural(k, fmt.Errorf("store: cross-shard key update of a null-bearing tuple is unsupported (marks are shard-scoped)"))
 						}
 					}
-					perShard[si] = append(perShard[si], routedOp{gidx: k, op: shardedOp{kind: txnDelete, match: op.match}})
-					perShard[sj] = append(perShard[sj], routedOp{gidx: k, op: shardedOp{kind: txnInsert, t: moved}, ins: moved})
+					routed = append(routed, routedOp{si: si, gidx: k, kind: txnDelete},
+						routedOp{si: sj, gidx: k, kind: txnInsert, ins: moved})
 					continue
 				}
 			}
-			perShard[si] = append(perShard[si], routedOp{gidx: k, op: op})
+			routed = append(routed, routedOp{si: si, gidx: k, kind: txnUpdate})
 		default:
 			si, err := s.ShardOf(op.match)
 			if err != nil {
 				return structural(k, err)
 			}
-			perShard[si] = append(perShard[si], routedOp{gidx: k, op: op})
+			routed = append(routed, routedOp{si: si, gidx: k, kind: txnDelete})
 		}
 	}
-	touched := make([]int, 0, len(perShard))
-	for si := range perShard {
-		touched = append(touched, si)
+	slices.SortStableFunc(routed, func(a, b routedOp) int { return a.si - b.si }) // staging order within a shard
+	perShard := make([][]routedOp, len(s.shards))
+	var touched []int
+	for k, ro := range routed {
+		if len(perShard[ro.si]) == 0 {
+			touched = append(touched, ro.si)
+		}
+		perShard[ro.si] = routed[k-len(perShard[ro.si]) : k+1 : k+1]
 	}
-	sort.Ints(touched)
 
 	// ---- lock every touched shard, ascending (the global lock order).
 	for _, si := range touched {
@@ -932,10 +937,10 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 	// Find runs against the shard's committed relation (unchanged until
 	// prepare), and a per-shard slot simulation replays this write-set's
 	// own swap-and-pop evolution so later ops address the right slots.
-	shardOps := make(map[int][]txnOp, len(perShard))
-	gidxOf := make(map[int][]int, len(perShard))
+	shardOps := make([][]txnOp, len(s.shards))
 	for _, si := range touched {
 		st := s.shards[si]
+		shardOps[si] = make([]txnOp, 0, len(perShard[si]))
 		sim := slotSim{n: st.rel.Len(), length: st.rel.Len()}
 		locate := func(match relation.Tuple) (row, slot int, err error) {
 			if row = st.rel.FindIdentical(match); row < 0 {
@@ -947,19 +952,20 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 			return row, slot, nil
 		}
 		for _, ro := range perShard[si] {
-			switch ro.op.kind {
+			op := ops[ro.gidx]
+			switch ro.kind {
 			case txnInsert:
 				shardOps[si] = append(shardOps[si], txnOp{kind: txnInsert, t: ro.ins})
 				sim.insert()
 			case txnUpdate:
-				_, ti, err := locate(ro.op.match)
+				_, ti, err := locate(op.match)
 				if err != nil {
 					unlockAll()
 					return structural(ro.gidx, err)
 				}
-				shardOps[si] = append(shardOps[si], txnOp{kind: txnUpdate, ti: ti, a: ro.op.a, v: ro.op.v})
+				shardOps[si] = append(shardOps[si], txnOp{kind: txnUpdate, ti: ti, a: op.a, v: op.v})
 			default:
-				row, ti, err := locate(ro.op.match)
+				row, ti, err := locate(op.match)
 				if err != nil {
 					unlockAll()
 					return structural(ro.gidx, err)
@@ -967,7 +973,6 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 				shardOps[si] = append(shardOps[si], txnOp{kind: txnDelete, ti: ti})
 				sim.delete(row, ti)
 			}
-			gidxOf[si] = append(gidxOf[si], ro.gidx)
 		}
 	}
 
@@ -1015,7 +1020,7 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 		for _, f := range fails {
 			var terr *TxnError
 			if errors.As(f.err, &terr) && !errors.Is(f.err, ErrInconsistent) {
-				if g := gidxOf[f.si][terr.Op]; bestG < 0 || g < bestG {
+				if g := perShard[f.si][terr.Op].gidx; bestG < 0 || g < bestG {
 					bestG, bestErr = g, f.err
 				}
 			}
@@ -1029,7 +1034,7 @@ func (s *Sharded) commitOps(ops []shardedOp, base []uint64) error {
 				}
 			}
 			if bestErr != nil {
-				bestG = s.offendingOpGlobal(touched, shardOps, gidxOf, len(ops))
+				bestG = s.offendingOpGlobal(touched, perShard, shardOps, len(ops))
 			}
 		}
 		unlockAll()

@@ -109,6 +109,7 @@ type Store struct {
 	// oracle (txn.go); only NewRecheckOracle sets it.
 	recheck bool
 	marks   map[int][]cellRef // mark → cells, the incremental engine's (incremental.go); nil until its first commit
+	prop    propagation       // the incremental engine's commit scratch (incremental.go)
 	// mutation counters, exposed for observability and tests.
 	inserts, updates, deletes, rejected int
 	// wal is the durability state OpenDurable attaches (recovery.go); nil

@@ -425,8 +425,14 @@ func applyTxnOp(s *schema.Scheme, r *relation.Relation, op txnOp) (appliedTxnOp,
 func (st *Store) prepareTxnIncremental(ops []txnOp) (*preparedTxn, error) {
 	st.ensureMarks()
 	savedMark := st.rel.NextMark()
-	var und undoLog
-	seeds := make(map[int]bool, len(ops))
+	sc := &st.prop // the store's commit scratch (incremental.go)
+	if sc.seeds == nil {
+		sc.st, sc.seeds, sc.nextSet, sc.done = st, map[int]bool{}, map[int]bool{}, map[int]bool{}
+	}
+	clear(sc.seeds)
+	clear(sc.log) // lets go of the rows the last commit's log held
+	seeds, und := sc.seeds, sc.log[:0]
+	defer func() { sc.log = und }()
 	var counts [3]int
 
 	rollbackAll := func() {
@@ -517,14 +523,8 @@ func (st *Store) prepareTxnIncremental(ops []txnOp) (*preparedTxn, error) {
 		}
 	}
 
-	if len(seeds) > 0 {
-		seedList := make([]int, 0, len(seeds))
-		for i := range seeds {
-			seedList = append(seedList, i)
-		}
-		if !st.settleSeeds(seedList, &und) {
-			return toOracle()
-		}
+	if len(seeds) > 0 && !st.settleSeeds(&und) {
+		return toOracle()
 	}
 	// Explicit marks staged by updates already advanced the allocator at
 	// apply time (applyTxnOp), identically under both engines, so there

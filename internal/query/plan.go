@@ -12,15 +12,16 @@
 //     side's X-partition, fresh because the write path maintains it for
 //     its FD — one *key* probe of that index joins them, sized the same
 //     way. The planner never builds such an index;
-//   - an ∧ gathers its smallest probe alone, and every other conjunct
-//     is evaluated in the residual: a tuple on which any conjunct is
-//     false makes the whole conjunction false (strong-Kleene ∧ is the
-//     truth-order meet), so one conjunct's candidates are candidates for
-//     the conjunction. Every probe is sized when it is sketched and only
-//     the chosen one gathers rows. Sized exactly, no second probe is
-//     smaller than the first one's candidates, and in a store in chase
-//     normal form D -> CT makes a D-group agree on CT, so it would cut
-//     nothing anyway;
+//   - an ∧ gathers its smallest probe alone (a guessed size only when
+//     none is exact), and every other conjunct is evaluated in the
+//     residual: a tuple on which any conjunct is false makes the whole
+//     conjunction false (strong-Kleene ∧ is the truth-order meet), so
+//     one conjunct's candidates are candidates for the conjunction.
+//     Every probe is sized when it is sketched and only the chosen one
+//     gathers rows. Sized exactly, no second probe is smaller than the
+//     first one's candidates, and in a store in chase normal form
+//     D -> CT makes a D-group agree on CT, so it would cut nothing
+//     anyway;
 //   - an ∨ whose arms are all plannable becomes a *union* node: a tuple
 //     on which the disjunction is non-false is non-false on some arm,
 //     so the candidates are the deduplicated union of the arms' sets;
@@ -43,7 +44,8 @@
 // Run reads the candidates 64 at a time. A cold candidate is three
 // dependent loads — its tuple header, its cells, its constants' bytes in
 // the domain's string — and evaluated row by row they miss one after
-// another; a block's loads are issued together first (see Run).
+// another; a block's loads are issued together first, and a row of
+// constants only skips the guard and the probed leaf (see Run).
 //
 // Who owns what. A node's candidates are copied into its own buffer, so
 // a plan never aliases its source's indexes, and Run appends the answer
@@ -114,6 +116,7 @@ type planNode struct {
 	idx    *relation.Index // probes: the index probed
 	lo, hi int             // Eq, In and key probes: their groups, pl.groups[lo:hi]
 	est    int             // candidate count: exact for Eq, In and key probes, a guess for EqAttr
+	guess  bool            // est is EqAttr's guess, or a union's over such an arm
 	rows   []int           // materialized candidates, ascending, deduplicated
 	kids   []*planNode     // unions: the arms
 }
@@ -122,8 +125,9 @@ type planNode struct {
 // the fraction of source tuples on which it is expected non-false, the
 // key the residual evaluation order sorts by.
 type residualConjunct struct {
-	pred Pred
-	frac float64
+	pred   Pred
+	frac   float64
+	probed bool // the Eq or In whose probe is the root: true on a candidate of constants
 }
 
 // Plan is a compiled selection: a candidate-acquisition tree plus a
@@ -154,8 +158,9 @@ func PlanPred(src Source, ix Indexer, p Pred) *Plan {
 }
 
 // compile plans p into pl, reusing the scratch of pl's last compile.
-// The root is the smallest node sketched; the key probe is sketched
-// first, so it wins a tie on size.
+// The root is the smallest node sketched by smaller; the key probe is
+// sketched first, so it wins a tie. The leaf whose Eq or In probe is the
+// root is marked probed in the residual.
 func (pl *Plan) compile(src Source, ix Indexer, p Pred) {
 	pl.pred, pl.n, pl.used = p, src.Len(), 0
 	pl.groups = pl.groups[:0]
@@ -168,11 +173,12 @@ func (pl *Plan) compile(src Source, ix Indexer, p Pred) {
 	// Residual order: every ∧-spine leaf, cheapest-to-falsify first.
 	// Leaves without an estimate keep their original relative order at
 	// the back (stable sort).
-	for _, leaf := range pl.leaves {
+	rootLeaf := -1
+	for i, leaf := range pl.leaves {
 		frac := 1.0
 		if n := pl.sketch(src, ix, leaf); n != nil {
-			if pl.root == nil || n.est < pl.root.est {
-				pl.root = n
+			if pl.root == nil || n.smaller(pl.root) {
+				pl.root, rootLeaf = n, i
 			}
 			if pl.n > 0 {
 				frac = float64(n.est) / float64(pl.n)
@@ -183,20 +189,36 @@ func (pl *Plan) compile(src Source, ix Indexer, p Pred) {
 	if pl.root != nil {
 		pl.build(src, pl.root)
 	}
+	if rootLeaf >= 0 {
+		switch pl.leaves[rootLeaf].(type) {
+		case Eq, In:
+			pl.residual[rootLeaf].probed = true
+		}
+	}
 	slices.SortStableFunc(pl.residual, func(a, b residualConjunct) int { return cmp.Compare(a.frac, b.frac) })
 }
 
+// smaller reports whether n is the better node to gather than m: an
+// exact size beats a guess, and otherwise the smaller size wins.
+func (n *planNode) smaller(m *planNode) bool {
+	if n.guess != m.guess {
+		return m.guess
+	}
+	return n.est < m.est
+}
+
 // sketch compiles one predicate into a sized node, or returns nil when
-// the shape offers no index structure. And yields its smallest plannable
-// conjunct, the left one on a tie (a superset of one conjunct's non-false
-// tuples contains every tuple where the whole conjunction is non-false);
+// the shape offers no index structure. And yields its plannable
+// conjunct that is smaller, the left one on a tie (a superset of one
+// conjunct's non-false tuples contains every tuple where the whole
+// conjunction is non-false);
 // Or requires *every* arm plannable (a tuple can satisfy the disjunction
 // through an unplanned arm alone, so a partial union would be unsound).
 func (pl *Plan) sketch(src Source, ix Indexer, p Pred) *planNode {
 	switch q := p.(type) {
 	case And:
 		l, r := pl.sketch(src, ix, q.P), pl.sketch(src, ix, q.Q)
-		if l == nil || r != nil && r.est < l.est {
+		if l == nil || r != nil && r.smaller(l) {
 			return r
 		}
 		return l
@@ -237,6 +259,7 @@ func (pl *Plan) sketchArms(src Source, ix Indexer, p Pred, u *planNode) bool {
 	}
 	u.kids = append(u.kids, k)
 	u.est += k.est
+	u.guess = u.guess || k.guess
 	return true
 }
 
@@ -306,14 +329,15 @@ func (pl *Plan) sketchKey(ix Indexer) *planNode {
 
 // sketchEqAttr sketches the probe node of attr1 = attr2 over the pair
 // index. Its size is a guess, not a lookup: assuming uniform independent
-// values, about 1 in min(|dom1|, |dom2|) rows agree.
+// values, about 1 in min(|dom1|, |dom2|) rows agree. It can be far
+// below what the probe gathers, so smaller ranks it after exact sizes.
 func (pl *Plan) sketchEqAttr(src Source, ix Indexer, a EqAttr) *planNode {
 	n := pl.node(opProbe)
 	n.atom, n.idx = a, ix.IndexOn(schema.NewAttrSet(a.A, a.B))
 	st := n.idx.Stats()
 	s := src.Scheme()
 	d := min(s.Domain(a.A).Size(), s.Domain(a.B).Size())
-	n.est = st.Rows/max(d, 1) + st.Nulls
+	n.est, n.guess = st.Rows/max(d, 1)+st.Nulls, true
 	return n
 }
 
@@ -429,7 +453,12 @@ const runBlock = 64
 // the caller's rendering of the answer read warm lines. The bytes read
 // go into a local fold kept by runtime.KeepAlive: unused, the fold and
 // its loads would be deleted, and a package variable would race between
-// concurrent selections. Verdicts and order are the row-by-row loop's.
+// concurrent selections. The cell pass also marks the rows of constants
+// only. Such a row skips the contradictory-tuple guard, which needs a
+// `!` or a null, and the probed conjunct: its probed cell is a constant,
+// so it came from the probe's groups and the atom is true on it. Every
+// other row is evaluated in full. Verdicts and order are the row-by-row
+// loop's.
 func (pl *Plan) Run(src Source, res *Result) {
 	if pl.root == nil {
 		scan(src, pl.pred, res)
@@ -446,21 +475,27 @@ func (pl *Plan) Run(src Source, res *Result) {
 		for j, i := range ids {
 			ts[j] = src.Tuple(i)
 		}
-		for _, t := range ts {
+		var consts uint64 // bit j: ts[j] holds only constants
+		for j, t := range ts {
+			consts |= 1 << j
 			for _, v := range t {
-				if v.IsConst() {
-					if c := v.Const(); c != "" {
-						fold += c[0]
-					}
+				if !v.IsConst() {
+					consts &^= 1 << j
+				} else if c := v.Const(); c != "" {
+					fold += c[0]
 				}
 			}
 		}
 		for j, t := range ts {
-			if contradictory(s, t) {
+			decided := consts>>j&1 == 1
+			if !decided && contradictory(s, t) {
 				continue
 			}
 			v := tvl.True
 			for _, rc := range pl.residual {
+				if rc.probed && decided {
+					continue
+				}
 				w := evalRaw(s, t, rc.pred)
 				if w == tvl.False {
 					v = tvl.False

@@ -111,10 +111,11 @@ func TestSpineEq(t *testing.T) {
 }
 
 // TestExplainRendersPushedAtomOnDemand: plan nodes carry the atom, not
-// its rendering, and the report still names the probe. A = B's size is
-// a guess from the pair index (6 rows / 6 values = 1) while five rows
-// agree, so the A = B probe is chosen over the In probe (3 rows) and
-// gathers 5; the In is evaluated in the residual.
+// its rendering, and the report still names the probe. In A = B and not
+// B = v1, A = B is the only probe: its size is a guess from the pair
+// index (6 rows / 6 values = 1) while five rows agree, and it gathers 5.
+// Beside an In, whose 3 rows are an exact size, the guess no longer wins:
+// the In probe gathers 3 and A = B is evaluated in the residual.
 func TestExplainRendersPushedAtomOnDemand(t *testing.T) {
 	r := relation.MustFromRows(dedupeScheme(),
 		[]string{"v1", "v1"},
@@ -124,16 +125,25 @@ func TestExplainRendersPushedAtomOnDemand(t *testing.T) {
 		[]string{"v5", "v5"},
 		[]string{"v1", "v2"},
 	)
-	p := And{P: EqAttr{A: 0, B: 1}, Q: In{Attr: 1, Values: []string{"v3", "v2"}}}
+	p := And{P: EqAttr{A: 0, B: 1}, Q: Not{P: Eq{Attr: 1, Const: "v1"}}}
 	res, ex := SelectExplain(r, p, Options{})
-	if !slices.Equal(res.Sure, []int{1, 2}) {
-		t.Fatalf("want [1 2], got sure %v\n%s", res.Sure, ex)
+	if !slices.Equal(res.Sure, []int{1, 2, 3, 4}) {
+		t.Fatalf("want [1 2 3 4], got sure %v\n%s", res.Sure, ex)
 	}
 	if n := ex.Root; n.Op != opProbe || n.Detail != `#0 = #1` || n.Est != 1 || n.Actual != 5 || len(n.Kids) != 0 {
 		t.Errorf("want one probe #0 = #1 (est 1, got 5)\n%s", ex)
 	}
-	if !slices.ContainsFunc(ex.Residual, func(c ExplainConjunct) bool { return c.Pred == `#1 in {"v3","v2"}` }) {
-		t.Errorf("the In is not in the residual\n%s", ex)
+
+	p = And{P: EqAttr{A: 0, B: 1}, Q: In{Attr: 1, Values: []string{"v3", "v2"}}}
+	res, ex = SelectExplain(r, p, Options{})
+	if !slices.Equal(res.Sure, []int{1, 2}) {
+		t.Fatalf("want [1 2], got sure %v\n%s", res.Sure, ex)
+	}
+	if n := ex.Root; n.Op != opProbe || n.Detail != `#1 in {"v3","v2"}` || n.Est != 3 || n.Actual != 3 {
+		t.Errorf("want the exact In probe (est 3, got 3) over the A = B guess\n%s", ex)
+	}
+	if !slices.ContainsFunc(ex.Residual, func(c ExplainConjunct) bool { return c.Pred == `#0 = #1` }) {
+		t.Errorf("A = B is not in the residual\n%s", ex)
 	}
 }
 

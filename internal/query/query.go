@@ -52,6 +52,9 @@
 // definite no. Without the uniform guard, Kleene negation over an
 // atom's per-cell false would manufacture a wrong definite yes on a
 // tuple that cannot exist.
+//
+// The guard cannot fire on a tuple of constants only, so Plan.Run skips
+// it there; a store holds no `!`, so there it fires only on a null.
 package query
 
 import (

@@ -13,6 +13,7 @@ import (
 
 	"fdnull/internal/relation"
 	"fdnull/internal/schema"
+	"fdnull/internal/tvl"
 	"fdnull/internal/value"
 )
 
@@ -87,6 +88,172 @@ func TestRunBlockBoundaries(t *testing.T) {
 						n, kind, p, got.Sure, got.Maybe, want.Sure, want.Maybe)
 				}
 			}
+		}
+	}
+}
+
+// skipScheme is R(A, B, C, D) for TestRunSkipsOnlyDecidedRows. A is the
+// probed attribute; C's domain meets A's in a1 only, so a mark shared by
+// A and C can only be a1; B's and D's domains are disjoint, so a mark
+// shared by B and D admits no completion.
+func skipScheme() *schema.Scheme {
+	return schema.MustNew("R", []string{"A", "B", "C", "D"}, []*schema.Domain{
+		schema.MustDomain("da", "a1", "a2", "a3"),
+		schema.MustDomain("db", "b1", "b2"),
+		schema.MustDomain("dc", "a1", "c1"),
+		schema.MustDomain("dd", "d1", "d2"),
+	})
+}
+
+// skipRow draws one row of a kind TestRunSkipsOnlyDecidedRows needs:
+// only constants; a null A whose mark C shares (its one feasible value
+// is a1, so A = a1 is sure on it) or a null A alone (maybe); a constant A
+// beside a fresh null, beside a mark spanning B and D (contradictory),
+// or beside a `!`. mark is the last mark handed out.
+func skipRow(rng *rand.Rand, s *schema.Scheme, mark *int) relation.Tuple {
+	t := make(relation.Tuple, s.Arity())
+	for a := range t {
+		dom := s.Domain(schema.Attr(a))
+		t[a] = value.NewConst(dom.Values[rng.Intn(dom.Size())])
+	}
+	*mark++
+	switch rng.Intn(7) {
+	case 0:
+		t[0], t[2] = value.NewNull(*mark), value.NewNull(*mark)
+	case 1:
+		t[0] = value.NewNull(*mark)
+	case 2:
+		t[1+rng.Intn(3)] = value.NewNull(*mark)
+	case 3:
+		t[1], t[3] = value.NewNull(*mark), value.NewNull(*mark)
+	case 4:
+		t[1+rng.Intn(3)] = value.NewNothing()
+	}
+	return t
+}
+
+// TestRunSkipsOnlyDecidedRows pins what Run may leave out. A row of
+// constants skips the contradictory-tuple guard, and it skips the probed
+// conjunct when the root is an Eq or In probe of an ∧-spine leaf. The
+// test runs that leaf's Eq, In and Eq ∧ other shapes, a key probe of the
+// cached {A,B} index, a union and an A = C probe. The relation holds
+// every row kind skipRow draws, and delta updates, deletes and inserts
+// move rows between A's groups and its null sidecar between reads. Every
+// answer through a reused Result is held to Select and to EvalBrute row
+// by row, order included. Each plan marks as probed the Eq or In atom of
+// its probe root and nothing else: a key probe, a union or A = C marks
+// no conjunct.
+func TestRunSkipsOnlyDecidedRows(t *testing.T) {
+	s := skipScheme()
+	rng := rand.New(rand.NewSource(42))
+	eq := func(a schema.Attr, c string) Pred { return Eq{Attr: a, Const: c} }
+	preds := []Pred{
+		eq(0, "a1"),
+		eq(0, "a2"),
+		In{Attr: 0, Values: []string{"a3", "a1"}},
+		And{P: eq(0, "a1"), Q: Not{P: eq(1, "b2")}},
+		And{P: eq(3, "d1"), Q: eq(0, "a2")},
+		And{P: eq(0, "a1"), Q: eq(1, "b1")},
+		Or{P: eq(0, "a1"), Q: eq(3, "d2")},
+		EqAttr{A: 0, B: 2},
+	}
+	trials := 60
+	if testing.Short() {
+		trials = 20
+	}
+	var res Result
+	seen := map[string]int{}
+	for trial := 0; trial < trials; trial++ {
+		r, mark := relation.New(s), 0
+		for i, n := 0, 40+rng.Intn(80); i < n; i++ {
+			r.InsertUnchecked(skipRow(rng, s, &mark))
+		}
+		r.IndexOn(schema.NewAttrSet(0, 1)) // cached, so A = a1 and B = b1 can be one key probe
+		for step := 0; step < 12; step++ {
+			p := preds[(trial+step)%len(preds)]
+			pl := PlanPred(r, r, p)
+			probed := ""
+			for _, rc := range pl.residual {
+				if rc.probed {
+					if probed != "" {
+						t.Fatalf("%v: two conjuncts marked probed", p)
+					}
+					probed = rc.pred.String()
+				}
+			}
+			want := ""
+			switch {
+			case pl.root == nil:
+				seen["scan"]++
+			case pl.root.key != 0:
+				seen["key"]++
+			case pl.root.op == opUnion:
+				seen["union"]++
+			default:
+				switch pl.root.atom.(type) {
+				case Eq, In:
+					seen["eq/in"]++
+					want = pl.root.atom.String()
+				case EqAttr:
+					seen["eqattr"]++
+				}
+			}
+			if probed != want {
+				t.Fatalf("%v: conjunct %q marked probed, want %q\n%s", p, probed, want, pl.Explain(EngineIndexed))
+			}
+			SelectInto(r, p, Options{}, &res)
+			if sel := Select(r, p); !res.Equal(sel) {
+				t.Fatalf("trial %d step %d, %v:\nSelectInto sure %v maybe %v\nSelect     sure %v maybe %v",
+					trial, step, p, res.Sure, res.Maybe, sel.Sure, sel.Maybe)
+			}
+			var brute Result
+			for i := 0; i < r.Len(); i++ {
+				v, err := EvalBrute(s, r.Tuple(i), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch v {
+				case tvl.True:
+					brute.Sure = append(brute.Sure, i)
+				case tvl.Unknown:
+					brute.Maybe = append(brute.Maybe, i)
+				}
+			}
+			if !res.Equal(brute) {
+				t.Fatalf("trial %d step %d, %v:\nSelectInto sure %v maybe %v\nEvalBrute  sure %v maybe %v",
+					trial, step, p, res.Sure, res.Maybe, brute.Sure, brute.Maybe)
+			}
+			if pl.root != nil {
+				for _, i := range pl.root.rows {
+					tp := r.Tuple(i)
+					switch v := verdictOf(res, i); {
+					case tp[0].IsNull() && v == tvl.True:
+						seen["sure sidecar row"]++
+					case tp[0].IsNull() && v == tvl.Unknown:
+						seen["maybe sidecar row"]++
+					case tp[0].IsConst() && contradictory(s, tp):
+						seen["contradictory candidate"]++
+					case tp[0].IsConst() && slices.ContainsFunc(tp, value.V.IsNull):
+						seen["undecided candidate"]++
+					}
+				}
+			}
+			switch i := rng.Intn(r.Len()); rng.Intn(4) {
+			case 0:
+				r.DeleteDelta(i)
+			case 1:
+				r.SetCellDelta(i, 0, value.NewConst(s.Domain(0).Values[rng.Intn(3)]))
+			case 2:
+				mark++
+				r.SetCellDelta(i, 0, value.NewNull(mark))
+			default:
+				r.InsertDelta(skipRow(rng, s, &mark)) // a duplicate is refused, which is fine
+			}
+		}
+	}
+	for _, k := range []string{"key", "union", "eq/in", "eqattr", "sure sidecar row", "maybe sidecar row", "contradictory candidate", "undecided candidate"} {
+		if seen[k] == 0 {
+			t.Errorf("the sequence never produced a %s (saw %v)", k, seen)
 		}
 	}
 }
@@ -182,8 +349,8 @@ func llcBytes() int {
 // answers and contradictory rows occur, and every other relation has no
 // null on A, so a probe of A's order is its group's alone, and B equal
 // to A wherever both are constants. On those A = B agrees on three
-// times the rows its size guess (a third of them) says, and it is still
-// the one probe gathered, C in {w1} going to the residual. A delta
+// times the rows its size guess (a third of them) says; the exact
+// C in {w1} probe is gathered and A = B goes to the residual. A delta
 // mutation between reads moves rows between index groups and leaves some
 // groups out of order, and the reused plan must not answer from the last
 // read's candidates.

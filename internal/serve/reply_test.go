@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -206,6 +207,59 @@ func TestServeQueryReplyAllocs(t *testing.T) {
 	if group2Bytes > groupBytes+1024 {
 		t.Errorf("a %d-row answer allocates %.0f B, a %d-row answer %.0f B: the read allocates per row", 2*n, group2Bytes, n, groupBytes)
 	}
+}
+
+// BenchmarkServeGroupReply renders kv-read's group read through one
+// reused queryReply: KV(K, A, B) with K -> A and K -> B on two shards
+// keyed by K, 150,000 rows loaded in 64-row write-sets, and B = b over
+// B's 256 values, each answered with 585 or 586 rows from both shards.
+// An iteration is what a daemon does for the request past decoding it —
+// parse, route, plan, probe, Run and render — but the Write. ns/row is
+// the time per answered row.
+func BenchmarkServeGroupReply(b *testing.B) {
+	const rows, groups = 150_000, 256
+	dom := func(name, prefix string, size int) AttrSpec {
+		return AttrSpec{Name: name, Domain: DomainSpec{Name: name, Prefix: prefix, Size: size}}
+	}
+	srv, err := New(&Config{Tenants: []TenantSpec{{
+		Name: "kv", Token: "tok", Shards: 2, Key: []string{"K"}, FDs: "K -> A; K -> B",
+		Scheme: SchemeSpec{Name: "KV", Attrs: []AttrSpec{dom("K", "k", rows), dom("A", "a", 64), dom("B", "b", groups)}},
+	}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tn := srv.tenants["kv"]
+	for lo := 0; lo < rows; lo += 64 {
+		tx := tn.store.BeginTxn()
+		for k := lo; k < min(lo+64, rows); k++ {
+			if err := tx.InsertRow("k"+strconv.Itoa(k+1), "a"+strconv.Itoa(k%64+1), "b"+strconv.Itoa(k%groups+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var qr queryReply
+	wheres, sizes := make([]string, groups), make([]int, groups)
+	for g := range wheres {
+		wheres[g], sizes[g] = "B = b"+strconv.Itoa(g+1), rows/groups
+		if g < rows%groups {
+			sizes[g]++
+		}
+		if line, err := qr.render(tn, wheres[g]); err != nil || rowCount(line) != sizes[g] { // builds the indexes
+			b.Fatalf("%s: %d rows (%v), want %d", wheres[g], rowCount(line), err, sizes[g])
+		}
+	}
+	answered := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := qr.render(tn, wheres[i%groups]); err != nil {
+			b.Fatal(err)
+		}
+		answered += sizes[i%groups]
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(answered), "ns/row")
 }
 
 // rowCount counts the rows of a rendered reply line.

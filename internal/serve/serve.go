@@ -540,20 +540,22 @@ func appendList(line []byte, open string, rows []byte) []byte {
 // the five bytes encoding/json escapes (HTML escaping is on) is its own
 // JSON string body, and null marks and "!" always are; any other
 // constant goes through json.Marshal, so no escaping rule is restated.
-// A constant of an attribute plain marks is not scanned.
+// A constant of an attribute plain marks goes between quotes unscanned.
 func appendRow(b []byte, t fdnull.Tuple, plainAttr []bool) []byte {
 	b = append(b, ',', '[')
 	for i, v := range t {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		if v.IsConst() && !plainAttr[i] && !plain(v.Const()) {
+		switch {
+		case !v.IsConst():
+			b = append(v.AppendString(append(b, '"')), '"')
+		case plainAttr[i] || plain(v.Const()):
+			b = append(append(append(b, '"'), v.Const()...), '"')
+		default:
 			quoted, _ := json.Marshal(v.Const()) // a string always marshals
 			b = append(b, quoted...)
-			continue
 		}
-		b = append(b, '"')
-		b = append(v.AppendString(b), '"')
 	}
 	return append(b, ']')
 }

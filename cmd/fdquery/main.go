@@ -12,10 +12,10 @@
 // -where may repeat; the predicates are evaluated as one batch over one
 // instance, fanned across -workers goroutines (query.SelectAll).
 //
-// Each predicate is compiled to an algebraic plan — the smallest
-// Eq/In/EqAttr probe of the ∧-spine, ∨ as a deduplicated union of
-// sub-plans, residuals ordered by estimated selectivity — and falls
-// back to the full scan when nothing is plannable.
+// Each predicate is compiled to an algebraic plan — the smallest Eq/In
+// probe of the ∧-spine, ∨ as a deduplicated union of sub-plans,
+// residuals ordered by their probes' sizes — and falls back to the full
+// scan when nothing is plannable; an A = B atom is never probed.
 //
 // -explain prints, before each predicate's answers, the compiled plan:
 // the probe/union tree with estimated vs actual candidate

@@ -59,10 +59,11 @@ type QueryOptions = query.Options
 // admitting no completion (a `!` cell, or a mark spanning domains with
 // empty intersection) are in neither list — no predicate holds on them.
 // It runs the planner, which compiles an algebraic plan over X-partition
-// indexes — Eq/In/EqAttr probes sized before any is gathered, the
+// indexes — Eq/In probes sized exactly before any is gathered, the
 // ∧-spine's smallest gathered alone, ∨ evaluated as a deduplicated union
-// of sub-plans, residual conjuncts ordered by those sizes — and degrades to the scan when the source has no indexes
-// (a RelationView) or the predicate offers no plannable structure; the
+// of sub-plans, residual conjuncts ordered by those sizes — and degrades
+// to the scan when the source has no indexes (a RelationView) or the
+// predicate offers no plannable structure (EqAttr is never probed); the
 // answer is the same either way.
 func Select(src QuerySource, p Pred) SelectResult { return query.SelectWith(src, p, QueryOptions{}) }
 

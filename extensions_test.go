@@ -200,8 +200,12 @@ func TestPublicQueryV2(t *testing.T) {
 	if !res.Equal(want) || ex.Scan || !strings.Contains(ex.String(), "union") {
 		t.Errorf("explain: res=%v report=%v", res, ex)
 	}
-	if st := fdnull.IndexOn(r, s.MustSet("D#")).Stats(); st.Rows != 3 || st.Groups != 2 {
-		t.Errorf("IndexStats = %+v", st)
+	ix, fresh := fdnull.IndexOn(r, s.MustSet("D#")), fdnull.BuildIndex(r, s.MustSet("D#"))
+	if ix.GroupCount() != 2 || fresh.GroupCount() != 2 || len(ix.NullRows()) != len(fresh.NullRows()) ||
+		len(ix.NothingRows()) != len(fresh.NothingRows()) {
+		t.Errorf("index on D#: %d groups, %d null, %d nothing rows; a fresh build: %d, %d, %d",
+			ix.GroupCount(), len(ix.NullRows()), len(ix.NothingRows()),
+			fresh.GroupCount(), len(fresh.NullRows()), len(fresh.NothingRows()))
 	}
 
 	comps := []fdnull.AttrSet{s.MustSet("E#", "D#"), s.MustSet("E#", "MS")}

@@ -152,11 +152,6 @@ type Index = relation.Index
 // mutations of r invalidate the cache automatically.
 func IndexOn(r *Relation, set AttrSet) *Index { return r.IndexOn(set) }
 
-// IndexStats is the summary of an index's partition shape: rows in
-// constant groups, distinct groups, and sidecar sizes, all exact.
-// Obtained via Index.Stats.
-type IndexStats = relation.IndexStats
-
 // BuildIndex partitions r's tuples by their projection on set without
 // touching r's index cache.
 func BuildIndex(r *Relation, set AttrSet) *Index { return relation.BuildIndex(r, set) }

@@ -116,7 +116,7 @@ func Build(r *relation.Relation, set schema.AttrSet, conv testfds.Convention) *P
 // one slab and sorted, and the classes ordered by first row: Build's order.
 func fromIndex(ix *relation.Index, n int) *Partition {
 	p := &Partition{set: ix.Set(), conv: testfds.Strong, n: n, classOf: slices.Repeat([]int{-1}, n)}
-	slab := make([]int, 0, ix.Stats().Rows)
+	slab := make([]int, 0, n-len(ix.NullRows())-len(ix.NothingRows()))
 	var classes [][]int
 	ix.ForEachGroup(func(rows []int) bool {
 		if len(rows) >= 2 {
@@ -214,43 +214,6 @@ func (p *Partition) NumClasses() int { return len(p.classes) }
 // ClassOf returns the class index of tuple i, or -1 when i is a stripped
 // singleton or lives in a sidecar.
 func (p *Partition) ClassOf(i int) int { return p.classOf[i] }
-
-// Support returns ‖π‖, the number of tuples in stripped classes.
-func (p *Partition) Support() int {
-	n := 0
-	for _, c := range p.classes {
-		n += len(c)
-	}
-	return n
-}
-
-// Stats summarizes a stripped partition's shape the way
-// relation.IndexStats summarizes an X-partition index — support size,
-// class count, sidecar sizes — plus the largest class. Partitions are
-// immutable, so these stay exact.
-type Stats struct {
-	Support  int // tuples in stripped classes (size ≥ 2)
-	Classes  int // stripped class count
-	Nulls    int // strong-convention wildcard sidecar size
-	Nothing  int // nothing sidecar size
-	MaxClass int // largest stripped class size (0 when no classes)
-}
-
-// Stats returns the partition's shape statistics.
-func (p *Partition) Stats() Stats {
-	s := Stats{
-		Classes: len(p.classes),
-		Nulls:   len(p.nulls),
-		Nothing: len(p.nothing),
-	}
-	for _, c := range p.classes {
-		s.Support += len(c)
-		if len(c) > s.MaxClass {
-			s.MaxClass = len(c)
-		}
-	}
-	return s
-}
 
 // NullRows returns the strong convention's wildcard sidecar: tuples with
 // a null (and no nothing) on the set, ascending. Empty under the weak

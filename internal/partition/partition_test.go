@@ -245,40 +245,3 @@ func TestCacheInvalidatesOnMutation(t *testing.T) {
 		t.Fatal("rebuilt partition must cover the mutated relation")
 	}
 }
-
-// TestStats cross-checks the shape summary against the partition's own
-// accessors on random instances under both conventions, and pins the
-// exactness contract: partitions are immutable, so every figure is
-// exact (no upper bounds, unlike delta-maintained index statistics).
-func TestStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	s := testScheme(4, 4)
-	for trial := 0; trial < 30; trial++ {
-		r := randomInstance(rng, s, 25, true)
-		set := schema.NewAttrSet(schema.Attr(rng.Intn(4)), schema.Attr(rng.Intn(4)))
-		for _, conv := range []testfds.Convention{testfds.Strong, testfds.Weak} {
-			p := Build(r, set, conv)
-			st := p.Stats()
-			want := Stats{
-				Support: p.Support(),
-				Classes: p.NumClasses(),
-				Nulls:   len(p.NullRows()),
-				Nothing: len(p.NothingRows()),
-			}
-			for _, c := range p.Classes() {
-				if len(c) < 2 {
-					t.Fatalf("stripped class of size %d", len(c))
-				}
-				if len(c) > want.MaxClass {
-					want.MaxClass = len(c)
-				}
-			}
-			if st != want {
-				t.Errorf("trial %d %v: Stats() = %+v, want %+v", trial, conv, st, want)
-			}
-			if conv == testfds.Weak && st.Nulls != 0 {
-				t.Errorf("weak convention must keep the null sidecar empty: %+v", st)
-			}
-		}
-	}
-}

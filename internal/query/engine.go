@@ -3,11 +3,11 @@
 // The naive Select full-scans the source per predicate: O(n) Eval calls
 // whatever the predicate's selectivity. The indexed engine (plan.go)
 // compiles an algebraic plan over the source's X-partition indexes —
-// the smallest Eq/In/EqAttr probe of the ∧-spine, ∨ evaluated as a
-// deduplicated union of sub-plans, residual conjuncts ordered by
-// estimated selectivity — so the full predicate runs on the plan's
-// candidates alone. SelectAll fans a batch of predicates over a bounded
-// worker pool, mirroring eval.CheckAll.
+// the smallest exactly sized Eq/In probe of the ∧-spine (attr1 = attr2
+// is residual only), ∨ as a deduplicated union of sub-plans, residual
+// conjuncts ordered by their probes' sizes — so the full predicate runs
+// on the plan's candidates alone. SelectAll fans a batch of predicates
+// over a bounded worker pool, mirroring eval.CheckAll.
 //
 // Both engines return identical Results (ascending tuple order);
 // differential_test.go asserts it on randomized workloads including

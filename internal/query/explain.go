@@ -34,7 +34,7 @@ type Explain struct {
 type ExplainNode struct {
 	Op     string // "probe", "union"
 	Detail string // probes: the pushed atom's rendering
-	Est    int    // candidates the planner sized it at (exact for Eq, In and key probes)
+	Est    int    // candidates the planner sized it at, exactly
 	Actual int    // materialized candidates
 	Kids   []*ExplainNode
 }
@@ -108,11 +108,11 @@ func SelectExplain(src Source, p Pred, opts Options) (Result, *Explain) {
 // Format writes the report as an indented tree:
 //
 //	plan (indexed, 2000 tuples): evaluated 44
-//	  union (est 9, got 44)
-//	    probe #1 = #3 (est 5, got 40)
+//	  union (est 44, got 44)
+//	    probe #1 = "d3" (est 40, got 40)
 //	    probe #0 in {"e1"} (est 4, got 4)
 //	  residual order:
-//	    1. ((#1 = #3 and #2 = "full") or #0 in {"e1"}) (est frac 0.00)
+//	    1. ((#1 = "d3" and #2 = "full") or #0 in {"e1"}) (est frac 0.02)
 func (e *Explain) Format(w io.Writer) {
 	fmt.Fprintf(w, "plan (%s, %d tuples): evaluated %d\n", e.Engine, e.SourceLen, e.Evaluated)
 	if e.Scan {

@@ -2,33 +2,32 @@
 // engine. It compiles the predicate into an algebraic plan over
 // candidate row sets:
 //
-//   - every indexable atom of the ∧-spine becomes a *probe* node — the
+//   - every Eq or In atom of the ∧-spine becomes a *probe* node — the
 //     index groups its constants select plus the null sidecar, exactly
-//     the tuples on which the atom can evaluate non-false. An Eq or In
-//     probe is sized by what it would gather: one hash lookup per value,
-//     kept for the build, so its estimate is its actual size;
+//     the tuples on which the atom can evaluate non-false — sized by
+//     what it would gather: one hash lookup per value, kept for the
+//     build, so its estimate is its actual size. An attr1 = attr2 atom is
+//     never probed: no lookup sizes the rows whose two cells agree, and
+//     the least-extension rule decides it on a null anyway;
 //   - when the spine's Eq atoms bind every attribute of an index the
 //     source already keeps on two or more attributes — a left-hand
 //     side's X-partition, fresh because the write path maintains it for
 //     its FD — one *key* probe of that index joins them, sized the same
 //     way. The planner never builds such an index;
-//   - an ∧ gathers its smallest probe alone (a guessed size only when
-//     none is exact), and every other conjunct is evaluated in the
-//     residual: a tuple on which any conjunct is false makes the whole
-//     conjunction false (strong-Kleene ∧ is the truth-order meet), so
-//     one conjunct's candidates are candidates for the conjunction.
-//     Every probe is sized when it is sketched and only the chosen one
-//     gathers rows. Sized exactly, no second probe is smaller than the
-//     first one's candidates, and in a store in chase normal form
-//     D -> CT makes a D-group agree on CT, so it would cut nothing
-//     anyway;
+//   - an ∧ gathers its smallest probe alone, and every other conjunct is
+//     evaluated in the residual: a tuple on which any conjunct is false
+//     makes the whole conjunction false (strong-Kleene ∧ is the
+//     truth-order meet), so one conjunct's candidates are candidates for
+//     the conjunction. Only the chosen probe gathers rows. Sized exactly,
+//     no second probe is smaller than the first one's candidates, and in
+//     a store in chase normal form D -> CT makes a D-group agree on CT,
+//     so it would cut nothing anyway;
 //   - an ∨ whose arms are all plannable becomes a *union* node: a tuple
 //     on which the disjunction is non-false is non-false on some arm,
 //     so the candidates are the deduplicated union of the arms' sets;
 //   - the residual ∧-conjuncts are ordered by their probes' sizes —
-//     cheapest-to-falsify first, EqAttr by a guess from the pair index's
-//     relation.IndexStats — and evaluated with an early exit on the
-//     first false conjunct.
+//     cheapest-to-falsify first, an unprobed one last — and evaluated
+//     with an early exit on the first false conjunct.
 //
 // Soundness of every node is the superset property: a probe's set
 // contains every tuple on which its atom can be true or unknown, one
@@ -111,12 +110,11 @@ const (
 // handed out again.
 type planNode struct {
 	op     string
-	atom   Pred            // Eq, In and EqAttr probes: the pushed atom; Explain renders it when asked
+	atom   Pred            // Eq and In probes: the pushed atom; Explain renders it when asked
 	key    schema.AttrSet  // key probes: the index's attributes
 	idx    *relation.Index // probes: the index probed
-	lo, hi int             // Eq, In and key probes: their groups, pl.groups[lo:hi]
-	est    int             // candidate count: exact for Eq, In and key probes, a guess for EqAttr
-	guess  bool            // est is EqAttr's guess, or a union's over such an arm
+	lo, hi int             // probes: their groups, pl.groups[lo:hi]
+	est    int             // candidate count, exact
 	rows   []int           // materialized candidates, ascending, deduplicated
 	kids   []*planNode     // unions: the arms
 }
@@ -158,8 +156,8 @@ func PlanPred(src Source, ix Indexer, p Pred) *Plan {
 }
 
 // compile plans p into pl, reusing the scratch of pl's last compile.
-// The root is the smallest node sketched by smaller; the key probe is
-// sketched first, so it wins a tie. The leaf whose Eq or In probe is the
+// The root is the smallest node sketched; the key probe is sketched
+// first, so it wins a tie. The leaf whose Eq or In probe is the
 // root is marked probed in the residual.
 func (pl *Plan) compile(src Source, ix Indexer, p Pred) {
 	pl.pred, pl.n, pl.used = p, src.Len(), 0
@@ -176,8 +174,8 @@ func (pl *Plan) compile(src Source, ix Indexer, p Pred) {
 	rootLeaf := -1
 	for i, leaf := range pl.leaves {
 		frac := 1.0
-		if n := pl.sketch(src, ix, leaf); n != nil {
-			if pl.root == nil || n.smaller(pl.root) {
+		if n := pl.sketch(ix, leaf); n != nil {
+			if pl.root == nil || n.est < pl.root.est {
 				pl.root, rootLeaf = n, i
 			}
 			if pl.n > 0 {
@@ -187,24 +185,12 @@ func (pl *Plan) compile(src Source, ix Indexer, p Pred) {
 		pl.residual = append(pl.residual, residualConjunct{pred: leaf, frac: frac})
 	}
 	if pl.root != nil {
-		pl.build(src, pl.root)
+		pl.build(pl.root)
 	}
-	if rootLeaf >= 0 {
-		switch pl.leaves[rootLeaf].(type) {
-		case Eq, In:
-			pl.residual[rootLeaf].probed = true
-		}
+	if rootLeaf >= 0 && pl.root.op == opProbe { // a leaf's probe: an Eq or In
+		pl.residual[rootLeaf].probed = true
 	}
 	slices.SortStableFunc(pl.residual, func(a, b residualConjunct) int { return cmp.Compare(a.frac, b.frac) })
-}
-
-// smaller reports whether n is the better node to gather than m: an
-// exact size beats a guess, and otherwise the smaller size wins.
-func (n *planNode) smaller(m *planNode) bool {
-	if n.guess != m.guess {
-		return m.guess
-	}
-	return n.est < m.est
 }
 
 // sketch compiles one predicate into a sized node, or returns nil when
@@ -214,20 +200,21 @@ func (n *planNode) smaller(m *planNode) bool {
 // conjunction is non-false);
 // Or requires *every* arm plannable (a tuple can satisfy the disjunction
 // through an unplanned arm alone, so a partial union would be unsound).
-func (pl *Plan) sketch(src Source, ix Indexer, p Pred) *planNode {
+func (pl *Plan) sketch(ix Indexer, p Pred) *planNode {
 	switch q := p.(type) {
 	case And:
-		l, r := pl.sketch(src, ix, q.P), pl.sketch(src, ix, q.Q)
-		if l == nil || r != nil && r.smaller(l) {
+		l, r := pl.sketch(ix, q.P), pl.sketch(ix, q.Q)
+		if l == nil || r != nil && r.est < l.est {
 			return r
 		}
 		return l
 	case Or:
-		n := pl.node(opUnion)
-		if !pl.sketchArms(src, ix, p, n) {
+		if !plannable(p) {
 			return nil
 		}
-		n.est = min(n.est, src.Len())
+		n := pl.node(opUnion)
+		pl.sketchArms(ix, p, n)
+		n.est = min(n.est, pl.n)
 		return n
 	case Eq:
 		return pl.sketchEq(ix, q.Attr, []string{q.Const}, p)
@@ -238,29 +225,36 @@ func (pl *Plan) sketch(src Source, ix Indexer, p Pred) *planNode {
 		slices.Sort(pl.vals)
 		pl.vals = slices.Compact(pl.vals)
 		return pl.sketchEq(ix, q.Attr, pl.vals, p)
-	case EqAttr:
-		if q.A == q.B {
-			return nil // true on every non-contradictory tuple; no probe
-		}
-		return pl.sketchEqAttr(src, ix, q)
 	}
 	return nil
 }
 
-// sketchArms sketches the ∨-spine leaves of p into union u's arms, left
-// to right; it reports false at the first one with no index structure.
-func (pl *Plan) sketchArms(src Source, ix Indexer, p Pred, u *planNode) bool {
+// sketchArms sketches the ∨-spine leaves of p, all plannable, into union
+// u's arms, left to right.
+func (pl *Plan) sketchArms(ix Indexer, p Pred, u *planNode) {
 	if o, ok := p.(Or); ok {
-		return pl.sketchArms(src, ix, o.P, u) && pl.sketchArms(src, ix, o.Q, u)
+		pl.sketchArms(ix, o.P, u)
+		pl.sketchArms(ix, o.Q, u)
+		return
 	}
-	k := pl.sketch(src, ix, p)
-	if k == nil {
-		return false
-	}
+	k := pl.sketch(ix, p)
 	u.kids = append(u.kids, k)
 	u.est += k.est
-	u.guess = u.guess || k.guess
-	return true
+}
+
+// plannable reports whether sketch yields a node for p, so an ∨ with an
+// unplannable arm builds no index for the others: an Eq or In, an ∧ with
+// a plannable conjunct, an ∨ whose arms all are.
+func plannable(p Pred) bool {
+	switch q := p.(type) {
+	case Eq, In:
+		return true
+	case And:
+		return plannable(q.P) || plannable(q.Q)
+	case Or:
+		return plannable(q.P) && plannable(q.Q)
+	}
+	return false
 }
 
 // sketchEq sketches the probe node of attr ∈ vals: the groups keyed by
@@ -327,20 +321,6 @@ func (pl *Plan) sketchKey(ix Indexer) *planNode {
 	return n
 }
 
-// sketchEqAttr sketches the probe node of attr1 = attr2 over the pair
-// index. Its size is a guess, not a lookup: assuming uniform independent
-// values, about 1 in min(|dom1|, |dom2|) rows agree. It can be far
-// below what the probe gathers, so smaller ranks it after exact sizes.
-func (pl *Plan) sketchEqAttr(src Source, ix Indexer, a EqAttr) *planNode {
-	n := pl.node(opProbe)
-	n.atom, n.idx = a, ix.IndexOn(schema.NewAttrSet(a.A, a.B))
-	st := n.idx.Stats()
-	s := src.Scheme()
-	d := min(s.Domain(a.A).Size(), s.Domain(a.B).Size())
-	n.est, n.guess = st.Rows/max(d, 1)+st.Nulls, true
-	return n
-}
-
 // node hands out pl's next node, reset but for its emptied buffers; the
 // pool grows by one when this compile has used every node the earlier
 // ones sketched.
@@ -390,47 +370,28 @@ func (r *Result) ScratchBytes() int {
 	return b
 }
 
-// build gathers a chosen node's candidates into its own buffer: a
-// probe's, or a union's from its arms'.
-func (pl *Plan) build(src Source, n *planNode) {
+// build gathers a chosen node's candidates into its own buffer, sorted:
+// a probe's groups looked up when it was sketched plus its null sidecar,
+// or its arms' candidates for a union, deduplicated. The groups are
+// copied and sorted: a delta mutation can leave a group out of order
+// (taking a row out swaps the group's last into its slot; DeleteDelta
+// also renumbers a row), and the candidates must be ascending.
+func (pl *Plan) build(n *planNode) {
 	switch n.op {
 	case opProbe:
-		n.rows = pl.probeRows(src, n)
+		for _, g := range pl.groups[n.lo:n.hi] {
+			n.rows = append(n.rows, g...)
+		}
+		n.rows = append(n.rows, n.idx.NullRows()...)
+		slices.Sort(n.rows) // distinct groups and the sidecar are disjoint: no dupes
 	case opUnion:
 		for _, k := range n.kids {
-			pl.build(src, k)
+			pl.build(k)
 			n.rows = append(n.rows, k.rows...)
 		}
 		slices.Sort(n.rows)
 		n.rows = slices.Compact(n.rows)
 	}
-}
-
-// probeRows appends a probe's candidates to its buffer, sorted.
-// attr = c, attr ∈ S and a key probe take the groups looked up when they
-// were sketched, plus the null sidecar; attr1 = attr2 takes the pair index's groups
-// whose two constants agree (every row of a group shares the projection,
-// so the first row decides), plus the sidecar. The groups are copied and
-// sorted: a delta mutation can leave a group out of order (taking a row
-// out swaps the group's last into its slot; DeleteDelta also renumbers a
-// row), and the candidates must be ascending.
-func (pl *Plan) probeRows(src Source, n *planNode) []int {
-	rows := n.rows
-	if q, ok := n.atom.(EqAttr); ok {
-		n.idx.ForEachGroup(func(g []int) bool {
-			t := src.Tuple(g[0])
-			if t[q.A].Const() == t[q.B].Const() {
-				rows = append(rows, g...)
-			}
-			return true
-		})
-	}
-	for _, g := range pl.groups[n.lo:n.hi] {
-		rows = append(rows, g...)
-	}
-	rows = append(rows, n.idx.NullRows()...)
-	slices.Sort(rows) // distinct groups and the sidecar are disjoint: no dupes
-	return rows
 }
 
 // runBlock is how many candidates Run gathers before it evaluates them.

@@ -136,13 +136,13 @@ func skipRow(rng *rand.Rand, s *schema.Scheme, mark *int) relation.Tuple {
 // constants skips the contradictory-tuple guard, and it skips the probed
 // conjunct when the root is an Eq or In probe of an ∧-spine leaf. The
 // test runs that leaf's Eq, In and Eq ∧ other shapes, a key probe of the
-// cached {A,B} index, a union and an A = C probe. The relation holds
-// every row kind skipRow draws, and delta updates, deletes and inserts
-// move rows between A's groups and its null sidecar between reads. Every
-// answer through a reused Result is held to Select and to EvalBrute row
-// by row, order included. Each plan marks as probed the Eq or In atom of
-// its probe root and nothing else: a key probe, a union or A = C marks
-// no conjunct.
+// cached {A,B} index, a union and A = C, which is never probed and plans
+// the scan. The relation holds every row kind skipRow draws, and delta
+// updates, deletes and inserts move rows between A's groups and its null
+// sidecar between reads. Every answer through a reused Result is held to
+// Select and to EvalBrute row by row, order included. Each plan marks as
+// probed the Eq or In atom of its probe root and nothing else: a key
+// probe, a union or the scan marks no conjunct.
 func TestRunSkipsOnlyDecidedRows(t *testing.T) {
 	s := skipScheme()
 	rng := rand.New(rand.NewSource(42))
@@ -190,13 +190,14 @@ func TestRunSkipsOnlyDecidedRows(t *testing.T) {
 			case pl.root.op == opUnion:
 				seen["union"]++
 			default:
-				switch pl.root.atom.(type) {
-				case Eq, In:
-					seen["eq/in"]++
-					want = pl.root.atom.String()
-				case EqAttr:
-					seen["eqattr"]++
+				seen["eq/in"]++
+				want = pl.root.atom.String()
+			}
+			if _, ok := p.(EqAttr); ok {
+				if pl.root != nil {
+					t.Fatalf("%v: planned a %s, want the scan\n%s", p, pl.root.op, pl.Explain(EngineIndexed))
 				}
+				seen["eqattr scan"]++
 			}
 			if probed != want {
 				t.Fatalf("%v: conjunct %q marked probed, want %q\n%s", p, probed, want, pl.Explain(EngineIndexed))
@@ -251,7 +252,7 @@ func TestRunSkipsOnlyDecidedRows(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range []string{"key", "union", "eq/in", "eqattr", "sure sidecar row", "maybe sidecar row", "contradictory candidate", "undecided candidate"} {
+	for _, k := range []string{"key", "union", "eq/in", "eqattr scan", "sure sidecar row", "maybe sidecar row", "contradictory candidate", "undecided candidate"} {
 		if seen[k] == 0 {
 			t.Errorf("the sequence never produced a %s (saw %v)", k, seen)
 		}
@@ -348,8 +349,7 @@ func llcBytes() int {
 // shapes; the relations carry `!` cells, shared marks and nulls, so Maybe
 // answers and contradictory rows occur, and every other relation has no
 // null on A, so a probe of A's order is its group's alone, and B equal
-// to A wherever both are constants. On those A = B agrees on three
-// times the rows its size guess (a third of them) says; the exact
+// to A wherever both are constants. A = B is never probed: beside it the
 // C in {w1} probe is gathered and A = B goes to the residual. A delta
 // mutation between reads moves rows between index groups and leaves some
 // groups out of order, and the reused plan must not answer from the last
@@ -361,7 +361,7 @@ func TestSelectIntoReusedResult(t *testing.T) {
 		"scan":     Not{P: Eq{Attr: 0, Const: "v1"}},
 		"probe":    Eq{Attr: 0, Const: "v1"},
 		"residual": And{P: EqAttr{A: 0, B: 1}, Q: In{Attr: 2, Values: []string{"w1"}}},
-		"union":    Or{P: Eq{Attr: 0, Const: "v3"}, Q: EqAttr{A: 1, B: 4}},
+		"union":    Or{P: Eq{Attr: 0, Const: "v3"}, Q: In{Attr: 4, Values: []string{"v2", "v4"}}},
 	}
 	trials := 400
 	if testing.Short() {

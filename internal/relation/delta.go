@@ -260,9 +260,8 @@ func (ix *Index) locate(get getter) (int, []byte) {
 	return locGroup, ix.key
 }
 
-// addRow appends row i to the slot its projection selects, keeping the
-// partition statistics exact. A new group takes a freed slot when there
-// is one.
+// addRow appends row i to the slot its projection selects. A new group
+// takes a freed slot when there is one.
 func (ix *Index) addRow(i int, get getter) {
 	switch kind, key := ix.locate(get); kind {
 	case locNothing:
@@ -281,13 +280,11 @@ func (ix *Index) addRow(i int, get getter) {
 			ix.groups[ix.newKey(key, get)] = s
 		}
 		ix.rows[s] = append(ix.rows[s], i)
-		ix.groupRows++
 	}
 }
 
 // removeRow removes row i from the slot its projection selects, freeing
-// the slot of a group that becomes empty so GroupCount and groupRows stay
-// exact.
+// the slot of a group that becomes empty so GroupCount stays exact.
 func (ix *Index) removeRow(i int, get getter) {
 	switch kind, key := ix.locate(get); kind {
 	case locNothing:
@@ -300,7 +297,6 @@ func (ix *Index) removeRow(i int, get getter) {
 			delete(ix.groups, string(key))
 			ix.free = append(ix.free, s)
 		}
-		ix.groupRows--
 	}
 }
 

@@ -44,31 +44,6 @@ type Index struct {
 	nulls   []int  // tuples with ≥1 null (and no nothing) on set
 	nothing []int  // tuples with ≥1 inconsistent element on set
 	version uint64 // relation version the index was built at
-
-	// groupRows counts the rows living in constant groups (excluding both
-	// sidecars), maintained alongside the groups so Stats is exact.
-	groupRows int
-}
-
-// IndexStats is the summary of an index's partition shape: how many rows
-// hash into constant groups, across how many distinct groups, and how
-// large the sidecars are. All four are exact and describe the indexed
-// instance at the index's version.
-type IndexStats struct {
-	Rows    int // rows in constant groups (excludes sidecars)
-	Groups  int // distinct constant projections
-	Nulls   int // null-sidecar size
-	Nothing int // nothing-sidecar size
-}
-
-// Stats returns the index's partition statistics.
-func (ix *Index) Stats() IndexStats {
-	return IndexStats{
-		Rows:    ix.groupRows,
-		Groups:  len(ix.groups),
-		Nulls:   len(ix.nulls),
-		Nothing: len(ix.nothing),
-	}
 }
 
 // BuildIndex partitions r's tuples by their projection on set. One pass
@@ -104,8 +79,7 @@ func BuildIndex(r *Relation, set schema.AttrSet) *Index {
 			sizes[s]++
 		}
 	}
-	ix.groupRows = len(r.tuples) - len(ix.nulls) - len(ix.nothing)
-	slab := make([]int, ix.groupRows)
+	slab := make([]int, len(r.tuples)-len(ix.nulls)-len(ix.nothing))
 	ix.rows = make([][]int, len(sizes))
 	for s, k := range sizes {
 		ix.rows[s], slab = slab[:0:k], slab[k:]

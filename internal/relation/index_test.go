@@ -177,8 +177,16 @@ func TestIndexConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestIndexStats pins the statistics contract on a hand-built instance:
-// Rows/Groups/Nulls/Nothing are exact.
+// indexSizes is an index's partition sizes: rows in constant groups,
+// GroupCount, and the two sidecars' lengths.
+func indexSizes(ix *Index) [4]int {
+	rows := 0
+	ix.ForEachGroup(func(g []int) bool { rows += len(g); return true })
+	return [4]int{rows, ix.GroupCount(), len(ix.NullRows()), len(ix.NothingRows())}
+}
+
+// TestIndexStats pins the partition sizes on a hand-built instance: rows
+// in groups, groups, null and nothing sidecars, against a fresh build.
 func TestIndexStats(t *testing.T) {
 	s := indexTestScheme()
 	r := MustFromRows(s,
@@ -189,20 +197,21 @@ func TestIndexStats(t *testing.T) {
 		[]string{"-", "v1", "v1"},
 		[]string{"!", "v1", "v1"},
 	)
-	st := BuildIndex(r, schema.NewAttrSet(0)).Stats()
-	want := IndexStats{Rows: 4, Groups: 2, Nulls: 1, Nothing: 1}
-	if st != want {
-		t.Errorf("Stats() = %+v, want %+v", st, want)
+	if got, want := indexSizes(r.IndexOn(schema.NewAttrSet(0))), [4]int{4, 2, 1, 1}; got != want {
+		t.Errorf("sizes = %v, want %v", got, want)
 	}
-	if empty := BuildIndex(New(s), schema.NewAttrSet(0)).Stats(); empty != (IndexStats{}) {
-		t.Errorf("empty stats = %+v", empty)
+	if got := indexSizes(BuildIndex(r, schema.NewAttrSet(0))); got != [4]int{4, 2, 1, 1} {
+		t.Errorf("fresh build's sizes = %v", got)
+	}
+	if empty := indexSizes(BuildIndex(New(s), schema.NewAttrSet(0))); empty != [4]int{} {
+		t.Errorf("empty sizes = %v", empty)
 	}
 }
 
 // TestIndexStatsDeltaMaintained checks the delta-mutation contract on
 // random workloads: after any interleaving of InsertDelta, DeleteDelta
-// and SetCellDelta, the cached index's Rows, Groups, Nulls and Nothing
-// equal a fresh rebuild's.
+// and SetCellDelta, the cached index's rows in groups, GroupCount, null
+// and nothing sidecars equal a fresh rebuild's.
 func TestIndexStatsDeltaMaintained(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	s := indexTestScheme()
@@ -239,8 +248,8 @@ func TestIndexStatsDeltaMaintained(t *testing.T) {
 				}
 				r.SetCellDelta(i, a, v)
 			}
-			if got, fresh := r.IndexOn(set).Stats(), BuildIndex(r, set).Stats(); got != fresh {
-				t.Fatalf("trial %d op %d: delta stats %+v diverged from rebuild %+v", trial, op, got, fresh)
+			if got, fresh := indexSizes(r.IndexOn(set)), indexSizes(BuildIndex(r, set)); got != fresh {
+				t.Fatalf("trial %d op %d: delta sizes %v diverged from rebuild %v", trial, op, got, fresh)
 			}
 		}
 	}

@@ -30,11 +30,11 @@
 //     must not hold the lock takes View() and runs query.Select on it,
 //     as discover and check do;
 //   - an index a read caused to be built persists and is maintained by
-//     every later write. The planner builds singleton sets and EqAttr
-//     pairs only, and such an index is rebuilt exactly when the write
-//     path's own are: after a recheck adopt. A multi-attribute FD
-//     left-hand side's index it only reads, when the write path already
-//     keeps it fresh (Relation.CachedIndexes).
+//     every later write. The planner builds singleton sets only, and
+//     such an index is rebuilt exactly when the write path's own are:
+//     after a recheck adopt. A multi-attribute FD left-hand side's index
+//     it only reads, when the write path already keeps it fresh
+//     (Relation.CachedIndexes).
 package store
 
 import "fdnull/internal/query"

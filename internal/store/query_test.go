@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -252,5 +253,116 @@ func TestTxnQuerySnapshotIsolation(t *testing.T) {
 	}
 	if got := c.Query(p); got.Equal(before) {
 		t.Fatal("store query must see the committed insert")
+	}
+}
+
+// TestEqAttrReadBuildsNoIndex: attr1 = attr2 is never probed, so a read
+// whose only plannable shape would be its pair index builds no index —
+// A = B alone, beside a ¬, and as an ∨ arm beside A = c, whose probe the
+// union could not use. Read on a relation and through Sharded.SelectVisit,
+// the index build count and the cached index sets stay as they were, and
+// every answer equals Select's and per-row EvalBrute's, order included.
+func TestEqAttrReadBuildsNoIndex(t *testing.T) {
+	dom := schema.IntDomain("v", "v", 4)
+	s := schema.MustNew("R", []string{"K", "A", "B", "C"}, []*schema.Domain{
+		schema.IntDomain("key", "k", 64), dom, dom, schema.MustDomain("ct", "c1", "c2"),
+	})
+	fds := fd.MustParseSet(s, "K -> C")
+	var rows [][]string
+	for i := 1; i <= 48; i++ {
+		a, b, c := fmt.Sprintf("v%d", 1+i%4), fmt.Sprintf("v%d", 1+i/2%4), fmt.Sprintf("c%d", 1+i%2)
+		switch i % 6 {
+		case 0:
+			a = "-"
+		case 1:
+			b = "-"
+		case 2:
+			a, b = fmt.Sprintf("-%d", 100+i), fmt.Sprintf("-%d", 100+i) // one mark: A = B is true
+		case 3:
+			c = "-"
+		}
+		rows = append(rows, []string{fmt.Sprintf("k%d", i), a, b, c})
+	}
+	attrA, attrB, attrC := s.MustAttr("A"), s.MustAttr("B"), s.MustAttr("C")
+	ab := query.EqAttr{A: attrA, B: attrB}
+	preds := []query.Pred{
+		ab,
+		query.And{P: ab, Q: query.Not{P: query.Eq{Attr: attrC, Const: "c1"}}},
+		query.Or{P: query.Eq{Attr: attrA, Const: "v2"}, Q: ab},
+	}
+	indexState := func(r *relation.Relation) string {
+		_, built := r.IndexCounts()
+		var sets []schema.AttrSet
+		for _, ix := range r.CachedIndexes(nil) {
+			sets = append(sets, ix.Set())
+		}
+		slices.Sort(sets)
+		return fmt.Sprintf("built %d, cached %v", built, sets)
+	}
+	brute := func(r *relation.Relation, p query.Pred) query.Result {
+		var res query.Result
+		for i := 0; i < r.Len(); i++ {
+			switch v, err := query.EvalBrute(s, r.Tuple(i), p); {
+			case err != nil:
+				t.Fatal(err)
+			case v == tvl.True:
+				res.Sure = append(res.Sure, i)
+			case v == tvl.Unknown:
+				res.Maybe = append(res.Maybe, i)
+			}
+		}
+		return res
+	}
+
+	r := relation.MustFromRows(s, rows...)
+	before := indexState(r)
+	var res query.Result
+	for _, p := range preds {
+		query.SelectInto(r, p, query.Options{}, &res)
+		if want := query.Select(r, p); !res.Equal(want) || !res.Equal(brute(r, p)) {
+			t.Errorf("%v: SelectInto sure %v maybe %v, Select sure %v maybe %v", p, res.Sure, res.Maybe, want.Sure, want.Maybe)
+		}
+		if after := indexState(r); after != before {
+			t.Errorf("%v on a relation: indexes %s, then %s", p, before, after)
+		}
+	}
+
+	sh, err := NewSharded(s, fds, ShardedOptions{Shards: 2, Key: s.MustSet("K")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		if err := sh.InsertRow(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	states := make([]string, sh.NumShards())
+	for i := range states {
+		states[i] = indexState(sh.Shard(i).rel)
+	}
+	for _, p := range preds {
+		var got, want []string
+		sh.SelectVisit(p, &res, func(tp relation.Tuple, sure bool) {
+			got = append(got, fmt.Sprintf("%v %s", sure, tp))
+		})
+		for i := range states {
+			rel := sh.Shard(i).rel
+			sel := query.Select(rel, p)
+			if !sel.Equal(brute(rel, p)) {
+				t.Errorf("%v, shard %d: Select sure %v maybe %v differs from EvalBrute", p, i, sel.Sure, sel.Maybe)
+			}
+			for _, j := range sel.Sure {
+				want = append(want, fmt.Sprintf("true %s", rel.Tuple(j)))
+			}
+			for _, j := range sel.Maybe {
+				want = append(want, fmt.Sprintf("false %s", rel.Tuple(j)))
+			}
+			if after := indexState(rel); after != states[i] {
+				t.Errorf("%v on shard %d: indexes %s, then %s", p, i, states[i], after)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%v: SelectVisit visited\n%v\nwant\n%v", p, got, want)
+		}
 	}
 }
